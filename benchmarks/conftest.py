@@ -48,7 +48,7 @@ def runner() -> ExperimentRunner:
     )
     jobs = os.environ.get("REPRO_BENCH_PREWARM_JOBS")
     if jobs:
-        # Populate the cache with a process pool before the figure benches
+        # Populate the cache on the sweep fleet before the figure benches
         # consume it serially (REPRO_BENCH_PREWARM_JOBS=0 -> cpu count).
         instance.prewarm(jobs=int(jobs) or None)
     return instance

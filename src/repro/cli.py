@@ -4,9 +4,8 @@ Commands:
 
 * ``run``             simulate one (scheme, workload) pair and print metrics
                       (``--checkpoint-every``/``--resume``: crash-safe runs)
-* ``sweep``           supervised parallel sweep with watchdog + resume
-                      (``--distributed``: server + worker fleet, see
-                      docs/SWEEP_SERVICE.md)
+* ``sweep``           parallel sweep on a local server + worker fleet,
+                      with checkpoint resume (docs/SWEEP_SERVICE.md)
 * ``sweepd``          the distributed sweep service itself
                       (``serve``/``work``/``submit``/``status``)
 * ``report``          regenerate every table/figure (cached)
@@ -36,6 +35,11 @@ from repro.common.errors import (
 )
 from repro.snapshot.signals import EXIT_CHECKPOINTED
 from repro.experiments import ExperimentRunner
+from repro.experiments.jobcore import (
+    CHECKPOINTS_PER_JOB,
+    HEARTBEAT_SECONDS,
+    LEASE_SECONDS,
+)
 from repro.experiments.runner import VARIANTS
 from repro.faults import FAULT_PROFILES, resolve_profile
 from repro.sim.system import SCHEMES, build_system
@@ -146,12 +150,22 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--chaos-kill-worker", action="append", default=None,
                         metavar="SLOT:STEPS",
                         help="SIGKILL worker SLOT once it heartbeats past "
-                             "STEPS simulated ops (repeatable; "
-                             "--distributed only)")
+                             "STEPS simulated ops (repeatable)")
     parser.add_argument("--chaos-restart-server-after", type=int, default=None,
                         metavar="N",
-                        help="SIGKILL + relaunch the server after N results "
-                             "(--distributed only)")
+                        help="SIGKILL + relaunch the server after N results")
+
+
+def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
+    """Worker-side knobs shared by ``sweep`` and ``sweepd work``."""
+    parser.add_argument("--checkpoint-every", type=int, default=None,
+                        metavar="OPS",
+                        help="ops between a job's rolling checkpoints "
+                             "(default: each job writes "
+                             f"{CHECKPOINTS_PER_JOB}, evenly spaced; "
+                             "0 = off)")
+    parser.add_argument("--heartbeat-seconds", type=float,
+                        default=HEARTBEAT_SECONDS)
 
 
 def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -279,8 +293,9 @@ EXIT_MANIFEST_VERSION = 4
 def _results_digest(results) -> str:
     """Order-independent digest of a sweep's aggregated result set.
 
-    The same digest is printed by the serial, supervised, and distributed
-    sweep paths, so CI can gate on bit-identical aggregation across them.
+    ``repro sweep`` prints it, and CI compares it against the same digest
+    of the in-process ``run_many(jobs=1)`` path, gating on bit-identical
+    aggregation across the two executors.
     """
     import hashlib
     import json
@@ -341,8 +356,10 @@ def _message_chaos_from_args(args: argparse.Namespace):
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    from repro.common.errors import SweepError
-    from repro.experiments.supervisor import SweepSupervisor
+    import os
+
+    from repro.common.errors import SweepdError, SweepError
+    from repro.sweepd.fleet import run_distributed_sweep
 
     runner = ExperimentRunner(
         scale=args.scale,
@@ -353,50 +370,13 @@ def _command_sweep(args: argparse.Namespace) -> int:
         faults=_resolve_faults(args),
         max_attempts=args.max_attempts,
     )
-    if args.distributed:
-        return _sweep_distributed(args, runner)
-    supervisor = SweepSupervisor(
-        runner,
-        args.checkpoint_root,
-        checkpoint_every=args.checkpoint_every,
-        heartbeat_seconds=args.heartbeat_seconds,
-        stall_timeout=args.stall_timeout,
-    )
-    try:
-        if args.resume:
-            results = supervisor.resume(jobs=args.jobs)
-        else:
-            results = supervisor.run(_sweep_requests(args), jobs=args.jobs)
-    except ManifestVersionError as error:
-        print(f"error: {error}", file=sys.stderr)
-        if error.hint:
-            print(f"hint: {error.hint}", file=sys.stderr)
-        return EXIT_MANIFEST_VERSION
-    except CheckpointError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-    except SweepError as error:
-        print(f"sweep incomplete: {error}", file=sys.stderr)
-        print(f"resume with: python -m repro sweep --resume "
-              f"--checkpoint-root {args.checkpoint_root}", file=sys.stderr)
-        return 1
-    print(f"sweep complete: {len(results)} result(s) "
-          f"(workers killed by watchdog: {supervisor.kills}, "
-          f"resumed from checkpoint: {sum(supervisor.resumes.values())})")
-    print(f"results digest: {_results_digest(results)}")
-    return 0
-
-
-def _sweep_distributed(args: argparse.Namespace, runner) -> int:
-    from repro.common.errors import SweepdError, SweepError
-    from repro.sweepd.fleet import run_distributed_sweep
-
+    workers = args.jobs or os.cpu_count() or 1
     try:
         results, report = run_distributed_sweep(
             runner,
-            _sweep_requests(args),
+            None if args.resume else _sweep_requests(args),
             args.checkpoint_root,
-            workers=args.workers,
+            workers=workers,
             chaos=_message_chaos_from_args(args),
             fleet_chaos=_fleet_chaos_from_args(args),
             lease_seconds=args.lease_seconds,
@@ -408,15 +388,21 @@ def _sweep_distributed(args: argparse.Namespace, runner) -> int:
         if error.hint:
             print(f"hint: {error.hint}", file=sys.stderr)
         return EXIT_MANIFEST_VERSION
+    except CheckpointError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     except SweepdError as error:
         print(f"sweep service error: {error}", file=sys.stderr)
+        print(f"resume with: python -m repro sweep --resume "
+              f"--checkpoint-root {args.checkpoint_root}", file=sys.stderr)
         return 1
     except SweepError as error:
         print(f"sweep incomplete: {error}", file=sys.stderr)
         return 1
-    print(f"distributed sweep complete: {len(results)} result(s) "
-          f"(workers: {args.workers}, relaunches: {report.worker_relaunches}, "
+    print(f"sweep complete: {len(results)} result(s) "
+          f"(workers: {workers}, relaunches: {report.worker_relaunches}, "
           f"lease reclaims: {report.reclaims}, "
+          f"hung workers killed: {report.hung_worker_kills}, "
           f"chaos kills: {report.chaos_worker_kills}, "
           f"server restarts: {report.chaos_server_restarts})")
     print(f"results digest: {_results_digest(results)}")
@@ -677,7 +663,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.set_defaults(handler=_command_run)
 
     sweep_parser = commands.add_parser(
-        "sweep", help="supervised parallel sweep with checkpoint/resume"
+        "sweep", help="parallel sweep on a local worker fleet, with resume"
     )
     sweep_parser.add_argument("--schemes", nargs="+",
                               default=["pageseer", "pom", "mempod"],
@@ -686,30 +672,22 @@ def build_parser() -> argparse.ArgumentParser:
                               help="workload names (default: all 26)")
     sweep_parser.add_argument("--variants", nargs="+", default=["default"],
                               choices=sorted(VARIANTS))
-    sweep_parser.add_argument("--jobs", type=int, default=None)
+    sweep_parser.add_argument("--jobs", type=int, default=None,
+                              help="worker processes (default: CPU count)")
     sweep_parser.add_argument("--checkpoint-root", default="checkpoints/sweep",
-                              help="directory for the manifest and the "
-                                   "per-request checkpoint directories")
-    sweep_parser.add_argument("--checkpoint-every", type=int, default=20_000,
-                              metavar="OPS")
-    sweep_parser.add_argument("--heartbeat-seconds", type=float, default=0.5)
-    sweep_parser.add_argument("--stall-timeout", type=float, default=30.0,
-                              help="seconds without a heartbeat before the "
-                                   "watchdog kills and resumes a worker")
+                              help="service root: the sweepd manifest and "
+                                   "the per-job checkpoint directories")
+    _add_fleet_arguments(sweep_parser)
     sweep_parser.add_argument("--max-attempts", type=int, default=3)
     sweep_parser.add_argument("--resume", action="store_true",
-                              help="continue the sweep recorded in "
-                                   "--checkpoint-root's manifest")
+                              help="restart the fleet on --checkpoint-root's "
+                                   "manifest without submitting anything")
     sweep_parser.add_argument("--quiet", action="store_true")
-    sweep_parser.add_argument("--distributed", action="store_true",
-                              help="run through the sweepd service: a local "
-                                   "work-queue server plus --workers worker "
-                                   "processes (docs/SWEEP_SERVICE.md)")
-    sweep_parser.add_argument("--workers", type=int, default=2,
-                              help="worker processes for --distributed")
-    sweep_parser.add_argument("--lease-seconds", type=float, default=5.0,
+    sweep_parser.add_argument("--lease-seconds", type=float,
+                              default=LEASE_SECONDS,
                               help="job lease duration; an expired lease is "
-                                   "reclaimed from its (dead or hung) worker")
+                                   "reclaimed and its (dead or hung) worker "
+                                   "killed")
     _add_chaos_arguments(sweep_parser)
     _add_sizing_arguments(sweep_parser)
     _add_fault_arguments(sweep_parser)
@@ -736,7 +714,8 @@ def build_parser() -> argparse.ArgumentParser:
                               help="result cache directory (default: the "
                                    "runner's, honouring REPRO_CACHE_DIR)")
     serve_parser.add_argument("--max-attempts", type=int, default=3)
-    serve_parser.add_argument("--lease-seconds", type=float, default=15.0)
+    serve_parser.add_argument("--lease-seconds", type=float,
+                              default=LEASE_SECONDS)
     _add_chaos_arguments(serve_parser)
     _add_storage_fault_arguments(serve_parser)
     serve_parser.set_defaults(sweepd_handler=_sweepd_serve)
@@ -750,9 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "address file)")
     work_parser.add_argument("--name", default=None,
                              help="worker name (default: w<pid>)")
-    work_parser.add_argument("--checkpoint-every", type=int, default=20_000,
-                             metavar="OPS")
-    work_parser.add_argument("--heartbeat-seconds", type=float, default=0.5)
+    _add_fleet_arguments(work_parser)
     _add_storage_fault_arguments(work_parser)
     work_parser.set_defaults(sweepd_handler=_sweepd_work)
 

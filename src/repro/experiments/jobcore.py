@@ -1,41 +1,41 @@
-"""Shared job-execution core for the supervised and distributed sweeps.
+"""The unit of work every multi-process sweep is made of.
 
-``SweepSupervisor`` (single node, ``repro sweep``) and the ``sweepd``
-service (work-queue server + socket workers, ``repro sweep
---distributed`` / ``repro sweepd``) run the *same* unit of work: one
-(scheme, workload, variant) simulation that checkpoints into a private
-directory, resumes from ``latest.ckpt`` after a crash or SIGKILL, and
-lands its metrics as an atomically-written JSON payload.  This module is
-that unit, extracted so the two schedulers cannot drift:
+``ExperimentRunner.run_many(jobs != 1)``, ``repro sweep`` and the
+long-lived ``repro sweepd`` service all run on one executor — the
+``sweepd`` work-queue server plus its workers (:mod:`repro.sweepd`) —
+and every worker runs the *same* job: one (scheme, workload, variant)
+simulation that checkpoints into a private directory, resumes from
+``latest.ckpt`` after a crash or SIGKILL, and lands its metrics as an
+atomically-written JSON payload.  This module is that job:
 
-* :func:`execute_job` — resume-or-build, arm a checkpointer (with an
-  optional over-the-wire heartbeat hook), run to completion, return the
-  metrics payload;
-* :func:`write_json_atomic` / :func:`load_result` — crash-safe result
-  files and the salvage read that lets a relaunched worker ship a
-  finished result without re-simulating;
+* :func:`execute_job` — resume-or-build, arm a checkpointer (with the
+  over-the-wire heartbeat hook and the deterministic stall fault), run
+  to completion, return the metrics payload;
+* :func:`load_result` — the salvage read that lets a relaunched worker
+  ship a finished result without re-simulating;
 * :func:`cache_key` / :func:`fault_signature` — the canonical result
   cache key (shared with :class:`repro.experiments.runner
   .ExperimentRunner`), which also seeds deterministic ``sweepd`` job
   ids;
-* :func:`sizing_signature` / :func:`request_dirname` — collision-free
-  per-request checkpoint/heartbeat directory names (two sweeps that
-  differ only in seed or sizing must never share a heartbeat file);
 * :func:`inject_worker_crash` / :func:`backoff_seconds` — the
-  deterministic infrastructure-fault draw and the retry backoff curve
-  both schedulers honour.
+  deterministic infrastructure-fault draw and the retry backoff curve;
+* :data:`HEARTBEAT_SECONDS` / :data:`LEASE_SECONDS` /
+  :func:`default_checkpoint_every` — the one default of each fleet
+  setting, read by every layer (CLI, fleet, server, worker).
 """
 
 from __future__ import annotations
 
-import dataclasses
+import gc
 import hashlib
+import time
 from pathlib import Path
 from typing import Callable, Dict, Optional, Tuple, Union
 
 from repro.common.config import CheckConfig, FaultConfig
 from repro.common.errors import WorkerFaultError
 from repro.common.rng import DeterministicRng
+from repro.snapshot import Checkpointer
 
 #: ``(scheme, workload, variant)`` — the unit every sweep is made of.
 Request = Tuple[str, str, str]
@@ -52,31 +52,33 @@ RESULT_NAME = "result.json"
 #: not for placating a remote service.
 BACKOFF_BASE_SECONDS = 0.01
 
+#: Seconds between a worker's wall-clock heartbeats.  Each heartbeat
+#: extends the job's lease; a checkpoint write also heartbeats.
+HEARTBEAT_SECONDS = 0.5
+
+#: Seconds a lease lives without a heartbeat.  On expiry the server
+#: requeues the job and the fleet SIGKILLs the (dead or hung) worker, so
+#: this is also the sweep's hung-worker timeout.  It must outlast the
+#: longest silent stretch of a healthy worker: building or restoring a
+#: paper-sized system, several times over on an oversubscribed host.
+LEASE_SECONDS = 10.0
+
+#: Periodic checkpoints a job writes by default, whatever its length:
+#: a killed worker then loses at most a third of its job, each write
+#: costs ~0.05 s of a 2-6 s paper job, and the stall fault — which
+#: wedges after two writes — still lands mid-run.
+CHECKPOINTS_PER_JOB = 2
+
 
 def backoff_seconds(attempt: int, base: float = BACKOFF_BASE_SECONDS) -> float:
     """Exponential retry backoff: ``base * 2**attempt`` seconds."""
     return base * (1 << attempt)
 
 
-def write_json_atomic(
-    path: Union[str, Path],
-    payload: Dict[str, object],
-    *,
-    site: str = "result",
-    backup: bool = False,
-) -> Path:
-    """Write *payload* crash-safe via :func:`repro.persist.write_json`.
-
-    A reader never sees a torn file: it observes either the previous
-    complete content or the new one, even if the writer is SIGKILLed
-    mid-write.  The persist layer additionally embeds a checksum stamp
-    (so silent truncation and bit-rot are detected on read) and raises
-    :class:`repro.common.errors.PersistWriteError` — previous content
-    intact — when the storage layer says no.
-    """
-    from repro import persist
-
-    return persist.write_json(path, payload, site=site, backup=backup)
+def default_checkpoint_every(total_steps: int) -> int:
+    """Ops between periodic checkpoints for a job of *total_steps* ops:
+    :data:`CHECKPOINTS_PER_JOB` evenly spaced writes, none at the end."""
+    return total_steps // (CHECKPOINTS_PER_JOB + 1) + 1
 
 
 def fault_signature(faults: Optional[FaultConfig]) -> str:
@@ -105,9 +107,9 @@ def cache_key(request: Request, sizing: Sizing, faults: Optional[FaultConfig]) -
     """The canonical result-cache key for one sweep request.
 
     Identical to :meth:`repro.experiments.runner.ExperimentRunner._key`
-    (which delegates here), so results computed by ``sweepd`` workers,
-    the supervised sweep, and the serial runner all land in — and are
-    found in — the same cache entries.
+    (which delegates here), so results computed by ``sweepd`` workers
+    and by the serial runner land in — and are found in — the same
+    cache entries.
     """
     from repro.experiments.runner import CACHE_VERSION
 
@@ -120,38 +122,17 @@ def cache_key(request: Request, sizing: Sizing, faults: Optional[FaultConfig]) -
     )
 
 
-def sizing_signature(sizing: Sizing, faults: Optional[FaultConfig]) -> str:
-    """Short digest of everything that shapes a request's *state*.
-
-    Used to key per-request checkpoint/heartbeat directories: two sweeps
-    whose requests agree on (scheme, workload, variant) but differ in
-    seed, sizing, check level, or fault schedule must never share a
-    checkpoint directory — a resumed checkpoint from the wrong seed
-    would silently finish the wrong run.
-    """
-    material = repr((tuple(sizing), fault_signature(faults)))
-    return hashlib.sha256(material.encode()).hexdigest()[:8]
-
-
-def request_dirname(request: Request, signature: Optional[str] = None) -> str:
-    """Directory name for one request's checkpoints and heartbeat."""
-    base = "_".join(request)
-    if signature:
-        return f"{base}_{signature}"
-    return base
-
-
 def inject_worker_crash(
     faults: Optional[FaultConfig], request: Request, attempt: int
 ) -> None:
-    """The crash half of the pool path's worker-fault injection.
+    """Simulated worker crash before a job does any work.
 
-    Stalls are NOT injected here: under supervision a stall is modelled
-    mid-run by the supervisor's stalling checkpointer (a pre-run sleep
-    would wedge the worker before it armed its heartbeat, which no real
-    hang does).  The stall draw is still consumed so the crash schedule
-    stays aligned with the pool path's per-(request, attempt) RNG
-    stream.
+    Deterministic per (request, attempt): the RNG stream name includes
+    the attempt number, so a crashed request's retry draws fresh numbers
+    and can succeed — while re-running the whole sweep reproduces the
+    exact same crash schedule.  Stalls are modelled mid-run instead (see
+    :func:`_stall_seconds`); the stream's first draw, once the stall's,
+    is still consumed so the crash schedule stays what it always was.
     """
     if faults is None or not faults.enabled:
         return
@@ -187,6 +168,49 @@ def load_result(directory: Union[str, Path]) -> Optional[Dict[str, object]]:
     return payload
 
 
+def _stall_seconds(
+    faults: Optional[FaultConfig], request: Request, attempt: int
+) -> float:
+    """How long ``FaultConfig.worker_stall_rate`` wedges this attempt.
+
+    Attempt 0 only, so the relaunch after the fleet kills the hung
+    worker runs through; the draw is deterministic per request.
+    """
+    if (
+        attempt != 0
+        or faults is None
+        or not faults.enabled
+        or faults.worker_stall_rate <= 0.0
+    ):
+        return 0.0
+    stream = f"fault/supervised/{'/'.join(request)}/stall"
+    if DeterministicRng(stream, faults.fault_seed).random() < faults.worker_stall_rate:
+        return faults.worker_stall_seconds
+    return 0.0
+
+
+class _StallingCheckpointer(Checkpointer):
+    """A checkpointer that wedges the worker once, at a fixed op count.
+
+    Models an infrastructure hang (NFS stall, runaway GC): the
+    simulation stops making progress *and* stops heartbeating, so its
+    lease expires and the fleet kills the worker.  The sleep happens
+    outside simulated time, so the eventual metrics are unaffected —
+    only liveness is.  ``stall_seconds`` 0 never wedges.
+    """
+
+    def __init__(self, *args, stall_at_ops: int, stall_seconds: float, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._stall_at_ops = stall_at_ops
+        self._stall_seconds = stall_seconds
+
+    def on_step(self, system) -> None:
+        super().on_step(system)
+        if self._stall_seconds and system.steps_total >= self._stall_at_ops:
+            time.sleep(self._stall_seconds)
+            self._stall_seconds = 0.0
+
+
 def execute_job(
     request: Request,
     sizing: Sizing,
@@ -194,31 +218,31 @@ def execute_job(
     attempt: int,
     directory: Union[str, Path],
     *,
-    checkpoint_every: int,
-    heartbeat_seconds: float,
+    checkpoint_every: Optional[int] = None,
+    heartbeat_seconds: float = HEARTBEAT_SECONDS,
     heartbeat_hook: Optional[Callable[[int], None]] = None,
-    make_checkpointer: Optional[Callable[[int], object]] = None,
-    crash_injector: Optional[Callable[[Request, int], None]] = None,
 ) -> Dict[str, object]:
     """Run one sweep job to completion and return its metrics payload.
 
     Resume-aware: if ``<directory>/latest.ckpt`` (or, when that file is
     missing or corrupt, the newest good ``gen-*.ckpt`` generation) loads,
     the simulation continues from it (bit-identical to an uninterrupted
-    run, per docs/CHECKPOINTS.md); otherwise a fresh system is built — after
-    giving *crash_injector* its deterministic chance to model a worker
-    that dies before doing any work.  ``make_checkpointer`` overrides
-    checkpointer construction (the supervisor's stall injection);
-    ``heartbeat_hook`` additionally reports each heartbeat over the wire
-    (the ``sweepd`` worker).  The returned payload carries every cached
-    metric field plus ``resumed_at_ops`` and ``attempt``.
+    run, per docs/CHECKPOINTS.md); otherwise a fresh system is built —
+    after giving :func:`inject_worker_crash` its deterministic chance to
+    model a worker that dies before doing any work.  ``checkpoint_every``
+    None derives the cadence from the job's length
+    (:func:`default_checkpoint_every`); 0 turns periodic checkpoints off.
+    ``heartbeat_hook`` reports each heartbeat over the wire (the
+    ``sweepd`` worker).  A stall drawn from ``faults`` wedges the job
+    after two periodic checkpoints.  The returned payload carries every
+    cached metric field plus ``resumed_at_ops`` and ``attempt``.
     """
     # Import inside the job so forked/spawned processes initialise their
     # own module state (notably dynamically-registered variants).
     from repro.experiments import ablation_partial, dram_capacity, sensitivity  # noqa: F401
     from repro.experiments.runner import VARIANTS, _METRIC_FIELDS
     from repro.sim.system import build_system
-    from repro.snapshot import Checkpointer, load_checkpoint_with_fallback
+    from repro.snapshot import load_checkpoint_with_fallback
     from repro.workloads import workload_by_name
 
     scheme, workload_name, variant = request
@@ -232,8 +256,8 @@ def execute_job(
     if system is not None:
         resumed_from_ops = system.steps_total
     else:
-        if crash_injector is not None:
-            crash_injector(request, attempt)
+        inject_worker_crash(faults, request, attempt)
+        gc.collect()  # free the worker's previous System before building
         check = CheckConfig(level=check_level) if check_level != "off" else None
         system = build_system(
             scheme,
@@ -244,15 +268,20 @@ def execute_job(
             check=check,
             faults=faults,
         )
-    if make_checkpointer is not None:
-        checkpointer = make_checkpointer(resumed_from_ops)
-    else:
-        checkpointer = Checkpointer(
-            directory,
-            every_ops=checkpoint_every,
-            heartbeat_seconds=heartbeat_seconds,
-            heartbeat_hook=heartbeat_hook,
+    if checkpoint_every is None:
+        checkpoint_every = default_checkpoint_every(
+            len(system.cores) * (measure_ops + warmup_ops)
         )
+    # A drawn stall wedges only after two periodic checkpoints exist, so
+    # the relaunch genuinely *resumes* rather than starting over.
+    checkpointer = _StallingCheckpointer(
+        directory,
+        every_ops=checkpoint_every,
+        heartbeat_seconds=heartbeat_seconds,
+        heartbeat_hook=heartbeat_hook,
+        stall_at_ops=resumed_from_ops + 2 * checkpoint_every,
+        stall_seconds=_stall_seconds(faults, request, attempt),
+    )
     checkpointer.arm(system)
     if resumed_from_ops:
         metrics = system.resume_run()
@@ -267,23 +296,8 @@ def execute_job(
     return payload
 
 
-def metrics_from_payload(payload: Dict[str, object]):
-    """Rebuild a :class:`repro.sim.metrics.RunMetrics` from a payload."""
-    from repro.experiments.runner import _METRIC_FIELDS
-    from repro.sim.metrics import RunMetrics
-
-    return RunMetrics(raw={}, **{name: payload[name] for name in _METRIC_FIELDS})
-
-
-def faults_to_wire(faults: Optional[FaultConfig]) -> Optional[Dict[str, object]]:
-    """Serialize a FaultConfig for a manifest or protocol message."""
-    if faults is None:
-        return None
-    return dataclasses.asdict(faults)
-
-
 def faults_from_wire(payload: Optional[Dict[str, object]]) -> Optional[FaultConfig]:
-    """Inverse of :func:`faults_to_wire`; tolerant of None."""
+    """Rebuild the FaultConfig a job record carries (None stays None)."""
     if payload is None:
         return None
     return FaultConfig(**payload)

@@ -9,41 +9,31 @@ the outcome, including a cache version bumped on model changes.
 
 The sweep path degrades gracefully rather than abandoning work
 (``docs/FAULTS.md``): cache writes are atomic, torn or stale cache files
-are treated as misses, failed or overdue pool workers are retried with
-exponential backoff, and every completed result is salvaged even when
-the sweep as a whole raises :class:`repro.common.errors.SweepError`.
+are treated as misses, and a parallel sweep runs on the ``sweepd`` fleet
+(:mod:`repro.sweepd.fleet`), which retries failed or hung workers with
+backoff and caches every completed result even when the sweep as a
+whole raises :class:`repro.common.errors.SweepError`.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import dataclasses
+import gc
 import os
-import time
+import tempfile
 import warnings
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import persist
-from repro.common.config import CheckConfig, FaultConfig, SystemConfig
-from repro.common.errors import (
-    FaultError,
-    PersistError,
-    SweepError,
-    WorkerFaultError,
-)
-from repro.common.rng import DeterministicRng
+from repro.common.config import FaultConfig, SystemConfig
+from repro.common.errors import PersistError, SweepError
 from repro.sim.metrics import RunMetrics
 from repro.sim.system import build_system
 from repro.workloads import all_workloads, workload_by_name
 
 #: Bump when a simulator change invalidates cached results.
 CACHE_VERSION = 3
-
-#: First retry waits this long; attempt ``n`` waits ``base << n`` seconds.
-#: Kept tiny: the backoff is for scheduling fairness (and testability),
-#: not for placating a remote service.
-_BACKOFF_BASE_SECONDS = 0.01
 
 DEFAULT_SCALE = 512
 #: The warm-up must cover the longest workload's first full sweep
@@ -111,7 +101,6 @@ class ExperimentRunner:
         workloads: Optional[List[str]] = None,
         worker_check_level: str = "full",
         faults: Optional[FaultConfig] = None,
-        request_timeout: Optional[float] = None,
         max_attempts: int = 3,
     ):
         self.scale = scale
@@ -123,15 +112,11 @@ class ExperimentRunner:
         #: (device faults) and into the sweep workers themselves (crash /
         #: stall injection).  None or ``enabled=False`` costs nothing.
         self.faults = faults
-        #: Wall-clock seconds a pool worker may take before its request is
-        #: retried on a fresh worker (None: no timeout).  Running futures
-        #: cannot be interrupted, so an overdue worker keeps running — if
-        #: it finishes after all, its result is still salvaged.
-        self.request_timeout = request_timeout
-        #: Total tries per request for *retryable* failures (injected
-        #: worker faults and timeouts); genuine simulator bugs fail fast.
+        #: Total leases per request on the sweep fleet for *retryable*
+        #: failures (injected worker faults, expired leases); genuine
+        #: simulator bugs quarantine at once.
         self.max_attempts = max(1, max_attempts)
-        #: Sanitizer level for pool workers.  Sweep runs are where silent
+        #: Sanitizer level for sweep workers.  Sweep runs are where silent
         #: model corruption would quietly poison every figure, and the
         #: checking cost hides behind process-level parallelism — so the
         #: worker path checks at "full" by default.  The serial paths stay
@@ -214,6 +199,9 @@ class ExperimentRunner:
             return cached
         if self.verbose:
             print(f"[runner] simulating {scheme}/{workload_name}/{variant} ...")
+        # A finished System is cyclic garbage (stats closures) that only a
+        # full collection frees; free it before its successor allocates.
+        gc.collect()
         system = build_system(
             scheme,
             workload_by_name(workload_name),
@@ -245,41 +233,23 @@ class ExperimentRunner:
         self,
         requests: Iterable[Tuple[str, str, str]],
         jobs: Optional[int] = None,
-        supervise: Optional[Path] = None,
     ) -> Dict[Tuple[str, str, str], RunMetrics]:
         """Run many (scheme, workload, variant) triples, in parallel.
 
-        Simulations are independent CPU-bound processes, so a process pool
-        cuts a cold sweep roughly by the core count.  Cached results are
-        returned without spawning work; results computed by workers are
-        stored in the cache by the parent.  ``jobs=None`` uses the CPU
-        count; ``jobs=1`` degrades to the serial path (useful under
-        debuggers).
+        Cached results are returned without spawning work.  ``jobs=1``
+        runs the rest in order in this process (useful under debuggers;
+        no worker faults are injected, as there is no worker to crash).
+        Any other value runs them on a local ``sweepd`` fleet of ``jobs``
+        workers (None: the CPU count) under a temporary service root —
+        see :func:`repro.sweepd.fleet.run_distributed_sweep`: leases
+        with deadlines, a SIGKILL for hung workers, resume from each
+        job's checkpoint, backoff retries up to ``max_attempts``, and
+        exactly-once aggregation into this runner's cache.
 
-        ``supervise`` switches to the supervised path
-        (:class:`repro.experiments.supervisor.SweepSupervisor`): workers
-        checkpoint into per-request directories under that root, a
-        heartbeat watchdog kills hung workers, and retries *resume* from
-        the last checkpoint instead of re-simulating — see
-        docs/CHECKPOINTS.md.
-
-        Resilience: a request whose worker fails with an infrastructure
-        fault (:class:`repro.common.errors.FaultError`) or overruns
-        ``request_timeout`` is retried with exponential backoff up to
-        ``max_attempts`` total tries.  Running futures cannot be
-        interrupted, so a timed-out worker keeps running in the
-        background; if it produces a result after all, that result is
-        salvaged.  A *non-retryable* failure (a genuine simulator bug)
-        cancels the queued-but-unstarted work, but already-running
-        simulations still finish and cache.  Either way every completed
-        result is cached before the closing
-        :class:`repro.common.errors.SweepError` names each offending
+        Either way every completed result is cached before the closing
+        :class:`repro.common.errors.SweepError` names each failed
         (scheme, workload, variant) and how many attempts it got.
         """
-        if supervise is not None:
-            from repro.experiments.supervisor import SweepSupervisor
-
-            return SweepSupervisor(self, supervise).run(requests, jobs=jobs)
         requests = list(dict.fromkeys(requests))
         results: Dict[Tuple[str, str, str], RunMetrics] = {}
         pending = []
@@ -291,147 +261,25 @@ class ExperimentRunner:
                 pending.append(request)
         if not pending:
             return results
-        failures: List[Tuple[Tuple[str, str, str], BaseException]] = []
-        attempts: Dict[Tuple[str, str, str], int] = {}
         if jobs == 1:
+            failures: List[Tuple[Tuple[str, str, str], BaseException]] = []
             for request in pending:
-                attempt = 0
-                while True:
-                    attempts[request] = attempt + 1
-                    try:
-                        _inject_worker_fault(self.faults, request, attempt)
-                        results[request] = self.run(*request)
-                        break
-                    except Exception as exc:
-                        if (
-                            not _retryable(exc)
-                            or attempt + 1 >= self.max_attempts
-                        ):
-                            _annotate_failure(exc, request)
-                            failures.append((request, exc))
-                            break
-                        time.sleep(_BACKOFF_BASE_SECONDS * (1 << attempt))
-                        attempt += 1
+                try:
+                    results[request] = self.run(*request)
+                except Exception as exc:
+                    _annotate_failure(exc, request)
+                    failures.append((request, exc))
             if failures:
-                raise SweepError(failures, attempts=attempts)
+                raise SweepError(failures)
             return results
 
-        sizing = (
-            self.scale, self.measure_ops, self.warmup_ops, self.seed,
-            self.worker_check_level,
-        )
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-        #: future -> (request, 0-based attempt); overdue futures stay here
-        #: (they cannot be interrupted) but leave ``deadlines``.
-        futures: Dict[concurrent.futures.Future, Tuple[Tuple[str, str, str], int]] = {}
-        deadlines: Dict[concurrent.futures.Future, float] = {}
-        resolved: set = set()
-        abandoned = False
+        from repro.sweepd.fleet import run_distributed_sweep
 
-        def submit(request: Tuple[str, str, str], attempt: int) -> None:
-            attempts[request] = attempt + 1
-            future = pool.submit(
-                _run_one_for_pool, request, sizing, self.faults, attempt
+        with tempfile.TemporaryDirectory(prefix="repro-sweep-") as root:
+            swept, _ = run_distributed_sweep(
+                self, pending, root, workers=jobs or os.cpu_count() or 1
             )
-            futures[future] = (request, attempt)
-            if self.request_timeout is not None:
-                deadlines[future] = time.monotonic() + self.request_timeout
-
-        def harvest(request: Tuple[str, str, str], metrics: RunMetrics) -> None:
-            self._store(self._key(*request), metrics)
-            results[request] = metrics
-            if self.verbose:
-                print(f"[runner] finished {'/'.join(request)}")
-
-        try:
-            for request in pending:
-                submit(request, 0)
-            while futures:
-                wait_timeout = None
-                if deadlines:
-                    wait_timeout = max(
-                        0.0, min(deadlines.values()) - time.monotonic()
-                    )
-                done, _ = concurrent.futures.wait(
-                    set(futures),
-                    timeout=wait_timeout,
-                    return_when=concurrent.futures.FIRST_COMPLETED,
-                )
-                for future in done:
-                    request, attempt = futures.pop(future)
-                    deadlines.pop(future, None)
-                    if request in resolved:
-                        # A timed-out attempt that landed after its
-                        # replacement was scheduled: salvage the result if
-                        # the request still lacks one.
-                        if request not in results:
-                            try:
-                                metrics = future.result()
-                            except Exception:
-                                continue
-                            harvest(request, metrics)
-                            failures[:] = [
-                                pair for pair in failures if pair[0] != request
-                            ]
-                        continue
-                    try:
-                        metrics = future.result()
-                    except concurrent.futures.CancelledError:
-                        resolved.add(request)
-                        continue
-                    except Exception as exc:
-                        if (
-                            _retryable(exc)
-                            and attempt + 1 < self.max_attempts
-                            and not abandoned
-                        ):
-                            time.sleep(_BACKOFF_BASE_SECONDS * (1 << attempt))
-                            submit(request, attempt + 1)
-                            continue
-                        _annotate_failure(exc, request)
-                        failures.append((request, exc))
-                        resolved.add(request)
-                        if not _retryable(exc):
-                            # A genuine bug: stop launching queued work;
-                            # already-running futures finish (and are
-                            # harvested) so their results cache.
-                            abandoned = True
-                            for other in futures:
-                                other.cancel()
-                        continue
-                    resolved.add(request)
-                    harvest(request, metrics)
-                if deadlines:
-                    now = time.monotonic()
-                    for future, (request, attempt) in list(futures.items()):
-                        limit = deadlines.get(future)
-                        if limit is None or now < limit:
-                            continue
-                        del deadlines[future]
-                        if request in resolved:
-                            continue
-                        if attempt + 1 < self.max_attempts and not abandoned:
-                            submit(request, attempt + 1)
-                        else:
-                            exc: BaseException = WorkerFaultError(
-                                f"no result within {self.request_timeout:.1f}s "
-                                f"(attempt {attempt + 1})",
-                                device="worker",
-                            )
-                            _annotate_failure(exc, request)
-                            failures.append((request, exc))
-                            resolved.add(request)
-        except KeyboardInterrupt:
-            # Ctrl-C must interrupt the sweep promptly: drop the queued
-            # work and re-raise without joining the running workers (a
-            # plain `with` block would block here until every in-flight
-            # simulation finished).
-            pool.shutdown(wait=False, cancel_futures=True)
-            raise
-        else:
-            pool.shutdown(wait=True)
-        if failures:
-            raise SweepError(failures, attempts=attempts)
+        results.update(swept)
         return results
 
     def prewarm(self, jobs: Optional[int] = None) -> None:
@@ -455,94 +303,11 @@ class ExperimentRunner:
 def _annotate_failure(exc: BaseException, request: Tuple[str, str, str]) -> None:
     """Stamp the failing (scheme, workload, variant) onto the traceback.
 
-    Pool workers re-raise in the parent with the remote traceback attached
-    but without saying *which* sweep request died; the note makes every
-    rendered traceback self-identifying.  ``add_note`` appeared in 3.11;
-    older interpreters still get the names via SweepError's message.
+    The note makes every rendered traceback of a serial sweep failure
+    self-identifying.  ``add_note`` appeared in 3.11; older interpreters
+    still get the names via SweepError's message.
     """
     note = f"while simulating {'/'.join(request)}"
     add_note = getattr(exc, "add_note", None)
     if add_note is not None:
         add_note(note)
-
-
-def _retryable(exc: BaseException) -> bool:
-    """Whether a sweep failure is worth a fresh attempt.
-
-    Injected faults (worker crashes, stalls promoted to timeouts) are
-    transient infrastructure conditions; anything else is a genuine
-    simulator bug that would fail identically on every retry.
-    """
-    return isinstance(exc, FaultError)
-
-
-def _fault_signature(faults: Optional[FaultConfig]) -> str:
-    """Cache-key suffix for output-shaping fault fields.
-
-    Kept as an alias of :func:`repro.experiments.jobcore.fault_signature`
-    (the shared definition the distributed sweep service also keys job
-    ids from) for the benefit of existing imports.
-    """
-    from repro.experiments.jobcore import fault_signature
-
-    return fault_signature(faults)
-
-
-def _inject_worker_fault(
-    faults: Optional[FaultConfig],
-    request: Tuple[str, str, str],
-    attempt: int,
-) -> None:
-    """Simulated infrastructure trouble: stall and/or crash this worker.
-
-    Deterministic per (request, attempt): the RNG stream name includes the
-    attempt number, so a crashed request's retry draws fresh numbers and
-    can succeed — while re-running the whole sweep reproduces the exact
-    same crash/stall schedule.
-    """
-    if faults is None or not faults.enabled:
-        return
-    if faults.worker_crash_rate <= 0.0 and faults.worker_stall_rate <= 0.0:
-        return
-    stream = f"fault/worker/{'/'.join(request)}/attempt{attempt}"
-    rng = DeterministicRng(stream, faults.fault_seed)
-    if (
-        faults.worker_stall_rate > 0.0
-        and rng.random() < faults.worker_stall_rate
-    ):
-        time.sleep(faults.worker_stall_seconds)
-    if (
-        faults.worker_crash_rate > 0.0
-        and rng.random() < faults.worker_crash_rate
-    ):
-        raise WorkerFaultError(
-            f"simulated worker crash (attempt {attempt + 1})", device="worker"
-        )
-
-
-def _run_one_for_pool(
-    request: Tuple[str, str, str],
-    sizing: Tuple[int, int, int, int, str],
-    faults: Optional[FaultConfig] = None,
-    attempt: int = 0,
-) -> RunMetrics:
-    """Process-pool worker: one simulation with the sanitizer attached."""
-    scheme, workload_name, variant = request
-    scale, measure_ops, warmup_ops, seed, check_level = sizing
-    # Import inside the worker so forked/spawned processes initialise
-    # their own module state (notably dynamically-registered variants).
-    from repro.experiments import ablation_partial, dram_capacity, sensitivity  # noqa: F401
-
-    _inject_worker_fault(faults, request, attempt)
-    check = CheckConfig(level=check_level) if check_level != "off" else None
-    system = build_system(
-        scheme,
-        workload_by_name(workload_name),
-        scale=scale,
-        seed=seed,
-        config_mutator=VARIANTS[variant],
-        check=check,
-        faults=faults,
-    )
-    metrics = system.run(measure_ops, warmup_ops)
-    return dataclasses.replace(metrics, raw={})

@@ -12,10 +12,10 @@ infrastructure itself.  Two layers:
   given the same message sequence; the service's correctness contract is
   that aggregated results are bit-identical regardless.
 * :class:`FleetChaos` — a process-level script executed by the local
-  fleet driver (``repro sweep --distributed``): SIGKILL worker *i* the
-  moment it is observed simulating past a step threshold (guaranteeing a
-  mid-job kill with a checkpoint behind it), and/or SIGKILL + relaunch
-  the server itself once N results have been aggregated.
+  fleet (``repro sweep``): worker *i* SIGKILLs itself the moment it
+  simulates past a step threshold (guaranteeing a mid-job kill with a
+  checkpoint behind it), and/or the driver SIGKILLs + relaunches the
+  server itself once N results have been aggregated.
 
 Neither layer can change simulation output: chaos shakes the transport
 and the processes, and the exactly-once aggregation discipline
@@ -79,11 +79,11 @@ class FleetChaos:
     """Scripted process-level chaos for the local fleet driver.
 
     ``kill_worker_mid_job`` maps a worker *index* to a simulated-step
-    threshold: the fleet SIGKILLs that worker the first time a status
-    poll shows it heartbeating a job at or past the threshold — i.e.
-    provably mid-simulation, after at least one heartbeat.  Each entry
-    fires once; the supervision loop then relaunches a replacement, and
-    the orphaned lease expires and is reclaimed.
+    threshold: that slot's first worker SIGKILLs itself at its first
+    heartbeat at or past the threshold — provably mid-simulation, and on
+    a deterministic step, because every periodic checkpoint heartbeats.
+    Each entry fires once; the supervision loop then relaunches a
+    replacement, and the orphaned lease expires and is reclaimed.
 
     ``restart_server_after_results`` SIGKILLs the server process (no
     shutdown courtesy) once that many results have been aggregated, then

@@ -45,8 +45,6 @@ from repro.snapshot.checkpoint import (
 #: Where fsck moves corrupt files (a sibling of the file, never deleted).
 QUARANTINE_DIRNAME = "quarantine"
 
-#: File names fsck never scans (liveness/scratch artifacts).
-_IGNORED_NAMES = {"heartbeat"}
 
 
 @dataclasses.dataclass
@@ -66,7 +64,7 @@ class Finding:
 
 def _classify(path: Path) -> Optional[str]:
     name = path.name
-    if name in _IGNORED_NAMES or name.endswith(".tmp"):
+    if name.endswith(".tmp"):
         return None
     if name.endswith(".ckpt"):
         return "checkpoint"

@@ -245,6 +245,41 @@ def write_json(
     return atomic_write_bytes(path, data.encode("utf-8"), site=site)
 
 
+#: Writes :func:`write_json_verified` makes before giving up.
+VERIFIED_WRITE_TRIES = 5
+
+
+def write_json_verified(
+    path: Union[str, Path],
+    payload: Dict[str, object],
+    *,
+    site: str = "json",
+) -> Path:
+    """:func:`write_json`, proven by reading the file back.
+
+    Torn writes and bit-rot report success at write time; only a
+    read-back shows the payload really landed.  For files whose loss a
+    reader cannot recover from (a fleet's address rendezvous, a result
+    about to be acknowledged), a failed or unverified write is retried
+    up to :data:`VERIFIED_WRITE_TRIES` writes in all; then the last
+    write's :class:`PersistWriteError` propagates.
+    """
+    for attempt in range(1, VERIFIED_WRITE_TRIES + 1):
+        try:
+            written = write_json(path, payload, site=site)
+        except PersistWriteError:
+            if attempt == VERIFIED_WRITE_TRIES:
+                raise
+            continue
+        if read_json_or_none(written, site=site) == payload:
+            return written
+    raise PersistWriteError(
+        f"{site} file {path} did not read back intact after "
+        f"{VERIFIED_WRITE_TRIES} writes (torn write or bit-rot)",
+        path=Path(path), site=site, hint=FSCK_HINT,
+    )
+
+
 def backup_path(path: Union[str, Path]) -> Path:
     """Where :func:`write_json` keeps a file's previous generation."""
     path = Path(path)

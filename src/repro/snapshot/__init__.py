@@ -2,7 +2,7 @@
 
 See ``docs/CHECKPOINTS.md`` for the file format, the determinism
 guarantee (restore is bit-identical to an uninterrupted run), and the
-sweep watchdog built on top of this package.
+sweep fleet built on top of this package.
 """
 
 from repro.common.errors import (
@@ -22,7 +22,7 @@ from repro.snapshot.checkpoint import (
     verify_checkpoint,
 )
 from repro.snapshot.codec import register_codec
-from repro.snapshot.hooks import HEARTBEAT_NAME, Checkpointer
+from repro.snapshot.hooks import Checkpointer
 from repro.snapshot.signals import EXIT_CHECKPOINTED, SignalGuard
 from repro.snapshot.stream import ReplayStream
 
@@ -34,7 +34,6 @@ __all__ = [
     "CorruptCheckpointError",
     "DEFAULT_KEEP_GENERATIONS",
     "EXIT_CHECKPOINTED",
-    "HEARTBEAT_NAME",
     "LATEST_NAME",
     "ReplayStream",
     "SignalGuard",

@@ -34,6 +34,7 @@ import hashlib
 import json
 import os
 import re
+import threading
 import zlib
 from contextlib import contextmanager
 from pathlib import Path
@@ -81,6 +82,50 @@ def quiesced(system) -> Iterator[None]:
         system.checkpointer = checkpointer
 
 
+def _serialize(system) -> bytes:
+    """The compressed pickle payload of *system*, its objects untouched.
+
+    Pickling reads every object's ``__dict__``, which on CPython 3.11+
+    permanently moves the object off its inline-attribute fast path: a
+    run slowed ~10% after its first checkpoint.  Where ``fork`` is safe
+    (no other Python threads), a copy-on-write child pickles the graph —
+    the same bytes — and streams them back over a pipe, so the live
+    system never leaves the fast path.  All file I/O stays here.
+    """
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        with quiesced(system):
+            return zlib.compress(codec.dumps(system), 6)
+    read_fd, write_fd = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # pragma: no cover - the child reports through the pipe
+        # The child must never unwind into the caller's frames (it would
+        # go on simulating): every outcome, even an interrupt, becomes a
+        # reply, and the child leaves through os._exit.
+        os.close(read_fd)
+        try:
+            with quiesced(system):
+                reply = b"\0" + zlib.compress(codec.dumps(system), 6)
+        except BaseException as exc:
+            reply = b"\1" + str(exc).encode("utf-8", "replace")
+        try:
+            with os.fdopen(write_fd, "wb") as pipe:
+                pipe.write(reply)
+        finally:
+            os._exit(0)
+    os.close(write_fd)
+    try:
+        with os.fdopen(read_fd, "rb") as pipe:
+            reply = pipe.read()
+    finally:
+        os.waitpid(pid, 0)
+    if reply[:1] != b"\0":
+        raise CheckpointError(
+            reply[1:].decode("utf-8", "replace")
+            or "checkpoint serializer process died"
+        )
+    return reply[1:]
+
+
 def _header_for(system, payload: bytes) -> Dict[str, object]:
     progress = system.progress
     return {
@@ -115,8 +160,7 @@ def save_checkpoint(
     :class:`repro.common.errors.PersistWriteError`; the previous file
     content is intact when they do.
     """
-    with quiesced(system):
-        payload = zlib.compress(codec.dumps(system), 6)
+    payload = _serialize(system)
     header = _header_for(system, payload)
     path = Path(path)
     if keep_generations > 0:

@@ -15,15 +15,15 @@ bit-identically on restore.  It fires on three conditions:
   flag; writes one final ``latest.ckpt`` and raises
   :class:`repro.common.errors.CheckpointInterrupt` to unwind the run.
 
-It also touches a heartbeat file (mtime = liveness) at most once per
-``heartbeat_seconds`` so the sweep watchdog can tell "slow" from "hung".
 A ``heartbeat_hook`` callback, when given, is invoked with the current
-step count on the same cadence — the distributed sweep worker uses it to
-stream heartbeats to the ``sweepd`` server over its socket (the hook
-must swallow its own I/O errors; a flaky network must not kill the
-simulation).  Wall-clock use is fine here: this package is deliberately
-outside the simulator packages the RL001 determinism lint patrols, and
-nothing the heartbeat does feeds back into simulated state.
+step count at most once per ``heartbeat_seconds`` and after every
+periodic checkpoint — the sweep worker uses it to stream heartbeats
+(which extend its job's lease) to the ``sweepd`` server over its socket
+(the hook must swallow its own I/O errors; a flaky network must not
+kill the simulation).  Wall-clock use is fine here: this package is
+deliberately outside the simulator packages the RL001 determinism lint
+patrols, and nothing the heartbeat does feeds back into simulated
+state.
 """
 
 from __future__ import annotations
@@ -43,8 +43,6 @@ from repro.snapshot.signals import SignalGuard
 #: Steps between heartbeat wall-clock reads (a time() syscall per step
 #: would be measurable on the hot path; one per mask window is not).
 _HEARTBEAT_MASK = 0xFF
-
-HEARTBEAT_NAME = "heartbeat"
 
 
 class Checkpointer:
@@ -68,7 +66,6 @@ class Checkpointer:
         self.signals = signals
         self.keep_generations = int(keep_generations)
         self.latest_path = self.directory / LATEST_NAME
-        self.heartbeat_path = self.directory / HEARTBEAT_NAME
         #: Paths written, in order (cut files and latest refreshes).
         self.written: List[Path] = []
         #: Writes that failed at the storage layer: (path, PersistError).
@@ -86,14 +83,10 @@ class Checkpointer:
         if self.every_ops > 0:
             self._next_due = system.steps_total + self.every_ops
         if self.heartbeat_seconds > 0:
-            self._touch_heartbeat(system.steps_total)
+            self._heartbeat(system.steps_total)
         system.checkpointer = self
 
-    def _touch_heartbeat(self, steps: int) -> None:
-        try:
-            self.heartbeat_path.touch()
-        except OSError:
-            pass  # a full disk must not kill the run; mtime just goes stale
+    def _heartbeat(self, steps: int) -> None:
         self._next_heartbeat = time.monotonic() + self.heartbeat_seconds
         if self.heartbeat_hook is not None:
             self.heartbeat_hook(steps)
@@ -143,9 +136,13 @@ class Checkpointer:
         if self._next_due is not None and steps >= self._next_due:
             self._next_due = steps + self.every_ops
             self._write(system, self.latest_path)
-        if self.heartbeat_seconds > 0 and steps & _HEARTBEAT_MASK == 0:
+            # A checkpoint is progress worth reporting at once; it also
+            # puts a heartbeat on a deterministic step.
+            if self.heartbeat_seconds > 0:
+                self._heartbeat(steps)
+        elif self.heartbeat_seconds > 0 and steps & _HEARTBEAT_MASK == 0:
             if time.monotonic() >= self._next_heartbeat:
-                self._touch_heartbeat(steps)
+                self._heartbeat(steps)
 
     def _finalize(self, system, signum) -> None:
         if self._finalized:  # second poll after an already-handled signal
@@ -155,12 +152,3 @@ class Checkpointer:
         # path is None when the final write failed at the storage layer;
         # CheckpointInterrupt documents that contract.
         raise CheckpointInterrupt(path=path, signum=signum)
-
-    def finalize_now(self, system) -> Optional[Path]:
-        """Write a final ``latest.ckpt`` outside the step loop (no raise).
-
-        Returns None when the write failed at the storage layer (the
-        failure is recorded in :attr:`write_failures`).
-        """
-        self._finalized = True
-        return self._write(system, self.latest_path)

@@ -1,11 +1,12 @@
-"""Fault-tolerant distributed sweep service (ISSUE 8).
+"""Fault-tolerant sweep service: the repo's one multi-process executor.
 
-``sweepd`` promotes the single-node supervised sweep into a sharded
-simulation service: a work-queue server owning a versioned, atomically
-persisted job manifest, and N worker processes that lease jobs over a
-length-prefixed JSON protocol, stream heartbeats, checkpoint through the
-existing ``REPRO-CKPT v1`` machinery, and report results into the same
-atomic result cache the serial runner reads.
+``sweepd`` is a sharded simulation service: a work-queue server owning a
+versioned, atomically persisted job manifest, and N worker processes
+that lease jobs over a length-prefixed JSON protocol, stream heartbeats,
+checkpoint through the existing ``REPRO-CKPT v1`` machinery, and report
+results into the same atomic result cache the serial runner reads.
+``repro sweep`` and ``ExperimentRunner.run_many(jobs != 1)`` run it as a
+local fleet.
 
 Module map (docs/SWEEP_SERVICE.md has the full architecture):
 
@@ -19,7 +20,8 @@ Module map (docs/SWEEP_SERVICE.md has the full architecture):
 * :mod:`repro.sweepd.server` — the selectors event loop;
 * :mod:`repro.sweepd.worker` — the lease/execute/report worker loop;
 * :mod:`repro.sweepd.fleet` — the local fleet driver behind
-  ``repro sweep --distributed`` (process supervision + scripted chaos).
+  ``repro sweep`` and ``run_many`` (process supervision + scripted
+  chaos).
 """
 
 from repro.sweepd.aggregator import ResultAggregator

@@ -20,7 +20,7 @@ import json
 import os
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple, Union
 
 from repro import persist
 
@@ -30,37 +30,6 @@ DUPLICATE = "duplicate"
 DIVERGENT = "divergent"
 
 AGGREGATOR_LOG = "aggregator.jsonl"
-
-
-def read_audit_log(path: Union[str, Path]) -> Tuple[List[Dict[str, object]], int]:
-    """Replay an ``aggregator.jsonl`` audit log, tolerating a torn tail.
-
-    A server killed mid-append legitimately leaves a truncated final
-    line; that record was never acknowledged, so dropping it is correct.
-    Returns ``(records, dropped)`` — *dropped* counts unparseable lines
-    (0 or 1 for a torn tail; more signals genuine corruption, which
-    ``repro fsck`` reports).
-    """
-    path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        return [], 0
-    records: List[Dict[str, object]] = []
-    dropped = 0
-    for line in raw.split(b"\n"):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError):
-            dropped += 1
-            continue
-        if isinstance(record, dict):
-            records.append(record)
-        else:
-            dropped += 1
-    return records, dropped
 
 
 def result_digest(payload: Dict[str, object]) -> str:
@@ -135,15 +104,17 @@ class ResultAggregator:
             self._log(job_id, verdict, digest, worker, known=known)
             return (verdict, digest)
 
-        from repro.experiments.jobcore import write_json_atomic
         from repro.experiments.runner import _METRIC_FIELDS
 
         entry = {name: payload[name] for name in _METRIC_FIELDS}
         # May raise PersistWriteError (ENOSPC, EIO, injected storage
-        # fault).  Deliberately BEFORE the accept/ack bookkeeping: a
+        # fault, or an entry that does not read back intact after its
+        # retries).  Deliberately BEFORE the accept/ack bookkeeping: a
         # result that did not land durably must not be acknowledged, so
         # the job stays retryable and no acknowledged result is ever lost.
-        write_json_atomic(self._cache_path(cache_key), entry, site="cache")
+        persist.write_json_verified(
+            self._cache_path(cache_key), entry, site="cache"
+        )
         self._accepted[job_id] = digest
         self._log(job_id, STORED, digest, worker)
         return (STORED, digest)
@@ -165,7 +136,7 @@ class ResultAggregator:
             record["known_digest"] = known
         # Append-only; single-writer (the server's event loop), so a
         # plain append is torn-write-safe enough for an audit artifact —
-        # replay (read_audit_log) drops a truncated tail line.  Best
+        # ``repro fsck --repair`` truncates a torn tail line.  Best
         # effort: a full disk must not take the service down with it.
         try:
             self.log_path.parent.mkdir(parents=True, exist_ok=True)

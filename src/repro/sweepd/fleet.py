@@ -1,32 +1,38 @@
 """Local fleet driver: one server plus N workers, supervised.
 
-``repro sweep --distributed --workers N`` lands here.  The driver owns
-the operating-system half of the fault-tolerance story: it launches the
-server and worker *processes*, watches them, relaunches whatever dies,
-and executes the scripted :class:`repro.faults.chaos.FleetChaos`
-schedule (SIGKILL a worker provably mid-job, SIGKILL + relaunch the
-server mid-sweep) that the chaos test matrix drives.
+The repo's one multi-process sweep executor: ``repro sweep --jobs N``
+and ``ExperimentRunner.run_many(jobs != 1)`` land here.  The driver
+owns the operating-system half of the fault-tolerance story: it
+launches the server and worker *processes*, watches them, SIGKILLs any
+worker the server reclaimed a lease from (dead or hung — the lease
+deadline is the hung-worker timeout), relaunches whatever dies, and
+executes the scripted :class:`repro.faults.chaos.FleetChaos` schedule
+(a worker SIGKILLed mid-job, the server SIGKILLed + relaunched
+mid-sweep) that the chaos test matrix drives.
 
 The protocol half (leases, retries, dedupe) is the service's job; the
 driver deliberately knows nothing about it beyond the ``submit`` /
 ``status`` / ``shutdown`` RPCs.  Results are collected from the shared
-result cache, so a distributed sweep is interchangeable with
-``ExperimentRunner.run_many`` — same keys, same payloads, bit-identical
-metrics.
+result cache, so a fleet sweep is interchangeable with the serial
+``ExperimentRunner.run_many(jobs=1)`` — same keys, same payloads,
+bit-identical metrics.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import multiprocessing
+import signal
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Set, Tuple
 
-from repro.common.errors import SweepdError, SweepError
-from repro.experiments.jobcore import Request
+from repro.common.errors import CheckpointError, SweepdError, SweepError
+from repro.experiments.jobcore import HEARTBEAT_SECONDS, LEASE_SECONDS, Request
 from repro.faults.chaos import ChaosConfig, FleetChaos
-from repro.sweepd.jobs import QUARANTINED, build_job
+from repro.sim.metrics import RunMetrics
+from repro.sweepd.jobs import DONE, QUARANTINED, build_job
+from repro.sweepd.manifest import JobManifest
 from repro.sweepd.protocol import RpcClient, read_address_file
 from repro.sweepd.worker import worker_main
 
@@ -41,6 +47,8 @@ class FleetReport:
     jobs_total: int = 0
     jobs_already_done: int = 0
     worker_relaunches: int = 0
+    #: Live workers SIGKILLed because the server reclaimed their lease.
+    hung_worker_kills: int = 0
     chaos_worker_kills: int = 0
     chaos_server_restarts: int = 0
     reclaims: int = 0
@@ -51,53 +59,44 @@ def _server_main(
     root: str,
     cache_dir: str,
     address: Optional[str],
-    max_attempts: int,
-    lease_seconds: float,
-    chaos: Optional[ChaosConfig],
     poll_seconds: float,
+    options: Dict[str, Any],
 ) -> None:
     from repro.sweepd.server import SweepdServer
 
-    server = SweepdServer(
-        root, cache_dir,
-        address=address,
-        max_attempts=max_attempts,
-        lease_seconds=lease_seconds,
-        chaos=chaos,
-    )
+    server = SweepdServer(root, cache_dir, address=address, **options)
     server.serve_forever(poll_seconds=poll_seconds)
 
 
 class _Fleet:
-    """Process bookkeeping for one distributed sweep."""
+    """Process bookkeeping for one fleet sweep."""
 
     def __init__(
         self,
         root: Path,
         cache_dir: Path,
         *,
-        workers: int,
-        max_attempts: int,
-        lease_seconds: float,
-        checkpoint_every: int,
+        server_options: Dict[str, Any],
+        poll_seconds: float,
+        checkpoint_every: Optional[int],
         heartbeat_seconds: float,
-        chaos: Optional[ChaosConfig],
-        server_poll_seconds: float,
+        kill_at_steps: Dict[int, int],
     ) -> None:
         self.root = root
         self.cache_dir = cache_dir
-        self.workers = workers
-        self.max_attempts = max_attempts
-        self.lease_seconds = lease_seconds
+        self.server_options = server_options
+        self.poll_seconds = poll_seconds
         self.checkpoint_every = checkpoint_every
         self.heartbeat_seconds = heartbeat_seconds
-        self.chaos = chaos
-        self.server_poll_seconds = server_poll_seconds
+        #: slot -> step count its first worker SIGKILLs itself at (chaos).
+        self.kill_at_steps = kill_at_steps
         self.context = multiprocessing.get_context()
         self.server: Optional[multiprocessing.process.BaseProcess] = None
         self.address: Optional[str] = None
         #: slot -> (current process, current worker name, relaunch count)
         self.slots: Dict[int, Tuple[multiprocessing.process.BaseProcess, str, int]] = {}
+        #: Names of workers this driver killed (not scripted chaos).
+        self.killed: Set[str] = set()
         self.report = FleetReport()
 
     # -- processes ---------------------------------------------------------
@@ -106,8 +105,7 @@ class _Fleet:
             target=_server_main,
             args=(
                 str(self.root), str(self.cache_dir), address,
-                self.max_attempts, self.lease_seconds, self.chaos,
-                self.server_poll_seconds,
+                self.poll_seconds, self.server_options,
             ),
             daemon=True,
         )
@@ -138,6 +136,7 @@ class _Fleet:
             args=(
                 name, self.address, str(self.root / JOBS_DIRNAME),
                 self.checkpoint_every, self.heartbeat_seconds,
+                self.kill_at_steps.get(slot) if generation == 0 else None,
             ),
             daemon=True,
         )
@@ -145,7 +144,8 @@ class _Fleet:
         self.slots[slot] = (proc, name, generation)
 
     def kill_worker(self, slot: int) -> None:
-        proc, _, _ = self.slots[slot]
+        proc, name, _ = self.slots[slot]
+        self.killed.add(name)
         proc.kill()
         proc.join()
 
@@ -173,143 +173,182 @@ class _Fleet:
 
 def run_distributed_sweep(
     runner,
-    requests: List[Request],
+    requests: Optional[List[Request]],
     root,
     *,
     workers: int = 2,
     priority: str = "bulk",
     chaos: Optional[ChaosConfig] = None,
     fleet_chaos: Optional[FleetChaos] = None,
-    lease_seconds: float = 5.0,
-    checkpoint_every: int = 1000,
-    heartbeat_seconds: float = 0.25,
+    lease_seconds: float = LEASE_SECONDS,
+    checkpoint_every: Optional[int] = None,
+    heartbeat_seconds: float = HEARTBEAT_SECONDS,
     poll_seconds: float = 0.05,
-    timeout: float = 600.0,
-) -> Tuple[Dict[Request, object], FleetReport]:
+    timeout: Optional[float] = None,
+) -> Tuple[Dict[Request, RunMetrics], FleetReport]:
     """Run *requests* on a local server + worker fleet; collect from cache.
 
     Returns ``(results, report)`` where results maps each request to its
     :class:`repro.sim.metrics.RunMetrics` — the same mapping (and the
-    same cache entries) ``runner.run_many`` would produce.  Raises
-    :class:`repro.common.errors.SweepError` naming every quarantined
-    request once the sweep drains, mirroring the pool path's contract:
-    completed results are cached and returned info is preserved even
-    when some jobs are poison.
+    same cache entries) the serial ``runner.run_many(jobs=1)`` produces.
+    Raises :class:`repro.common.errors.SweepError` naming every
+    quarantined request once the sweep drains; completed results are
+    cached regardless.
+
+    ``requests=None`` resumes: the fleet restarts on *root*'s manifest
+    and submits nothing.  Either way a manifest already on *root* is
+    loaded and validated here, before the server launches, so one from
+    an incompatible build raises
+    :class:`repro.common.errors.ManifestVersionError` in the caller.
+    ``checkpoint_every`` None derives each job's cadence from its length
+    (:func:`repro.experiments.jobcore.default_checkpoint_every`);
+    ``timeout`` None waits for the drain however long it takes.
     """
     root = Path(root)
-    requests = list(dict.fromkeys(requests))
+    manifest = JobManifest(root)
+    if requests is None:
+        if not manifest.load():
+            raise CheckpointError(
+                f"no sweep manifest at {manifest.path}: nothing to resume "
+                f"(start a sweep with a --checkpoint-root first)"
+            )
+        records = sorted(manifest.jobs.values(), key=lambda r: r.submit_seq)
+    else:
+        manifest.load()
+        records = [
+            build_job(request, runner._sizing(), runner.faults, priority=0)
+            for request in dict.fromkeys(requests)
+        ]
+    script = fleet_chaos or FleetChaos()
     fleet = _Fleet(
         root, runner.cache_dir,
-        workers=workers,
-        max_attempts=runner.max_attempts,
-        lease_seconds=lease_seconds,
+        server_options={
+            "max_attempts": runner.max_attempts,
+            "lease_seconds": lease_seconds,
+            "chaos": chaos,
+        },
+        poll_seconds=poll_seconds,
         checkpoint_every=checkpoint_every,
         heartbeat_seconds=heartbeat_seconds,
-        chaos=chaos,
-        server_poll_seconds=poll_seconds,
+        kill_at_steps=dict(script.kill_worker_mid_job),
     )
-    script = fleet_chaos or FleetChaos()
-    pending_kills = dict(script.kill_worker_mid_job)
+    report = fleet.report
+    report.jobs_total = len(records)
     server_restart_at = script.restart_server_after_results
 
     fleet.start_server()
     try:
-        records = [
-            build_job(request, runner._sizing(), runner.faults, priority=0)
-            for request in requests
-        ]
         with RpcClient(fleet.address, timeout=2.0, retry_window=30.0) as rpc:
-            reply = rpc.call({
-                "type": "submit",
-                "priority": priority,
-                "jobs": [record.to_json() for record in records],
-            })
-            if reply.get("type") == "error":
-                raise SweepdError(f"submit rejected: {reply.get('error')}")
-            fleet.report.jobs_total = len(records)
-            fleet.report.jobs_already_done = len(reply.get("already_done", []))
+            if requests is not None:
+                reply = rpc.call({
+                    "type": "submit",
+                    "priority": priority,
+                    "jobs": [record.to_json() for record in records],
+                })
+                if reply.get("type") == "error":
+                    raise SweepdError(f"submit rejected: {reply.get('error')}")
+                report.jobs_already_done = len(reply.get("already_done", []))
 
-        for slot in range(workers):
-            fleet.start_worker(slot)
+            # Chaos-armed workers start first and alone: the scripted
+            # kill needs them mid-job, so they get first pick of the
+            # queue; the rest start once each armed one holds a lease.
+            armed = [slot for slot in range(workers) if slot in fleet.kill_at_steps]
+            waiting = [slot for slot in range(workers) if slot not in armed]
+            for slot in armed:
+                fleet.start_worker(slot)
 
-        quarantined: Dict[str, dict] = {}
-        deadline = time.monotonic() + timeout
-        with RpcClient(fleet.address, timeout=2.0, retry_window=30.0) as rpc:
+            quarantined: List[dict] = []
+            announced: Set[str] = set()
+            deadline = None if timeout is None else time.monotonic() + timeout
             while True:
-                if time.monotonic() > deadline:
+                if deadline is not None and time.monotonic() > deadline:
                     raise SweepdError(
-                        f"distributed sweep did not drain within {timeout:.0f}s"
+                        f"sweep did not drain within {timeout:.0f}s"
                     )
                 status = rpc.call({"type": "status"})
-                fleet.report.reclaims = int(status.get("reclaims", 0))
+                report.reclaims = int(status.get("reclaims", 0))
                 jobs = status.get("jobs", [])
+                drained = bool(status.get("drained"))
+                busy = {job.get("worker") for job in jobs}
+                if waiting and not drained and all(
+                    fleet.slots[slot][1] in busy
+                    or fleet.slots[slot][0].exitcode is not None
+                    for slot in armed
+                ):
+                    for slot in waiting:
+                        fleet.start_worker(slot)
+                    waiting = []
+                if runner.verbose:
+                    for job in jobs:
+                        if job.get("state") == DONE and job["job_id"] not in announced:
+                            announced.add(job["job_id"])
+                            print(f"[fleet] finished {'/'.join(job['request'])}")
 
-                # Scripted chaos: SIGKILL a worker the moment it is
-                # observed heartbeating past its step threshold —
-                # provably mid-job, with a checkpoint likely behind it.
-                for slot, threshold in list(pending_kills.items()):
-                    proc, name, generation = fleet.slots.get(
-                        slot, (None, None, 0)
-                    )
-                    if proc is None:
-                        continue
-                    busy = any(
-                        job.get("worker") == name
-                        and int(job.get("steps", 0)) >= threshold
-                        for job in jobs
-                    )
-                    if busy and proc.is_alive():
+                # The lease deadline is the hung-worker timeout: a worker
+                # whose lease the server reclaimed is dead or wedged, so
+                # SIGKILL it; its relaunch (below) resumes the job from
+                # the job's latest.ckpt.
+                reclaimed = set(status.get("reclaimed_workers", ()))
+                for slot, (proc, name, _) in list(fleet.slots.items()):
+                    if name in reclaimed and proc.exitcode is None:
                         fleet.kill_worker(slot)
-                        fleet.report.chaos_worker_kills += 1
-                        del pending_kills[slot]
+                        report.hung_worker_kills += 1
 
                 # Scripted chaos: SIGKILL + relaunch the server itself.
                 done = int(status.get("counts", {}).get("done", 0))
                 if server_restart_at is not None and done >= server_restart_at:
                     fleet.kill_server()
                     fleet.start_server(address=fleet.address)
-                    fleet.report.chaos_server_restarts += 1
+                    report.chaos_server_restarts += 1
                     server_restart_at = None
 
-                # Graceful degradation: relaunch any dead worker (killed
-                # by chaos or by the OS); the sweep redistributes.
-                if not status.get("drained"):
-                    for slot, (proc, _, generation) in list(fleet.slots.items()):
-                        if proc.exitcode is not None:
-                            fleet.start_worker(slot, generation + 1)
-                            fleet.report.worker_relaunches += 1
+                # Dead workers: count the scripted chaos kills (a chaos-
+                # armed worker SIGKILLs itself mid-job), then relaunch —
+                # the sweep redistributes.
+                for slot, (proc, name, generation) in list(fleet.slots.items()):
+                    if proc.exitcode is None:
+                        continue
+                    if (
+                        generation == 0
+                        and slot in fleet.kill_at_steps
+                        and proc.exitcode == -signal.SIGKILL
+                        and name not in fleet.killed
+                    ):
+                        report.chaos_worker_kills += 1
+                    if not drained:
+                        fleet.start_worker(slot, generation + 1)
+                        report.worker_relaunches += 1
 
-                if status.get("drained"):
-                    for job in jobs:
-                        if job.get("state") == QUARANTINED:
-                            quarantined[str(job.get("job_id"))] = job
+                if drained:
+                    quarantined = [
+                        job for job in jobs if job.get("state") == QUARANTINED
+                    ]
                     break
                 time.sleep(poll_seconds)
     finally:
         fleet.shutdown()
 
-    results: Dict[Request, object] = {}
+    results: Dict[Request, RunMetrics] = {}
     failures = []
     attempts: Dict[Request, int] = {}
-    quarantined_requests = {
-        tuple(job.get("request", ())) for job in quarantined.values()
-    }
-    for job in quarantined.values():
+    quarantined_ids = {job.get("job_id") for job in quarantined}
+    for job in quarantined:
         request = tuple(job.get("request", ()))
         attempts[request] = int(job.get("attempts", 0))
         errors = job.get("errors") or ["quarantined"]
         failures.append((request, SweepdError(str(errors[-1]))))
-        fleet.report.quarantined.append(request)
-    for request in requests:
-        if request in quarantined_requests:
+        report.quarantined.append(request)
+    for record in records:
+        if record.job_id in quarantined_ids:
             continue
-        metrics = runner._load(runner._key(*request))
+        metrics = runner._load(record.cache_key)
         if metrics is None:
             raise SweepdError(
-                f"sweep drained but no cached result for {'/'.join(request)} "
+                f"sweep drained but no cached result for "
+                f"{'/'.join(record.request)} "
                 f"(manifest/cache disagree — service bug)"
             )
-        results[request] = metrics
+        results[record.request] = metrics
     if failures:
         raise SweepError(failures, attempts=attempts)
-    return results, fleet.report
+    return results, report

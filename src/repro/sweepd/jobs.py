@@ -24,12 +24,13 @@ LEASED = "leased"
 DONE = "done"
 QUARANTINED = "quarantined"
 
-JOB_STATES = (PENDING, LEASED, DONE, QUARANTINED)
-
 #: Priority lanes: lower value wins the lease.  Interactive requests
 #: preempt bulk sweeps at every scheduling decision.
 PRIORITIES = {"interactive": 0, "bulk": 1}
 PRIORITY_BULK = PRIORITIES["bulk"]
+
+#: Keys a job's ``sizing`` dict carries (the :data:`Sizing` tuple's).
+SIZING_KEYS = ("scale", "measure_ops", "warmup_ops", "seed", "check_level")
 
 
 def job_id_for(request: Request, sizing: Sizing, faults: Optional[FaultConfig]) -> str:
@@ -76,14 +77,6 @@ class JobRecord:
     def request(self) -> Request:
         return (self.scheme, self.workload, self.variant)
 
-    def sizing_tuple(self) -> Sizing:
-        sizing = self.sizing
-        return (
-            int(sizing["scale"]), int(sizing["measure_ops"]),
-            int(sizing["warmup_ops"]), int(sizing["seed"]),
-            str(sizing["check_level"]),
-        )
-
     # -- persistence -------------------------------------------------------
     _PERSISTED = (
         "job_id", "scheme", "workload", "variant", "sizing", "faults",
@@ -101,7 +94,16 @@ class JobRecord:
 
     @classmethod
     def from_json(cls, payload: Dict[str, object]) -> "JobRecord":
+        """Rebuild a record; KeyError/TypeError when the entry is from an
+        incompatible schema (missing fields or sizing keys)."""
         known = {name: payload[name] for name in cls._PERSISTED if name in payload}
+        sizing = known.get("sizing")
+        missing = [
+            key for key in SIZING_KEYS
+            if not isinstance(sizing, dict) or key not in sizing
+        ]
+        if missing:
+            raise KeyError(f"missing sizing field(s) {', '.join(missing)}")
         return cls(**known)  # type: ignore[arg-type]
 
     def describe(self) -> Dict[str, object]:

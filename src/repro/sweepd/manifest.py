@@ -17,7 +17,9 @@ sockets:
   heartbeats.  Re-leasing by the same worker is idempotent (lost reply
   ⇒ same job again).
 * **expiry** — :meth:`reclaim_expired` returns timed-out leases to the
-  queue; a SIGKILLed or hung worker loses its claim, nothing else.
+  queue and names the worker in :attr:`JobManifest.reclaimed_workers`;
+  a SIGKILLed or hung worker loses its claim (and, in a local fleet,
+  its process), nothing else.
 * **retry + quarantine** — failed or reclaimed jobs re-queue with
   exponential backoff until ``max_attempts`` leases have been burned,
   then quarantine as poison; a non-retryable error (a genuine simulator
@@ -27,7 +29,7 @@ sockets:
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Set, Tuple, Union
 
 from repro import persist
 from repro.common.errors import (
@@ -36,19 +38,16 @@ from repro.common.errors import (
     PersistError,
     SweepdError,
 )
-from repro.experiments.jobcore import write_json_atomic
+from repro.experiments.jobcore import LEASE_SECONDS, backoff_seconds
 from repro.sweepd.jobs import DONE, LEASED, PENDING, QUARANTINED, JobRecord
 
 SWEEPD_MANIFEST_VERSION = 1
 MANIFEST_NAME = "sweepd-manifest.json"
 
 _MANIFEST_HINT = (
-    "start a fresh service root, or run the build that wrote this manifest"
+    "start a fresh sweep with a new --checkpoint-root (sweepd: --root), "
+    "or resume with the build that wrote this manifest"
 )
-
-#: Base seconds for the re-lease backoff of a failed job (doubles per
-#: burned attempt; deliberately snappy — local fleets, not cloud APIs).
-RETRY_BACKOFF_BASE_SECONDS = 0.05
 
 
 class JobManifest:
@@ -59,7 +58,7 @@ class JobManifest:
         root: Union[str, Path],
         *,
         max_attempts: int = 3,
-        lease_seconds: float = 15.0,
+        lease_seconds: float = LEASE_SECONDS,
     ) -> None:
         self.root = Path(root)
         self.max_attempts = max(1, int(max_attempts))
@@ -69,6 +68,9 @@ class JobManifest:
         #: Leases reclaimed from dead/hung workers since this process
         #: started (observability; per-job counts persist on the record).
         self.reclaims = 0
+        #: Workers whose lease expired since this process started: dead or
+        #: hung, so the local fleet SIGKILLs any that is still running.
+        self.reclaimed_workers: Set[str] = set()
         #: Manifest writes the storage layer refused (ENOSPC, EIO, ...)
         #: since this process started.  The in-memory state stays
         #: authoritative and the next state change retries the write; a
@@ -97,7 +99,7 @@ class JobManifest:
             ],
         }
         try:
-            write_json_atomic(self.path, payload, site="manifest", backup=True)
+            persist.write_json(self.path, payload, site="manifest", backup=True)
         except PersistError:
             self.persist_failures += 1
             return False
@@ -246,17 +248,18 @@ class JobManifest:
     def heartbeat(self, worker: str, job_id: str, steps: int, now: float) -> None:
         """Extend *worker*'s lease on *job_id*; re-claim after a restart.
 
-        A heartbeat for a ``pending`` job means the server restarted (or
-        reclaimed the lease) while the worker kept simulating: re-lease
-        it to that worker rather than letting a second worker start the
-        same simulation.
+        A heartbeat for a ``pending`` job means the server restarted
+        while the worker kept simulating: re-lease it to that worker
+        rather than letting a second worker start the same simulation.
+        The re-claim continues the worker's attempt, so it burns none.
+        A worker whose lease *expired* here is declared dead (the local
+        fleet kills it) and re-claims nothing.
         """
         record = self.jobs.get(job_id)
         if record is None:
             return
-        if record.state == PENDING:
+        if record.state == PENDING and worker not in self.reclaimed_workers:
             record.state = LEASED
-            record.attempts += 1
             record.lease_worker = worker
         if record.state == LEASED and record.lease_worker == worker:
             record.lease_deadline = now + self.lease_seconds
@@ -277,9 +280,7 @@ class JobManifest:
             record.state = QUARANTINED
         else:
             record.state = PENDING
-            record.not_before = now + RETRY_BACKOFF_BASE_SECONDS * (
-                1 << max(0, record.attempts - 1)
-            )
+            record.not_before = now + backoff_seconds(max(0, record.attempts - 1))
         return record.state
 
     def reclaim_expired(self, now: float) -> List[JobRecord]:
@@ -290,6 +291,8 @@ class JobManifest:
                 continue
             record.reclaims += 1
             self.reclaims += 1
+            if record.lease_worker is not None:
+                self.reclaimed_workers.add(record.lease_worker)
             record.errors.append(
                 f"lease expired after {self.lease_seconds:.1f}s "
                 f"(worker {record.lease_worker!r} dead or hung, "
@@ -301,8 +304,8 @@ class JobManifest:
                 record.state = QUARANTINED
             else:
                 record.state = PENDING
-                record.not_before = now + RETRY_BACKOFF_BASE_SECONDS * (
-                    1 << max(0, record.attempts - 1)
+                record.not_before = now + backoff_seconds(
+                    max(0, record.attempts - 1)
                 )
             reclaimed.append(record)
         return reclaimed

@@ -222,21 +222,14 @@ def listener_address(listener: "socket.socket") -> str:
 
 
 def write_address_file(root: Union[str, Path], spec: str) -> Path:
-    from repro.common.errors import PersistError
-    from repro.experiments.jobcore import write_json_atomic
+    from repro import persist
 
-    # Retried: the address file is the rendezvous the whole fleet needs,
-    # and one refused write (a storage-fault storm, a transient ENOSPC)
-    # must not prevent the server from ever becoming reachable.
-    last: Optional[PersistError] = None
-    for _ in range(5):
-        try:
-            return write_json_atomic(
-                Path(root) / ADDRESS_FILE, {"address": spec}, site="address"
-            )
-        except PersistError as exc:
-            last = exc
-    raise last  # type: ignore[misc]  # five strikes: surface the storage error
+    # Verified: the address file is the rendezvous the whole fleet needs,
+    # and one refused, torn, or bit-rotted write (a storage-fault storm)
+    # must not leave the server unreachable.
+    return persist.write_json_verified(
+        Path(root) / ADDRESS_FILE, {"address": spec}, site="address"
+    )
 
 
 def read_address_file(root: Union[str, Path]) -> str:

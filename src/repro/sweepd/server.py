@@ -31,9 +31,10 @@ from typing import Dict, List, Optional, Union
 
 from repro.common.errors import PersistError, SweepdError
 from repro.common.rng import DeterministicRng
+from repro.experiments.jobcore import LEASE_SECONDS
 from repro.faults.chaos import ChaosConfig
 from repro.sweepd.aggregator import DIVERGENT, STORED, ResultAggregator
-from repro.sweepd.jobs import DONE, JobRecord, PRIORITIES, PRIORITY_BULK
+from repro.sweepd.jobs import DONE, PENDING, PRIORITIES, PRIORITY_BULK, JobRecord
 from repro.sweepd.manifest import JobManifest
 from repro.sweepd.protocol import (
     FrameBuffer,
@@ -68,7 +69,7 @@ class SweepdServer:
         *,
         address: Optional[str] = None,
         max_attempts: int = 3,
-        lease_seconds: float = 15.0,
+        lease_seconds: float = LEASE_SECONDS,
         chaos: Optional[ChaosConfig] = None,
     ) -> None:
         self.root = Path(root)
@@ -108,18 +109,23 @@ class SweepdServer:
 
     # -- lifecycle ---------------------------------------------------------
     def _adopt_cached_results(self) -> None:
-        """Mark jobs whose result already reached the cache as done.
+        """Reconcile job states with the result cache after a restart.
 
-        Covers the crash window between "result stored atomically" and
-        "manifest persisted": after a restart the cache, not the
-        manifest, is the authority on which simulations are finished.
+        After a restart the cache, not the manifest, is the authority on
+        which simulations are finished: a job whose result reached the
+        cache is done (the crash window between "result stored
+        atomically" and "manifest persisted"), and a done job whose
+        entry is gone or unreadable (deleted, bit-rotted) is pending
+        again — its next lease holder salvages ``result.json`` or
+        re-simulates.
         """
         for record in self.manifest.jobs.values():
-            if record.state == DONE:
-                continue
             digest = self.aggregator.cached_digest(record.cache_key)
             if digest is not None:
-                self.manifest.mark_done(record.job_id, digest)
+                if record.state != DONE:
+                    self.manifest.mark_done(record.job_id, digest)
+            elif record.state == DONE:
+                record.state = PENDING
 
     def close(self) -> None:
         for conn in list(self._connections.values()):
@@ -388,6 +394,7 @@ class SweepdServer:
             "counts": counts,
             "drained": self.manifest.drained(),
             "reclaims": self.manifest.reclaims,
+            "reclaimed_workers": sorted(self.manifest.reclaimed_workers),
             "eta_seconds": self._eta(counts),
             "jobs": [
                 record.describe()

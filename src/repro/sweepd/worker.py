@@ -19,24 +19,32 @@ Simulated infrastructure faults (``FaultConfig.worker_crash_rate``) are
 reported as *retryable* failures — the service requeues with backoff and
 eventually quarantines poison jobs; genuine simulator exceptions are
 reported non-retryable and quarantine immediately.
+
+``kill_at_steps`` is the scripted-chaos hook behind
+:class:`repro.faults.chaos.FleetChaos`: the worker SIGKILLs itself at
+its first heartbeat at or past that many simulated ops.  Checkpoint
+writes heartbeat too, so the kill lands on a deterministic step, never
+on whether a status poll happened to catch the worker mid-job.
 """
 
 from __future__ import annotations
 
+import os
+import signal
 import time
 from pathlib import Path
 from typing import Optional, Union, cast
 
+from repro import persist
 from repro.common.errors import FaultError, PersistError, SweepdError
 from repro.experiments.jobcore import (
+    HEARTBEAT_SECONDS,
     RESULT_NAME,
     Request,
     Sizing,
     execute_job,
     faults_from_wire,
-    inject_worker_crash,
     load_result,
-    write_json_atomic,
 )
 from repro.sweepd.protocol import Message, RpcClient
 
@@ -50,17 +58,19 @@ class SweepdWorker:
         address: str,
         jobs_root: Union[str, Path],
         *,
-        checkpoint_every: int = 1000,
-        heartbeat_seconds: float = 0.5,
+        checkpoint_every: Optional[int] = None,
+        heartbeat_seconds: float = HEARTBEAT_SECONDS,
         rpc_timeout: float = 2.0,
         retry_window: float = 60.0,
         idle_sleep_cap: float = 0.5,
+        kill_at_steps: Optional[int] = None,
     ) -> None:
         self.name = name
         self.address = address
         self.jobs_root = Path(jobs_root)
         self.checkpoint_every = checkpoint_every
         self.heartbeat_seconds = heartbeat_seconds
+        self.kill_at_steps = kill_at_steps
         self.idle_sleep_cap = idle_sleep_cap
         self.client = RpcClient(
             address, timeout=rpc_timeout, retry_window=retry_window
@@ -71,7 +81,13 @@ class SweepdWorker:
     def run(self) -> int:
         """Work until the server drains; returns jobs completed."""
         with self.client:
-            self.client.call({"type": "hello", "worker": self.name})
+            welcome = self.client.call({"type": "hello", "worker": self.name})
+            # A lost reply is retried after the RPC timeout; keep that well
+            # inside the lease, or a dropped lease (or result) reply lets
+            # the lease expire before the retry lands.
+            lease_seconds = float(cast(float, welcome.get("lease_seconds") or 0.0))
+            if lease_seconds > 0.0:
+                self.client.timeout = min(self.client.timeout, lease_seconds / 4)
             while True:
                 reply = self.client.call({"type": "lease", "worker": self.name})
                 kind = reply.get("kind")
@@ -100,6 +116,8 @@ class SweepdWorker:
             faults = faults_from_wire(cast(Optional[dict], lease.get("faults")))
 
             def heartbeat(steps: int) -> None:
+                if self.kill_at_steps is not None and steps >= self.kill_at_steps:
+                    os.kill(os.getpid(), signal.SIGKILL)
                 # Best-effort: a down server or mangled frame must never
                 # stall the simulation; the lease just edges toward expiry
                 # until a later heartbeat lands.
@@ -116,9 +134,6 @@ class SweepdWorker:
                     checkpoint_every=self.checkpoint_every,
                     heartbeat_seconds=self.heartbeat_seconds,
                     heartbeat_hook=heartbeat,
-                    crash_injector=lambda req, att: inject_worker_crash(
-                        faults, req, att
-                    ),
                 )
             except FaultError as exc:
                 self.client.call({
@@ -138,7 +153,7 @@ class SweepdWorker:
             # in hand, so a refused write only loses the salvage copy —
             # the wire report below is what actually delivers the result.
             try:
-                write_json_atomic(directory / RESULT_NAME, payload)
+                persist.write_json(directory / RESULT_NAME, payload, site="result")
             except PersistError:
                 pass
 
@@ -159,15 +174,15 @@ def worker_main(
     name: str,
     address: str,
     jobs_root: str,
-    checkpoint_every: int = 1000,
-    heartbeat_seconds: float = 0.5,
-    retry_window: float = 60.0,
+    checkpoint_every: Optional[int] = None,
+    heartbeat_seconds: float = HEARTBEAT_SECONDS,
+    kill_at_steps: Optional[int] = None,
 ) -> int:
-    """Process entry point for fleet-spawned (or CLI-launched) workers."""
+    """Process entry point for fleet-spawned workers."""
     worker = SweepdWorker(
         name, address, jobs_root,
         checkpoint_every=checkpoint_every,
         heartbeat_seconds=heartbeat_seconds,
-        retry_window=retry_window,
+        kill_at_steps=kill_at_steps,
     )
     return worker.run()

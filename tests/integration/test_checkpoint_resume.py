@@ -10,7 +10,7 @@ restored in a subprocess and driven to completion.
 Also covered here: the CLI signal protocol (SIGINT/SIGTERM write one
 final checkpoint and exit 75; a second signal force-quits), the fault
 matrix's "worker SIGKILLed mid-run, resumed, digest identical" row, and
-the sweep supervisor's watchdog + resume behaviour.
+the sweep fleet's hung-worker kill + ``sweep --resume`` behaviour.
 """
 
 import dataclasses
@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from repro import persist
 from repro.check.golden import (
     GOLDEN_SIZING,
     golden_matrix,
@@ -31,10 +32,14 @@ from repro.check.golden import (
     metrics_payload,
     payload_digest,
 )
+from repro.cli import main
 from repro.common.config import CheckConfig, FaultConfig
+from repro.experiments.jobcore import RESULT_NAME
 from repro.experiments.runner import _METRIC_FIELDS, VARIANTS, ExperimentRunner
-from repro.experiments.supervisor import SweepSupervisor
 from repro.snapshot import Checkpointer, load_checkpoint
+from repro.sweepd.aggregator import AGGREGATOR_LOG
+from repro.sweepd.fleet import JOBS_DIRNAME, run_distributed_sweep
+from repro.sweepd.manifest import MANIFEST_NAME, SWEEPD_MANIFEST_VERSION
 from repro.workloads import workload_by_name
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -242,7 +247,7 @@ def test_sigkill_mid_run_resume_digest_identical(tmp_path):
     assert payload_digest(metrics_payload(metrics)) == document["digest"]
 
 
-# -- supervised sweeps --------------------------------------------------------
+# -- fleet sweeps --------------------------------------------------------------
 
 
 def _runner(tmp_path, **kwargs):
@@ -256,24 +261,26 @@ def _runner(tmp_path, **kwargs):
 
 
 def test_watchdog_recovers_stalled_worker(tmp_path):
-    """A worker wedged mid-run (no heartbeat) is killed and its relaunch
-    resumes from the checkpoint — and the result is unaffected."""
+    """A worker wedged mid-run (no heartbeat) loses its lease, the fleet
+    kills it, and its relaunch resumes from the checkpoint — and the
+    result is unaffected."""
     request = ("pageseer", "lbmx4", "default")
     faults = FaultConfig(
         enabled=True, worker_stall_rate=1.0, worker_stall_seconds=60.0
     )
-    runner = _runner(tmp_path, faults=faults)
-    supervisor = SweepSupervisor(
-        runner, tmp_path / "sweep",
-        checkpoint_every=300, heartbeat_seconds=0.1,
-        stall_timeout=2.0, poll_seconds=0.05,
-    )
+    root = tmp_path / "sweep"
     start = time.monotonic()
-    results = supervisor.run([request], jobs=1)
+    results, report = run_distributed_sweep(
+        _runner(tmp_path, faults=faults), [request], root,
+        workers=1, lease_seconds=2.0,
+        checkpoint_every=300, heartbeat_seconds=0.1,
+    )
     elapsed = time.monotonic() - start
 
-    assert supervisor.kills >= 1, "watchdog never fired"
-    assert supervisor.resumes.get(request, 0) >= 1, "retry did not resume"
+    assert report.hung_worker_kills >= 1, "watchdog never fired"
+    (result_file,) = (root / JOBS_DIRNAME).glob(f"*/{RESULT_NAME}")
+    payload = persist.read_json(result_file, site="result")
+    assert payload["resumed_at_ops"] > 0, "retry did not resume"
     assert elapsed < 40.0, "watchdog waited out the stall instead of killing"
 
     # Stalls affect liveness only: metrics equal a plain unsupervised run.
@@ -283,32 +290,47 @@ def test_watchdog_recovers_stalled_worker(tmp_path):
     assert _metric_dict(results[request]) == _metric_dict(reference)
 
 
-def test_sweep_resume_skips_completed_requests(tmp_path):
-    requests = [("pageseer", "lbmx4", "default"), ("mempod", "streamx4", "default")]
+def test_sweep_resume_skips_completed_requests(tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     root = tmp_path / "sweep"
-    first = SweepSupervisor(
-        _runner(tmp_path), root, heartbeat_seconds=0.1, poll_seconds=0.05
-    ).run(requests, jobs=2)
-    assert set(first) == set(requests)
+    code = main([
+        "sweep", "--schemes", "pageseer", "mempod", "--workloads", "lbmx4",
+        "--scale", str(GOLDEN_SIZING["scale"]),
+        "--measure-ops", str(GOLDEN_SIZING["measure_ops"]),
+        "--warmup-ops", str(GOLDEN_SIZING["warmup_ops"]),
+        "--seed", str(GOLDEN_SIZING["seed"]),
+        "--checkpoint-root", str(root), "--jobs", "2", "--quiet",
+    ])
+    assert code == 0
+    first = capsys.readouterr().out
 
-    manifest = json.loads((root / "manifest.json").read_text())
-    assert manifest["manifest_version"] == 1
-    assert sorted(manifest["completed"]) == sorted(
-        "/".join(request) for request in requests
-    )
+    manifest = json.loads((root / MANIFEST_NAME).read_text())
+    assert manifest["sweepd_manifest_version"] == SWEEPD_MANIFEST_VERSION
+    assert sorted(
+        "/".join((job["scheme"], job["workload"], job["variant"]))
+        for job in manifest["jobs"] if job["state"] == "done"
+    ) == ["mempod/lbmx4/default", "pageseer/lbmx4/default"]
+    stored = (root / AGGREGATOR_LOG).read_text()
 
-    # A fresh supervisor (fresh runner, same cache + manifest) resumes the
-    # sweep without relaunching any worker for the completed requests.
-    resumer = SweepSupervisor(
-        _runner(tmp_path), root, heartbeat_seconds=0.1, poll_seconds=0.05
-    )
-    second = resumer.resume(jobs=2)
-    assert resumer.attempts == {}, "completed requests were re-run"
-    assert {
-        request: _metric_dict(metrics) for request, metrics in second.items()
-    } == {
-        request: _metric_dict(metrics) for request, metrics in first.items()
-    }
+    # `sweep --resume` on the same root restarts the fleet on the
+    # manifest: nothing is resubmitted, leased, or re-run.
+    code = main([
+        "sweep", "--resume", "--checkpoint-root", str(root),
+        "--jobs", "2", "--quiet",
+    ])
+    assert code == 0
+    second = capsys.readouterr().out
+    resumed = json.loads((root / MANIFEST_NAME).read_text())
+    assert [job["attempts"] for job in resumed["jobs"]] == [
+        job["attempts"] for job in manifest["jobs"]
+    ], "completed requests were re-run"
+    assert (root / AGGREGATOR_LOG).read_text() == stored
+
+    def digest(out):
+        return [line for line in out.splitlines()
+                if line.startswith("results digest:")]
+
+    assert digest(second) == digest(first) != []
 
 
 # -- the batched engine under the cut-point protocol ---------------------------

@@ -6,7 +6,7 @@ The acceptance bar for the fault-injection subsystem (docs/FAULTS.md):
   "full" and zero violations;
 * re-running the identical configuration reproduces every metric and
   every fault counter bit-for-bit;
-* the sweep runner survives injected worker crashes and timeouts,
+* the sweep fleet survives injected worker crashes and stalls,
   returning a result for every request via retry and salvage.
 """
 
@@ -17,11 +17,15 @@ from pathlib import Path
 
 import pytest
 
+from repro import persist
 from repro.common.config import CheckConfig, FaultConfig
 from repro.common.errors import SweepError
-from repro.experiments.runner import ExperimentRunner
+from repro.experiments.jobcore import RESULT_NAME, execute_job
+from repro.experiments.runner import _METRIC_FIELDS, ExperimentRunner
 from repro.faults import resolve_profile
 from repro.sim.system import build_system
+from repro.sweepd.fleet import JOBS_DIRNAME, run_distributed_sweep
+from repro.sweepd.jobs import job_id_for
 from repro.workloads import workload_by_name
 
 SIZING = dict(scale=1024, seed=0)
@@ -109,15 +113,24 @@ class TestSweepResilience:
         results = runner.run_many(requests, jobs=2)
         assert set(results) == set(requests)
 
-    def test_serial_path_retries_and_reports_attempts(self, tmp_path):
+    def test_exhausted_retries_report_attempts(self, tmp_path):
         faults = FaultConfig(
             enabled=True, worker_crash_rate=1.0, fault_seed=5
         )
         runner = self.make_runner(tmp_path, faults=faults, max_attempts=3)
         with pytest.raises(SweepError) as info:
-            runner.run_many([("noswap", "lbmx4", "default")], jobs=1)
+            runner.run_many([("noswap", "lbmx4", "default")], jobs=2)
         assert "failed on all 3 attempts, retries exhausted" in str(info.value)
         assert info.value.attempts[("noswap", "lbmx4", "default")] == 3
+
+    def test_serial_path_injects_no_worker_faults(self, tmp_path):
+        """jobs=1 runs in-process: there is no worker to crash."""
+        faults = FaultConfig(
+            enabled=True, worker_crash_rate=1.0, fault_seed=5
+        )
+        runner = self.make_runner(tmp_path, faults=faults)
+        request = ("noswap", "lbmx4", "default")
+        assert set(runner.run_many([request], jobs=1)) == {request}
 
     def test_genuine_bugs_fail_fast_without_retry(self, tmp_path):
         runner = self.make_runner(tmp_path, max_attempts=5)
@@ -126,30 +139,50 @@ class TestSweepResilience:
                             jobs=1)
         assert "failed on first attempt, not retried" in str(info.value)
 
-    def test_timeout_with_salvage_returns_every_result(self, tmp_path):
-        # Every attempt stalls past the request timeout, so the parent
-        # times each one out — but stalled workers are sleeping, not dead:
-        # the first finishes after its stall and its result is salvaged.
+    def test_stalled_workers_still_return_every_result(self, tmp_path):
+        # Every first attempt wedges mid-run; a stall shorter than the
+        # lease only costs time — the worker wakes and reports.
         faults = FaultConfig(
-            enabled=True, worker_stall_rate=1.0, worker_stall_seconds=3.0,
+            enabled=True, worker_stall_rate=1.0, worker_stall_seconds=1.0,
             fault_seed=5,
         )
-        runner = self.make_runner(
-            tmp_path, faults=faults, request_timeout=0.5, max_attempts=2,
-        )
+        runner = self.make_runner(tmp_path, faults=faults, max_attempts=2)
         requests = [("noswap", "lbmx4", "default")]
         results = runner.run_many(requests, jobs=2)
         assert set(results) == set(requests)
 
-    def test_sweep_with_crash_and_timeout_completes(self, tmp_path):
+    def test_unreported_result_is_salvaged_not_resimulated(
+        self, tmp_path, monkeypatch
+    ):
+        """A worker that landed result.json but died before reporting it:
+        the next lease holder ships the file instead of re-simulating."""
+        runner = self.make_runner(tmp_path)
+        request = ("noswap", "lbmx4", "default")
+        root = tmp_path / "svc"
+        job_dir = root / JOBS_DIRNAME / job_id_for(
+            request, runner._sizing(), None
+        )
+        payload = execute_job(request, runner._sizing(), None, 0, job_dir)
+        persist.write_json(job_dir / RESULT_NAME, payload, site="result")
+
+        import repro.sim.system as system_module
+
+        def boom(*args, **kwargs):
+            raise AssertionError("salvageable job was re-simulated")
+
+        monkeypatch.setattr(system_module, "build_system", boom)
+        results, _ = run_distributed_sweep(runner, [request], root, workers=1)
+        assert {
+            name: getattr(results[request], name) for name in _METRIC_FIELDS
+        } == {name: payload[name] for name in _METRIC_FIELDS}
+
+    def test_sweep_with_crashes_and_stalls_completes(self, tmp_path):
         """The acceptance scenario: one crashy sweep, generous retries."""
         faults = FaultConfig(
             enabled=True, worker_crash_rate=0.5, worker_stall_rate=0.2,
             worker_stall_seconds=0.1, fault_seed=11,
         )
-        runner = self.make_runner(
-            tmp_path, faults=faults, request_timeout=60.0, max_attempts=20,
-        )
+        runner = self.make_runner(tmp_path, faults=faults, max_attempts=20)
         requests = [
             ("noswap", "lbmx4", "default"),
             ("noswap", "streamx4", "default"),

@@ -7,7 +7,7 @@ writes, bit-rot, and the combined storm):
   finishes with metrics identical to a clean run;
 * a resumed job whose ``latest.ckpt`` silently rotted falls back to a
   preserved generation and still lands the clean-run metrics;
-* a supervised sweep under an inherited environment storm loses no
+* a fleet sweep under an inherited environment storm loses no
   acknowledged result;
 * ``repro fsck --repair`` leaves every faulted directory clean — and a
   rescan agrees.
@@ -19,7 +19,6 @@ from repro import persist
 from repro.check.golden import GOLDEN_SIZING
 from repro.experiments.jobcore import execute_job
 from repro.experiments.runner import _METRIC_FIELDS, ExperimentRunner
-from repro.experiments.supervisor import SweepSupervisor
 from repro.faults.storage import (
     STORAGE_FAULTS_ENV,
     StorageFaultInjector,
@@ -27,6 +26,7 @@ from repro.faults.storage import (
 )
 from repro.fsck import run_fsck
 from repro.snapshot.checkpoint import LATEST_NAME, generation_files
+from repro.sweepd.fleet import run_distributed_sweep
 
 REQUEST = ("pageseer", "lbmx4", "default")
 SIZING = (
@@ -149,19 +149,17 @@ class TestSupervisedSweepUnderStorm:
             request: self._runner(tmp_path / "cache_ref").run(*request)
             for request in self.REQUESTS
         }
-        # Arm through the environment: forked sweep workers inherit it,
-        # which is exactly how `repro sweep --storage-faults storm` storms
-        # every process.
+        # Arm through the environment: the forked server and workers
+        # inherit it, which is exactly how `repro sweep --storage-faults
+        # storm` storms every process.
         monkeypatch.setenv(STORAGE_FAULTS_ENV, "storm:3")
         persist.reset_storage_faults()
         root = tmp_path / "sweep"
         try:
-            supervisor = SweepSupervisor(
-                self._runner(tmp_path / "cache"), root,
-                checkpoint_every=200, heartbeat_seconds=0.1,
-                poll_seconds=0.05,
+            results, _ = run_distributed_sweep(
+                self._runner(tmp_path / "cache"), list(self.REQUESTS), root,
+                workers=2, checkpoint_every=200, heartbeat_seconds=0.1,
             )
-            results = supervisor.run(list(self.REQUESTS), jobs=2)
         finally:
             monkeypatch.delenv(STORAGE_FAULTS_ENV, raising=False)
             persist.install_storage_faults(None)

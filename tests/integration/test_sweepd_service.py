@@ -1,7 +1,7 @@
 """The distributed sweep service, unchaosed: protocol + equivalence.
 
-Contract under test (docs/SWEEP_SERVICE.md): ``repro sweep
---distributed`` is interchangeable with the serial runner — same cache
+Contract under test (docs/SWEEP_SERVICE.md): ``repro sweep`` (the
+local fleet) is interchangeable with the serial runner — same cache
 entries, bit-identical metrics — and the server's handlers are
 idempotent enough that retried or duplicated RPCs cannot corrupt the
 result set.
@@ -15,7 +15,8 @@ import pytest
 from repro.check.golden import GOLDEN_SIZING
 from repro.experiments.runner import _METRIC_FIELDS, ExperimentRunner
 from repro.sweepd.fleet import run_distributed_sweep
-from repro.sweepd.jobs import build_job
+from repro.sweepd.jobs import PENDING, build_job
+from repro.sweepd.manifest import JobManifest
 from repro.sweepd.protocol import RpcClient
 from repro.sweepd.server import SweepdServer
 
@@ -168,3 +169,21 @@ def test_unknown_message_type_gets_an_error_reply(live_server):
         reply = rpc.call({"type": "frobnicate"})
     assert reply["type"] == "error"
     assert "frobnicate" in reply["error"]
+
+
+def test_restart_requeues_done_jobs_whose_cache_entry_is_gone(tmp_path):
+    """The cache, not the manifest, says which jobs are finished: a done
+    job whose entry was lost (deleted, bit-rotted) is pending again."""
+    sizing = (1024, 400, 400, 0, "off")
+    job = build_job(("pageseer", "lbmx4", "default"), sizing, None)
+    root = tmp_path / "svc"
+    root.mkdir()
+    manifest = JobManifest(root)
+    manifest.submit([job])
+    manifest.mark_done(job.job_id, "digest")
+    assert manifest.persist()
+    server = SweepdServer(root, tmp_path / "cache")
+    try:
+        assert server.manifest.jobs[job.job_id].state == PENDING
+    finally:
+        server.close()

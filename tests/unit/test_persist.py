@@ -187,6 +187,31 @@ class TestBackup:
         assert persist.read_json(persist.backup_path(path)) == {"gen": 1}
 
 
+class TestVerifiedWrite:
+    def test_silent_corruption_is_rewritten_until_it_reads_back(self, tmp_path):
+        # Seeded schedule: torn or bit-rotted writes report success, and
+        # only the read-back catches them.
+        injector = StorageFaultInjector(
+            StorageFaultConfig(enabled=True, torn_write_rate=0.2,
+                               bitrot_rate=0.1, storage_seed=3)
+        )
+        persist.install_storage_faults(injector)
+        for i in range(20):
+            path = tmp_path / f"doc{i}.json"
+            persist.write_json_verified(path, {"i": i}, site="t")
+            assert persist.read_json(path, site="t") == {"i": i}
+        assert injector.injected, "the schedule never corrupted a write"
+
+    def test_persistent_corruption_raises_after_its_tries(self, tmp_path):
+        persist.install_storage_faults(
+            StorageFaultInjector(
+                StorageFaultConfig(enabled=True, torn_write_rate=1.0)
+            )
+        )
+        with pytest.raises(PersistWriteError, match="read back intact"):
+            persist.write_json_verified(tmp_path / "doc.json", {"a": 1})
+
+
 # -- storage-fault configuration ---------------------------------------------
 
 

@@ -2,11 +2,12 @@
 
 import pytest
 
+from repro.experiments.jobcore import execute_job
 from repro.experiments.runner import (
+    _METRIC_FIELDS,
     CACHE_VERSION,
-    ExperimentRunner,
     VARIANTS,
-    _run_one_for_pool,
+    ExperimentRunner,
 )
 
 
@@ -68,32 +69,38 @@ class TestRunMany:
         results = runner.run_many([("noswap", "lbmx4", "default")], jobs=1)
         assert ("noswap", "lbmx4", "default") in results
 
-    def test_pool_worker_standalone(self):
-        metrics = _run_one_for_pool(
-            ("noswap", "lbmx4", "default"), (1024, 200, 200, 0, "off")
-        )
-        assert metrics.scheme == "noswap"
-        assert metrics.instructions > 0
 
-    def test_pool_worker_applies_variant(self):
-        metrics = _run_one_for_pool(
-            ("pageseer", "lbmx4", "nohints"), (1024, 400, 1500, 0, "off")
-        )
-        assert metrics.swaps_mmu == 0
+class TestJob:
+    """:func:`repro.experiments.jobcore.execute_job`, the fleet's unit."""
 
-    def test_pool_worker_runs_sanitizer(self):
+    def test_job_standalone(self, tmp_path):
+        payload = execute_job(
+            ("noswap", "lbmx4", "default"), (1024, 200, 200, 0, "off"),
+            None, 0, tmp_path,
+        )
+        assert payload["scheme"] == "noswap"
+        assert payload["instructions"] > 0
+        assert payload["resumed_at_ops"] == 0
+
+    def test_job_applies_variant(self, tmp_path):
+        payload = execute_job(
+            ("pageseer", "lbmx4", "nohints"), (1024, 400, 1500, 0, "off"),
+            None, 0, tmp_path,
+        )
+        assert payload["swaps_mmu"] == 0
+
+    def test_job_runs_sanitizer(self, tmp_path):
         """The worker path checks at level full by default, and checking
         must not change the metrics it returns."""
-        plain = _run_one_for_pool(
-            ("pageseer", "lbmx4", "default"), (1024, 300, 300, 0, "off")
+        request = ("pageseer", "lbmx4", "default")
+        plain = execute_job(
+            request, (1024, 300, 300, 0, "off"), None, 0, tmp_path / "plain"
         )
-        checked = _run_one_for_pool(
-            ("pageseer", "lbmx4", "default"), (1024, 300, 300, 0, "full")
+        checked = execute_job(
+            request, (1024, 300, 300, 0, "full"), None, 0, tmp_path / "full"
         )
-        from repro.experiments.runner import _METRIC_FIELDS
-
         for name in _METRIC_FIELDS:
-            assert getattr(plain, name) == getattr(checked, name)
+            assert plain[name] == checked[name]
 
 
 class TestSweepFailures:

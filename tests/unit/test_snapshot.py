@@ -187,6 +187,23 @@ class TestCheckpointFiles:
         ]
         assert restored.stats.snapshot() == system.stats.snapshot()
 
+    def test_forked_serializer_matches_in_process_bytes(self, monkeypatch):
+        """The copy-on-write child pickles the bytes the caller would."""
+        from repro.snapshot import checkpoint
+
+        system = _tiny_system()
+        system.run_ops(50)
+        forked = checkpoint._serialize(system)
+        monkeypatch.setattr(checkpoint.threading, "active_count", lambda: 2)
+        assert checkpoint._serialize(system) == forked
+
+    def test_forked_serializer_reports_unpicklable_state(self, tmp_path):
+        system = _tiny_system()
+        system.stray = lambda: None
+        with pytest.raises(CheckpointError, match="lambda"):
+            save_checkpoint(system, tmp_path / "a.ckpt")
+        assert not (tmp_path / "a.ckpt").exists()
+
     def test_header_readable_without_unpickling(self, tmp_path):
         system = _tiny_system()
         system.run_ops(10)

@@ -1,10 +1,10 @@
-"""``sweep --resume`` manifest validation and heartbeat-path dedup.
+"""``sweep --resume`` manifest validation and per-job directory dedup.
 
-Satellites of the sweep-service PR: an incompatible manifest must fail
-with one clear, versioned error (distinct exit code + remediation hint)
-instead of an unpickling traceback, and two sweeps that differ only in
-seed/sizing must never share per-request checkpoint or heartbeat
-directories.
+An incompatible sweepd manifest must fail with one clear, versioned
+error (distinct exit code + remediation hint) raised in the driver's own
+process — never an unpickling traceback, and never a server child that
+dies during startup — and two sweeps that differ only in seed/sizing
+must never share per-job checkpoint directories.
 """
 
 import json
@@ -14,21 +14,24 @@ import pytest
 
 from repro.cli import EXIT_MANIFEST_VERSION, main
 from repro.common.errors import CheckpointError, ManifestVersionError
-from repro.experiments.jobcore import request_dirname, sizing_signature
 from repro.experiments.runner import ExperimentRunner
-from repro.experiments.supervisor import (
-    MANIFEST_NAME,
-    MANIFEST_VERSION,
-    SweepSupervisor,
-)
+from repro.sweepd.fleet import JOBS_DIRNAME, run_distributed_sweep
+from repro.sweepd.jobs import build_job, job_id_for
+from repro.sweepd.manifest import MANIFEST_NAME, SWEEPD_MANIFEST_VERSION
+
+REQUEST = ("pageseer", "lbmx4", "default")
+SIZING = (1024, 400, 400, 0, "off")
 
 
-def _supervisor(tmp_path):
-    runner = ExperimentRunner(
-        scale=1024, measure_ops=400, warmup_ops=400, seed=0,
-        worker_check_level="off", cache_dir=tmp_path / "cache",
+def _runner(tmp_path, seed=0):
+    return ExperimentRunner(
+        scale=1024, measure_ops=400, warmup_ops=400, seed=seed,
+        worker_check_level="off", cache_dir=tmp_path / f"cache{seed}",
     )
-    return SweepSupervisor(runner, tmp_path / "sweep")
+
+
+def _resume(tmp_path):
+    return run_distributed_sweep(_runner(tmp_path), None, tmp_path / "sweep")
 
 
 def _write_manifest(tmp_path, data, binary=False):
@@ -45,94 +48,86 @@ def _write_manifest(tmp_path, data, binary=False):
 class TestManifestValidation:
     def test_pickled_manifest_raises_versioned_error(self, tmp_path):
         _write_manifest(
-            tmp_path, pickle.dumps({"requests": []}), binary=True
+            tmp_path, pickle.dumps({"jobs": []}), binary=True
         )
         with pytest.raises(ManifestVersionError, match="pickled") as excinfo:
-            _supervisor(tmp_path).read_manifest()
+            _resume(tmp_path)
         assert excinfo.value.hint is not None
         assert "checkpoint-root" in excinfo.value.hint
 
     def test_version_skew_raises_versioned_error(self, tmp_path):
         _write_manifest(tmp_path, {
-            "manifest_version": MANIFEST_VERSION + 1,
-            "sizing": {}, "requests": [],
+            "sweepd_manifest_version": SWEEPD_MANIFEST_VERSION + 1,
+            "jobs": [],
         })
         with pytest.raises(ManifestVersionError, match="unsupported"):
-            _supervisor(tmp_path).read_manifest()
+            _resume(tmp_path)
 
     def test_missing_sizing_fields_raise_versioned_error(self, tmp_path):
+        entry = build_job(REQUEST, SIZING, None).to_json()
+        entry["sizing"] = {"scale": 1024}
         _write_manifest(tmp_path, {
-            "manifest_version": MANIFEST_VERSION,
-            "sizing": {"scale": 1024},
-            "requests": [],
+            "sweepd_manifest_version": SWEEPD_MANIFEST_VERSION,
+            "jobs": [entry],
         })
         with pytest.raises(ManifestVersionError, match="missing sizing"):
-            _supervisor(tmp_path).read_manifest()
+            _resume(tmp_path)
 
-    def test_missing_request_list_raises_versioned_error(self, tmp_path):
+    def test_missing_job_list_raises_versioned_error(self, tmp_path):
         _write_manifest(tmp_path, {
-            "manifest_version": MANIFEST_VERSION,
-            "sizing": {
-                "scale": 1024, "measure_ops": 400, "warmup_ops": 400,
-                "seed": 0, "check_level": "off",
-            },
+            "sweepd_manifest_version": SWEEPD_MANIFEST_VERSION,
         })
-        with pytest.raises(ManifestVersionError, match="request list"):
-            _supervisor(tmp_path).read_manifest()
+        with pytest.raises(ManifestVersionError, match="job list"):
+            _resume(tmp_path)
 
     def test_absent_manifest_is_a_plain_checkpoint_error(self, tmp_path):
         with pytest.raises(CheckpointError, match="nothing to resume"):
-            _supervisor(tmp_path).read_manifest()
+            _resume(tmp_path)
 
-    def test_cli_resume_exits_with_distinct_code_and_hint(
-        self, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize("resume", [True, False])
+    def test_cli_exits_with_distinct_code_and_hint(
+        self, tmp_path, capsys, monkeypatch, resume
     ):
+        """Both ``--resume`` and a fresh sweep onto a root holding an
+        incompatible manifest fail before the server launches."""
         monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
         root = _write_manifest(
-            tmp_path, pickle.dumps({"requests": []}), binary=True
+            tmp_path, pickle.dumps({"jobs": []}), binary=True
         )
-        code = main([
-            "sweep", "--resume", "--checkpoint-root", str(root), "--quiet",
-        ])
+        argv = ["sweep", "--checkpoint-root", str(root), "--quiet"]
+        if resume:
+            argv.append("--resume")
+        else:
+            argv += ["--schemes", "pageseer", "--workloads", "lbmx4"]
+        code = main(argv)
         captured = capsys.readouterr()
         assert code == EXIT_MANIFEST_VERSION
         assert "pickled" in captured.err
         assert "hint:" in captured.err
         assert "Traceback" not in captured.err
+        assert "server died" not in captured.err
 
 
-class TestHeartbeatPathDedup:
-    def test_signature_distinguishes_seed_and_sizing(self):
-        base = (1024, 400, 400, 0, "off")
+class TestJobDirectoryDedup:
+    def test_job_id_distinguishes_seed_and_sizing(self):
         other_seed = (1024, 400, 400, 1, "off")
         other_scale = (512, 400, 400, 0, "off")
-        assert sizing_signature(base, None) != sizing_signature(other_seed, None)
-        assert sizing_signature(base, None) != sizing_signature(other_scale, None)
-        assert sizing_signature(base, None) == sizing_signature(base, None)
-
-    def test_request_dirname_carries_the_signature(self):
-        request = ("pageseer", "lbmx4", "default")
-        named = request_dirname(request, "abcd1234")
-        assert named == "pageseer_lbmx4_default_abcd1234"
-        assert request_dirname(request) == "pageseer_lbmx4_default"
+        base_id = job_id_for(REQUEST, SIZING, None)
+        assert base_id != job_id_for(REQUEST, other_seed, None)
+        assert base_id != job_id_for(REQUEST, other_scale, None)
+        assert base_id == job_id_for(REQUEST, SIZING, None)
 
     def test_same_config_different_seeds_use_disjoint_directories(self, tmp_path):
-        """Two supervised sweeps differing only in seed share a root but
-        must checkpoint/heartbeat into different request directories."""
-        request = ("pageseer", "lbmx4", "default")
+        """Two sweeps differing only in seed share a root but must
+        checkpoint into different job directories."""
         root = tmp_path / "sweep"
         for seed in (0, 1):
-            runner = ExperimentRunner(
-                scale=1024, measure_ops=400, warmup_ops=400, seed=seed,
-                worker_check_level="off", cache_dir=tmp_path / f"cache{seed}",
+            run_distributed_sweep(
+                _runner(tmp_path, seed), [REQUEST], root,
+                workers=1, checkpoint_every=300,
             )
-            supervisor = SweepSupervisor(
-                runner, root,
-                checkpoint_every=300, heartbeat_seconds=0.1,
-                stall_timeout=5.0, poll_seconds=0.05,
-            )
-            supervisor.run([request], jobs=1)
-        dirs = sorted(p.name for p in (root / "requests").iterdir())
-        assert len(dirs) == 2, dirs
-        assert all(name.startswith("pageseer_lbmx4_default_") for name in dirs)
-        assert dirs[0] != dirs[1]
+        dirs = sorted(p.name for p in (root / JOBS_DIRNAME).iterdir())
+        assert dirs == sorted(
+            job_id_for(REQUEST, (1024, 400, 400, seed, "off"), None)
+            for seed in (0, 1)
+        )

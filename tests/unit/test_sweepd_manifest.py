@@ -6,6 +6,7 @@ import pickle
 import pytest
 
 from repro.common.errors import ManifestVersionError
+from repro.experiments.jobcore import BACKOFF_BASE_SECONDS
 from repro.sweepd.jobs import (
     DONE,
     LEASED,
@@ -17,7 +18,6 @@ from repro.sweepd.jobs import (
 )
 from repro.sweepd.manifest import (
     MANIFEST_NAME,
-    RETRY_BACKOFF_BASE_SECONDS,
     SWEEPD_MANIFEST_VERSION,
     JobManifest,
 )
@@ -145,8 +145,20 @@ class TestLeasing:
         reloaded.heartbeat("w0", job_id, steps=500, now=0.0)
         assert reloaded.jobs[job_id].state == LEASED
         assert reloaded.jobs[job_id].lease_worker == "w0"
+        # ...continuing its attempt rather than burning a new one.
+        assert reloaded.jobs[job_id].attempts == 1
         kind, _, _ = reloaded.lease("w1", now=0.0)
         assert kind == "idle"
+
+    def test_reclaimed_worker_cannot_reclaim_by_heartbeat(self, tmp_path):
+        manifest = _manifest(tmp_path, lease_seconds=1.0)
+        (job_id,), _ = manifest.submit([_job()])
+        manifest.lease("w0", now=0.0)
+        manifest.reclaim_expired(now=2.0)
+        # w0 was declared dead; a late heartbeat must not hand the job
+        # back to a worker the fleet is about to kill.
+        manifest.heartbeat("w0", job_id, steps=500, now=2.5)
+        assert manifest.jobs[job_id].state == PENDING
 
 
 class TestFailureHandling:
@@ -159,13 +171,15 @@ class TestFailureHandling:
         record = manifest.jobs[job_id]
         assert record.state == PENDING
         assert record.reclaims == 1
+        # The fleet SIGKILLs workers named here (dead or hung).
+        assert manifest.reclaimed_workers == {"w0"}
         assert record.not_before == pytest.approx(
-            11.0 + RETRY_BACKOFF_BASE_SECONDS
+            11.0 + BACKOFF_BASE_SECONDS
         )
         # Not leasable until the backoff elapses.
         kind, _, _ = manifest.lease("w1", now=11.0)
         assert kind == "idle"
-        kind, _, _ = manifest.lease("w1", now=11.0 + RETRY_BACKOFF_BASE_SECONDS)
+        kind, _, _ = manifest.lease("w1", now=11.0 + BACKOFF_BASE_SECONDS)
         assert kind == "job"
 
     def test_poison_job_quarantines_after_max_attempts(self, tmp_path):
