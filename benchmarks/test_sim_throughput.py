@@ -9,67 +9,40 @@ core run ~50-200 ms depending on the scheme).
 Alongside the timing, the determinism tests assert that back-to-back runs
 of the benchmark configuration produce bit-identical stats digests — the
 optimization work (heap scheduler, bound stats handles, ``__slots__``
-records) must never trade reproducibility for speed.
-
-Since PR-6 the grid covers both execution engines: ``batched`` (the
-default relaxed-commuting scheduler) and ``scalar`` (the reference
-in-order scheduler the differential harness compares against).  The
-benchmark history therefore shows each engine's throughput separately,
-and the cross-engine digest test keeps the bit-identity contract visible
-right next to the numbers it justifies.
+records) must never trade reproducibility for speed.  That the engine
+computes what the one-op-at-a-time reference scheduler computes is
+proven by tests/integration/test_engine_equivalence.py.
 """
 
 import pytest
 
 from repro.bench import stats_digest
-from repro.common.config import ENGINES
 from repro.sim.system import SCHEMES, build_system
 from repro.workloads import workload_by_name
 
 OPS = 6000
 ALL_SCHEMES = sorted(SCHEMES)
-ALL_ENGINES = list(ENGINES)
 
 
-def run_slice(scheme, ops=OPS, engine="batched"):
-    system = build_system(
-        scheme, workload_by_name("milcx4"), scale=1024, engine=engine
-    )
+def run_slice(scheme, ops=OPS):
+    system = build_system(scheme, workload_by_name("milcx4"), scale=1024)
     system.run_ops(ops)
     return system
 
 
-@pytest.mark.parametrize("engine", ALL_ENGINES)
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_simulation_throughput(benchmark, scheme, engine):
-    system = benchmark.pedantic(
-        run_slice, args=(scheme,), kwargs={"engine": engine},
-        iterations=1, rounds=3,
-    )
+def test_simulation_throughput(benchmark, scheme):
+    system = benchmark.pedantic(run_slice, args=(scheme,), iterations=1, rounds=3)
     total_ops = sum(core.ops_executed for core in system.cores)
     assert total_ops == OPS * len(system.cores)
 
 
-@pytest.mark.parametrize("engine", ALL_ENGINES)
 @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_throughput_run_is_deterministic(scheme, engine):
+def test_throughput_run_is_deterministic(scheme):
     """Two back-to-back benchmark runs must agree bit-for-bit."""
-    first = stats_digest(run_slice(scheme, ops=1000, engine=engine))
-    second = stats_digest(run_slice(scheme, ops=1000, engine=engine))
+    first = stats_digest(run_slice(scheme, ops=1000))
+    second = stats_digest(run_slice(scheme, ops=1000))
     assert first == second
-
-
-@pytest.mark.parametrize("scheme", ALL_SCHEMES)
-def test_engines_agree_on_benchmark_config(scheme):
-    """Both engines produce the same digest on the benchmark grid itself,
-    so every pair of rows in the benchmark history is comparing equal
-    work (the full equivalence proof lives in
-    tests/integration/test_engine_equivalence.py)."""
-    digests = {
-        engine: stats_digest(run_slice(scheme, ops=1000, engine=engine))
-        for engine in ALL_ENGINES
-    }
-    assert len(set(digests.values())) == 1, digests
 
 
 def test_device_access_throughput(benchmark):

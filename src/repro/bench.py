@@ -117,16 +117,8 @@ def measure_config(
     measure_ops: int,
     seed: int,
     repeats: int,
-    engine: Optional[str] = None,
 ) -> Dict[str, object]:
-    """Time one scheme/workload configuration; returns the result record.
-
-    ``engine`` picks the simulation-loop engine (default: the config
-    default, ``batched``).  The record carries the engine and the stats
-    digest, so a ``scalar`` and a ``batched`` row of the same
-    configuration can be cross-checked for bit-identity straight from
-    bench output.
-    """
+    """Time one scheme/workload configuration; returns the result record."""
     from repro.sim.system import build_system
     from repro.workloads import workload_by_name
 
@@ -136,8 +128,7 @@ def measure_config(
     wall_total = 0.0
     digest = ""
     for _ in range(max(1, repeats)):
-        system = build_system(scheme, workload, scale=scale, seed=seed,
-                              engine=engine)
+        system = build_system(scheme, workload, scale=scale, seed=seed)
         system.run_ops(warmup_ops)
         start = time.perf_counter()
         system.run_ops(measure_ops)
@@ -153,7 +144,6 @@ def measure_config(
         "wall_seconds_total": round(wall_total, 4),
         "ops": total_ops,
         "repeats": max(1, repeats),
-        "engine": engine or "batched",
         "stats_digest": digest,
     }
 
@@ -189,17 +179,6 @@ def profile_config(
     return buffer.getvalue()
 
 
-def result_key(scheme: str, workload_name: str, engine: str) -> str:
-    """The results-dict key for one grid cell.
-
-    The default engine (``batched``) keeps the historical bare
-    ``scheme/workload`` key so new documents stay comparable against
-    pre-engine baselines; other engines get an ``@engine`` suffix.
-    """
-    base = f"{scheme}/{workload_name}"
-    return base if engine == "batched" else f"{base}@{engine}"
-
-
 def run_bench(
     schemes: List[str],
     workloads: List[str],
@@ -211,28 +190,22 @@ def run_bench(
     repeats: int,
     label: str,
     quick: bool,
-    engines: Optional[List[str]] = None,
 ) -> Dict[str, object]:
-    """Run the full grid (scheme × workload × engine); returns the document."""
-    engines = engines or ["batched"]
+    """Run the full grid (scheme × workload); returns the document."""
     env_pins = pin_thread_env()
     results: Dict[str, Dict[str, object]] = {}
     grid_start = time.perf_counter()
     for workload_name in workloads:
         for scheme in schemes:
-            for engine in engines:
-                results[result_key(scheme, workload_name, engine)] = (
-                    measure_config(
-                        scheme,
-                        workload_name,
-                        scale=scale,
-                        warmup_ops=warmup_ops,
-                        measure_ops=measure_ops,
-                        seed=seed,
-                        repeats=repeats,
-                        engine=engine,
-                    )
-                )
+            results[f"{scheme}/{workload_name}"] = measure_config(
+                scheme,
+                workload_name,
+                scale=scale,
+                warmup_ops=warmup_ops,
+                measure_ops=measure_ops,
+                seed=seed,
+                repeats=repeats,
+            )
     return {
         "label": label,
         "git_rev": git_revision(),
@@ -243,7 +216,6 @@ def run_bench(
             "measure_ops": measure_ops,
             "seed": seed,
             "repeats": repeats,
-            "engines": list(engines),
         },
         "env": {
             "thread_pins": env_pins,
@@ -362,12 +334,11 @@ def load_trend_documents(bench_dir: Path) -> List[Dict[str, object]]:
 def delta_report(
     current: Dict[str, object], baseline: Dict[str, object]
 ) -> List[str]:
-    """Per-configuration (and therefore per-engine) deltas vs a baseline.
+    """Per-configuration deltas vs a baseline.
 
     One line per configuration present in both documents, keyed exactly
-    like the results dict — so a grid run with several engines reports
-    each engine's delta separately instead of folding them together.
-    Purely informational; :func:`compare_documents` owns the gate.
+    like the results dict.  Purely informational;
+    :func:`compare_documents` owns the gate.
     """
     lines: List[str] = []
     baseline_results = baseline.get("results", {})
@@ -404,12 +375,6 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                         help="timed repeats per configuration; best wins "
                              f"(default {DEFAULT_REPEATS}, quick {QUICK_REPEATS})")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--engines", nargs="+", default=None,
-                        choices=["scalar", "batched"], metavar="ENGINE",
-                        help="engines to bench each configuration under "
-                             "(default: batched and scalar); the batched "
-                             "rows keep the bare scheme/workload keys, "
-                             "scalar rows get an @scalar suffix")
     parser.add_argument("--quick", action="store_true",
                         help="CI-smoke sizing (smaller window, fewer repeats)")
     parser.add_argument("--label", default="local",
@@ -460,8 +425,6 @@ def command_bench(args: argparse.Namespace) -> int:
     if repeats is None:
         repeats = QUICK_REPEATS if args.quick else DEFAULT_REPEATS
 
-    engines = args.engines if args.engines else ["batched", "scalar"]
-
     document = run_bench(
         schemes,
         workloads,
@@ -472,31 +435,11 @@ def command_bench(args: argparse.Namespace) -> int:
         repeats=repeats,
         label=args.label,
         quick=args.quick,
-        engines=engines,
     )
     results = document["results"]
     for key, entry in results.items():  # type: ignore[union-attr]
         print(f"{key:30s} {entry['ops_per_sec']:>10.1f} ops/sec "
               f"(best of {entry['repeats']}, digest {entry['stats_digest']})")
-
-    # Cross-engine bit-identity straight from the bench digests: a scalar
-    # and a batched row of the same cell must agree (the equivalence
-    # suite owns the real proof; this catches drift in perf runs early).
-    identical = True
-    for scheme in schemes:
-        for workload_name in workloads:
-            digests = {
-                results[result_key(scheme, workload_name, engine)]["stats_digest"]
-                for engine in engines
-                if result_key(scheme, workload_name, engine) in results
-            }
-            if len(digests) > 1:
-                identical = False
-                print(f"WARNING: engine digest mismatch for "
-                      f"{scheme}/{workload_name}: {sorted(digests)}",
-                      file=sys.stderr)
-    if len(engines) > 1 and identical:
-        print(f"engine digests identical across {'/'.join(engines)}")
     print(f"total wall time {document['total_wall_seconds']}s "
           f"at rev {document['git_rev']}")
 

@@ -101,7 +101,7 @@ class SymbolTable:
 
         Tries the longest module prefix: ``repro.sim.cpu.Core`` splits
         into module ``repro.sim.cpu`` + symbol ``Core``;
-        ``repro.sim.cpu.Core.step`` yields the method symbol.
+        ``repro.sim.cpu.Core.execute`` yields the method symbol.
         """
         parts = dotted.split(".")
         for split in range(len(parts), 0, -1):

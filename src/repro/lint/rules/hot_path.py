@@ -1,7 +1,7 @@
 """RL005 — hot-path hygiene: keep the per-op path allocation-light.
 
 The simulator's throughput lives and dies in a handful of per-operation
-functions (``Core.step``, ``CacheHierarchy.access``, ``MemoryDevice.access``,
+functions (``Core.execute``, ``CacheHierarchy.access``, ``MemoryDevice.access``,
 ...).  Those functions are annotated with a ``# repro-hot`` comment on the
 line directly above their ``def`` (see docs/PERFORMANCE.md), and this rule
 holds them to the discipline the PR-4 optimization pass established:

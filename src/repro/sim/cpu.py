@@ -11,7 +11,7 @@ Figure 14 relies on.
 
 from __future__ import annotations
 
-from typing import Iterator
+from typing import TYPE_CHECKING
 
 from repro.common.addr import LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT
 from repro.common.config import SystemConfig
@@ -20,6 +20,9 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.sim.hmc_base import HmcBase, RequestKind
 from repro.vm.mmu import Mmu
 from repro.vm.os_model import Process
+
+if TYPE_CHECKING:
+    from repro.snapshot.stream import ReplayStream
 
 
 class MemoryOp:
@@ -67,7 +70,11 @@ _PAGE_MASK = PAGE_BYTES - 1
 
 
 class Core:
-    """One simulated core bound to a process and an op stream."""
+    """One simulated core bound to a process and an op stream.
+
+    The engine (:mod:`repro.sim.engine`) fetches ops from ``ops`` and
+    runs the ones it does not service inline through :meth:`execute`.
+    """
 
     __slots__ = (
         "core_id",
@@ -99,7 +106,7 @@ class Core:
         hierarchy: CacheHierarchy,
         hmc: HmcBase,
         process: Process,
-        ops: Iterator[MemoryOp],
+        ops: "ReplayStream",
         stats: StatsRegistry,
     ):
         self.core_id = core_id
@@ -114,10 +121,10 @@ class Core:
         self.instructions = 0
         self.ops_executed = 0
         self.done = False
-        # Invariant lookups hoisted out of step(): config and process are
-        # fixed for the core's lifetime, and translate/access are never
+        # Invariant lookups hoisted out of execute(): config and process
+        # are fixed for the core's lifetime, and translate/access are never
         # wrapped after construction (unlike hmc.handle_request, which the
-        # sanitizer and analysis layers rebind on the instance — step()
+        # sanitizer and analysis layers rebind on the instance — execute()
         # must keep reading that attribute dynamically).
         self._base_cpi = config.core.base_cpi
         self._mlp = config.core.memory_level_parallelism
@@ -132,24 +139,13 @@ class Core:
         return int(self.clock)
 
     # repro-hot
-    def step(self) -> bool:
-        """Execute one memory operation; returns False when the stream ends."""
-        op = next(self.ops, None)
-        if op is None:
-            self.done = True
-            return False
-        self.execute(op)
-        return True
-
-    # repro-hot
     def execute(self, op: MemoryOp) -> None:
         """Execute one already-fetched operation (the full scalar path).
 
-        Split out of :meth:`step` so the batched engine can escape to it:
-        the engine fetches ops itself, services pure TLB/cache hits
-        inline, and hands everything else here.  The body is the one
-        source of truth for per-op semantics — both engines run exactly
-        this code on every non-hit operation.
+        The engine fetches ops itself, services pure TLB/cache hits and
+        the two cache-miss shapes inline, and hands everything else —
+        page walks and first touches — here.  The body is the reference
+        per-op semantics every inline path replicates.
         """
         work = op.instructions_before + 1
         self.instructions += work

@@ -1,11 +1,11 @@
 """Run-time checkpoint triggers.
 
 A :class:`Checkpointer` is armed on a :class:`repro.sim.system.System`
-before ``run``/``resume_run`` and is polled once per executed operation
-(``system.steps_total``) from inside the scheduler loop — *after* the
-core has stepped and been re-queued, which is the one point where the
-entire state graph is between operations and the heap can be rebuilt
-bit-identically on restore.  It fires on three conditions:
+before ``run``/``resume_run`` and is polled from inside the run loop
+(:mod:`repro.sim.engine`) at every planned trigger step and every few
+hundred operations (``system.steps_total``).  A poll happens only where
+the entire state graph is between operations, so the scheduling heap can
+be rebuilt bit-identically on restore.  It fires on three conditions:
 
 * **cut points** — an explicit, sorted list of absolute step counts;
   each writes a separate ``cut_<steps>.ckpt`` (golden bit-identity tests
@@ -108,11 +108,11 @@ class Checkpointer:
         would write a checkpoint, or None when no cut point or periodic
         write is scheduled.
 
-        The batched engine plans its drains around this: it runs at full
-        speed up to the returned step, flushes core-local state, and
-        polls :meth:`on_step` exactly there — so cut files and periodic
-        ``latest.ckpt`` refreshes land on the identical steps the scalar
-        engine's per-step polling produces.  (Signal polling has no
+        The engine plans its drains around this: it runs at full speed up
+        to the returned step, flushes core-local state, and polls
+        :meth:`on_step` exactly there — so cut files and periodic
+        ``latest.ckpt`` refreshes land on the identical steps a poll
+        after every op would produce.  (Signal polling has no
         deterministic step; the engine bounds its latency with a fixed
         poll interval instead.)
         """
@@ -125,7 +125,7 @@ class Checkpointer:
         return min(cut, due)
 
     def on_step(self, system) -> None:
-        """Poll triggers; called once per executed op at the safe point."""
+        """Poll triggers; the run loop calls this between operations."""
         steps = system.steps_total
         signals = self.signals
         if signals is not None and signals.pending:

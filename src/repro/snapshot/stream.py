@@ -2,20 +2,18 @@
 
 Workload generators are infinite Python generators and cannot be pickled.
 They are, however, *deterministic*: a stream is fully described by its
-:class:`repro.workloads.base.WorkloadSpec`, core id, seed, scale, and
-stream mode, plus how many operations have been consumed.
-:class:`ReplayStream` buffers the generator's output one
-:class:`repro.workloads.chunks.OpChunk` at a time, counts consumption,
-and serializes as that description; on restore it rebuilds the chunk
-iterator and fast-forwards it by the recorded count — whole chunks are
-skipped (their RNG draws replay exactly), and the final partial chunk is
-re-entered at the recorded mid-chunk offset.
+:class:`repro.workloads.base.WorkloadSpec`, core id, seed, and scale,
+plus how many operations have been consumed.  :class:`ReplayStream`
+buffers the generator's output one :class:`repro.workloads.chunks.OpChunk`
+at a time, counts consumption, and serializes as that description; on
+restore it rebuilds the chunk iterator and fast-forwards it by the
+recorded count — whole chunks are skipped (their RNG draws replay
+exactly), and the final partial chunk is re-entered at the recorded
+mid-chunk offset.
 
-Consumption has exactly one counter and two consumers of the same code
-path: the scalar engine's per-op :meth:`ReplayStream.__next__` and the
-batched engine's chunk-aware :meth:`peek_chunk` / :meth:`advance` pair
-both move ``consumed``, which is also the fast-forward distance.  The
-engine never reaches into private generator state.
+Consumption has exactly one counter, moved by exactly one method:
+:meth:`ReplayStream.advance`.  The engine reads ops through
+:meth:`peek_chunk` and never reaches into private generator state.
 
 Fast-forward cost is linear in ops consumed so far — microseconds per
 thousand ops, paid once per restore, never on the simulation hot path.
@@ -25,65 +23,43 @@ from __future__ import annotations
 
 from typing import Iterator, Optional, Tuple
 
-from repro.sim.cpu import MemoryOp
 from repro.workloads.base import WorkloadSpec
-from repro.workloads.chunks import OpChunk, chunks_from_blocks, chunks_from_ops
-
-#: Recognized stream modes: ``chunked`` runs the block-native emitters
-#: (struct-of-arrays fast path), ``perop`` batches the historical per-op
-#: generators into the same chunk shape (the CI equivalence matrix).
-STREAM_MODES = ("chunked", "perop")
+from repro.workloads.chunks import OpChunk, chunks_from_blocks
 
 
 class ReplayStream:
     """An op stream that can be pickled and rebuilt mid-flight."""
 
     __slots__ = (
-        "workload", "core_id", "seed", "scale", "consumed", "mode",
+        "workload", "core_id", "seed", "scale", "consumed",
         "_chunks", "_chunk", "_pos",
     )
 
-    def __init__(
-        self,
-        workload: WorkloadSpec,
-        core_id: int,
-        seed: int,
-        scale: int,
-        mode: str = "chunked",
-    ):
-        if mode not in STREAM_MODES:
-            raise ValueError(f"unknown stream mode {mode!r}; pick from {STREAM_MODES}")
+    def __init__(self, workload: WorkloadSpec, core_id: int, seed: int, scale: int):
         self.workload = workload
         self.core_id = core_id
         self.seed = seed
         self.scale = scale
         #: Operations handed out so far (== the fast-forward distance).
         self.consumed = 0
-        self.mode = mode
         self._chunks: Iterator[OpChunk] = self._make_chunks()
         #: The buffered chunk and the offset of its next unconsumed op.
         self._chunk: Optional[OpChunk] = None
         self._pos = 0
 
     def _make_chunks(self) -> Iterator[OpChunk]:
-        if self.mode == "chunked":
-            blocks = self.workload.make_blocks(self.core_id, self.seed, self.scale)
-            if blocks is not None:
-                return chunks_from_blocks(blocks)
-        # ``perop`` mode, or a generator registered without a block view:
-        # identical op sequence, batched from the per-op generator.
-        return chunks_from_ops(
-            self.workload.make_stream(self.core_id, self.seed, self.scale)
+        return chunks_from_blocks(
+            self.workload.make_blocks(self.core_id, self.seed, self.scale)
         )
 
-    # -- chunk-aware consumption (the batched engine's protocol) -----------
+    # -- consumption ------------------------------------------------------
     def peek_chunk(self) -> Optional[Tuple[OpChunk, int]]:
         """The buffered chunk and the offset of its next unconsumed op.
 
         Pulls the next chunk from the generator when the buffer is empty;
         returns None when the stream is exhausted.  Peeking consumes
-        nothing — only :meth:`advance` (or :meth:`__next__`) moves
-        ``consumed``, so a fetched-but-unexecuted op is never counted.
+        nothing — only :meth:`advance` moves ``consumed``, so a
+        fetched-but-unexecuted op is never counted.
         """
         chunk = self._chunk
         if chunk is None:
@@ -114,40 +90,19 @@ class ReplayStream:
             f"(pos={self._pos}, chunk={chunk!r})"
         )
 
-    # -- per-op view (the scalar engine's protocol) ------------------------
-    def __iter__(self) -> "ReplayStream":
-        return self
-
-    # repro-hot
-    def __next__(self) -> MemoryOp:
-        peeked = self.peek_chunk()
-        if peeked is None:
-            raise StopIteration
-        chunk, pos = peeked
-        op = MemoryOp(chunk.vaddrs[pos], chunk.writes[pos], chunk.instr[pos])
-        self.advance(1)
-        return op
-
     # -- pickling ----------------------------------------------------------
     def __getstate__(self):
-        return (
-            self.workload, self.core_id, self.seed, self.scale,
-            self.consumed, self.mode,
-        )
+        return (self.workload, self.core_id, self.seed, self.scale, self.consumed)
 
     def __setstate__(self, state) -> None:
-        if len(state) == 5:
-            # Legacy (pre-chunk) checkpoints carry no mode field.
-            workload, core_id, seed, scale, consumed = state
-            mode = "chunked"
-        else:
-            workload, core_id, seed, scale, consumed, mode = state
+        # Older checkpoints append a stream-mode field.  Every mode emitted
+        # the same op sequence, so the position alone restores the stream.
+        workload, core_id, seed, scale, consumed = state[:5]
         self.workload = workload
         self.core_id = core_id
         self.seed = seed
         self.scale = scale
         self.consumed = consumed
-        self.mode = mode
         self._chunks = self._make_chunks()
         self._chunk = None
         self._pos = 0
@@ -163,6 +118,5 @@ class ReplayStream:
     def __repr__(self) -> str:
         return (
             f"ReplayStream({self.workload.name}, core={self.core_id}, "
-            f"seed={self.seed}, scale={self.scale}, mode={self.mode}, "
-            f"consumed={self.consumed})"
+            f"seed={self.seed}, scale={self.scale}, consumed={self.consumed})"
         )

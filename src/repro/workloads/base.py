@@ -14,8 +14,8 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.common.addr import PAGE_BYTES
 from repro.common.rng import DeterministicRng
 from repro.sim.cpu import MemoryOp
-from repro.workloads.chunks import Block
-from repro.workloads.synthetic import BLOCK_GENERATORS, GENERATORS
+from repro.workloads.chunks import Block, ops_from_blocks
+from repro.workloads.synthetic import BLOCK_GENERATORS
 
 MB = 1024 * 1024
 
@@ -40,25 +40,9 @@ class BenchmarkPart:
     footprint_mb: float
     params: Dict = field(default_factory=dict)
 
-    def make_stream(
-        self, rng: DeterministicRng, scale: int
-    ) -> Iterator[MemoryOp]:
-        generator = GENERATORS[self.generator]
-        pages = footprint_pages_for(self.footprint_mb, scale)
-        return generator(rng, pages, **self.params)
-
-    def make_blocks(
-        self, rng: DeterministicRng, scale: int
-    ) -> Optional[Iterator[Block]]:
-        """The block view of this part's stream, or None.
-
-        None means the generator is registered per-op only (an external
-        plugin): callers fall back to batching :meth:`make_stream` output,
-        which yields the identical op sequence at per-op generation cost.
-        """
-        generator = BLOCK_GENERATORS.get(self.generator)
-        if generator is None:
-            return None
+    def make_blocks(self, rng: DeterministicRng, scale: int) -> Iterator[Block]:
+        """This part's block stream (``BLOCK_GENERATORS[self.generator]``)."""
+        generator = BLOCK_GENERATORS[self.generator]
         pages = footprint_pages_for(self.footprint_mb, scale)
         return generator(rng, pages, **self.params)
 
@@ -83,22 +67,15 @@ class WorkloadSpec:
     def part_for_core(self, core_id: int) -> BenchmarkPart:
         return self.parts[core_id % len(self.parts)]
 
-    def make_stream(
-        self, core_id: int, seed: int, scale: int
-    ) -> Iterator[MemoryOp]:
-        """Build the op stream for one core (deterministic per seed/core)."""
-        part = self.part_for_core(core_id)
-        rng = DeterministicRng(f"{self.name}/core{core_id}/{part.benchmark}", seed)
-        return part.make_stream(rng, scale)
-
-    def make_blocks(
-        self, core_id: int, seed: int, scale: int
-    ) -> Optional[Iterator[Block]]:
-        """Block view of :meth:`make_stream`: same RNG name, same seed,
-        same draw order, so the two views emit the identical sequence."""
+    def make_blocks(self, core_id: int, seed: int, scale: int) -> Iterator[Block]:
+        """Build the block stream for one core (deterministic per seed/core)."""
         part = self.part_for_core(core_id)
         rng = DeterministicRng(f"{self.name}/core{core_id}/{part.benchmark}", seed)
         return part.make_blocks(rng, scale)
+
+    def make_stream(self, core_id: int, seed: int, scale: int) -> Iterator[MemoryOp]:
+        """Per-op view of :meth:`make_blocks` (trace recording, tests)."""
+        return ops_from_blocks(self.make_blocks(core_id, seed, scale))
 
     def footprint_pages(self, scale: int) -> int:
         """Total data pages across all cores at the given scale."""

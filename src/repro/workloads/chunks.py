@@ -1,20 +1,14 @@
 """Struct-of-arrays op blocks and chunks (the array-native stream layer).
 
-Workload generators have two views:
-
-* the **per-op view** (``GENERATORS``) yields one :class:`MemoryOp` per
-  reference — the historical protocol, still what the scalar engine and
-  every external consumer sees;
-* the **block view** (``BLOCK_GENERATORS``) yields *blocks*: plain tuples
-  ``(vaddrs, writes, instr)`` of parallel Python lists, one block per
-  natural emission unit (a page flurry, a trace pass).
-
-Both views are generated by the *same* code — the per-op view is
-:func:`ops_from_blocks` over the block view — so the RNG draw order, and
-therefore the op sequence, is identical by construction.  The chunked
-:class:`repro.snapshot.stream.ReplayStream` coalesces blocks into
-:class:`OpChunk` batches for the batched engine's bulk-classify kernel;
-``tests/property/test_chunk_streams.py`` pins the two views' equality.
+Workload generators (``BLOCK_GENERATORS``) yield *blocks*: plain tuples
+``(vaddrs, writes, instr)`` of parallel Python lists, one block per
+natural emission unit (a page flurry, a trace pass).  The
+:class:`repro.snapshot.stream.ReplayStream` every core reads coalesces
+blocks into :class:`OpChunk` batches for the engine's bulk-classify
+kernel, and :func:`ops_from_blocks` is the per-op view of the same
+blocks for consumers that want :class:`MemoryOp` objects (trace
+recording, tests).  ``tests/property/test_chunk_streams.py`` pins that
+the coalescer and the per-op view carry the identical op sequence.
 
 Blocks stay Python lists (exact ``int``/``bool`` element types, cheap
 scalar indexing for the escape path); :meth:`OpChunk.vaddr_array` lifts a
@@ -23,7 +17,6 @@ chunk into numpy on demand for the vectorized prep kernel.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Iterable, Iterator, List, Tuple
 
 from repro.sim.cpu import MemoryOp
@@ -111,24 +104,3 @@ def chunks_from_blocks(
             instr = []
     if vaddrs:
         yield OpChunk(vaddrs, writes, instr)
-
-
-def chunks_from_ops(
-    ops: Iterator[MemoryOp], target: int = CHUNK_OPS
-) -> Iterator[OpChunk]:
-    """Chunk a per-op generator (the ``perop`` stream-mode fallback).
-
-    Used when a generator has no block-native variant, and by the CI
-    stream-mode matrix to prove the block emitters equivalent: the ops
-    come from the unmodified per-op generator, so the chunk contents are
-    its sequence by definition.
-    """
-    while True:
-        batch = list(islice(ops, target))
-        if not batch:
-            return
-        yield OpChunk(
-            [op.vaddr for op in batch],
-            [op.is_write for op in batch],
-            [op.instructions_before for op in batch],
-        )

@@ -25,12 +25,7 @@ from repro.common.addr import LINES_PER_PAGE
 from repro.common.rng import DeterministicRng
 from repro.workloads.base import BenchmarkPart, WorkloadSpec
 from repro.workloads.chunks import Block
-from repro.workloads.synthetic import (
-    BLOCK_GENERATORS,
-    GENERATORS,
-    _flurry_block,
-    _per_op,
-)
+from repro.workloads.synthetic import BLOCK_GENERATORS, _flurry_block
 
 
 def gups_blocks(
@@ -107,13 +102,6 @@ def scanjoin_blocks(
                 yield _flurry_block(probe, 1, 0.0, instructions, rng, lines=lines)
 
 
-gups = _per_op(gups_blocks)
-btree = _per_op(btree_blocks)
-scanjoin = _per_op(scanjoin_blocks)
-
-GENERATORS.setdefault("gups", gups)
-GENERATORS.setdefault("btree", btree)
-GENERATORS.setdefault("scanjoin", scanjoin)
 BLOCK_GENERATORS.setdefault("gups", gups_blocks)
 BLOCK_GENERATORS.setdefault("btree", btree_blocks)
 BLOCK_GENERATORS.setdefault("scanjoin", scanjoin_blocks)

@@ -1,26 +1,23 @@
 """Synthetic memory-access generators (the workload archetypes).
 
-Every archetype is written once, as a *block* generator yielding
-struct-of-arrays bursts (see :mod:`repro.workloads.chunks`); the
-per-op :class:`repro.sim.cpu.MemoryOp` iterator the scalar engine and
-external consumers use is :func:`ops_from_blocks` over the same blocks,
-so both views emit the identical op sequence from the identical RNG draw
-order.  The runner bounds the number of operations — generators are
-infinite.  The archetypes are chosen so that the page-grain behaviours
-the paper's mechanisms key off — per-page LLC-miss flurries, stable or
-shifting leader/follower page orders, page re-visitation, TLB pressure —
-appear with controllable intensity.  All randomness flows from the passed
-:class:`repro.common.rng.DeterministicRng`.
+Every archetype is a *block* generator yielding struct-of-arrays bursts
+(see :mod:`repro.workloads.chunks`), registered in
+:data:`BLOCK_GENERATORS`; :func:`repro.workloads.chunks.ops_from_blocks`
+turns any of them into a per-op :class:`repro.sim.cpu.MemoryOp` iterator
+for consumers that want one.  The runner bounds the number of
+operations — generators are infinite.  The archetypes are chosen so
+that the page-grain behaviours the paper's mechanisms key off — per-page
+LLC-miss flurries, stable or shifting leader/follower page orders, page
+re-visitation, TLB pressure — appear with controllable intensity.  All
+randomness flows from the passed :class:`repro.common.rng.DeterministicRng`.
 """
 
 from __future__ import annotations
 
-import functools
 from typing import Callable, Dict, Iterator, Optional, Sequence
 
 from repro.common.addr import CACHE_LINE_BYTES, LINES_PER_PAGE, PAGE_BYTES
 from repro.common.rng import DeterministicRng
-from repro.sim.cpu import MemoryOp
 from repro.workloads.chunks import Block, ops_from_blocks
 
 #: Base of the synthetic heap in each process's virtual space.
@@ -35,9 +32,9 @@ def _page_va(page_index: int) -> int:
 #: of ``(page_index, shape)`` and its instructions column of
 #: ``(instructions, length)``; workloads revisit the same pages with the
 #: same shapes constantly, so the lists are built once and shared.
-#: Blocks are read-only downstream — the chunk coalescer and the per-op
-#: view copy elements, never mutate — and the write column, the only
-#: RNG-dependent one, is always freshly drawn.  The caches are cleared
+#: Blocks are read-only downstream — the chunk coalescer and
+#: :func:`ops_from_blocks` copy elements, never mutate — and the write
+#: column, the only RNG-dependent one, is always freshly drawn.  The caches are cleared
 #: when oversized so pathological sweeps (property tests) stay bounded.
 _VADDR_CACHE: Dict = {}
 _INSTR_CACHE: Dict = {}
@@ -55,9 +52,8 @@ def _flurry_block(
 ) -> Block:
     """One burst of references inside one page, as parallel arrays.
 
-    The write draws happen one per line in line order — the exact draw
-    sequence the historical per-op generator used, so fast-forward by op
-    count lands the RNG in a state that reproduces the same suffix.
+    The write draws happen one per line in line order, so fast-forward by
+    op count lands the RNG in a state that reproduces the same suffix.
     """
     if lines is None:
         key = (page_index, line_stride)
@@ -87,22 +83,6 @@ def _flurry_block(
             _INSTR_CACHE.clear()
         _INSTR_CACHE[ikey] = instr
     return vaddrs, writes, instr
-
-
-def _flurry(
-    page_index: int,
-    line_stride: int,
-    write_fraction: float,
-    instructions: int,
-    rng: DeterministicRng,
-    lines: Optional[Sequence[int]] = None,
-) -> Iterator[MemoryOp]:
-    """Per-op view of one :func:`_flurry_block` burst."""
-    vaddrs, writes, instr = _flurry_block(
-        page_index, line_stride, write_fraction, instructions, rng, lines=lines
-    )
-    for vaddr, write, instructions_before in zip(vaddrs, writes, instr):
-        yield MemoryOp(vaddr, write, instructions_before)
 
 
 def stream_sweep_blocks(
@@ -306,39 +286,11 @@ def blocked_sweep_blocks(
                     )
 
 
-def _per_op(block_generator: Callable[..., Iterator[Block]]) -> Callable[..., Iterator[MemoryOp]]:
-    """Derive the per-op view of a block generator (one code path)."""
-
-    @functools.wraps(block_generator)
-    def per_op_generator(*args, **kwargs) -> Iterator[MemoryOp]:
-        return ops_from_blocks(block_generator(*args, **kwargs))
-
-    return per_op_generator
-
-
-stream_sweep = _per_op(stream_sweep_blocks)
-pointer_chase = _per_op(pointer_chase_blocks)
-hot_cold = _per_op(hot_cold_blocks)
-phased_sweep = _per_op(phased_sweep_blocks)
-stencil_sweep = _per_op(stencil_sweep_blocks)
-random_mix = _per_op(random_mix_blocks)
-blocked_sweep = _per_op(blocked_sweep_blocks)
-
-
-#: Registry used by the suite definitions (per-op view).
-GENERATORS = {
-    "stream_sweep": stream_sweep,
-    "pointer_chase": pointer_chase,
-    "hot_cold": hot_cold,
-    "phased_sweep": phased_sweep,
-    "stencil_sweep": stencil_sweep,
-    "random_mix": random_mix,
-    "blocked_sweep": blocked_sweep,
-}
-
-#: The block view of the same archetypes.  Generators registered only in
-#: ``GENERATORS`` (external plugins) still work: the chunked stream falls
-#: back to batching their per-op output (see ``ReplayStream``).
+#: The archetype registry the suite definitions name generators from.
+#: Plugins (:mod:`repro.workloads.extras`, :mod:`repro.workloads.trace`)
+#: add theirs here.  Every entry is a block generator: called as
+#: ``generator(rng, footprint_pages, **params)`` it yields
+#: ``(vaddrs, writes, instr)`` blocks forever.
 BLOCK_GENERATORS: Dict[str, Callable[..., Iterator[Block]]] = {
     "stream_sweep": stream_sweep_blocks,
     "pointer_chase": pointer_chase_blocks,

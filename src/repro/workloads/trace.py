@@ -22,7 +22,7 @@ from repro.common.rng import DeterministicRng
 from repro.sim.cpu import MemoryOp
 from repro.workloads.base import BenchmarkPart, WorkloadSpec
 from repro.workloads.chunks import Block
-from repro.workloads.synthetic import BLOCK_GENERATORS, GENERATORS
+from repro.workloads.synthetic import BLOCK_GENERATORS
 
 
 class TraceFormatError(ReproError):
@@ -69,25 +69,14 @@ def read_trace(path: Union[str, Path]) -> List[MemoryOp]:
     return ops
 
 
-def trace_replay(
+def trace_replay_blocks(
     rng: DeterministicRng, footprint_pages: int, path: str = ""
-) -> Iterator[MemoryOp]:
-    """Generator adapter: loop a trace file forever.
+) -> Iterator[Block]:
+    """Generator adapter: loop a trace file forever, one block per pass.
 
     Registered under ``"trace"`` so a :class:`BenchmarkPart` can reference
     a trace exactly like a synthetic archetype; ``rng`` and
     ``footprint_pages`` are part of the generator signature but unused.
-    """
-    ops = read_trace(path)
-    while True:
-        yield from ops
-
-
-def trace_replay_blocks(
-    rng: DeterministicRng, footprint_pages: int, path: str = ""
-) -> Iterator[Block]:
-    """Block view of :func:`trace_replay`: one whole-trace block per pass.
-
     The trace decomposes into its three columns exactly once; every pass
     yields the same parallel lists (blocks are read-only to consumers),
     so replay cost is one tuple per loop instead of one op object per
@@ -132,5 +121,4 @@ def record_trace(
     return write_trace(path, itertools.islice(stream, count))
 
 
-GENERATORS.setdefault("trace", trace_replay)
 BLOCK_GENERATORS.setdefault("trace", trace_replay_blocks)

@@ -29,3 +29,13 @@ def tiny_system():
 
 def make_system(scheme: str, workload: str = "lbmx4", scale: int = 1024) -> System:
     return build_system(scheme, workload_by_name(workload), scale=scale)
+
+
+def take_ops(stream, count):
+    """The next *count* ops of a ``ReplayStream``, one ``advance(1)`` each."""
+    ops = []
+    for _ in range(count):
+        chunk, pos = stream.peek_chunk()
+        ops.append(chunk.op_at(pos))
+        stream.advance(1)
+    return ops

@@ -42,6 +42,8 @@ from repro.sweepd.fleet import JOBS_DIRNAME, run_distributed_sweep
 from repro.sweepd.manifest import MANIFEST_NAME, SWEEPD_MANIFEST_VERSION
 from repro.workloads import workload_by_name
 
+from tests.reference_scheduler import use_reference_scheduler
+
 REPO_ROOT = Path(__file__).resolve().parents[2]
 GOLDEN_DIR = REPO_ROOT / "tests" / "golden"
 
@@ -333,97 +335,127 @@ def test_sweep_resume_skips_completed_requests(tmp_path, monkeypatch, capsys):
     assert digest(second) == digest(first) != []
 
 
-# -- the batched engine under the cut-point protocol ---------------------------
+# -- the engine under the cut-point protocol -----------------------------------
 
 
-def test_batched_mid_batch_cuts_resume_bit_identical(tmp_path):
-    """A checkpoint cut mid-batch under ``--engine batched`` must resume
-    bit-identical — against the *scalar* engine's uninterrupted run.
+def _run_with_cuts(tmp_path, cuts):
+    """Run the pageseer/lbmx4 golden config with checkpoint cuts at *cuts*.
 
-    The cut points (500/2000 scheduler steps) land inside the batched
-    engine's free-running drain windows, so this pins the engine's
-    checkpoint contract: the poll boundary where the cut is taken is a
-    real quiescent point (pending ops re-stashed, per-core state flushed),
-    and the resumed half reproduces the scalar reference exactly.
+    Returns the digest of an uninterrupted run of the same config on the
+    reference scheduler, after checking the cut run itself matches it.
     """
     from repro.bench import stats_digest
     from repro.sim.system import build_system
 
-    def fresh(engine):
+    def fresh():
         return build_system(
             "pageseer",
             workload_by_name("lbmx4"),
             scale=GOLDEN_SIZING["scale"],
             seed=GOLDEN_SIZING["seed"],
-            engine=engine,
         )
 
-    reference = fresh("scalar")
+    reference = use_reference_scheduler(fresh())
     reference.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
     reference_digest = stats_digest(reference)
 
-    victim = fresh("batched")
-    Checkpointer(tmp_path, cut_points=[WARMUP_CUT, MEASURE_CUT]).arm(victim)
+    victim = fresh()
+    Checkpointer(tmp_path, cut_points=cuts).arm(victim)
     victim.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
     assert stats_digest(victim) == reference_digest
+    return reference_digest
 
+
+def test_mid_batch_cuts_resume_bit_identical(tmp_path):
+    """A checkpoint cut mid-batch must resume bit-identical — against the
+    reference scheduler's uninterrupted run.
+
+    The cut points (500/2000 scheduler steps) land inside the engine's
+    free-running drain windows, so this pins the engine's checkpoint
+    contract: the poll boundary where the cut is taken is a real
+    quiescent point (pending ops re-stashed, per-core state flushed),
+    and the resumed half reproduces the reference exactly.
+    """
+    from repro.bench import stats_digest
+
+    reference_digest = _run_with_cuts(tmp_path, [WARMUP_CUT, MEASURE_CUT])
     for cut in (WARMUP_CUT, MEASURE_CUT):
         path = tmp_path / f"cut_{cut}.ckpt"
         assert path.exists(), f"cut at step {cut} was not written"
         restored = load_checkpoint(path)
-        assert restored.engine == "batched"
         restored.resume_run()
         assert stats_digest(restored) == reference_digest, (
-            f"batched resume from step {cut} diverged from scalar reference"
+            f"resume from step {cut} diverged from the reference run"
         )
 
 
 def test_chunked_stream_two_interior_cuts_resume_bit_identical(tmp_path):
-    """Two interior cuts of a chunked-stream run resume bit-identical —
-    against a *per-op*-stream scalar reference.
+    """Two interior cuts restore streams mid-chunk and resume bit-identical
+    to the reference scheduler's uninterrupted run.
 
-    The chunked stream buffers :class:`~repro.workloads.chunks.OpChunk`
-    batches, so both cut points land mid-chunk with near certainty; the
-    resumed stream must fast-forward through whole chunks and re-enter the
-    final one at the recorded interior offset (REPRO-CKPT consumption
-    accounting).  Comparing against ``stream="perop"`` additionally pins
-    the stream-mode equivalence end to end at the system level, not just
-    at the generator layer (tests/property/test_chunk_streams.py).
+    The stream buffers :class:`~repro.workloads.chunks.OpChunk` batches;
+    at these cut points (one mid-warm-up, one mid-measurement) some core
+    is inside a chunk, so its restored stream must fast-forward through
+    whole chunks and re-enter the last one at the recorded interior
+    offset (REPRO-CKPT consumption accounting).
     """
     from repro.bench import stats_digest
-    from repro.sim.system import build_system
 
-    def fresh(stream_mode, engine):
-        return build_system(
-            "pageseer",
-            workload_by_name("lbmx4"),
-            scale=GOLDEN_SIZING["scale"],
-            seed=GOLDEN_SIZING["seed"],
-            config_mutator=lambda c: dataclasses.replace(c, stream=stream_mode),
-            engine=engine,
-        )
-
-    reference = fresh("perop", "scalar")
-    reference.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
-    reference_digest = stats_digest(reference)
-
-    victim = fresh("chunked", "batched")
-    Checkpointer(tmp_path, cut_points=[WARMUP_CUT, MEASURE_CUT]).arm(victim)
-    victim.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
-    assert stats_digest(victim) == reference_digest, (
-        "chunked-stream batched run diverged from per-op scalar reference"
-    )
-
-    for cut in (WARMUP_CUT, MEASURE_CUT):
+    cuts = [1111, 2777]
+    reference_digest = _run_with_cuts(tmp_path, cuts)
+    for cut in cuts:
         path = tmp_path / f"cut_{cut}.ckpt"
         assert path.exists(), f"interior cut at step {cut} was not written"
         restored = load_checkpoint(path)
-        stream = restored.cores[0].ops
-        assert stream.mode == "chunked", "stream mode must survive the cut"
+        offsets = [core.ops.peek_chunk()[1] for core in restored.cores]
+        assert any(offsets), f"no stream restored mid-chunk at cut {cut}"
         restored.resume_run()
         assert stats_digest(restored) == reference_digest, (
-            f"chunked-stream resume from interior cut {cut} diverged"
+            f"resume from interior cut {cut} diverged"
         )
+
+
+@pytest.mark.parametrize(
+    "engine,stream", [("batched", "chunked"), ("scalar", "perop")]
+)
+def test_older_run_mode_checkpoint_resumes_bit_identical(
+    tmp_path, monkeypatch, engine, stream
+):
+    """A checkpoint written while ``System`` still had run modes resumes
+    on the one run path, bit-identical.
+
+    Such REPRO-CKPT v1 files carry a ``System.engine`` attribute,
+    ``engine`` and ``stream`` entries in the pickled ``SystemConfig``,
+    and six-field stream states that end in the stream mode.  The old
+    layout is reproduced by adding those to a restored interior cut and
+    saving it again with the six-field stream state.  Every mode ran the
+    same op order, so the resumed run lands on the reference scheduler's
+    uninterrupted digest.
+    """
+    from repro.bench import stats_digest
+    from repro.snapshot import save_checkpoint
+    from repro.snapshot.stream import ReplayStream
+
+    def six_field_state(self):
+        return (self.workload, self.core_id, self.seed, self.scale,
+                self.consumed, stream)
+
+    reference_digest = _run_with_cuts(tmp_path, [1111])
+    cut = load_checkpoint(tmp_path / "cut_1111.ckpt")
+    cut.__dict__["engine"] = engine
+    cut.config.__dict__.update(engine=engine, stream=stream)
+    with monkeypatch.context() as patch:
+        patch.setattr(ReplayStream, "__getstate__", six_field_state)
+        old_layout = save_checkpoint(cut, tmp_path / "old_layout.ckpt")
+
+    restored = load_checkpoint(old_layout)
+    assert restored.engine == engine, "the old System attribute rides along"
+    assert restored.config.__dict__["stream"] == stream
+    assert any(core.ops.peek_chunk()[1] for core in restored.cores), (
+        "some stream must restore mid-chunk from its six-field state"
+    )
+    restored.resume_run()
+    assert stats_digest(restored) == reference_digest
 
 
 def test_numpy_array_state_round_trips_checkpoint(tmp_path):

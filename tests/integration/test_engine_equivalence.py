@@ -1,18 +1,23 @@
-"""The differential harness proving the batched engine scalar-equivalent.
+"""The differential harness proving the engine equal to the reference.
 
-The batched engine (``repro.sim.engine``) drains independent operations
-per core between shared events; its equivalence contract says the result
-is *bit-identical* to the scalar reference scheduler, not statistically
-close.  This suite is the proof obligation:
+The engine (``repro.sim.engine``) drains independent operations per core
+between shared events; its equivalence contract says the result is
+*bit-identical* to the one-op-at-a-time reference scheduler
+(``tests/reference_scheduler.py``), not statistically close.  This suite
+is the proof obligation:
 
-* every scheme × representative workload runs under both engines and must
+* every scheme × representative workload runs on both loops and must
   produce identical stats snapshots (the full dict, not just a digest),
   identical per-core end states, and the identical *sequence* of swap
   transfers (page/segment moves with their timestamps and directions);
 * a hypothesis harness samples configurations — scheme, workload, seed,
   ablation variant, and the chunking of ``run_ops`` calls — and compares
-  the two engines op-for-op at every chunk boundary, so a divergence is
-  pinned to the first chunk it appears in rather than the end of a run.
+  the two loops op-for-op at every chunk boundary, so a divergence is
+  pinned to the first chunk it appears in rather than the end of a run;
+* another samples the sanitizer level and, for PageSeer, attaches a
+  :class:`~repro.analysis.lead_time.LeadTimeProbe`: both rebind
+  ``hmc.handle_request`` on the instance, the one hook the engine must
+  re-read around every controller call.
 """
 
 import dataclasses
@@ -21,11 +26,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analysis.lead_time import LeadTimeProbe
 from repro.bench import stats_digest
+from repro.common.config import CHECK_LEVELS, CheckConfig
 from repro.experiments.runner import VARIANTS
 from repro.faults import resolve_profile
 from repro.sim.system import SCHEMES, build_system
 from repro.workloads import workload_by_name
+
+from tests.reference_scheduler import use_reference_scheduler
 
 ALL_SCHEMES = sorted(SCHEMES)
 
@@ -57,18 +66,23 @@ def _record_swap_events(system):
     return events
 
 
-def _run(scheme, workload_name, engine, *, ops=1200, seed=0, scale=1024,
-         variant="default", chunks=None, config_mutator=None, faults=None):
+def _run(scheme, workload_name, loop, *, ops=1200, seed=0, scale=1024,
+         variant="default", chunks=None, config_mutator=None, faults=None,
+         check=None, probe=False):
+    """Run one configuration on *loop*: ``"engine"`` or ``"reference"``."""
     system = build_system(
         scheme,
         workload_by_name(workload_name),
         scale=scale,
         seed=seed,
         config_mutator=config_mutator or VARIANTS[variant],
+        check=check,
         faults=faults,
-        engine=engine,
     )
+    if loop == "reference":
+        use_reference_scheduler(system)
     events = _record_swap_events(system)
+    lead_time = LeadTimeProbe(system) if probe else None
     checkpoints = []
     remaining = list(chunks) if chunks else [ops]
     for chunk in remaining:
@@ -80,6 +94,7 @@ def _run(scheme, workload_name, engine, *, ops=1200, seed=0, scale=1024,
         "cores": _core_state(system),
         "checkpoints": checkpoints,
         "events": events,
+        "observations": lead_time.observations if lead_time else None,
     }
 
 
@@ -91,27 +106,27 @@ def _core_state(system):
 
 
 class TestEngineEquivalence:
-    """Scalar vs batched on the full scheme grid."""
+    """Reference vs engine on the full scheme grid."""
 
     @pytest.mark.parametrize("workload", WORKLOADS)
     @pytest.mark.parametrize("scheme", ALL_SCHEMES)
     def test_identical_stats_cores_and_swap_sequence(self, scheme, workload):
-        scalar = _run(scheme, workload, "scalar")
-        batched = _run(scheme, workload, "batched")
-        assert scalar["digest"] == batched["digest"]
-        assert scalar["stats"] == batched["stats"]
-        assert scalar["cores"] == batched["cores"]
-        assert scalar["events"] == batched["events"]
+        reference = _run(scheme, workload, "reference")
+        engine = _run(scheme, workload, "engine")
+        assert reference["digest"] == engine["digest"]
+        assert reference["stats"] == engine["stats"]
+        assert reference["cores"] == engine["cores"]
+        assert reference["events"] == engine["events"]
 
     @pytest.mark.parametrize("scheme", ["pageseer", "pom"])
     def test_equivalence_survives_ablation_variants(self, scheme):
         for variant in sorted(VARIANTS):
-            scalar = _run(scheme, "milcx4", "scalar", ops=800,
+            reference = _run(scheme, "milcx4", "reference", ops=800,
+                             variant=variant)
+            engine = _run(scheme, "milcx4", "engine", ops=800,
                           variant=variant)
-            batched = _run(scheme, "milcx4", "batched", ops=800,
-                           variant=variant)
-            assert scalar["digest"] == batched["digest"], variant
-            assert scalar["events"] == batched["events"], variant
+            assert reference["digest"] == engine["digest"], variant
+            assert reference["events"] == engine["events"], variant
 
 
 class TestEngineEquivalenceFuzz:
@@ -129,15 +144,15 @@ class TestEngineEquivalenceFuzz:
     def test_chunked_runs_agree_at_every_boundary(
         self, scheme, workload, seed, variant, chunks
     ):
-        scalar = _run(scheme, workload, "scalar", seed=seed,
+        reference = _run(scheme, workload, "reference", seed=seed,
+                         variant=variant, chunks=chunks)
+        engine = _run(scheme, workload, "engine", seed=seed,
                       variant=variant, chunks=chunks)
-        batched = _run(scheme, workload, "batched", seed=seed,
-                       variant=variant, chunks=chunks)
         # Op-for-op: per-core clocks/instruction counts must already agree
         # at every chunk boundary, not merely at the end.
-        assert scalar["checkpoints"] == batched["checkpoints"]
-        assert scalar["digest"] == batched["digest"]
-        assert scalar["events"] == batched["events"]
+        assert reference["checkpoints"] == engine["checkpoints"]
+        assert reference["digest"] == engine["digest"]
+        assert reference["events"] == engine["events"]
 
     @settings(max_examples=8, deadline=None)
     @given(
@@ -146,12 +161,12 @@ class TestEngineEquivalenceFuzz:
         scale=st.sampled_from([512, 1024]),
     )
     def test_scale_and_seed_sweep(self, scheme, seed, scale):
-        scalar = _run(scheme, "milcx4", "scalar", ops=500, seed=seed,
+        reference = _run(scheme, "milcx4", "reference", ops=500, seed=seed,
+                         scale=scale)
+        engine = _run(scheme, "milcx4", "engine", ops=500, seed=seed,
                       scale=scale)
-        batched = _run(scheme, "milcx4", "batched", ops=500, seed=seed,
-                       scale=scale)
-        assert scalar["digest"] == batched["digest"]
-        assert scalar["cores"] == batched["cores"]
+        assert reference["digest"] == engine["digest"]
+        assert reference["cores"] == engine["cores"]
 
     @settings(max_examples=10, deadline=None)
     @given(
@@ -172,7 +187,7 @@ class TestEngineEquivalenceFuzz:
         the swap/prefetch thresholds, and the fault-injection profile all
         shift where the batch boundaries fall (more swaps, more rescue
         transfers, different PRT pressure) — none of it may change what
-        the batched engine computes."""
+        the engine computes."""
         def mutate(config):
             memory = dataclasses.replace(
                 config.memory,
@@ -196,11 +211,33 @@ class TestEngineEquivalenceFuzz:
             resolve_profile(fault_profile, fault_seed=fault_seed)
             if fault_profile else None
         )
-        scalar = _run(scheme, "milcx4", "scalar", ops=600,
+        reference = _run(scheme, "milcx4", "reference", ops=600,
+                         config_mutator=mutate, faults=faults)
+        engine = _run(scheme, "milcx4", "engine", ops=600,
                       config_mutator=mutate, faults=faults)
-        batched = _run(scheme, "milcx4", "batched", ops=600,
-                       config_mutator=mutate, faults=faults)
-        assert scalar["digest"] == batched["digest"]
-        assert scalar["stats"] == batched["stats"]
-        assert scalar["cores"] == batched["cores"]
-        assert scalar["events"] == batched["events"]
+        assert reference["digest"] == engine["digest"]
+        assert reference["stats"] == engine["stats"]
+        assert reference["cores"] == engine["cores"]
+        assert reference["events"] == engine["events"]
+
+    @settings(max_examples=8, deadline=None)
+    @given(
+        scheme=st.sampled_from(ALL_SCHEMES),
+        workload=st.sampled_from(WORKLOADS),
+        level=st.sampled_from(CHECK_LEVELS),
+        seed=st.integers(min_value=0, max_value=3),
+    )
+    def test_sanitizer_and_probe_agree(self, scheme, workload, level, seed):
+        """The sanitizer (at any level) and, on PageSeer, a lead-time
+        probe wrap ``hmc.handle_request`` on the instance; the engine
+        must call through those wrappers at exactly the reference
+        scheduler's points, so every observation matches too."""
+        check = CheckConfig(level=level)
+        probe = scheme == "pageseer"
+        reference = _run(scheme, workload, "reference", ops=600, seed=seed,
+                         check=check, probe=probe)
+        engine = _run(scheme, workload, "engine", ops=600, seed=seed,
+                      check=check, probe=probe)
+        assert reference["digest"] == engine["digest"]
+        assert reference["events"] == engine["events"]
+        assert reference["observations"] == engine["observations"]

@@ -1,31 +1,30 @@
 """Property suite for the array-native stream layer.
 
-Pins the contract the batched engine and the checkpointer both rely on:
+Pins the contract the engine and the checkpointer both rely on:
 
-* the block view and the per-op view of a workload are the *same* op
-  sequence (``chunked`` vs ``perop`` stream modes are interchangeable);
 * :func:`chunks_from_blocks` is a pure coalescer — chunk columns are the
   concatenation of the block columns, block boundaries never split, and
   every chunk except the last reaches the target size;
-* :class:`ReplayStream`'s two consumption protocols (scalar ``__next__``
-  and chunk-aware ``peek_chunk``/``advance``) move the same counter and
-  hand out the same ops under any interleaving;
+* :func:`ops_from_blocks` (the per-op view) carries the same sequence;
+* :class:`ReplayStream`'s ``peek_chunk``/``advance`` protocol hands out
+  one sequence whatever the advance step pattern, and it is the sequence
+  :meth:`WorkloadSpec.make_stream` (the trace recorder's view) yields;
 * a pickled stream restores at any ``consumed`` point — including
-  mid-chunk — and the remaining sequence is bit-identical.
+  mid-chunk, and from the older state format that carried a stream
+  mode — and the remaining sequence is bit-identical.
 """
 
+import itertools
 import pickle
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
+from repro.workloads import all_workloads
 from repro.workloads.base import unique_workload
-from repro.workloads.chunks import (
-    OpChunk,
-    chunks_from_blocks,
-    chunks_from_ops,
-    ops_from_blocks,
-)
+from repro.workloads.chunks import OpChunk, chunks_from_blocks, ops_from_blocks
 from repro.snapshot.stream import ReplayStream
+
+from tests.conftest import take_ops
 
 # -- synthetic block streams (coalescer-level properties) ------------------
 
@@ -80,27 +79,6 @@ class TestChunkCoalescer:
             if index < len(chunks) - 1:
                 assert chunk.length >= target
 
-    @given(blocks=_blocks, target=_targets)
-    @settings(max_examples=150, deadline=None)
-    def test_perop_batching_equals_block_coalescing_op_sequence(
-        self, blocks, target
-    ):
-        """chunks_from_ops over the per-op view carries the same ops in the
-        same order (chunk *edges* may differ; the sequence may not)."""
-        from_blocks = list(chunks_from_blocks(iter(blocks), target))
-        from_ops = list(chunks_from_ops(ops_from_blocks(iter(blocks)), target))
-        flat_a = [
-            (v, w, i)
-            for c in from_blocks
-            for v, w, i in zip(c.vaddrs, c.writes, c.instr)
-        ]
-        flat_b = [
-            (v, w, i)
-            for c in from_ops
-            for v, w, i in zip(c.vaddrs, c.writes, c.instr)
-        ]
-        assert flat_a == flat_b
-
     @given(blocks=_blocks)
     @settings(max_examples=100, deadline=None)
     def test_op_view_matches_chunk_op_at(self, blocks):
@@ -126,61 +104,56 @@ class TestChunkCoalescer:
 _GENERATORS = ("stream_sweep", "hot_cold", "pointer_chase", "random_mix")
 
 
-def _stream(generator, seed, mode):
-    workload = unique_workload("prop", "test", 1, 64, generator)
-    return ReplayStream(workload, core_id=0, seed=seed, scale=1024, mode=mode)
+def _workload(generator):
+    return unique_workload("prop", "test", 1, 64, generator)
 
 
-def _take(stream, count):
-    return [
-        (op.vaddr, op.is_write, op.instructions_before)
-        for op in (next(stream) for _ in range(count))
-    ]
+def _stream(generator, seed):
+    return ReplayStream(_workload(generator), core_id=0, seed=seed, scale=1024)
+
+
+_SUITE = {spec.name: spec for spec in all_workloads()}
 
 
 class TestReplayStreamProtocols:
     @given(
         generator=st.sampled_from(_GENERATORS),
         seed=st.integers(0, 2**16),
-        count=st.integers(1, 600),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_chunked_and_perop_modes_emit_identical_ops(
-        self, generator, seed, count
-    ):
-        chunked = _stream(generator, seed, "chunked")
-        perop = _stream(generator, seed, "perop")
-        assert _take(chunked, count) == _take(perop, count)
-        assert chunked.consumed == perop.consumed == count
-
-    @given(
-        generator=st.sampled_from(_GENERATORS),
-        seed=st.integers(0, 2**16),
         advances=st.lists(st.integers(1, 64), min_size=1, max_size=20),
     )
     @settings(max_examples=40, deadline=None)
-    def test_advance_and_next_interleave_consistently(
+    def test_advance_patterns_hand_out_one_sequence(
         self, generator, seed, advances
     ):
-        """Chunk-aware consumption sees exactly the ops the per-op view
-        hands out, whatever the advance step pattern."""
-        reference = _stream(generator, seed, "chunked")
-        stream = _stream(generator, seed, "chunked")
+        """Multi-op advances see exactly the ops single-op advances hand
+        out, whatever the step pattern."""
+        reference = _stream(generator, seed)
+        stream = _stream(generator, seed)
         for step in advances:
             peeked = stream.peek_chunk()
             assert peeked is not None, "synthetic streams are infinite"
             chunk, pos = peeked
             take = min(step, chunk.length - pos)
-            window = [
-                (chunk.vaddrs[pos + k], chunk.writes[pos + k], chunk.instr[pos + k])
-                for k in range(take)
-            ]
+            window = [chunk.op_at(pos + k) for k in range(take)]
             stream.advance(take)
-            assert window == _take(reference, take)
-            # One scalar op through __next__ keeps the two protocols honest
-            # against each other on the same stream object.
-            assert _take(stream, 1) == _take(reference, 1)
+            assert window == take_ops(reference, take)
         assert stream.consumed == reference.consumed
+
+    @given(
+        name=st.sampled_from(sorted(_SUITE)),
+        core=st.integers(0, 7),
+        seed=st.integers(0, 2**16),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_run_stream_is_the_recorded_stream(self, name, core, seed):
+        """What a run simulates is what ``trace-record`` writes: over any
+        Table III workload, the stream hands out exactly the ops of
+        ``WorkloadSpec.make_stream``, the per-op view traces record."""
+        spec = _SUITE[name]
+        core_id = core % spec.cores
+        recorded = list(itertools.islice(spec.make_stream(core_id, seed, 1024), 300))
+        stream = ReplayStream(spec, core_id=core_id, seed=seed, scale=1024)
+        assert take_ops(stream, 300) == recorded
 
     @given(
         generator=st.sampled_from(_GENERATORS),
@@ -194,16 +167,36 @@ class TestReplayStreamProtocols:
     ):
         """Restore at any consumption point — whole-chunk or interior —
         and the continuation is bit-identical."""
-        reference = _stream(generator, seed, "chunked")
-        _take(reference, consumed)
+        reference = _stream(generator, seed)
+        take_ops(reference, consumed)
         restored = pickle.loads(pickle.dumps(reference))
         assert restored.consumed == consumed
-        assert _take(restored, remaining) == _take(reference, remaining)
+        assert take_ops(restored, remaining) == take_ops(reference, remaining)
+
+    @given(
+        generator=st.sampled_from(_GENERATORS),
+        seed=st.integers(0, 2**16),
+        consumed=st.integers(1, 700),
+        mode=st.sampled_from(["chunked", "perop"]),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_older_six_field_state_restores(self, generator, seed, consumed, mode):
+        """Checkpoints written before stream modes were removed pickle a
+        stream as ``(workload, core_id, seed, scale, consumed, mode)``.
+        Both modes emitted one op sequence, so the mode is ignored: the
+        restored stream continues exactly like a fresh one."""
+        fresh = _stream(generator, seed)
+        take_ops(fresh, consumed)
+        assume(fresh.peek_chunk()[1] > 0)  # an interior (mid-chunk) cut
+        restored = ReplayStream.__new__(ReplayStream)
+        restored.__setstate__((_workload(generator), 0, seed, 1024, consumed, mode))
+        assert restored.consumed == consumed
+        assert take_ops(restored, 100) == take_ops(fresh, 100)
 
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=20, deadline=None)
     def test_advance_rejects_cross_chunk_counts(self, seed):
-        stream = _stream("stream_sweep", seed, "chunked")
+        stream = _stream("stream_sweep", seed)
         chunk, pos = stream.peek_chunk()
         stream.advance(0)  # no-op by contract
         assert stream.consumed == 0

@@ -7,12 +7,18 @@ from hypothesis import given, settings, strategies as st
 from repro.common.addr import page_of
 from repro.common.rng import DeterministicRng
 from repro.workloads.base import BenchmarkPart, footprint_pages_for
-from repro.workloads.synthetic import GENERATORS, HEAP_BASE
+from repro.workloads.chunks import ops_from_blocks
+from repro.workloads.synthetic import BLOCK_GENERATORS, HEAP_BASE
 
 ARCHETYPES = sorted(
-    name for name in GENERATORS
+    name for name in BLOCK_GENERATORS
     if name not in ("trace",)
 )
+
+
+def ops_of(name, rng, footprint):
+    """The per-op view of archetype *name*'s block stream."""
+    return ops_from_blocks(BLOCK_GENERATORS[name](rng, footprint))
 
 footprints = st.integers(min_value=8, max_value=300)
 seeds = st.integers(min_value=0, max_value=2**31)
@@ -27,7 +33,7 @@ class TestGeneratorProperties:
     @settings(max_examples=60, deadline=None)
     def test_bounded_addresses_any_footprint(self, name, footprint, seed):
         rng = DeterministicRng(f"prop/{name}", seed)
-        ops = list(itertools.islice(GENERATORS[name](rng, footprint), 600))
+        ops = list(itertools.islice(ops_of(name, rng, footprint), 600))
         for op in ops:
             page = page_of(op.vaddr - HEAP_BASE)
             assert 0 <= page < footprint
@@ -35,17 +41,15 @@ class TestGeneratorProperties:
     @given(name=st.sampled_from(ARCHETYPES), seed=seeds)
     @settings(max_examples=40, deadline=None)
     def test_seed_determinism(self, name, seed):
-        a = list(itertools.islice(
-            GENERATORS[name](DeterministicRng("p", seed), 64), 300))
-        b = list(itertools.islice(
-            GENERATORS[name](DeterministicRng("p", seed), 64), 300))
+        a = list(itertools.islice(ops_of(name, DeterministicRng("p", seed), 64), 300))
+        b = list(itertools.islice(ops_of(name, DeterministicRng("p", seed), 64), 300))
         assert a == b
 
     @given(name=st.sampled_from(ARCHETYPES), footprint=footprints)
     @settings(max_examples=40, deadline=None)
     def test_eventually_covers_many_pages(self, name, footprint):
         rng = DeterministicRng(f"cov/{name}", 1)
-        ops = itertools.islice(GENERATORS[name](rng, footprint), 20_000)
+        ops = itertools.islice(ops_of(name, rng, footprint), 20_000)
         pages = {page_of(op.vaddr - HEAP_BASE) for op in ops}
         # Every archetype must exercise a substantial part of its footprint
         # (hot/cold archetypes are skewed but still touch the cold tail).
@@ -69,6 +73,5 @@ class TestBenchmarkPartProperties:
     def test_part_streams_respect_params(self, seed):
         part = BenchmarkPart("custom", "stream_sweep", 100, {"arrays": 2})
         rng = DeterministicRng("part", seed)
-        stream = part.make_stream(rng, 512)
-        ops = list(itertools.islice(stream, 200))
+        ops = list(itertools.islice(ops_from_blocks(part.make_blocks(rng, 512)), 200))
         assert len(ops) == 200

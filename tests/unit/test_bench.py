@@ -1,9 +1,14 @@
 """Unit tests for the throughput bench harness (repro.bench)."""
 
 import json
+import re
+from pathlib import Path
 
-from repro.bench import compare_documents, measure_config
+from repro.bench import DEFAULT_WORKLOADS, compare_documents, measure_config
 from repro.cli import main
+from repro.sim.system import SCHEMES
+
+REPO_ROOT = Path(__file__).resolve().parents[2]
 
 #: A tiny grid so the whole module runs in seconds.
 FAST = [
@@ -25,31 +30,15 @@ class TestBenchJson:
         document = json.loads((tmp_path / "BENCH_unit.json").read_text())
         assert document["label"] == "unit"
         assert set(document["params"]) == {
-            "scale", "warmup_ops", "measure_ops", "seed", "repeats", "engines"
+            "scale", "warmup_ops", "measure_ops", "seed", "repeats"
         }
+        assert list(document["results"]) == ["noswap/milcx4"]
         entry = document["results"]["noswap/milcx4"]
         assert entry["ops_per_sec"] > 0
         assert entry["ops"] == 200 * 4  # milcx4 runs four cores
         assert entry["wall_seconds_best"] <= entry["wall_seconds_total"]
         assert len(entry["stats_digest"]) == 16
-        assert entry["engine"] == "batched"
         assert isinstance(document["git_rev"], str)
-
-    def test_both_engines_benched_with_identical_digests(self, tmp_path):
-        """The default grid covers both engines; the scalar row carries
-        the @scalar key suffix and must agree bit-for-bit with batched."""
-        assert run_bench_cli(tmp_path, "--label", "eng") == 0
-        document = json.loads((tmp_path / "BENCH_eng.json").read_text())
-        batched = document["results"]["noswap/milcx4"]
-        scalar = document["results"]["noswap/milcx4@scalar"]
-        assert scalar["engine"] == "scalar"
-        assert scalar["stats_digest"] == batched["stats_digest"]
-
-    def test_single_engine_selection(self, tmp_path):
-        assert run_bench_cli(tmp_path, "--label", "solo",
-                             "--engines", "batched") == 0
-        document = json.loads((tmp_path / "BENCH_solo.json").read_text())
-        assert list(document["results"]) == ["noswap/milcx4"]
 
     def test_quick_flag_recorded(self, tmp_path):
         assert run_bench_cli(tmp_path, "--quick", "--label", "q") == 0
@@ -88,6 +77,23 @@ class TestCompareGate:
     def test_configs_missing_from_current_are_ignored(self):
         current = {"results": {}}
         assert compare_documents(current, self.doc(100.0), 0.30) == []
+
+    def test_ci_baseline_gates_every_default_grid_cell(self):
+        """CI's perf-smoke step gates ``bench --quick`` against a committed
+        baseline.  Cells missing from either document are skipped, so the
+        gate only bites if the baseline has a row under the key the
+        default grid writes (bare ``scheme/workload``) for every cell,
+        whatever other rows, such as older ``@scalar`` ones, it holds."""
+        workflow = (REPO_ROOT / ".github" / "workflows" / "ci.yml").read_text()
+        match = re.search(r"--compare\s+(\S+)", workflow)
+        assert match is not None, "the perf-smoke step names no baseline"
+        baseline = json.loads((REPO_ROOT / match.group(1)).read_text())
+        grid = {
+            f"{scheme}/{workload}"
+            for scheme in SCHEMES
+            for workload in DEFAULT_WORKLOADS
+        }
+        assert grid <= set(baseline["results"])
 
     def test_cli_gate_fails_on_regression(self, tmp_path, capsys):
         assert run_bench_cli(tmp_path, "--label", "base") == 0

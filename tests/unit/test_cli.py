@@ -31,6 +31,23 @@ class TestParser:
         )
         assert args.variant == "nocorr"
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--scheme", "pageseer", "--workload", "lbmx4",
+             "--engine", "scalar"],
+            ["bench", "--engines", "scalar"],
+        ],
+        ids=["run-engine", "bench-engines"],
+    )
+    def test_run_mode_flags_are_rejected(self, argv, capsys):
+        """Scripts still passing the removed run-mode flags fail at parse
+        time rather than run with the flag silently dropped."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_list_schemes(self, capsys):

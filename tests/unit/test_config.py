@@ -1,5 +1,7 @@
 """Unit tests for the configuration dataclasses (repro.common.config)."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import (
@@ -211,28 +213,22 @@ class TestBaselineConfigs:
         assert mp.segment_bytes == 2048
 
 
-class TestEngineSelection:
-    def test_default_engine_is_batched(self, monkeypatch):
+class TestOneRunPath:
+    """No field or environment variable selects the simulation loop or
+    the stream layout: every system runs one way."""
+
+    @pytest.mark.parametrize("name", ["engine", "stream"])
+    def test_run_mode_field_is_gone(self, name):
+        assert name not in {f.name for f in dataclasses.fields(SystemConfig)}
+        with pytest.raises(TypeError):
+            SystemConfig(**{name: "batched"})
+
+    def test_run_mode_env_vars_change_nothing(self, monkeypatch):
+        """A shell that still exports the old selectors builds the same
+        config, even with a value the old validation rejected."""
         monkeypatch.delenv("REPRO_ENGINE", raising=False)
-        assert default_system_config(scale=1024).engine == "batched"
-
-    def test_repro_engine_env_overrides_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "scalar")
-        assert default_system_config(scale=1024).engine == "scalar"
-
-    def test_blank_env_value_means_default(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "  ")
-        assert default_system_config(scale=1024).engine == "batched"
-
-    def test_invalid_env_engine_rejected(self, monkeypatch):
+        monkeypatch.delenv("REPRO_STREAM", raising=False)
+        plain = default_system_config(scale=1024)
         monkeypatch.setenv("REPRO_ENGINE", "warp")
-        with pytest.raises(ConfigError):
-            default_system_config(scale=1024)
-
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ConfigError):
-            SystemConfig(engine="warp")
-
-    def test_scaled_preserves_engine(self):
-        config = SystemConfig(engine="scalar").scaled(1024)
-        assert config.engine == "scalar"
+        monkeypatch.setenv("REPRO_STREAM", "perop")
+        assert default_system_config(scale=1024) == plain

@@ -1,19 +1,22 @@
 """Unit tests for the analytic core model (repro.sim.cpu)."""
 
-import pytest
-
-from repro.common.addr import LINES_PER_PAGE
 from repro.sim.cpu import MemoryOp
-from repro.workloads.synthetic import HEAP_BASE
+from repro.sim.system import build_system
+from repro.workloads.base import unique_workload
+from repro.workloads.synthetic import BLOCK_GENERATORS, HEAP_BASE
 
-from tests.conftest import make_system
+from tests.conftest import make_system, take_ops
+
+
+def execute_all(core, ops):
+    for op in ops:
+        core.execute(op)
 
 
 def run_ops(system, core_id=0, count=10):
+    """Execute the core's next *count* stream ops through ``Core.execute``."""
     core = system.cores[core_id]
-    for _ in range(count):
-        if not core.step():
-            break
+    execute_all(core, take_ops(core.ops, count))
     return core
 
 
@@ -31,12 +34,16 @@ class TestStepping:
         core = run_ops(tiny_system, count=20)
         assert 0 < core.ipc < 4
 
-    def test_stream_end_sets_done(self):
-        system = make_system("noswap")
+    def test_stream_end_sets_done(self, monkeypatch):
+        def one_op(rng, footprint_pages):
+            yield [HEAP_BASE], [False], [1]
+
+        monkeypatch.setitem(BLOCK_GENERATORS, "one_op", one_op)
+        workload = unique_workload("oneop", "test", 1, 1, "one_op")
+        system = build_system("noswap", workload, scale=1024)
+        system.run_ops(3)
         core = system.cores[0]
-        core.ops = iter([MemoryOp(HEAP_BASE, False, 1)])
-        assert core.step()
-        assert not core.step()
+        assert core.ops_executed == 1
         assert core.done
 
 
@@ -48,35 +55,29 @@ class TestMemoryInteraction:
     def test_first_touch_maps_page(self, tiny_system):
         core = tiny_system.cores[0]
         before = core.process.page_table.mapped_pages
-        core.step()
+        run_ops(tiny_system, count=1)
         assert core.process.page_table.mapped_pages == before + 1
 
     def test_tlb_miss_then_hits_within_page(self):
         system = make_system("noswap")
         core = system.cores[0]
-        ops = [MemoryOp(HEAP_BASE + 64 * k, False, 1) for k in range(8)]
-        core.ops = iter(ops)
-        while core.step():
-            pass
+        execute_all(core, [MemoryOp(HEAP_BASE + 64 * k, False, 1) for k in range(8)])
         assert system.stats.get("tlb/misses") == 1
 
     def test_cache_hit_cheaper_than_miss(self):
         system = make_system("noswap")
         core = system.cores[0]
         # Two accesses to the same line: miss then L1 hit.
-        core.ops = iter([MemoryOp(HEAP_BASE, False, 0), MemoryOp(HEAP_BASE, False, 0)])
-        core.step()
+        core.execute(MemoryOp(HEAP_BASE, False, 0))
         after_miss = core.clock
-        core.step()
+        core.execute(MemoryOp(HEAP_BASE, False, 0))
         assert core.clock - after_miss < after_miss
 
     def test_write_stall_smaller_than_read(self):
         miss_read = make_system("noswap")
         miss_write = make_system("noswap")
-        miss_read.cores[0].ops = iter([MemoryOp(HEAP_BASE, False, 0)])
-        miss_write.cores[0].ops = iter([MemoryOp(HEAP_BASE, True, 0)])
-        miss_read.cores[0].step()
-        miss_write.cores[0].step()
+        miss_read.cores[0].execute(MemoryOp(HEAP_BASE, False, 0))
+        miss_write.cores[0].execute(MemoryOp(HEAP_BASE, True, 0))
         assert miss_write.cores[0].clock < miss_read.cores[0].clock
 
     def test_writebacks_do_not_stall(self):
@@ -84,10 +85,7 @@ class TestMemoryInteraction:
         core = system.cores[0]
         # Touch many aliasing lines with writes to force dirty evictions.
         l1_sets = system.config.l1.num_sets
-        ops = [
-            MemoryOp(HEAP_BASE + 64 * l1_sets * k, True, 0) for k in range(40)
-        ]
-        core.ops = iter(ops)
-        while core.step():
-            pass
+        execute_all(
+            core, [MemoryOp(HEAP_BASE + 64 * l1_sets * k, True, 0) for k in range(40)]
+        )
         assert system.stats.get("hmc/requests_writeback") > 0

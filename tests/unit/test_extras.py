@@ -8,20 +8,22 @@ from repro.common.addr import page_of
 from repro.common.rng import DeterministicRng
 from repro.sim.system import System
 from repro.common.config import default_system_config
+from repro.workloads.chunks import ops_from_blocks
 from repro.workloads.extras import (
     EXTRA_WORKLOADS,
-    btree,
+    btree_blocks,
     extra_workload_by_name,
-    gups,
-    scanjoin,
+    gups_blocks,
+    scanjoin_blocks,
 )
-from repro.workloads.synthetic import GENERATORS, HEAP_BASE
+from repro.workloads.synthetic import BLOCK_GENERATORS, HEAP_BASE
 
 FOOTPRINT = 128
 
 
-def take(generator, n):
-    return list(itertools.islice(generator, n))
+def take(blocks, n):
+    """The first *n* ops of a block generator."""
+    return list(itertools.islice(ops_from_blocks(blocks), n))
 
 
 def rng(name="x"):
@@ -31,32 +33,32 @@ def rng(name="x"):
 class TestGenerators:
     @pytest.mark.parametrize("name", ["gups", "btree", "scanjoin"])
     def test_registered(self, name):
-        assert name in GENERATORS
+        assert name in BLOCK_GENERATORS
 
-    @pytest.mark.parametrize("gen", [gups, btree, scanjoin])
+    @pytest.mark.parametrize("gen", [gups_blocks, btree_blocks, scanjoin_blocks])
     def test_addresses_in_footprint(self, gen):
         ops = take(gen(rng(), FOOTPRINT), 3000)
         for op in ops:
             assert 0 <= page_of(op.vaddr - HEAP_BASE) < FOOTPRINT
 
-    @pytest.mark.parametrize("gen", [gups, btree, scanjoin])
+    @pytest.mark.parametrize("gen", [gups_blocks, btree_blocks, scanjoin_blocks])
     def test_deterministic(self, gen):
         assert take(gen(rng(), FOOTPRINT), 500) == take(gen(rng(), FOOTPRINT), 500)
 
     def test_gups_has_no_locality(self):
-        ops = take(gups(rng(), FOOTPRINT), 4000)
+        ops = take(gups_blocks(rng(), FOOTPRINT), 4000)
         pages = [page_of(op.vaddr) for op in ops]
         runs = [len(list(g)) for _, g in itertools.groupby(pages)]
         assert max(runs) <= 3  # no flurries
 
     def test_btree_top_levels_hot(self):
-        ops = take(btree(rng(), FOOTPRINT, hot_level_pages=8), 8000)
+        ops = take(btree_blocks(rng(), FOOTPRINT, hot_level_pages=8), 8000)
         hot = sum(1 for op in ops if page_of(op.vaddr - HEAP_BASE) < 8)
         # Every probe touches the root region several times.
         assert hot > len(ops) * 0.3
 
     def test_scanjoin_hash_table_hot(self):
-        ops = take(scanjoin(rng(), FOOTPRINT, hash_table_fraction=0.1), 8000)
+        ops = take(scanjoin_blocks(rng(), FOOTPRINT, hash_table_fraction=0.1), 8000)
         hash_pages = int(FOOTPRINT * 0.1)
         probes = sum(1 for op in ops if page_of(op.vaddr - HEAP_BASE) < hash_pages)
         assert probes > 0

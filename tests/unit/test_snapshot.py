@@ -25,6 +25,8 @@ from repro.snapshot import codec
 from repro.snapshot.checkpoint import MAGIC
 from repro.workloads import workload_by_name
 
+from tests.conftest import take_ops
+
 
 # -- codec: stats handles -----------------------------------------------------
 
@@ -138,13 +140,12 @@ class TestReplayStream:
     def test_replays_to_identical_position(self):
         workload = workload_by_name("lbmx4")
         stream = ReplayStream(workload, core_id=1, seed=3, scale=1024)
-        consumed = [next(stream) for _ in range(257)]
+        take_ops(stream, 257)
         assert stream.consumed == 257
 
         restored = codec.loads(codec.dumps(stream))
         assert restored.consumed == 257
-        for _ in range(100):
-            assert next(restored) == next(stream)
+        assert take_ops(restored, 100) == take_ops(stream, 100)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -158,12 +159,9 @@ class TestReplayStream:
         ops match op-for-op."""
         workload = workload_by_name("streamx4")
         stream = ReplayStream(workload, core_id=core_id, seed=seed, scale=1024)
-        for _ in range(consumed):
-            next(stream)
+        take_ops(stream, consumed)
         restored = codec.loads(codec.dumps(stream))
-        assert [next(stream) for _ in range(16)] == [
-            next(restored) for _ in range(16)
-        ]
+        assert take_ops(stream, 16) == take_ops(restored, 16)
 
 
 # -- checkpoint files ---------------------------------------------------------

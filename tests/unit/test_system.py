@@ -5,8 +5,11 @@ import pytest
 from repro.common.errors import ConfigError
 from repro.sim.system import SCHEMES, System, build_system
 from repro.workloads import workload_by_name
+from repro.workloads.chunks import OpChunk
 
 from repro.common.config import default_system_config
+
+from tests import reference_scheduler
 
 
 def tiny(scheme="noswap", workload="lbmx4"):
@@ -102,18 +105,37 @@ class TestRunLoop:
         assert a.raw.get("hmc/serviced_dram") == b.raw.get("hmc/serviced_dram")
 
 
+class _StubStream:
+    """A stream double handing out *length* ops (endless when None)."""
+
+    _CHUNK = OpChunk([0], [False], [0])
+
+    def __init__(self, length=None):
+        self.remaining = length
+
+    def peek_chunk(self):
+        if self.remaining == 0:
+            return None
+        return self._CHUNK, 0
+
+    def advance(self, count):
+        if self.remaining is not None:
+            self.remaining -= count
+
+
 class _StubCore:
     """A core double exposing exactly the scheduler's interface."""
 
-    def __init__(self, core_id, step_cycles, log):
+    def __init__(self, core_id, step_cycles, log, stream_length=None):
         self.core_id = core_id
         self.clock = 0.0
         self.ops_executed = 0
         self.done = False
+        self.ops = _StubStream(stream_length)
         self._step_cycles = step_cycles
         self._log = log
 
-    def step(self):
+    def execute(self, op):
         self._log.append((self.core_id, self.clock))
         self.clock += self._step_cycles
         self.ops_executed += 1
@@ -122,14 +144,13 @@ class _StubCore:
 class _StubSystem:
     """Bare ``cores`` holder to drive ``System.run_ops`` in isolation.
 
-    Pinned to the scalar engine: these tests define the reference
-    interleaving the batched engine must reproduce (the batched side is
-    held to it by tests/integration/test_engine_equivalence.py).
+    Runs on the reference scheduler: these tests define the interleaving
+    the engine must reproduce (the engine is held to it by
+    tests/integration/test_engine_equivalence.py).
     """
 
     run_ops = System.run_ops
-    _run_to_targets = System._run_to_targets
-    engine = "scalar"
+    _run_to_targets = reference_scheduler.run_to_targets
 
     def __init__(self, cores):
         self.cores = cores
@@ -176,15 +197,9 @@ class TestSchedulerTieBreaking:
 
     def test_done_core_leaves_the_heap(self):
         log = []
-        finishing = _StubCore(0, 10, log)
+        finishing = _StubCore(0, 10, log, stream_length=2)
         running = _StubCore(1, 10, log)
-
-        def finish_after_two():
-            _StubCore.step(finishing)
-            if finishing.ops_executed == 2:
-                finishing.done = True
-
-        finishing.step = finish_after_two
         _StubSystem([finishing, running]).run_ops(5)
+        assert finishing.done
         assert finishing.ops_executed == 2
         assert running.ops_executed == 5

@@ -6,11 +6,12 @@ import pytest
 
 from repro.sim.cpu import MemoryOp
 from repro.workloads import workload_by_name
+from repro.workloads.chunks import ops_from_blocks
 from repro.workloads.trace import (
     TraceFormatError,
     read_trace,
     record_trace,
-    trace_replay,
+    trace_replay_blocks,
     trace_workload,
     write_trace,
 )
@@ -58,7 +59,8 @@ class TestReplay:
         path = tmp_path / "t.trace"
         write_trace(path, OPS)
         rng = DeterministicRng("t")
-        replayed = list(itertools.islice(trace_replay(rng, 0, path=str(path)), 7))
+        blocks = trace_replay_blocks(rng, 0, path=str(path))
+        replayed = list(itertools.islice(ops_from_blocks(blocks), 7))
         assert replayed == OPS + OPS + OPS[:1]
 
 
