@@ -1,6 +1,6 @@
 """Micro-benchmark: whole-program analyzer cold vs warm runtime.
 
-CI runs ``repro lint --program`` on every push, so the analyzer's cost
+CI runs ``repro lint`` on every push, so the analyzer's cost
 is a direct tax on iteration speed.  This bench pins two budgets:
 
 * a **cold** run (parse + extract + propagate for the whole repo) must
@@ -27,7 +27,7 @@ COLD_BUDGET_S = 60.0
 
 def _timed_program_run(cache_path):
     start = time.perf_counter()
-    engine = LintEngine(root=REPO_ROOT, program=True, cache_path=cache_path)
+    engine = LintEngine(root=REPO_ROOT, cache_path=cache_path)
     report = engine.run([REPO_ROOT / "src" / "repro"])
     elapsed = time.perf_counter() - start
     assert report.parse_errors == []
@@ -53,7 +53,7 @@ def test_analyzer_cold_vs_warm_runtime(tmp_path):
         "— the facts cache is not being used"
     )
     print(
-        f"\nlint --program: cold {cold_s:.2f}s, warm {warm_s:.2f}s "
+        f"\nrepro lint: cold {cold_s:.2f}s, warm {warm_s:.2f}s "
         f"({cold_model.cache_misses} files, "
         f"{len(cold_model.table.functions)} functions, "
         f"{len(cold_model.graph.edges)} call edges)"

@@ -1,18 +1,20 @@
 """A single set-associative, write-back, LRU cache level.
 
-Two implementations of the same contract:
+Two implementations of the same contract (docs/PERFORMANCE.md, "Cache
+and TLB models", measures both):
 
-* :class:`SetAssociativeCache` — the original ``OrderedDict``-per-set
-  model (LRU order is the dict order).  Kept as the reference oracle the
-  property suite differences against.
-* :class:`SoaCache` — the struct-of-arrays model the simulator runs.
-  Per set: a ``tag -> way`` index dict plus parallel per-way arrays
-  (tag, dirty bit, last-touch age).  The LRU victim is ``argmin(age)``
-  under a strictly increasing touch counter — no ties, so the victim is
-  exactly the ``OrderedDict``'s LRU-first ``popitem``.  The batched
-  engine's chunk kernel reads the way dicts and age/dirty arrays
-  directly; the shared one-element age cell keeps engine-side and
-  method-side touches on a single counter with no flush protocol.
+* :class:`SetAssociativeCache` — the ``OrderedDict``-per-set model (LRU
+  order is the dict order).  It runs the shared L3, whose accesses are
+  almost all misses, where C-speed ``popitem`` and inserts win.
+* :class:`SoaCache` — the struct-of-arrays model of the private L1/L2,
+  which wins the hit path the engine batches.  Per set: a ``tag -> way``
+  index dict plus parallel per-way lists (tag, dirty bit, last-touch
+  age).  The LRU victim is ``argmin(age)`` under a strictly increasing
+  touch counter — no ties, so the victim is exactly the
+  ``OrderedDict``'s LRU-first ``popitem``.  The batched engine's chunk
+  kernel reads the way dicts and age/dirty lists directly; the shared
+  one-element age cell keeps engine-side and method-side touches on a
+  single counter with no flush protocol.
 """
 
 from __future__ import annotations
@@ -99,18 +101,6 @@ class SetAssociativeCache:
             victim = EvictedLine(victim_line, victim_dirty)
         entries[tag] = dirty
         return victim
-
-    def invalidate(self, line_number: int) -> bool:
-        """Drop a line if present; returns whether it was present."""
-        set_index, tag = self._locate(line_number)
-        return self._sets[set_index].pop(tag, None) is not None
-
-    def invalidate_page(self, page_number: int, lines_per_page: int = 64) -> int:
-        """Drop every line of a page; returns how many were present."""
-        first = page_number * lines_per_page
-        return sum(
-            1 for offset in range(lines_per_page) if self.invalidate(first + offset)
-        )
 
     @property
     def occupancy(self) -> int:
@@ -219,23 +209,6 @@ class SoaCache:
         ages[way] = age[0]
         age[0] += 1
         return victim
-
-    def invalidate(self, line_number: int) -> bool:
-        """Drop a line if present; returns whether it was present."""
-        set_index = line_number % self.num_sets
-        way = self._way_of[set_index].pop(line_number // self.num_sets, None)
-        if way is None:
-            return False
-        self._tags[set_index][way] = self._EMPTY
-        self._dirty[set_index][way] = False
-        return True
-
-    def invalidate_page(self, page_number: int, lines_per_page: int = 64) -> int:
-        """Drop every line of a page; returns how many were present."""
-        first = page_number * lines_per_page
-        return sum(
-            1 for offset in range(lines_per_page) if self.invalidate(first + offset)
-        )
 
     @property
     def occupancy(self) -> int:

@@ -73,7 +73,7 @@ class FigureResult:
         # Regenerable presentation output, not durable state: a torn CSV
         # is fixed by re-running the report, so persist's atomicity and
         # checksum stamp would only get in external plotting tools' way.
-        with open(path, "w", newline="") as handle:  # repro-lint: disable=RL007
+        with open(path, "w", newline="") as handle:  # repro-lint: disable=RL105
             handle.write(self.to_csv())
 
     def render(self) -> str:

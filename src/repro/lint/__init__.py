@@ -3,14 +3,14 @@
 The runtime sanitizer (``repro.check``) catches invariant violations that a
 particular run happens to exercise; this package catches whole classes of
 reproducibility bugs statically, across *all* code paths, at zero simulation
-cost:
+cost.  Every run builds one whole-program model (:mod:`repro.lint.program`)
+and applies ten rules, one per property:
 
 * **RL001 determinism** — unseeded randomness and wall-clock reads inside
   the simulation core (use :class:`repro.common.rng.DeterministicRng`),
   ``id()``-keyed dictionaries, and unordered ``set`` iteration.
-* **RL002 stats discipline** — dynamic stats keys on hot paths, typo'd
-  (near-duplicate) keys, keys read but never recorded, and keys recorded
-  but never consumed by the metrics/analysis/golden layers.
+* **RL002 stats-key hygiene** — dynamically-built stats keys at record
+  sites in the simulation packages.
 * **RL003 config liveness** — dead configuration knobs (dataclass fields
   nobody reads) and reads of fields no config class declares.
 * **RL004 unit hygiene** — arithmetic mixing ``Cycles``-annotated
@@ -18,31 +18,19 @@ cost:
 * **RL005 hot-path hygiene** — per-call dataclass construction and
   dynamically-built stats keys inside functions marked ``# repro-hot``
   (the per-operation path inventoried in ``docs/PERFORMANCE.md``).
+* **RL101 stats liveness** — keys read but recorded nowhere, keys recorded
+  but read nowhere, and near-duplicate (typo'd) keys, program-wide.
+* **RL102 determinism taint** — nondeterministic values reaching simulator
+  state or stats records through any chain of calls.
+* **RL103 snapshot safety** — process-local objects stored on any class a
+  checkpoint of ``System`` can reach.
+* **RL104 SoA contracts** — dtype conflicts and per-element escapes in
+  ``# repro-hot`` numpy kernels.
+* **RL105 persist discipline** — raw state-file writes in the persistence
+  packages, direct or through helpers outside them.
 
 Use it as ``python -m repro lint [--format text|json]``; see
 ``docs/LINTING.md`` for the rule catalogue, the ``# repro-lint:
-disable=RULE`` suppression syntax, and the baseline workflow.
+disable=RULE`` suppression syntax, and the baseline workflow.  The API
+lives in :mod:`repro.lint.engine` (``LintEngine``, ``lint_paths``).
 """
-
-from repro.lint.baseline import Baseline, DEFAULT_BASELINE_PATH
-from repro.lint.engine import (
-    Finding,
-    LintEngine,
-    LintReport,
-    Rule,
-    Severity,
-    all_rules,
-    lint_paths,
-)
-
-__all__ = [
-    "Baseline",
-    "DEFAULT_BASELINE_PATH",
-    "Finding",
-    "LintEngine",
-    "LintReport",
-    "Rule",
-    "Severity",
-    "all_rules",
-    "lint_paths",
-]

@@ -19,8 +19,6 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.lint.engine import Finding, LintReport
 
-DEFAULT_BASELINE_PATH = "lint-baseline.json"
-
 _FORMAT_VERSION = 1
 
 

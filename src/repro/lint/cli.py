@@ -2,7 +2,8 @@
 
 Kept separate from :mod:`repro.cli` so the argparse layer stays thin and
 the command is importable (and testable) as a function: ``run_lint``
-returns the process exit code.
+returns the process exit code.  Building the parser imports nothing
+else from :mod:`repro.lint`; the analyzer loads only when a lint runs.
 """
 
 from __future__ import annotations
@@ -11,12 +12,14 @@ import argparse
 from pathlib import Path
 from typing import List, Optional
 
-from repro.lint.baseline import Baseline, DEFAULT_BASELINE_PATH
-from repro.lint.engine import LintEngine, Severity
-from repro.lint.program.cache import DEFAULT_CACHE_PATH
-
 #: What the linter covers when no explicit path is given.
 DEFAULT_LINT_PATHS = ("src/repro",)
+
+#: The committed baseline of grandfathered findings, relative to the root.
+DEFAULT_BASELINE_PATH = "lint-baseline.json"
+
+#: The facts cache of the whole-program analyzer, relative to the root.
+DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
 
 
 def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
@@ -47,25 +50,17 @@ def add_lint_arguments(parser: argparse.ArgumentParser) -> None:
         help="project root paths are resolved against (default: cwd)",
     )
     parser.add_argument(
-        "--program", action="store_true",
-        help="enable the whole-program analyzer (RL1xx rules: cross-module "
-             "stats liveness, determinism taint, checkpoint reachability, "
-             "SoA kernel contracts)",
-    )
-    parser.add_argument(
         "--cache", default=None, metavar="PATH",
-        help="facts-cache file for incremental --program runs "
-             f"(default: {DEFAULT_CACHE_PATH}); only read/written with "
-             "--program",
+        help="facts-cache file of the whole-program analyzer "
+             f"(default: {DEFAULT_CACHE_PATH})",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="force a cold --program run (no cache read or write)",
+        help="force a cold run (no cache read or write)",
     )
     parser.add_argument(
         "--graph", choices=("dot",), default=None,
-        help="instead of linting, dump the resolved whole-program call "
-             "graph (implies --program)",
+        help="instead of linting, dump the resolved whole-program call graph",
     )
 
 
@@ -76,29 +71,26 @@ def run_lint(
     use_baseline: bool = True,
     update_baseline: bool = False,
     root: Optional[Path] = None,
-    program: bool = False,
     cache: Optional[str] = None,
     no_cache: bool = False,
     graph: Optional[str] = None,
 ) -> int:
     """Lint *paths* and print a report; returns the process exit code."""
+    from repro.lint.baseline import Baseline
+    from repro.lint.engine import LintEngine, Severity
+
     root = (root or Path.cwd()).resolve()
-    if graph is not None:
-        program = True
     cache_path: Optional[Path] = None
-    if program and not no_cache:
+    if not no_cache:
         cache_path = Path(cache) if cache else Path(DEFAULT_CACHE_PATH)
         if not cache_path.is_absolute():
             cache_path = root / cache_path
-    engine = LintEngine(root=root, program=program, cache_path=cache_path)
+    engine = LintEngine(root=root, cache_path=cache_path)
     report = engine.run(list(paths) if paths else list(DEFAULT_LINT_PATHS))
 
     if graph == "dot":
-        model = engine.last_program_model
-        if model is None:
-            print("error: program model unavailable (parse errors?)")
-            return 1
-        print(model.graph.to_dot(), end="")
+        assert engine.last_program_model is not None
+        print(engine.last_program_model.graph.to_dot(), end="")
         return 0
 
     baseline_file = Path(baseline_path)
@@ -151,7 +143,6 @@ def command_lint(args: argparse.Namespace) -> int:
         use_baseline=not args.no_baseline,
         update_baseline=args.update_baseline,
         root=Path(args.root) if args.root else None,
-        program=args.program,
         cache=args.cache,
         no_cache=args.no_cache,
         graph=args.graph,

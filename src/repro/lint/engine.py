@@ -1,15 +1,16 @@
 """The lint rule engine: file loading, rule dispatch, suppressions.
 
-The engine parses every target file once, hands the AST to each registered
-rule twice — a per-file ``collect`` pass and a whole-project ``finalize``
-pass — and then filters the emitted findings through inline suppressions
-and (optionally) the committed baseline.
+The engine parses every target file once, builds the whole-program model
+(:mod:`repro.lint.program`) over those files plus the rest of
+``src/repro``, hands each registered rule a per-file ``collect`` pass and
+a whole-project ``finalize`` pass, and then filters the emitted findings
+through inline suppressions and (optionally) the committed baseline.
 
 Rules are plain classes registered with :func:`register_rule`; each one
 owns a rule id (``RL001`` ...), a default severity, and whatever state it
-needs to accumulate across files.  Cross-file rules (stats-key liveness,
-config liveness) collect facts in ``collect`` and emit in ``finalize``;
-single-file rules emit directly from ``collect``.
+needs to accumulate across files.  Per-file rules (RL001–RL005) read the
+AST in ``collect``; whole-program rules (RL101–RL105) read the model in
+``finalize``.
 """
 
 from __future__ import annotations
@@ -21,7 +22,10 @@ import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Type, Union
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Type, Union
+
+if TYPE_CHECKING:
+    from repro.lint.program.model import ProgramModel
 
 #: Path segments that mark simulation-critical code: determinism and
 #: stats-discipline rules apply only inside these packages.
@@ -131,27 +135,25 @@ class SourceFile:
         return any(name in ("all", rule) for name in rules)
 
     @property
-    def parts(self) -> Sequence[str]:
-        """The relpath's path segments (used for package scoping)."""
-        return Path(self.relpath).parts
-
-    @property
     def in_sim_package(self) -> bool:
-        return any(part in SIM_PACKAGES for part in self.parts)
+        return any(part in SIM_PACKAGES for part in Path(self.relpath).parts)
 
 
 class ProjectContext:
-    """Shared state handed to every rule: target files and the sink."""
+    """Shared state handed to every rule: target files, model and sink."""
 
-    def __init__(self, root: Path):
+    def __init__(
+        self, root: Path, files: Sequence[SourceFile], program_model: "ProgramModel"
+    ):
         self.root = root
-        self.files: List[SourceFile] = []
+        self.files = list(files)
+        #: Exact relpath -> linted file, for suppressions and program rules.
+        self.files_by_relpath: Dict[str, SourceFile] = {
+            source.relpath: source for source in self.files
+        }
         self.findings: List[Finding] = []
-        #: The whole-program model when ``--program`` is active (a
-        #: :class:`repro.lint.program.model.ProgramModel`); rules use it
-        #: both to emit RL1xx findings and to dedupe their per-file
-        #: approximations (RL002/RL006).
-        self.program_model: Optional[object] = None
+        #: The whole-program model the RL1xx rules interpret.
+        self.program_model = program_model
 
     def emit(
         self,
@@ -173,12 +175,6 @@ class ProjectContext:
                 message=message,
             )
         )
-
-    def file_by_relpath(self, relpath: str) -> Optional[SourceFile]:
-        for source in self.files:
-            if source.relpath == relpath or source.relpath.endswith(relpath):
-                return source
-        return None
 
 
 class Rule:
@@ -212,8 +208,9 @@ def register_rule(cls: Type[Rule]) -> Type[Rule]:
 
 def all_rules() -> List[Rule]:
     """Fresh instances of every registered rule (import-time registry)."""
-    # Importing the rules package populates the registry on first use.
+    # Importing the rule packages populates the registry on first use.
     from repro.lint import rules  # noqa: F401
+    from repro.lint.program import rules as program_rules  # noqa: F401
 
     return [cls() for cls in _REGISTRY]
 
@@ -272,16 +269,14 @@ class LintEngine:
         self,
         rules: Optional[Sequence[Rule]] = None,
         root: Optional[Path] = None,
-        program: bool = False,
         cache_path: Optional[Path] = None,
     ):
         self.rules = list(rules) if rules is not None else all_rules()
         self.root = (root or Path.cwd()).resolve()
-        self.program = program
-        #: Facts-cache location for program mode; None disables caching.
+        #: Facts-cache location; None disables caching.
         self.cache_path = cache_path
         #: The last run's program model (for --graph dumps and tests).
-        self.last_program_model: Optional[object] = None
+        self.last_program_model: Optional["ProgramModel"] = None
 
     # -- file collection ---------------------------------------------------
     def collect_files(self, paths: Sequence[Union[str, Path]]) -> List[Path]:
@@ -309,8 +304,11 @@ class LintEngine:
 
     # -- execution ---------------------------------------------------------
     def run(self, paths: Sequence[Union[str, Path]]) -> LintReport:
+        from repro.lint.program.cache import AnalysisCache
+        from repro.lint.program.model import build_program_model
+
         report = LintReport()
-        ctx = ProjectContext(self.root)
+        files: List[SourceFile] = []
         for path in self.collect_files(paths):
             try:
                 text = path.read_text(encoding="utf-8")
@@ -318,34 +316,23 @@ class LintEngine:
             except (SyntaxError, UnicodeDecodeError, OSError) as exc:
                 report.parse_errors.append(f"{self._relpath(path)}: {exc}")
                 continue
-            ctx.files.append(SourceFile(path, self._relpath(path), text, tree))
-        report.files_checked = len(ctx.files)
+            files.append(SourceFile(path, self._relpath(path), text, tree))
+        report.files_checked = len(files)
 
-        rules = self.rules
-        if self.program:
-            # Build the whole-program model *before* any collect pass so
-            # per-file rules can already dedupe against it, then append
-            # the RL1xx rules to the dispatch list.
-            from repro.lint.program.base import all_program_rules
-            from repro.lint.program.cache import AnalysisCache
-            from repro.lint.program.model import build_program_model
-
-            cache = AnalysisCache(self.cache_path) if self.cache_path else None
-            model = build_program_model(self.root, ctx.files, cache)
-            ctx.program_model = model
-            self.last_program_model = model
-            rules = rules + all_program_rules()
-
-        for rule in rules:
+        cache = AnalysisCache(self.cache_path) if self.cache_path else None
+        model = build_program_model(self.root, files, cache)
+        self.last_program_model = model
+        ctx = ProjectContext(self.root, files, model)
+        for rule in self.rules:
             for source in ctx.files:
                 rule.collect(source, ctx)
-        for rule in rules:
+        for rule in self.rules:
             rule.finalize(ctx)
 
         for finding in sorted(
             ctx.findings, key=lambda f: (f.path, f.line, f.col, f.rule)
         ):
-            source = ctx.file_by_relpath(finding.path)
+            source = ctx.files_by_relpath.get(finding.path)
             if source is not None and source.is_suppressed(finding.rule, finding.line):
                 report.suppressed += 1
             else:
@@ -357,10 +344,7 @@ def lint_paths(
     paths: Sequence[Union[str, Path]],
     root: Optional[Path] = None,
     rules: Optional[Sequence[Rule]] = None,
-    program: bool = False,
     cache_path: Optional[Path] = None,
 ) -> LintReport:
     """Convenience wrapper: lint *paths* with the default rule set."""
-    return LintEngine(
-        rules=rules, root=root, program=program, cache_path=cache_path
-    ).run(paths)
+    return LintEngine(rules=rules, root=root, cache_path=cache_path).run(paths)

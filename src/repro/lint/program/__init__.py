@@ -5,23 +5,6 @@ content hash (:mod:`~repro.lint.program.cache`), composed into a symbol
 table and call graph (:mod:`~repro.lint.program.symbols`,
 :mod:`~repro.lint.program.callgraph`), and closed under interprocedural
 propagation (:mod:`~repro.lint.program.model`).  The RL1xx rules in
-:mod:`~repro.lint.program.rules` interpret the resulting model.
+:mod:`~repro.lint.program.rules` interpret the resulting model; every
+``repro lint`` run builds it.
 """
-
-from repro.lint.program.base import (
-    ProgramRule,
-    all_program_rules,
-    register_program_rule,
-)
-from repro.lint.program.cache import DEFAULT_CACHE_PATH, AnalysisCache
-from repro.lint.program.model import ProgramModel, build_program_model
-
-__all__ = [
-    "AnalysisCache",
-    "DEFAULT_CACHE_PATH",
-    "ProgramModel",
-    "ProgramRule",
-    "all_program_rules",
-    "build_program_model",
-    "register_program_rule",
-]

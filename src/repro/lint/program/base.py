@@ -1,10 +1,11 @@
-"""Base class and registry for whole-program (RL1xx) rules.
+"""Base class for whole-program (RL1xx) rules.
 
 A program rule is an ordinary engine :class:`~repro.lint.engine.Rule`
-whose ``collect`` pass is a no-op; all of its reasoning happens in
-``finalize`` against ``ctx.program_model`` (a
+(registered with :func:`~repro.lint.engine.register_rule`) whose
+``collect`` pass is a no-op; all of its reasoning happens in ``finalize``
+against ``ctx.program_model`` (the
 :class:`~repro.lint.program.model.ProgramModel` the engine builds before
-dispatching rules when ``--program`` is active).
+dispatching rules).
 
 Program rules must emit findings only into *linted* files: the model
 spans the full ``src/repro`` tree even when a subset is linted, and a
@@ -14,25 +15,10 @@ the user who asked for that subset.
 
 from __future__ import annotations
 
-from typing import List, Optional, Type
+from typing import Optional
 
 from repro.lint.engine import Finding, ProjectContext, Rule, Severity, SourceFile
 from repro.lint.program.model import ProgramModel
-
-_PROGRAM_REGISTRY: List[Type["ProgramRule"]] = []
-
-
-def register_program_rule(cls: Type["ProgramRule"]) -> Type["ProgramRule"]:
-    """Class decorator adding a rule to the program (``--program``) set."""
-    _PROGRAM_REGISTRY.append(cls)
-    return cls
-
-
-def all_program_rules() -> List["ProgramRule"]:
-    """Fresh instances of every registered program rule."""
-    from repro.lint.program import rules  # noqa: F401  (registry import)
-
-    return [cls() for cls in _PROGRAM_REGISTRY]
 
 
 class ProgramRule(Rule):
@@ -42,10 +28,7 @@ class ProgramRule(Rule):
         """Program rules read extracted facts, not per-file ASTs."""
 
     def finalize(self, ctx: ProjectContext) -> None:
-        model: Optional[ProgramModel] = getattr(ctx, "program_model", None)
-        if model is None:
-            return
-        self.check(model, ctx)
+        self.check(ctx.program_model, ctx)
 
     def check(self, model: ProgramModel, ctx: ProjectContext) -> None:
         raise NotImplementedError
@@ -61,14 +44,13 @@ class ProgramRule(Rule):
         severity: Optional[Severity] = None,
     ) -> None:
         """Emit a finding at a file position, linted files only."""
-        source = ctx.file_by_relpath(relpath)
-        if source is None:
+        if relpath not in ctx.files_by_relpath:
             return  # outside the linted set — the model is wider than it
         ctx.findings.append(
             Finding(
                 rule=self.rule_id,
                 severity=severity if severity is not None else self.default_severity,
-                path=source.relpath,
+                path=relpath,
                 line=line,
                 col=col,
                 message=message,

@@ -17,9 +17,6 @@ from typing import Dict, Optional, Set
 
 from repro.lint.program.facts import FACTS_VERSION, ModuleFacts
 
-#: Default on-disk location, relative to the project root.
-DEFAULT_CACHE_PATH = ".repro-lint-cache.json"
-
 
 def content_key(relpath: str, text: str) -> str:
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()

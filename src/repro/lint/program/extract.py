@@ -8,7 +8,10 @@ content-hash cache sound: same bytes, same facts.
 The extractor knows the file's *local* context — its imports, its
 package location, which receivers look like stats registries or
 DeterministicRng streams — and encodes policy for the taint walker
-through a :class:`~repro.lint.program.dataflow.TaintEnv`.
+through a :class:`~repro.lint.program.dataflow.TaintEnv`.  It also owns
+the two classifiers that decide what a snapshot-unsafe ``self``
+assignment is (:func:`classify_unsafe_value`, for RL103) and what a raw
+persistent write is (:func:`classify_raw_write`, for RL105).
 """
 
 from __future__ import annotations
@@ -38,18 +41,15 @@ from repro.lint.program.facts import (
 )
 from repro.lint.program.symbols import module_name_for
 from repro.lint.rules.hot_path import _marked_hot, _numpy_aliases
-from repro.lint.rules.persist_discipline import classify_raw_write
-from repro.lint.rules.snapshot_safety import (
-    _EXEMPT_METHODS,
-    SnapshotSafetyRule,
-    _returns_nested_function,
-    _rooted_at_self,
-)
-from repro.lint.rules.stats_keys import _is_registry_dict_access
 
 #: Mirrors RL001/RL002: stats record/read method names and receivers.
 _RECORD_METHODS = frozenset({"add", "observe", "counter", "observer"})
 _READ_METHODS = frozenset({"get", "mean", "total", "count", "maximum"})
+
+#: StatsRegistry's backing dicts.  Flattened hot paths record into them
+#: directly, by literal key (``counters = stats._counters`` then
+#: ``counters["hmc/x"] += 1.0``); those writes are record sites too.
+_REGISTRY_DICTS = frozenset({"_counters", "_sums", "_counts", "_maxima"})
 
 #: Wall-clock/entropy attributes per source module.
 _SOURCE_ATTRS: Dict[str, "frozenset[str]"] = {
@@ -78,6 +78,163 @@ DTYPE_ORDER: Dict[str, int] = {
 }
 
 
+# -- snapshot safety (RL103) ------------------------------------------------
+
+#: Defining any of these makes a class own its pickled encoding: RL103
+#: trusts it and does not traverse into what it holds.
+_OWN_ENCODING_METHODS = frozenset({"__getstate__", "__reduce__", "__reduce_ex__"})
+
+#: The checkpoint writer calls ``snapshot_detach`` around every pickle, so
+#: a class defining it may keep process-local members on itself — but the
+#: objects it holds are still pickled, and still checked.
+_DETACH_METHOD = "snapshot_detach"
+
+_THREADING_PRIMITIVES = frozenset(
+    {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
+     "Event", "Barrier"}
+)
+
+#: ``socket.<ctor>`` calls that hand back a live kernel socket.
+_SOCKET_CONSTRUCTORS = frozenset(
+    {"socket", "create_connection", "socketpair", "fromfd"}
+)
+
+#: ``selectors.<cls>()`` — selector objects wrap epoll/kqueue fds.
+_SELECTOR_CLASSES = frozenset(
+    {"DefaultSelector", "SelectSelector", "PollSelector", "EpollSelector",
+     "DevpollSelector", "KqueueSelector"}
+)
+
+
+def _rooted_at_self(node: ast.AST) -> bool:
+    """True for ``self.x`` and deeper chains like ``self.hmc.handle``."""
+    while isinstance(node, ast.Attribute):
+        node = node.value
+    return isinstance(node, ast.Name) and node.id == "self"
+
+
+def _nested_function_names(func: FunctionNode, nodes: Sequence[ast.AST]) -> Set[str]:
+    """Names of the functions defined inside *func* (whose *nodes* these are)."""
+    return {
+        child.name
+        for child in nodes
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and child is not func
+    }
+
+
+def _returns_nested_function(nodes: Sequence[ast.AST], inner: Set[str]) -> bool:
+    """True when a function (*nodes*, nested names *inner*) returns a
+    lambda or one of its nested functions."""
+    for child in nodes:
+        if not isinstance(child, ast.Return) or child.value is None:
+            continue
+        value = child.value
+        if isinstance(value, ast.Lambda):
+            return True
+        if isinstance(value, ast.Name) and value.id in inner:
+            return True
+    return False
+
+
+def classify_unsafe_value(
+    value: ast.AST, local_functions: Set[str], factories: Set[str]
+) -> Optional[str]:
+    """Describe *value* when storing it on ``self`` breaks a checkpoint.
+
+    Process-local objects do not survive pickling: a lambda or closure,
+    the result of a closure factory (a method of the same class returning
+    a nested function), an open file, a threading primitive, a live
+    socket or an I/O selector.  Returns None for anything else.
+    """
+    if isinstance(value, ast.Lambda):
+        return "a lambda"
+    if isinstance(value, ast.Name) and value.id in local_functions:
+        return f"the local closure {value.id!r}"
+    if not isinstance(value, ast.Call):
+        return None
+    func = value.func
+    if isinstance(func, ast.Name):
+        if func.id == "open":
+            return "an open file handle"
+        if func.id == "socket":
+            return "a live socket"  # the ``from socket import socket`` idiom
+        if func.id in _SELECTOR_CLASSES:
+            return f"a live I/O selector ({func.id})"
+        if func.id in local_functions:
+            return f"the result of local closure {func.id!r}"
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        base, attr = func.value.id, func.attr
+        if base == "threading" and attr in _THREADING_PRIMITIVES:
+            return f"a threading.{attr}"
+        if base == "socket" and attr in _SOCKET_CONSTRUCTORS:
+            return f"a live socket (socket.{attr})"
+        if base == "selectors" and attr in _SELECTOR_CLASSES:
+            return f"a live I/O selector (selectors.{attr})"
+        if base == "self" and attr in factories:
+            return f"a closure built by factory method {attr!r}"
+    return None
+
+
+# -- persist discipline (RL105) ---------------------------------------------
+
+#: ``open`` modes that create or mutate the target file.
+_WRITE_MODE_CHARS = frozenset("wax+")
+
+
+def _literal_mode(candidate: Optional[ast.expr]) -> Optional[str]:
+    if isinstance(candidate, ast.Constant) and isinstance(candidate.value, str):
+        return candidate.value
+    return None
+
+
+def _keyword_mode(node: ast.Call) -> Optional[ast.expr]:
+    return next((kw.value for kw in node.keywords if kw.arg == "mode"), None)
+
+
+def classify_raw_write(node: ast.Call) -> Optional[str]:
+    """Describe *node* when it is a raw persistent-write call, else None.
+
+    The shapes: ``open(..., mode)`` and ``<path>.open(mode)`` with a
+    literal mode containing ``w``, ``a``, ``x`` or ``+``;
+    ``json.dump``/``pickle.dump``; ``<path>.write_text``/``write_bytes``.
+    """
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = _literal_mode(node.args[1] if len(node.args) >= 2 else _keyword_mode(node))
+        if mode is not None and _WRITE_MODE_CHARS.intersection(mode):
+            return f'open(..., "{mode}")'
+        return None
+    if isinstance(func, ast.Attribute):
+        base = func.value
+        if isinstance(base, ast.Name) and base.id in ("json", "pickle") \
+                and func.attr == "dump":
+            return f"{base.id}.dump(...)"
+        if func.attr in ("write_text", "write_bytes"):
+            return f".{func.attr}(...)"
+        if func.attr == "open":
+            mode = _literal_mode(node.args[0] if node.args else _keyword_mode(node))
+            if mode is not None and _WRITE_MODE_CHARS.intersection(mode):
+                return f'.open("{mode}")'
+    return None
+
+
+def _raw_writes_in(nodes: Sequence[ast.AST]) -> List[RawWrite]:
+    """Every raw persistent-write call site among *nodes*."""
+    out: List[RawWrite] = []
+    for child in nodes:
+        if isinstance(child, ast.Call):
+            write = classify_raw_write(child)
+            if write is not None:
+                out.append(RawWrite(write, child.lineno, child.col_offset))
+    return out
+
+
+def _is_class_name(name: str) -> bool:
+    """Class-shaped identifier: capitalized, private ones (``_Pod``) too."""
+    return name.lstrip("_")[:1].isupper()
+
+
 def _attr_chain(node: ast.AST) -> Optional[List[str]]:
     """``a.b.c`` → ["a", "b", "c"]; None when the root is not a Name."""
     parts: List[str] = []
@@ -103,7 +260,11 @@ def _is_registry_dict(node: ast.AST, local_names: Set[str]) -> bool:
     """``stats._counters``-style access, or a local bound to one."""
     if isinstance(node, ast.Name):
         return node.id in local_names
-    return _is_registry_dict_access(node)
+    return (
+        isinstance(node, ast.Attribute)
+        and node.attr in _REGISTRY_DICTS
+        and _is_stats_receiver(node.value)
+    )
 
 
 def _annotation_class_leaves(node: Optional[ast.AST]) -> List[str]:
@@ -117,7 +278,7 @@ def _annotation_class_leaves(node: Optional[ast.AST]) -> List[str]:
     out: List[str] = []
     for child in ast.walk(node):
         if isinstance(child, ast.Name):
-            if child.id[:1].isupper() and child.id not in (
+            if _is_class_name(child.id) and child.id not in (
                 "List", "Dict", "Set", "Tuple", "Optional", "Union",
                 "Sequence", "Mapping", "Iterable", "Callable", "Type",
                 "FrozenSet", "Deque", "DefaultDict", "Any", "None",
@@ -140,6 +301,10 @@ class _Extractor:
         self.relpath = relpath
         self.lines = text.splitlines()
         self.tree = tree
+        #: Every node of the file, walked once for the module-wide passes.
+        self.nodes: List[ast.AST] = list(ast.walk(tree))
+        #: id(function node) -> its walked nodes (see :meth:`_walk`).
+        self._walks: Dict[int, List[ast.AST]] = {}
         self.module = module_name_for(relpath)
         parts = tuple(part for part in relpath.split("/") if part)
         self.in_sim_package = any(part in SIM_PACKAGES for part in parts)
@@ -161,8 +326,16 @@ class _Extractor:
         #: self._key_* attrs -> literal key (record-site resolution).
         self.key_attrs: Dict[str, str] = {}
 
+    def _walk(self, func: FunctionNode) -> List[ast.AST]:
+        """``ast.walk(func)`` as a list, computed once per function."""
+        nodes = self._walks.get(id(func))
+        if nodes is None:
+            nodes = self._walks[id(func)] = list(ast.walk(func))
+        return nodes
+
     # -- entry point -------------------------------------------------------
     def run(self) -> ModuleFacts:
+        self.facts.raw_writes = _raw_writes_in(self.nodes)
         self._collect_imports()
         self.np_modules, self.np_names = _numpy_aliases(self.tree)
         self._collect_module_level()
@@ -176,13 +349,12 @@ class _Extractor:
                 self._collect_function(node, class_name=None)
         self._collect_stats_sites()
         self._collect_arrays()
-        self._collect_odict_attrs()
         return self.facts
 
     # -- imports -----------------------------------------------------------
     def _collect_imports(self) -> None:
         package_parts = self.module.split(".")[:-1] if self.module else []
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     local = alias.asname or alias.name.split(".")[0]
@@ -258,7 +430,7 @@ class _Extractor:
         return leaf == "DeterministicRng" or imported.endswith("DeterministicRng")
 
     def _collect_rng_bindings(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if not isinstance(node, ast.Assign) or not isinstance(node.value, ast.Call):
                 continue
             if not self._looks_like_rng_call(node.value):
@@ -270,7 +442,7 @@ class _Extractor:
                     self.rng_attrs.add(target.attr)
 
     def _collect_key_attrs(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if not isinstance(node, ast.Assign):
                 continue
             if not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)):
@@ -284,7 +456,7 @@ class _Extractor:
                     self.key_attrs[target.attr] = node.value.value
 
     def _collect_codec_registrations(self) -> None:
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if not isinstance(node, ast.Call) or not node.args:
                 continue
             func = node.func
@@ -319,7 +491,7 @@ class _Extractor:
             line=cls.lineno,
             bases=[ref for ref in (self._base_ref(base) for base in cls.bases) if ref],
             methods=[method.name for method in methods],
-            exempt=any(method.name in _EXEMPT_METHODS for method in methods),
+            exempt=any(method.name in _OWN_ENCODING_METHODS for method in methods),
         )
         self._collect_attr_edges(cls, methods, class_facts)
         self._collect_unsafe(cls, methods, class_facts)
@@ -352,7 +524,7 @@ class _Extractor:
             return None
         if chain[0] == "self" and len(chain) == 2:
             return ("self", chain[1])  # factory method — resolved via returns_new
-        if chain[-1][:1].isupper():
+        if _is_class_name(chain[-1]):
             if len(chain) == 1:
                 return ("local", chain[0])
             return ("dotted", *chain)
@@ -376,7 +548,7 @@ class _Extractor:
                 arg.arg: _annotation_class_leaves(arg.annotation)
                 for arg in list(method.args.posonlyargs) + list(method.args.args)
             }
-            for node in ast.walk(method):
+            for node in self._walk(method):
                 if isinstance(node, ast.AnnAssign):
                     target = node.target
                     if (
@@ -392,6 +564,9 @@ class _Extractor:
                             self._value_edges(target.attr, node.value, params, class_facts, node)
                 elif isinstance(node, ast.Assign):
                     for target in node.targets:
+                        # self.<attr>[key] = Ctor(...) — mapping population.
+                        if isinstance(target, ast.Subscript):
+                            target = target.value
                         if (
                             isinstance(target, ast.Attribute)
                             and isinstance(target.value, ast.Name)
@@ -447,19 +622,19 @@ class _Extractor:
         methods: Sequence[FunctionNode],
         class_facts: ClassFacts,
     ) -> None:
-        if class_facts.exempt:
+        if class_facts.exempt or _DETACH_METHOD in class_facts.methods:
             return
+        inner = {
+            id(method): _nested_function_names(method, self._walk(method))
+            for method in methods
+        }
         factories = {
-            method.name for method in methods if _returns_nested_function(method)
+            method.name for method in methods
+            if _returns_nested_function(self._walk(method), inner[id(method)])
         }
         for method in methods:
-            local_functions: Set[str] = {
-                child.name
-                for child in ast.walk(method)
-                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
-                and child is not method
-            }
-            for node in ast.walk(method):
+            local_functions = inner[id(method)]
+            for node in self._walk(method):
                 if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                     continue
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -467,7 +642,7 @@ class _Extractor:
                     _rooted_at_self(target) for target in targets
                 ):
                     continue
-                problem = SnapshotSafetyRule._classify(node.value, local_functions, factories)
+                problem = classify_unsafe_value(node.value, local_functions, factories)
                 if problem is not None:
                     class_facts.unsafe.append(
                         UnsafeAssign(
@@ -567,17 +742,11 @@ class _Extractor:
         flows = analyze_function_taint(func, env, is_method=class_name is not None)
         calls: List[Tuple[Ref, int, int]] = []
         returns_new: List[Ref] = []
-        raw_writes: List[RawWrite] = []
-        for node in ast.walk(func):
+        for node in self._walk(func):
             if isinstance(node, ast.Call):
                 ref = self._callee_ref(node)
                 if ref is not None:
                     calls.append((ref, node.lineno, node.col_offset))
-                write = classify_raw_write(node)
-                if write is not None:
-                    raw_writes.append(
-                        RawWrite(write, node.lineno, node.col_offset)
-                    )
             elif isinstance(node, ast.Return) and node.value is not None:
                 ctor = self._constructor_ref(node.value)
                 if ctor is not None:
@@ -590,7 +759,10 @@ class _Extractor:
             hot=hot,
             returns_new=returns_new,
             return_annotation=_annotation_class_leaves(func.returns),
-            raw_writes=raw_writes,
+            raw_writes=[
+                write for write in self.facts.raw_writes
+                if func.lineno <= write.line <= (func.end_lineno or func.lineno)
+            ],
         )
         if hot:
             self._collect_numpy_events(func, qualname)
@@ -602,7 +774,7 @@ class _Extractor:
             bindings = LocalStringBindings(self.facts.constants)
             #: Local names bound to a registry dict (``counters = stats._counters``).
             registry_dicts: Set[str] = set()
-            for node in _ordered_statements(func):
+            for node in _ordered_statements(func, self._walk(func)):
                 if isinstance(node, ast.Assign):
                     for target in node.targets:
                         bindings.assign(target, node.value)
@@ -742,7 +914,7 @@ class _Extractor:
         if not (self.np_modules or self.np_names):
             return
         for func, class_name in self._walk_function_scopes():
-            for node in ast.walk(func):
+            for node in self._walk(func):
                 if not isinstance(node, (ast.Assign, ast.AnnAssign)):
                     continue
                 value = node.value
@@ -772,75 +944,13 @@ class _Extractor:
                             )
                         )
 
-    def _collect_odict_attrs(self) -> None:
-        """Attribute names assigned an OrderedDict anywhere in this file.
-
-        Catches the direct form (``self._entries = OrderedDict()``) and
-        the per-set containers the reference models use
-        (``self._sets = [OrderedDict() for _ in range(n)]``) — any
-        assignment whose value expression contains an ``OrderedDict``
-        construction marks the target attribute.
-        """
-        found: Set[str] = set()
-        for node in ast.walk(self.tree):
-            if isinstance(node, ast.Assign):
-                targets, value = node.targets, node.value
-            elif isinstance(node, ast.AnnAssign) and node.value is not None:
-                targets, value = [node.target], node.value
-            else:
-                continue
-            if not any(
-                isinstance(call, ast.Call)
-                and (chain := _attr_chain(call.func)) is not None
-                and chain[-1] == "OrderedDict"
-                for call in ast.walk(value)
-            ):
-                continue
-            for target in targets:
-                if isinstance(target, ast.Attribute):
-                    found.add(target.attr)
-        self.facts.odict_attrs = sorted(found)
-
-    #: Mapping-probe methods worth recording in hot kernels: the two
-    #: OrderedDict-only reference-model operations plus the shared-name
-    #: probes (confirmed against ``odict_attrs`` in the RL104 check).
-    _ODICT_PROBES = ("get", "pop", "setdefault", "move_to_end", "popitem")
-
     def _collect_numpy_events(self, func: FunctionNode, qualname: str) -> None:
-        """RL104 raw material: suspicious hot-kernel shapes (numpy ops and
-        potential OrderedDict probes)."""
+        """RL104 raw material: suspicious numpy shapes in a hot kernel."""
         loop_depth_of = _loop_depths(func)
-        #: Local aliases of attribute-rooted mappings inside this hot
-        #: function (``entries = flt._entries`` / ``s = self._sets[i]``),
-        #: so a probe through the alias still resolves to the attr name.
-        mapping_aliases: Dict[str, str] = {}
-        for node in ast.walk(func):
-            if isinstance(node, ast.Assign) and isinstance(
-                node.value, (ast.Attribute, ast.Subscript)
-            ):
-                attr = _operand_name(node.value)
-                if attr:
-                    for target in node.targets:
-                        if isinstance(target, ast.Name):
-                            mapping_aliases[target.id] = attr
-        for node in ast.walk(func):
+        for node in self._walk(func):
             if not isinstance(node, ast.Call):
                 continue
             func_expr = node.func
-            if (
-                isinstance(func_expr, ast.Attribute)
-                and func_expr.attr in self._ODICT_PROBES
-            ):
-                operand = _operand_name(func_expr.value)
-                self.facts.numpy_events.append(
-                    NumpyEvent(
-                        kind="odict_probe", function=qualname,
-                        target=mapping_aliases.get(operand, operand),
-                        detail=f".{func_expr.attr}()",
-                        line=node.lineno, col=node.col_offset,
-                    )
-                )
-                continue
             np_name = self._numpy_call_name(node)
             if np_name in _NUMPY_HOT_ALLOC:
                 self.facts.numpy_events.append(
@@ -903,10 +1013,10 @@ def _loop_depths(func: FunctionNode) -> Dict[int, int]:
     return depths
 
 
-def _ordered_statements(func: FunctionNode) -> List[ast.stmt]:
-    """Every statement inside *func*, in source order."""
+def _ordered_statements(func: FunctionNode, nodes: Sequence[ast.AST]) -> List[ast.stmt]:
+    """Every statement inside *func* (whose *nodes* these are), in source order."""
     out: List[ast.stmt] = []
-    for node in ast.walk(func):
+    for node in nodes:
         if isinstance(node, ast.stmt) and node is not func:
             out.append(node)
     out.sort(key=lambda stmt: (stmt.lineno, stmt.col_offset))

@@ -20,13 +20,14 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 #: Bump when the extraction schema changes; invalidates every cache entry.
-#: 2: snapshot-safety classifier learned sockets/selectors (RL006/RL103).
-#: 3: OrderedDict-holding attrs + hot-kernel odict-probe events (RL104,
-#:    PR-9 array-native streams).
-#: 4: per-function raw persistent-write sites (RL105, PR-10 persist
-#:    discipline).
+#: 2: snapshot-safety classifier learned sockets/selectors (RL103).
+#: 3: OrderedDict-holding attrs + hot-kernel odict-probe events (RL104).
+#: 4: per-function raw persistent-write sites (RL105).
 #: 5: stats records written straight into the registry's dicts (RL101).
-FACTS_VERSION = 5
+#: 6: module-wide raw-write sites (RL105); ``snapshot_detach`` no longer
+#:    marks a class exempt; private class names and ``self.x[k] = C()``
+#:    make attribute edges (RL103); the OrderedDict facts are gone.
+FACTS_VERSION = 6
 
 #: An unresolved reference to a called/constructed symbol, e.g.
 #: ``("local", "Core")``, ``("self", "reset")``, or
@@ -117,9 +118,9 @@ class TaintFlow:
 
 @dataclass
 class RawWrite:
-    """One raw persistent-write call site inside a function (RL105)."""
+    """One raw persistent-write call site (RL105)."""
 
-    #: The RL007 classifier's description, e.g. ``open(..., "w")``.
+    #: The raw-write classifier's description, e.g. ``open(..., "w")``.
     detail: str
     line: int
     col: int
@@ -148,7 +149,7 @@ class FunctionFacts:
     returns_new: List[Ref] = field(default_factory=list)
     #: The declared return annotation's class-name leaves, if any.
     return_annotation: List[str] = field(default_factory=list)
-    #: Raw persistent-write sites (RL007's classifier, recorded for RL105).
+    #: Raw persistent-write sites, nested functions included (RL105).
     raw_writes: List[RawWrite] = field(default_factory=list)
 
     def to_dict(self) -> Dict[str, Any]:
@@ -197,7 +198,7 @@ class AttrEdge:
 
 @dataclass
 class UnsafeAssign:
-    """An RL006-style snapshot-unsafe ``self.<attr> = ...`` assignment."""
+    """A snapshot-unsafe ``self.<attr> = ...`` assignment (RL103)."""
 
     method: str
     problem: str
@@ -225,9 +226,11 @@ class ClassFacts:
     methods: List[str] = field(default_factory=list)
     #: Why instances of other classes may be reachable through attributes.
     attr_edges: List[AttrEdge] = field(default_factory=list)
-    #: Snapshot-unsafe assignments (empty for safe classes).
+    #: Snapshot-unsafe assignments (empty for safe classes and for
+    #: classes defining ``snapshot_detach``).
     unsafe: List[UnsafeAssign] = field(default_factory=list)
-    #: Defines __getstate__/__reduce__/__reduce_ex__/snapshot_detach.
+    #: Owns its pickled encoding: defines __getstate__/__reduce__/
+    #: __reduce_ex__ (RL103 does not look inside).
     exempt: bool = False
 
     def to_dict(self) -> Dict[str, Any]:
@@ -283,21 +286,15 @@ class ArrayFact:
 
 @dataclass
 class NumpyEvent:
-    """A suspicious hot-kernel operation inside a ``# repro-hot`` function.
+    """A suspicious numpy operation inside a ``# repro-hot`` function."""
 
-    Despite the name (historical: the first three kinds were numpy
-    shapes), this also carries ``odict_probe`` events — map-probe method
-    calls whose operand may be an ``OrderedDict`` reference model; the
-    RL104 check confirms against the project-wide ``odict_attrs`` union.
-    """
-
-    #: "astype" | "alloc" | "scalar_loop" | "odict_probe"
+    #: "astype" | "alloc" | "scalar_loop"
     kind: str
     function: str
-    #: The array/mapping operand's attribute/local name ("" when unknown).
+    #: The array operand's attribute/local name ("" when unknown).
     target: str
     #: astype: the destination dtype; alloc: the allocating callable;
-    #: odict_probe: the probing method (".popitem()", ".get()", ...).
+    #: scalar_loop: the converting method (".item()", ".tolist()").
     detail: str
     line: int
     col: int
@@ -338,10 +335,8 @@ class ModuleFacts:
     codec_registered: List[str] = field(default_factory=list)
     arrays: List[ArrayFact] = field(default_factory=list)
     numpy_events: List[NumpyEvent] = field(default_factory=list)
-    #: Attribute names assigned an ``OrderedDict`` (directly or inside a
-    #: comprehension/list literal) anywhere in this file — the reference
-    #: models' per-set structures (``Tlb._sets``, ``FilterTable._entries``).
-    odict_attrs: List[str] = field(default_factory=list)
+    #: Every raw persistent-write site in the file, at any nesting (RL105).
+    raw_writes: List[RawWrite] = field(default_factory=list)
     #: Relpath segments place the file inside the simulation packages.
     in_sim_package: bool = False
 
@@ -361,7 +356,7 @@ class ModuleFacts:
             "codec_registered": list(self.codec_registered),
             "arrays": [fact.to_dict() for fact in self.arrays],
             "numpy_events": [event.to_dict() for event in self.numpy_events],
-            "odict_attrs": list(self.odict_attrs),
+            "raw_writes": [site.to_dict() for site in self.raw_writes],
             "in_sim_package": self.in_sim_package,
         }
 
@@ -390,6 +385,6 @@ class ModuleFacts:
             codec_registered=[str(name) for name in raw["codec_registered"]],
             arrays=[ArrayFact.from_dict(fact) for fact in raw["arrays"]],
             numpy_events=[NumpyEvent.from_dict(event) for event in raw["numpy_events"]],
-            odict_attrs=[str(name) for name in raw["odict_attrs"]],
+            raw_writes=[RawWrite.from_dict(site) for site in raw["raw_writes"]],
             in_sim_package=bool(raw["in_sim_package"]),
         )

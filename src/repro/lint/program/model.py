@@ -9,7 +9,8 @@ the RL1xx rules consume:
   functions return nondeterminism-tainted values, which parameters reach
   stats/state sinks — and the resulting source→sink findings (RL102);
 * the checkpoint-reachable class closure rooted at ``System`` with the
-  attribute path that witnesses each class's reachability (RL103);
+  attribute/subclass path that witnesses each class's reachability
+  (RL103);
 * numpy array allocations grouped by ``Class.attr`` target (RL104).
 
 Propagation runs from scratch every time — it is linear-ish in the size
@@ -97,7 +98,7 @@ class ProgramModel:
         return facts.relpath if facts is not None else None
 
     def class_is_snapshot_handled(self, symbol: SymbolId) -> bool:
-        """Exempt (defines its own pickling hooks) or codec-registered."""
+        """Owns its encoding (``__getstate__`` & co.) or codec-registered."""
         cls = self.table.class_named(symbol)
         if cls is None:
             return True
@@ -403,6 +404,15 @@ def _class_edge_targets(
 
 
 def _compute_reachability(model: ProgramModel, root_classes: Sequence[str]) -> None:
+    """Close the checkpoint-reachable class set over attribute edges.
+
+    A class is reachable from a root through its attribute edges and
+    those of its project-local ancestors.  A reference typed as a base
+    class may hold any subclass, so every project subclass of a reachable
+    class is reachable too.  Classes owning their encoding (or with a
+    registered codec) are reachable but not traversed, subclasses
+    included; ``snapshot_detach`` classes are traversed like any other.
+    """
     table = model.table
     roots = [
         symbol
@@ -410,9 +420,14 @@ def _compute_reachability(model: ProgramModel, root_classes: Sequence[str]) -> N
         if cls.name in root_classes
     ]
     model.root_symbols = roots
+    subclasses: Dict[SymbolId, List[SymbolId]] = {}
+    for symbol, (module, cls) in sorted(table.classes.items()):
+        for base in cls.bases:
+            resolved = table.resolve_class(module, base)
+            if resolved is not None:
+                subclasses.setdefault(resolved, []).append(symbol)
     queue: List[Tuple[SymbolId, str]] = [
-        (symbol, table.class_named(symbol).name if table.class_named(symbol) else symbol)
-        for symbol in roots
+        (symbol, table.classes[symbol][1].name) for symbol in roots
     ]
     while queue:
         symbol, via = queue.pop(0)
@@ -421,6 +436,8 @@ def _compute_reachability(model: ProgramModel, root_classes: Sequence[str]) -> N
         model.reachable[symbol] = via
         if model.class_is_snapshot_handled(symbol) and symbol not in roots:
             continue  # exempt/codec classes own their snapshot encoding
+        for sub in subclasses.get(symbol, []):
+            queue.append((sub, f"{via} → subclass {table.classes[sub][1].name}"))
         # Attribute edges of the class and its project-local ancestors.
         ancestry: List[SymbolId] = []
         pending = [symbol]

@@ -1,15 +1,27 @@
-"""RL103 — checkpoint reachability proof.
+"""RL103 — snapshot safety, proved over what a checkpoint can reach.
 
-RL006 checks snapshot safety for classes *lexically* inside the
-simulation packages.  This rule instead proves the property that
-actually matters: every class **transitively reachable from
-``System``** through attribute assignments, container population,
-class-table dispatch, factory-method returns, and type annotations is
-snapshot-safe.  Reachable classes with RL006-style unsafe assignments
-(lambdas, closures, file handles, threading primitives on ``self``) are
-flagged with the attribute chain that witnesses their reachability;
-classes that own their snapshot encoding (``__getstate__`` and friends,
-or a registered snapshot codec) terminate the traversal.
+Checkpoint/restore (``repro.snapshot``, docs/CHECKPOINTS.md) pickles the
+entire live ``System`` graph.  Most simulator state is plain data; what
+breaks a checkpoint is a class quietly stashing a *process-local* object
+on ``self`` — a lambda or closure, the result of a closure-factory
+method, an open file, a threading primitive, a live socket or an I/O
+selector (:func:`~repro.lint.program.extract.classify_unsafe_value`).
+Such failures surface only when a checkpoint is written, often hours
+into the very sweep it was meant to protect.
+
+This rule checks every class **transitively reachable from ``System``**
+through attribute assignments, container population, class-table
+dispatch, factory-method returns, type annotations and subclassing, and
+flags each unsafe assignment with the chain that witnesses the class's
+reachability.  Escape hatches:
+
+* ``__getstate__`` / ``__reduce__`` / ``__reduce_ex__``, or a codec
+  registered with :func:`repro.snapshot.codec.register_codec`: the class
+  owns its encoding, and the traversal stops there;
+* ``snapshot_detach`` (paired with ``snapshot_reattach``; the checkpoint
+  writer calls it around every pickle): the class's *own* assignments
+  are exempt, but the objects it holds are still pickled, so the
+  traversal continues through them.
 
 When the program defines no root class the rule is silent — fixture
 projects opt in by defining a ``System``.
@@ -17,12 +29,12 @@ projects opt in by defining a ``System``.
 
 from __future__ import annotations
 
-from repro.lint.engine import ProjectContext, Severity
-from repro.lint.program.base import ProgramRule, register_program_rule
+from repro.lint.engine import ProjectContext, Severity, register_rule
+from repro.lint.program.base import ProgramRule
 from repro.lint.program.model import ProgramModel
 
 
-@register_program_rule
+@register_rule
 class CheckpointReachRule(ProgramRule):
     """RL103: the object graph under ``System`` must checkpoint cleanly."""
 

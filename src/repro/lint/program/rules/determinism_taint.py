@@ -17,8 +17,8 @@ RL001.
 
 from __future__ import annotations
 
-from repro.lint.engine import ProjectContext, Severity
-from repro.lint.program.base import ProgramRule, register_program_rule
+from repro.lint.engine import ProjectContext, Severity, register_rule
+from repro.lint.program.base import ProgramRule
 from repro.lint.program.model import ProgramModel, TaintFinding
 
 
@@ -27,7 +27,7 @@ def _render_chain(finding: TaintFinding) -> str:
     return " → ".join(names)
 
 
-@register_program_rule
+@register_rule
 class DeterminismTaintRule(ProgramRule):
     """RL102: nondeterminism sources must not reach state or stats."""
 

@@ -1,43 +1,73 @@
-"""RL105 — whole-program persist-discipline reach.
+"""RL105 — persist discipline: state files go through ``repro.persist``.
 
-RL007 flags raw state-file writes *inside* the persistence-owning
-packages (``snapshot``, ``sweepd``, ``experiments``, ``bench.py``).  The
-obvious way to defeat it is laundering: move the ``open(path, "w")``
-into a helper module outside those packages and call it from the
-persistence code.  The per-file rule cannot see across that module
-boundary; this rule can.
+Every durable write — checkpoints, sweep manifests, result/cache files,
+bench documents — goes through :mod:`repro.persist`, which supplies the
+same-directory temp + fsync + ``os.replace`` atomicity, the embedded
+checksum stamp that makes torn writes and bit-rot detectable, the typed
+:class:`~repro.common.errors.PersistError` hierarchy, and the
+storage-fault injection hook the chaos harness depends on.  A raw write
+in the persistence-owning packages (``snapshot``, ``sweepd``,
+``experiments``, plus ``bench.py``) silently opts the file out of all
+four: it can tear under SIGKILL, ``repro fsck`` cannot verify it, and the
+crash-consistency tests never exercise it.
 
-Using the per-function raw-write facts (recorded by the shared RL007
-classifier during extraction) and the resolved call graph, it flags
-every call edge whose caller lives in the persistence scope and whose
-callee — directly or transitively through further out-of-scope helpers
-— performs a raw write.  The finding anchors at the *call site* in the
-scoped file (where the fix belongs, and where a pragma can be placed)
-and names the write it reaches as a witness.
+Raw writes are ``open(..., mode)`` / ``<path>.open(mode)`` with a mode
+containing ``w``, ``a``, ``x`` or ``+``, ``json.dump`` / ``pickle.dump``,
+and ``<path>.write_text`` / ``write_bytes``
+(:func:`~repro.lint.program.extract.classify_raw_write`).  The rule flags
 
-``repro.persist`` itself is exempt: its guts are the one place raw
-``open`` calls are supposed to live — that module *is* the discipline.
+* every raw write made directly inside the scope, at the write; and
+* every call from the scope into a function outside it that performs a
+  raw write, directly or transitively through further out-of-scope
+  helpers — the laundering a per-file check cannot see.  The finding
+  anchors at the *call site* in the scoped file (where the fix belongs,
+  and where a pragma can be placed) and names the write it reaches.
+
+``repro.persist`` and ``repro.fsck`` are exempt helpers: their raw
+writes are the sanctioned implementation of the discipline.  Legitimate
+exceptions in the scope (an append-only journal, a hard-link fallback
+that copies an already-stamped file) carry an explicit
+``# repro-lint: disable=RL105`` pragma, so bypassing the discipline is
+visible and justified, not impossible.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.lint.engine import ProjectContext, Severity
-from repro.lint.program.base import ProgramRule, register_program_rule
+from repro.lint.engine import ProjectContext, Severity, register_rule
+from repro.lint.program.base import ProgramRule
+from repro.lint.program.facts import RawWrite
 from repro.lint.program.model import ProgramModel
 from repro.lint.program.symbols import SymbolId
-from repro.lint.rules.persist_discipline import in_persistence_scope
+
+#: Packages whose files own durable state (checkpoints, manifests,
+#: results, caches); ``bench.py`` writes BENCH_*.json documents.
+SCOPE_PACKAGES = frozenset({"snapshot", "sweepd", "experiments"})
+SCOPE_FILES = frozenset({"bench.py"})
 
 #: Modules whose raw writes are the sanctioned implementation of the
 #: discipline, not a bypass of it.
 _EXEMPT_MODULES = frozenset({"repro.persist", "repro.fsck"})
 
+_FIX_HINT = (
+    "route it through repro.persist (write_json/atomic_write_bytes) so the "
+    "file is atomic, checksummed, fault-injectable, and fsck-verifiable "
+    "(docs/FAULTS.md)"
+)
 
-@register_program_rule
+
+def in_persistence_scope(parts: Sequence[str]) -> bool:
+    """True when a relpath's segments fall under the persistence scope."""
+    return any(part in SCOPE_PACKAGES for part in parts) or (
+        bool(parts) and parts[-1] in SCOPE_FILES
+    )
+
+
+@register_rule
 class PersistReachRule(ProgramRule):
-    """RL105: raw writes laundered through out-of-scope helpers."""
+    """RL105: raw state writes in, or reached from, the persistence scope."""
 
     rule_id = "RL105"
     name = "program-persist-reach"
@@ -49,15 +79,19 @@ class PersistReachRule(ProgramRule):
         emitted: Set[Tuple[str, int, int, SymbolId]] = set()
         for module in sorted(scope):
             facts = model.table.modules[module]
+            for write in facts.raw_writes:
+                self.emit_at(
+                    ctx, facts.relpath, write.line, write.col,
+                    f"raw {write.detail} bypasses the persistence layer — the "
+                    f"write can tear under a crash and fsck cannot verify it; "
+                    f"{_FIX_HINT}",
+                )
             for qualname in sorted(facts.functions):
                 symbol = f"{module}:{qualname}"
                 for edge in model.graph.callees_of(symbol):
-                    callee_module = edge.callee.partition(":")[0]
-                    if callee_module in scope:
-                        continue  # RL007 already covers in-scope callees
                     witness = writer_witness.get(edge.callee)
                     if witness is None:
-                        continue
+                        continue  # in-scope callees report their own writes
                     key = (facts.relpath, edge.line, edge.col, edge.callee)
                     if key in emitted:
                         continue
@@ -84,15 +118,16 @@ class PersistReachRule(ProgramRule):
     @staticmethod
     def _transitive_writers(
         model: ProgramModel, scope: Set[str]
-    ) -> Dict[SymbolId, Tuple[SymbolId, object]]:
+    ) -> Dict[SymbolId, Tuple[SymbolId, RawWrite]]:
         """Out-of-scope function -> (writing symbol, RawWrite) witness.
 
         A function is a transitive writer when it, or any out-of-scope
         function it can reach through the call graph, records a raw
-        write.  Scoped and exempt modules stop the propagation: their
-        writes are RL007's (or the persistence layer's own) business.
+        write.  Scoped and exempt modules stop the propagation: scoped
+        writes are reported where they are made, and the persistence
+        layer's own writes are the discipline.
         """
-        out: Dict[SymbolId, Tuple[SymbolId, object]] = {}
+        out: Dict[SymbolId, Tuple[SymbolId, RawWrite]] = {}
         eligible: List[SymbolId] = []
         for module, facts in model.table.modules.items():
             if module in scope or module in _EXEMPT_MODULES:
@@ -118,9 +153,7 @@ class PersistReachRule(ProgramRule):
         return out
 
     @staticmethod
-    def _describe(
-        model: ProgramModel, writer: SymbolId, write
-    ) -> str:
+    def _describe(model: ProgramModel, writer: SymbolId, write: RawWrite) -> str:
         relpath: Optional[str] = model.relpath_of(writer)
         where = relpath if relpath is not None else writer.partition(":")[0]
         return f"{where}:{write.line}"

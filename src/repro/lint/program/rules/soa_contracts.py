@@ -15,29 +15,14 @@ silent performance/correctness hazards cross that module boundary:
   loops, and array-copying allocators (``np.append``/``concatenate``/
   ``copy``) inside hot kernels, which reintroduce the per-event Python
   costs the SoA refactor removed.
-
-PR 9 added a fourth hazard: **OrderedDict probes in hot kernels**.  The
-``OrderedDict``-per-set models (``Tlb``, ``SetAssociativeCache``) are
-reference oracles; the hot path runs their struct-of-arrays counterparts
-(``SoaTlb``/``SoaCache``).  A ``get``/``pop``/``setdefault``/
-``move_to_end``/``popitem`` probe inside a ``# repro-hot`` function is
-flagged when its operand resolves to an attribute assigned an
-``OrderedDict`` in a module that *also defines an SoA counterpart* (a
-class named ``Soa...``) — that pairing is the signal that a vectorizable
-replacement exists and the call site picked the reference model by
-mistake.  Controller structures where ``OrderedDict`` *is* the hardware
-model (the PCT cache's CAM, remap caches, the hot-page tracker) have no
-SoA counterpart and are deliberately out of scope; a deliberate
-reference-model escape of an in-scope structure (the batched engine's
-shared L3) belongs in the lint baseline with a comment.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Tuple
 
-from repro.lint.engine import ProjectContext, Severity
-from repro.lint.program.base import ProgramRule, register_program_rule
+from repro.lint.engine import ProjectContext, Severity, register_rule
+from repro.lint.program.base import ProgramRule
 from repro.lint.program.extract import DTYPE_ORDER
 from repro.lint.program.facts import ArrayFact
 from repro.lint.program.model import ProgramModel
@@ -47,7 +32,7 @@ def _width(dtype: str) -> int:
     return DTYPE_ORDER.get(dtype, 0)
 
 
-@register_program_rule
+@register_rule
 class SoaContractRule(ProgramRule):
     """RL104: hot-array dtype/shape discipline across modules."""
 
@@ -93,32 +78,9 @@ class SoaContractRule(ProgramRule):
 
     def _check_hot_events(self, model: ProgramModel, ctx: ProjectContext) -> None:
         by_attr = self._known_dtypes(model)
-        #: Attr names assigned an OrderedDict in a module that also
-        #: defines an SoA counterpart class — the cross-module
-        #: confirmation that a recorded probe has a vectorized
-        #: replacement (see module docstring for the scoping rationale).
-        odict_attrs = {
-            attr
-            for facts in model.table.modules.values()
-            if any(name.startswith("Soa") for name in facts.classes)
-            for attr in facts.odict_attrs
-        }
         for facts in model.table.modules.values():
             for event in facts.numpy_events:
-                if event.kind == "odict_probe":
-                    if event.target in odict_attrs:
-                        self.emit_at(
-                            ctx, facts.relpath, event.line, event.col,
-                            f"OrderedDict probe {event.detail} on "
-                            f"'{event.target}' inside repro-hot "
-                            f"{event.function} — the OrderedDict models are "
-                            "reference oracles and pay linked-list "
-                            "reordering per event; use the SoA variant "
-                            "(SoaTlb/SoaCache) on the hot path, or baseline "
-                            "a deliberate reference-model escape with a "
-                            "comment",
-                        )
-                elif event.kind == "scalar_loop":
+                if event.kind == "scalar_loop":
                     self.emit_at(
                         ctx, facts.relpath, event.line, event.col,
                         f"per-element {event.detail} round-trip inside a loop "

@@ -1,24 +1,58 @@
-"""RL101 — cross-module stats-key liveness.
+"""RL101 — stats-key liveness and near-duplicate keys, program-wide.
 
-The whole-program replacement for RL002's per-file liveness
-approximation: every record site and every read site in the entire
-program participates, including reads through ``StatsSnapshot`` copies
-and metric dictionaries in the experiments/report layers that RL002's
-``stats``-receiver heuristic cannot see.  A key read anywhere but
-recorded nowhere is a silent zero in a figure (typically a typo'd key
-straddling the sim/report module boundary); a key recorded but read
-nowhere is dead instrumentation weight.
+Every record site and every read site in the entire program
+participates, including reads through ``StatsSnapshot`` copies and
+metric dictionaries in the experiments/report layers, and records made
+straight into the registry's dicts by flattened hot paths.  The rule
+flags:
+
+* a key **read but recorded nowhere** — a silent zero in a figure
+  (typically a typo'd key straddling the sim/report module boundary),
+  with a did-you-mean suggestion;
+* **near-duplicate** recorded keys (edit distance 1, ignoring pairs that
+  differ only in a digit such as ``l1``/``l2``) — a typo splitting one
+  counter into two;
+* (informational) a key **recorded but read nowhere** — dead
+  instrumentation weight.
 """
 
 from __future__ import annotations
 
-from repro.lint.engine import ProjectContext, Severity
-from repro.lint.program.base import ProgramRule, register_program_rule
+from repro.lint.engine import ProjectContext, Severity, register_rule
+from repro.lint.program.base import ProgramRule
 from repro.lint.program.model import ProgramModel
-from repro.lint.rules.stats_keys import _edit_distance
 
 
-@register_program_rule
+def _edit_distance(a: str, b: str, limit: int = 3) -> int:
+    """Levenshtein distance, capped at *limit* + 1 for speed."""
+    if abs(len(a) - len(b)) > limit:
+        return limit + 1
+    previous = list(range(len(b) + 1))
+    for i, ca in enumerate(a, start=1):
+        current = [i]
+        for j, cb in enumerate(b, start=1):
+            current.append(
+                min(
+                    previous[j] + 1,
+                    current[j - 1] + 1,
+                    previous[j - 1] + (ca != cb),
+                )
+            )
+        if min(current) > limit:
+            return limit + 1
+        previous = current
+    return previous[-1]
+
+
+def _digit_only_difference(a: str, b: str) -> bool:
+    """True if *a* and *b* differ in exactly one position, digit vs digit."""
+    if len(a) != len(b):
+        return False
+    diffs = [(ca, cb) for ca, cb in zip(a, b) if ca != cb]
+    return len(diffs) == 1 and diffs[0][0].isdigit() and diffs[0][1].isdigit()
+
+
+@register_rule
 class StatsLivenessRule(ProgramRule):
     """RL101: record/read liveness over the whole program's key space."""
 
@@ -28,6 +62,7 @@ class StatsLivenessRule(ProgramRule):
 
     def check(self, model: ProgramModel, ctx: ProjectContext) -> None:
         self._reads_without_records(model, ctx)
+        self._near_duplicates(model, ctx)
         self._records_without_reads(model, ctx)
 
     @staticmethod
@@ -52,6 +87,21 @@ class StatsLivenessRule(ProgramRule):
                     f"the program — the consumer silently sees zero"
                     f"{self._nearest(model, key)}",
                 )
+
+    def _near_duplicates(self, model: ProgramModel, ctx: ProjectContext) -> None:
+        keys = sorted(model.recorded)
+        for i, a in enumerate(keys):
+            for b in keys[i + 1:]:
+                if _digit_only_difference(a, b):
+                    continue
+                if _edit_distance(a, b, limit=1) == 1:
+                    relpath, site = model.recorded[b][0]
+                    self.emit_at(
+                        ctx, relpath, site.line, site.col,
+                        f'recorded stats keys "{a}" and "{b}" differ by one '
+                        "character — likely a typo splitting one counter "
+                        "into two",
+                    )
 
     def _records_without_reads(self, model: ProgramModel, ctx: ProjectContext) -> None:
         for key in sorted(model.recorded):

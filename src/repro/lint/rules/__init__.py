@@ -1,11 +1,9 @@
-"""Rule registry: importing this package registers every built-in rule."""
+"""Rule registry: importing this package registers every per-file rule."""
 
 from repro.lint.rules import (
     config_liveness,
     determinism,
     hot_path,
-    persist_discipline,
-    snapshot_safety,
     stats_keys,
     units,
 )
@@ -16,6 +14,4 @@ __all__ = [
     "config_liveness",
     "units",
     "hot_path",
-    "snapshot_safety",
-    "persist_discipline",
 ]

@@ -1,37 +1,27 @@
-"""RL002 — stats discipline: every figure's counter must be trustworthy.
+"""RL002 — stats-key hygiene: record sites name their keys statically.
 
 Every number in the paper's figures flows through
 :class:`repro.common.stats.StatsRegistry` under a slash-separated string
-key.  A typo'd key silently splits one counter into two; a key recorded
-but never consumed is dead weight; a dynamically-built key on the hot path
-defeats static auditing (and costs an f-string per event).  This rule:
+key.  A dynamically-built key at a record site defeats static auditing
+of that key space — RL101 can only prove liveness and catch typo'd keys
+for keys it can read — and costs an f-string per event.  Inside the
+simulation-critical packages this rule flags every ``stats.add(...)`` /
+``stats.observe(...)`` / ``stats.counter(...)`` / ``stats.observer(...)``
+call whose key is not statically known.  Accepted key shapes:
 
-* collects every key recorded via ``stats.add(...)`` / ``stats.observe(...)``
-  — or resolved once into a bound hot-path handle via ``stats.counter(...)``
-  / ``stats.observer(...)``, or written by literal key straight into the
-  registry's dicts by a flattened hot path (``stats._counters["k"] += 1.0``)
-  — and every key read via ``stats.get/mean/total/count/maximum(...)``;
-* flags non-literal keys at record sites inside the simulation-critical
-  packages (f-strings with a literal prefix are tracked as *patterns* so
-  their expansions still participate in liveness checking).  The blessed
-  alternative is a **literal-key table**: a module-level dict/tuple whose
-  values are all string literals, indexed at the record site
-  (``stats.add(_SERVICED_KEYS[kind])``) — the rule records every table
-  value, so the key set stays fully auditable at zero per-event cost.
-  Keys precomputed once in ``__init__`` and stored in a ``self._key_*``
-  attribute are also accepted;
-* flags keys that are **read but never recorded** — the classic typo bug
-  that yields a silent zero in a figure — with a did-you-mean suggestion;
-* flags **near-duplicate** recorded keys (edit distance 1, ignoring pairs
-  that differ only in a digit such as ``l1``/``l2``);
-* reports (informational) keys recorded but never read by the metrics,
-  analysis, or check layers.
+* a string literal;
+* a **literal-key table**: a module-level dict/tuple whose values are all
+  string literals, indexed at the record site
+  (``stats.add(_SERVICED_KEYS[kind])``) — RL101 records every table
+  value, so the key set stays fully auditable at zero per-event cost;
+* a key precomputed once in ``__init__`` and stored in a ``self._key_*``
+  attribute.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Tuple
+from typing import Set
 
 from repro.lint.engine import (
     ProjectContext,
@@ -42,18 +32,12 @@ from repro.lint.engine import (
 )
 
 #: ``counter``/``observer`` return bound record handles (resolved once at
-#: construction time); the key they bind is recorded exactly like an
+#: construction time); the key they bind is checked like an
 #: ``add``/``observe`` call site.
 _RECORD_METHODS = ("add", "observe", "counter", "observer")
-_READ_METHODS = ("get", "mean", "total", "count", "maximum")
 
 #: Receivers treated as a stats registry: bare ``stats`` or any ``*.stats``.
 _STATS_NAMES = ("stats",)
-
-#: StatsRegistry's backing dicts.  Flattened hot paths record into them
-#: directly, by literal key (``counters = stats._counters`` then
-#: ``counters["hmc/x"] += 1.0``); those writes are record sites too.
-_REGISTRY_DICTS = frozenset({"_counters", "_sums", "_counts", "_maxima"})
 
 
 def _is_stats_receiver(node: ast.AST) -> bool:
@@ -64,232 +48,80 @@ def _is_stats_receiver(node: ast.AST) -> bool:
     return False
 
 
-def _is_registry_dict_access(node: ast.AST) -> bool:
-    """``stats._counters`` / ``self.stats._sums`` and friends."""
-    return (
-        isinstance(node, ast.Attribute)
-        and node.attr in _REGISTRY_DICTS
-        and _is_stats_receiver(node.value)
-    )
-
-
-def _edit_distance(a: str, b: str, limit: int = 3) -> int:
-    """Levenshtein distance, capped at *limit* for speed."""
-    if abs(len(a) - len(b)) > limit:
-        return limit + 1
-    previous = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        current = [i]
-        for j, cb in enumerate(b, start=1):
-            current.append(
-                min(
-                    previous[j] + 1,
-                    current[j - 1] + 1,
-                    previous[j - 1] + (ca != cb),
-                )
-            )
-        if min(current) > limit:
-            return limit + 1
-        previous = current
-    return previous[-1]
-
-
-def _digit_only_difference(a: str, b: str) -> bool:
-    """True if *a* and *b* differ in exactly one position, digit vs digit."""
-    if len(a) != len(b):
-        return False
-    diffs = [(ca, cb) for ca, cb in zip(a, b) if ca != cb]
-    return len(diffs) == 1 and diffs[0][0].isdigit() and diffs[0][1].isdigit()
+def _literal_key_tables(source: SourceFile) -> Set[str]:
+    """Module-level names bound to all-literal-string key collections."""
+    tables: Set[str] = set()
+    for node in source.tree.body:
+        if not isinstance(node, ast.Assign) or len(node.targets) != 1:
+            continue
+        target = node.targets[0]
+        if not isinstance(target, ast.Name):
+            continue
+        value = node.value
+        if isinstance(value, ast.Dict):
+            elements = value.values
+        elif isinstance(value, (ast.Tuple, ast.List)):
+            elements = value.elts
+        else:
+            continue
+        if elements and all(
+            isinstance(e, ast.Constant) and isinstance(e.value, str)
+            for e in elements
+        ):
+            tables.add(target.id)
+    return tables
 
 
 @register_rule
 class StatsKeyRule(Rule):
-    """RL002: static auditing of the stats-key namespace."""
+    """RL002: record sites in the simulation packages use static keys."""
 
     rule_id = "RL002"
     name = "stats-keys"
     default_severity = Severity.WARNING
 
-    def __init__(self) -> None:
-        #: literal key -> first (source, node) that recorded it.
-        self.recorded: Dict[str, Tuple[SourceFile, ast.AST]] = {}
-        #: static prefixes of f-string record keys (pattern keys).
-        self.patterns: List[str] = []
-        #: literal key -> first (source, node) that read it.
-        self.reads: Dict[str, Tuple[SourceFile, ast.AST]] = {}
-        #: literal-key tables of the file currently being collected.
-        self._tables: Dict[str, List[str]] = {}
-
-    # -- collection --------------------------------------------------------
-    @staticmethod
-    def _literal_key_tables(source: SourceFile) -> Dict[str, List[str]]:
-        """Module-level names bound to all-literal-string key collections."""
-        tables: Dict[str, List[str]] = {}
-        for node in source.tree.body:
-            if not isinstance(node, ast.Assign) or len(node.targets) != 1:
-                continue
-            target = node.targets[0]
-            if not isinstance(target, ast.Name):
-                continue
-            value = node.value
-            if isinstance(value, ast.Dict):
-                elements = value.values
-            elif isinstance(value, (ast.Tuple, ast.List)):
-                elements = value.elts
-            else:
-                continue
-            if elements and all(
-                isinstance(e, ast.Constant) and isinstance(e.value, str)
-                for e in elements
-            ):
-                tables[target.id] = [e.value for e in elements]
-        return tables
-
     def collect(self, source: SourceFile, ctx: ProjectContext) -> None:
-        self._tables = self._literal_key_tables(source)
-        # Names bound to a registry dict anywhere in the file.
-        registry_names = {
-            target.id
-            for node in ast.walk(source.tree)
-            if isinstance(node, ast.Assign) and _is_registry_dict_access(node.value)
-            for target in node.targets
-            if isinstance(target, ast.Name)
-        }
-        for node in ast.walk(source.tree):
-            if isinstance(node, (ast.Assign, ast.AugAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Subscript)
-                        and isinstance(target.slice, ast.Constant)
-                        and isinstance(target.slice.value, str)
-                        and (
-                            _is_registry_dict_access(target.value)
-                            or (
-                                isinstance(target.value, ast.Name)
-                                and target.value.id in registry_names
-                            )
-                        )
-                    ):
-                        self.recorded.setdefault(target.slice.value, (source, node))
-                continue
-            if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
-                continue
-            method = node.func.attr
-            if not _is_stats_receiver(node.func.value) or not node.args:
-                continue
-            key_node = node.args[0]
-            if method in _RECORD_METHODS:
-                self._collect_record(source, ctx, node, key_node)
-            elif method in _READ_METHODS:
-                self._collect_read(source, key_node)
-
-    def _collect_record(self, source, ctx, call, key_node) -> None:
-        if isinstance(key_node, ast.Constant) and isinstance(key_node.value, str):
-            self.recorded.setdefault(key_node.value, (source, call))
+        if not source.in_sim_package:
             return
-        # Literal-key table lookup: stats.add(_KEYS[kind]) where _KEYS is a
-        # module-level dict/tuple of string literals — every possible key is
-        # known statically, so record them all and emit nothing.
+        tables = _literal_key_tables(source)
+        for node in ast.walk(source.tree):
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr in _RECORD_METHODS
+                and _is_stats_receiver(node.func.value)
+                and node.args
+            ):
+                self._check_key(source, ctx, node, node.args[0], tables)
+
+    def _check_key(
+        self,
+        source: SourceFile,
+        ctx: ProjectContext,
+        call: ast.Call,
+        key_node: ast.expr,
+        tables: Set[str],
+    ) -> None:
+        if isinstance(key_node, ast.Constant) and isinstance(key_node.value, str):
+            return
         if (
             isinstance(key_node, ast.Subscript)
             and isinstance(key_node.value, ast.Name)
-            and key_node.value.id in self._tables
+            and key_node.value.id in tables
         ):
-            for key in self._tables[key_node.value.id]:
-                self.recorded.setdefault(key, (source, call))
             return
-        # Key precomputed once at construction time: self._key_<name>.  Not
-        # statically auditable, but not a per-event f-string either.
-        if (
-            isinstance(key_node, ast.Attribute)
-            and key_node.attr.startswith("_key_")
-        ):
+        if isinstance(key_node, ast.Attribute) and key_node.attr.startswith("_key_"):
             return
         if isinstance(key_node, ast.JoinedStr):
-            prefix = ""
-            if key_node.values and isinstance(key_node.values[0], ast.Constant):
-                prefix = str(key_node.values[0].value)
-            if prefix:
-                self.patterns.append(prefix)
-            if source.in_sim_package:
-                ctx.emit(
-                    self, source, call,
-                    "f-string stats key on a simulation path: the key set "
-                    "cannot be audited statically and the f-string is built "
-                    "per event; prefer a precomputed literal-key table",
-                )
-            return
-        if source.in_sim_package:
             ctx.emit(
                 self, source, call,
-                "non-literal stats key on a simulation path: dynamic keys "
-                "defeat static key auditing; use a string literal",
+                "f-string stats key on a simulation path: the key set "
+                "cannot be audited statically and the f-string is built "
+                "per event; prefer a precomputed literal-key table",
             )
-
-    def _collect_read(self, source, key_node) -> None:
-        if isinstance(key_node, ast.Constant) and isinstance(key_node.value, str):
-            self.reads.setdefault(key_node.value, (source, key_node))
-
-    # -- cross-file checks -------------------------------------------------
-    def finalize(self, ctx: ProjectContext) -> None:
-        # Under --program, RL101 subsumes both liveness checks with true
-        # whole-program record/read sets (including reads RL002's
-        # stats-receiver heuristic cannot see); emitting here too would
-        # double-report the same defect under two rule ids.
-        program_active = getattr(ctx, "program_model", None) is not None
-        if not program_active:
-            self._check_reads_without_records(ctx)
-        self._check_near_duplicates(ctx)
-        if not program_active:
-            self._check_unread_records(ctx)
-
-    def _matches_pattern(self, key: str) -> bool:
-        return any(key.startswith(prefix) for prefix in self.patterns)
-
-    def _nearest_recorded(self, key: str) -> Optional[str]:
-        best, best_distance = None, 3
-        for candidate in self.recorded:
-            distance = _edit_distance(key, candidate, limit=2)
-            if distance < best_distance:
-                best, best_distance = candidate, distance
-        return best
-
-    def _check_reads_without_records(self, ctx: ProjectContext) -> None:
-        for key, (source, node) in sorted(self.reads.items()):
-            if key in self.recorded or self._matches_pattern(key):
-                continue
-            suggestion = self._nearest_recorded(key)
-            hint = f'; did you mean "{suggestion}"?' if suggestion else ""
-            ctx.emit(
-                self, source, node,
-                f'stats key "{key}" is read but never recorded anywhere — '
-                f"the consumer will silently see zero{hint}",
-            )
-
-    def _check_near_duplicates(self, ctx: ProjectContext) -> None:
-        keys = sorted(self.recorded)
-        for i, a in enumerate(keys):
-            for b in keys[i + 1:]:
-                if _digit_only_difference(a, b):
-                    continue
-                if _edit_distance(a, b, limit=1) == 1:
-                    source, node = self.recorded[b]
-                    ctx.emit(
-                        self, source, node,
-                        f'recorded stats keys "{a}" and "{b}" differ by one '
-                        "character — likely a typo splitting one counter "
-                        "into two",
-                    )
-
-    def _check_unread_records(self, ctx: ProjectContext) -> None:
-        for key, (source, node) in sorted(self.recorded.items()):
-            if key in self.reads:
-                continue
-            ctx.emit(
-                self, source, node,
-                f'stats key "{key}" is recorded but never read by the '
-                "metrics/analysis/check layers (only surfaced via the raw "
-                "dump); wire it into a consumer or drop it",
-                severity=Severity.INFO,
-            )
+            return
+        ctx.emit(
+            self, source, call,
+            "non-literal stats key on a simulation path: dynamic keys "
+            "defeat static key auditing; use a string literal",
+        )

@@ -106,6 +106,7 @@ _PAGE_MASK = PAGE_BYTES - 1
 _POLL_STEPS = 256
 
 
+# repro-hot
 def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets) -> Tuple:
     """Lift one chunk into flat per-op columns (the vectorized kernel).
 
@@ -160,6 +161,9 @@ def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets) -> Tup
     vpns = [vaddr >> PAGE_SHIFT for vaddr in chunk.vaddrs]
     lines = []
     unmapped = []
+    # Without numpy there is no vector kernel to hand the column to: this
+    # loop is the kernel, run once per chunk, not per op.
+    # repro-lint: disable=RL005
     for index, (vaddr, vpn) in enumerate(zip(chunk.vaddrs, vpns)):
         ppn = get(vpn)
         if ppn is None:
@@ -257,6 +261,7 @@ def _next_stop(ckpt, steps: int) -> int:
     return stop
 
 
+# repro-hot
 def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_cell):
     """One core's free-run coroutine (see :func:`run_to_targets`).
 

@@ -197,7 +197,7 @@ def rotate_generations(path: Path, keep: int) -> Optional[Path]:
         # Cross-device fallback: the source bytes are an already-stamped
         # checkpoint, and a torn copy only disqualifies this generation.
         try:
-            target.write_bytes(path.read_bytes())  # repro-lint: disable=RL007
+            target.write_bytes(path.read_bytes())  # repro-lint: disable=RL105
         except OSError:
             return None
     # Prune: the newest ``keep`` generations survive (plus latest itself).

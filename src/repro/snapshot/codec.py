@@ -14,7 +14,7 @@ picklable, and this module supplies deterministic stand-ins for them:
   records into the *same* restored registry every other component shares.
 * **Registered codecs** — any class can register an ``encode/decode`` pair
   with :func:`register_codec` instead of implementing ``__getstate__``
-  (the route the RL006 lint rule checks for).
+  (an escape hatch the RL103 lint rule recognises).
 
 Anything else that is unpicklable (a stray lambda, an open file, a
 generator that slipped past :class:`repro.snapshot.stream.ReplayStream`)
@@ -59,7 +59,7 @@ SAFE_MODULE_PREFIXES = (
 
 #: type -> (encode, decode).  ``encode(obj)`` must return a picklable
 #: value; ``decode(value)`` rebuilds the live object.  Registration is the
-#: alternative to ``__getstate__`` recognised by the RL006 lint rule.
+#: alternative to ``__getstate__`` recognised by the RL103 lint rule.
 _CODECS: Dict[type, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {}
 
 

@@ -140,7 +140,7 @@ class ResultAggregator:
         # effort: a full disk must not take the service down with it.
         try:
             self.log_path.parent.mkdir(parents=True, exist_ok=True)
-            with self.log_path.open("a") as handle:  # repro-lint: disable=RL007
+            with self.log_path.open("a") as handle:  # repro-lint: disable=RL105
                 handle.write(json.dumps(record) + "\n")
         except OSError:
             pass

@@ -183,8 +183,3 @@ class Mmu:
         return TranslationResult(
             ppn, latency + walk.latency, "walk", walk.pte_reached_memory
         )
-
-    def invalidate(self, pid: int, vpn: int) -> None:
-        """Shoot down one translation from both TLB levels."""
-        self.l1_tlb.invalidate(pid, vpn)
-        self.l2_tlb.invalidate(pid, vpn)

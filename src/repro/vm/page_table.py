@@ -9,7 +9,7 @@ in PageSeer (Section III-B).
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.common.addr import (
     LEVEL_BITS,
@@ -18,6 +18,9 @@ from repro.common.addr import (
     WALK_LEVELS,
     split_virtual_address,
 )
+
+if TYPE_CHECKING:
+    from repro.vm.mmu import DenseVpnCache
 
 #: Bytes per page-table entry (x86-64).
 ENTRY_BYTES = 8
@@ -57,10 +60,10 @@ class PageTable:
         Callback returning a fresh physical page number for a data page on
         first touch.
     vpn_cache:
-        Optional flat VPN→PPN mapping to use instead of a plain dict.
-        Anything with dict's ``get``/``[] =`` protocol works; the OS model
-        passes :class:`repro.vm.mmu.DenseVpnCache` so the shortcut is a
-        dense numpy vector with a vectorized ``lookup_many`` kernel.
+        Optional flat VPN→PPN mapping to use instead of a plain dict: the
+        OS model passes :class:`repro.vm.mmu.DenseVpnCache` (when numpy is
+        available) so the shortcut is a dense numpy vector with a
+        vectorized ``lookup_many`` kernel.
     """
 
     def __init__(
@@ -68,7 +71,7 @@ class PageTable:
         pid: int,
         allocate_table_frame: Callable[[], int],
         allocate_data_frame: Callable[[int], int],
-        vpn_cache: Optional[Any] = None,
+        vpn_cache: Optional["DenseVpnCache"] = None,
     ):
         self.pid = pid
         self._allocate_table_frame = allocate_table_frame
@@ -79,7 +82,9 @@ class PageTable:
         # ever *added* (leaf entries are never removed or rewritten), so
         # the cache can never go stale; it turns the per-op ensure_mapped
         # call from a 4-level index walk into one lookup.
-        self._vpn_cache = vpn_cache if vpn_cache is not None else {}
+        self._vpn_cache: Union["DenseVpnCache", Dict[int, int]] = (
+            vpn_cache if vpn_cache is not None else {}
+        )
         # Per-VPN walk memo: the line numbers of the four entries a walk
         # reads, filled on a VPN's first walk.  Table nodes never move and
         # leaf entries are only added, so a VPN's tuple never changes.

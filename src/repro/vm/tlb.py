@@ -1,20 +1,21 @@
 """Set-associative TLBs (Table I: 64-entry L1, 1024-entry L2).
 
-Two implementations of the same contract live here:
+Two implementations of the same contract live here, each running the
+level whose access mix it wins (docs/PERFORMANCE.md, "Cache and TLB
+models", measures both):
 
-* :class:`Tlb` — the original ``OrderedDict``-per-set model.  LRU order
-  *is* the dict order (``move_to_end`` on every touch).  It is the
-  reference oracle: simple enough to audit by eye, and what the
-  property suite differences the SoA model against.
-* :class:`SoaTlb` — the struct-of-arrays model the simulator runs.  Per
-  set: a ``(pid, vpn) -> way`` index dict plus parallel per-way arrays
-  (key, PPN, last-touch age).  LRU is an age array under a strictly
-  increasing counter, so the least-recent way is ``argmin(age)`` — with
-  no ties possible, this reproduces the ``OrderedDict`` victim choice
-  exactly (``tests/property/test_soa_models.py``).  The batched engine
-  reads the way index and age arrays directly in its chunk kernel; the
-  shared age cell keeps engine-side and method-side touches on one
-  counter.
+* :class:`Tlb` — the ``OrderedDict``-per-set model.  LRU order *is* the
+  dict order (``move_to_end`` on every touch).  It runs the L2 TLB,
+  reached only on L1 misses.
+* :class:`SoaTlb` — the struct-of-arrays model of the L1 TLB, touched on
+  every op.  Per set: a ``(pid, vpn) -> way`` index dict plus parallel
+  per-way lists (key, PPN, last-touch age).  LRU is an age list under a
+  strictly increasing counter, so the least-recent way is
+  ``argmin(age)`` — with no ties possible, this reproduces the
+  ``OrderedDict`` victim choice exactly
+  (``tests/property/test_soa_models.py``).  The batched engine reads the
+  way index and age lists directly in its chunk kernel; the shared age
+  cell keeps engine-side and method-side touches on one counter.
 """
 
 from __future__ import annotations
@@ -60,16 +61,6 @@ class Tlb:
         entries[key] = ppn
         entries.move_to_end(key)
         return victim
-
-    def invalidate(self, pid: int, vpn: int) -> bool:
-        """Drop one translation (TLB shootdown granule)."""
-        entries = self._sets[self._set_index(vpn)]
-        return entries.pop((pid, vpn), None) is not None
-
-    def flush(self) -> None:
-        """Drop every translation."""
-        for entries in self._sets:
-            entries.clear()
 
     @property
     def occupancy(self) -> int:
@@ -155,23 +146,6 @@ class SoaTlb:
         ages[way] = age[0]
         age[0] += 1
         return victim
-
-    def invalidate(self, pid: int, vpn: int) -> bool:
-        """Drop one translation (TLB shootdown granule)."""
-        set_index = vpn % self.num_sets
-        way = self._way_of[set_index].pop((pid, vpn), None)
-        if way is None:
-            return False
-        self._keys[set_index][way] = None
-        return True
-
-    def flush(self) -> None:
-        """Drop every translation."""
-        for set_index in range(self.num_sets):
-            self._way_of[set_index].clear()
-            keys = self._keys[set_index]
-            for way in range(self.ways):
-                keys[way] = None
 
     @property
     def occupancy(self) -> int:

@@ -107,10 +107,6 @@ class PageWalkCache:
         entries[key] = None
         entries.move_to_end(key)
 
-    def flush(self) -> None:
-        for entries in self._levels:
-            entries.clear()
-
 
 class PageWalker:
     """One core's page walker.

@@ -459,7 +459,7 @@ def test_older_run_mode_checkpoint_resumes_bit_identical(
 
 
 def test_numpy_array_state_round_trips_checkpoint(tmp_path):
-    """RL006 snapshot safety for numpy-backed state (REPRO-CKPT v1).
+    """Snapshot safety for numpy-backed state (REPRO-CKPT v1).
 
     The system graph now carries numpy struct-of-arrays members (each
     process's :class:`repro.vm.mmu.DenseVpnCache`); the checkpoint store

@@ -52,8 +52,8 @@ def test_baseline_entries_all_carry_justifications():
 
 
 def test_repository_tip_is_program_clean():
-    """`repro lint --program` is clean at repo tip (modulo baseline)."""
-    result = run_lint("--program", "--no-cache", "--format", "json")
+    """A cold `repro lint` is clean at repo tip (modulo baseline)."""
+    result = run_lint("--no-cache", "--format", "json")
     assert result.returncode == 0, result.stdout + result.stderr
     document = json.loads(result.stdout)
     assert document["failing"] == 0
@@ -63,21 +63,8 @@ def test_repository_tip_is_program_clean():
     ], "checkpoint-reachability proof regressed"
 
 
-def test_program_mode_dedupes_rl002_liveness():
-    """The same liveness defect never reports under two rule ids."""
-    result = run_lint("--program", "--no-cache", "--format", "json")
-    document = json.loads(result.stdout)
-    liveness_rules = {
-        f["rule"] for f in document["findings"]
-        if "recorded but never read" in f["message"]
-        or "read but never recorded" in f["message"]
-        or "read here but recorded nowhere" in f["message"]
-    }
-    assert "RL002" not in liveness_rules
-
-
 def test_program_graph_dot_dump():
-    result = run_lint("--program", "--no-cache", "--graph", "dot")
+    result = run_lint("--no-cache", "--graph", "dot")
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout.startswith("digraph callgraph {")
     assert '"repro.sim.system:System.__init__"' in result.stdout
@@ -85,8 +72,8 @@ def test_program_graph_dot_dump():
 
 def test_program_cache_round_trip_is_stable(tmp_path):
     cache = tmp_path / "cache.json"
-    cold = run_lint("--program", "--cache", str(cache), "--format", "json")
-    warm = run_lint("--program", "--cache", str(cache), "--format", "json")
+    cold = run_lint("--cache", str(cache), "--format", "json")
+    warm = run_lint("--cache", str(cache), "--format", "json")
     assert cold.returncode == 0 and warm.returncode == 0
     assert json.loads(cold.stdout)["findings"] == json.loads(warm.stdout)["findings"]
     assert cache.exists()
@@ -106,7 +93,7 @@ def test_seeded_program_violation_fails_the_lint(tmp_path):
         "    return stats.get('sim/reqests')\n"
     )
     result = run_lint(
-        "--program", "--no-cache", "--no-baseline", "--root", str(tmp_path),
+        "--no-cache", "--no-baseline", "--root", str(tmp_path),
         "sim", "report",
     )
     assert result.returncode == 1, result.stdout + result.stderr

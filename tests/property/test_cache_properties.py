@@ -7,7 +7,7 @@ from repro.cache.cache import SetAssociativeCache
 
 lines = st.integers(min_value=0, max_value=2**20)
 ops = st.lists(
-    st.tuples(st.sampled_from(["fill", "lookup", "write", "invalidate"]), lines),
+    st.tuples(st.sampled_from(["fill", "lookup", "write"]), lines),
     max_size=200,
 )
 
@@ -22,10 +22,8 @@ def run(cache, op_list):
             cache.fill(line)
         elif kind == "lookup":
             cache.lookup(line)
-        elif kind == "write":
-            cache.lookup(line, is_write=True)
         else:
-            cache.invalidate(line)
+            cache.lookup(line, is_write=True)
 
 
 class TestCacheInvariants:
@@ -63,14 +61,6 @@ class TestCacheInvariants:
         run(cache, op_list)
         resident = cache.resident_lines()
         assert len(resident) == len(set(resident))
-
-    @given(op_list=ops, probe=lines)
-    @settings(max_examples=100, deadline=None)
-    def test_invalidate_removes(self, op_list, probe):
-        cache = make_cache()
-        run(cache, op_list)
-        cache.invalidate(probe)
-        assert not cache.contains(probe)
 
     @given(op_list=ops)
     @settings(max_examples=100, deadline=None)

@@ -1,11 +1,12 @@
 """Differential property suite: SoA kernels vs the OrderedDict oracles.
 
 The simulator runs the struct-of-arrays models (:class:`repro.vm.tlb.SoaTlb`,
-:class:`repro.cache.cache.SoaCache`); the ``OrderedDict`` models stay in the
-tree purely as reference oracles.  These tests drive both implementations
-with the same randomized op sequences and require *identical observable
-behaviour at every step*: hit/miss results, returned PPNs, victim choices
-(line number and dirty bit), occupancy, and resident contents.
+:class:`repro.cache.cache.SoaCache`) on the private levels and the
+``OrderedDict`` models on the shared L3 and the L2 TLB.  These tests drive
+both implementations with the same randomized op sequences and require
+*identical observable behaviour at every step*: hit/miss results, returned
+PPNs, victim choices (line number and dirty bit), occupancy, and resident
+contents.
 
 Configs are deliberately tiny (1–4 sets, 1–4 ways) so Hypothesis exercises
 set aliasing and eviction pressure constantly, and the LRU "tie-breaking"
@@ -33,8 +34,6 @@ tlb_ops = st.lists(
     st.one_of(
         st.tuples(st.just("lookup"), _pids, _vpns),
         st.tuples(st.just("fill"), _pids, _vpns, st.integers(0, 500)),
-        st.tuples(st.just("invalidate"), _pids, _vpns),
-        st.tuples(st.just("flush")),
     ),
     max_size=200,
 )
@@ -44,8 +43,6 @@ cache_ops = st.lists(
         st.tuples(st.just("lookup"), _lines, st.booleans()),
         st.tuples(st.just("fill"), _lines, st.booleans()),
         st.tuples(st.just("contains"), _lines),
-        st.tuples(st.just("invalidate"), _lines),
-        st.tuples(st.just("invalidate_page"), st.integers(0, 5)),
     ),
     max_size=200,
 )
@@ -84,15 +81,9 @@ class TestSoaTlbMatchesReference:
             if op[0] == "lookup":
                 _, pid, vpn = op
                 assert soa.lookup(pid, vpn) == ref.lookup(pid, vpn)
-            elif op[0] == "fill":
+            else:
                 _, pid, vpn, ppn = op
                 assert soa.fill(pid, vpn, ppn) == ref.fill(pid, vpn, ppn)
-            elif op[0] == "invalidate":
-                _, pid, vpn = op
-                assert soa.invalidate(pid, vpn) == ref.invalidate(pid, vpn)
-            else:
-                soa.flush()
-                ref.flush()
             assert soa.occupancy == ref.occupancy
 
     @given(geometry=tlb_geometries, ops=tlb_ops)
@@ -108,15 +99,9 @@ class TestSoaTlbMatchesReference:
             if op[0] == "lookup":
                 soa.lookup(op[1], op[2])
                 ref.lookup(op[1], op[2])
-            elif op[0] == "fill":
+            else:
                 soa.fill(op[1], op[2], op[3])
                 ref.fill(op[1], op[2], op[3])
-            elif op[0] == "invalidate":
-                soa.invalidate(op[1], op[2])
-                ref.invalidate(op[1], op[2])
-            else:
-                soa.flush()
-                ref.flush()
         for pid in range(1, 4):
             for vpn in range(24):
                 assert soa.lookup(pid, vpn) == ref.lookup(pid, vpn), (
@@ -132,12 +117,8 @@ class TestSoaTlbMatchesReference:
         for op in ops:
             if op[0] == "lookup":
                 soa.lookup(op[1], op[2])
-            elif op[0] == "fill":
-                soa.fill(op[1], op[2], op[3])
-            elif op[0] == "invalidate":
-                soa.invalidate(op[1], op[2])
             else:
-                soa.flush()
+                soa.fill(op[1], op[2], op[3])
             assert soa._age[0] >= last
             last = soa._age[0]
         stamps = [
@@ -166,12 +147,8 @@ class TestSoaCacheMatchesReference:
             elif op[0] == "fill":
                 _, line, dirty = op
                 assert soa.fill(line, dirty) == ref.fill(line, dirty)
-            elif op[0] == "contains":
-                assert soa.contains(op[1]) == ref.contains(op[1])
-            elif op[0] == "invalidate":
-                assert soa.invalidate(op[1]) == ref.invalidate(op[1])
             else:
-                assert soa.invalidate_page(op[1], 8) == ref.invalidate_page(op[1], 8)
+                assert soa.contains(op[1]) == ref.contains(op[1])
             assert soa.occupancy == ref.occupancy
 
     @given(geometry=cache_geometries, ops=cache_ops)
@@ -187,15 +164,9 @@ class TestSoaCacheMatchesReference:
             elif op[0] == "fill":
                 soa.fill(op[1], op[2])
                 ref.fill(op[1], op[2])
-            elif op[0] == "contains":
+            else:
                 soa.contains(op[1])
                 ref.contains(op[1])
-            elif op[0] == "invalidate":
-                soa.invalidate(op[1])
-                ref.invalidate(op[1])
-            else:
-                soa.invalidate_page(op[1], 8)
-                ref.invalidate_page(op[1], 8)
         assert sorted(soa.resident_lines()) == sorted(ref.resident_lines())
         # Flush both by filling fresh conflicting lines: the victim
         # sequence (with dirty bits) must match eviction for eviction.
@@ -214,12 +185,4 @@ class TestSoaCacheMatchesReference:
             elif op[0] == "fill":
                 soa.fill(op[1], op[2])
                 ref.fill(op[1], op[2])
-            elif op[0] == "contains":
-                pass
-            elif op[0] == "invalidate":
-                soa.invalidate(op[1])
-                ref.invalidate(op[1])
-            else:
-                soa.invalidate_page(op[1], 8)
-                ref.invalidate_page(op[1], 8)
         assert soa.resident_lines() == ref.resident_lines()

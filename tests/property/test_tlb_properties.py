@@ -35,17 +35,6 @@ class TestTlbInvariants:
 
     @given(fill_list=fills)
     @settings(max_examples=100, deadline=None)
-    def test_flush_empties(self, fill_list):
-        tlb = Tlb(TlbConfig("p", 16, 4, 1))
-        for pid, vpn in fill_list:
-            tlb.fill(pid, vpn, 0)
-        tlb.flush()
-        assert tlb.occupancy == 0
-        for pid, vpn in fill_list:
-            assert tlb.lookup(pid, vpn) is None
-
-    @given(fill_list=fills)
-    @settings(max_examples=100, deadline=None)
     def test_eviction_victims_were_resident(self, fill_list):
         tlb = Tlb(TlbConfig("p", 8, 2, 1))
         resident = set()

@@ -2,9 +2,9 @@
 
 Each test builds a synthetic multi-module mini-project in ``tmp_path``
 (package dirs like ``sim/`` so the package-scoping heuristics apply),
-then lints it with ``program=True`` and asserts on the findings and the
-model.  ``write_project`` returns the root; ``lint_project`` runs the
-engine the same way ``repro lint --program`` does.
+then lints it and asserts on the findings and the model.
+``write_project`` returns the root; ``lint_project`` runs the engine the
+same way ``repro lint`` does.
 """
 
 from pathlib import Path
@@ -23,10 +23,9 @@ def write_project(root: Path, files: Dict[str, str]) -> Path:
 
 def lint_project(
     root: Path,
-    program: bool = True,
     cache_path: Optional[Path] = None,
 ) -> Tuple[LintReport, LintEngine]:
-    engine = LintEngine(root=root, program=program, cache_path=cache_path)
+    engine = LintEngine(root=root, cache_path=cache_path)
     report = engine.run([root])
     return report, engine
 

@@ -24,7 +24,7 @@ PROJECT = {
 
 def _graph(tmp_path):
     write_project(tmp_path, PROJECT)
-    engine = LintEngine(root=tmp_path, program=True)
+    engine = LintEngine(root=tmp_path)
     engine.run([tmp_path])
     return engine.last_program_model.graph
 

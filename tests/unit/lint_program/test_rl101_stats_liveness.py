@@ -1,5 +1,7 @@
 """RL101: cross-module stats liveness (positive and negative fixtures)."""
 
+from repro.lint.engine import LintEngine
+
 from tests.unit.lint_program.helpers import findings_for, lint_project, write_project
 
 
@@ -41,8 +43,8 @@ def test_negative_matching_keys_pass(tmp_path):
 
 
 def test_reads_through_snapshot_copies_count(tmp_path):
-    # RL002's heuristic only sees `stats`-named receivers; RL101 also
-    # credits slash-literal reads through snapshot/metric objects.
+    # Slash-literal reads through snapshot/metric objects count, not only
+    # reads through `stats`-named receivers.
     write_project(tmp_path, {
         "sim/model.py": (
             "def tick(stats):\n"
@@ -90,10 +92,9 @@ def test_registry_dict_writes_count_as_records(tmp_path):
             "            stats.maximum('sim/peak'))\n"
         ),
     })
-    for program, rule in ((True, "RL101"), (False, "RL002")):
-        report, _ = lint_project(tmp_path, program=program)
-        assert findings_for(report, rule) == []
-        assert report.exit_code == 0
+    report, _ = lint_project(tmp_path)
+    assert findings_for(report, "RL101") == []
+    assert report.exit_code == 0
 
 
 def test_recorded_never_read_is_informational(tmp_path):
@@ -111,16 +112,25 @@ def test_recorded_never_read_is_informational(tmp_path):
     assert report.exit_code == 0
 
 
-def test_rl002_liveness_is_deduped_under_program_mode(tmp_path):
-    files = {
-        "sim/model.py": (
+def test_findings_land_only_in_linted_files(tmp_path):
+    # The model always spans src/repro; a finding belongs to the file it
+    # is anchored in, and is reported only when that file was linted.
+    write_project(tmp_path, {
+        "src/repro/sim/model.py": (
             "def tick(stats):\n"
-            "    stats.add('sim/orphan', 1)\n"
+            "    stats.add('sim/requests', 1)\n"
         ),
-    }
-    write_project(tmp_path, files)
-    with_program, _ = lint_project(tmp_path, program=True)
-    without_program, _ = lint_project(tmp_path, program=False)
-    # Same defect, exactly one rule id each way.
-    assert [f.rule for f in with_program.findings] == ["RL101"]
-    assert [f.rule for f in without_program.findings] == ["RL002"]
+        "src/repro/report/figs.py": (
+            "def table(stats):\n"
+            "    return stats.get('sim/reqests')\n"
+        ),
+    })
+    engine = LintEngine(root=tmp_path)
+    sim_only = engine.run(["src/repro/sim"])
+    assert [(f.path, f.severity.label) for f in sim_only.findings] == [
+        ("src/repro/sim/model.py", "info"),
+    ]
+    report_only = engine.run(["src/repro/report"])
+    assert [(f.path, f.severity.label) for f in report_only.findings] == [
+        ("src/repro/report/figs.py", "warning"),
+    ]

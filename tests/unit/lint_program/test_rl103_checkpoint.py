@@ -25,8 +25,6 @@ def test_positive_reachable_class_with_lambda_attr(tmp_path):
     assert finding.path == "sim/parts.py"
     assert "System.pipeline → Pipeline" in finding.message
     assert "lambda" in finding.message
-    # RL006's per-file approximation must not double-report it.
-    assert findings_for(report, "RL006") == []
     assert "sim.parts:Pipeline" in engine.last_program_model.reachable
 
 
@@ -106,28 +104,6 @@ def test_negative_codec_registered_class_is_trusted(tmp_path):
     assert findings_for(report, "RL103") == []
 
 
-def test_unreachable_class_still_covered_by_rl006(tmp_path):
-    # Dedupe only hands over classes RL103 actually proves reachable;
-    # dead in-scope classes keep their per-file check.
-    write_project(tmp_path, {
-        "sim/system.py": (
-            "class System:\n"
-            "    def __init__(self):\n"
-            "        self.count = 0\n"
-        ),
-        "sim/orphan.py": (
-            "class Orphan:\n"
-            "    def __init__(self):\n"
-            "        self.cb = lambda: None\n"
-        ),
-    })
-    report, _ = lint_project(tmp_path)
-    assert findings_for(report, "RL103") == []
-    rl006 = findings_for(report, "RL006")
-    assert len(rl006) == 1
-    assert rl006[0].path == "sim/orphan.py"
-
-
 def test_no_root_class_means_silence(tmp_path):
     write_project(tmp_path, {
         "sim/parts.py": (
@@ -168,5 +144,141 @@ def test_positive_reachable_class_with_live_socket_and_selector(tmp_path):
     assert "live socket" in messages
     assert "I/O selector" in messages
     assert all("System.reporter → Reporter" in f.message for f in findings)
-    assert findings_for(report, "RL006") == []
     assert "sim.reporter:Reporter" in engine.last_program_model.reachable
+
+
+def test_snapshot_detach_exempts_own_assignments_not_held_objects(tmp_path):
+    # The checkpoint writer detaches the manager's own hooks, but the
+    # entries it holds are pickled with it and stay under the proof.
+    write_project(tmp_path, {
+        "sim/system.py": (
+            "from check.manager import Manager\n"
+            "class System:\n"
+            "    def __init__(self):\n"
+            "        self.checker = Manager()\n"
+        ),
+        "check/manager.py": (
+            "from typing import List\n"
+            "class Entry:\n"
+            "    def __init__(self):\n"
+            "        self.cb = lambda: 0\n"
+            "class Manager:\n"
+            "    def __init__(self):\n"
+            "        self.hook = lambda: None\n"
+            "        self.entries: List[Entry] = []\n"
+            "    def snapshot_detach(self):\n"
+            "        self.hook = None\n"
+            "    def snapshot_reattach(self):\n"
+            "        self.hook = lambda: None\n"
+        ),
+    })
+    report, _ = lint_project(tmp_path)
+    findings = findings_for(report, "RL103")
+    assert [(f.path, f.line) for f in findings] == [("check/manager.py", 4)]
+    assert "System.checker → Manager.entries → Entry" in findings[0].message
+
+
+def test_base_typed_edge_reaches_every_subclass(tmp_path):
+    write_project(tmp_path, {
+        "sim/system.py": (
+            "from typing import List\n"
+            "from check.checkers import Checker, build\n"
+            "class System:\n"
+            "    def __init__(self):\n"
+            "        self.checkers: List[Checker] = build()\n"
+        ),
+        "check/checkers.py": (
+            "class Checker:\n"
+            "    pass\n"
+            "class Clean(Checker):\n"
+            "    pass\n"
+            "class Sanity(Checker):\n"
+            "    def __init__(self):\n"
+            "        self.x = lambda: 0\n"
+            "def build():\n"
+            "    return [Clean(), Sanity()]\n"
+        ),
+    })
+    report, engine = lint_project(tmp_path)
+    findings = findings_for(report, "RL103")
+    assert len(findings) == 1
+    assert "Sanity.__init__ stores a lambda" in findings[0].message
+    assert "System.checkers → Checker → subclass Sanity" in findings[0].message
+    assert "check.checkers:Clean" in engine.last_program_model.reachable
+
+
+def test_private_classes_in_populated_containers_are_reachable(tmp_path):
+    write_project(tmp_path, {
+        "sim/system.py": (
+            "from mem.pods import Pods\n"
+            "class System:\n"
+            "    def __init__(self):\n"
+            "        self.pods = Pods()\n"
+        ),
+        "mem/pods.py": (
+            "class _Pod:\n"
+            "    def __init__(self):\n"
+            "        self.cb = lambda: 0\n"
+            "class _Entry:\n"
+            "    def __init__(self):\n"
+            "        self.cb = lambda: 0\n"
+            "class Pods:\n"
+            "    def __init__(self):\n"
+            "        self._pods = []\n"
+            "        self._pods.append(_Pod())\n"
+            "        self._entries = {}\n"
+            "    def fill(self, key):\n"
+            "        self._entries[key] = _Entry()\n"
+        ),
+    })
+    report, _ = lint_project(tmp_path)
+    messages = sorted(f.message for f in findings_for(report, "RL103"))
+    assert len(messages) == 2
+    assert "System.pods → Pods._entries → _Entry" in messages[0]
+    assert "System.pods → Pods._pods → _Pod" in messages[1]
+
+
+def test_private_class_annotation_is_an_edge(tmp_path):
+    write_project(tmp_path, {
+        "sim/system.py": (
+            "from typing import Dict\n"
+            "from vm.table import _Node\n"
+            "class System:\n"
+            "    def __init__(self):\n"
+            "        self.nodes: Dict[int, _Node] = {}\n"
+        ),
+        "vm/table.py": (
+            "import threading\n"
+            "class _Node:\n"
+            "    def __init__(self):\n"
+            "        self.lock = threading.Lock()\n"
+        ),
+    })
+    report, _ = lint_project(tmp_path)
+    findings = findings_for(report, "RL103")
+    assert len(findings) == 1
+    assert "System.nodes → _Node" in findings[0].message
+
+
+def test_encoding_owner_stops_the_subclass_closure(tmp_path):
+    # A base that pickles itself through __getstate__ hands that encoding
+    # to its subclasses too; the traversal does not open them up.
+    write_project(tmp_path, {
+        "sim/system.py": (
+            "from sim.parts import Part\n"
+            "class System:\n"
+            "    def __init__(self, part: Part):\n"
+            "        self.part = part\n"
+        ),
+        "sim/parts.py": (
+            "class Part:\n"
+            "    def __getstate__(self):\n"
+            "        return {}\n"
+            "class Special(Part):\n"
+            "    def __init__(self):\n"
+            "        self.cb = lambda: 0\n"
+        ),
+    })
+    report, engine = lint_project(tmp_path)
+    assert findings_for(report, "RL103") == []
+    assert "sim.parts:Special" not in engine.last_program_model.reachable

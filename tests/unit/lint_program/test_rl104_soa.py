@@ -114,97 +114,3 @@ def test_negative_cold_functions_are_not_policed(tmp_path):
     })
     report, _ = lint_project(tmp_path)
     assert findings_for(report, "RL104") == []
-
-
-# -- PR-9: OrderedDict probes in hot kernels --------------------------------
-
-_REFERENCE_WITH_SOA = (
-    "from collections import OrderedDict\n"
-    "class Tlb:\n"
-    "    def __init__(self, n):\n"
-    "        self._sets = [OrderedDict() for _ in range(n)]\n"
-    "class SoaTlb:\n"
-    "    def __init__(self, n):\n"
-    "        self._way_of = [dict() for _ in range(n)]\n"
-)
-
-
-def test_positive_odict_probe_in_hot_kernel(tmp_path):
-    write_project(tmp_path, {
-        "vm/tlb.py": _REFERENCE_WITH_SOA,
-        "sim/kernel.py": (
-            "# repro-hot\n"
-            "def drain(tlb, index, key):\n"
-            "    return tlb._sets[index].get(key)\n"
-        ),
-    })
-    report, _ = lint_project(tmp_path)
-    findings = findings_for(report, "RL104")
-    assert len(findings) == 1
-    assert findings[0].path == "sim/kernel.py"
-    assert ".get()" in findings[0].message
-    assert "_sets" in findings[0].message
-    assert "SoaTlb" in findings[0].message or "SoA" in findings[0].message
-
-
-def test_positive_odict_probe_through_local_alias(tmp_path):
-    write_project(tmp_path, {
-        "vm/tlb.py": _REFERENCE_WITH_SOA,
-        "sim/kernel.py": (
-            "# repro-hot\n"
-            "def drain(tlb, index, key):\n"
-            "    entries = tlb._sets[index]\n"
-            "    entries.move_to_end(key)\n"
-            "    return entries.popitem(last=False)\n"
-        ),
-    })
-    report, _ = lint_project(tmp_path)
-    findings = findings_for(report, "RL104")
-    assert len(findings) == 2
-    assert {".move_to_end()", ".popitem()"} == {
-        f.message.split(" ")[2] for f in findings
-    }
-
-
-def test_negative_odict_without_soa_counterpart_is_out_of_scope(tmp_path):
-    """Controller CAMs where OrderedDict IS the model do not flag."""
-    write_project(tmp_path, {
-        "core/pct.py": (
-            "from collections import OrderedDict\n"
-            "class FilterTable:\n"
-            "    def __init__(self):\n"
-            "        self._entries = OrderedDict()\n"
-        ),
-        "sim/kernel.py": (
-            "# repro-hot\n"
-            "def drain(table, key):\n"
-            "    return table._entries.get(key)\n"
-        ),
-    })
-    report, _ = lint_project(tmp_path)
-    assert findings_for(report, "RL104") == []
-
-
-def test_negative_plain_dict_probe_is_clean(tmp_path):
-    write_project(tmp_path, {
-        "vm/tlb.py": _REFERENCE_WITH_SOA,
-        "sim/kernel.py": (
-            "# repro-hot\n"
-            "def drain(soa, index, key):\n"
-            "    return soa._way_of[index].get(key)\n"
-        ),
-    })
-    report, _ = lint_project(tmp_path)
-    assert findings_for(report, "RL104") == []
-
-
-def test_negative_cold_function_probe_is_clean(tmp_path):
-    write_project(tmp_path, {
-        "vm/tlb.py": _REFERENCE_WITH_SOA,
-        "sim/audit.py": (
-            "def audit(tlb, index, key):\n"
-            "    return tlb._sets[index].get(key)\n"
-        ),
-    })
-    report, _ = lint_project(tmp_path)
-    assert findings_for(report, "RL104") == []

@@ -1,8 +1,9 @@
 """RL105: raw state writes laundered through out-of-scope helpers.
 
-RL007 sees a raw ``open(path, "w")`` inside the persistence packages;
-RL105 follows call edges out of those packages and flags the boundary
-call site when any transitively-reached helper performs the write.
+Besides a raw ``open(path, "w")`` inside the persistence packages
+(``tests/unit/test_lint_persist_discipline.py``), RL105 follows call
+edges out of those packages and flags the boundary call site when any
+transitively-reached helper performs the write.
 """
 
 from tests.unit.lint_program.helpers import findings_for, lint_project, write_project
@@ -10,7 +11,7 @@ from tests.unit.lint_program.helpers import findings_for, lint_project, write_pr
 
 def _findings(tmp_path, files):
     write_project(tmp_path, files)
-    report, _ = lint_project(tmp_path, program=True)
+    report, _ = lint_project(tmp_path)
     return findings_for(report, "RL105")
 
 
@@ -93,9 +94,10 @@ def test_persist_layer_itself_is_exempt(tmp_path):
     assert findings == []
 
 
-def test_in_scope_callee_is_rl007_business_not_rl105(tmp_path):
-    """A raw write inside the scope is flagged once, by the per-file rule."""
-    write_project(tmp_path, {
+def test_in_scope_callee_write_is_reported_once_at_the_write(tmp_path):
+    """A raw write inside the scope is flagged where it is made, not again
+    at each in-scope call site that reaches it."""
+    findings = _findings(tmp_path, {
         "snapshot/saver.py": (
             "from snapshot.raw import spill\n"
             "def save(path, payload):\n"
@@ -106,11 +108,8 @@ def test_in_scope_callee_is_rl007_business_not_rl105(tmp_path):
             "    open(path, 'w').write(repr(payload))\n"
         ),
     })
-    report, _ = lint_project(tmp_path, program=True)
-    assert findings_for(report, "RL105") == []
-    rl007 = findings_for(report, "RL007")
-    assert len(rl007) == 1
-    assert rl007[0].path == "snapshot/raw.py"
+    assert [(f.path, f.line) for f in findings] == [("snapshot/raw.py", 2)]
+    assert "bypasses the persistence layer" in findings[0].message
 
 
 def test_out_of_scope_caller_is_not_flagged(tmp_path):
@@ -162,7 +161,7 @@ def test_pragma_at_the_call_site_suppresses(tmp_path):
             "        handle.write(repr(payload))\n"
         ),
     })
-    report, _ = lint_project(tmp_path, program=True)
+    report, _ = lint_project(tmp_path)
     assert findings_for(report, "RL105") == []
     assert report.suppressed >= 1
 
@@ -177,7 +176,7 @@ def test_raw_write_facts_are_extracted(tmp_path):
             "    return path.read_text()\n"
         ),
     })
-    _, engine = lint_project(tmp_path, program=True)
+    _, engine = lint_project(tmp_path)
     facts = engine.last_program_model.table.modules["util.io"]
     assert [w.detail for w in facts.functions["dump"].raw_writes] == [
         "json.dump(...)"

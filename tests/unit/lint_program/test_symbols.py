@@ -17,7 +17,7 @@ def _model(tmp_path, files):
     write_project(tmp_path, files)
     from repro.lint.engine import LintEngine
 
-    engine = LintEngine(root=tmp_path, program=True)
+    engine = LintEngine(root=tmp_path)
     engine.run([tmp_path])
     return engine.last_program_model
 

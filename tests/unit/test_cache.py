@@ -88,26 +88,6 @@ class TestDirty:
         assert victim.dirty
 
 
-class TestInvalidate:
-    def test_invalidate_present(self):
-        cache = make_cache()
-        cache.fill(9)
-        assert cache.invalidate(9)
-        assert not cache.lookup(9)
-
-    def test_invalidate_absent(self):
-        cache = make_cache()
-        assert not cache.invalidate(9)
-
-    def test_invalidate_page(self):
-        cache = make_cache(size=16 * 1024, ways=8)
-        for line in range(64, 128):  # page 1
-            cache.fill(line)
-        dropped = cache.invalidate_page(1)
-        assert dropped == 64
-        assert cache.occupancy == 0
-
-
 class TestResidentLines:
     def test_resident_lines_roundtrip(self):
         cache = make_cache()

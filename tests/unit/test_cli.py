@@ -1,8 +1,15 @@
 """Unit tests for the command-line interface (repro.cli)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 class TestParser:
@@ -37,8 +44,9 @@ class TestParser:
             ["run", "--scheme", "pageseer", "--workload", "lbmx4",
              "--engine", "scalar"],
             ["bench", "--engines", "scalar"],
+            ["lint", "--program"],
         ],
-        ids=["run-engine", "bench-engines"],
+        ids=["run-engine", "bench-engines", "lint-program"],
     )
     def test_run_mode_flags_are_rejected(self, argv, capsys):
         """Scripts still passing the removed run-mode flags fail at parse
@@ -47,6 +55,23 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_building_the_parser_leaves_the_analyzer_unloaded(self):
+        """Every command builds the parser; only a lint run pays for
+        importing the analyzer."""
+        code = (
+            "import sys\n"
+            "from repro.cli import build_parser\n"
+            "build_parser()\n"
+            "print(' '.join(sorted(m for m in sys.modules if m.startswith('repro.lint'))))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        loaded = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        assert "repro.lint.engine" not in loaded
+        assert not [m for m in loaded if m.split(".")[:3] == ["repro", "lint", "program"]]
 
 
 class TestCommands:

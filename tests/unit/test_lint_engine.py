@@ -91,6 +91,21 @@ class TestSuppression:
         report = lint(tmp_path)
         assert report.findings == []
 
+    def test_file_pragma_stays_in_its_own_file(self, tmp_path):
+        # asim/model.py ends with "sim/model.py"; its pragma must not leak.
+        write_tree(
+            tmp_path,
+            {
+                "asim/model.py": "# repro-lint: disable-file=RL001\n",
+                "sim/model.py": "import random\nx = random.random()\n",
+            },
+        )
+        report = lint_paths(["sim", "asim"], root=tmp_path, rules=[DeterminismRule()])
+        assert [(f.rule, f.path) for f in report.failing] == [
+            ("RL001", "sim/model.py"), ("RL001", "sim/model.py"),
+        ]
+        assert report.suppressed == 0
+
     def test_pragma_for_other_rule_does_not_suppress(self, tmp_path):
         write_tree(
             tmp_path,

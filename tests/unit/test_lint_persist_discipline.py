@@ -1,5 +1,6 @@
-"""RL007 persist-discipline: raw state-file writes inside the
-persistence-owning packages must route through ``repro.persist``."""
+"""RL105 persist discipline: raw state-file writes made directly inside
+the persistence-owning packages must route through ``repro.persist``
+(the laundered variant is in ``lint_program/test_rl105_persist_reach``)."""
 
 import pytest
 
@@ -8,8 +9,8 @@ from tests.unit.lint_program.helpers import findings_for, lint_project, write_pr
 
 def _findings(tmp_path, files):
     write_project(tmp_path, files)
-    report, _ = lint_project(tmp_path, program=False)
-    return findings_for(report, "RL007")
+    report, _ = lint_project(tmp_path)
+    return findings_for(report, "RL105")
 
 
 @pytest.mark.parametrize("statement,shape", [
@@ -95,11 +96,11 @@ def test_pragma_suppresses_a_justified_site(tmp_path):
         "snapshot/rotate.py": (
             "def rotate(path, target):\n"
             "    target.write_bytes(path.read_bytes())"
-            "  # repro-lint: disable=RL007\n"
+            "  # repro-lint: disable=RL105\n"
         ),
     })
-    report, _ = lint_project(tmp_path, program=False)
-    assert findings_for(report, "RL007") == []
+    report, _ = lint_project(tmp_path)
+    assert findings_for(report, "RL105") == []
     assert report.suppressed >= 1
 
 
@@ -121,5 +122,38 @@ def test_repo_tip_is_clean():
     from pathlib import Path
 
     repo_src = Path(__file__).resolve().parents[2] / "src" / "repro"
-    report, _ = lint_project(repo_src, program=False)
-    assert findings_for(report, "RL007") == []
+    report, _ = lint_project(repo_src)
+    assert findings_for(report, "RL105") == []
+
+
+def test_module_level_and_nested_writes_are_flagged(tmp_path):
+    findings = _findings(tmp_path, {
+        "sweepd/journal.py": (
+            "open('journal.log', 'a')\n"
+            "class Journal:\n"
+            "    def flush(self, path):\n"
+            "        def spill():\n"
+            "            path.write_text('x')\n"
+            "        spill()\n"
+        ),
+    })
+    assert sorted(f.line for f in findings) == [1, 5]
+
+
+@pytest.mark.parametrize("relpath", [
+    "snapshot/checkpoint.py",
+    "experiments/figures.py",
+    "sweepd/aggregator.py",
+])
+def test_repo_pragmas_guard_real_raw_writes(tmp_path, relpath):
+    """Each justified bypass in the repo is load-bearing: without its
+    pragma, RL105 flags the write it sits on."""
+    from pathlib import Path
+
+    source = Path(__file__).resolve().parents[2] / "src" / "repro" / relpath
+    pragma = "  # repro-lint: disable=RL105"
+    text = source.read_text()
+    assert text.count(pragma) == 1
+    pragma_line = text[:text.index(pragma)].count("\n") + 1
+    findings = _findings(tmp_path, {relpath: text.replace(pragma, "")})
+    assert [f.line for f in findings] == [pragma_line]

@@ -1,13 +1,25 @@
-"""RL006 snapshot-safety: live sockets and selectors on checkpointable
-classes (the failure mode the sweepd heartbeat plumbing makes easy)."""
+"""RL103 snapshot safety: the process-local shapes it flags (live sockets
+and selectors — the failure mode the sweepd heartbeat plumbing makes
+easy), its ``snapshot_detach`` escape hatch, and its scope (what a
+checkpoint of ``System`` reaches)."""
 
 from tests.unit.lint_program.helpers import findings_for, lint_project, write_project
 
 
-def _findings(tmp_path, files):
-    write_project(tmp_path, files)
-    report, _ = lint_project(tmp_path, program=False)
-    return findings_for(report, "RL006")
+def _system(*held):
+    """A ``sim/system.py`` whose System holds one instance of each class,
+    given as ``(module, class)`` pairs."""
+    imports = "".join(f"from {module} import {name}\n" for module, name in held)
+    fields = "        self.count = 0\n" + "".join(
+        f"        self.{name.lower()} = {name}()\n" for _, name in held
+    )
+    return f"{imports}class System:\n    def __init__(self):\n{fields}"
+
+
+def _findings(tmp_path, files, *held):
+    write_project(tmp_path, {"sim/system.py": _system(*held), **files})
+    report, _ = lint_project(tmp_path)
+    return findings_for(report, "RL103")
 
 
 def test_socket_module_constructor_is_flagged(tmp_path):
@@ -18,7 +30,7 @@ def test_socket_module_constructor_is_flagged(tmp_path):
             "    def __init__(self):\n"
             "        self.sock = socket.socket()\n"
         ),
-    })
+    }, ("sim.reporter", "Reporter"))
     assert len(findings) == 1
     assert "live socket" in findings[0].message
     assert "Reporter.__init__" in findings[0].message
@@ -36,7 +48,7 @@ def test_create_connection_and_friends_are_flagged(tmp_path):
             "    def adopt(self, fd):\n"
             "        self.raw = socket.fromfd(fd, 2, 1)\n"
         ),
-    })
+    }, ("sim.links", "Links"))
     assert len(findings) == 3
     assert all("live socket" in finding.message for finding in findings)
 
@@ -49,7 +61,7 @@ def test_bare_socket_import_idiom_is_flagged(tmp_path):
             "    def __init__(self):\n"
             "        self.sock = socket()\n"
         ),
-    })
+    }, ("sim.reporter", "Reporter"))
     assert len(findings) == 1
     assert "live socket" in findings[0].message
 
@@ -68,7 +80,7 @@ def test_selector_objects_are_flagged(tmp_path):
             "    def __init__(self):\n"
             "        self.selector = EpollSelector()\n"
         ),
-    })
+    }, ("sim.loop", "Loop"), ("sim.loop2", "Loop2"))
     assert len(findings) == 2
     assert all("I/O selector" in finding.message for finding in findings)
 
@@ -85,13 +97,14 @@ def test_snapshot_detach_exempts_the_class(tmp_path):
             "    def snapshot_reattach(self):\n"
             "        pass\n"
         ),
-    })
+    }, ("sim.reporter", "Reporter"))
     assert findings == []
 
 
 def test_out_of_scope_packages_are_not_checked(tmp_path):
     # The service itself (sweepd) legitimately owns sockets and
-    # selectors; it is never part of a pickled System graph.
+    # selectors; no System attribute reaches it, so it is never part of
+    # a pickled System graph.
     findings = _findings(tmp_path, {
         "sweepd/server.py": (
             "import selectors\n"
@@ -111,5 +124,5 @@ def test_plain_data_is_not_flagged(tmp_path):
             "        self.hits = 0\n"
             "        self.names = ['a', 'b']\n"
         ),
-    })
+    }, ("sim.counters", "Counters"))
     assert findings == []

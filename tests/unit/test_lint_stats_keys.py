@@ -1,17 +1,23 @@
-"""RL002: stats-key discipline — dynamic keys, typos, liveness."""
+"""Stats-key discipline: RL002's dynamic keys at record sites, and
+RL101's liveness and near-duplicate (typo'd) keys."""
 
 from pathlib import Path
 
 from repro.lint.engine import Severity, lint_paths
+from repro.lint.program.rules.stats_liveness import StatsLivenessRule
 from repro.lint.rules.stats_keys import StatsKeyRule
 
 
-def run(tmp_path: Path, files: dict):
+def run(tmp_path: Path, files: dict, rules=(StatsKeyRule,)):
     for relpath, text in files.items():
         path = tmp_path / relpath
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(text)
-    return lint_paths(["."], root=tmp_path, rules=[StatsKeyRule()])
+    return lint_paths(["."], root=tmp_path, rules=[rule() for rule in rules])
+
+
+def run_rl101(tmp_path: Path, files: dict):
+    return run(tmp_path, files, rules=(StatsLivenessRule,))
 
 
 def messages(report):
@@ -39,6 +45,19 @@ class TestDynamicKeys:
         )
         assert not any("f-string" in m for m in messages(report))
 
+    def test_dynamic_key_bound_into_a_handle_flagged(self, tmp_path):
+        report = run(
+            tmp_path,
+            {
+                "sim/model.py": (
+                    "class Pool:\n"
+                    "    def __init__(self, stats, kind):\n"
+                    "        self._count = stats.counter(f'pool/{kind}')\n"
+                )
+            },
+        )
+        assert any("f-string stats key" in m for m in messages(report))
+
     def test_arbitrary_expression_key_flagged(self, tmp_path):
         report = run(
             tmp_path,
@@ -60,8 +79,9 @@ class TestDynamicKeys:
                     "    return stats.get('hmc/req_demand') + stats.get('hmc/req_pte')\n"
                 ),
             },
+            rules=(StatsKeyRule, StatsLivenessRule),
         )
-        assert report.failing == []
+        assert report.findings == []
 
     def test_tuple_key_table_accepted(self, tmp_path):
         report = run(
@@ -95,7 +115,7 @@ class TestDynamicKeys:
 
 class TestLiveness:
     def test_read_never_recorded_flagged_with_suggestion(self, tmp_path):
-        report = run(
+        report = run_rl101(
             tmp_path,
             {
                 "sim/model.py": "def tick(stats):\n    stats.add('hmc/requests')\n",
@@ -104,15 +124,15 @@ class TestLiveness:
                 ),
             },
         )
-        flagged = [m for m in messages(report) if "read but never recorded" in m]
+        flagged = [m for m in messages(report) if "recorded nowhere" in m]
         assert flagged and 'did you mean "hmc/requests"' in flagged[0]
 
     def test_matching_read_and_record_clean(self, tmp_path):
-        report = run(tmp_path, dict(RECORD_AND_READ))
-        assert not any("read but never recorded" in m for m in messages(report))
+        report = run_rl101(tmp_path, dict(RECORD_AND_READ))
+        assert report.findings == []
 
     def test_fstring_prefix_covers_pattern_reads(self, tmp_path):
-        report = run(
+        report = run_rl101(
             tmp_path,
             {
                 "analysis/dump.py": (
@@ -123,10 +143,10 @@ class TestLiveness:
                 )
             },
         )
-        assert not any("read but never recorded" in m for m in messages(report))
+        assert not any("recorded nowhere" in m for m in messages(report))
 
     def test_recorded_never_read_is_informational_only(self, tmp_path):
-        report = run(
+        report = run_rl101(
             tmp_path,
             {"sim/model.py": "def tick(stats):\n    stats.add('hmc/orphan')\n"},
         )
@@ -139,7 +159,7 @@ class TestLiveness:
 
 class TestNearDuplicates:
     def test_one_character_typo_pair_flagged(self, tmp_path):
-        report = run(
+        report = run_rl101(
             tmp_path,
             {
                 "sim/model.py": (
@@ -152,7 +172,7 @@ class TestNearDuplicates:
         assert any("differ by one" in m for m in messages(report))
 
     def test_digit_variants_are_exempt(self, tmp_path):
-        report = run(
+        report = run_rl101(
             tmp_path,
             {
                 "sim/model.py": (
@@ -165,7 +185,7 @@ class TestNearDuplicates:
         assert not any("differ by one" in m for m in messages(report))
 
     def test_distant_keys_clean(self, tmp_path):
-        report = run(
+        report = run_rl101(
             tmp_path,
             {
                 "sim/model.py": (

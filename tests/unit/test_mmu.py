@@ -89,17 +89,6 @@ class TestTranslationPath:
         assert a.ppn == b.ppn
 
 
-class TestInvalidate:
-    def test_invalidate_forces_walk(self):
-        mmu, _, _ = make_mmu()
-        table = make_page_table()
-        table.ensure_mapped(5)
-        mmu.translate(0, table, 5 << 12)
-        mmu.invalidate(1, 5)
-        result = mmu.translate(100, table, 5 << 12)
-        assert result.source == "walk"
-
-
 class TestStats:
     def test_tlb_miss_counted(self):
         mmu, _, stats = make_mmu()

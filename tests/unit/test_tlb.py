@@ -53,25 +53,6 @@ class TestEviction:
         assert tlb.lookup(1, 0) == 99
 
 
-class TestInvalidate:
-    def test_invalidate_present(self):
-        tlb = make_tlb()
-        tlb.fill(1, 0, 10)
-        assert tlb.invalidate(1, 0)
-        assert tlb.lookup(1, 0) is None
-
-    def test_invalidate_absent(self):
-        tlb = make_tlb()
-        assert not tlb.invalidate(1, 0)
-
-    def test_flush(self):
-        tlb = make_tlb()
-        for vpn in range(4):
-            tlb.fill(1, vpn, vpn)
-        tlb.flush()
-        assert tlb.occupancy == 0
-
-
 class TestOccupancy:
     def test_counts_entries(self):
         tlb = make_tlb()

@@ -126,12 +126,6 @@ class TestPwc:
         hits = [pwc.deepest_hit(1, vpn) for vpn in (0 << 9, 1 << 9, 2 << 9)]
         assert hits.count(2) == 2
 
-    def test_flush(self):
-        pwc = PageWalkCache(4)
-        pwc.fill(1, 0, 1)
-        pwc.flush()
-        assert pwc.deepest_hit(1, 0) == -1
-
 
 class TestMmuHint:
     def test_hint_fires_once_per_walk(self):
