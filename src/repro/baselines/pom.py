@@ -313,14 +313,6 @@ class PomHmc(HmcBase):
             del self._active[seg]
 
     # -- SRC ------------------------------------------------------------------------
-    def _src_lookup(self, group: int) -> bool:
-        if group in self._src:
-            self._src.move_to_end(group)
-            self.stats.add("pom/src_hits")
-            return True
-        self.stats.add("pom/src_misses")
-        return False
-
     def _src_fill(self, group: int) -> None:
         if group not in self._src and len(self._src) >= self._src_capacity:
             self._src.popitem(last=False)

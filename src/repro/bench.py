@@ -24,7 +24,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import subprocess
 import sys
 import time
@@ -52,42 +51,6 @@ QUICK_REPEATS = 2
 #: its baseline ops/sec.  Generous on purpose — runner-to-runner noise
 #: is real; genuine hot-path regressions blow well past it.
 DEFAULT_MAX_REGRESSION = 0.30
-
-#: Thread-count knobs pinned to 1 before any timing.  The simulator's
-#: hot loops are single-threaded Python; a numpy/BLAS runtime that
-#: spins up a worker pool only adds scheduler noise to the measured
-#: window (and the chunk prep kernel's vectors are far too small to
-#: profit from threads).  Pinned with ``setdefault`` so an explicit
-#: operator override still wins — the document records what was in
-#: effect either way.
-THREAD_PIN_VARS = (
-    "OMP_NUM_THREADS",
-    "OPENBLAS_NUM_THREADS",
-    "MKL_NUM_THREADS",
-    "NUMEXPR_NUM_THREADS",
-    "VECLIB_MAXIMUM_THREADS",
-)
-
-
-def pin_thread_env() -> Dict[str, str]:
-    """Pin the BLAS/numpy thread pools to 1; returns the effective pins.
-
-    Must run before the first timed window (ideally before numpy spins
-    up its backend).  Returns the variable -> value mapping actually in
-    effect, which :func:`run_bench` embeds in the document so two bench
-    documents can be compared knowing their threading was equal.
-    """
-    return {var: os.environ.setdefault(var, "1") for var in THREAD_PIN_VARS}
-
-
-def _numpy_version() -> Optional[str]:
-    """The numpy version backing the prep kernels (None when absent)."""
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - the image bakes numpy in
-        return None
-    return numpy.__version__
-
 
 def git_revision() -> str:
     """The current git revision, or ``"unknown"`` outside a checkout."""
@@ -192,7 +155,6 @@ def run_bench(
     quick: bool,
 ) -> Dict[str, object]:
     """Run the full grid (scheme × workload); returns the document."""
-    env_pins = pin_thread_env()
     results: Dict[str, Dict[str, object]] = {}
     grid_start = time.perf_counter()
     for workload_name in workloads:
@@ -216,10 +178,6 @@ def run_bench(
             "measure_ops": measure_ops,
             "seed": seed,
             "repeats": repeats,
-        },
-        "env": {
-            "thread_pins": env_pins,
-            "numpy_version": _numpy_version(),
         },
         "results": results,
         "total_wall_seconds": round(time.perf_counter() - grid_start, 2),

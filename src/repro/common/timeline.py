@@ -16,11 +16,6 @@ from __future__ import annotations
 
 from typing import List, Tuple
 
-try:  # numpy backs the struct-of-arrays mirror; scalar classes never need it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image bakes numpy in
-    _np = None
-
 #: Unit alias checked by the RL004 lint rule (see docs/LINTING.md).
 #: Marks CPU-cycle quantities (timestamps and durations at the 2 GHz core
 #: clock).  Plain ``int`` at run time; the alias keeps cycle arithmetic
@@ -108,133 +103,3 @@ class BankedTimeline:
         if not self._timelines:
             return 0.0
         return sum(t.utilization(elapsed) for t in self._timelines) / len(self._timelines)
-
-
-class SoaBankedTimeline:
-    """:class:`BankedTimeline` as numpy struct-of-arrays.
-
-    Two int64 vectors (``busy_until``, ``total_busy``) replace the list of
-    :class:`Timeline` records, so bulk reservations — the page/segment
-    transfer schedules the batched engine computes in closed form — touch
-    every bank with a handful of vector ops instead of a Python loop per
-    line.  The scalar methods (:meth:`reserve`, :meth:`least_loaded`,
-    :meth:`next_free`) keep the exact semantics of the scalar class; the
-    property suite ``tests/property/test_timeline_soa.py`` replays random
-    operation sequences against :class:`BankedTimeline` and requires
-    bit-identical grants, including ``least_loaded`` tie-breaking (first
-    index achieving the minimum wins) and modulo-wrapped bank indices.
-    """
-
-    __slots__ = ("busy_until", "total_busy")
-
-    def __init__(self, count: int) -> None:
-        if _np is None:
-            raise RuntimeError(
-                "SoaBankedTimeline needs numpy; use BankedTimeline instead"
-            )
-        if count <= 0:
-            raise ValueError("SoaBankedTimeline needs at least one bank")
-        self.busy_until = _np.zeros(count, dtype=_np.int64)
-        self.total_busy = _np.zeros(count, dtype=_np.int64)
-
-    def __len__(self) -> int:
-        return int(self.busy_until.shape[0])
-
-    # -- scalar-compatible operations ----------------------------------------
-    def reserve(self, index: int, now: Cycles, duration: Cycles) -> Tuple[Cycles, Cycles]:
-        """Reserve bank *index*; bit-identical to the scalar class."""
-        busy = int(self.busy_until[index])
-        start = now if now > busy else busy
-        end = start + duration
-        self.busy_until[index] = end
-        self.total_busy[index] += duration
-        return start, end
-
-    def next_free(self, index: int, now: Cycles) -> Cycles:
-        busy = int(self.busy_until[index])
-        return now if now > busy else busy
-
-    def least_loaded(self, now: Cycles) -> int:
-        """First bank index achieving the earliest free time.
-
-        ``np.maximum`` clamps already-free banks to *now*, making them all
-        equal to the minimum; ``argmin`` returns the *first* occurrence,
-        which is exactly the scalar class's tie-break (its early exit at
-        the first free bank returns the same index the full scan would).
-        """
-        return int(_np.argmin(_np.maximum(self.busy_until, now)))
-
-    def utilization(self, elapsed: Cycles) -> float:
-        if elapsed <= 0:
-            return 0.0
-        shares = _np.minimum(1.0, self.total_busy / float(elapsed))
-        return float(shares.mean())
-
-    # -- vectorized kernels ----------------------------------------------------
-    def reserve_all(self, now: Cycles, duration: Cycles) -> "_np.ndarray":
-        """Reserve every bank once at *now*; returns the end-time vector.
-
-        Equivalent to ``[reserve(i, now, duration)[1] for i in range(n)]``
-        but as three vector ops — the shape of a page transfer that
-        touches each bank of a channel with one burst.
-        """
-        starts = _np.maximum(self.busy_until, now)
-        ends = starts + duration
-        self.busy_until = ends
-        self.total_busy += duration
-        return ends
-
-    def reserve_sequence(
-        self, indices: "_np.ndarray", now: Cycles, duration: Cycles
-    ) -> "_np.ndarray":
-        """Reserve *indices* in order; returns per-reservation end times.
-
-        Repeated indices chain (a bank reserved twice queues behind its
-        own earlier grant), so the result is bit-identical to the scalar
-        loop.  Within the run of consecutive hits on one bank the grant
-        times advance by exactly *duration*, which is what lets the
-        closed-form transfer planner emit one vector expression per bank
-        group instead of iterating lines.
-        """
-        indices = _np.asarray(indices, dtype=_np.int64)
-        n = int(indices.shape[0])
-        if n == 0:
-            return _np.zeros(0, dtype=_np.int64)
-        # Occurrence rank of each reservation within its bank (0 for the
-        # first hit on a bank, 1 for the second, ...), computed without a
-        # per-element loop: stable-sort groups equal banks together, the
-        # rank is the offset into the group, then scatter back.
-        perm = _np.argsort(indices, kind="stable")
-        grouped = indices[perm]
-        run_starts = _np.flatnonzero(
-            _np.diff(grouped, prepend=grouped[0] - 1)
-        )
-        run_lengths = _np.diff(_np.append(run_starts, n))
-        rank_sorted = _np.arange(n) - _np.repeat(run_starts, run_lengths)
-        rank = _np.empty(n, dtype=_np.int64)
-        rank[perm] = rank_sorted
-        starts = _np.maximum(self.busy_until[indices], now) + rank * duration
-        ends = starts + duration
-        _np.maximum.at(self.busy_until, indices, ends)
-        self.total_busy += _np.bincount(indices, minlength=len(self)) * duration
-        return ends
-
-    # -- interop ---------------------------------------------------------------
-    @classmethod
-    def from_banked(cls, banked: BankedTimeline) -> "SoaBankedTimeline":
-        """Copy the state of a scalar :class:`BankedTimeline`."""
-        soa = cls(len(banked))
-        for index in range(len(banked)):
-            timeline = banked[index]
-            soa.busy_until[index] = timeline.busy_until
-            soa.total_busy[index] = timeline.total_busy
-        return soa
-
-    def to_banked(self) -> BankedTimeline:
-        """Materialise the equivalent scalar :class:`BankedTimeline`."""
-        banked = BankedTimeline(len(self))
-        for index in range(len(self)):
-            timeline = banked[index]
-            timeline.busy_until = int(self.busy_until[index])
-            timeline.total_busy = int(self.total_busy[index])
-        return banked

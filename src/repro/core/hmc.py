@@ -741,10 +741,6 @@ class PageSeerHmc(HmcBase):
         """The observed line-usage bitmap for *page* (0 = unknown)."""
         return self._line_usage.get(page, 0)
 
-    def _line_in_partial_residue(self, page: int, line_offset: int) -> bool:
-        residue = self.swap_driver.partial_residue.get(page)
-        return residue is not None and bool(residue & (1 << line_offset))
-
     def _migrate_residue_line(
         self, now: int, page: int, line_offset: int, is_write: bool
     ) -> int:

@@ -136,10 +136,6 @@ class SwapDriver:
                     self._in_flight_ends = [e for e in ends if e > now]
                     break
 
-    def is_swapping(self, now: int, page_spa: int) -> bool:
-        self._purge(now)
-        return page_spa in self._active
-
     def swap_end_for(self, now: int, page_spa: int) -> Optional[int]:
         """When the in-flight swap involving *page_spa* completes, if any."""
         self._purge(now)

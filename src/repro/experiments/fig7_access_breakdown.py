@@ -55,8 +55,3 @@ def compute(runner: ExperimentRunner) -> FigureResult:
         "DRAM share of the three schemes"
     )
     return result
-
-
-def average_dram_share(runner: ExperimentRunner, scheme: str) -> float:
-    per_workload = runner.run_matrix([scheme])[scheme]
-    return arithmetic_mean([m.dram_share for m in per_workload.values()])

@@ -4,7 +4,7 @@ The runtime sanitizer (``repro.check``) catches invariant violations that a
 particular run happens to exercise; this package catches whole classes of
 reproducibility bugs statically, across *all* code paths, at zero simulation
 cost.  Every run builds one whole-program model (:mod:`repro.lint.program`)
-and applies ten rules, one per property:
+and applies nine rules, one per property:
 
 * **RL001 determinism** — unseeded randomness and wall-clock reads inside
   the simulation core (use :class:`repro.common.rng.DeterministicRng`),
@@ -15,17 +15,16 @@ and applies ten rules, one per property:
   nobody reads) and reads of fields no config class declares.
 * **RL004 unit hygiene** — arithmetic mixing ``Cycles``-annotated
   quantities with byte quantities or bare float literals in timing code.
-* **RL005 hot-path hygiene** — per-call dataclass construction and
-  dynamically-built stats keys inside functions marked ``# repro-hot``
-  (the per-operation path inventoried in ``docs/PERFORMANCE.md``).
+* **RL005 hot-path hygiene** — per-call dataclass construction,
+  dynamically-built stats keys, and per-element loops over stream-chunk
+  columns inside functions marked ``# repro-hot`` (the per-operation path
+  inventoried in ``docs/PERFORMANCE.md``).
 * **RL101 stats liveness** — keys read but recorded nowhere, keys recorded
   but read nowhere, and near-duplicate (typo'd) keys, program-wide.
 * **RL102 determinism taint** — nondeterministic values reaching simulator
   state or stats records through any chain of calls.
 * **RL103 snapshot safety** — process-local objects stored on any class a
   checkpoint of ``System`` can reach.
-* **RL104 SoA contracts** — dtype conflicts and per-element escapes in
-  ``# repro-hot`` numpy kernels.
 * **RL105 persist discipline** — raw state-file writes in the persistence
   packages, direct or through helpers outside them.
 

@@ -3,7 +3,7 @@
 Nodes are program function symbols (``module:Class.method`` or
 ``module:function``); edges carry the call site (file, line, col) so
 rules can point findings at real source locations.  Calls that resolve
-to nothing (stdlib, numpy, dynamic dispatch we cannot see) are simply
+to nothing (stdlib, dynamic dispatch we cannot see) are simply
 absent — the analyses treat unresolved callees as opaque.
 """
 

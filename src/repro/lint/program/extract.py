@@ -27,20 +27,17 @@ from repro.lint.program.dataflow import (
     analyze_function_taint,
 )
 from repro.lint.program.facts import (
-    ArrayFact,
     AttrEdge,
     ClassFacts,
     FunctionFacts,
     KeySite,
     ModuleFacts,
-    NumpyEvent,
     RawWrite,
     Ref,
     SinkSite,
     UnsafeAssign,
 )
 from repro.lint.program.symbols import module_name_for
-from repro.lint.rules.hot_path import _marked_hot, _numpy_aliases
 
 #: Mirrors RL001/RL002: stats record/read method names and receivers.
 _RECORD_METHODS = frozenset({"add", "observe", "counter", "observer"})
@@ -63,20 +60,6 @@ _SOURCE_ATTRS: Dict[str, "frozenset[str]"] = {
     ),
 }
 _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
-
-_NUMPY_ALLOCATORS = frozenset({"zeros", "ones", "empty", "full", "arange"})
-_NUMPY_DEFAULT_FLOAT = frozenset({"zeros", "ones", "empty", "full"})
-_NUMPY_HOT_ALLOC = frozenset({"append", "concatenate", "copy", "hstack", "vstack", "stack"})
-
-#: Known numpy dtype widths, for the RL104 widening check.
-DTYPE_ORDER: Dict[str, int] = {
-    "bool": 1, "bool_": 1,
-    "int8": 8, "uint8": 8, "int16": 16, "uint16": 16,
-    "int32": 32, "uint32": 32, "int64": 64, "uint64": 64, "intp": 64, "int": 64,
-    "float16": 17, "float32": 33, "float64": 65, "float": 65, "double": 65,
-    "complex64": 66, "complex128": 130,
-}
-
 
 # -- snapshot safety (RL103) ------------------------------------------------
 
@@ -297,9 +280,8 @@ def _annotation_class_leaves(node: Optional[ast.AST]) -> List[str]:
 class _Extractor:
     """Stateful single-file extraction (one instance per file)."""
 
-    def __init__(self, relpath: str, text: str, tree: ast.Module):
+    def __init__(self, relpath: str, tree: ast.Module):
         self.relpath = relpath
-        self.lines = text.splitlines()
         self.tree = tree
         #: Every node of the file, walked once for the module-wide passes.
         self.nodes: List[ast.AST] = list(ast.walk(tree))
@@ -311,8 +293,6 @@ class _Extractor:
         self.facts = ModuleFacts(
             relpath=relpath, module=self.module, in_sim_package=self.in_sim_package
         )
-        self.np_modules: Set[str] = set()
-        self.np_names: Set[str] = set()
         #: Local names known to be DeterministicRng-ish (laundering).
         self.rng_names: Set[str] = set()
         #: self attrs assigned a DeterministicRng in this file.
@@ -337,7 +317,6 @@ class _Extractor:
     def run(self) -> ModuleFacts:
         self.facts.raw_writes = _raw_writes_in(self.nodes)
         self._collect_imports()
-        self.np_modules, self.np_names = _numpy_aliases(self.tree)
         self._collect_module_level()
         self._collect_rng_bindings()
         self._collect_key_attrs()
@@ -348,7 +327,6 @@ class _Extractor:
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self._collect_function(node, class_name=None)
         self._collect_stats_sites()
-        self._collect_arrays()
         return self.facts
 
     # -- imports -----------------------------------------------------------
@@ -730,8 +708,6 @@ class _Extractor:
 
     def _collect_function(self, func: FunctionNode, class_name: Optional[str]) -> None:
         qualname = f"{class_name}.{func.name}" if class_name else func.name
-        source_lines = self.lines
-        hot = _marked_hot_lines(source_lines, func)
         env = TaintEnv(
             source_of=self._source_of,
             launders=self._launders,
@@ -756,7 +732,6 @@ class _Extractor:
             line=func.lineno,
             calls=calls,
             flows=flows,
-            hot=hot,
             returns_new=returns_new,
             return_annotation=_annotation_class_leaves(func.returns),
             raw_writes=[
@@ -764,8 +739,6 @@ class _Extractor:
                 if func.lineno <= write.line <= (func.end_lineno or func.lineno)
             ],
         )
-        if hot:
-            self._collect_numpy_events(func, qualname)
 
     # -- stats sites -------------------------------------------------------
     def _collect_stats_sites(self) -> None:
@@ -882,136 +855,6 @@ class _Extractor:
             KeySite(key=key, line=node.lineno, col=node.col_offset, kind="literal")
         )
 
-    # -- numpy -------------------------------------------------------------
-    def _numpy_call_name(self, node: ast.Call) -> Optional[str]:
-        chain = _attr_chain(node.func)
-        if chain is None:
-            return None
-        if len(chain) == 1:
-            return chain[0] if chain[0] in self.np_names else None
-        if chain[0] in self.np_modules:
-            return chain[-1]
-        return None
-
-    def _dtype_of_call(self, node: ast.Call) -> Tuple[Optional[str], bool]:
-        """(dtype, explicit) of a numpy allocator call, or (None, False)."""
-        for keyword in node.keywords:
-            if keyword.arg != "dtype":
-                continue
-            value = keyword.value
-            if isinstance(value, ast.Constant) and isinstance(value.value, str):
-                return value.value, True
-            chain = _attr_chain(value)
-            if chain is not None:
-                return chain[-1], True
-            return None, False
-        name = self._numpy_call_name(node)
-        if name in _NUMPY_DEFAULT_FLOAT:
-            return "float64", False
-        return None, False
-
-    def _collect_arrays(self) -> None:
-        if not (self.np_modules or self.np_names):
-            return
-        for func, class_name in self._walk_function_scopes():
-            for node in self._walk(func):
-                if not isinstance(node, (ast.Assign, ast.AnnAssign)):
-                    continue
-                value = node.value
-                if value is None or not isinstance(value, ast.Call):
-                    continue
-                name = self._numpy_call_name(value)
-                if name not in _NUMPY_ALLOCATORS and name != "asarray" and name != "array":
-                    continue
-                dtype, explicit = self._dtype_of_call(value)
-                if dtype is None:
-                    continue
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                for target in targets:
-                    if (
-                        isinstance(target, ast.Attribute)
-                        and isinstance(target.value, ast.Name)
-                        and target.value.id == "self"
-                        and class_name is not None
-                    ):
-                        self.facts.arrays.append(
-                            ArrayFact(
-                                target=f"{class_name}.{target.attr}",
-                                dtype=dtype,
-                                explicit=explicit,
-                                line=node.lineno,
-                                col=node.col_offset,
-                            )
-                        )
-
-    def _collect_numpy_events(self, func: FunctionNode, qualname: str) -> None:
-        """RL104 raw material: suspicious numpy shapes in a hot kernel."""
-        loop_depth_of = _loop_depths(func)
-        for node in self._walk(func):
-            if not isinstance(node, ast.Call):
-                continue
-            func_expr = node.func
-            np_name = self._numpy_call_name(node)
-            if np_name in _NUMPY_HOT_ALLOC:
-                self.facts.numpy_events.append(
-                    NumpyEvent(
-                        kind="alloc", function=qualname, target="",
-                        detail=f"np.{np_name}", line=node.lineno, col=node.col_offset,
-                    )
-                )
-                continue
-            if not isinstance(func_expr, ast.Attribute):
-                continue
-            target = _operand_name(func_expr.value)
-            if func_expr.attr == "astype":
-                dtype = ""
-                if node.args:
-                    chain = _attr_chain(node.args[0])
-                    if chain is not None:
-                        dtype = chain[-1]
-                    elif isinstance(node.args[0], ast.Constant):
-                        dtype = str(node.args[0].value)
-                self.facts.numpy_events.append(
-                    NumpyEvent(
-                        kind="astype", function=qualname, target=target,
-                        detail=dtype, line=node.lineno, col=node.col_offset,
-                    )
-                )
-            elif func_expr.attr in ("item", "tolist") and loop_depth_of.get(id(node), 0) > 0:
-                self.facts.numpy_events.append(
-                    NumpyEvent(
-                        kind="scalar_loop", function=qualname, target=target,
-                        detail=f".{func_expr.attr}()", line=node.lineno, col=node.col_offset,
-                    )
-                )
-
-
-def _operand_name(node: ast.expr) -> str:
-    """The attribute/local name a numpy method call operates on."""
-    if isinstance(node, ast.Attribute):
-        return node.attr
-    if isinstance(node, ast.Name):
-        return node.id
-    if isinstance(node, ast.Subscript):
-        return _operand_name(node.value)
-    return ""
-
-
-def _loop_depths(func: FunctionNode) -> Dict[int, int]:
-    """Map ``id(node)`` → enclosing loop depth inside *func*."""
-    depths: Dict[int, int] = {}
-
-    def visit(node: ast.AST, depth: int) -> None:
-        for child in ast.iter_child_nodes(node):
-            child_depth = depth + (
-                1 if isinstance(child, (ast.For, ast.AsyncFor, ast.While)) else 0
-            )
-            depths[id(child)] = child_depth
-            visit(child, child_depth)
-
-    visit(func, 0)
-    return depths
-
 
 def _ordered_statements(func: FunctionNode, nodes: Sequence[ast.AST]) -> List[ast.stmt]:
     """Every statement inside *func* (whose *nodes* these are), in source order."""
@@ -1034,16 +877,6 @@ def _calls_of(stmt: ast.stmt) -> List[ast.Call]:
     return out
 
 
-def _marked_hot_lines(lines: Sequence[str], func: FunctionNode) -> bool:
-    """``# repro-hot`` directly above the definition (RL005's marker)."""
-
-    class _Shim:
-        def __init__(self, source_lines: Sequence[str]):
-            self.lines = list(source_lines)
-
-    return bool(_marked_hot(_Shim(lines), func))  # type: ignore[arg-type]
-
-
-def extract_module_facts(relpath: str, text: str, tree: ast.Module) -> ModuleFacts:
+def extract_module_facts(relpath: str, tree: ast.Module) -> ModuleFacts:
     """Extract the whole-program facts of one parsed source file."""
-    return _Extractor(relpath, text, tree).run()
+    return _Extractor(relpath, tree).run()

@@ -21,17 +21,19 @@ from typing import Any, Dict, List, Optional, Tuple
 
 #: Bump when the extraction schema changes; invalidates every cache entry.
 #: 2: snapshot-safety classifier learned sockets/selectors (RL103).
-#: 3: OrderedDict-holding attrs + hot-kernel odict-probe events (RL104).
+#: 3: OrderedDict-holding attrs + hot-kernel odict-probe events (SoA rule).
 #: 4: per-function raw persistent-write sites (RL105).
 #: 5: stats records written straight into the registry's dicts (RL101).
 #: 6: module-wide raw-write sites (RL105); ``snapshot_detach`` no longer
 #:    marks a class exempt; private class names and ``self.x[k] = C()``
 #:    make attribute edges (RL103); the OrderedDict facts are gone.
-FACTS_VERSION = 6
+#: 7: the SoA rule is gone, and with it the numpy array facts, the
+#:    hot-kernel numpy events and the per-function ``hot`` flag.
+FACTS_VERSION = 7
 
 #: An unresolved reference to a called/constructed symbol, e.g.
 #: ``("local", "Core")``, ``("self", "reset")``, or
-#: ``("dotted", "np", "zeros")``.  Resolution happens in the model phase.
+#: ``("dotted", "os", "replace")``.  Resolution happens in the model phase.
 Ref = Tuple[str, ...]
 
 
@@ -143,8 +145,6 @@ class FunctionFacts:
     calls: List[Tuple[Ref, int, int]] = field(default_factory=list)
     #: Locally-observed taint flows (see :class:`TaintFlow`).
     flows: List[TaintFlow] = field(default_factory=list)
-    #: True when the ``# repro-hot`` marker sits above the definition.
-    hot: bool = False
     #: Constructor-shaped references this function may return.
     returns_new: List[Ref] = field(default_factory=list)
     #: The declared return annotation's class-name leaves, if any.
@@ -158,7 +158,6 @@ class FunctionFacts:
             "line": self.line,
             "calls": [[list(ref), line, col] for ref, line, col in self.calls],
             "flows": [flow.to_dict() for flow in self.flows],
-            "hot": self.hot,
             "returns_new": _refs_to_json(self.returns_new),
             "return_annotation": list(self.return_annotation),
             "raw_writes": [site.to_dict() for site in self.raw_writes],
@@ -171,7 +170,6 @@ class FunctionFacts:
             line=int(raw["line"]),
             calls=[(tuple(ref), int(line), int(col)) for ref, line, col in raw["calls"]],
             flows=[TaintFlow.from_dict(flow) for flow in raw["flows"]],
-            hot=bool(raw["hot"]),
             returns_new=_refs_from_json(raw["returns_new"]),
             return_annotation=[str(name) for name in raw["return_annotation"]],
             raw_writes=[RawWrite.from_dict(site) for site in raw["raw_writes"]],
@@ -258,62 +256,6 @@ class ClassFacts:
 
 
 @dataclass
-class ArrayFact:
-    """One numpy array creation bound to an attribute or local name."""
-
-    #: "ClassName.attr" for ``self.attr = np.zeros(...)``, else the name.
-    target: str
-    dtype: str
-    #: True when the dtype was spelled out (dtype=np.int64), False when it
-    #: is numpy's silent float64 default.
-    explicit: bool
-    line: int
-    col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "target": self.target, "dtype": self.dtype,
-            "explicit": self.explicit, "line": self.line, "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "ArrayFact":
-        return cls(
-            str(raw["target"]), str(raw["dtype"]),
-            bool(raw["explicit"]), int(raw["line"]), int(raw["col"]),
-        )
-
-
-@dataclass
-class NumpyEvent:
-    """A suspicious numpy operation inside a ``# repro-hot`` function."""
-
-    #: "astype" | "alloc" | "scalar_loop"
-    kind: str
-    function: str
-    #: The array operand's attribute/local name ("" when unknown).
-    target: str
-    #: astype: the destination dtype; alloc: the allocating callable;
-    #: scalar_loop: the converting method (".item()", ".tolist()").
-    detail: str
-    line: int
-    col: int
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind, "function": self.function, "target": self.target,
-            "detail": self.detail, "line": self.line, "col": self.col,
-        }
-
-    @classmethod
-    def from_dict(cls, raw: Dict[str, Any]) -> "NumpyEvent":
-        return cls(
-            str(raw["kind"]), str(raw["function"]), str(raw["target"]),
-            str(raw["detail"]), int(raw["line"]), int(raw["col"]),
-        )
-
-
-@dataclass
 class ModuleFacts:
     """Everything the whole-program phases need to know about one file."""
 
@@ -333,8 +275,6 @@ class ModuleFacts:
     stats_reads: List[KeySite] = field(default_factory=list)
     #: Class names registered with repro.snapshot.codec.register_codec.
     codec_registered: List[str] = field(default_factory=list)
-    arrays: List[ArrayFact] = field(default_factory=list)
-    numpy_events: List[NumpyEvent] = field(default_factory=list)
     #: Every raw persistent-write site in the file, at any nesting (RL105).
     raw_writes: List[RawWrite] = field(default_factory=list)
     #: Relpath segments place the file inside the simulation packages.
@@ -354,8 +294,6 @@ class ModuleFacts:
             "stats_records": [site.to_dict() for site in self.stats_records],
             "stats_reads": [site.to_dict() for site in self.stats_reads],
             "codec_registered": list(self.codec_registered),
-            "arrays": [fact.to_dict() for fact in self.arrays],
-            "numpy_events": [event.to_dict() for event in self.numpy_events],
             "raw_writes": [site.to_dict() for site in self.raw_writes],
             "in_sim_package": self.in_sim_package,
         }
@@ -383,8 +321,6 @@ class ModuleFacts:
             stats_records=[KeySite.from_dict(site) for site in raw["stats_records"]],
             stats_reads=[KeySite.from_dict(site) for site in raw["stats_reads"]],
             codec_registered=[str(name) for name in raw["codec_registered"]],
-            arrays=[ArrayFact.from_dict(fact) for fact in raw["arrays"]],
-            numpy_events=[NumpyEvent.from_dict(event) for event in raw["numpy_events"]],
             raw_writes=[RawWrite.from_dict(site) for site in raw["raw_writes"]],
             in_sim_package=bool(raw["in_sim_package"]),
         )

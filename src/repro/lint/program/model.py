@@ -10,8 +10,7 @@ the RL1xx rules consume:
   stats/state sinks — and the resulting source→sink findings (RL102);
 * the checkpoint-reachable class closure rooted at ``System`` with the
   attribute/subclass path that witnesses each class's reachability
-  (RL103);
-* numpy array allocations grouped by ``Class.attr`` target (RL104).
+  (RL103).
 
 Propagation runs from scratch every time — it is linear-ish in the size
 of the facts and takes milliseconds; only parsing + extraction is worth
@@ -28,7 +27,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 from repro.lint.program.cache import AnalysisCache
 from repro.lint.program.callgraph import CallGraph
 from repro.lint.program.extract import extract_module_facts
-from repro.lint.program.facts import ArrayFact, KeySite, ModuleFacts, Ref
+from repro.lint.program.facts import KeySite, ModuleFacts, Ref
 from repro.lint.program.symbols import SymbolId, SymbolTable
 
 #: Class names treated as checkpoint roots when present in the program.
@@ -87,8 +86,6 @@ class ProgramModel:
         #: codec-registered class symbols/bare names (snapshot-handled).
         self.codec_symbols: Set[SymbolId] = set()
         self.codec_names: Set[str] = set()
-        #: "Class.attr" -> [(relpath, fact)] numpy allocations.
-        self.arrays_by_target: Dict[str, List[Tuple[str, ArrayFact]]] = {}
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -150,7 +147,7 @@ def _facts_for(
         except SyntaxError:
             return None
     model.cache_misses += 1
-    facts = extract_module_facts(relpath, text, tree)
+    facts = extract_module_facts(relpath, tree)
     if cache is not None:
         cache.put(relpath, text, facts)
     return facts
@@ -197,7 +194,6 @@ def build_program_model(
     model.cache_hits = placeholder.cache_hits
     model.cache_misses = placeholder.cache_misses
     _aggregate_stats(model)
-    _aggregate_arrays(model)
     _collect_codec_registrations(model)
     _run_taint_fixpoint(model)
     _collect_taint_findings(model)
@@ -205,7 +201,7 @@ def build_program_model(
     return model
 
 
-# -- stats + arrays ---------------------------------------------------------
+# -- stats -----------------------------------------------------------------
 
 
 def _aggregate_stats(model: ProgramModel) -> None:
@@ -217,14 +213,6 @@ def _aggregate_stats(model: ProgramModel) -> None:
                 model.recorded.setdefault(site.key, []).append((facts.relpath, site))
         for site in facts.stats_reads:
             model.read.setdefault(site.key, []).append((facts.relpath, site))
-
-
-def _aggregate_arrays(model: ProgramModel) -> None:
-    for facts in model.table.modules.values():
-        for fact in facts.arrays:
-            model.arrays_by_target.setdefault(fact.target, []).append(
-                (facts.relpath, fact)
-            )
 
 
 def _collect_codec_registrations(model: ProgramModel) -> None:

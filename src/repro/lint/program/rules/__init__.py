@@ -4,6 +4,5 @@ from repro.lint.program.rules import (  # noqa: F401
     checkpoint_reach,
     determinism_taint,
     persist_reach,
-    soa_contracts,
     stats_liveness,
 )

@@ -7,8 +7,8 @@ descriptors the per-file extractor records (imported names, ``self.``
 method calls, dotted chains) to program symbols.
 
 Resolution is deliberately conservative: a reference that cannot be
-pinned to a project symbol resolves to ``None`` (external — stdlib,
-numpy, ...) and the analyses treat it as opaque.
+pinned to a project symbol resolves to ``None`` (external — the
+standard library, ...) and the analyses treat it as opaque.
 """
 
 from __future__ import annotations

@@ -7,12 +7,12 @@ Python dispatch chain — op fetch, ``ensure_mapped``, MMU translate,
 hierarchy access, per-op result objects — for *every* operation, even
 though most of them are pure L1-TLB + L1/L2-cache hits that mutate
 nothing outside one core.  This engine produces the identical result
-while consuming the stream chunk-wise: a vectorized prep kernel lifts each
+while consuming the stream chunk-wise: one prep pass lifts each
 :class:`repro.workloads.chunks.OpChunk` into flat per-op columns (VPN,
-line number, set indices, tags, clock advance) in a handful of numpy
-ops, then a slim per-op loop drains the *pure prefix* of the chunk
-against the struct-of-arrays TLB/cache models
-(:class:`repro.vm.tlb.SoaTlb`, :class:`repro.cache.cache.SoaCache`).
+line number, set indices, tags, clock advance), then a slim per-op
+loop drains the *pure prefix* of the chunk against the struct-of-arrays
+TLB/cache models (:class:`repro.vm.tlb.SoaTlb`,
+:class:`repro.cache.cache.SoaCache`).
 Shared ops run at their exact global order: cache-miss shapes (dirty
 L2-hit victims, L1+L2 misses reaching the L3 or memory) replay the
 scalar path's mutations inline from the prepped columns, and only
@@ -28,8 +28,8 @@ scheduler from tests/reference_scheduler.py as the oracle):
    absent) L1 victim.  A pure op touches only the owning core's state —
    its TLB/L1/L2 LRU ages, dirty bits, clock, and op counts — plus
    global stats counters.  Every other op is *shared*: it reaches the
-   walker, the shared L3, or the memory controller.  The prep kernel
-   resolves VPN→PPN through the page table's dense cache *at prep
+   walker, the shared L3, or the memory controller.  The prep pass
+   resolves VPN→PPN through the page table's flat VPN cache *at prep
    time*; an op whose page is unmapped at that point is classified
    shared conservatively (pure ops commute, and the scalar path it
    escapes to is the source of truth — first-touch is a walk anyway).
@@ -90,11 +90,6 @@ from repro.common.addr import LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT
 from repro.sim.cpu import _STORE_STALL_FRACTION
 from repro.sim.hmc_base import RequestKind
 
-try:  # numpy backs the chunk prep kernel; a scalar fallback covers its absence
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image bakes numpy in
-    _np = None
-
 _DEMAND = RequestKind.DEMAND
 _WRITEBACK = RequestKind.WRITEBACK
 
@@ -108,63 +103,31 @@ _POLL_STEPS = 256
 
 # repro-hot
 def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets) -> Tuple:
-    """Lift one chunk into flat per-op columns (the vectorized kernel).
+    """Lift one chunk into flat per-op columns (the one per-chunk pass).
 
-    Everything the drain loop indexes per op is computed here in a few
-    whole-chunk vector ops and materialized back to Python lists (list
-    indexing beats numpy scalar extraction in the per-op loop, and
-    ``tolist`` yields exact ``int``/``float`` elements).  The last
-    column is the (almost always empty) sorted list of op indices whose
-    pages were unmapped at prep time; their line/set/tag entries are
-    ``-1``-derived junk until the drain loop re-resolves them when it
-    *reaches* them (an earlier escape may have mapped the page by then)
-    — precomputing the escape indices keeps the mapped-ness check off
-    the per-op fast path.  A genuine first touch escapes to the scalar
-    path, whose walk maps the page.
+    Everything the drain loop indexes per op is computed here, once per
+    chunk, as plain Python lists of exact ``int``/``float`` elements.
+    The last column is the (almost always empty) sorted list of op
+    indices whose pages were unmapped at prep time; their line/set/tag
+    entries are ``-1``-derived junk until the drain loop re-resolves
+    them when it *reaches* them (an earlier escape may have mapped the
+    page by then) — precomputing the escape indices keeps the
+    mapped-ness check off the per-op fast path.  A genuine first touch
+    escapes to the scalar path, whose walk maps the page.
 
     The VPN→PPN resolution is against the page table's *immutable*
     mapping (entries are only ever added), so prepping ahead of
     execution cannot observe stale translations — only absent ones,
     which the unmapped index list handles conservatively.
     """
-    if _np is not None and hasattr(vpn_cache, "lookup_many"):
-        va = chunk.vaddr_array()
-        vpns = va >> PAGE_SHIFT
-        ppns = vpn_cache.lookup_many(vpns)
-        lines = ((ppns << PAGE_SHIFT) | (va & _PAGE_MASK)) >> LINE_SHIFT
-        if (ppns < 0).any():
-            lines = _np.where(ppns >= 0, lines, -1)
-            unmapped = _np.nonzero(ppns < 0)[0].tolist()
-        else:
-            unmapped = ()
-        works = _np.array(chunk.instr, dtype=_np.int64) + 1
-        # Exclusive prefix sum of per-op work: the drain loop charges a
-        # whole segment with cumw[end] - cumw[start] (integer adds
-        # regroup exactly, unlike the per-op float clock advances).
-        cumw = _np.zeros(works.shape[0] + 1, dtype=_np.int64)
-        _np.cumsum(works, out=cumw[1:])
-        return (
-            vpns.tolist(),
-            lines.tolist(),
-            (lines % l1_nsets).tolist(),
-            (lines // l1_nsets).tolist(),
-            (lines % l2_nsets).tolist(),
-            (lines // l2_nsets).tolist(),
-            (lines % l3_nsets).tolist(),
-            (lines // l3_nsets).tolist(),
-            cumw.tolist(),
-            (works * base_cpi).tolist(),
-            unmapped,
-        )
-    # Scalar fallback: no numpy, or a plain-dict VPN cache.
     get = vpn_cache.get
-    vpns = [vaddr >> PAGE_SHIFT for vaddr in chunk.vaddrs]
+    vaddrs = chunk.vaddrs
+    vpns = [vaddr >> PAGE_SHIFT for vaddr in vaddrs]
     lines = []
     unmapped = []
-    # Without numpy there is no vector kernel to hand the column to: this
-    # loop is the kernel, run once per chunk, not per op.
+    # This loop is the per-chunk pass RL005 sends hot consumers to.
     # repro-lint: disable=RL005
-    for index, (vaddr, vpn) in enumerate(zip(chunk.vaddrs, vpns)):
+    for index, (vaddr, vpn) in enumerate(zip(vaddrs, vpns)):
         ppn = get(vpn)
         if ppn is None:
             lines.append(-1)
@@ -172,6 +135,9 @@ def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets) -> Tup
         else:
             lines.append(((ppn << PAGE_SHIFT) | (vaddr & _PAGE_MASK)) >> LINE_SHIFT)
     works = [instructions + 1 for instructions in chunk.instr]
+    # Exclusive prefix sum of per-op work: the drain loop charges a
+    # whole segment with cumw[end] - cumw[start] (integer adds regroup
+    # exactly, unlike the per-op float clock advances).
     cumw = [0]
     total = 0
     for work in works:

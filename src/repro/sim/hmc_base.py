@@ -197,10 +197,6 @@ class HmcBase:
         """Called once when the measured run ends (close open bookkeeping)."""
 
     # -- shared accounting -------------------------------------------------------
-    def home_is_dram(self, page_spa: int) -> bool:
-        """True if the OS placed this page in DRAM (its home location)."""
-        return page_spa < self.dram_pages
-
     # repro-hot
     def account_service(
         self,

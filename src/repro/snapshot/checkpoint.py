@@ -2,7 +2,7 @@
 
 File layout (all little pieces are validated on load, in order)::
 
-    REPRO-CKPT v1\\n                  magic + format version, ASCII
+    REPRO-CKPT v2\\n                  magic + format version, ASCII
     {json header}\\n                  one line of metadata
     <zlib-compressed pickle payload>  the System object graph
 
@@ -45,9 +45,9 @@ from repro.common.errors import CheckpointError, CorruptCheckpointError
 from repro.snapshot import codec
 
 #: Bump on any incompatible change to the payload encoding or header.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
 
-MAGIC = b"REPRO-CKPT v1\n"
+MAGIC = b"REPRO-CKPT v2\n"
 
 #: Conventional file name for the rolling checkpoint of one run.
 LATEST_NAME = "latest.ckpt"

@@ -52,9 +52,6 @@ SAFE_MODULE_PREFIXES = (
     "functools",
     "pathlib",
     "dataclasses",
-    # numpy struct-of-arrays state (DenseVpnCache, SoaBankedTimeline)
-    # pickles through numpy's own reconstructors.
-    "numpy",
 )
 
 #: type -> (encode, decode).  ``encode(obj)`` must return a picklable

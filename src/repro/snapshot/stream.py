@@ -95,9 +95,7 @@ class ReplayStream:
         return (self.workload, self.core_id, self.seed, self.scale, self.consumed)
 
     def __setstate__(self, state) -> None:
-        # Older checkpoints append a stream-mode field.  Every mode emitted
-        # the same op sequence, so the position alone restores the stream.
-        workload, core_id, seed, scale, consumed = state[:5]
+        workload, core_id, seed, scale, consumed = state
         self.workload = workload
         self.core_id = core_id
         self.seed = seed

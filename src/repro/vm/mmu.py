@@ -2,92 +2,12 @@
 
 from __future__ import annotations
 
-from typing import Dict, Optional
-
 from repro.common.addr import PAGE_SHIFT
 from repro.common.config import SystemConfig
 from repro.common.stats import StatsRegistry
 from repro.vm.page_table import PageTable
 from repro.vm.tlb import SoaTlb, Tlb
 from repro.vm.walker import PageWalker
-
-try:  # numpy backs DenseVpnCache; the rest of the MMU never needs it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image bakes numpy in
-    _np = None
-
-
-class DenseVpnCache:
-    """The flat VPN→PPN shortcut as a dense numpy array.
-
-    :class:`repro.vm.page_table.PageTable` keeps a flat cache over its
-    radix tree (mappings are only ever added, so the cache cannot go
-    stale).  This variant stores the common case — VPNs inside a fixed
-    window starting at *base_vpn*, where the synthetic workloads' heap
-    lives — in one int64 vector indexed by ``vpn - base_vpn`` with ``-1``
-    as the empty sentinel, and spills everything outside the window to a
-    dict.  The dense vector is what gives the batched engine a vectorized
-    translation kernel (:meth:`lookup_many`); the scalar :meth:`get` /
-    ``[] =`` protocol is a drop-in for the dict the page table used
-    before.  ``tests/property/test_timeline_soa.py`` cross-checks both
-    protocols against a plain-dict model.
-    """
-
-    __slots__ = ("base_vpn", "_ppns", "_overflow")
-
-    #: -1 never collides with a PPN (frame numbers are non-negative).
-    EMPTY = -1
-
-    def __init__(self, base_vpn: int, capacity: int = 1 << 16):
-        if _np is None:
-            raise RuntimeError("DenseVpnCache needs numpy; use a dict instead")
-        if capacity <= 0:
-            raise ValueError("DenseVpnCache needs a positive capacity")
-        self.base_vpn = base_vpn
-        self._ppns = _np.full(capacity, self.EMPTY, dtype=_np.int64)
-        self._overflow: Dict[int, int] = {}
-
-    # repro-hot
-    def get(self, vpn: int) -> Optional[int]:
-        offset = vpn - self.base_vpn
-        ppns = self._ppns
-        if 0 <= offset < ppns.shape[0]:
-            # item() hands back a Python int: no numpy scalar, no int().
-            ppn = ppns.item(offset)
-            return ppn if ppn >= 0 else None
-        return self._overflow.get(vpn)
-
-    def __setitem__(self, vpn: int, ppn: int) -> None:
-        offset = vpn - self.base_vpn
-        if 0 <= offset < self._ppns.shape[0]:
-            self._ppns[offset] = ppn
-        else:
-            self._overflow[vpn] = ppn
-
-    def __contains__(self, vpn: int) -> bool:
-        return self.get(vpn) is not None
-
-    def __len__(self) -> int:
-        return int((self._ppns != self.EMPTY).sum()) + len(self._overflow)
-
-    def lookup_many(self, vpns: "_np.ndarray") -> "_np.ndarray":
-        """Vectorized :meth:`get` over an int64 VPN vector.
-
-        Returns the PPN per VPN with ``-1`` for unmapped entries.  VPNs
-        outside the dense window are resolved through the overflow dict
-        one by one — by construction they are rare (the workloads' heap
-        sits inside the window).
-        """
-        vpns = _np.asarray(vpns, dtype=_np.int64)
-        offsets = vpns - self.base_vpn
-        inside = (offsets >= 0) & (offsets < self._ppns.shape[0])
-        result = _np.full(vpns.shape[0], self.EMPTY, dtype=_np.int64)
-        result[inside] = self._ppns[offsets[inside]]
-        if not inside.all():
-            overflow = self._overflow
-            for position in _np.flatnonzero(~inside):
-                result[position] = overflow.get(int(vpns[position]), self.EMPTY)
-        return result
 
 
 class TranslationResult:

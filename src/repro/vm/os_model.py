@@ -22,13 +22,7 @@ from typing import Dict, List
 
 from repro.common.config import HybridMemoryConfig
 from repro.common.errors import AllocationError
-from repro.vm.mmu import DenseVpnCache, _np
 from repro.vm.page_table import PageTable
-
-#: First VPN of the dense window each process's flat VPN→PPN cache covers.
-#: Must equal ``repro.workloads.synthetic.HEAP_BASE >> PAGE_SHIFT`` (the
-#: vm layer cannot import workloads; test_timeline_soa pins the equality).
-HEAP_BASE_VPN = 0x1000_0000_0000 >> 12
 
 
 @dataclass
@@ -136,13 +130,7 @@ class OsModel:
         """Create a process with an empty page table."""
         if pid in self._processes:
             raise AllocationError(f"pid {pid} already exists")
-        vpn_cache = DenseVpnCache(HEAP_BASE_VPN) if _np is not None else None
-        table = PageTable(
-            pid,
-            self.allocate_table_frame,
-            self.allocate_data_frame,
-            vpn_cache=vpn_cache,
-        )
+        table = PageTable(pid, self.allocate_table_frame, self.allocate_data_frame)
         process = Process(pid=pid, page_table=table)
         self._processes[pid] = process
         return process

@@ -9,18 +9,14 @@ in PageSeer (Section III-B).
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.common.addr import (
-    LEVEL_BITS,
     LINE_SHIFT,
     PAGE_SHIFT,
     WALK_LEVELS,
     split_virtual_address,
 )
-
-if TYPE_CHECKING:
-    from repro.vm.mmu import DenseVpnCache
 
 #: Bytes per page-table entry (x86-64).
 ENTRY_BYTES = 8
@@ -59,11 +55,6 @@ class PageTable:
     allocate_data_frame:
         Callback returning a fresh physical page number for a data page on
         first touch.
-    vpn_cache:
-        Optional flat VPN→PPN mapping to use instead of a plain dict: the
-        OS model passes :class:`repro.vm.mmu.DenseVpnCache` (when numpy is
-        available) so the shortcut is a dense numpy vector with a
-        vectorized ``lookup_many`` kernel.
     """
 
     def __init__(
@@ -71,7 +62,6 @@ class PageTable:
         pid: int,
         allocate_table_frame: Callable[[], int],
         allocate_data_frame: Callable[[int], int],
-        vpn_cache: Optional["DenseVpnCache"] = None,
     ):
         self.pid = pid
         self._allocate_table_frame = allocate_table_frame
@@ -82,19 +72,11 @@ class PageTable:
         # ever *added* (leaf entries are never removed or rewritten), so
         # the cache can never go stale; it turns the per-op ensure_mapped
         # call from a 4-level index walk into one lookup.
-        self._vpn_cache: Union["DenseVpnCache", Dict[int, int]] = (
-            vpn_cache if vpn_cache is not None else {}
-        )
+        self._vpn_cache: Dict[int, int] = {}
         # Per-VPN walk memo: the line numbers of the four entries a walk
         # reads, filled on a VPN's first walk.  Table nodes never move and
         # leaf entries are only added, so a VPN's tuple never changes.
         self._walk_lines: Dict[int, Tuple[int, int, int, int]] = {}
-
-    def __setstate__(self, state: Dict[str, Any]) -> None:
-        # Checkpoints written before the walk memo existed restore without
-        # it; the memo is derived state, so an empty one is exact.
-        state.setdefault("_walk_lines", {})
-        self.__dict__.update(state)
 
     @property
     def cr3_ppn(self) -> int:

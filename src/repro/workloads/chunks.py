@@ -11,8 +11,7 @@ recording, tests).  ``tests/property/test_chunk_streams.py`` pins that
 the coalescer and the per-op view carry the identical op sequence.
 
 Blocks stay Python lists (exact ``int``/``bool`` element types, cheap
-scalar indexing for the escape path); :meth:`OpChunk.vaddr_array` lifts a
-chunk into numpy on demand for the vectorized prep kernel.
+scalar indexing for the engine's prep pass and escape path).
 """
 
 from __future__ import annotations
@@ -21,16 +20,12 @@ from typing import Iterable, Iterator, List, Tuple
 
 from repro.sim.cpu import MemoryOp
 
-try:  # numpy backs the chunk prep kernel; the views work without it
-    import numpy as _np
-except ImportError:  # pragma: no cover - the toolchain image bakes numpy in
-    _np = None
-
 #: One block: parallel (vaddrs, writes, instructions-before) lists.
 Block = Tuple[List[int], List[bool], List[int]]
 
-#: Target operations per chunk.  Large enough to amortize the numpy prep
-#: kernel (~10 vector ops per chunk), small enough that a chunk stays a
+#: Target operations per chunk.  Large enough to amortize the engine's
+#: per-chunk fetch and its one prep pass over the columns
+#: (``repro.sim.engine._prep_chunk``), small enough that a chunk stays a
 #: few flurries and mid-chunk checkpoint cuts stay cheap to fast-forward.
 CHUNK_OPS = 512
 
@@ -38,12 +33,11 @@ CHUNK_OPS = 512
 class OpChunk:
     """A struct-of-arrays batch of memory references.
 
-    ``vaddrs``/``writes``/``instr`` are parallel Python lists; the numpy
-    views are derived lazily and cached (the chunk is immutable once
-    built).  A ``__slots__`` class: one per ~:data:`CHUNK_OPS` ops.
+    ``vaddrs``/``writes``/``instr`` are parallel Python lists, immutable
+    once built.  A ``__slots__`` class: one per ~:data:`CHUNK_OPS` ops.
     """
 
-    __slots__ = ("vaddrs", "writes", "instr", "length", "_va_array")
+    __slots__ = ("vaddrs", "writes", "instr", "length")
 
     def __init__(self, vaddrs: List[int], writes: List[bool], instr: List[int]):
         self.vaddrs = vaddrs
@@ -53,18 +47,9 @@ class OpChunk:
         #: the chunk length on every advance, so it is an attribute, not a
         #: ``__len__`` dispatch.
         self.length = len(vaddrs)
-        self._va_array = None
 
     def __len__(self) -> int:
         return self.length
-
-    def vaddr_array(self):
-        """The vaddr column as an int64 numpy vector (cached)."""
-        array = self._va_array
-        if array is None:
-            array = _np.array(self.vaddrs, dtype=_np.int64)
-            self._va_array = array
-        return array
 
     def op_at(self, index: int) -> MemoryOp:
         """Materialize one reference as a scalar :class:`MemoryOp`."""

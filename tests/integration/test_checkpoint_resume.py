@@ -415,99 +415,15 @@ def test_chunked_stream_two_interior_cuts_resume_bit_identical(tmp_path):
         )
 
 
-@pytest.mark.parametrize(
-    "engine,stream", [("batched", "chunked"), ("scalar", "perop")]
-)
-def test_older_run_mode_checkpoint_resumes_bit_identical(
-    tmp_path, monkeypatch, engine, stream
-):
-    """A checkpoint written while ``System`` still had run modes resumes
-    on the one run path, bit-identical.
-
-    Such REPRO-CKPT v1 files carry a ``System.engine`` attribute,
-    ``engine`` and ``stream`` entries in the pickled ``SystemConfig``,
-    and six-field stream states that end in the stream mode.  The old
-    layout is reproduced by adding those to a restored interior cut and
-    saving it again with the six-field stream state.  Every mode ran the
-    same op order, so the resumed run lands on the reference scheduler's
-    uninterrupted digest.
-    """
-    from repro.bench import stats_digest
-    from repro.snapshot import save_checkpoint
-    from repro.snapshot.stream import ReplayStream
-
-    def six_field_state(self):
-        return (self.workload, self.core_id, self.seed, self.scale,
-                self.consumed, stream)
-
-    reference_digest = _run_with_cuts(tmp_path, [1111])
-    cut = load_checkpoint(tmp_path / "cut_1111.ckpt")
-    cut.__dict__["engine"] = engine
-    cut.config.__dict__.update(engine=engine, stream=stream)
-    with monkeypatch.context() as patch:
-        patch.setattr(ReplayStream, "__getstate__", six_field_state)
-        old_layout = save_checkpoint(cut, tmp_path / "old_layout.ckpt")
-
-    restored = load_checkpoint(old_layout)
-    assert restored.engine == engine, "the old System attribute rides along"
-    assert restored.config.__dict__["stream"] == stream
-    assert any(core.ops.peek_chunk()[1] for core in restored.cores), (
-        "some stream must restore mid-chunk from its six-field state"
-    )
-    restored.resume_run()
-    assert stats_digest(restored) == reference_digest
-
-
-def test_numpy_array_state_round_trips_checkpoint(tmp_path):
-    """Snapshot safety for numpy-backed state (REPRO-CKPT v1).
-
-    The system graph now carries numpy struct-of-arrays members (each
-    process's :class:`repro.vm.mmu.DenseVpnCache`); the checkpoint store
-    must round-trip them exactly — same dtype, same values, still
-    *usable* (the resumed run keeps translating through the array)."""
-    import numpy as np
-
-    from repro.bench import stats_digest
-    from repro.sim.system import build_system
-    from repro.snapshot import save_checkpoint
-    from repro.vm.mmu import DenseVpnCache
-
-    system = build_system(
-        "pageseer", workload_by_name("lbmx4"), scale=1024, seed=0
-    )
-    system.run_ops(300)
-    table = system.cores[0].process.page_table
-    cache = table._vpn_cache
-    assert isinstance(cache, DenseVpnCache), (
-        "the OS model should install the numpy-backed VPN cache"
-    )
-    assert len(cache) > 0, "warm-up must have populated the dense window"
-
-    path = save_checkpoint(system, tmp_path / "numpy.ckpt")
-    restored = load_checkpoint(path)
-    restored_cache = restored.cores[0].process.page_table._vpn_cache
-    assert isinstance(restored_cache, DenseVpnCache)
-    assert restored_cache._ppns.dtype == np.int64
-    assert np.array_equal(restored_cache._ppns, cache._ppns)
-    assert restored_cache._overflow == cache._overflow
-    assert restored_cache.base_vpn == cache.base_vpn
-
-    # The restored array is live state, not a display copy: both halves
-    # must keep running and agree bit-for-bit.
-    system.run_ops(300)
-    restored.run_ops(300)
-    assert stats_digest(restored) == stats_digest(system)
-
-
 def test_checkpoint_without_walk_memo_resumes_bit_identical(tmp_path):
-    """A checkpoint written before ``PageTable`` had its walk memo resumes.
+    """A checkpoint whose page tables hold no walk memo resumes bit-identical.
 
-    Such REPRO-CKPT v1 files pickle every page table without
-    ``_walk_lines``; ``PageTable.__setstate__`` restores an empty memo,
-    which is exact because the memo is derived state.  The old layout is
-    reproduced by dropping the attribute from a restored system and
-    saving it again.  The resumed run must walk (mcfx8 walks on every
-    other op) and land on the uninterrupted run's digest.
+    ``PageTable._walk_lines`` is derived state: the line numbers of the
+    four entries a VPN's walk reads, refilled on that VPN's next walk.
+    Emptying every table's memo in an interior cut and saving it again
+    must therefore not move the resumed run off the uninterrupted digest.
+    The resumed run must walk (mcfx8 walks on every other op) and refill
+    the memo.
     """
     from repro.sim.system import build_system
     from repro.snapshot import save_checkpoint
@@ -527,27 +443,11 @@ def test_checkpoint_without_walk_memo_resumes_bit_identical(tmp_path):
     tables = [core.process.page_table for core in cut.cores]
     assert any(table._walk_lines for table in tables), "walks precede the cut"
     for table in tables:
-        del table.__dict__["_walk_lines"]
-    old_layout = save_checkpoint(cut, tmp_path / "old_layout.ckpt")
+        table._walk_lines.clear()
+    emptied = save_checkpoint(cut, tmp_path / "emptied.ckpt")
 
-    restored = load_checkpoint(old_layout)
+    restored = load_checkpoint(emptied)
     assert all(core.process.page_table._walk_lines == {} for core in restored.cores)
     resumed = restored.resume_run()
     assert payload_digest(metrics_payload(resumed)) == reference
     assert any(core.process.page_table._walk_lines for core in restored.cores)
-
-
-def test_soa_timeline_round_trips_codec():
-    """SoaBankedTimeline state survives the snapshot codec layer."""
-    import numpy as np
-
-    from repro.common.timeline import SoaBankedTimeline
-    from repro.snapshot import codec
-
-    soa = SoaBankedTimeline(6)
-    soa.reserve(2, 10, 7)
-    soa.reserve_all(20, 3)
-    restored = codec.loads(codec.dumps(soa))
-    assert np.array_equal(restored.busy_until, soa.busy_until)
-    assert np.array_equal(restored.total_busy, soa.total_busy)
-    assert restored.busy_until.dtype == np.int64

@@ -10,14 +10,13 @@ Pins the contract the engine and the checkpointer both rely on:
   one sequence whatever the advance step pattern, and it is the sequence
   :meth:`WorkloadSpec.make_stream` (the trace recorder's view) yields;
 * a pickled stream restores at any ``consumed`` point — including
-  mid-chunk, and from the older state format that carried a stream
-  mode — and the remaining sequence is bit-identical.
+  mid-chunk — and the remaining sequence is bit-identical.
 """
 
 import itertools
 import pickle
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.workloads import all_workloads
 from repro.workloads.base import unique_workload
@@ -173,26 +172,6 @@ class TestReplayStreamProtocols:
         assert restored.consumed == consumed
         assert take_ops(restored, remaining) == take_ops(reference, remaining)
 
-    @given(
-        generator=st.sampled_from(_GENERATORS),
-        seed=st.integers(0, 2**16),
-        consumed=st.integers(1, 700),
-        mode=st.sampled_from(["chunked", "perop"]),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_older_six_field_state_restores(self, generator, seed, consumed, mode):
-        """Checkpoints written before stream modes were removed pickle a
-        stream as ``(workload, core_id, seed, scale, consumed, mode)``.
-        Both modes emitted one op sequence, so the mode is ignored: the
-        restored stream continues exactly like a fresh one."""
-        fresh = _stream(generator, seed)
-        take_ops(fresh, consumed)
-        assume(fresh.peek_chunk()[1] > 0)  # an interior (mid-chunk) cut
-        restored = ReplayStream.__new__(ReplayStream)
-        restored.__setstate__((_workload(generator), 0, seed, 1024, consumed, mode))
-        assert restored.consumed == consumed
-        assert take_ops(restored, 100) == take_ops(fresh, 100)
-
     @given(seed=st.integers(0, 2**16))
     @settings(max_examples=20, deadline=None)
     def test_advance_rejects_cross_chunk_counts(self, seed):
@@ -217,7 +196,3 @@ class TestOpChunkInvariants:
     def test_length_matches_columns(self, vaddrs):
         chunk = OpChunk(vaddrs, [False] * len(vaddrs), [0] * len(vaddrs))
         assert chunk.length == len(chunk) == len(vaddrs)
-        if vaddrs:
-            array = chunk.vaddr_array()
-            assert array.tolist() == vaddrs
-            assert chunk.vaddr_array() is array, "numpy view is cached"

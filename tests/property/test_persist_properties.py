@@ -17,7 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro import persist
 from repro.fsck import _probe_journal, scan_directory
-from repro.snapshot.checkpoint import MAGIC, verify_checkpoint
+from repro.snapshot.checkpoint import CHECKPOINT_FORMAT_VERSION, MAGIC, verify_checkpoint
 
 
 @pytest.fixture(autouse=True)
@@ -101,7 +101,7 @@ class TestJsonEnvelope:
 def _checkpoint_blob(state: bytes) -> bytes:
     compressed = zlib.compress(state)
     header = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "checksum_sha256": hashlib.sha256(compressed).hexdigest(),
         "payload_bytes": len(compressed),
         "ops_executed": [1],

@@ -24,7 +24,7 @@ import functools
 
 from hypothesis import given, settings, strategies as st
 
-from repro.common.addr import LINE_SHIFT, LINES_PER_PAGE
+from repro.common.addr import LINE_SHIFT, LINES_PER_PAGE, PAGE_SHIFT
 from repro.common.config import default_system_config
 from repro.common.stats import StatsRegistry
 from repro.core.hmc import PageSeerHmc
@@ -35,7 +35,7 @@ from repro.sim.hmc_base import RequestKind
 from repro.sim.system import build_system
 from repro.vm.os_model import OsModel
 from repro.vm.walker import WalkResult
-from repro.workloads import workload_by_name
+from repro.workloads import synthetic, workload_by_name
 
 # -- the reference path, composed from the owning classes' methods ---------
 
@@ -374,6 +374,9 @@ def walk_state(system):
     }
 
 
+#: First VPN of the synthetic workloads' heap, where every test VPN lives.
+HEAP_FIRST_VPN = synthetic.HEAP_BASE >> PAGE_SHIFT
+
 #: VPN offsets spanning several PMD (2 MB) and PUD (1 GB) regions, so the
 #: two-entry PWC levels hit, miss and evict.
 _vpn_offsets = st.sampled_from(
@@ -400,7 +403,7 @@ def test_flattened_walk_matches_method_reference(ops, correlation):
         ):
             core = system.cores[core_id]
             page_table = core.process.page_table
-            vpn = page_table._vpn_cache.base_vpn + offset
+            vpn = HEAP_FIRST_VPN + offset
             page_table.ensure_mapped(vpn)
             result = walk(core.mmu.walker, page_table, vpn)
             results.append(
@@ -419,8 +422,7 @@ def test_walk_lines_memo_equals_entry_addresses():
     for core in system.cores:
         page_table = core.process.page_table
         mapped = [
-            vpn for vpn in range(page_table._vpn_cache.base_vpn,
-                                 page_table._vpn_cache.base_vpn + (1 << 16))
+            vpn for vpn in range(HEAP_FIRST_VPN, HEAP_FIRST_VPN + (1 << 16))
             if page_table._vpn_cache.get(vpn) is not None
         ]
         assert mapped, "the run must have mapped pages"

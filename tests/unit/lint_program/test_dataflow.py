@@ -10,7 +10,7 @@ from repro.lint.program.extract import extract_module_facts
 
 
 def _flows(source, relpath="sim/mod.py"):
-    facts = extract_module_facts(relpath, source, ast.parse(source))
+    facts = extract_module_facts(relpath, ast.parse(source))
     return [flow for fn in facts.functions.values() for flow in fn.flows]
 
 

@@ -1,11 +1,13 @@
 """Unit tests for the throughput bench harness (repro.bench)."""
 
 import json
+import os
 import re
 from pathlib import Path
 
 from repro.bench import DEFAULT_WORKLOADS, compare_documents, measure_config
 from repro.cli import main
+from repro.persist import read_json
 from repro.sim.system import SCHEMES
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
@@ -39,6 +41,21 @@ class TestBenchJson:
         assert entry["wall_seconds_best"] <= entry["wall_seconds_total"]
         assert len(entry["stats_digest"]) == 16
         assert isinstance(document["git_rev"], str)
+
+    def test_document_has_the_documented_top_level_keys(self, tmp_path):
+        assert run_bench_cli(tmp_path, "--label", "keys") == 0
+        document = read_json(tmp_path / "BENCH_keys.json")
+        assert set(document) == {
+            "label", "git_rev", "quick", "params", "results",
+            "total_wall_seconds",
+        }
+
+    def test_bench_leaves_the_process_environment_alone(self, tmp_path):
+        """Nothing in the simulator runs a thread pool, so a bench run has
+        no thread-count variables to pin."""
+        before = dict(os.environ)
+        assert run_bench_cli(tmp_path, "--label", "env") == 0
+        assert dict(os.environ) == before
 
     def test_quick_flag_recorded(self, tmp_path):
         assert run_bench_cli(tmp_path, "--quick", "--label", "q") == 0

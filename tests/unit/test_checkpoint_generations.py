@@ -8,8 +8,15 @@ generations newest-first and loses a few thousand re-executed ops — not
 the run.
 """
 
+import argparse
+import json
+
 import pytest
 
+from repro.common.errors import CorruptCheckpointError
+from repro.experiments.jobcore import execute_job
+from repro.experiments.runner import _METRIC_FIELDS
+from repro.fsck import QUARANTINE_DIRNAME, command_fsck, scan_directory
 from repro.sim.system import build_system
 from repro.snapshot import (
     DEFAULT_KEEP_GENERATIONS,
@@ -18,6 +25,7 @@ from repro.snapshot import (
 )
 from repro.snapshot.checkpoint import (
     LATEST_NAME,
+    MAGIC,
     generation_files,
     load_checkpoint_with_fallback,
     rotate_generations,
@@ -30,6 +38,46 @@ def _tiny_system():
     return build_system(
         "pageseer", workload_by_name("lbmx4"), scale=1024, seed=0
     )
+
+
+def _as_version_one(path):
+    """Rewrite a checkpoint as format version 1, header and checksum intact.
+
+    A v1 checkpoint written where numpy was installed pickles ndarray
+    state this build cannot rebuild; here the version is the only thing
+    wrong with the file.
+    """
+    rest = path.read_bytes()[len(MAGIC):]
+    header_line, payload = rest.split(b"\n", 1)
+    header = json.loads(header_line)
+    header["format_version"] = 1
+    path.write_bytes(
+        b"REPRO-CKPT v1\n"
+        + json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        + b"\n"
+        + payload
+    )
+
+
+def _as_header_version_one(path):
+    """Set the header's ``format_version`` to 1 under the current magic."""
+    rest = path.read_bytes()[len(MAGIC):]
+    header_line, payload = rest.split(b"\n", 1)
+    header = json.loads(header_line)
+    header["format_version"] = 1
+    path.write_bytes(
+        MAGIC
+        + json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+        + b"\n"
+        + payload
+    )
+
+
+def _copy_directory(source, destination):
+    destination.mkdir()
+    for path in source.iterdir():
+        (destination / path.name).write_bytes(path.read_bytes())
+    return destination
 
 
 @pytest.fixture(scope="module")
@@ -115,11 +163,7 @@ class TestFallback:
 
     def _staged_copy(self, staged, tmp_path):
         directory, steps = staged
-        copy = tmp_path / "work"
-        copy.mkdir()
-        for path in directory.iterdir():
-            (copy / path.name).write_bytes(path.read_bytes())
-        return copy, steps
+        return _copy_directory(directory, tmp_path / "work"), steps
 
     def test_healthy_latest_wins(self, staged, tmp_path):
         directory, steps = self._staged_copy(staged, tmp_path)
@@ -155,6 +199,30 @@ class TestFallback:
         assert system is None and path is None
         assert len(skipped) == 3
 
+    def test_version_one_latest_falls_back_to_newest_generation(self, staged,
+                                                                tmp_path):
+        directory, steps = self._staged_copy(staged, tmp_path)
+        _as_version_one(directory / LATEST_NAME)
+        system, path, skipped = load_checkpoint_with_fallback(directory)
+        assert path.name == "gen-00000003.ckpt"
+        assert system.steps_total == steps[2]
+        ((skipped_path, error),) = skipped
+        assert skipped_path.name == LATEST_NAME
+        assert error.check == "version"
+
+    def test_only_version_one_files_return_none_with_version_evidence(
+        self, staged, tmp_path
+    ):
+        directory, _ = self._staged_copy(staged, tmp_path)
+        for path in list(directory.iterdir()):
+            _as_version_one(path)
+        system, path, skipped = load_checkpoint_with_fallback(directory)
+        assert system is None and path is None
+        assert [p.name for p, _ in skipped] == [
+            LATEST_NAME, "gen-00000003.ckpt", "gen-00000002.ckpt"
+        ]
+        assert {error.check for _, error in skipped} == {"version"}
+
     def test_empty_directory(self, tmp_path):
         assert load_checkpoint_with_fallback(tmp_path) == (None, None, [])
 
@@ -182,3 +250,84 @@ class TestFallback:
         metrics = resumed.resume_run()
         for name in _METRIC_FIELDS:
             assert getattr(metrics, name) == getattr(reference, name), name
+
+
+class TestFormatVersionOne:
+    """Version 1 files fail the version check, in the loader and in fsck."""
+
+    def _version_one_checkpoint(self, tmp_path):
+        system = _tiny_system()
+        system.run_ops(10)
+        path = save_checkpoint(system, tmp_path / LATEST_NAME)
+        _as_version_one(path)
+        return path
+
+    def test_load_fails_the_version_check(self, tmp_path):
+        path = self._version_one_checkpoint(tmp_path)
+        with pytest.raises(CorruptCheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.check == "version"
+
+    def test_fsck_reports_the_version_check(self, tmp_path, capsys):
+        path = self._version_one_checkpoint(tmp_path)
+        assert verify_checkpoint(path) == ("corrupt", "failed check: version")
+        args = argparse.Namespace(dirs=[str(tmp_path)], repair=False, quiet=False)
+        assert command_fsck(args) == 1
+        assert "failed check: version" in capsys.readouterr().out
+
+    def test_header_version_under_the_current_magic_fails_the_version_check(
+        self, tmp_path
+    ):
+        """Both gates — the magic line and the header's ``format_version``
+        — report a v1 file as a version failure, never a payload error."""
+        system = _tiny_system()
+        system.run_ops(10)
+        path = save_checkpoint(system, tmp_path / LATEST_NAME)
+        _as_header_version_one(path)
+        with pytest.raises(CorruptCheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.check == "version"
+        assert verify_checkpoint(path) == ("corrupt", "failed check: version")
+
+    def test_fsck_repair_promotes_the_newest_version_two_generation(
+        self, staged, tmp_path
+    ):
+        directory, steps = staged
+        work = _copy_directory(directory, tmp_path / "work")
+        _as_version_one(work / LATEST_NAME)
+        findings = {
+            finding.path.name: finding
+            for finding in scan_directory(work, repair=True)
+        }
+        latest = findings[LATEST_NAME]
+        assert latest.status == "repaired"
+        assert "promoted gen-00000003.ckpt" in latest.repair
+        (quarantined,) = (work / QUARANTINE_DIRNAME).iterdir()
+        assert quarantined.read_bytes().startswith(b"REPRO-CKPT v1\n")
+        assert load_checkpoint(work / LATEST_NAME).steps_total == steps[2]
+
+    def test_job_with_only_version_one_checkpoints_starts_fresh(
+        self, staged, tmp_path
+    ):
+        """A sweep job whose directory holds nothing this build reads
+        builds a fresh system and lands on a clean run's metrics."""
+        request = ("pageseer", "lbmx4", "default")
+        sizing = (1024, 200, 200, 0, "off")
+        clean = execute_job(request, sizing, None, 0, tmp_path / "clean")
+        job_dir = _copy_directory(staged[0], tmp_path / "job")
+        for path in job_dir.iterdir():
+            _as_version_one(path)
+        payload = execute_job(request, sizing, None, 0, job_dir)
+        assert payload["resumed_at_ops"] == 0
+        for name in _METRIC_FIELDS:
+            assert payload[name] == clean[name], name
+
+    def test_run_resume_names_both_formats(self, tmp_path, capsys):
+        from repro.cli import main
+
+        path = self._version_one_checkpoint(tmp_path)
+        assert main(["run", "--resume", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "'REPRO-CKPT v1'" in err
+        assert "'REPRO-CKPT v2'" in err
+        assert "failed check: version" in err

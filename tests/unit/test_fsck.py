@@ -26,14 +26,19 @@ from repro.fsck import (
     scan_directory,
     summarize,
 )
-from repro.snapshot.checkpoint import LATEST_NAME, MAGIC, verify_checkpoint
+from repro.snapshot.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
+    LATEST_NAME,
+    MAGIC,
+    verify_checkpoint,
+)
 
 
 def make_checkpoint(path: Path, payload: bytes = b"system state") -> Path:
     """A minimal valid REPRO-CKPT file (fsck never unpickles payloads)."""
     compressed = zlib.compress(payload)
     header = {
-        "format_version": 1,
+        "format_version": CHECKPOINT_FORMAT_VERSION,
         "checksum_sha256": hashlib.sha256(compressed).hexdigest(),
         "payload_bytes": len(compressed),
         "ops_executed": [3, 4],

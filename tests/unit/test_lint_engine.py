@@ -3,7 +3,7 @@
 from pathlib import Path
 
 from repro.lint.baseline import Baseline
-from repro.lint.engine import Severity, lint_paths
+from repro.lint.engine import Severity, all_rules, lint_paths
 from repro.lint.rules.determinism import DeterminismRule
 
 
@@ -212,3 +212,13 @@ class TestReportRendering:
         text = lint(tmp_path).render_text()
         assert "sim/core.py:1:0: RL001 [error]" in text
         assert "checked 1 file(s)" in text
+
+
+class TestRegistry:
+    def test_one_rule_per_id(self):
+        """The default rule set: five per-file rules, four program rules."""
+        ids = [rule.rule_id for rule in all_rules()]
+        assert sorted(ids) == [
+            "RL001", "RL002", "RL003", "RL004", "RL005",
+            "RL101", "RL102", "RL103", "RL105",
+        ]

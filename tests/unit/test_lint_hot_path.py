@@ -157,129 +157,6 @@ class TestMarkerScope:
         assert findings_for(tmp_path, text) == []
 
 
-class TestNumpyLoops:
-    """PR-6: per-element Python loops over numpy arrays in batch kernels."""
-
-    def test_loop_over_numpy_local_flagged(self, tmp_path):
-        text = (
-            "import numpy as np\n"
-            "# repro-hot\n"
-            "def kernel(n):\n"
-            "    ends = np.zeros(n, dtype=np.int64)\n"
-            "    total = 0\n"
-            "    for end in ends:\n"
-            "        total += int(end)\n"
-            "    return total\n"
-        )
-        (finding,) = findings_for(tmp_path, text)
-        assert "per-element Python loop over numpy array 'ends'" in finding.message
-        assert "kernel()" in finding.message
-
-    def test_range_len_over_numpy_local_flagged(self, tmp_path):
-        text = (
-            "import numpy as np\n"
-            "# repro-hot\n"
-            "def kernel(n):\n"
-            "    ends = np.zeros(n)\n"
-            "    for i in range(len(ends)):\n"
-            "        ends[i] += i\n"
-        )
-        assert findings_for(tmp_path, text)
-
-    def test_enumerate_and_tolist_flagged(self, tmp_path):
-        text = (
-            "import numpy as np\n"
-            "# repro-hot\n"
-            "def kernel(n):\n"
-            "    ends = np.arange(n)\n"
-            "    for i, end in enumerate(ends):\n"
-            "        pass\n"
-            "    for end in ends.tolist():\n"
-            "        pass\n"
-        )
-        assert len(findings_for(tmp_path, text)) == 2
-
-    def test_guarded_import_alias_recognised(self, tmp_path):
-        text = (
-            "try:\n"
-            "    import numpy as _np\n"
-            "except ImportError:\n"
-            "    _np = None\n"
-            "# repro-hot\n"
-            "def kernel(values):\n"
-            "    arr = _np.asarray(values)\n"
-            "    for value in arr:\n"
-            "        pass\n"
-        )
-        assert findings_for(tmp_path, text)
-
-    def test_numpy_attribute_flagged_cross_file(self, tmp_path):
-        """An attribute assigned from numpy in one file flags a loop over
-        that attribute in a hot function in another file."""
-        (tmp_path / "soa.py").write_text(
-            "import numpy as np\n"
-            "class Soa:\n"
-            "    def __init__(self, count):\n"
-            "        self.busy_until = np.zeros(count)\n"
-        )
-        text = (
-            "# repro-hot\n"
-            "def drain(soa):\n"
-            "    for t in soa.busy_until:\n"
-            "        pass\n"
-        )
-        (finding,) = findings_for(tmp_path, text)
-        assert ".busy_until" in finding.message
-
-    def test_loop_over_plain_list_is_clean(self, tmp_path):
-        text = (
-            "import numpy as np\n"
-            "# repro-hot\n"
-            "def kernel(n):\n"
-            "    demands = [0] * n\n"
-            "    for demand in demands:\n"
-            "        pass\n"
-        )
-        assert findings_for(tmp_path, text) == []
-
-    def test_vectorized_kernel_is_clean(self, tmp_path):
-        text = (
-            "import numpy as np\n"
-            "# repro-hot\n"
-            "def kernel(indices, now, duration):\n"
-            "    order = np.argsort(indices, kind='stable')\n"
-            "    ends = now + duration * (1 + np.arange(len(indices)))\n"
-            "    return ends[order]\n"
-        )
-        assert findings_for(tmp_path, text) == []
-
-    def test_loop_in_unmarked_function_is_clean(self, tmp_path):
-        text = (
-            "import numpy as np\n"
-            "def cold(n):\n"
-            "    ends = np.zeros(n)\n"
-            "    for end in ends:\n"
-            "        pass\n"
-        )
-        assert findings_for(tmp_path, text) == []
-
-    def test_same_name_in_other_function_does_not_poison(self, tmp_path):
-        """Array names are function-scoped: a numpy 'ends' in one function
-        must not flag a plain-list 'ends' in another hot function."""
-        text = (
-            "import numpy as np\n"
-            "def build(n):\n"
-            "    ends = np.zeros(n)\n"
-            "    return ends\n"
-            "# repro-hot\n"
-            "def kernel(n):\n"
-            "    ends = [0] * n\n"
-            "    for end in ends:\n"
-            "        pass\n"
-        )
-        assert findings_for(tmp_path, text) == []
-
-
 class TestChunkColumnLoops:
     """PR-9: per-element Python loops over stream-chunk columns."""
 
@@ -293,6 +170,7 @@ class TestChunkColumnLoops:
         (finding,) = findings_for(tmp_path, text)
         assert "stream-chunk column '.vaddrs'" in finding.message
         assert "drain()" in finding.message
+        assert "engine._prep_chunk is the one per-chunk pass" in finding.message
 
     def test_zip_of_columns_flagged(self, tmp_path):
         text = (
@@ -324,6 +202,23 @@ class TestChunkColumnLoops:
         )
         (finding,) = findings_for(tmp_path, text)
         assert "'vaddrs'" in finding.message
+
+    def test_alias_in_other_function_does_not_poison(self, tmp_path):
+        """Column aliases are function-scoped: ``vaddrs = chunk.vaddrs``
+        in one hot function must not flag a plain-list ``vaddrs`` loop
+        in another."""
+        text = (
+            "# repro-hot\n"
+            "def prep(chunk):\n"
+            "    vaddrs = chunk.vaddrs\n"
+            "    return vaddrs[0]\n"
+            "# repro-hot\n"
+            "def drain(n):\n"
+            "    vaddrs = [0] * n\n"
+            "    for vaddr in vaddrs:\n"
+            "        pass\n"
+        )
+        assert findings_for(tmp_path, text) == []
 
     def test_loop_in_unmarked_function_is_clean(self, tmp_path):
         text = (

@@ -126,6 +126,20 @@ class TestCodecDispatch:
         with pytest.raises(CheckpointError, match="disallowed"):
             codec.loads(payload)
 
+    @pytest.mark.parametrize(
+        "module,name",
+        [("numpy", "ndarray"), ("numpy.core.multiarray", "_reconstruct")],
+    )
+    def test_unpickler_rejects_numpy_classes(self, module, name):
+        """Version 1 checkpoints pickled numpy arrays; this build names no
+        numpy module as safe, so such a payload is refused before any
+        import is attempted."""
+        payload = f"c{module}\n{name}\n.".encode()
+        with pytest.raises(
+            CheckpointError, match=f"disallowed class {module}.{name}"
+        ):
+            codec.loads(payload)
+
     def test_random_state_roundtrips_exactly(self):
         rng = random.Random(1234)
         rng.random()
