@@ -192,7 +192,8 @@ def compare_documents(
     """Regressions of *current* vs *baseline* beyond the tolerance.
 
     Only configurations present in both documents are compared; a missing
-    configuration is a grid change, not a regression.
+    configuration is a grid change, not a regression.  (``repro bench
+    --compare`` refuses a baseline that shares no configuration at all.)
     """
     problems: List[str] = []
     baseline_results = baseline.get("results", {})
@@ -344,7 +345,8 @@ def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
                              "top N functions by cumulative time")
     parser.add_argument("--compare", default=None, metavar="BASELINE_JSON",
                         help="fail if any shared configuration regresses "
-                             "beyond --max-regression vs this baseline")
+                             "beyond --max-regression vs this baseline, or "
+                             "if none is shared")
     parser.add_argument("--max-regression", type=float,
                         default=DEFAULT_MAX_REGRESSION,
                         help="tolerated fractional ops/sec loss for --compare")
@@ -443,6 +445,14 @@ def command_bench(args: argparse.Namespace) -> int:
         if not isinstance(baseline, dict) or "results" not in baseline:
             print(f"error: baseline {args.compare} is not a bench document "
                   f"(no 'results' key); regenerate it with `repro bench`",
+                  file=sys.stderr)
+            return 1
+        shared = set(results) & set(baseline["results"])
+        if not shared:
+            print(f"error: baseline {args.compare} holds none of this run's "
+                  f"configurations, so nothing was compared (this run: "
+                  f"{', '.join(sorted(results))}; baseline: "
+                  f"{', '.join(sorted(baseline['results']))})",
                   file=sys.stderr)
             return 1
         for line in delta_report(document, baseline):

@@ -124,17 +124,15 @@ class SwapDriver:
         # be gone (the sanitizer needs this to avoid false orphans).
         if now > self.last_purge_time:
             self.last_purge_time = now
-        active = self._active
-        if active:
-            finished = [page for page, end in active.items() if end <= now]
-            for page in finished:
-                del active[page]
         ends = self._in_flight_ends
-        if ends:
-            for end in ends:
-                if end <= now:
-                    self._in_flight_ends = [e for e in ends if e > now]
-                    break
+        if not ends or min(ends) > now:
+            # Nothing has ended: every _active end is one of the in-flight
+            # ends, so the _active scan would find nothing either.
+            return
+        self._in_flight_ends = [e for e in ends if e > now]
+        active = self._active
+        for page in [page for page, end in active.items() if end <= now]:
+            del active[page]
 
     def swap_end_for(self, now: int, page_spa: int) -> Optional[int]:
         """When the in-flight swap involving *page_spa* completes, if any."""
@@ -168,15 +166,18 @@ class SwapDriver:
         individually, because Figure 11 studies the bandwidth heuristic.
         """
         self._purge(now)
-        self.stats.add(_REQUEST_KEYS[trigger])
-
-        if self.prt.is_dram(page_spa):
+        # The two common declines (PRT.is_dram and dram_frame_holding,
+        # inlined against the live counters dict).
+        counters = self.stats._counters
+        counters[_REQUEST_KEYS[trigger]] += 1.0
+        prt = self.prt
+        if page_spa < prt.dram_pages:
             # A home-DRAM page: either already fast, or displaced by an
             # active pair — it returns home only when its displacer leaves.
-            self.stats.add("swap_driver/declined_dram_home")
+            counters["swap_driver/declined_dram_home"] += 1.0
             return False
-        if self.prt.dram_frame_holding(page_spa) is not None:
-            self.stats.add("swap_driver/declined_already_swapped")
+        if page_spa in prt._nvm_to_dram:
+            counters["swap_driver/declined_already_swapped"] += 1.0
             return False
         if page_spa in self._active:
             self.stats.add("swap_driver/declined_in_flight")

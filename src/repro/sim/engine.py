@@ -84,6 +84,7 @@ speedups and docs/TESTING.md for the differential-harness workflow.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_left
 from typing import List, Sequence, Tuple
 
 from repro.common.addr import LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT
@@ -107,11 +108,13 @@ def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets) -> Tup
 
     Everything the drain loop indexes per op is computed here, once per
     chunk, as plain Python lists of exact ``int``/``float`` elements.
-    The last column is the (almost always empty) sorted list of op
-    indices whose pages were unmapped at prep time; their line/set/tag
-    entries are ``-1``-derived junk until the drain loop re-resolves
-    them when it *reaches* them (an earlier escape may have mapped the
-    page by then) — precomputing the escape indices keeps the
+    The last column is the sorted list of op indices whose pages were
+    unmapped at prep time.  It is far from empty on first-touch streams:
+    at paper sizing it holds 36% of the ops of the pageseer/lbmx4 job,
+    4% of the milcx4 report's and 1% of pageseer/mcfx8's.  Those ops'
+    line/set/tag entries are ``-1``-derived junk until the drain loop
+    re-resolves them when it *reaches* them (an earlier escape may have
+    mapped the page by then) — precomputing the escape indices keeps the
     mapped-ness check off the per-op fast path.  A genuine first touch
     escapes to the scalar path, whose walk maps the page.
 
@@ -289,6 +292,13 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
     op = None
     idx = 0
     cur_chunk = None
+    #: The L1-TLB run: the page of the last TLB probe that hit, with its
+    #: set's age list and way.  Only a kind-1 escape fills this core's
+    #: L1 TLB (pure ops and the inline kind-2/3 turns only touch ages),
+    #: so the run outlives segments and shared turns until one runs.
+    run_vpn = -1
+    run_ages = None
+    run_way = -1
     try:
         while True:
             if steps_cell[0] == stop_cell[0]:
@@ -307,15 +317,13 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                 # cores ran in between, and they cannot touch this
                 # core's TLB/L1/L2), so replicate the scalar path
                 # inline from the prepped columns — work advance, TLB
-                # L1 hit, L2 hit, L1 fill evicting the dirty victim —
-                # and send the one shared effect, the victim
+                # L1 hit (through the run the drain loop probed this
+                # op's page into), L2 hit, L1 fill evicting the dirty
+                # victim — and send the one shared effect, the victim
                 # write-back, to the controller.
                 instructions += cumw[idx + 1] - cumw[idx]
                 clock += advs[idx]
-                vpn = vpns[idx]
-                tidx = vpn % tlb_nsets
-                tway = t_way_of[tidx][(pid, vpn)]
-                t_ages[tidx][tway] = t_age_cell[0]
+                run_ages[run_way] = t_age_cell[0]
                 t_age_cell[0] += 1
                 counters["tlb/l1_hits"] += 1.0
                 is_write = writes[idx]
@@ -360,10 +368,10 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
             elif kind == 3:
                 # L1+L2 miss at its global turn: the private miss
                 # probes are still valid (see kind 2), so replicate the
-                # scalar path inline — work advance, TLB L1 hit, the
-                # shared L3 probe at exactly this point in global
-                # order, the L2/L1 fills, the demand request on an LLC
-                # miss, and the victim write-backs.
+                # scalar path inline — work advance, TLB L1 hit (through
+                # the run), the shared L3 probe at exactly this point in
+                # global order, the L2/L1 fills, the demand request on
+                # an LLC miss, and the victim write-backs.
                 instructions += cumw[idx + 1] - cumw[idx]
                 # Scalar visibility during the controller call:
                 # instructions are committed at op start, the clock not
@@ -373,10 +381,7 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                 core.ops_executed = ops_executed
                 clock += advs[idx]
                 now = int(clock)
-                vpn = vpns[idx]
-                tidx = vpn % tlb_nsets
-                tway = t_way_of[tidx][(pid, vpn)]
-                t_ages[tidx][tway] = t_age_cell[0]
+                run_ages[run_way] = t_age_cell[0]
                 t_age_cell[0] += 1
                 counters["tlb/l1_hits"] += 1.0
                 line = lines[idx]
@@ -478,6 +483,9 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                 clock = core.clock
                 instructions = core.instructions
                 ops_executed = core.ops_executed
+                # The walk filled this core's L1 TLB and may have
+                # evicted the run's entry: the one place the run ends.
+                run_vpn = -1
                 kind = 0
                 steps_cell[0] += 1
             # Free-run through pure (core-local) ops, one chunk prefix
@@ -523,20 +531,15 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                 l1_age = l1_age_cell[0]
                 l2_age = l2_age_cell[0]
                 n_l1 = n_l2 = 0
-                run_vpn = -1
-                run_ages = None
-                run_way = -1
                 i = pos
                 # The next op index whose page was unmapped at prep
-                # time (``limit`` when none remain ahead): hoists the
-                # mapped-ness check out of the per-op loop.
+                # time (``limit`` when none remain ahead), found by
+                # bisecting the sorted column: hoists the mapped-ness
+                # check out of the per-op loop.
                 nxt_un = limit
-                if unmapped:
-                    for u in unmapped:
-                        if u >= i:
-                            if u < limit:
-                                nxt_un = u
-                            break
+                un_k = bisect_left(unmapped, i)
+                if un_k < len(unmapped) and unmapped[un_k] < limit:
+                    nxt_un = unmapped[un_k]
                 while i < limit:
                     if i == nxt_un:
                         # Unmapped at prep time — re-resolve: an
@@ -557,17 +560,17 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                         l2tags[i] = line // l2_nsets
                         l3sets[i] = line % l3_nsets
                         l3tags[i] = line // l3_nsets
+                        # The column is sorted and duplicate-free, so
+                        # the next unmapped op is the next entry.
                         nxt_un = limit
-                        for u in unmapped:
-                            if u > i:
-                                if u < limit:
-                                    nxt_un = u
-                                break
+                        un_k += 1
+                        if un_k < len(unmapped) and unmapped[un_k] < limit:
+                            nxt_un = unmapped[un_k]
                     vpn = vpns[i]
                     if vpn != run_vpn:
                         # New page run: one TLB probe covers the whole
-                        # run (no invalidations exist, and pure ops
-                        # never mutate TLB membership).
+                        # run (no invalidations exist, and only kind-1
+                        # escapes mutate TLB membership).
                         tidx = vpn % tlb_nsets
                         tway = t_way_of[tidx].get((pid, vpn))
                         if tway is None:

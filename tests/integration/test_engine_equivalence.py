@@ -33,6 +33,8 @@ from repro.experiments.runner import VARIANTS
 from repro.faults import resolve_profile
 from repro.sim.system import SCHEMES, build_system
 from repro.workloads import workload_by_name
+from repro.workloads.synthetic import HEAP_BASE
+from repro.workloads.trace import trace_workload
 
 from tests.reference_scheduler import use_reference_scheduler
 
@@ -66,13 +68,16 @@ def _record_swap_events(system):
     return events
 
 
-def _run(scheme, workload_name, loop, *, ops=1200, seed=0, scale=1024,
+def _run(scheme, workload, loop, *, ops=1200, seed=0, scale=1024,
          variant="default", chunks=None, config_mutator=None, faults=None,
          check=None, probe=False):
-    """Run one configuration on *loop*: ``"engine"`` or ``"reference"``."""
+    """Run one configuration on *loop*: ``"engine"`` or ``"reference"``.
+
+    *workload* is a workload name or a ready-made ``WorkloadSpec``.
+    """
     system = build_system(
         scheme,
-        workload_by_name(workload_name),
+        workload_by_name(workload) if isinstance(workload, str) else workload,
         scale=scale,
         seed=seed,
         config_mutator=config_mutator or VARIANTS[variant],
@@ -127,6 +132,42 @@ class TestEngineEquivalence:
                           variant=variant)
             assert reference["digest"] == engine["digest"], variant
             assert reference["events"] == engine["events"], variant
+
+
+class TestTlbRunReset:
+    """The engine's L1-TLB run outlives segments and shared turns, so the
+    one path that fills the TLB — a kind-1 escape — must end it."""
+
+    def test_walk_that_evicts_the_run_page_ends_the_run(self, tmp_path):
+        # Each core replays V, V', W: two lines of page V, then one line
+        # of page W.  Under a one-entry L1 TLB every W escape evicts V
+        # while V is still the run, so the next V must miss again.
+        paths = []
+        for core in range(4):
+            path = tmp_path / f"core{core}.trace"
+            path.write_text(
+                f"{HEAP_BASE:x} r 3\n"
+                f"{HEAP_BASE + 64:x} w 3\n"
+                f"{HEAP_BASE + 4096:x} r 3\n"
+            )
+            paths.append(path)
+        spec = trace_workload("vvw", paths)
+
+        def one_entry_l1_tlb(config):
+            return dataclasses.replace(
+                config,
+                l1_tlb=dataclasses.replace(config.l1_tlb, entries=1, ways=1),
+            )
+
+        reference = _run("pageseer", spec, "reference",
+                         config_mutator=one_entry_l1_tlb)
+        engine = _run("pageseer", spec, "engine",
+                      config_mutator=one_entry_l1_tlb)
+        # Only V' hits the L1 TLB: one hit per three ops on every core.
+        assert reference["stats"]["tlb/l1_hits"] == 4 * 1200 / 3
+        assert reference["stats"] == engine["stats"]
+        assert reference["cores"] == engine["cores"]
+        assert reference["events"] == engine["events"]
 
 
 class TestEngineEquivalenceFuzz:

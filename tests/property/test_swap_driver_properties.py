@@ -119,3 +119,64 @@ class TestSwapDriverInvariants:
             assert record.end > record.start
             assert record.reads in (2, 3)
             assert record.writes == record.reads
+
+
+def reference_purge(driver, now):
+    """``SwapDriver._purge`` as a full scan: the state it must leave."""
+    last_purge_time = max(driver.last_purge_time, now)
+    active = [(page, end) for page, end in driver._active.items() if end > now]
+    ends = [end for end in driver._in_flight_ends if end > now]
+    return active, ends, last_purge_time
+
+
+#: Swap requests and buffer-service probes, for DRAM and NVM pages, at
+#: times that drift forward but step back too (per-core request times
+#: are not globally monotone); "at_end" probes land exactly on an
+#: in-flight swap's end, the purge's boundary case.
+calls = st.lists(
+    st.tuples(
+        st.sampled_from(["request", "service", "at_end"]),
+        st.integers(0, TOTAL - 1),
+        st.integers(-3_000, 6_000),      # time step, may go back
+    ),
+    max_size=80,
+)
+
+
+class TestPurgeGuard:
+    """``_purge`` skips its scans when no in-flight swap has ended; that
+    is exact only while every ``_active`` end is an in-flight end."""
+
+    @given(call_list=calls)
+    @settings(max_examples=80, deadline=None)
+    def test_guarded_purge_matches_a_full_scan(self, call_list):
+        driver, _ = make_driver()
+        now = 0
+        for call, page, step in call_list:
+            ends = driver._in_flight_ends
+            if call == "at_end" and ends:
+                now = ends[page % len(ends)]
+            else:
+                now = max(0, now + step)
+            expected = reference_purge(driver, now)
+            driver._purge(now)
+            assert (
+                list(driver._active.items()),
+                driver._in_flight_ends,
+                driver.last_purge_time,
+            ) == expected
+            if call == "request":
+                driver.request_swap(now, page, TRIGGER_REGULAR, 0.0)
+            else:
+                driver.service_if_swapping(now, page)
+            assert set(driver._active.values()) <= set(driver._in_flight_ends)
+
+    def test_a_declined_request_still_purges(self):
+        # Forgetting ended swaps is part of every request, declined or
+        # not: a later probe at an earlier time must not see them again.
+        driver, _ = make_driver()
+        assert driver.request_swap(0, DRAM_PAGES + 9, TRIGGER_REGULAR, 0.0)
+        (end,) = driver._in_flight_ends
+        assert not driver.request_swap(end, 9, TRIGGER_REGULAR, 0.0)
+        assert driver._active == {} and driver._in_flight_ends == []
+        assert driver.service_if_swapping(end - 1, DRAM_PAGES + 9) is None

@@ -10,6 +10,7 @@ structural assertions are the real guard.
 import time
 
 from repro.common.config import CheckConfig
+from repro.sim import engine
 from repro.sim.system import build_system
 from repro.workloads import workload_by_name
 
@@ -93,3 +94,42 @@ class TestThroughputBound:
         system.run(400, 400)
         elapsed = time.perf_counter() - start
         assert elapsed < 15.0, f"unchecked small run took {elapsed:.1f}s"
+
+
+class TestDrainCostStaysFlat:
+    """The drain loop finds the next prep-time-unmapped op of a chunk in
+    constant reads per op, not by rescanning the chunk's ``unmapped``
+    column from its start at every segment entry and re-resolve.
+
+    Structural, like the guards above: the bound counts element reads of
+    the column, not seconds.  lbmx4 is a first-touch stream, so about a
+    third of its ops are still unmapped when their chunk is prepped.
+    """
+
+    def test_unmapped_column_reads_per_op_are_bounded(self, monkeypatch):
+        reads = [0]
+
+        class CountingList(list):
+            def __iter__(self):
+                for item in list.__iter__(self):
+                    reads[0] += 1
+                    yield item
+
+            def __getitem__(self, index):
+                reads[0] += 1
+                return list.__getitem__(self, index)
+
+        prep = engine._prep_chunk
+
+        def counting_prep(*args):
+            columns = prep(*args)
+            return columns[:-1] + (CountingList(columns[-1]),)
+
+        monkeypatch.setattr(engine, "_prep_chunk", counting_prep)
+        system = make()
+        system.run_ops(1200)
+        ops = sum(core.ops_executed for core in system.cores)
+        assert ops == 4 * 1200
+        assert reads[0] / ops <= 32, (
+            f"{reads[0] / ops:.1f} unmapped-column reads per op"
+        )

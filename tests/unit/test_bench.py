@@ -127,6 +127,18 @@ class TestCompareGate:
         ) == 1
         assert "regression" in capsys.readouterr().out
 
+    def test_cli_gate_fails_when_nothing_is_compared(self, tmp_path, capsys):
+        assert run_bench_cli(tmp_path, "--label", "base") == 0
+        capsys.readouterr()
+        assert run_bench_cli(
+            tmp_path, "--workloads", "lbmx4", "--label", "other",
+            "--compare", str(tmp_path / "BENCH_base.json"),
+        ) == 1
+        captured = capsys.readouterr()
+        assert "no regressions" not in captured.out
+        assert "noswap/lbmx4" in captured.err
+        assert "noswap/milcx4" in captured.err
+
     def test_cli_gate_passes_against_own_output(self, tmp_path):
         assert run_bench_cli(tmp_path, "--label", "base") == 0
         assert run_bench_cli(
