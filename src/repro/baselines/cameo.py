@@ -113,15 +113,12 @@ class CameoHmc(HmcBase):
         slot = self._slot_of.get(line_spa, line_spa)
         bulk = kind is RequestKind.WRITEBACK
         dram = slot < fast_lines
-        if self._fast_mem:
-            if dram:
-                finish = self._dram_dev.access_finish(t, slot, is_write, bulk)
-            else:
-                finish = self._nvm_dev.access_finish(
-                    t, slot - self._nvm_line_base, is_write, bulk
-                )
+        if dram:
+            finish = self.dram_access(t, slot, is_write, bulk)
         else:
-            finish = self.mem_access_finish(t, slot, is_write, bulk)
+            finish = self.nvm_access(
+                t, slot - self._nvm_line_base, is_write, bulk
+            )
 
         self._total_serviced += 1
         if dram:
@@ -168,15 +165,21 @@ class CameoHmc(HmcBase):
             return
         member_slot = self._slot(line)
 
-        # Fast swap of two 64 B blocks: 2 line reads + 2 line writes.  The
-        # remap maps are only exchanged after all four accesses succeed, so
-        # an injected fault aborts the swap with no state to roll back.
+        # Fast swap of two 64 B blocks: 2 line reads + 2 line writes, issued
+        # to the devices themselves rather than through the retrying line
+        # entries.  The remap maps are only exchanged after all four
+        # accesses succeed, so an injected fault aborts the swap with no
+        # state to roll back.  The fast slot is a DRAM line and the
+        # member's slot an NVM one (only NVM-resident lines swap in).
+        dram = self.memory.dram
+        nvm = self.memory.nvm
+        slow_line = member_slot - self._nvm_line_base
         try:
-            read_fast = self.memory.access(now, fast_slot, False, bulk=True).finish
-            read_slow = self.memory.access(now, member_slot, False, bulk=True).finish
+            read_fast = dram.access_finish(now, fast_slot, False, True)
+            read_slow = nvm.access_finish(now, slow_line, False, True)
             ready = max(read_fast, read_slow)
-            self.memory.access(ready, fast_slot, True, bulk=True)
-            self.memory.access(ready, member_slot, True, bulk=True)
+            dram.access_finish(ready, fast_slot, True, True)
+            nvm.access_finish(ready, slow_line, True, True)
         except FaultError:
             self.stats.add("cameo/aborted_swaps")
             return

@@ -147,17 +147,12 @@ class PomHmc(HmcBase):
         actual_line = slot * lines_per_segment + line_spa % lines_per_segment
         bulk = kind is RequestKind.WRITEBACK
         dram = slot < fast_segments
-        if self._fast_mem:
-            if dram:
-                finish = self._dram_dev.access_finish(
-                    t, actual_line, is_write, bulk
-                )
-            else:
-                finish = self._nvm_dev.access_finish(
-                    t, actual_line - self._nvm_line_base, is_write, bulk
-                )
+        if dram:
+            finish = self.dram_access(t, actual_line, is_write, bulk)
         else:
-            finish = self.mem_access_finish(t, actual_line, is_write, bulk)
+            finish = self.nvm_access(
+                t, actual_line - self._nvm_line_base, is_write, bulk
+            )
         if in_flight_end is not None and in_flight_end > finish:
             # No swap buffers in PoM: wait for the in-flight swap.
             finish = in_flight_end

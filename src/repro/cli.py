@@ -599,23 +599,17 @@ def _command_golden(args: argparse.Namespace) -> int:
 
 
 def _command_trace_run(args: argparse.Namespace) -> int:
-    import dataclasses
-
-    from repro.common.config import default_system_config
-    from repro.sim.system import System
     from repro.workloads.trace import trace_workload
 
     spec = trace_workload("trace", args.traces)
-    config = default_system_config(
-        scale=args.scale, cores=spec.cores, seed=args.seed
+    system = build_system(
+        args.scheme,
+        spec,
+        scale=args.scale,
+        seed=args.seed,
+        check=_resolve_check(args),
+        faults=_resolve_faults(args),
     )
-    check = _resolve_check(args)
-    if check is not None:
-        config = dataclasses.replace(config, check=check)
-    faults = _resolve_faults(args)
-    if faults is not None:
-        config = dataclasses.replace(config, faults=faults)
-    system = System(config, args.scheme, spec, args.scale)
     metrics = system.run(args.measure_ops, args.warmup_ops)
     print(f"{args.scheme} over {spec.cores} trace(s)")
     print(f"  ipc    {metrics.ipc:.4f}")

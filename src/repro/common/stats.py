@@ -4,13 +4,20 @@ Every simulator component records its activity into a shared
 :class:`StatsRegistry`.  Counters are created lazily, live under
 slash-separated paths (``"hmc/prtc/hits"``), and can be snapshot or diffed,
 which the experiment harness uses to separate warm-up from measurement.
+
+Per-event record sites on simulator objects write the registry's live
+dicts directly — ``stats._counters[key] += 1.0`` for a counter, and
+``_sums``/``_counts``/``_maxima`` as :meth:`StatsRegistry.observe` does
+for an observation — with a literal key.  :meth:`StatsRegistry.reset`
+clears those dicts in place, so a reference taken before a reset stays
+valid after it.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, Mapping
+from typing import Dict, Iterable, Mapping
 
 
 @dataclass(frozen=True)
@@ -98,48 +105,6 @@ class StatsRegistry:
     def get(self, name: str, default: float = 0.0) -> float:
         """Return the value of counter *name* (``default`` if never touched)."""
         return self._counters.get(name, default)
-
-    # -- bound handles (hot-path record sites) -----------------------------
-    def counter(self, name: str) -> Callable[..., None]:
-        """Return a bound increment callable for counter *name*.
-
-        Hot-path components resolve their keys once at construction time
-        and call the handle per event, replacing a method dispatch plus a
-        string hash with one closure call.  Handles stay valid across
-        :meth:`reset`: they capture the backing dict, which ``reset``
-        clears in place rather than replacing.
-        """
-        counters = self._counters
-
-        def increment(amount: float = 1.0) -> None:
-            counters[name] += amount
-
-        increment.counter_name = name  # type: ignore[attr-defined]
-        # The owning registry, so the snapshot codec can re-bind the
-        # handle after a checkpoint restore (closures do not pickle).
-        increment.registry = self  # type: ignore[attr-defined]
-        return increment
-
-    def observer(self, name: str) -> Callable[[float], None]:
-        """Return a bound record callable for accumulator *name*.
-
-        The handle is the hot-path equivalent of :meth:`observe`, with the
-        same reset semantics as :meth:`counter` handles.
-        """
-        sums = self._sums
-        counts = self._counts
-        maxima = self._maxima
-
-        def observe(value: float) -> None:
-            sums[name] += value
-            counts[name] += 1
-            previous = maxima.get(name)
-            if previous is None or value > previous:
-                maxima[name] = value
-
-        observe.observer_name = name  # type: ignore[attr-defined]
-        observe.registry = self  # type: ignore[attr-defined]
-        return observe
 
     # -- value accumulators (for averages) --------------------------------
     def observe(self, name: str, value: float) -> None:

@@ -114,9 +114,6 @@ class PageSeerHmc(HmcBase):
         self._hpt_latency = ps.hpt_latency_cycles
         self._filter_latency = ps.filter_latency_cycles
         self._correlation = ps.correlation_enabled
-        # The pre-bound device handles (_fast_mem/_dram_dev/_nvm_dev/
-        # _nvm_line_base) the request path routes through come from
-        # HmcBase.__init__; every scheme's flattened path shares them.
 
     # -- the regular request path (Section III-D1) ------------------------------
     # repro-hot
@@ -146,13 +143,12 @@ class PageSeerHmc(HmcBase):
         colour = page % prt.num_colours
         stats = self.stats
         counters = stats._counters
-        fast_mem = self._fast_mem
         bulk = kind is RequestKind.WRITEBACK
 
         # PRTc: on the critical path of every request (PrtCache.lookup,
         # inlined; the miss path fetches the set from in-DRAM metadata —
-        # metadata lines live in reserved DRAM pages, so the fast-memory
-        # case goes straight to the DRAM device).
+        # metadata lines live in reserved DRAM pages, so the fill goes
+        # straight to the DRAM entry).
         t = now + self._prtc_latency
         prtc = self.prtc
         prtc_resident = prtc._resident
@@ -163,10 +159,7 @@ class PageSeerHmc(HmcBase):
             prtc.misses += 1
             metadata_lines = self._metadata_lines
             metadata_line = metadata_lines[colour % len(metadata_lines)]
-            if fast_mem:
-                fill_done = self._dram_dev.access_finish(t, metadata_line, False)
-            else:
-                fill_done = self.mem_access_finish(t, metadata_line, False)
+            fill_done = self.dram_access(t, metadata_line, False)
             counters["hmc/metadata_accesses"] += 1.0
             if fill_done > t:
                 counters["hmc/remap_wait_cycles"] += fill_done - t
@@ -212,17 +205,12 @@ class PageSeerHmc(HmcBase):
                 location = prt._nvm_to_dram.get(page, page)
             resident_dram = location < self.dram_pages
             actual_line = location * LINES_PER_PAGE + line_offset
-            if fast_mem:
-                if resident_dram:
-                    finish = self._dram_dev.access_finish(
-                        t, actual_line, is_write, bulk
-                    )
-                else:
-                    finish = self._nvm_dev.access_finish(
-                        t, actual_line - self._nvm_line_base, is_write, bulk
-                    )
+            if resident_dram:
+                finish = self.dram_access(t, actual_line, is_write, bulk)
             else:
-                finish = self.mem_access_finish(t, actual_line, is_write, bulk)
+                finish = self.nvm_access(
+                    t, actual_line - self._nvm_line_base, is_write, bulk
+                )
             serviced = "dram" if resident_dram else "nvm"
 
         # Serviced-request accounting (HmcBase.account_service, inlined
@@ -449,7 +437,7 @@ class PageSeerHmc(HmcBase):
         """
         metadata_lines = self._metadata_lines
         n_lines = len(metadata_lines)
-        access = self._dram_dev.access_finish if self._fast_mem else self.mem_access_finish
+        access = self.dram_access
         counters = self.stats._counters
         # Fetch from the in-DRAM PCT (off the critical path, real bandwidth).
         access(now, metadata_lines[(self._prt_metadata_keys + page) % n_lines], False)
@@ -557,7 +545,6 @@ class PageSeerHmc(HmcBase):
         stats = self.stats
         counters = stats._counters
         counters["hmc/mmu_hints"] += 1.0
-        fast_mem = self._fast_mem
         dram_pages = self.dram_pages
 
         # MMU Driver (on_hint): a cached PTE line needs no fetch.
@@ -578,12 +565,10 @@ class PageSeerHmc(HmcBase):
                 location = prt._nvm_to_dram.get(page, page)
             resident_dram = location < dram_pages
             actual_line = location * LINES_PER_PAGE + pte_line_spa % LINES_PER_PAGE
-            if not fast_mem:
-                finish = self.mem_access_finish(t, actual_line, False)
-            elif resident_dram:
-                finish = self._dram_dev.access_finish(t, actual_line, False)
+            if resident_dram:
+                finish = self.dram_access(t, actual_line, False)
             else:
-                finish = self._nvm_dev.access_finish(
+                finish = self.nvm_access(
                     t, actual_line - self._nvm_line_base, False
                 )
             self._total_serviced += 1
@@ -622,10 +607,7 @@ class PageSeerHmc(HmcBase):
         if colour not in prtc_resident:
             metadata_lines = self._metadata_lines
             metadata_line = metadata_lines[colour % len(metadata_lines)]
-            if fast_mem:
-                self._dram_dev.access_finish(t, metadata_line, False)
-            else:
-                self.mem_access_finish(t, metadata_line, False)
+            self.dram_access(t, metadata_line, False)
             counters["hmc/metadata_accesses"] += 1.0
             prtc.fills += 1
             if len(prtc_resident) >= prtc.capacity_sets:
@@ -684,11 +666,11 @@ class PageSeerHmc(HmcBase):
         page = line_spa // LINES_PER_PAGE
         location = self.prt.location_of(page)
         actual_line = location * LINES_PER_PAGE + (line_spa % LINES_PER_PAGE)
-        result = self.mem_access(now, actual_line, False)
+        finish = self.line_access(now, actual_line, False)
         serviced = "dram" if location < self.dram_pages else "nvm"
-        self.account_service(now, result.finish, page, serviced, RequestKind.PTE)
+        self.account_service(now, finish, page, serviced, RequestKind.PTE)
         self.stats.add("mmu_driver/fetches")
-        return result.finish
+        return finish
 
     # -- fault recovery: quarantine + rescue (repro.faults) -----------------------------
     def _on_uncorrectable(self, now: int, line_spa: int) -> None:
@@ -746,11 +728,11 @@ class PageSeerHmc(HmcBase):
     ) -> int:
         """Serve a not-yet-moved line from home and pull it into the frame."""
         home_line = page * LINES_PER_PAGE + line_offset
-        result = self.mem_access(now, home_line, is_write)
+        finish = self.line_access(now, home_line, is_write)
         frame = self.prt.dram_frame_holding(page)
         if frame is not None:
-            self.mem_access(result.finish, frame * LINES_PER_PAGE + line_offset,
-                            True, bulk=True)
+            self.dram_access(finish, frame * LINES_PER_PAGE + line_offset,
+                             True, bulk=True)
         residue = self.swap_driver.partial_residue.get(page, 0)
         residue &= ~(1 << line_offset)
         if residue:
@@ -758,7 +740,7 @@ class PageSeerHmc(HmcBase):
         else:
             self.swap_driver.partial_residue.pop(page, None)
         self.stats.add("hmc/residue_line_migrations")
-        return result.finish
+        return finish
 
     # -- DMA interaction (Section III-E) ---------------------------------------------
     def dma_begin(self, now: int, page_spa: int) -> int:

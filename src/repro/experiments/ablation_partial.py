@@ -10,21 +10,8 @@ bitmaps mark nearly every line.
 
 from __future__ import annotations
 
-import dataclasses
-
-from repro.common.config import SystemConfig
 from repro.experiments.figures import FigureResult, geometric_mean
-from repro.experiments.runner import ExperimentRunner, VARIANTS
-
-
-def _variant_partial(config: SystemConfig) -> SystemConfig:
-    return dataclasses.replace(
-        config,
-        pageseer=dataclasses.replace(config.pageseer, partial_swaps_enabled=True),
-    )
-
-
-VARIANTS.setdefault("partial", _variant_partial)
+from repro.experiments.runner import ExperimentRunner
 
 #: Sparse- and dense-access representatives (full 26 would be overkill for
 #: an extension the paper only sketches).

@@ -10,11 +10,8 @@ working set fits — the capacity crossover that motivates hybrid designs.
 
 from __future__ import annotations
 
-import dataclasses
-
-from repro.common.config import SystemConfig
 from repro.experiments.figures import FigureResult
-from repro.experiments.runner import ExperimentRunner, VARIANTS
+from repro.experiments.runner import ExperimentRunner
 
 #: DRAM capacity multipliers relative to the Table I ratio (NVM fixed).
 MULTIPLIERS = [1, 2, 4, 8]
@@ -22,25 +19,9 @@ MULTIPLIERS = [1, 2, 4, 8]
 WORKLOAD = "lbmx4"
 
 
-def _make_variant(multiplier: int):
-    def mutate(config: SystemConfig) -> SystemConfig:
-        dram = dataclasses.replace(
-            config.memory.dram,
-            capacity_bytes=config.memory.dram.capacity_bytes * multiplier,
-        )
-        return dataclasses.replace(
-            config, memory=dataclasses.replace(config.memory, dram=dram)
-        )
-
-    return mutate
-
-
 def variant_name(multiplier: int) -> str:
+    """The ``runner.VARIANTS`` name of one capacity point."""
     return f"dramcap_x{multiplier}"
-
-
-for _multiplier in MULTIPLIERS:
-    VARIANTS.setdefault(variant_name(_multiplier), _make_variant(_multiplier))
 
 
 def compute(runner: ExperimentRunner) -> FigureResult:

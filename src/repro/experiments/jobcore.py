@@ -237,9 +237,6 @@ def execute_job(
     after two periodic checkpoints.  The returned payload carries every
     cached metric field plus ``resumed_at_ops`` and ``attempt``.
     """
-    # Import inside the job so forked/spawned processes initialise their
-    # own module state (notably dynamically-registered variants).
-    from repro.experiments import ablation_partial, dram_capacity, sensitivity  # noqa: F401
     from repro.experiments.runner import VARIANTS, _METRIC_FIELDS
     from repro.sim.system import build_system
     from repro.snapshot import load_checkpoint_with_fallback

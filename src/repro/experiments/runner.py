@@ -47,37 +47,65 @@ def _variant_default(config: SystemConfig) -> SystemConfig:
     return config
 
 
-def _variant_nocorr(config: SystemConfig) -> SystemConfig:
-    """PageSeer-NoCorr (Section V-C): PCTc entries carry no follower info."""
-    return dataclasses.replace(
-        config,
-        pageseer=dataclasses.replace(config.pageseer, correlation_enabled=False),
-    )
+def _pageseer_variant(**changes) -> Callable[[SystemConfig], SystemConfig]:
+    """A variant that changes PageSeer's Table II knobs by *changes*."""
+
+    def mutate(config: SystemConfig) -> SystemConfig:
+        return dataclasses.replace(
+            config, pageseer=dataclasses.replace(config.pageseer, **changes)
+        )
+
+    return mutate
 
 
-def _variant_nobw(config: SystemConfig) -> SystemConfig:
-    """PageSeer w/o BW-opt (Figure 11): Swap Driver heuristic disabled."""
-    return dataclasses.replace(
-        config,
-        pageseer=dataclasses.replace(
-            config.pageseer, bandwidth_heuristic_enabled=False
-        ),
-    )
+def _dram_capacity_variant(multiplier: int) -> Callable[[SystemConfig], SystemConfig]:
+    """A variant with *multiplier* times the DRAM capacity (NVM fixed)."""
+
+    def mutate(config: SystemConfig) -> SystemConfig:
+        dram = dataclasses.replace(
+            config.memory.dram,
+            capacity_bytes=config.memory.dram.capacity_bytes * multiplier,
+        )
+        return dataclasses.replace(
+            config, memory=dataclasses.replace(config.memory, dram=dram)
+        )
+
+    return mutate
 
 
-def _variant_nohints(config: SystemConfig) -> SystemConfig:
-    """PageSeer without the MMU signal (used by ablation benches)."""
-    return dataclasses.replace(
-        config,
-        pageseer=dataclasses.replace(config.pageseer, mmu_hints_enabled=False),
-    )
-
-
+#: Every named config variant, defined here so that each consumer — the
+#: CLI's ``--variant`` choices, sweep jobs, the experiments — sees the same
+#: table whatever it imported first.
 VARIANTS: Dict[str, Callable[[SystemConfig], SystemConfig]] = {
     "default": _variant_default,
-    "nocorr": _variant_nocorr,
-    "nobw": _variant_nobw,
-    "nohints": _variant_nohints,
+    # PageSeer-NoCorr (Section V-C): PCTc entries carry no follower info.
+    "nocorr": _pageseer_variant(correlation_enabled=False),
+    # PageSeer w/o BW-opt (Figure 11): Swap Driver heuristic disabled.
+    "nobw": _pageseer_variant(bandwidth_heuristic_enabled=False),
+    # PageSeer without the MMU signal (ablation benches).
+    "nohints": _pageseer_variant(mmu_hints_enabled=False),
+    # SILC-FM-style partial swaps, the Section VI extension
+    # (experiments/ablation_partial.py).
+    "partial": _pageseer_variant(partial_swaps_enabled=True),
+    # Table II sensitivity sweep (experiments/sensitivity.py; the middle
+    # value of each knob is the paper's).
+    "sens_pct_prefetch_threshold_7": _pageseer_variant(pct_prefetch_threshold=7),
+    "sens_pct_prefetch_threshold_14": _pageseer_variant(pct_prefetch_threshold=14),
+    "sens_pct_prefetch_threshold_28": _pageseer_variant(pct_prefetch_threshold=28),
+    "sens_hpt_swap_threshold_3": _pageseer_variant(hpt_swap_threshold=3),
+    "sens_hpt_swap_threshold_6": _pageseer_variant(hpt_swap_threshold=6),
+    "sens_hpt_swap_threshold_12": _pageseer_variant(hpt_swap_threshold=12),
+    "sens_swap_engines_1": _pageseer_variant(swap_engines=1),
+    "sens_swap_engines_3": _pageseer_variant(swap_engines=3),
+    "sens_swap_engines_6": _pageseer_variant(swap_engines=6),
+    "sens_prt_ways_2": _pageseer_variant(prt_ways=2),
+    "sens_prt_ways_4": _pageseer_variant(prt_ways=4),
+    "sens_prt_ways_8": _pageseer_variant(prt_ways=8),
+    # DRAM-capacity crossover (experiments/dram_capacity.py).
+    "dramcap_x1": _dram_capacity_variant(1),
+    "dramcap_x2": _dram_capacity_variant(2),
+    "dramcap_x4": _dram_capacity_variant(4),
+    "dramcap_x8": _dram_capacity_variant(8),
 }
 
 #: RunMetrics fields persisted in the cache (``raw`` is dropped: it is

@@ -14,12 +14,10 @@ choices DESIGN.md calls out can be defended with data:
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
-from repro.common.config import SystemConfig
 from repro.experiments.figures import FigureResult, geometric_mean
-from repro.experiments.runner import ExperimentRunner, VARIANTS
+from repro.experiments.runner import ExperimentRunner
 
 #: parameter -> values swept (the middle value is the paper's).
 SWEEPS: Dict[str, List[int]] = {
@@ -41,32 +39,9 @@ PAPER_VALUES = {
 }
 
 
-def _make_variant(parameter: str, value: int):
-    def mutate(config: SystemConfig) -> SystemConfig:
-        return dataclasses.replace(
-            config,
-            pageseer=dataclasses.replace(config.pageseer, **{parameter: value}),
-        )
-
-    return mutate
-
-
 def variant_name(parameter: str, value: int) -> str:
+    """The ``runner.VARIANTS`` name of one sweep point."""
     return f"sens_{parameter}_{value}"
-
-
-def register_variants() -> List[Tuple[str, int, str]]:
-    """Register every sweep point in the runner's variant registry."""
-    points = []
-    for parameter, values in SWEEPS.items():
-        for value in values:
-            name = variant_name(parameter, value)
-            VARIANTS.setdefault(name, _make_variant(parameter, value))
-            points.append((parameter, value, name))
-    return points
-
-
-register_variants()
 
 
 def compute(runner: ExperimentRunner) -> FigureResult:

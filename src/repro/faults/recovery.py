@@ -1,8 +1,10 @@
-"""Retry-with-backoff and degraded service around :class:`MainMemory`.
+"""Retry-with-backoff and degraded service around one memory device.
 
-The HMC routes every demand line access through a :class:`FaultRecovery`
-(see :meth:`repro.sim.hmc_base.HmcBase.mem_access`).  Transient faults are
-retried with exponential backoff — each retry re-issues the access
+With injection on, the HMC binds its two per-device line entries
+(``HmcBase.dram_access`` / ``nvm_access``) to :meth:`FaultRecovery.access`
+partially applied to a device, so every line access a controller issues
+comes through here.  Transient faults are retried with exponential
+backoff — each retry re-issues the access
 ``retry_backoff_cycles * 2^attempt`` cycles later, which is how injected
 "device stalls" inflate latency.  When the retry budget is exhausted, or
 the read is uncorrectable, the request is *degraded* instead of dropped:
@@ -24,55 +26,47 @@ from repro.common.errors import TransientFaultError, UnrecoverableFaultError
 from repro.common.stats import StatsRegistry
 from repro.common.timeline import Cycles
 from repro.faults.injector import FaultInjector
-from repro.mem.device import AccessResult
-from repro.mem.main_memory import MainMemory
+from repro.mem.device import MemoryDevice
 
 
 class FaultRecovery:
-    """Bounded retry + degraded-service policy for demand line accesses."""
+    """Bounded retry + degraded-service policy for line accesses."""
 
     def __init__(
-        self,
-        config: FaultConfig,
-        injector: FaultInjector,
-        memory: MainMemory,
-        stats: StatsRegistry,
+        self, config: FaultConfig, injector: FaultInjector, stats: StatsRegistry
     ):
         self.config = config
         self.injector = injector
-        self.memory = memory
         self.stats = stats
-        #: Hook called as ``on_uncorrectable(now, line_spa)`` when a demand
-        #: read hits an uncorrectable error, *before* the degraded result is
-        #: returned.  PageSeer installs its quarantine+rescue handler here.
+        #: Hook called as ``on_uncorrectable(now, line_spa)`` when a read
+        #: hits an uncorrectable error, *before* the degraded finish time
+        #: is returned.  PageSeer installs its quarantine+rescue handler here.
         self.on_uncorrectable: Optional[Callable[[Cycles, int], None]] = None
 
     def access(
-        self, now: Cycles, line_spa: int, is_write: bool, bulk: bool = False
-    ) -> AccessResult:
-        """Access one line, absorbing any injected fault.
+        self,
+        device: MemoryDevice,
+        line_base: int,
+        now: Cycles,
+        line: int,
+        is_write: bool,
+        bulk: bool = False,
+    ) -> Cycles:
+        """Access device-local *line* of *device*; returns the finish time.
 
-        Never raises: the worst case is a degraded (slow) completion.
+        *line_base* is the system physical line of the device's line 0,
+        so the uncorrectable hook sees system addresses.  Never raises:
+        the worst case is a degraded (slow) completion.
         """
         attempt = 0
         issue = now
         while True:
             try:
-                result = self.memory.access(issue, line_spa, is_write, bulk)
-                if attempt:
-                    # The caller's request has been waiting since `now`;
-                    # report the full interval, not just the last attempt.
-                    result = AccessResult(
-                        start=now,
-                        finish=result.finish,
-                        row_hit=result.row_hit,
-                        queue_delay=result.queue_delay,
-                    )
-                return result
+                return device.access_finish(issue, line, is_write, bulk)
             except TransientFaultError:
                 if attempt >= self.config.max_retries:
                     self.stats.add("faults/retries_exhausted")
-                    return self._degraded(now, issue)
+                    return self._degraded(issue)
                 backoff = self.config.retry_backoff_cycles << attempt
                 self.stats.add("faults/retries")
                 self.stats.add("faults/retry_backoff_cycles", backoff)
@@ -81,11 +75,10 @@ class FaultRecovery:
             except UnrecoverableFaultError:
                 self.stats.add("faults/uncorrectable_services")
                 if self.on_uncorrectable is not None:
-                    self.on_uncorrectable(issue, line_spa)
-                return self._degraded(now, issue)
+                    self.on_uncorrectable(issue, line_base + line)
+                return self._degraded(issue)
 
-    def _degraded(self, start: Cycles, issue: Cycles) -> AccessResult:
+    def _degraded(self, issue: Cycles) -> Cycles:
         """Complete the access slowly but correctly (ECC heroics)."""
         self.stats.add("faults/degraded_services")
-        finish = issue + self.config.recovery_read_cycles
-        return AccessResult(start=start, finish=finish, row_hit=False, queue_delay=0)
+        return issue + self.config.recovery_read_cycles

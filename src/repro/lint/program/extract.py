@@ -40,7 +40,7 @@ from repro.lint.program.facts import (
 from repro.lint.program.symbols import module_name_for
 
 #: Mirrors RL001/RL002: stats record/read method names and receivers.
-_RECORD_METHODS = frozenset({"add", "observe", "counter", "observer"})
+_RECORD_METHODS = frozenset({"add", "observe"})
 _READ_METHODS = frozenset({"get", "mean", "total", "count", "maximum"})
 
 #: StatsRegistry's backing dicts.  Flattened hot paths record into them

@@ -14,8 +14,8 @@ holds them to the discipline the PR-4 optimization pass established:
 * **no dynamically-built stats keys** — an f-string / concatenated /
   ``.format``-ed key passed to a stats record method costs a string build
   per event and defeats RL002's static key auditing.  Hot functions use
-  string literals, literal-key tables, or handles pre-resolved via
-  ``stats.counter(...)`` / ``stats.observer(...)`` at construction time;
+  string literals or literal-key tables, and record by writing the
+  registry's live dicts (``stats._counters["hmc/x"] += 1.0``);
 * **no per-element Python loops over stream-chunk columns** (PR-9
   array-native streams) — an :class:`repro.workloads.chunks.OpChunk`
   carries its ops as parallel columns (``vaddrs``/``writes``/``instr``)
@@ -47,7 +47,7 @@ from repro.lint.engine import (
 _HOT_MARKER = re.compile(r"^\s*#\s*repro-hot\b")
 
 #: Stats record methods whose key argument must be static (mirrors RL002).
-_RECORD_METHODS = ("add", "observe", "counter", "observer")
+_RECORD_METHODS = ("add", "observe")
 _STATS_NAMES = ("stats",)
 
 _FunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
@@ -166,8 +166,8 @@ class HotPathRule(Rule):
                     self, source, node,
                     f"dynamically-built stats key inside hot function "
                     f"{function.name}(): the string is assembled per event; "
-                    "use a literal, a literal-key table, or a handle "
-                    "pre-resolved via stats.counter()/observer()",
+                    "use a literal or a literal-key table, and record into "
+                    "the live dicts (stats._counters[key] += 1.0)",
                 )
 
     # -- the chunk-column loop check (PR-9 array-native streams) -----------

@@ -6,8 +6,10 @@ key.  A dynamically-built key at a record site defeats static auditing
 of that key space — RL101 can only prove liveness and catch typo'd keys
 for keys it can read — and costs an f-string per event.  Inside the
 simulation-critical packages this rule flags every ``stats.add(...)`` /
-``stats.observe(...)`` / ``stats.counter(...)`` / ``stats.observer(...)``
-call whose key is not statically known.  Accepted key shapes:
+``stats.observe(...)`` call whose key is not statically known.  Per-event
+record sites write the registry's live dicts instead
+(``stats._counters["hmc/x"] += 1.0``), with the same key shapes, which
+RL101 reads as record sites.  Accepted key shapes:
 
 * a string literal;
 * a **literal-key table**: a module-level dict/tuple whose values are all
@@ -31,10 +33,7 @@ from repro.lint.engine import (
     register_rule,
 )
 
-#: ``counter``/``observer`` return bound record handles (resolved once at
-#: construction time); the key they bind is checked like an
-#: ``add``/``observe`` call site.
-_RECORD_METHODS = ("add", "observe", "counter", "observer")
+_RECORD_METHODS = ("add", "observe")
 
 #: Receivers treated as a stats registry: bare ``stats`` or any ``*.stats``.
 _STATS_NAMES = ("stats",)

@@ -279,15 +279,16 @@ class MemoryDevice:
         self.service_time_total += finish - start
         return finish
 
-    # repro-hot
     def access(
         self, now: Cycles, line_number: int, is_write: bool, bulk: bool = False
     ) -> AccessResult:
         """Perform one 64 B access; returns start/finish in CPU cycles.
 
         The full-result variant of :meth:`access_finish` — same schedule,
-        same mutations — for callers that need start/row-hit/queue-delay
-        (the fault-recovery path and the unit tests).
+        same mutations — kept as the readable reference: its reservations
+        go through :meth:`_reserve_bank`/:meth:`_reserve_bus`, and
+        tests/unit/test_device.py differences :meth:`access_finish`
+        against it.
         """
         if self.injector is not None:
             # May raise Transient/UnrecoverableFaultError before any bank or
@@ -395,19 +396,29 @@ class MemoryDevice:
         The transfer is scheduled row-group at a time: consecutive lines of
         one row stream at burst rate behind a single activation, which is
         both how devices behave and ~4x fewer reservations than per-line
-        scheduling.  With no injector armed the row groups are derived in
-        closed form — within one channel the lines advance through
-        ``within_channel`` positions consecutively, so each group is the
-        run up to the next ``lines_per_row`` boundary and no per-line
-        address mapping happens at all.  An armed injector is the scalar
-        fallback boundary: faults abort mid-group at an exact line, so
-        that path walks lines individually (bit-identical schedule, the
-        fault tests pin it).
+        scheduling.  The row groups are derived in closed form — within
+        one channel the lines advance through ``within_channel`` positions
+        consecutively, so each group is the run up to the next
+        ``lines_per_row`` boundary and no per-line address mapping happens
+        at all.
+
+        With fault injection armed, the injector may hand the transfer an
+        abort budget (:meth:`FaultInjector.check_transfer`).  The transfer
+        then raises :class:`TransientFaultError` at the first row-group
+        start by which that many lines have moved, or after its last group
+        when the budget falls inside it.  Either way the lines already
+        moved stay counted and their bank and bus time stays booked: that
+        wasted service time is the cost of the fault.
+        tests/unit/test_device.py pins this loop against a per-line walk.
         """
+        abort_after = None
         if self.injector is not None:
-            return self._transfer_page_faulty(
-                now, first_line, line_count, is_write, bulk
+            abort_after = self.injector.check_transfer(
+                self.config.name, now, first_line, line_count, is_write
             )
+        # A clean transfer's budget is never reached: at every row-group
+        # start at least one of its line_count lines is still to move.
+        budget = line_count if abort_after is None else abort_after
         finish = now
         burst = self._burst
         channels = self._channels
@@ -419,131 +430,71 @@ class MemoryDevice:
         model_contention = self.model_contention
         total_lines = 0
         total_hits = 0
-        for channel in range(channels):
-            # Lines of this run on one channel are `channels` apart.
-            offset = (channel - first_line) % channels
-            first_in_channel = first_line + offset
-            if first_in_channel >= last_line:
-                continue
-            # Consecutive within-channel positions; row groups are the
-            # runs between lines_per_row boundaries.
-            w = first_in_channel // channels
-            w_end = w + 1 + (last_line - 1 - first_in_channel) // channels
-            while w < w_end:
-                row_sequence = w // lines_per_row
-                group_end = min(w_end, (row_sequence + 1) * lines_per_row)
-                group = group_end - w
-                w = group_end
-                bank = channel * banks + row_sequence % banks
-                row = row_sequence // banks
-                open_row = open_rows[bank]
-                row_hit = open_row == row
-                open_rows[bank] = row
-                if row_hit:
-                    core_latency = self._lat_row_hit
-                    row_conflict = False
-                elif open_row >= 0:
-                    core_latency = self._lat_row_conflict
-                    row_conflict = True
-                else:
-                    core_latency = self._lat_row_closed
-                    row_conflict = False
-                if row_written[bank] and (row_conflict or not is_write):
-                    core_latency += self._write_recovery
-                    row_written[bank] = False
-                if is_write:
-                    row_written[bank] = True
-                occupancy = core_latency + group * burst
-                if not model_contention:
-                    end = now + occupancy
-                else:
-                    start = self._reserve_bank(bank, now, occupancy, bulk)
-                    bus_start = self._reserve_bus(
-                        channel, start + core_latency, group * burst, bulk
-                    )
-                    end = bus_start + group * burst
-                if end > finish:
-                    finish = end
-                total_lines += group
-                if row_hit:
-                    total_hits += group
-                self.service_time_total += occupancy
-        if is_write:
-            self.writes += total_lines
-        else:
-            self.reads += total_lines
-        self.row_hits += total_hits
-        return finish
-
-    def _transfer_page_faulty(
-        self, now: Cycles, first_line: int, line_count: int, is_write: bool,
-        bulk: bool,
-    ) -> Cycles:
-        """The per-line transfer walk used while fault injection is armed."""
-        abort_after = self.injector.check_transfer(
-            self.config.name, now, first_line, line_count, is_write
-        )
-        lines_done = 0
-        finish = now
-        burst = self.config.line_transfer_cycles
-        channels = self.config.channels
-        last_line = first_line + line_count
-        for channel in range(channels):
-            # Lines of this run on one channel are `channels` apart.
-            offset = (channel - first_line) % channels
-            channel_lines = list(range(first_line + offset, last_line, channels))
-            if not channel_lines:
-                continue
-            index = 0
-            while index < len(channel_lines):
-                if abort_after is not None and lines_done >= abort_after:
-                    # The partial work above already occupied banks/buses —
-                    # that wasted service time is the cost of the fault.
-                    raise TransientFaultError(
-                        "bulk transfer died mid-flight",
-                        device=self.config.name,
-                        line=channel_lines[index],
-                        cycle=now,
-                    )
-                _, bank, row = self.map_line(channel_lines[index])
-                group = 1
-                while index + group < len(channel_lines):
-                    _, next_bank, next_row = self.map_line(channel_lines[index + group])
-                    if next_bank != bank or next_row != row:
-                        break
-                    group += 1
-                open_row = self._open_rows[bank]
-                row_hit = open_row == row
-                row_conflict = open_row >= 0 and not row_hit
-                self._open_rows[bank] = row
-                core_latency = self.config.read_latency_cycles(row_hit, row_conflict)
-                if self._row_written[bank] and (row_conflict or not is_write):
-                    core_latency += self.config.write_recovery_cycles()
-                    self._row_written[bank] = False
-                if is_write:
-                    self._row_written[bank] = True
-                occupancy = core_latency + group * burst
-                if not self.model_contention:
-                    end = now + occupancy
-                else:
-                    start = self._reserve_bank(bank, now, occupancy, bulk)
-                    bus_start = self._reserve_bus(
-                        channel, start + core_latency, group * burst, bulk
-                    )
-                    end = bus_start + group * burst
-                if end > finish:
-                    finish = end
-                if is_write:
-                    self.writes += group
-                else:
-                    self.reads += group
-                if row_hit:
-                    self.row_hits += group
-                self.service_time_total += occupancy
-                index += group
-                lines_done += group
+        try:
+            for channel in range(channels):
+                # Lines of this run on one channel are `channels` apart.
+                offset = (channel - first_line) % channels
+                first_in_channel = first_line + offset
+                if first_in_channel >= last_line:
+                    continue
+                # Consecutive within-channel positions; row groups are the
+                # runs between lines_per_row boundaries.
+                w = first_in_channel // channels
+                w_end = w + 1 + (last_line - 1 - first_in_channel) // channels
+                while w < w_end:
+                    if total_lines >= budget:
+                        raise TransientFaultError(
+                            "bulk transfer died mid-flight",
+                            device=self.config.name,
+                            line=w * channels + channel,
+                            cycle=now,
+                        )
+                    row_sequence = w // lines_per_row
+                    group_end = min(w_end, (row_sequence + 1) * lines_per_row)
+                    group = group_end - w
+                    w = group_end
+                    bank = channel * banks + row_sequence % banks
+                    row = row_sequence // banks
+                    open_row = open_rows[bank]
+                    row_hit = open_row == row
+                    open_rows[bank] = row
+                    if row_hit:
+                        core_latency = self._lat_row_hit
+                        row_conflict = False
+                    elif open_row >= 0:
+                        core_latency = self._lat_row_conflict
+                        row_conflict = True
+                    else:
+                        core_latency = self._lat_row_closed
+                        row_conflict = False
+                    if row_written[bank] and (row_conflict or not is_write):
+                        core_latency += self._write_recovery
+                        row_written[bank] = False
+                    if is_write:
+                        row_written[bank] = True
+                    occupancy = core_latency + group * burst
+                    if not model_contention:
+                        end = now + occupancy
+                    else:
+                        start = self._reserve_bank(bank, now, occupancy, bulk)
+                        bus_start = self._reserve_bus(
+                            channel, start + core_latency, group * burst, bulk
+                        )
+                        end = bus_start + group * burst
+                    if end > finish:
+                        finish = end
+                    total_lines += group
+                    if row_hit:
+                        total_hits += group
+                    self.service_time_total += occupancy
+        finally:
+            if is_write:
+                self.writes += total_lines
+            else:
+                self.reads += total_lines
+            self.row_hits += total_hits
         if abort_after is not None:
-            # Backstop: the drawn budget fell inside the final row group.
+            # Backstop: the budget fell inside the final row group.
             raise TransientFaultError(
                 "bulk transfer died mid-flight",
                 device=self.config.name,

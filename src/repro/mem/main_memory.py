@@ -2,10 +2,13 @@
 
 Physical pages ``[0, dram_pages)`` live in DRAM; pages
 ``[dram_pages, total_pages)`` live in NVM (see
-:class:`repro.common.config.HybridMemoryConfig`).  The HMC and all swap
-schemes address memory by *physical line number* and this class routes each
-access to the right device with a device-local address, so that channel
-interleaving inside each technology behaves like a real module.
+:class:`repro.common.config.HybridMemoryConfig`).  This class owns the two
+:class:`MemoryDevice` instances and routes page and segment transfers, which
+the swap machinery addresses by physical page or line, to the right device
+with a device-local address, so that channel interleaving inside each
+technology behaves like a real module.  Single-line accesses do not come
+through here: each controller binds one entry per device once
+(:class:`repro.sim.hmc_base.HmcBase`), and routes lines itself.
 """
 
 from __future__ import annotations
@@ -13,11 +16,11 @@ from __future__ import annotations
 from repro.common.addr import LINES_PER_PAGE
 from repro.common.config import HybridMemoryConfig
 from repro.common.stats import StatsRegistry
-from repro.mem.device import AccessResult, MemoryDevice
+from repro.mem.device import MemoryDevice
 
 
 class MainMemory:
-    """Routes line accesses to the DRAM or NVM device."""
+    """Owns the DRAM and NVM devices; routes page and segment transfers."""
 
     def __init__(
         self,
@@ -36,58 +39,13 @@ class MainMemory:
         self.dram.injector = injector
         self.nvm.injector = injector
 
-    def is_dram_line(self, line_number: int) -> bool:
-        """True if the physical line lies in the DRAM address range."""
-        return line_number < self._dram_lines
-
-    def device_for_line(self, line_number: int) -> MemoryDevice:
-        """Return the device that owns the physical line."""
-        return self.dram if self.is_dram_line(line_number) else self.nvm
-
-    def access(
-        self, now: int, line_number: int, is_write: bool, bulk: bool = False
-    ) -> AccessResult:
-        """Access one 64 B physical line; returns device timing.
-
-        ``bulk`` marks background traffic (write-backs) that must yield to
-        demand requests in the device's scheduler.
-        """
-        if self.is_dram_line(line_number):
-            return self.dram.access(now, line_number, is_write, bulk)
-        return self.nvm.access(now, line_number - self._dram_lines, is_write, bulk)
-
-    # repro-hot
-    def access_finish(
-        self, now: int, line_number: int, is_write: bool, bulk: bool = False
-    ) -> int:
-        """Like :meth:`access` but returns only the finish time.
-
-        The demand hot path (no :class:`AccessResult` allocation); see
-        :meth:`repro.mem.device.MemoryDevice.access_finish`.
-        """
-        if line_number < self._dram_lines:
-            return self.dram.access_finish(now, line_number, is_write, bulk)
-        return self.nvm.access_finish(
-            now, line_number - self._dram_lines, is_write, bulk
-        )
-
     def read_page(self, now: int, ppn: int, bulk: bool = False) -> int:
         """Read all 64 lines of physical page *ppn*; return finish time."""
-        return self._transfer_page(now, ppn, is_write=False, bulk=bulk)
+        return self._transfer(now, ppn * LINES_PER_PAGE, LINES_PER_PAGE, False, bulk)
 
     def write_page(self, now: int, ppn: int, bulk: bool = False) -> int:
         """Write all 64 lines of physical page *ppn*; return finish time."""
-        return self._transfer_page(now, ppn, is_write=True, bulk=bulk)
-
-    def _transfer_page(self, now: int, ppn: int, is_write: bool, bulk: bool) -> int:
-        first_line = ppn * LINES_PER_PAGE
-        if first_line < self._dram_lines:
-            device = self.dram
-            local_first = first_line
-        else:
-            device = self.nvm
-            local_first = first_line - self._dram_lines
-        return device.transfer_page(now, local_first, LINES_PER_PAGE, is_write, bulk)
+        return self._transfer(now, ppn * LINES_PER_PAGE, LINES_PER_PAGE, True, bulk)
 
     def transfer_segment(
         self, now: int, first_line: int, line_count: int, is_write: bool,
@@ -97,10 +55,16 @@ class MainMemory:
 
         Used by the 2 KB-segment baselines (PoM, MemPod).
         """
+        return self._transfer(now, first_line, line_count, is_write, bulk)
+
+    def _transfer(
+        self, now: int, first_line: int, line_count: int, is_write: bool,
+        bulk: bool,
+    ) -> int:
         if first_line < self._dram_lines:
-            device = self.dram
-            local_first = first_line
-        else:
-            device = self.nvm
-            local_first = first_line - self._dram_lines
-        return device.transfer_page(now, local_first, line_count, is_write, bulk)
+            return self.dram.transfer_page(
+                now, first_line, line_count, is_write, bulk
+            )
+        return self.nvm.transfer_page(
+            now, first_line - self._dram_lines, line_count, is_write, bulk
+        )

@@ -17,14 +17,14 @@ accounting that the paper's figures are built from —
 from __future__ import annotations
 
 import enum
-from typing import Callable, Optional
+import functools
+from typing import Optional
 
 from repro.common.addr import LINES_PER_PAGE
 from repro.common.config import SystemConfig
 from repro.common.stats import StatsRegistry
 from repro.faults.injector import FaultInjector
 from repro.faults.recovery import FaultRecovery
-from repro.mem.device import AccessResult
 from repro.mem.main_memory import MainMemory
 from repro.vm.os_model import OsModel
 
@@ -51,25 +51,6 @@ _REQUEST_KIND_KEYS = {
 }
 
 
-class _RecoveringFinish:
-    """Finish-time adapter over the fault-recovery access path.
-
-    A module-level class (not a closure) so a controller with recovery
-    armed still pickles: the held bound method travels through the
-    snapshot memo to the restored recovery object.
-    """
-
-    __slots__ = ("_access",)
-
-    def __init__(self, access: Callable[..., AccessResult]):
-        self._access = access
-
-    def __call__(
-        self, now: int, line: int, is_write: bool, bulk: bool = False
-    ) -> int:
-        return self._access(now, line, is_write, bulk).finish
-
-
 class HmcBase:
     """Common machinery for all memory-controller schemes."""
 
@@ -80,55 +61,36 @@ class HmcBase:
         self.os_model = os_model
         self.stats = stats
         self.memory = MainMemory(config.memory, stats, config.model_contention)
-        #: Fault recovery (``repro.faults``): None unless injection is on,
-        #: so the no-faults request path is exactly one branch wider.
+        self.dram_pages = config.memory.dram_pages
+        self.total_pages = config.memory.total_pages
+        self._nvm_line_base = config.memory.dram_pages * LINES_PER_PAGE
+        dram = self.memory.dram
+        nvm = self.memory.nvm
+        #: Fault recovery (``repro.faults``): None unless injection is on.
         self.fault_recovery: Optional[FaultRecovery] = None
+        #: The two line entries, one per device, each
+        #: ``(now, device_line, is_write, bulk=False) -> finish``.  Every
+        #: request path calls these, so none of them tests whether faults
+        #: are armed: with faults off they *are* the devices' own
+        #: ``access_finish``; with faults on they are
+        #: :meth:`FaultRecovery.access` bound to the device, which retries
+        #: transient faults with exponential backoff and degrades (never
+        #: drops) the rest, so callers always get a finish time back.
         if config.faults.enabled:
             injector = FaultInjector(config.faults, stats)
             self.memory.attach_injector(injector)
-            self.fault_recovery = FaultRecovery(
-                config.faults, injector, self.memory, stats
+            recovery = FaultRecovery(config.faults, injector, stats)
+            self.fault_recovery = recovery
+            self.dram_access = functools.partial(recovery.access, dram, 0)
+            self.nvm_access = functools.partial(
+                recovery.access, nvm, self._nvm_line_base
             )
-        #: The per-line access entry point, resolved once at construction:
-        #: bound straight to the device path when faults are off, so the
-        #: common case pays no per-access "is recovery armed?" branch.
-        self.mem_access = (
-            self.memory.access
-            if self.fault_recovery is None
-            else self.fault_recovery.access
-        )
-        #: Finish-time-only twin of ``mem_access`` for the demand hot path:
-        #: bound straight to :meth:`MainMemory.access_finish` when faults
-        #: are off (no AccessResult allocation); with recovery armed it
-        #: falls back to the full recovery path and drops the result.
-        if self.fault_recovery is None:
-            self.mem_access_finish = self.memory.access_finish
         else:
-            self.mem_access_finish = _RecoveringFinish(self.fault_recovery.access)
-        self.dram_pages = config.memory.dram_pages
-        self.total_pages = config.memory.total_pages
-        # With no fault recovery armed, request paths pick the device
-        # themselves (one range compare the MainMemory router would
-        # repeat) and call its access_finish directly.
-        self._fast_mem = self.fault_recovery is None
-        self._dram_dev = self.memory.dram
-        self._nvm_dev = self.memory.nvm
-        self._nvm_line_base = config.memory.dram_pages * LINES_PER_PAGE
+            self.dram_access = dram.access_finish
+            self.nvm_access = nvm.access_finish
         self._dram_serviced = 0
         self._total_serviced = 0
         self._metadata_lines: list = []
-        # Pre-resolved stats handles for the per-request accounting path.
-        self._count_serviced = {
-            source: stats.counter(_SERVICED_KEYS[source]) for source in _SERVICED_KEYS
-        }
-        self._count_kind = {
-            kind: stats.counter(_REQUEST_KIND_KEYS[kind]) for kind in _REQUEST_KIND_KEYS
-        }
-        self._observe_ammat = stats.observer("hmc/ammat")
-        self._count_positive = stats.counter("hmc/positive_accesses")
-        self._count_negative = stats.counter("hmc/negative_accesses")
-        self._count_neutral = stats.counter("hmc/neutral_accesses")
-        self._count_metadata = stats.counter("hmc/metadata_accesses")
 
     # -- metadata region ------------------------------------------------------
     def reserve_metadata(self, pages: int) -> None:
@@ -146,20 +108,22 @@ class HmcBase:
         if not self._metadata_lines:
             raise RuntimeError("reserve_metadata was never called")
         line = self._metadata_lines[key % len(self._metadata_lines)]
-        finish = self.mem_access_finish(now, line, is_write)
-        self._count_metadata()
+        finish = self.dram_access(now, line, is_write)
+        self.stats._counters["hmc/metadata_accesses"] += 1.0
         return finish
 
-    # -- the fault-aware access path --------------------------------------------
-    #: ``mem_access(now, line_spa, is_write, bulk=False) -> AccessResult``
-    #: accesses one line, absorbing injected faults when injection is on.
-    #: Every scheme's demand/PTE/metadata line accesses go through it.
-    #: It is bound once in ``__init__``: with faults disabled it *is*
-    #: :meth:`MainMemory.access` (zero per-access recovery branch); with
-    #: faults enabled it is :meth:`FaultRecovery.access`, which retries
-    #: transient faults with exponential backoff and degrades (never
-    #: drops) the rest, so callers always get a finish time back.
-    mem_access: Callable[..., AccessResult]
+    def line_access(
+        self, now: int, line_spa: int, is_write: bool, bulk: bool = False
+    ) -> int:
+        """Access one system physical line through its device's entry.
+
+        The routing helper for callers that hold a system line; request
+        paths that already know the line's technology call
+        ``dram_access``/``nvm_access`` directly.
+        """
+        if line_spa < self._nvm_line_base:
+            return self.dram_access(now, line_spa, is_write, bulk)
+        return self.nvm_access(now, line_spa - self._nvm_line_base, is_write, bulk)
 
     @property
     def fault_injector(self) -> Optional[FaultInjector]:
@@ -210,20 +174,27 @@ class HmcBase:
         self._total_serviced += 1
         if serviced_from == "dram":
             self._dram_serviced += 1
-        self._count_serviced[serviced_from]()
-        self._count_kind[kind]()
+        stats = self.stats
+        counters = stats._counters
+        counters[_SERVICED_KEYS[serviced_from]] += 1.0
+        counters[_REQUEST_KIND_KEYS[kind]] += 1.0
         if kind is not RequestKind.WRITEBACK:
             # AMMAT covers processor-visible requests; background
             # write-backs drain asynchronously and would distort it.
-            self._observe_ammat(finish - now)
+            ammat = finish - now
+            stats._sums["hmc/ammat"] += ammat
+            stats._counts["hmc/ammat"] += 1
+            previous = stats._maxima.get("hmc/ammat")
+            if previous is None or ammat > previous:
+                stats._maxima["hmc/ammat"] = ammat
 
         home_dram = page_spa < self.dram_pages
         if not home_dram and serviced_from != "nvm":
-            self._count_positive()
+            counters["hmc/positive_accesses"] += 1.0
         elif home_dram and serviced_from == "nvm":
-            self._count_negative()
+            counters["hmc/negative_accesses"] += 1.0
         else:
-            self._count_neutral()
+            counters["hmc/neutral_accesses"] += 1.0
 
     # repro-hot
     def record_remap_wait(self, cycles: int) -> None:
@@ -270,23 +241,20 @@ class NoSwapHmc(HmcBase):
 
         The Figure 2 pipeline degenerates to one device access here, so
         the whole path — routing plus serviced-request accounting — is
-        inlined against the pre-bound device handles and the live stats
-        dicts, the same flattening the PageSeer controller's request
-        path uses (the goldens pin the result).  With pages pinned to
+        inlined against the per-device entries and the live stats dicts,
+        the same flattening the PageSeer controller's request path uses
+        (the goldens pin the result).  With pages pinned to
         their home location, serviced-from always equals home, so every
         access is neutral for the Figure 8 classification.
         """
         bulk = kind is RequestKind.WRITEBACK
         dram = line_spa < self._nvm_line_base
-        if self._fast_mem:
-            if dram:
-                finish = self._dram_dev.access_finish(now, line_spa, is_write, bulk)
-            else:
-                finish = self._nvm_dev.access_finish(
-                    now, line_spa - self._nvm_line_base, is_write, bulk
-                )
+        if dram:
+            finish = self.dram_access(now, line_spa, is_write, bulk)
         else:
-            finish = self.mem_access_finish(now, line_spa, is_write, bulk)
+            finish = self.nvm_access(
+                now, line_spa - self._nvm_line_base, is_write, bulk
+            )
         stats = self.stats
         counters = stats._counters
         self._total_serviced += 1

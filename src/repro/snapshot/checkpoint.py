@@ -2,7 +2,7 @@
 
 File layout (all little pieces are validated on load, in order)::
 
-    REPRO-CKPT v2\\n                  magic + format version, ASCII
+    REPRO-CKPT v3\\n                  magic + format version, ASCII
     {json header}\\n                  one line of metadata
     <zlib-compressed pickle payload>  the System object graph
 
@@ -45,9 +45,13 @@ from repro.common.errors import CheckpointError, CorruptCheckpointError
 from repro.snapshot import codec
 
 #: Bump on any incompatible change to the payload encoding or header.
-CHECKPOINT_FORMAT_VERSION = 2
+#: Version 3: controllers hold per-device line entries (bound
+#: ``MemoryDevice.access_finish`` or a ``functools.partial`` over
+#: ``FaultRecovery.access``); v2 payloads name the line routers these
+#: replaced, which no longer exist.
+CHECKPOINT_FORMAT_VERSION = 3
 
-MAGIC = b"REPRO-CKPT v2\n"
+MAGIC = b"REPRO-CKPT v3\n"
 
 #: Conventional file name for the rolling checkpoint of one run.
 LATEST_NAME = "latest.ckpt"

@@ -2,19 +2,12 @@
 
 A running :class:`repro.sim.system.System` is *almost* a plain-data object
 graph: configs are frozen dataclasses, tables are dicts, timelines are
-``__slots__`` records, and RNG streams wrap :class:`random.Random` (which
-pickles its Mersenne state exactly).  Two kinds of members are not
-picklable, and this module supplies deterministic stand-ins for them:
-
-* **Bound stats handles** — the closures returned by
-  :meth:`repro.common.stats.StatsRegistry.counter` / ``observer``.  Each
-  handle carries its key and its owning registry as attributes, so the
-  pickler reduces it to ``(rebind, (registry, name))``; the registry
-  travels through pickle's memo, which guarantees the restored handle
-  records into the *same* restored registry every other component shares.
-* **Registered codecs** — any class can register an ``encode/decode`` pair
-  with :func:`register_codec` instead of implementing ``__getstate__``
-  (an escape hatch the RL103 lint rule recognises).
+``__slots__`` records, RNG streams wrap :class:`random.Random` (which
+pickles its Mersenne state exactly), and bound methods and
+:func:`functools.partial` objects over them pickle by reference to their
+owner.  For any class that needs more, :func:`register_codec` registers an
+``encode/decode`` pair instead of ``__getstate__`` (an escape hatch the
+RL103 lint rule recognises).
 
 Anything else that is unpicklable (a stray lambda, an open file, a
 generator that slipped past :class:`repro.snapshot.stream.ReplayStream`)
@@ -35,7 +28,6 @@ import types
 from typing import Any, Callable, Dict, Tuple
 
 from repro.common.errors import CheckpointError
-from repro.common.stats import StatsRegistry
 
 #: Pinned pickle protocol: part of the checkpoint format, never implicit.
 PICKLE_PROTOCOL = 4
@@ -90,25 +82,11 @@ def _importable(func: types.FunctionType) -> bool:
     return target is func
 
 
-def _rebind_counter(registry: StatsRegistry, name: str):
-    return registry.counter(name)
-
-
-def _rebind_observer(registry: StatsRegistry, name: str):
-    return registry.observer(name)
-
-
 class SnapshotPickler(pickle.Pickler):
     """A pickler that understands the simulator's live-object idioms."""
 
     def reducer_override(self, obj):  # noqa: C901 - dispatch ladder
         if isinstance(obj, types.FunctionType):
-            counter_name = getattr(obj, "counter_name", None)
-            if counter_name is not None:
-                return (_rebind_counter, (obj.registry, counter_name))
-            observer_name = getattr(obj, "observer_name", None)
-            if observer_name is not None:
-                return (_rebind_observer, (obj.registry, observer_name))
             if _importable(obj):
                 # Module-level functions pickle by reference; only
                 # closures and lambdas have no stable name to restore by.

@@ -3,8 +3,9 @@
 ``sweepd`` is a sharded simulation service: a work-queue server owning a
 versioned, atomically persisted job manifest, and N worker processes
 that lease jobs over a length-prefixed JSON protocol, stream heartbeats,
-checkpoint through the existing ``REPRO-CKPT v2`` machinery, and report
-results into the same atomic result cache the serial runner reads.
+checkpoint through :mod:`repro.snapshot` (versioned ``REPRO-CKPT`` files),
+and report results into the same atomic result cache the serial runner
+reads.
 ``repro sweep`` and ``ExperimentRunner.run_many(jobs != 1)`` run it as a
 local fleet.
 

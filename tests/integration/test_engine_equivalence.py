@@ -45,15 +45,20 @@ ALL_SCHEMES = sorted(SCHEMES)
 #: walks, and every hit class on all five schemes.
 WORKLOADS = ["lbmx4", "streamx4", "milcx4"]
 
+#: The ablation variants (the sensitivity and DRAM-capacity points only
+#: move Table II knobs and capacities these already cover).
+ABLATION_VARIANTS = ("default", "nobw", "nocorr", "nohints", "partial")
+
 
 def _record_swap_events(system):
     """Instrument the memory so every swap transfer lands in a list.
 
-    All swap machinery (PageSeer's swap driver, PoM/MemPod fast swaps,
-    CAMEO line swaps) moves data through ``MainMemory.read_page`` /
+    The page and segment swap machinery (PageSeer's swap driver, PoM and
+    MemPod fast swaps) moves data through ``MainMemory.read_page`` /
     ``write_page`` / ``transfer_segment``; demand traffic does not.
-    Wrapping the instance methods therefore captures the complete swap
-    event sequence without touching scheme internals.
+    Wrapping the instance methods therefore captures those swap event
+    sequences without touching scheme internals.  CAMEO's 64 B line swaps
+    issue to the devices directly, so they show only in the stats digest.
     """
     events = []
     memory = system.hmc.memory
@@ -125,7 +130,7 @@ class TestEngineEquivalence:
 
     @pytest.mark.parametrize("scheme", ["pageseer", "pom"])
     def test_equivalence_survives_ablation_variants(self, scheme):
-        for variant in sorted(VARIANTS):
+        for variant in ABLATION_VARIANTS:
             reference = _run(scheme, "milcx4", "reference", ops=800,
                              variant=variant)
             engine = _run(scheme, "milcx4", "engine", ops=800,
@@ -178,7 +183,7 @@ class TestEngineEquivalenceFuzz:
         scheme=st.sampled_from(ALL_SCHEMES),
         workload=st.sampled_from(WORKLOADS),
         seed=st.integers(min_value=0, max_value=3),
-        variant=st.sampled_from(sorted(VARIANTS)),
+        variant=st.sampled_from(ABLATION_VARIANTS),
         chunks=st.lists(st.integers(min_value=1, max_value=300),
                         min_size=1, max_size=5),
     )

@@ -27,7 +27,7 @@ class TestClosedFormLatencies:
         """A cold DRAM read = (tRCD + tCAS) * 2 + burst, exactly."""
         config = default_system_config(scale=1024)
         memory = MainMemory(config.memory, StatsRegistry(), model_contention=False)
-        result = memory.access(0, 0, is_write=False)
+        result = memory.dram.access(0, 0, is_write=False)
         dram = config.memory.dram
         expected = (dram.t_rcd + dram.t_cas) * CYCLES_PER_MEMORY_CYCLE + 8
         assert result.finish - result.start == expected
@@ -35,8 +35,7 @@ class TestClosedFormLatencies:
     def test_nvm_cold_read_latency(self):
         config = default_system_config(scale=1024)
         memory = MainMemory(config.memory, StatsRegistry(), model_contention=False)
-        dram_lines = config.memory.dram_pages * LINES_PER_PAGE
-        result = memory.access(0, dram_lines, is_write=False)
+        result = memory.nvm.access(0, 0, is_write=False)
         nvm = config.memory.nvm
         expected = (nvm.t_rcd + nvm.t_cas) * CYCLES_PER_MEMORY_CYCLE + 8
         assert result.finish - result.start == expected
@@ -45,9 +44,8 @@ class TestClosedFormLatencies:
         """The NVM/DRAM cold-read gap is exactly (58-11)*2 cycles."""
         config = default_system_config(scale=1024)
         memory = MainMemory(config.memory, StatsRegistry(), model_contention=False)
-        dram_lines = config.memory.dram_pages * LINES_PER_PAGE
-        dram_result = memory.access(0, 0, False)
-        nvm_result = memory.access(0, dram_lines, False)
+        dram_result = memory.dram.access(0, 0, False)
+        nvm_result = memory.nvm.access(0, 0, False)
         gap = (nvm_result.finish - nvm_result.start) - (
             dram_result.finish - dram_result.start
         )

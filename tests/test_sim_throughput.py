@@ -7,12 +7,26 @@ The timing bound is deliberately generous (CI machines vary wildly); the
 structural assertions are the real guard.
 """
 
+import functools
+import inspect
+import re
 import time
 
 from repro.common.config import CheckConfig
+from repro.faults.recovery import FaultRecovery
+from repro.mem.device import MemoryDevice
 from repro.sim import engine
-from repro.sim.system import build_system
+from repro.sim.hmc_base import HmcBase
+from repro.sim.system import SCHEMES, build_system
 from repro.workloads import workload_by_name
+
+#: The per-request controller methods (the flattened request paths and
+#: the helpers they escape to for memory).
+REQUEST_PATHS = (
+    "handle_request", "handle_pte_fetch", "mmu_hint", "metadata_access",
+    "line_access", "_pctc_fill_from_pct", "_fetch_pte_line",
+    "_migrate_residue_line",
+)
 
 
 def make(check=None):
@@ -54,23 +68,45 @@ class TestZeroOverheadFaultsOff:
         assert system.hmc.memory.dram.injector is None
         assert system.hmc.memory.nvm.injector is None
 
-    def test_mem_access_prebound_to_device_path(self):
-        """With faults off, the per-line entry point is the MainMemory
-        bound method itself — no per-access recovery indirection."""
-        system = make()
-        assert system.hmc.mem_access.__self__ is system.hmc.memory
-        assert system.hmc.mem_access.__func__ is type(
-            system.hmc.memory
-        ).access
+    def test_device_entries_are_the_devices_access_finish(self):
+        """With faults off, each per-device line entry is that device's
+        bound ``access_finish`` itself — no recovery indirection."""
+        hmc = make().hmc
+        for entry, device in (
+            (hmc.dram_access, hmc.memory.dram),
+            (hmc.nvm_access, hmc.memory.nvm),
+        ):
+            assert entry.__self__ is device
+            assert entry.__func__ is MemoryDevice.access_finish
 
-    def test_mem_access_prebound_to_recovery_when_faulting(self):
+    def test_device_entries_bind_recovery_when_faulting(self):
         from repro.common.config import FaultConfig
 
-        system = build_system(
+        hmc = build_system(
             "pageseer", workload_by_name("lbmx4"), scale=1024,
             faults=FaultConfig(enabled=True, transient_rate=0.01),
-        )
-        assert system.hmc.mem_access.__self__ is system.hmc.fault_recovery
+        ).hmc
+        for entry, device, line_base in (
+            (hmc.dram_access, hmc.memory.dram, 0),
+            (hmc.nvm_access, hmc.memory.nvm, hmc._nvm_line_base),
+        ):
+            assert isinstance(entry, functools.partial)
+            assert entry.func.__self__ is hmc.fault_recovery
+            assert entry.func.__func__ is FaultRecovery.access
+            assert entry.args == (device, line_base)
+
+    def test_no_request_path_tests_whether_faults_are_armed(self):
+        """Every scheme's request paths reach memory through the two device
+        entries, so none of them reads the fault machinery."""
+        for cls in {HmcBase, *SCHEMES.values()}:
+            for name in REQUEST_PATHS:
+                method = vars(cls).get(name)
+                if method is None:
+                    continue
+                source = inspect.getsource(method)
+                assert not re.search(r"\bfault|injector", source), (
+                    cls.__name__, name,
+                )
 
     def test_enabled_faults_do_attach(self):
         """Sanity check of the guard: with injection on, the devices carry

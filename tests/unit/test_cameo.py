@@ -1,8 +1,10 @@
 """Unit tests for the CAMEO baseline (repro.baselines.cameo)."""
 
+import dataclasses
+
 import pytest
 
-from repro.common.config import default_system_config
+from repro.common.config import FaultConfig, default_system_config
 from repro.common.stats import StatsRegistry
 from repro.baselines.cameo import CameoHmc
 from repro.vm.os_model import OsModel
@@ -105,3 +107,22 @@ class TestRemapCache:
         misses_before = stats.get("cameo/remap_misses")
         hmc.handle_request(now + 100, base, False, 1)
         assert stats.get("cameo/remap_misses") == misses_before + 1
+
+
+class TestInjectedFaults:
+    def test_fault_during_swap_aborts_it(self):
+        """The 64 B swap issues to the devices themselves, not through the
+        retrying line entries, so an injected fault aborts it untouched."""
+        config = dataclasses.replace(
+            default_system_config(scale=1024, cores=1),
+            faults=FaultConfig(enabled=True, transient_rate=1.0, max_retries=0),
+        )
+        stats = StatsRegistry()
+        hmc = CameoHmc(config, OsModel(config.memory), stats)
+        line = slow_line(hmc, hmc.fast_lines - 1)
+        hmc.handle_request(0, line, False, 1)
+        # The demand read itself degrades instead of failing.
+        assert stats.get("faults/degraded_services") >= 1
+        assert stats.get("cameo/aborted_swaps") == 1
+        assert stats.get("cameo/swaps") == 0
+        assert hmc._slot(line) == line

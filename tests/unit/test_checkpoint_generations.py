@@ -40,19 +40,21 @@ def _tiny_system():
     )
 
 
-def _as_version_one(path):
-    """Rewrite a checkpoint as format version 1, header and checksum intact.
+def _as_older_version(path, version=1):
+    """Rewrite a checkpoint as an older format version, header and checksum
+    intact.
 
     A v1 checkpoint written where numpy was installed pickles ndarray
-    state this build cannot rebuild; here the version is the only thing
-    wrong with the file.
+    state this build cannot rebuild, and a v2 payload names line routers
+    this build no longer has; here the version is the only thing wrong
+    with the file.
     """
     rest = path.read_bytes()[len(MAGIC):]
     header_line, payload = rest.split(b"\n", 1)
     header = json.loads(header_line)
-    header["format_version"] = 1
+    header["format_version"] = version
     path.write_bytes(
-        b"REPRO-CKPT v1\n"
+        b"REPRO-CKPT v%d\n" % version
         + json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
         + b"\n"
         + payload
@@ -202,7 +204,7 @@ class TestFallback:
     def test_version_one_latest_falls_back_to_newest_generation(self, staged,
                                                                 tmp_path):
         directory, steps = self._staged_copy(staged, tmp_path)
-        _as_version_one(directory / LATEST_NAME)
+        _as_older_version(directory / LATEST_NAME)
         system, path, skipped = load_checkpoint_with_fallback(directory)
         assert path.name == "gen-00000003.ckpt"
         assert system.steps_total == steps[2]
@@ -215,7 +217,7 @@ class TestFallback:
     ):
         directory, _ = self._staged_copy(staged, tmp_path)
         for path in list(directory.iterdir()):
-            _as_version_one(path)
+            _as_older_version(path)
         system, path, skipped = load_checkpoint_with_fallback(directory)
         assert system is None and path is None
         assert [p.name for p, _ in skipped] == [
@@ -259,7 +261,7 @@ class TestFormatVersionOne:
         system = _tiny_system()
         system.run_ops(10)
         path = save_checkpoint(system, tmp_path / LATEST_NAME)
-        _as_version_one(path)
+        _as_older_version(path)
         return path
 
     def test_load_fails_the_version_check(self, tmp_path):
@@ -289,12 +291,12 @@ class TestFormatVersionOne:
         assert excinfo.value.check == "version"
         assert verify_checkpoint(path) == ("corrupt", "failed check: version")
 
-    def test_fsck_repair_promotes_the_newest_version_two_generation(
+    def test_fsck_repair_promotes_the_newest_current_generation(
         self, staged, tmp_path
     ):
         directory, steps = staged
         work = _copy_directory(directory, tmp_path / "work")
-        _as_version_one(work / LATEST_NAME)
+        _as_older_version(work / LATEST_NAME)
         findings = {
             finding.path.name: finding
             for finding in scan_directory(work, repair=True)
@@ -316,7 +318,7 @@ class TestFormatVersionOne:
         clean = execute_job(request, sizing, None, 0, tmp_path / "clean")
         job_dir = _copy_directory(staged[0], tmp_path / "job")
         for path in job_dir.iterdir():
-            _as_version_one(path)
+            _as_older_version(path)
         payload = execute_job(request, sizing, None, 0, job_dir)
         assert payload["resumed_at_ops"] == 0
         for name in _METRIC_FIELDS:
@@ -329,5 +331,40 @@ class TestFormatVersionOne:
         assert main(["run", "--resume", str(path)]) == 1
         err = capsys.readouterr().err
         assert "'REPRO-CKPT v1'" in err
-        assert "'REPRO-CKPT v2'" in err
+        assert f"'{MAGIC.decode().strip()}'" in err
         assert "failed check: version" in err
+
+
+class TestFormatVersionTwo:
+    """Version 2 files — whose payloads name the deleted line routers —
+    fail the version check too, before anything is unpickled."""
+
+    def test_load_fails_the_version_check(self, tmp_path):
+        system = _tiny_system()
+        system.run_ops(10)
+        path = save_checkpoint(system, tmp_path / LATEST_NAME)
+        _as_older_version(path, 2)
+        with pytest.raises(CorruptCheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.check == "version"
+
+    def test_fallback_passes_over_it(self, staged, tmp_path):
+        directory, steps = staged
+        work = _copy_directory(directory, tmp_path / "work")
+        _as_older_version(work / LATEST_NAME, 2)
+        system, path, skipped = load_checkpoint_with_fallback(work)
+        assert path.name == "gen-00000003.ckpt"
+        assert system.steps_total == steps[2]
+        ((skipped_path, error),) = skipped
+        assert skipped_path.name == LATEST_NAME
+        assert error.check == "version"
+
+    def test_fsck_reports_the_version_check(self, tmp_path, capsys):
+        system = _tiny_system()
+        system.run_ops(10)
+        path = save_checkpoint(system, tmp_path / LATEST_NAME)
+        _as_older_version(path, 2)
+        assert verify_checkpoint(path) == ("corrupt", "failed check: version")
+        args = argparse.Namespace(dirs=[str(tmp_path)], repair=False, quiet=False)
+        assert command_fsck(args) == 1
+        assert "failed check: version" in capsys.readouterr().out

@@ -38,6 +38,25 @@ class TestParser:
         )
         assert args.variant == "nocorr"
 
+    def test_experiment_variants_parse_in_a_fresh_process(self):
+        """``--variant`` choices come from the one variant table, not from
+        whichever experiment modules happened to be imported first."""
+        code = (
+            "from repro.cli import build_parser\n"
+            "run = build_parser().parse_args(['run', '--scheme', 'pageseer',"
+            " '--workload', 'lbmx4', '--variant', 'partial'])\n"
+            "sweep = build_parser().parse_args(['sweep', '--variants',"
+            " 'dramcap_x2'])\n"
+            "print(run.variant, *sweep.variants)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        parsed = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True,
+        )
+        assert parsed.returncode == 0, parsed.stderr
+        assert parsed.stdout.split() == ["partial", "dramcap_x2"]
+
     @pytest.mark.parametrize(
         "argv",
         [

@@ -7,6 +7,7 @@ from repro.common.config import (
     dram_timing_table1,
     nvm_timing_table1,
 )
+from repro.common.errors import TransientFaultError
 from repro.common.stats import StatsRegistry
 from repro.mem.device import MemoryDevice
 
@@ -188,15 +189,99 @@ class TestIntrospection:
         assert device.earliest_bus_free(0) > 0
 
 
-class _InertInjector:
-    """An armed-but-silent injector: forces the per-line scalar transfer
-    walk (``_transfer_page_faulty``) without ever raising a fault."""
+class _BudgetInjector:
+    """An armed injector that never faults an access and hands every
+    transfer the same abort budget (None: a clean transfer)."""
+
+    def __init__(self, budget=None):
+        self.budget = budget
 
     def check_access(self, device, now, line, is_write):
         return None
 
     def check_transfer(self, device, now, first_line, line_count, is_write):
-        return None
+        return self.budget
+
+
+def _per_line_transfer(device, now, first_line, line_count, is_write, bulk,
+                       abort_after=None):
+    """The per-line transfer walk ``transfer_page`` is pinned against.
+
+    Maps every line through ``map_line``, groups runs of one channel that
+    share a bank and row, and books each group with the device's own
+    reservation helpers.  With *abort_after* set it raises
+    :class:`TransientFaultError` at the first group start by which that
+    many lines have moved, or after the last group.
+    """
+    lines_done = 0
+    finish = now
+    burst = device.config.line_transfer_cycles
+    channels = device.config.channels
+    last_line = first_line + line_count
+    for channel in range(channels):
+        offset = (channel - first_line) % channels
+        channel_lines = list(range(first_line + offset, last_line, channels))
+        index = 0
+        while index < len(channel_lines):
+            if abort_after is not None and lines_done >= abort_after:
+                raise TransientFaultError(
+                    "bulk transfer died mid-flight",
+                    device=device.config.name,
+                    line=channel_lines[index],
+                    cycle=now,
+                )
+            _, bank, row = device.map_line(channel_lines[index])
+            group = 1
+            while index + group < len(channel_lines):
+                _, next_bank, next_row = device.map_line(channel_lines[index + group])
+                if next_bank != bank or next_row != row:
+                    break
+                group += 1
+            open_row = device._open_rows[bank]
+            row_hit = open_row == row
+            row_conflict = open_row >= 0 and not row_hit
+            device._open_rows[bank] = row
+            core_latency = device.config.read_latency_cycles(row_hit, row_conflict)
+            if device._row_written[bank] and (row_conflict or not is_write):
+                core_latency += device.config.write_recovery_cycles()
+                device._row_written[bank] = False
+            if is_write:
+                device._row_written[bank] = True
+            occupancy = core_latency + group * burst
+            if not device.model_contention:
+                end = now + occupancy
+            else:
+                start = device._reserve_bank(bank, now, occupancy, bulk)
+                bus_start = device._reserve_bus(
+                    channel, start + core_latency, group * burst, bulk
+                )
+                end = bus_start + group * burst
+            finish = max(finish, end)
+            if is_write:
+                device.writes += group
+            else:
+                device.reads += group
+            if row_hit:
+                device.row_hits += group
+            device.service_time_total += occupancy
+            index += group
+            lines_done += group
+    if abort_after is not None:
+        raise TransientFaultError(
+            "bulk transfer died mid-flight",
+            device=device.config.name,
+            line=last_line - 1,
+            cycle=now,
+        )
+    return finish
+
+
+def _outcome(transfer, *args, **kwargs):
+    """A transfer's finish time, or the line its injected abort names."""
+    try:
+        return ("finish", transfer(*args, **kwargs))
+    except TransientFaultError as fault:
+        return ("abort", fault.line)
 
 
 def _device_state(device):
@@ -263,14 +348,12 @@ class TestAccessFinishDifferential:
 
 
 class TestTransferPageDifferential:
-    """Closed-form transfer planning vs the per-line scalar walk.
+    """Closed-form transfer planning vs the per-line walk.
 
-    With an injector armed, ``transfer_page`` falls back to the original
-    per-line/group walk (``_transfer_page_faulty``).  Arming an injector
-    that never fires therefore yields a scalar reference execution of the
-    same transfer; the closed-form planner must match its finish time and
-    every state mutation exactly, which is what makes the fallback a safe
-    batch boundary.
+    ``_per_line_transfer`` maps and groups every line individually; the
+    closed-form planner in ``transfer_page`` must match its finish time,
+    its abort line and every state mutation exactly, both for clean
+    transfers and when an injector forces an abort budget.
     """
 
     @pytest.mark.parametrize("is_write", [False, True])
@@ -278,23 +361,20 @@ class TestTransferPageDifferential:
     def test_matches_scalar_walk(self, is_write, bulk):
         closed = make_device()
         scalar = make_device()
-        scalar.injector = _InertInjector()
         now = 0
         for first_line, count in [(0, 64), (7, 64), (128, 32), (3, 1),
                                   (200, 5), (64, 64)]:
             now += 50
             a = closed.transfer_page(now, first_line, count, is_write,
                                      bulk=bulk)
-            b = scalar.transfer_page(now, first_line, count, is_write,
-                                     bulk=bulk)
+            b = _per_line_transfer(scalar, now, first_line, count, is_write,
+                                   bulk)
             assert a == b, (first_line, count)
-        scalar.injector = None
-        assert _device_state(closed)[:11] == _device_state(scalar)[:11]
+        assert _device_state(closed) == _device_state(scalar)
 
     def test_interleaved_with_demand_traffic(self):
         closed = make_device()
         scalar = make_device()
-        scalar.injector = _InertInjector()
         import random
 
         rng = random.Random(11)
@@ -305,12 +385,66 @@ class TestTransferPageDifferential:
                 first = rng.randrange(0, 4096 - 64)
                 count = rng.choice([1, 8, 32, 64])
                 a = closed.transfer_page(now, first, count, True, bulk=True)
-                b = scalar.transfer_page(now, first, count, True, bulk=True)
+                b = _per_line_transfer(scalar, now, first, count, True, True)
             else:
                 line = rng.randrange(4096)
                 write = rng.random() < 0.5
                 a = closed.access_finish(now, line, write)
                 b = scalar.access_finish(now, line, write)
             assert a == b
-        scalar.injector = None
-        assert _device_state(closed)[:11] == _device_state(scalar)[:11]
+        assert _device_state(closed) == _device_state(scalar)
+
+    @pytest.mark.parametrize("contention", [True, False])
+    @pytest.mark.parametrize("first_line,count", [(0, 64), (7, 64), (130, 32)])
+    @pytest.mark.parametrize("budget", [0, 1, 5, 16, 17, 40, 63])
+    def test_forced_abort_budget(self, contention, first_line, count, budget):
+        """Both sides raise at the same line, with the partial transfer's
+        lines counted and its bank and bus time booked identically."""
+        closed = make_device(contention=contention)
+        scalar = make_device(contention=contention)
+        for device in (closed, scalar):
+            device.transfer_page(0, 256, 64, False)  # open some rows first
+        closed.injector = _BudgetInjector(budget)
+        a = _outcome(closed.transfer_page, 100, first_line, count, True)
+        b = _outcome(_per_line_transfer, scalar, 100, first_line, count, True,
+                     False, abort_after=budget)
+        assert a == b
+        assert a[0] == "abort"
+        assert _device_state(closed) == _device_state(scalar)
+
+    def test_abort_budgets_interleaved_with_traffic(self):
+        """Random budgets, clean transfers and demand accesses in one
+        stream: every step agrees, so an abort leaves no drift behind."""
+        import random
+
+        closed = make_device(nvm=True)
+        scalar = make_device(nvm=True)
+        injector = _BudgetInjector()
+        closed.injector = injector
+        rng = random.Random(5)
+        now = 0
+        aborts = 0
+        for _ in range(120):
+            now += rng.randrange(0, 200)
+            if rng.random() < 0.5:
+                first = rng.randrange(0, 4096 - 64)
+                count = rng.choice([1, 8, 32, 64])
+                is_write = rng.random() < 0.5
+                bulk = rng.random() < 0.5
+                budget = (
+                    None if rng.random() < 0.4 else int(count * rng.random())
+                )
+                injector.budget = budget
+                a = _outcome(closed.transfer_page, now, first, count,
+                             is_write, bulk)
+                b = _outcome(_per_line_transfer, scalar, now, first, count,
+                             is_write, bulk, abort_after=budget)
+                aborts += a[0] == "abort"
+            else:
+                line = rng.randrange(4096)
+                write = rng.random() < 0.5
+                a = closed.access_finish(now, line, write)
+                b = scalar.access_finish(now, line, write)
+            assert a == b
+        assert aborts > 10
+        assert _device_state(closed) == _device_state(scalar)

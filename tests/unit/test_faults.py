@@ -25,7 +25,6 @@ from repro.core.hpt import HotPageTable
 from repro.core.prt import PageRemapTable
 from repro.core.swap_driver import SwapDriver, TRIGGER_REGULAR
 from repro.faults import FAULT_PROFILES, FaultInjector, FaultRecovery, resolve_profile
-from repro.mem.device import AccessResult
 from repro.mem.main_memory import MainMemory
 from repro.mem.swap_buffer import SwapBufferPool
 
@@ -213,65 +212,65 @@ class TestInjector:
         ) is None
 
 
-class _ScriptedMemory:
-    """A MainMemory stand-in that fails a scripted number of times."""
+class _ScriptedDevice:
+    """A MemoryDevice stand-in that fails a scripted number of times."""
 
     def __init__(self, failures, exc_factory):
         self.failures = failures
         self.exc_factory = exc_factory
         self.issue_times = []
 
-    def access(self, now, line_spa, is_write, bulk=False):
+    def access_finish(self, now, line, is_write, bulk=False):
         self.issue_times.append(now)
         if self.failures > 0:
             self.failures -= 1
             raise self.exc_factory()
-        return AccessResult(start=now, finish=now + 50, row_hit=True, queue_delay=0)
+        return now + 50
 
 
 class TestRecovery:
-    def make(self, memory, **overrides):
+    def make(self, **overrides):
         stats = StatsRegistry()
         config = FaultConfig(
             enabled=True, max_retries=3, retry_backoff_cycles=200,
             recovery_read_cycles=2000, **overrides,
         )
         injector = FaultInjector(config, stats)
-        return FaultRecovery(config, injector, memory, stats), stats
+        return FaultRecovery(config, injector, stats), stats
 
     def test_backoff_schedule_is_exponential(self):
-        memory = _ScriptedMemory(2, lambda: TransientFaultError("flaky"))
-        recovery, stats = self.make(memory)
-        result = recovery.access(1000, 7, False)
+        device = _ScriptedDevice(2, lambda: TransientFaultError("flaky"))
+        recovery, stats = self.make()
+        finish = recovery.access(device, 0, 1000, 7, False)
         # Issue times: 1000, +200, +400 — then the third attempt succeeds.
-        assert memory.issue_times == [1000, 1200, 1600]
-        assert result.finish == 1650
-        assert result.start == 1000
+        assert device.issue_times == [1000, 1200, 1600]
+        assert finish == 1650
         assert stats.get("faults/retries") == 2
         assert stats.get("faults/retry_backoff_cycles") == 600
         assert stats.get("faults/degraded_services") == 0
 
     def test_exhausted_retries_degrade(self):
-        memory = _ScriptedMemory(99, lambda: TransientFaultError("flaky"))
-        recovery, stats = self.make(memory)
-        result = recovery.access(0, 7, False)
+        device = _ScriptedDevice(99, lambda: TransientFaultError("flaky"))
+        recovery, stats = self.make()
+        finish = recovery.access(device, 0, 0, 7, False)
         # max_retries=3 allows 4 issues (original + 3 retries).
-        assert len(memory.issue_times) == 4
-        assert result.finish == memory.issue_times[-1] + 2000
+        assert len(device.issue_times) == 4
+        assert finish == device.issue_times[-1] + 2000
         assert stats.get("faults/retries_exhausted") == 1
         assert stats.get("faults/degraded_services") == 1
 
     def test_uncorrectable_calls_hook_and_degrades(self):
-        memory = _ScriptedMemory(
+        device = _ScriptedDevice(
             99, lambda: UnrecoverableFaultError("dead cells")
         )
-        recovery, stats = self.make(memory)
+        recovery, stats = self.make()
         seen = []
         recovery.on_uncorrectable = lambda now, line: seen.append((now, line))
-        result = recovery.access(500, 42, False)
-        assert seen == [(500, 42)]
-        assert len(memory.issue_times) == 1  # never retried
-        assert result.finish == 500 + 2000
+        finish = recovery.access(device, 1000, 500, 42, False)
+        # The hook sees the system line: the device's base plus its line.
+        assert seen == [(500, 1042)]
+        assert len(device.issue_times) == 1  # never retried
+        assert finish == 500 + 2000
         assert stats.get("faults/uncorrectable_services") == 1
         assert stats.get("faults/degraded_services") == 1
 

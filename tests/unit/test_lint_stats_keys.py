@@ -45,19 +45,6 @@ class TestDynamicKeys:
         )
         assert not any("f-string" in m for m in messages(report))
 
-    def test_dynamic_key_bound_into_a_handle_flagged(self, tmp_path):
-        report = run(
-            tmp_path,
-            {
-                "sim/model.py": (
-                    "class Pool:\n"
-                    "    def __init__(self, stats, kind):\n"
-                    "        self._count = stats.counter(f'pool/{kind}')\n"
-                )
-            },
-        )
-        assert any("f-string stats key" in m for m in messages(report))
-
     def test_arbitrary_expression_key_flagged(self, tmp_path):
         report = run(
             tmp_path,

@@ -1,5 +1,10 @@
 """Unit tests for the experiment runner (repro.experiments.runner)."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.jobcore import execute_job
@@ -172,6 +177,34 @@ class TestVariantRegistry:
     def test_builtin_variants_present(self):
         for name in ("default", "nocorr", "nobw", "nohints"):
             assert name in VARIANTS
+
+    def test_runner_alone_defines_every_variant(self):
+        """A fresh interpreter importing only the runner sees the whole
+        table: no experiment module has to be imported to register one."""
+        code = (
+            "from repro.experiments.runner import VARIANTS\n"
+            "print(' '.join(sorted(VARIANTS)))\n"
+        )
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        names = subprocess.run(
+            [sys.executable, "-c", code], env=env,
+            capture_output=True, text=True, check=True,
+        ).stdout.split()
+        sweeps = {
+            "pct_prefetch_threshold": (7, 14, 28),
+            "hpt_swap_threshold": (3, 6, 12),
+            "swap_engines": (1, 3, 6),
+            "prt_ways": (2, 4, 8),
+        }
+        expected = {"default", "nocorr", "nobw", "nohints", "partial"}
+        expected |= {
+            f"sens_{knob}_{value}"
+            for knob, values in sweeps.items() for value in values
+        }
+        expected |= {f"dramcap_x{m}" for m in (1, 2, 4, 8)}
+        assert len(expected) == 21
+        assert set(names) == expected
 
     def test_variants_are_pure(self):
         from repro.common.config import default_system_config

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.common.errors import CheckpointError, CheckpointInterrupt
-from repro.common.stats import StatsRegistry
 from repro.snapshot import (
     CHECKPOINT_FORMAT_VERSION,
     Checkpointer,
@@ -26,53 +25,6 @@ from repro.snapshot.checkpoint import MAGIC
 from repro.workloads import workload_by_name
 
 from tests.conftest import take_ops
-
-
-# -- codec: stats handles -----------------------------------------------------
-
-
-class TestStatsHandleCodec:
-    def test_counter_handle_rebinds_into_shared_registry(self):
-        """The regression the snapshot design hinges on: a handle created
-        BEFORE the checkpoint must record into the restored registry that
-        every other component shares, not into a private copy."""
-        registry = StatsRegistry()
-        handle = registry.counter("hmc/hits")
-        handle(3)
-        blob = codec.dumps({"registry": registry, "handle": handle})
-        restored = codec.loads(blob)
-        assert restored["registry"].get("hmc/hits") == 3
-        restored["handle"](2)
-        assert restored["registry"].get("hmc/hits") == 5
-
-    def test_observer_handle_rebinds_into_shared_registry(self):
-        registry = StatsRegistry()
-        observe = registry.observer("lat")
-        observe(10.0)
-        restored = codec.loads(codec.dumps({"r": registry, "o": observe}))
-        restored["o"](30.0)
-        assert restored["r"].mean("lat") == 20.0
-        assert restored["r"].maximum("lat") == 30.0
-
-    def test_many_handles_share_one_restored_registry(self):
-        registry = StatsRegistry()
-        handles = [registry.counter(f"c{i}") for i in range(10)]
-        restored = codec.loads(codec.dumps((registry, handles)))
-        reg, new_handles = restored
-        for handle in new_handles:
-            handle()
-        assert all(reg.get(f"c{i}") == 1 for i in range(10))
-
-    def test_handles_survive_reset_then_checkpoint(self):
-        """reset() clears the backing dicts in place; a handle snapshot
-        taken after a reset must still rebind correctly."""
-        registry = StatsRegistry()
-        handle = registry.counter("x")
-        handle(5)
-        registry.reset()
-        restored = codec.loads(codec.dumps((registry, handle)))
-        restored[1](7)
-        assert restored[0].get("x") == 7
 
 
 # -- codec: rejection and registration ---------------------------------------
@@ -113,6 +65,24 @@ class TestCodecDispatch:
     def test_module_level_functions_pickle_by_reference(self):
         blob = codec.dumps(workload_by_name)
         assert codec.loads(blob) is workload_by_name
+
+    def test_device_entries_restore_onto_the_restored_devices(self):
+        """A controller's line entries (bound ``access_finish``, or a
+        ``functools.partial`` over ``FaultRecovery.access`` with faults on)
+        must drive the restored devices, not private copies of them."""
+        from repro.common.config import FaultConfig
+        from repro.sim.system import build_system
+
+        for faults in (None, FaultConfig(enabled=True, transient_rate=0.01)):
+            hmc = build_system(
+                "noswap", workload_by_name("lbmx4"), scale=1024, faults=faults
+            ).hmc
+            restored = codec.loads(codec.dumps(hmc))
+            restored.dram_access(0, 3, False)
+            restored.nvm_access(0, 3, False)
+            assert restored.memory.dram.reads == 1
+            assert restored.memory.nvm.reads == 1
+            assert hmc.memory.dram.reads == hmc.memory.nvm.reads == 0
 
     def test_registered_codec_roundtrip(self):
         obj = _CodecRegistered(21)
