@@ -148,7 +148,9 @@ class PageSeerHmc(HmcBase):
         # PRTc: on the critical path of every request (PrtCache.lookup,
         # inlined; the miss path fetches the set from in-DRAM metadata —
         # metadata lines live in reserved DRAM pages, so the fill goes
-        # straight to the DRAM entry).
+        # straight to the DRAM entry — and installs it as mmu_hint's
+        # prefetch does: the probe just missed, so PrtCache.fill's
+        # membership test is skipped).
         t = now + self._prtc_latency
         prtc = self.prtc
         prtc_resident = prtc._resident
@@ -165,7 +167,10 @@ class PageSeerHmc(HmcBase):
                 counters["hmc/remap_wait_cycles"] += fill_done - t
                 counters["hmc/remap_misses"] += 1.0
             t = fill_done
-            prtc.fill(colour)
+            prtc.fills += 1
+            if len(prtc_resident) >= prtc.capacity_sets:
+                prtc_resident.popitem(last=False)
+            prtc_resident[colour] = None
 
         line_offset = line_spa % LINES_PER_PAGE
         if self._partial_swaps:

@@ -73,7 +73,8 @@ class Core:
     """One simulated core bound to a process and an op stream.
 
     The engine (:mod:`repro.sim.engine`) fetches ops from ``ops`` and
-    runs the ones it does not service inline through :meth:`execute`.
+    services every one inline; :meth:`execute` is the reference per-op
+    path that the test oracle runs.
     """
 
     __slots__ = (
@@ -142,10 +143,10 @@ class Core:
     def execute(self, op: MemoryOp) -> None:
         """Execute one already-fetched operation (the full scalar path).
 
-        The engine fetches ops itself, services pure TLB/cache hits and
-        the two cache-miss shapes inline, and hands everything else —
-        page walks and first touches — here.  The body is the reference
-        per-op semantics every inline path replicates.
+        The engine never calls this: it services pure TLB/cache hits,
+        the cache-miss shapes and translation turns inline.  The body is
+        the reference per-op semantics every inline path replicates, and
+        the one-op-at-a-time test oracle runs every op through it.
         """
         work = op.instructions_before + 1
         self.instructions += work

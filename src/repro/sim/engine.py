@@ -13,11 +13,14 @@ line number, set indices, tags, clock advance), then a slim per-op
 loop drains the *pure prefix* of the chunk against the struct-of-arrays
 TLB/cache models (:class:`repro.vm.tlb.SoaTlb`,
 :class:`repro.cache.cache.SoaCache`).
-Shared ops run at their exact global order: cache-miss shapes (dirty
-L2-hit victims, L1+L2 misses reaching the L3 or memory) replay the
-scalar path's mutations inline from the prepped columns, and only
-*translation* events (TLB-miss walks, first-touch pages) escape to the
-unmodified scalar path (:meth:`repro.sim.cpu.Core.execute`).
+Shared ops run at their exact global order, inline from the prepped
+columns: cache-miss shapes (dirty L2-hit victims, L1+L2 misses reaching
+the L3 or memory) replay the scalar path's mutations, and *translation*
+turns (L1-TLB misses and first-touch pages) map the page, probe the L2
+TLB, call the page walker on a miss, fill both TLBs, and then serve the
+data line through the same cache shapes.  The walker, the MMU hint it
+fires and the controller's request path stay calls into their own
+layers; no op leaves the engine for ``Core.execute``.
 
 Equivalence contract (enforced by the pinned goldens and by
 tests/integration/test_engine_equivalence.py, which runs the heap
@@ -31,8 +34,8 @@ scheduler from tests/reference_scheduler.py as the oracle):
    walker, the shared L3, or the memory controller.  The prep pass
    resolves VPN→PPN through the page table's flat VPN cache *at prep
    time*; an op whose page is unmapped at that point is classified
-   shared conservatively (pure ops commute, and the scalar path it
-   escapes to is the source of truth — first-touch is a walk anyway).
+   shared conservatively (pure ops commute, and a first touch is a walk
+   anyway).
 2. **Ordering.**  Pure ops of one core commute with every op of every
    other core: disjoint mutable state, and the counters they touch are
    pure event counts (each update is ``+= 1.0``, and the engine's
@@ -50,16 +53,20 @@ scheduler from tests/reference_scheduler.py as the oracle):
    paths' mutations exactly, in kind and in floating-point order: LRU
    touches are stores of the same strictly-increasing age counters the
    SoA models' methods use, clock advances are the same float adds in
-   the same sequence (work advance, then the stall division), and the
-   L3's ``OrderedDict`` operations (``move_to_end``, LRU-first
-   ``popitem``) are performed verbatim at the op's global turn.
-   Classification probes (way-dict ``get``, age ``argmin``, victim
-   dirty-bit peek) are non-mutating, and a core's private TLB/L1/L2
-   membership cannot change while it is parked (only its own walks and
-   fills mutate them), so drain-time classifications stay valid at the
-   ordered turn.  ``ensure_mapped`` is skipped on TLB hits: a VPN can
-   only enter a TLB via a walk, walks only happen for mapped VPNs, and
-   mappings are never removed.
+   the same sequence (work advance, then the walk latency as one int
+   sum, then the stall division), and the L3's and the L2 TLB's
+   ``OrderedDict`` operations (``move_to_end``, LRU-first ``popitem``)
+   are performed verbatim at the op's global turn.  Classification
+   probes (way-dict ``get``, age ``argmin``, victim dirty-bit peek) are
+   non-mutating, and a core's private TLB/L1/L2 membership cannot change
+   while it is parked (only its own walks and fills mutate them), so
+   drain-time classifications stay valid at the ordered turn.  A
+   translation turn classifies its data line only after the walk, whose
+   page-table lines fill this core's L2.  The TLB fills skip the hit
+   check of :meth:`repro.vm.tlb.Tlb.fill` / :meth:`repro.vm.tlb.SoaTlb.fill`:
+   the probes just missed.  ``ensure_mapped`` is skipped on TLB hits: a
+   VPN can only enter a TLB via a walk, walks only happen for mapped
+   VPNs, and mappings are never removed.
 4. **Checkpoints.**  Core-local state (clock, instructions, op counts)
    is flushed from locals to the object graph before every checkpointer
    poll, and stream consumption moves through the one public
@@ -77,8 +84,9 @@ scheduler from tests/reference_scheduler.py as the oracle):
    :data:`_POLL_STEPS` steps, aligned to the heartbeat mask so liveness
    heartbeats keep their cadence.
 
-See docs/PERFORMANCE.md ("Array-native streams") for the measured
-speedups and docs/TESTING.md for the differential-harness workflow.
+See docs/PERFORMANCE.md ("Array-native streams", "Walks at engine
+speed") for the measured speedups and docs/TESTING.md for the
+differential-harness workflow.
 """
 
 from __future__ import annotations
@@ -113,10 +121,11 @@ def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets) -> Tup
     at paper sizing it holds 36% of the ops of the pageseer/lbmx4 job,
     4% of the milcx4 report's and 1% of pageseer/mcfx8's.  Those ops'
     line/set/tag entries are ``-1``-derived junk until the drain loop
-    re-resolves them when it *reaches* them (an earlier escape may have
-    mapped the page by then) — precomputing the escape indices keeps the
-    mapped-ness check off the per-op fast path.  A genuine first touch
-    escapes to the scalar path, whose walk maps the page.
+    re-resolves them when it *reaches* them (an earlier translation turn
+    may have mapped the page by then) — precomputing the unmapped
+    indices keeps the mapped-ness check off the per-op fast path.  A
+    genuine first touch becomes a translation turn, which maps the page
+    and walks it.
 
     The VPN→PPN resolution is against the page table's *immutable*
     mapping (entries are only ever added), so prepping ahead of
@@ -167,16 +176,21 @@ def _core_context(core) -> Tuple:
     Everything here is fixed for the core's lifetime (the same
     invariants ``Core.__init__`` hoists for the scalar path): the SoA
     TLB/cache internals the drain loop reads and writes directly, the
-    shared L3's per-set ``OrderedDict`` list for the inline miss path,
-    and the stream.  ``hmc.handle_request`` is deliberately *not* here:
-    the sanitizer and the analysis probes rebind it on the instance, so
-    the engine re-reads it around controller calls.
+    L2 TLB's and the shared L3's per-set ``OrderedDict`` lists for the
+    inline translation and miss turns, the page table and walker a
+    translation turn calls, and the stream.  ``hmc.handle_request`` is
+    deliberately *not* here: the sanitizer and the analysis probes
+    rebind it on the instance, so the engine re-reads it around
+    controller calls.
     """
-    l1_tlb = core.mmu.l1_tlb
+    mmu = core.mmu
+    l1_tlb = mmu.l1_tlb
+    l2_tlb = mmu.l2_tlb
     hierarchy = core.hierarchy
     l1 = hierarchy.l1[core.core_id]
     l2 = hierarchy.l2[core.core_id]
     l3 = hierarchy.l3
+    page_table = core._page_table
     # The scalar L2-hit stall is outcome.latency_cycles / mlp where
     # latency_cycles == l1_latency + l2_latency: same ints, same single
     # float division, so the precomputed value is bit-identical.  The
@@ -187,11 +201,22 @@ def _core_context(core) -> Tuple:
     mlp = core._mlp
     return (
         core.ops,
-        core._page_table._vpn_cache,
+        page_table,
+        page_table._vpn_cache,
+        page_table.ensure_mapped,
+        mmu.walker.walk,
         l1_tlb._way_of,
+        l1_tlb._keys,
+        l1_tlb._ppns,
         l1_tlb._ages,
         l1_tlb._age,
         l1_tlb.num_sets,
+        l1_tlb.ways,
+        l2_tlb._sets,
+        l2_tlb.num_sets,
+        l2_tlb.ways,
+        # Translate's walk latency base: the L1 and L2 TLB probes.
+        mmu._l1_latency + mmu._l2_latency,
         l1._way_of,
         l1._tags,
         l1._dirty,
@@ -238,7 +263,7 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
     instruction and op counts), the prepared chunk columns, and the
     in-flight shared-op descriptor — lives in this generator's locals
     across parks, so a park/resume cycle costs one ``yield`` instead of
-    re-hoisting a 30-element context and re-unpacking the chunk columns
+    re-hoisting the core's context and re-unpacking the chunk columns
     per segment.  The runner yields its clock when a shared op must
     wait for the global ``(clock, core_id)`` turn; the driver resumes
     it when it reaches the heap front.  Core attributes are flushed
@@ -251,11 +276,21 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
     """
     (
         stream,
+        page_table,
         vpn_cache,
+        ensure_mapped,
+        walk,
         t_way_of,
+        t_keys,
+        t_ppns,
         t_ages,
         t_age_cell,
         tlb_nsets,
+        tlb_ways,
+        l2t_sets,
+        l2t_nsets,
+        l2t_ways,
+        tlb_lat12,
         l1_way_of,
         l1_tags,
         l1_dirty,
@@ -284,18 +319,19 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
     clock = core.clock
     instructions = core.instructions
     ops_executed = core.ops_executed
-    #: In-flight shared-op kind: 0 = none, 1 = full scalar escape
-    #: (walks, first touches), 2 = dirty-victim L2 hit, 3 = L1+L2 miss
-    #: (L3 hit or memory).  Kinds 2 and 3 carry the op's chunk-column
-    #: index in ``idx``; kind 1 carries the materialized MemoryOp.
+    #: In-flight shared-op kind: 0 = none, 2 = L2 hit (the drain loop
+    #: sends one only when its L1 fill evicts a dirty victim), 3 = L1+L2
+    #: miss (L3 hit or memory), 4 = translation turn (L1-TLB miss or
+    #: first touch).  Every kind carries the op's chunk-column index in
+    #: ``idx``.
     kind = 0
-    op = None
     idx = 0
     cur_chunk = None
-    #: The L1-TLB run: the page of the last TLB probe that hit, with its
-    #: set's age list and way.  Only a kind-1 escape fills this core's
-    #: L1 TLB (pure ops and the inline kind-2/3 turns only touch ages),
-    #: so the run outlives segments and shared turns until one runs.
+    #: The L1-TLB run: the page of the last TLB probe that hit (or of
+    #: the last fill), with its set's age list and way.  Only a
+    #: translation turn fills this core's L1 TLB (pure ops and the
+    #: cache-miss turns only touch ages), and it re-seeds the run to the
+    #: entry it filled, so the run outlives segments and shared turns.
     run_vpn = -1
     run_ages = None
     run_way = -1
@@ -311,181 +347,223 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                 system.steps_total = steps_cell[0]
                 ckpt.on_step(system)
                 stop_cell[0] = _next_stop(ckpt, steps_cell[0])
-            if kind == 2:
-                # Dirty-victim L2 hit at its global turn: the
-                # classification probes are still valid (only other
-                # cores ran in between, and they cannot touch this
-                # core's TLB/L1/L2), so replicate the scalar path
-                # inline from the prepped columns — work advance, TLB
-                # L1 hit (through the run the drain loop probed this
-                # op's page into), L2 hit, L1 fill evicting the dirty
-                # victim — and send the one shared effect, the victim
-                # write-back, to the controller.
+            if kind:
+                # A shared op at its global turn.  Commit its work and
+                # flush the view Core.execute gives controller calls
+                # (instructions committed, clock not yet advanced), then
+                # advance the clock by the op's base-CPI work.
                 instructions += cumw[idx + 1] - cumw[idx]
-                clock += advs[idx]
-                run_ages[run_way] = t_age_cell[0]
-                t_age_cell[0] += 1
-                counters["tlb/l1_hits"] += 1.0
-                is_write = writes[idx]
-                set2 = l2sets[idx]
-                way2 = l2_way_of[set2][l2tags[idx]]
-                l2_ages[set2][way2] = l2_age_cell[0]
-                l2_age_cell[0] += 1
-                if is_write:
-                    l2_dirty[set2][way2] = True
-                counters["cache/l2_hits"] += 1.0
-                set1 = l1sets[idx]
-                ages1 = l1_ages[set1]
-                vway = ages1.index(min(ages1))
-                tags1 = l1_tags[set1]
-                victim_tag = tags1[vway]
-                ways1 = l1_way_of[set1]
-                del ways1[victim_tag]
-                tag1 = l1tags[idx]
-                ways1[tag1] = vway
-                tags1[vway] = tag1
-                l1_dirty[set1][vway] = is_write
-                ages1[vway] = l1_age_cell[0]
-                l1_age_cell[0] += 1
-                clock += l2_stall
-                # Flush before the controller call: the sanitizer may
-                # wrap handle_request and read system state (scalar
-                # order: clock is updated before write-backs drain).
-                core.clock = clock
-                core.instructions = instructions
-                core.ops_executed = ops_executed
-                core.hmc.handle_request(
-                    int(clock),
-                    victim_tag * l1_nsets + set1,
-                    True,
-                    pid,
-                    _WRITEBACK,
-                )
-                ops_executed += 1
-                stream.advance(1)
-                kind = 0
-                steps_cell[0] += 1
-            elif kind == 3:
-                # L1+L2 miss at its global turn: the private miss
-                # probes are still valid (see kind 2), so replicate the
-                # scalar path inline — work advance, TLB L1 hit (through
-                # the run), the shared L3 probe at exactly this point in
-                # global order, the L2/L1 fills, the demand request on
-                # an LLC miss, and the victim write-backs.
-                instructions += cumw[idx + 1] - cumw[idx]
-                # Scalar visibility during the controller call:
-                # instructions are committed at op start, the clock not
-                # until the stall is known.
                 core.instructions = instructions
                 core.clock = clock
                 core.ops_executed = ops_executed
                 clock += advs[idx]
-                now = int(clock)
-                run_ages[run_way] = t_age_cell[0]
-                t_age_cell[0] += 1
-                counters["tlb/l1_hits"] += 1.0
-                line = lines[idx]
-                is_write = writes[idx]
-                set3 = l3sets[idx]
-                entries3 = l3_sets[set3]
-                tag3 = l3tags[idx]
-                wb_l3 = wb_l2 = wb_l1 = -1
-                if tag3 in entries3:
-                    entries3.move_to_end(tag3)
-                    if is_write:
-                        entries3[tag3] = True
-                    counters["cache/l3_hits"] += 1.0
-                    llc_miss = False
-                else:
-                    counters["cache/llc_misses"] += 1.0
-                    if len(entries3) >= l3_ways:
-                        vtag3, vdirty3 = entries3.popitem(last=False)
-                        if vdirty3:
-                            wb_l3 = vtag3 * l3_nsets + set3
-                    entries3[tag3] = False
-                    llc_miss = True
-                # L2 fill (clean), then L1 fill (dirty on writes) — the
-                # scalar fill order.
-                set2 = l2sets[idx]
-                tag2 = l2tags[idx]
-                ways2 = l2_way_of[set2]
-                ages2 = l2_ages[set2]
-                tags2 = l2_tags[set2]
-                dirty2 = l2_dirty[set2]
-                if len(ways2) >= l2_ways:
-                    vway = ages2.index(min(ages2))
-                    vtag = tags2[vway]
-                    if dirty2[vway]:
-                        wb_l2 = vtag * l2_nsets + set2
-                    del ways2[vtag]
-                else:
-                    vway = tags2.index(-1)
-                ways2[tag2] = vway
-                tags2[vway] = tag2
-                dirty2[vway] = False
-                ages2[vway] = l2_age_cell[0]
-                l2_age_cell[0] += 1
-                set1 = l1sets[idx]
-                tag1 = l1tags[idx]
-                ways1 = l1_way_of[set1]
-                ages1 = l1_ages[set1]
-                tags1 = l1_tags[set1]
-                dirty1 = l1_dirty[set1]
-                if len(ways1) >= l1_ways:
-                    vway = ages1.index(min(ages1))
-                    vtag = tags1[vway]
-                    if dirty1[vway]:
-                        wb_l1 = vtag * l1_nsets + set1
-                    del ways1[vtag]
-                else:
-                    vway = tags1.index(-1)
-                ways1[tag1] = vway
-                tags1[vway] = tag1
-                dirty1[vway] = is_write
-                ages1[vway] = l1_age_cell[0]
-                l1_age_cell[0] += 1
-                hmc = core.hmc
-                if llc_miss:
-                    finish = hmc.handle_request(
-                        now + lat123, line, is_write, pid, _DEMAND
-                    )
-                    memory_latency = finish - now
-                    if is_write:
-                        clock += memory_latency * _STORE_STALL_FRACTION / mlp
+                if kind == 4:
+                    # Translation turn, in Mmu.translate's order: the L2
+                    # TLB probe, a walk on a miss, the TLB fills, then
+                    # the data line through the cache shapes below.
+                    vpn = vpns[idx]
+                    if lines[idx] < 0:
+                        # First touch: map the page now (frames are
+                        # allocated in global order) and derive the op's
+                        # columns as the drain loop's re-resolve does.
+                        line = (
+                            (ensure_mapped(vpn) << PAGE_SHIFT)
+                            | (vaddrs[idx] & _PAGE_MASK)
+                        ) >> LINE_SHIFT
+                        lines[idx] = line
+                        l1sets[idx] = line % l1_nsets
+                        l1tags[idx] = line // l1_nsets
+                        l2sets[idx] = line % l2_nsets
+                        l2tags[idx] = line // l2_nsets
+                        l3sets[idx] = line % l3_nsets
+                        l3tags[idx] = line // l3_nsets
+                    key = (pid, vpn)
+                    entries_t2 = l2t_sets[vpn % l2t_nsets]
+                    ppn = entries_t2.get(key)
+                    if ppn is not None:
+                        entries_t2.move_to_end(key)
+                        counters["tlb/l2_hits"] += 1.0
                     else:
-                        clock += memory_latency / mlp
+                        counters["tlb/misses"] += 1.0
+                        walked = walk(int(clock) + tlb_lat12, page_table, vpn)
+                        ppn = walked.ppn
+                        # One int sum, one float add: translate's latency.
+                        clock += tlb_lat12 + walked.latency
+                        # L2-TLB fill (the key is absent: the probe missed).
+                        if len(entries_t2) >= l2t_ways:
+                            entries_t2.popitem(last=False)
+                        entries_t2[key] = ppn
+                    # L1-TLB fill (absent too), re-seeding the run to the
+                    # filled entry: the fill may have evicted the old one.
+                    tidx = vpn % tlb_nsets
+                    tways = t_way_of[tidx]
+                    tkeys = t_keys[tidx]
+                    run_ages = t_ages[tidx]
+                    if len(tways) >= tlb_ways:
+                        run_way = run_ages.index(min(run_ages))
+                        del tways[tkeys[run_way]]
+                    else:
+                        run_way = tkeys.index(None)
+                    tways[key] = run_way
+                    tkeys[run_way] = key
+                    t_ppns[tidx][run_way] = ppn
+                    run_ages[run_way] = t_age_cell[0]
+                    t_age_cell[0] += 1
+                    run_vpn = vpn
+                    # Classify the data line now: the walk's page-table
+                    # lines may have filled (and evicted from) the L2.
+                    set1 = l1sets[idx]
+                    way1 = l1_way_of[set1].get(l1tags[idx])
+                    if way1 is not None:
+                        # L1 hit: LRU touch and dirty bit, no stall.
+                        l1_ages[set1][way1] = l1_age_cell[0]
+                        l1_age_cell[0] += 1
+                        if writes[idx]:
+                            l1_dirty[set1][way1] = True
+                        counters["cache/l1_hits"] += 1.0
+                        kind = 0
+                    elif l2tags[idx] in l2_way_of[l2sets[idx]]:
+                        kind = 2
+                    else:
+                        kind = 3
                 else:
-                    clock += l3_stall
-                core.clock = clock
-                if wb_l3 >= 0 or wb_l2 >= 0 or wb_l1 >= 0:
-                    wb_now = int(clock)
-                    handle = hmc.handle_request
-                    if wb_l3 >= 0:
-                        handle(wb_now, wb_l3, True, pid, _WRITEBACK)
-                    if wb_l2 >= 0:
-                        handle(wb_now, wb_l2, True, pid, _WRITEBACK)
+                    # TLB L1 hit, through the run the drain loop probed
+                    # this op's page into.
+                    run_ages[run_way] = t_age_cell[0]
+                    t_age_cell[0] += 1
+                    counters["tlb/l1_hits"] += 1.0
+                if kind == 2:
+                    # L2 hit: the L2 touch, then the L1 fill.  A dirty L1
+                    # victim (always, for ops the drain loop sends here)
+                    # is the one shared effect: its write-back goes to
+                    # the controller.  The classification probes are
+                    # still valid: only other cores ran since, and they
+                    # cannot touch this core's TLB/L1/L2.
+                    is_write = writes[idx]
+                    set2 = l2sets[idx]
+                    way2 = l2_way_of[set2][l2tags[idx]]
+                    l2_ages[set2][way2] = l2_age_cell[0]
+                    l2_age_cell[0] += 1
+                    if is_write:
+                        l2_dirty[set2][way2] = True
+                    counters["cache/l2_hits"] += 1.0
+                    set1 = l1sets[idx]
+                    ways1 = l1_way_of[set1]
+                    ages1 = l1_ages[set1]
+                    tags1 = l1_tags[set1]
+                    dirty1 = l1_dirty[set1]
+                    wb_l1 = -1
+                    if len(ways1) >= l1_ways:
+                        vway = ages1.index(min(ages1))
+                        vtag = tags1[vway]
+                        if dirty1[vway]:
+                            wb_l1 = vtag * l1_nsets + set1
+                        del ways1[vtag]
+                    else:
+                        vway = tags1.index(-1)
+                    tag1 = l1tags[idx]
+                    ways1[tag1] = vway
+                    tags1[vway] = tag1
+                    dirty1[vway] = is_write
+                    ages1[vway] = l1_age_cell[0]
+                    l1_age_cell[0] += 1
+                    clock += l2_stall
                     if wb_l1 >= 0:
-                        handle(wb_now, wb_l1, True, pid, _WRITEBACK)
+                        # Scalar order: the clock is updated before
+                        # write-backs drain (the sanitizer may read it).
+                        core.clock = clock
+                        core.hmc.handle_request(
+                            int(clock), wb_l1, True, pid, _WRITEBACK
+                        )
+                elif kind == 3:
+                    # L1+L2 miss: the shared L3 probe at exactly this
+                    # point in global order, the L2/L1 fills, the demand
+                    # request on an LLC miss, and the victim write-backs.
+                    now = int(clock)
+                    line = lines[idx]
+                    is_write = writes[idx]
+                    set3 = l3sets[idx]
+                    entries3 = l3_sets[set3]
+                    tag3 = l3tags[idx]
+                    wb_l3 = wb_l2 = wb_l1 = -1
+                    if tag3 in entries3:
+                        entries3.move_to_end(tag3)
+                        if is_write:
+                            entries3[tag3] = True
+                        counters["cache/l3_hits"] += 1.0
+                        llc_miss = False
+                    else:
+                        counters["cache/llc_misses"] += 1.0
+                        if len(entries3) >= l3_ways:
+                            vtag3, vdirty3 = entries3.popitem(last=False)
+                            if vdirty3:
+                                wb_l3 = vtag3 * l3_nsets + set3
+                        entries3[tag3] = False
+                        llc_miss = True
+                    # L2 fill (clean), then L1 fill (dirty on writes) — the
+                    # scalar fill order.
+                    set2 = l2sets[idx]
+                    tag2 = l2tags[idx]
+                    ways2 = l2_way_of[set2]
+                    ages2 = l2_ages[set2]
+                    tags2 = l2_tags[set2]
+                    dirty2 = l2_dirty[set2]
+                    if len(ways2) >= l2_ways:
+                        vway = ages2.index(min(ages2))
+                        vtag = tags2[vway]
+                        if dirty2[vway]:
+                            wb_l2 = vtag * l2_nsets + set2
+                        del ways2[vtag]
+                    else:
+                        vway = tags2.index(-1)
+                    ways2[tag2] = vway
+                    tags2[vway] = tag2
+                    dirty2[vway] = False
+                    ages2[vway] = l2_age_cell[0]
+                    l2_age_cell[0] += 1
+                    set1 = l1sets[idx]
+                    tag1 = l1tags[idx]
+                    ways1 = l1_way_of[set1]
+                    ages1 = l1_ages[set1]
+                    tags1 = l1_tags[set1]
+                    dirty1 = l1_dirty[set1]
+                    if len(ways1) >= l1_ways:
+                        vway = ages1.index(min(ages1))
+                        vtag = tags1[vway]
+                        if dirty1[vway]:
+                            wb_l1 = vtag * l1_nsets + set1
+                        del ways1[vtag]
+                    else:
+                        vway = tags1.index(-1)
+                    ways1[tag1] = vway
+                    tags1[vway] = tag1
+                    dirty1[vway] = is_write
+                    ages1[vway] = l1_age_cell[0]
+                    l1_age_cell[0] += 1
+                    hmc = core.hmc
+                    if llc_miss:
+                        finish = hmc.handle_request(
+                            now + lat123, line, is_write, pid, _DEMAND
+                        )
+                        memory_latency = finish - now
+                        if is_write:
+                            clock += memory_latency * _STORE_STALL_FRACTION / mlp
+                        else:
+                            clock += memory_latency / mlp
+                    else:
+                        clock += l3_stall
+                    core.clock = clock
+                    if wb_l3 >= 0 or wb_l2 >= 0 or wb_l1 >= 0:
+                        wb_now = int(clock)
+                        handle = hmc.handle_request
+                        if wb_l3 >= 0:
+                            handle(wb_now, wb_l3, True, pid, _WRITEBACK)
+                        if wb_l2 >= 0:
+                            handle(wb_now, wb_l2, True, pid, _WRITEBACK)
+                        if wb_l1 >= 0:
+                            handle(wb_now, wb_l1, True, pid, _WRITEBACK)
                 ops_executed += 1
                 stream.advance(1)
-                kind = 0
-                steps_cell[0] += 1
-            elif kind == 1:
-                # A translation event (walk or first touch) at its
-                # global turn: run the full scalar path on the flushed
-                # core.
-                core.clock = clock
-                core.instructions = instructions
-                core.ops_executed = ops_executed
-                core.execute(op)
-                stream.advance(1)
-                op = None
-                clock = core.clock
-                instructions = core.instructions
-                ops_executed = core.ops_executed
-                # The walk filled this core's L1 TLB and may have
-                # evicted the run's entry: the one place the run ends.
-                run_vpn = -1
                 kind = 0
                 steps_cell[0] += 1
             # Free-run through pure (core-local) ops, one chunk prefix
@@ -526,7 +604,7 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                     limit = chunk.length
                 # Segment-local mirrors of the age counters and
                 # deferred stats (written back at segment end, before
-                # any escape can observe them).
+                # any shared turn can observe them).
                 t_age = t_age_cell[0]
                 l1_age = l1_age_cell[0]
                 l2_age = l2_age_cell[0]
@@ -543,12 +621,12 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                 while i < limit:
                     if i == nxt_un:
                         # Unmapped at prep time — re-resolve: an
-                        # earlier escape may have walked the page in
-                        # by now (mappings are only added, so a hit
-                        # here can never be stale).
+                        # earlier translation turn may have mapped the
+                        # page by now (mappings are only added, so a
+                        # hit here can never be stale).
                         ppn = vpn_cache.get(vpns[i])
                         if ppn is None:
-                            kind = 1  # first touch: walk
+                            kind = 4  # first touch: map and walk
                             break
                         line = (
                             (ppn << PAGE_SHIFT) | (vaddrs[i] & _PAGE_MASK)
@@ -569,12 +647,12 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                     vpn = vpns[i]
                     if vpn != run_vpn:
                         # New page run: one TLB probe covers the whole
-                        # run (no invalidations exist, and only kind-1
-                        # escapes mutate TLB membership).
+                        # run (no invalidations exist, and only
+                        # translation turns mutate TLB membership).
                         tidx = vpn % tlb_nsets
                         tway = t_way_of[tidx].get((pid, vpn))
                         if tway is None:
-                            kind = 1  # translation event: walk
+                            kind = 4  # L1-TLB miss: translation turn
                             break
                         run_vpn = vpn
                         run_ages = t_ages[tidx]
@@ -663,8 +741,6 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                     stream.advance(drained)
                 if kind:
                     idx = i
-                    if kind == 1:
-                        op = chunk.op_at(i)
                     break
             if kind == 0:
                 # Target reached, stream done, or checkpoint boundary

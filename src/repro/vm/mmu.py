@@ -56,7 +56,7 @@ class Mmu:
         self.stats = stats
         # The L1 TLB is struct-of-arrays: the batched engine's drain loop
         # reads its way dicts and age arrays directly.  The L2 TLB is only
-        # reached on walks (always shared ops on the scalar path), where
+        # reached on L1-TLB misses (the engine's translation turns), where
         # the OrderedDict reference model's C-speed operations win.
         self.l1_tlb = SoaTlb(config.l1_tlb)
         self.l2_tlb = Tlb(config.l2_tlb)

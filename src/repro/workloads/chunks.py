@@ -11,7 +11,7 @@ recording, tests).  ``tests/property/test_chunk_streams.py`` pins that
 the coalescer and the per-op view carry the identical op sequence.
 
 Blocks stay Python lists (exact ``int``/``bool`` element types, cheap
-scalar indexing for the engine's prep pass and escape path).
+scalar indexing for the engine's prep pass and shared turns).
 """
 
 from __future__ import annotations

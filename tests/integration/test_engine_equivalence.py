@@ -20,6 +20,7 @@ is the proof obligation:
   re-read around every controller call.
 """
 
+import collections
 import dataclasses
 
 import pytest
@@ -40,10 +41,13 @@ from tests.reference_scheduler import use_reference_scheduler
 
 ALL_SCHEMES = sorted(SCHEMES)
 
-#: Representative coverage: a pointer-chasing, a streaming, and a
-#: hot/cold workload — together they exercise swaps, write-backs, page
-#: walks, and every hit class on all five schemes.
-WORKLOADS = ["lbmx4", "streamx4", "milcx4"]
+#: Representative coverage: two streaming workloads (lbmx4 and streamx4,
+#: both ``stream_sweep`` with different array counts and write mixes), a
+#: hot/cold one (milcx4) and a pointer chase (mcfx8, where about half the
+#: ops miss the L1 TLB and walk) — together they exercise swaps,
+#: write-backs, page walks, first touches, and every hit class on all
+#: five schemes.
+WORKLOADS = ["lbmx4", "streamx4", "milcx4", "mcfx8"]
 
 #: The ablation variants (the sensitivity and DRAM-capacity points only
 #: move Table II knobs and capacities these already cover).
@@ -56,20 +60,28 @@ def _record_swap_events(system):
     The page and segment swap machinery (PageSeer's swap driver, PoM and
     MemPod fast swaps) moves data through ``MainMemory.read_page`` /
     ``write_page`` / ``transfer_segment``; demand traffic does not.
-    Wrapping the instance methods therefore captures those swap event
-    sequences without touching scheme internals.  CAMEO's 64 B line swaps
-    issue to the devices directly, so they show only in the stats digest.
+    CAMEO's 64 B line swaps issue to the devices directly, but each one
+    starts from the controller's ``_swap_in``, which ``handle_request``
+    reads on the instance — so wrapping it there records every CAMEO
+    swap attempt with its timestamp, line and group.  Wrapping instance
+    methods captures these swap event sequences without touching scheme
+    internals.
     """
     events = []
-    memory = system.hmc.memory
-    for name in ("read_page", "write_page", "transfer_segment"):
-        original = getattr(memory, name)
+    targets = [
+        (system.hmc.memory, name)
+        for name in ("read_page", "write_page", "transfer_segment")
+    ]
+    if system.scheme == "cameo":
+        targets.append((system.hmc, "_swap_in"))
+    for owner, name in targets:
+        original = getattr(owner, name)
 
         def wrapper(*args, _name=name, _original=original, **kwargs):
             events.append((_name, args, tuple(sorted(kwargs.items()))))
             return _original(*args, **kwargs)
 
-        setattr(memory, name, wrapper)
+        setattr(owner, name, wrapper)
     return events
 
 
@@ -141,7 +153,8 @@ class TestEngineEquivalence:
 
 class TestTlbRunReset:
     """The engine's L1-TLB run outlives segments and shared turns, so the
-    one path that fills the TLB — a kind-1 escape — must end it."""
+    one path that fills the TLB — a translation turn — must re-seed it
+    to the entry it filled rather than leave it on the old page."""
 
     def test_walk_that_evicts_the_run_page_ends_the_run(self, tmp_path):
         # Each core replays V, V', W: two lines of page V, then one line
@@ -170,6 +183,166 @@ class TestTlbRunReset:
                       config_mutator=one_entry_l1_tlb)
         # Only V' hits the L1 TLB: one hit per three ops on every core.
         assert reference["stats"]["tlb/l1_hits"] == 4 * 1200 / 3
+        assert reference["stats"] == engine["stats"]
+        assert reference["cores"] == engine["cores"]
+        assert reference["events"] == engine["events"]
+
+
+def _geometry(l1_tlb=None, l2_tlb=None, l1=None, l2=None, l3=None):
+    """A config mutator setting TLBs to ``(entries, ways)`` and caches to
+    ``(sets, ways)`` of 64 B lines; levels left as None keep their size."""
+    def mutate(config):
+        changes = {}
+        for name, tlb in (("l1_tlb", l1_tlb), ("l2_tlb", l2_tlb)):
+            if tlb is not None:
+                changes[name] = dataclasses.replace(
+                    getattr(config, name), entries=tlb[0], ways=tlb[1]
+                )
+        for name, cache in (("l1", l1), ("l2", l2), ("l3", l3)):
+            if cache is not None:
+                sets, ways = cache
+                changes[name] = dataclasses.replace(
+                    getattr(config, name), size_bytes=64 * sets * ways, ways=ways
+                )
+        return dataclasses.replace(config, **changes)
+
+    return mutate
+
+
+def _core_traces(tmp_path, pattern, cores=4):
+    """Write one trace per core from *pattern*, a list of
+    ``(page, slot, "r" | "w")`` references, and return the workload.
+
+    Core ``c``'s pages start ``8 * c`` pages above the heap base, so its
+    leaf entries sit in PTE line ``c`` of its page-table page, and slot
+    ``k`` of a page is its line ``4 * k + c``.  Under an L3 of four sets
+    every line core ``c`` touches — data and PTE alike — maps to L3 set
+    ``c``: each core's L3 behaviour is its own trace's, while the cores
+    still share the L3, the controller and the global turn order.
+    """
+    paths = []
+    for core in range(cores):
+        path = tmp_path / f"core{core}.trace"
+        path.write_text("".join(
+            f"{HEAP_BASE + (8 * core + page) * 4096 + (4 * slot + core) * 64:x}"
+            f" {access} 3\n"
+            for page, slot, access in pattern
+        ))
+        paths.append(path)
+    return trace_workload("shapes", paths)
+
+
+def _reference_shapes(spec, config_mutator):
+    """Run *spec* on the reference scheduler and count each op's shape:
+    ``(translation, hit level, write-backs)``, where the translation is
+    ``"first"`` for a first touch, else ``Mmu.translate``'s source
+    (``"l1"``, ``"l2"`` or ``"walk"``), and the hit level and write-back
+    count are those of the op's data-line hierarchy access."""
+    system = use_reference_scheduler(build_system(
+        "pageseer", spec, scale=1024, config_mutator=config_mutator,
+    ))
+    shapes = collections.Counter()
+    for core in system.cores:
+        page_table = core._page_table
+        ensure_mapped, translate, access = (
+            core._ensure_mapped, core._translate, core._access,
+        )
+        seen = {}
+
+        def ensure_wrapper(vpn, _ensure=ensure_mapped, _table=page_table,
+                           _seen=seen):
+            _seen["first"] = vpn not in _table._vpn_cache
+            return _ensure(vpn)
+
+        def translate_wrapper(*args, _translate=translate, _seen=seen):
+            result = _translate(*args)
+            _seen["source"] = "first" if _seen["first"] else result.source
+            return result
+
+        def access_wrapper(*args, _access=access, _seen=seen):
+            outcome = _access(*args)
+            shapes[(_seen["source"], outcome.hit_level,
+                    len(outcome.writebacks))] += 1
+            return outcome
+
+        core._ensure_mapped = ensure_wrapper
+        core._translate = translate_wrapper
+        core._access = access_wrapper
+    system.run_ops(1200)
+    return shapes
+
+
+#: One-entry TLBs: every change of page misses the L1 TLB, and with a
+#: one-entry L2 TLB too, every such miss walks.
+_WALK_EVERY_PAGE_CHANGE = {"l1_tlb": (1, 1), "l2_tlb": (1, 1)}
+
+#: Shape cases: per-core pattern, geometry, and the shape prefix the
+#: oracle must report.  Where two pages alternate, every op is a
+#: translation turn.
+TRANSLATION_SHAPES = [
+    pytest.param(
+        [(0, 0, "r"), (1, 0, "r")], {"l1_tlb": (1, 1)}, ("l2", "l1", 0),
+        id="l2_tlb_hit",
+    ),
+    pytest.param(
+        [(0, 0, "r"), (1, 0, "w")], _WALK_EVERY_PAGE_CHANGE, ("walk", "l1", 0),
+        id="walk_then_l1_hit",
+    ),
+    pytest.param(
+        [(0, 0, "r"), (1, 0, "r")], {**_WALK_EVERY_PAGE_CHANGE, "l1": (1, 1)},
+        ("walk", "l2", 0), id="walk_then_clean_victim_l2_hit",
+    ),
+    pytest.param(
+        [(0, 0, "w"), (1, 0, "w")], {**_WALK_EVERY_PAGE_CHANGE, "l1": (1, 1)},
+        ("walk", "l2", 1), id="walk_then_dirty_victim_l2_hit",
+    ),
+    # The walk's PTE line displaces the data line from the one-line L2.
+    pytest.param(
+        [(0, 0, "r"), (1, 0, "r")],
+        {**_WALK_EVERY_PAGE_CHANGE, "l1": (1, 1), "l2": (1, 1), "l3": (4, 4)},
+        ("walk", "l3", 0), id="walk_then_l3_hit",
+    ),
+    # Write hits at L3 and L2 leave dirty lines that age to LRU, so the
+    # miss after the walk to page 1 evicts a dirty victim at every level.
+    pytest.param(
+        [(1, 1, "w"), (0, 2, "w"), (0, 0, "w"), (0, 2, "w"), (1, 1, "r"),
+         (0, 3, "w"), (0, 2, "w"), (0, 3, "w")],
+        {**_WALK_EVERY_PAGE_CHANGE, "l1": (1, 1), "l2": (1, 2), "l3": (4, 3)},
+        ("walk", None, 3), id="walk_then_llc_miss_evicting_three_dirty_victims",
+    ),
+    # 96 fresh pages per core: each page's first op maps it at its turn;
+    # the second is unmapped at prep time and re-resolved by the drain.
+    pytest.param(
+        [(page, slot, "w" if slot else "r")
+         for page in range(96) for slot in (0, 1)],
+        {}, ("first",), id="first_touch",
+    ),
+]
+
+
+class TestTranslationTurnShapes:
+    """Every shape a translation turn can take, engine vs oracle.
+
+    A translation turn (an L1-TLB miss or a first touch) runs inside the
+    engine: it probes the L2 TLB, walks on a miss, fills both TLBs, and
+    serves the data line through the engine's inline cache shapes.  Each
+    case's traces and geometry force one shape after the L1-TLB miss —
+    checked on the oracle, whose scalar chain reports it — and the
+    engine must then match the oracle's stats, cores and events.
+    """
+
+    @pytest.mark.parametrize("pattern,geometry,expected", TRANSLATION_SHAPES)
+    def test_shape_is_forced_and_engine_matches_oracle(
+        self, tmp_path, pattern, geometry, expected
+    ):
+        spec = _core_traces(tmp_path, pattern)
+        mutator = _geometry(**geometry)
+        shapes = _reference_shapes(spec, mutator)
+        assert any(
+            shape[:len(expected)] == expected for shape in shapes
+        ), dict(shapes)
+        reference = _run("pageseer", spec, "reference", config_mutator=mutator)
+        engine = _run("pageseer", spec, "engine", config_mutator=mutator)
         assert reference["stats"] == engine["stats"]
         assert reference["cores"] == engine["cores"]
         assert reference["events"] == engine["events"]

@@ -7,18 +7,24 @@ The timing bound is deliberately generous (CI machines vary wildly); the
 structural assertions are the real guard.
 """
 
+import collections
 import functools
 import inspect
 import re
 import time
 
+from repro.cache.cache import EvictedLine
 from repro.common.config import CheckConfig
 from repro.faults.recovery import FaultRecovery
 from repro.mem.device import MemoryDevice
 from repro.sim import engine
+from repro.sim.cpu import Core, MemoryOp
 from repro.sim.hmc_base import HmcBase
 from repro.sim.system import SCHEMES, build_system
+from repro.vm.mmu import Mmu
 from repro.workloads import workload_by_name
+
+from tests.reference_scheduler import use_reference_scheduler
 
 #: The per-request controller methods (the flattened request paths and
 #: the helpers they escape to for memory).
@@ -169,3 +175,72 @@ class TestDrainCostStaysFlat:
         assert reads[0] / ops <= 32, (
             f"{reads[0] / ops:.1f} unmapped-column reads per op"
         )
+
+
+class TestTranslationTurnsStayInTheEngine:
+    """Translation turns (L1-TLB misses and first touches) run inside the
+    engine, so an engine run never enters the scalar per-op chain
+    (``Core.execute``, ``Mmu.translate``) and builds none of its per-op
+    objects: no ``MemoryOp`` and no ``EvictedLine`` victim per filled
+    cache level.
+
+    Structural, like the guards above: class-level wrappers count calls
+    and constructions.  They go in before the build, because ``Core``
+    hoists bound methods at construction.  mcfx8 is a pointer chase:
+    about half of its ops miss the L1 TLB and walk.
+    """
+
+    @staticmethod
+    def _count_scalar_chain(monkeypatch):
+        counts = collections.Counter()
+        for cls, name in (
+            (Core, "execute"),
+            (Mmu, "translate"),
+            (MemoryOp, "__init__"),
+            (EvictedLine, "__init__"),
+        ):
+            original = getattr(cls, name)
+
+            def wrapper(*args, _key=f"{cls.__name__}.{name}",
+                        _original=original, **kwargs):
+                counts[_key] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(cls, name, wrapper)
+        return counts
+
+    @staticmethod
+    def _mcf():
+        return build_system("pageseer", workload_by_name("mcfx8"), scale=1024)
+
+    def test_engine_run_makes_no_scalar_calls_or_per_op_objects(
+        self, monkeypatch
+    ):
+        counts = self._count_scalar_chain(monkeypatch)
+        system = self._mcf()
+        system.run_ops(1000)
+        ops = sum(core.ops_executed for core in system.cores)
+        assert ops == 8 * 1000
+        stats = system.stats.as_dict()
+        # The run is walk-heavy and first-touches pages, so translation
+        # turns of both sorts ran.
+        assert stats["walk/walks"] >= ops // 4
+        assert sum(
+            core.process.page_table.mapped_pages for core in system.cores
+        ) > 0
+        assert counts == {}, dict(counts)
+
+    def test_wrappers_count_the_reference_path(self, monkeypatch):
+        """Sanity check of the guard: the reference scheduler runs every
+        op through the scalar chain, and a reference-model fill that
+        evicts builds a victim, so the same wrappers see both."""
+        counts = self._count_scalar_chain(monkeypatch)
+        system = use_reference_scheduler(self._mcf())
+        system.run_ops(200)
+        assert counts["Core.execute"] == 8 * 200
+        assert counts["MemoryOp.__init__"] == 8 * 200
+        assert counts["Mmu.translate"] == 8 * 200
+        l1 = system.hierarchy.l1[0]
+        for way in range(l1.ways + 1):
+            l1.fill(way * l1.num_sets)
+        assert counts["EvictedLine.__init__"] >= 1
