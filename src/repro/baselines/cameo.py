@@ -23,7 +23,7 @@ from repro.common.addr import CACHE_LINE_BYTES, LINES_PER_PAGE, PAGE_BYTES
 from repro.common.config import SystemConfig
 from repro.common.errors import FaultError
 from repro.common.stats import StatsRegistry
-from repro.sim.hmc_base import HmcBase, RequestKind
+from repro.sim.hmc_base import DEMAND, WRITEBACK, HmcBase, RequestKind
 from repro.vm.os_model import OsModel
 
 
@@ -77,7 +77,7 @@ class CameoHmc(HmcBase):
         line_spa: int,
         is_write: bool,
         pid: int,
-        kind: RequestKind = RequestKind.DEMAND,
+        kind: RequestKind = DEMAND,
     ) -> int:
         """Service one LLC-miss line request; returns the finish time.
 
@@ -111,7 +111,7 @@ class CameoHmc(HmcBase):
             self._remap_fill(line_spa)
 
         slot = self._slot_of.get(line_spa, line_spa)
-        bulk = kind is RequestKind.WRITEBACK
+        bulk = kind is WRITEBACK
         dram = slot < fast_lines
         if dram:
             finish = self.dram_access(t, slot, is_write, bulk)
@@ -126,7 +126,7 @@ class CameoHmc(HmcBase):
             counters["hmc/serviced_dram"] += 1.0
         else:
             counters["hmc/serviced_nvm"] += 1.0
-        if kind is RequestKind.DEMAND:
+        if kind is DEMAND:
             counters["hmc/requests_demand"] += 1.0
         elif bulk:
             counters["hmc/requests_writeback"] += 1.0

@@ -25,7 +25,7 @@ from repro.common.addr import CACHE_LINE_BYTES, PAGE_BYTES
 from repro.common.config import SystemConfig
 from repro.common.errors import FaultError
 from repro.common.stats import StatsRegistry
-from repro.sim.hmc_base import HmcBase, RequestKind
+from repro.sim.hmc_base import DEMAND, WRITEBACK, HmcBase, RequestKind
 from repro.vm.os_model import OsModel
 
 
@@ -102,7 +102,7 @@ class PomHmc(HmcBase):
         line_spa: int,
         is_write: bool,
         pid: int,
-        kind: RequestKind = RequestKind.DEMAND,
+        kind: RequestKind = DEMAND,
     ) -> int:
         """Service one LLC-miss line request; returns the finish time.
 
@@ -145,7 +145,7 @@ class PomHmc(HmcBase):
             in_flight_end = None
         slot = self._slot_of.get(segment, segment)
         actual_line = slot * lines_per_segment + line_spa % lines_per_segment
-        bulk = kind is RequestKind.WRITEBACK
+        bulk = kind is WRITEBACK
         dram = slot < fast_segments
         if dram:
             finish = self.dram_access(t, actual_line, is_write, bulk)
@@ -164,7 +164,7 @@ class PomHmc(HmcBase):
             counters["hmc/serviced_dram"] += 1.0
         else:
             counters["hmc/serviced_nvm"] += 1.0
-        if kind is RequestKind.DEMAND:
+        if kind is DEMAND:
             counters["hmc/requests_demand"] += 1.0
         elif bulk:
             counters["hmc/requests_writeback"] += 1.0

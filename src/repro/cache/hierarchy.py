@@ -95,7 +95,13 @@ class CacheHierarchy:
         so no fill needs the hit check that :meth:`SoaCache.fill` and
         :meth:`SetAssociativeCache.fill` start with, and a dirty victim
         appends its line number to the write-backs directly.
+
+        An access that bypasses L1 (``cacheable_l1=False``: the walker's
+        page-table lines) is a read; a write raises ``ValueError``
+        before touching any level.
         """
+        if is_write and not cacheable_l1:
+            raise ValueError("an access that bypasses L1 must be a read")
         counters = self.stats._counters
         latency = 0
         l1 = self.l1[core_id]
@@ -155,7 +161,4 @@ class CacheHierarchy:
             age = cache._age
             ages[way] = age[0]
             age[0] += 1
-        if hit_level is None and is_write and not cacheable_l1:
-            # Writes that bypass L1 leave the line dirty in L2.
-            l2.lookup(line_number, is_write=True)
         return HierarchyOutcome(hit_level, latency, writebacks)

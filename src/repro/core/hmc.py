@@ -33,7 +33,7 @@ from repro.core.swap_driver import (
     TRIGGER_REGULAR,
 )
 from repro.mem.swap_buffer import SwapBufferPool
-from repro.sim.hmc_base import HmcBase, RequestKind
+from repro.sim.hmc_base import DEMAND, PTE, WRITEBACK, HmcBase, RequestKind
 from repro.vm.os_model import OsModel
 
 #: Table II entry sizes (bytes), used to size the in-DRAM metadata region.
@@ -114,6 +114,8 @@ class PageSeerHmc(HmcBase):
         self._hpt_latency = ps.hpt_latency_cycles
         self._filter_latency = ps.filter_latency_cycles
         self._correlation = ps.correlation_enabled
+        self._counter_max = ps.counter_max
+        self._pct_threshold = ps.pct_prefetch_threshold
 
     # -- the regular request path (Section III-D1) ------------------------------
     # repro-hot
@@ -123,7 +125,7 @@ class PageSeerHmc(HmcBase):
         line_spa: int,
         is_write: bool,
         pid: int,
-        kind: RequestKind = RequestKind.DEMAND,
+        kind: RequestKind = DEMAND,
     ) -> int:
         """Service one LLC-miss line request; returns the finish time.
 
@@ -143,7 +145,7 @@ class PageSeerHmc(HmcBase):
         colour = page % prt.num_colours
         stats = self.stats
         counters = stats._counters
-        bulk = kind is RequestKind.WRITEBACK
+        bulk = kind is WRITEBACK
 
         # PRTc: on the critical path of every request (PrtCache.lookup,
         # inlined; the miss path fetches the set from in-DRAM metadata —
@@ -229,7 +231,7 @@ class PageSeerHmc(HmcBase):
             counters["hmc/serviced_nvm"] += 1.0
         else:
             counters["hmc/serviced_buffer"] += 1.0
-        if kind is RequestKind.DEMAND:
+        if kind is DEMAND:
             counters["hmc/requests_demand"] += 1.0
         elif bulk:
             counters["hmc/requests_writeback"] += 1.0
@@ -273,8 +275,9 @@ class PageSeerHmc(HmcBase):
         ):
             nvm_hpt.advance_time(t)
         # HPT miss count for the page's current residence (record_miss,
-        # inlined minus the advance_time it would repeat; the DRAM side
-        # has no swap threshold, the NVM side triggers a regular swap).
+        # inlined minus the advance_time it would repeat, keeping the
+        # count-1 index; the DRAM side has no swap threshold, the NVM
+        # side triggers a regular swap).
         hpt = dram_hpt if resident_dram else nvm_hpt
         hpt.reads += 1
         hpt.writes += 1
@@ -284,13 +287,19 @@ class PageSeerHmc(HmcBase):
             if len(hpt_counters) >= hpt.capacity:
                 hpt._evict_coldest()
             hpt_counters[page] = 1
+            hpt._ones[page] = None
             count = 1
         else:
+            if count == 1:
+                del hpt._ones[page]
             count = count + 1
             if count > hpt.counter_max:
                 count = hpt.counter_max
             hpt_counters[page] = count
             hpt_counters.move_to_end(page)
+            if count == 1:
+                # counter_max == 1: the page stays at 1, now last.
+                hpt._ones[page] = None
         if not resident_dram and count == hpt.swap_threshold:
             # The HPT probe that notices the threshold crossing costs its
             # Table II access latency before the Swap Driver sees it.
@@ -376,10 +385,16 @@ class PageSeerHmc(HmcBase):
             if entry is None:
                 # Per new-flurry slow path, not per-op: a FilterEntry is
                 # built once per page flurry that misses the Filter.
-                entry = FilterEntry(page=page, pid=pid, base=history)  # repro-lint: disable=RL005
+                entry = FilterEntry(page, pid, history)  # repro-lint: disable=RL005
                 while len(entries) >= flt.capacity:
                     _, victim = entries.popitem(last=False)
-                    flt._drop_leader_state(victim)
+                    # FilterTable._drop_leader_state, inlined.
+                    victim_pid = victim.pid
+                    victim_page = victim.page
+                    if flt._current_leader.get(victim_pid) == victim_page:
+                        del flt._current_leader[victim_pid]
+                    if flt._previous_leader.get(victim_pid) == victim_page:
+                        del flt._previous_leader[victim_pid]
                     self._writeback_filter_entry(t, victim)
                 entries[page] = entry
             else:
@@ -450,7 +465,7 @@ class PageSeerHmc(HmcBase):
         entry = self.pct._entries.get(page, EMPTY_PCT_ENTRY)
         if not self._correlation:
             # The no-correlation ablation drops the follower fields.
-            entry = PctEntry(entry.count)  # repro-lint: disable=RL005
+            entry = PctEntry(entry.count)
         pctc = self.pctc
         resident = pctc._resident
         changed = pctc._changed
@@ -478,8 +493,7 @@ class PageSeerHmc(HmcBase):
         follower, the follower slot going to whichever follower was seen
         more, and the change bit set only for an effective change.
         """
-        ps = self.ps
-        counter_max = ps.counter_max
+        counter_max = self._counter_max
         base = entry.base
         base_count = base.count
         base_follower = base.follower_ppn
@@ -502,9 +516,8 @@ class PageSeerHmc(HmcBase):
         if not self._correlation:
             follower = None
             follower_count = 0
-        # Per new-flurry slow path: one history record per closed flurry.
-        merged = PctEntry(count, follower, follower_count)  # repro-lint: disable=RL005
-        threshold = ps.pct_prefetch_threshold
+        merged = PctEntry(count, follower, follower_count)
+        threshold = self._pct_threshold
         page = entry.page
         pctc = self.pctc
         resident = pctc._resident
@@ -657,7 +670,7 @@ class PageSeerHmc(HmcBase):
         ready = driver_lines.get(line_spa)
         if ready is None:
             self.stats._counters["mmu_driver/intercept_misses"] += 1.0
-            return self.handle_request(now, line_spa, False, pid, RequestKind.PTE)
+            return self.handle_request(now, line_spa, False, pid, PTE)
         driver_lines.move_to_end(line_spa)
         self.stats._counters["mmu_driver/intercept_hits"] += 1.0
         return (ready if ready > now else now) + driver.respond_latency_cycles
@@ -673,7 +686,7 @@ class PageSeerHmc(HmcBase):
         actual_line = location * LINES_PER_PAGE + (line_spa % LINES_PER_PAGE)
         finish = self.line_access(now, actual_line, False)
         serviced = "dram" if location < self.dram_pages else "nvm"
-        self.account_service(now, finish, page, serviced, RequestKind.PTE)
+        self.account_service(now, finish, page, serviced, PTE)
         self.stats.add("mmu_driver/fetches")
         return finish
 

@@ -37,6 +37,12 @@ class HotPageTable:
         self.decay_interval_cycles = decay_interval_cycles
         self.swap_threshold = swap_threshold
         self._counters: "OrderedDict[int, int]" = OrderedDict()
+        #: The count-1 pages in table order (derived state, keys only):
+        #: the eviction victim is the first of them whenever one exists.
+        #: Every mutation of ``_counters`` keeps it equal to
+        #: ``[page for page, count in _counters.items() if count == 1]``,
+        #: including the inline touch in ``PageSeerHmc.handle_request``.
+        self._ones: Dict[int, None] = {}
         self._last_decay = 0
         self.reads = 0
         self.writes = 0
@@ -81,6 +87,7 @@ class HotPageTable:
                 dead.append(page)
         for page in dead:
             del self._counters[page]
+        self._ones = {page: None for page, count in self._counters.items() if count == 1}
 
     def record_miss(self, now: int, page: int) -> bool:
         """Count one LLC miss on *page*.
@@ -96,11 +103,18 @@ class HotPageTable:
             if len(self._counters) >= self.capacity:
                 self._evict_coldest()
             self._counters[page] = 1
+            self._ones[page] = None
             count = 1
         else:
+            if count == 1:
+                # Leaves count 1, or (counter_max == 1) stays there and
+                # moves to the end of the table order with the page.
+                del self._ones[page]
             count = min(self.counter_max, count + 1)
             self._counters[page] = count
             self._counters.move_to_end(page)
+            if count == 1:
+                self._ones[page] = None
         return self.swap_threshold is not None and count == self.swap_threshold
 
     # repro-hot
@@ -108,22 +122,27 @@ class HotPageTable:
         """Drop the lowest-count page; ties go to the first in table order.
 
         Counts never drop below 1 (a new entry starts at 1, and halving
-        deletes entries that reach 0), so the first page at 1 is already
-        the first minimum and ends the scan.  Pages touched once make
-        that the common case.
+        deletes entries that reach 0), so the first count-1 page in
+        table order, the first key of ``_ones``, is the first minimum.
+        Pages touched once make that the common case; only a table
+        with no page at 1 pays the scan.
         """
         counters = self._counters
-        coldest_page = None
-        coldest_count = None
-        for page, count in counters.items():
-            if coldest_count is None or count < coldest_count:
-                coldest_page, coldest_count = page, count
-                if count <= 1:
-                    break
-        if coldest_page is not None:
-            del counters[coldest_page]
-            if self.on_event is not None:
-                self.on_event("evict", coldest_page)
+        ones = self._ones
+        if ones:
+            coldest_page = next(iter(ones))
+            del ones[coldest_page]
+        else:
+            coldest_page = None
+            coldest_count = None
+            for page, count in counters.items():
+                if coldest_count is None or count < coldest_count:
+                    coldest_page, coldest_count = page, count
+            if coldest_page is None:
+                return
+        del counters[coldest_page]
+        if self.on_event is not None:
+            self.on_event("evict", coldest_page)
 
     def is_hot(self, page: int) -> bool:
         """True if the page is currently tracked (DRAM HPT lock check)."""
@@ -134,8 +153,10 @@ class HotPageTable:
 
     def remove(self, page: int) -> None:
         """Drop a page (e.g. after its swap has been initiated)."""
-        if self._counters.pop(page, None) is not None and self.on_event is not None:
-            self.on_event("remove", page)
+        if self._counters.pop(page, None) is not None:
+            self._ones.pop(page, None)
+            if self.on_event is not None:
+                self.on_event("remove", page)
 
     def pages(self) -> List[int]:
         return list(self._counters)

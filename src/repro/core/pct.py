@@ -20,22 +20,26 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.common.errors import ConfigError
 
 
-@dataclass(frozen=True, slots=True)
-class PctEntry:
-    """One PCT/PCTc record for a leader page (Figure 6, top)."""
+class PctEntry(NamedTuple):
+    """One PCT/PCTc record for a leader page (Figure 6, top).
+
+    A named tuple, not a frozen dataclass: one is built per closed
+    flurry, and a tuple is built without a frozen ``__init__``'s
+    ``object.__setattr__`` per field.
+    """
 
     count: int = 0
     follower_ppn: Optional[int] = None
     follower_count: int = 0
 
 
-#: The history of a page the PCT has never stored.  PctEntry is frozen,
-#: so every read of an absent entry can share this one instance.
+#: The history of a page the PCT has never stored.  PctEntry is
+#: immutable, so every read of an absent entry can share this instance.
 EMPTY_PCT_ENTRY = PctEntry()
 
 

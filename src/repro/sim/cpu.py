@@ -17,7 +17,7 @@ from repro.common.addr import LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT
 from repro.common.config import SystemConfig
 from repro.common.stats import StatsRegistry
 from repro.cache.hierarchy import CacheHierarchy
-from repro.sim.hmc_base import HmcBase, RequestKind
+from repro.sim.hmc_base import DEMAND, WRITEBACK, HmcBase
 from repro.vm.mmu import Mmu
 from repro.vm.os_model import Process
 
@@ -176,7 +176,7 @@ class Core:
                 line,
                 is_write,
                 self._pid,
-                RequestKind.DEMAND,
+                DEMAND,
             )
             memory_latency = finish - now
             if is_write:
@@ -195,7 +195,7 @@ class Core:
             wb_now = int(clock)
             for dirty_line in writebacks:
                 self.hmc.handle_request(
-                    wb_now, dirty_line, True, self._pid, RequestKind.WRITEBACK
+                    wb_now, dirty_line, True, self._pid, WRITEBACK
                 )
 
         self.ops_executed += 1

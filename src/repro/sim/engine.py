@@ -70,11 +70,16 @@ scheduler from tests/reference_scheduler.py as the oracle):
 4. **Checkpoints.**  Core-local state (clock, instructions, op counts)
    is flushed from locals to the object graph before every checkpointer
    poll, and stream consumption moves through the one public
-   :meth:`repro.snapshot.stream.ReplayStream.advance` path — the pure
-   prefix advances when it drains, an executed shared op advances right
-   after it runs, and a fetched-but-unexecuted shared op is *never*
-   advanced — so a checkpoint written mid-chunk is a consistent
-   between-ops frontier that resumes to the identical final digest (the
+   :meth:`repro.snapshot.stream.ReplayStream.advance` path.  Each
+   runner keeps its chunk cursor in locals and peeks the stream only
+   when the chunk is used up; executed ops (drained pure prefixes and
+   shared ops alike) accumulate in a local count that is flushed
+   through ``advance`` before the next peek, before every checkpointer
+   poll, at every park while a checkpointer is armed (another core's
+   poll may serialize this stream), and on exit.  A
+   fetched-but-unexecuted shared op is *never* advanced.  So every poll
+   sees every core's stream at its between-ops frontier, and a
+   checkpoint written mid-chunk resumes to the identical final digest (the
    per-phase op *sets* are fixed by the absolute targets, and shared
    order is preserved, so the end state cannot depend on where the cut
    landed).  Deterministic triggers (cut points, periodic writes) fire
@@ -85,8 +90,8 @@ scheduler from tests/reference_scheduler.py as the oracle):
    heartbeats keep their cadence.
 
 See docs/PERFORMANCE.md ("Array-native streams", "Walks at engine
-speed") for the measured speedups and docs/TESTING.md for the
-differential-harness workflow.
+speed", "Misses at table speed") for the measured speedups and
+docs/TESTING.md for the differential-harness workflow.
 """
 
 from __future__ import annotations
@@ -97,10 +102,7 @@ from typing import List, Sequence, Tuple
 
 from repro.common.addr import LINE_SHIFT, PAGE_BYTES, PAGE_SHIFT
 from repro.sim.cpu import _STORE_STALL_FRACTION
-from repro.sim.hmc_base import RequestKind
-
-_DEMAND = RequestKind.DEMAND
-_WRITEBACK = RequestKind.WRITEBACK
+from repro.sim.hmc_base import DEMAND, WRITEBACK
 
 _PAGE_MASK = PAGE_BYTES - 1
 
@@ -326,7 +328,11 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
     #: ``idx``.
     kind = 0
     idx = 0
-    cur_chunk = None
+    #: The chunk cursor: the column index of this core's next
+    #: unexecuted op (``chunk_len`` once the chunk is used up, so the
+    #: next segment peeks), and the executed ops not yet advanced through
+    #: the stream (flushed at the points contract 4 lists).
+    pos = chunk_len = pending = 0
     #: The L1-TLB run: the page of the last TLB probe that hit (or of
     #: the last fill), with its set's age list and way.  Only a
     #: translation turn fills this core's L1 TLB (pure ops and the
@@ -344,6 +350,9 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                 core.clock = clock
                 core.instructions = instructions
                 core.ops_executed = ops_executed
+                if pending:
+                    stream.advance(pending)
+                    pending = 0
                 system.steps_total = steps_cell[0]
                 ckpt.on_step(system)
                 stop_cell[0] = _next_stop(ckpt, steps_cell[0])
@@ -473,7 +482,7 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                         # write-backs drain (the sanitizer may read it).
                         core.clock = clock
                         core.hmc.handle_request(
-                            int(clock), wb_l1, True, pid, _WRITEBACK
+                            int(clock), wb_l1, True, pid, WRITEBACK
                         )
                 elif kind == 3:
                     # L1+L2 miss: the shared L3 probe at exactly this
@@ -543,7 +552,7 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                     hmc = core.hmc
                     if llc_miss:
                         finish = hmc.handle_request(
-                            now + lat123, line, is_write, pid, _DEMAND
+                            now + lat123, line, is_write, pid, DEMAND
                         )
                         memory_latency = finish - now
                         if is_write:
@@ -557,13 +566,14 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                         wb_now = int(clock)
                         handle = hmc.handle_request
                         if wb_l3 >= 0:
-                            handle(wb_now, wb_l3, True, pid, _WRITEBACK)
+                            handle(wb_now, wb_l3, True, pid, WRITEBACK)
                         if wb_l2 >= 0:
-                            handle(wb_now, wb_l2, True, pid, _WRITEBACK)
+                            handle(wb_now, wb_l2, True, pid, WRITEBACK)
                         if wb_l1 >= 0:
-                            handle(wb_now, wb_l1, True, pid, _WRITEBACK)
+                            handle(wb_now, wb_l1, True, pid, WRITEBACK)
                 ops_executed += 1
-                stream.advance(1)
+                pending += 1
+                pos = idx + 1
                 kind = 0
                 steps_cell[0] += 1
             # Free-run through pure (core-local) ops, one chunk prefix
@@ -573,13 +583,17 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                 stop_steps = stop_cell[0]
                 if steps == stop_steps:
                     break
-                peeked = stream.peek_chunk()
-                if peeked is None:
-                    core.done = True
-                    break
-                chunk, pos = peeked
-                if chunk is not cur_chunk:
-                    cur_chunk = chunk
+                if pos == chunk_len:
+                    # The chunk is used up (or none is held yet): move
+                    # the stream past it, then fetch and prep the next.
+                    if pending:
+                        stream.advance(pending)
+                        pending = 0
+                    peeked = stream.peek_chunk()
+                    if peeked is None:
+                        core.done = True
+                        break
+                    chunk, pos = peeked
                     (
                         vpns,
                         lines,
@@ -597,11 +611,12 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                     )
                     writes = chunk.writes
                     vaddrs = chunk.vaddrs
+                    chunk_len = chunk.length
                 limit = pos + (target - ops_executed)
                 if stop_steps >= 0 and stop_steps - steps < limit - pos:
                     limit = pos + (stop_steps - steps)
-                if limit > chunk.length:
-                    limit = chunk.length
+                if limit > chunk_len:
+                    limit = chunk_len
                 # Segment-local mirrors of the age counters and
                 # deferred stats (written back at segment end, before
                 # any shared turn can observe them).
@@ -615,9 +630,10 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                 # bisecting the sorted column: hoists the mapped-ness
                 # check out of the per-op loop.
                 nxt_un = limit
-                un_k = bisect_left(unmapped, i)
-                if un_k < len(unmapped) and unmapped[un_k] < limit:
-                    nxt_un = unmapped[un_k]
+                if unmapped:
+                    un_k = bisect_left(unmapped, i)
+                    if un_k < len(unmapped) and unmapped[un_k] < limit:
+                        nxt_un = unmapped[un_k]
                 while i < limit:
                     if i == nxt_un:
                         # Unmapped at prep time — re-resolve: an
@@ -718,27 +734,28 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                     clock += advs[i]
                     clock += l2_stall
                     i += 1
-                # Segment end: write back age counters, flush deferred
-                # counters (+= float(k) == k unit increments for
-                # integer-valued floats; every pure op touches the TLB
-                # exactly once, so its count is n_l1 + n_l2), advance
-                # the drained pure prefix through the stream's one
-                # consumption path.
-                t_age_cell[0] = t_age
-                l1_age_cell[0] = l1_age
-                l2_age_cell[0] = l2_age
-                if n_l1 or n_l2:
-                    counters["tlb/l1_hits"] += float(n_l1 + n_l2)
-                if n_l1:
-                    counters["cache/l1_hits"] += float(n_l1)
-                if n_l2:
-                    counters["cache/l2_hits"] += float(n_l2)
+                # Segment end, when any pure op drained (a segment whose
+                # first op is shared changed none of the mirrors): write
+                # back age counters, flush deferred counters (+= float(k)
+                # == k unit increments for integer-valued floats; every
+                # pure op touches the TLB exactly once, so its count is
+                # the drained count, n_l1 + n_l2), and move the cursor
+                # past the drained pure prefix.
                 drained = i - pos
                 if drained:
+                    t_age_cell[0] = t_age
+                    l1_age_cell[0] = l1_age
+                    l2_age_cell[0] = l2_age
+                    counters["tlb/l1_hits"] += float(drained)
+                    if n_l1:
+                        counters["cache/l1_hits"] += float(n_l1)
+                    if n_l2:
+                        counters["cache/l2_hits"] += float(n_l2)
                     ops_executed += drained
                     steps_cell[0] = steps + drained
                     instructions += cumw[i] - cumw[pos]
-                    stream.advance(drained)
+                    pending += drained
+                    pos = i
                 if kind:
                     idx = i
                     break
@@ -761,6 +778,10 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                     core.clock = clock
                     core.instructions = instructions
                     core.ops_executed = ops_executed
+                    if pending and ckpt is not None:
+                        # Another core's poll may serialize this stream.
+                        stream.advance(pending)
+                        pending = 0
                     yield clock
     finally:
         # Every exit — target reached, park unwind (GeneratorExit), or
@@ -770,6 +791,8 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
         core.clock = clock
         core.instructions = instructions
         core.ops_executed = ops_executed
+        if pending:
+            stream.advance(pending)
 
 
 # repro-hot

@@ -37,6 +37,13 @@ class RequestKind(enum.Enum):
     PTE = "pte"
 
 
+#: The members as module constants: the request paths test the kind of
+#: every request, and a module global is read without the enum class's
+#: attribute lookup.
+DEMAND = RequestKind.DEMAND
+WRITEBACK = RequestKind.WRITEBACK
+PTE = RequestKind.PTE
+
 #: Literal stats-key tables: these run once per serviced request, and the
 #: closed key set keeps the namespace auditable by the RL002 lint rule.
 _SERVICED_KEYS = {
@@ -45,9 +52,9 @@ _SERVICED_KEYS = {
     "buffer": "hmc/serviced_buffer",
 }
 _REQUEST_KIND_KEYS = {
-    RequestKind.DEMAND: "hmc/requests_demand",
-    RequestKind.WRITEBACK: "hmc/requests_writeback",
-    RequestKind.PTE: "hmc/requests_pte",
+    DEMAND: "hmc/requests_demand",
+    WRITEBACK: "hmc/requests_writeback",
+    PTE: "hmc/requests_pte",
 }
 
 
@@ -137,7 +144,7 @@ class HmcBase:
         line_spa: int,
         is_write: bool,
         pid: int,
-        kind: RequestKind = RequestKind.DEMAND,
+        kind: RequestKind = DEMAND,
     ) -> int:
         """Service one LLC-miss line request; returns the finish time."""
         raise NotImplementedError
@@ -150,7 +157,7 @@ class HmcBase:
         Baselines treat it as a normal read; PageSeer intercepts it in the
         MMU Driver (Section III-C4).
         """
-        return self.handle_request(now, line_spa, False, pid, RequestKind.PTE)
+        return self.handle_request(now, line_spa, False, pid, PTE)
 
     def mmu_hint(
         self, now: int, pte_line_spa: int, pid: int, vpn: int, target_ppn: int
@@ -178,7 +185,7 @@ class HmcBase:
         counters = stats._counters
         counters[_SERVICED_KEYS[serviced_from]] += 1.0
         counters[_REQUEST_KIND_KEYS[kind]] += 1.0
-        if kind is not RequestKind.WRITEBACK:
+        if kind is not WRITEBACK:
             # AMMAT covers processor-visible requests; background
             # write-backs drain asynchronously and would distort it.
             ammat = finish - now
@@ -195,13 +202,6 @@ class HmcBase:
             counters["hmc/negative_accesses"] += 1.0
         else:
             counters["hmc/neutral_accesses"] += 1.0
-
-    # repro-hot
-    def record_remap_wait(self, cycles: int) -> None:
-        """Record time a request waited for a remap-table fill (Figure 13)."""
-        if cycles > 0:
-            self.stats.add("hmc/remap_wait_cycles", cycles)
-            self.stats.add("hmc/remap_misses")
 
     #: Requests that must have been observed before the bandwidth
     #: heuristic may act; with fewer samples the DRAM share is noise.
@@ -235,7 +235,7 @@ class NoSwapHmc(HmcBase):
         line_spa: int,
         is_write: bool,
         pid: int,
-        kind: RequestKind = RequestKind.DEMAND,
+        kind: RequestKind = DEMAND,
     ) -> int:
         """Service one LLC-miss line request; returns the finish time.
 
@@ -247,7 +247,7 @@ class NoSwapHmc(HmcBase):
         their home location, serviced-from always equals home, so every
         access is neutral for the Figure 8 classification.
         """
-        bulk = kind is RequestKind.WRITEBACK
+        bulk = kind is WRITEBACK
         dram = line_spa < self._nvm_line_base
         if dram:
             finish = self.dram_access(now, line_spa, is_write, bulk)
@@ -263,7 +263,7 @@ class NoSwapHmc(HmcBase):
             counters["hmc/serviced_dram"] += 1.0
         else:
             counters["hmc/serviced_nvm"] += 1.0
-        if kind is RequestKind.DEMAND:
+        if kind is DEMAND:
             counters["hmc/requests_demand"] += 1.0
         elif bulk:
             counters["hmc/requests_writeback"] += 1.0
@@ -284,4 +284,4 @@ class NoSwapHmc(HmcBase):
     def handle_pte_fetch(
         self, now: int, line_spa: int, target_ppn: Optional[int], pid: int
     ) -> int:
-        return self.handle_request(now, line_spa, False, pid, RequestKind.PTE)
+        return self.handle_request(now, line_spa, False, pid, PTE)

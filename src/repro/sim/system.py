@@ -22,7 +22,7 @@ from repro.cache.hierarchy import CacheHierarchy
 from repro.core.hmc import PageSeerHmc
 from repro.sim import engine
 from repro.sim.cpu import Core
-from repro.sim.hmc_base import HmcBase, NoSwapHmc, RequestKind
+from repro.sim.hmc_base import PTE, WRITEBACK, HmcBase, NoSwapHmc
 from repro.sim.metrics import RunMetrics, collect_metrics
 from repro.snapshot.stream import ReplayStream
 from repro.vm.mmu import Mmu
@@ -148,7 +148,7 @@ class System:
     ) -> int:
         if is_pte:
             return self.hmc.handle_pte_fetch(now, line_spa, target_ppn, pid)
-        kind = RequestKind.WRITEBACK if is_write else RequestKind.PTE
+        kind = WRITEBACK if is_write else PTE
         return self.hmc.handle_request(now, line_spa, is_write, pid, kind)
 
     # -- driving --------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 File layout (all little pieces are validated on load, in order)::
 
-    REPRO-CKPT v3\\n                  magic + format version, ASCII
+    REPRO-CKPT v4\\n                  magic + format version, ASCII
     {json header}\\n                  one line of metadata
     <zlib-compressed pickle payload>  the System object graph
 
@@ -48,10 +48,13 @@ from repro.snapshot import codec
 #: Version 3: controllers hold per-device line entries (bound
 #: ``MemoryDevice.access_finish`` or a ``functools.partial`` over
 #: ``FaultRecovery.access``); v2 payloads name the line routers these
-#: replaced, which no longer exist.
-CHECKPOINT_FORMAT_VERSION = 3
+#: replaced, which no longer exist.  Version 4: each ``HotPageTable``
+#: carries its count-1 index and ``PctEntry`` is a named tuple; a v3
+#: payload holds HPTs without the index and ``PctEntry`` dataclass
+#: instances.
+CHECKPOINT_FORMAT_VERSION = 4
 
-MAGIC = b"REPRO-CKPT v3\n"
+MAGIC = b"REPRO-CKPT v4\n"
 
 #: Conventional file name for the rolling checkpoint of one run.
 LATEST_NAME = "latest.ckpt"

@@ -45,7 +45,7 @@ def reference_pctc_fill(hmc, now, page):
     hmc.metadata_access(now, hmc._prt_metadata_keys + page)
     entry = hmc.pct.read(page)
     if not hmc.ps.correlation_enabled:
-        entry = dataclasses.replace(entry, follower_ppn=None, follower_count=0)
+        entry = entry._replace(follower_ppn=None, follower_count=0)
     victim = hmc.pctc.fill(page, entry)
     if victim is not None:
         victim_page, victim_entry, changed = victim
@@ -61,7 +61,7 @@ def reference_writeback(hmc, now, entry):
     """A closing flurry's PCTc write-back as the methods spell it."""
     merged = FilterTable.merged_history(entry, hmc.ps.counter_max)
     if not hmc.ps.correlation_enabled:
-        merged = dataclasses.replace(merged, follower_ppn=None, follower_count=0)
+        merged = merged._replace(follower_ppn=None, follower_count=0)
     threshold = hmc.ps.pct_prefetch_threshold
     effective_change = (
         (merged.count >= threshold) != (entry.base.count >= threshold)
@@ -109,7 +109,12 @@ def reference_pte_fetch(hmc, now, line_spa, target_ppn, pid):
 
 
 def reference_evict_coldest(hpt):
-    """The strict-``<`` scan: the first minimal-count page goes."""
+    """The strict-``<`` scan: the first minimal-count page goes.
+
+    The scan never reads the table's count-1 index; it only drops the
+    victim from it, so the index stays what every other mutation of the
+    table expects.
+    """
     coldest_page = None
     coldest_count = None
     for page, count in hpt._counters.items():
@@ -117,8 +122,23 @@ def reference_evict_coldest(hpt):
             coldest_page, coldest_count = page, count
     if coldest_page is not None:
         del hpt._counters[coldest_page]
+        hpt._ones.pop(coldest_page, None)
         if hpt.on_event is not None:
             hpt.on_event("evict", coldest_page)
+
+
+def count_one_pages(hpt):
+    """What the HPT's count-1 index must hold: its count-1 pages in
+    table order."""
+    return [page for page, count in hpt._counters.items() if count == 1]
+
+
+def set_counters(hpt, counts):
+    """Overwrite an HPT's counters in the given order and rebuild its
+    count-1 index to match."""
+    hpt._counters.clear()
+    hpt._counters.update(counts)
+    hpt._ones = dict.fromkeys(count_one_pages(hpt))
 
 
 def reference_walk(walker, now, page_table, vpn):
@@ -195,7 +215,10 @@ def controller_state(hmc):
                  hmc.pctc.hits, hmc.pctc.misses, hmc.pctc.writes),
         "pct": dict(hmc.pct._entries),
         "driver": list(hmc.mmu_driver._lines.items()),
-        "hpt": [list(hpt._counters.items()) for hpt in (hmc.dram_hpt, hmc.nvm_hpt)],
+        "hpt": [
+            (list(hpt._counters.items()), list(hpt._ones))
+            for hpt in (hmc.dram_hpt, hmc.nvm_hpt)
+        ],
         "prt": sorted(hmc.prt.entries()),
         "serviced": (hmc._total_serviced, hmc._dram_serviced),
         "dram": _device_state(hmc.memory.dram),
@@ -294,6 +317,10 @@ def test_flattened_controller_matches_method_reference(ops, correlation, faults)
         else:
             now += op[1]
         assert controller_state(flat) == controller_state(ref)
+        # Both sides touch the HPTs through the same inline code, so
+        # the index is also checked against its definition.
+        for hpt in (flat.dram_hpt, flat.nvm_hpt):
+            assert list(hpt._ones) == count_one_pages(hpt)
     flat.finalize(now)
     ref.finalize(now)
     assert controller_state(flat) == controller_state(ref)
@@ -470,7 +497,7 @@ class TestHptEvictionTieBreak:
         # Re-touching a page moves it to the end of the table order.
         hpt, events = self._table([(10, 2), (11, 2)])
         hpt.record_miss(0, 10)  # 10 -> 3, now last
-        hpt._counters[10] = 2  # back to a tie, order (11, 10)
+        set_counters(hpt, [(11, 2), (10, 2)])  # back to a tie, order (11, 10)
         hpt.record_miss(0, 12)
         assert events == [("evict", 11)]
 
@@ -479,9 +506,9 @@ class TestHptEvictionTieBreak:
     def test_matches_strict_scan(self, counts):
         hpt = HotPageTable(len(counts), 63, 0)
         reference = HotPageTable(len(counts), 63, 0)
-        for page, count in enumerate(counts):
-            hpt._counters[page] = count
-            reference._counters[page] = count
+        set_counters(hpt, enumerate(counts))
+        set_counters(reference, enumerate(counts))
         hpt._evict_coldest()
         reference_evict_coldest(reference)
         assert list(hpt._counters.items()) == list(reference._counters.items())
+        assert list(hpt._ones) == list(reference._ones) == count_one_pages(hpt)

@@ -13,6 +13,8 @@ import inspect
 import re
 import time
 
+import pytest
+
 from repro.cache.cache import EvictedLine
 from repro.common.config import CheckConfig
 from repro.faults.recovery import FaultRecovery
@@ -21,6 +23,7 @@ from repro.sim import engine
 from repro.sim.cpu import Core, MemoryOp
 from repro.sim.hmc_base import HmcBase
 from repro.sim.system import SCHEMES, build_system
+from repro.snapshot.stream import ReplayStream
 from repro.vm.mmu import Mmu
 from repro.workloads import workload_by_name
 
@@ -175,6 +178,50 @@ class TestDrainCostStaysFlat:
         assert reads[0] / ops <= 32, (
             f"{reads[0] / ops:.1f} unmapped-column reads per op"
         )
+
+
+class TestStreamCallsPerChunk:
+    """The engine peeks each core's stream once per chunk and advances it
+    once per flush of executed ops, not once per op.
+
+    Structural, like the guards above: class-level wrappers count
+    ``ReplayStream.peek_chunk`` and ``advance`` calls and the distinct
+    chunks handed out.  On lbmx4 and mcfx8 nearly every op is a shared
+    turn, so a runner that peeked at every segment entry and advanced
+    after every shared op would make about one call of each per op.
+    """
+
+    @pytest.mark.parametrize("workload", ["lbmx4", "mcfx8"])
+    def test_calls_scale_with_chunks_not_ops(self, monkeypatch, workload):
+        counts = collections.Counter()
+        #: Every chunk handed out, by id; holding them keeps ids unique.
+        chunks = {}
+        peek_chunk = ReplayStream.peek_chunk
+        advance = ReplayStream.advance
+
+        def counting_peek_chunk(self):
+            counts["peek_chunk"] += 1
+            peeked = peek_chunk(self)
+            if peeked is not None:
+                chunks[id(peeked[0])] = peeked[0]
+            return peeked
+
+        def counting_advance(self, count):
+            counts["advance"] += 1
+            return advance(self, count)
+
+        monkeypatch.setattr(ReplayStream, "peek_chunk", counting_peek_chunk)
+        monkeypatch.setattr(ReplayStream, "advance", counting_advance)
+        system = build_system("pageseer", workload_by_name(workload), scale=1024)
+        system.run_ops(1000)
+        cores = len(system.cores)
+        ops = sum(core.ops_executed for core in system.cores)
+        assert ops == cores * 1000
+        bound = 2 * (len(chunks) + cores)
+        assert counts["peek_chunk"] <= bound, (dict(counts), len(chunks))
+        assert counts["advance"] <= bound, (dict(counts), len(chunks))
+        # The bound sits far below one call per op.
+        assert bound * 4 < ops
 
 
 class TestTranslationTurnsStayInTheEngine:

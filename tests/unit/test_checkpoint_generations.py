@@ -45,9 +45,10 @@ def _as_older_version(path, version=1):
     intact.
 
     A v1 checkpoint written where numpy was installed pickles ndarray
-    state this build cannot rebuild, and a v2 payload names line routers
-    this build no longer has; here the version is the only thing wrong
-    with the file.
+    state this build cannot rebuild, a v2 payload names line routers
+    this build no longer has, and a v3 payload holds HPTs without their
+    count-1 index; here the version is the only thing wrong with the
+    file.
     """
     rest = path.read_bytes()[len(MAGIC):]
     header_line, payload = rest.split(b"\n", 1)
@@ -368,3 +369,19 @@ class TestFormatVersionTwo:
         args = argparse.Namespace(dirs=[str(tmp_path)], repair=False, quiet=False)
         assert command_fsck(args) == 1
         assert "failed check: version" in capsys.readouterr().out
+
+
+class TestFormatVersionThree:
+    """Version 3 files — whose payloads hold HPTs without their count-1
+    index and ``PctEntry`` dataclass instances — fail the version check
+    too, before anything is unpickled."""
+
+    def test_load_fails_the_version_check(self, tmp_path):
+        system = _tiny_system()
+        system.run_ops(10)
+        path = save_checkpoint(system, tmp_path / LATEST_NAME)
+        _as_older_version(path, 3)
+        with pytest.raises(CorruptCheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.check == "version"
+        assert verify_checkpoint(path) == ("corrupt", "failed check: version")

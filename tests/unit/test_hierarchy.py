@@ -76,6 +76,15 @@ class TestPteBypass:
         )
         assert outcome.latency_cycles == expected
 
+    def test_uncacheable_write_is_refused_before_any_level(self, hierarchy):
+        """The uncached path is read-only: a write raises ValueError and
+        leaves every level and counter as it was."""
+        with pytest.raises(ValueError):
+            hierarchy.access(0, 200, True, cacheable_l1=False)
+        assert not hierarchy.l2[0].contains(200)
+        assert not hierarchy.l3.contains(200)
+        assert hierarchy.stats.as_dict() == {}
+
 
 class TestWritebacks:
     def test_dirty_eviction_surfaces(self, hierarchy):

@@ -108,19 +108,6 @@ class TestDramShareGuard:
         assert hmc.dram_service_share == pytest.approx(0.5)
 
 
-class TestRemapWait:
-    def test_positive_wait_recorded(self):
-        hmc, _, stats = make_base()
-        hmc.record_remap_wait(50)
-        assert stats.get("hmc/remap_wait_cycles") == 50
-        assert stats.get("hmc/remap_misses") == 1
-
-    def test_zero_wait_ignored(self):
-        hmc, _, stats = make_base()
-        hmc.record_remap_wait(0)
-        assert stats.get("hmc/remap_misses") == 0
-
-
 class TestBaseInterface:
     def test_handle_request_abstract(self):
         hmc, _, _ = make_base(cls=HmcBase)
