@@ -17,8 +17,8 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from typing import Dict
 
+from repro.baselines.remap import SlotMap
 from repro.common.addr import CACHE_LINE_BYTES, LINES_PER_PAGE, PAGE_BYTES
 from repro.common.config import SystemConfig
 from repro.common.errors import FaultError
@@ -32,8 +32,6 @@ class CameoHmc(HmcBase):
 
     scheme_name = "cameo"
 
-    #: Remap-cache capacity in line entries (same SRAM budget as PoM's SRC,
-    #: but each entry covers 64 B instead of 2 KB).
     def __init__(self, config: SystemConfig, os_model: OsModel, stats: StatsRegistry):
         super().__init__(config, os_model, stats)
         dram_bytes = config.memory.dram.capacity_bytes
@@ -42,9 +40,10 @@ class CameoHmc(HmcBase):
         self.slow_lines = nvm_bytes // CACHE_LINE_BYTES
         self.total_lines = self.fast_lines + self.slow_lines
 
-        #: member line -> slot it occupies / slot -> member in it.
-        self._slot_of: Dict[int, int] = {}
-        self._member_in: Dict[int, int] = {}
+        #: member line <-> slot it occupies.
+        self._slots = SlotMap()
+        #: Remap cache over lines: the same SRAM budget as PoM's SRC, but
+        #: each entry covers 64 B instead of 2 KB.
         self._remap_cache: "OrderedDict[int, None]" = OrderedDict()
         self._remap_capacity = max(4, config.pom.src_entries)
         self.swaps = 0
@@ -63,9 +62,6 @@ class CameoHmc(HmcBase):
             return line
         return (line - self.fast_lines) % self.fast_lines
 
-    def _slot(self, line: int) -> int:
-        return self._slot_of.get(line, line)
-
     def _line_is_protected(self, line: int) -> bool:
         return self.os_model.is_protected_frame(line // LINES_PER_PAGE)
 
@@ -81,14 +77,10 @@ class CameoHmc(HmcBase):
     ) -> int:
         """Service one LLC-miss line request; returns the finish time.
 
-        The per-request pipeline — remap-cache probe, slot lookup,
-        device access, serviced-request accounting — is inlined over the
-        structures' own state, the same flattening the PageSeer
-        controller's request path uses (the goldens pin the result); the
-        miss/eviction paths escape to the owning methods.
+        Remap-cache probe (a miss fetches the group's entry through
+        :meth:`remap_miss`), slot lookup, device access, then
+        :meth:`account_service`; a slow access swaps the line in.
         """
-        stats = self.stats
-        counters = stats._counters
         fast_lines = self.fast_lines
         group = (
             line_spa
@@ -100,17 +92,15 @@ class CameoHmc(HmcBase):
         remap_cache = self._remap_cache
         if line_spa in remap_cache:
             remap_cache.move_to_end(line_spa)
-            counters["cameo/remap_hits"] += 1.0
+            self.stats._counters["cameo/remap_hits"] += 1.0
         else:
-            counters["cameo/remap_misses"] += 1.0
-            fill_done = self.metadata_access(t, group)
-            if fill_done > t:
-                counters["hmc/remap_wait_cycles"] += fill_done - t
-                counters["hmc/remap_misses"] += 1.0
-            t = fill_done
-            self._remap_fill(line_spa)
+            self.stats._counters["cameo/remap_misses"] += 1.0
+            t = self.remap_miss(t, group)
+            if len(remap_cache) >= self._remap_capacity:
+                remap_cache.popitem(last=False)
+            remap_cache[line_spa] = None
 
-        slot = self._slot_of.get(line_spa, line_spa)
+        slot = self._slots.slot(line_spa)
         bulk = kind is WRITEBACK
         dram = slot < fast_lines
         if dram:
@@ -119,37 +109,9 @@ class CameoHmc(HmcBase):
             finish = self.nvm_access(
                 t, slot - self._nvm_line_base, is_write, bulk
             )
-
-        self._total_serviced += 1
-        if dram:
-            self._dram_serviced += 1
-            counters["hmc/serviced_dram"] += 1.0
-        else:
-            counters["hmc/serviced_nvm"] += 1.0
-        if kind is DEMAND:
-            counters["hmc/requests_demand"] += 1.0
-        elif bulk:
-            counters["hmc/requests_writeback"] += 1.0
-        else:
-            counters["hmc/requests_pte"] += 1.0
-        if not bulk:
-            # AMMAT covers processor-visible requests only.
-            ammat = finish - now
-            stats._sums["hmc/ammat"] += ammat
-            stats._counts["hmc/ammat"] += 1
-            previous = stats._maxima.get("hmc/ammat")
-            if previous is None or ammat > previous:
-                stats._maxima["hmc/ammat"] = ammat
-        if line_spa >= self._nvm_line_base:
-            if dram:
-                counters["hmc/positive_accesses"] += 1.0
-            else:
-                counters["hmc/neutral_accesses"] += 1.0
-        elif not dram:
-            counters["hmc/negative_accesses"] += 1.0
-        else:
-            counters["hmc/neutral_accesses"] += 1.0
-
+        self.account_service(
+            now, finish, line_spa // LINES_PER_PAGE, "dram" if dram else "nvm", kind
+        )
         if not dram:
             self._swap_in(finish, line_spa, group)
         return finish
@@ -160,10 +122,9 @@ class CameoHmc(HmcBase):
         if self._line_is_protected(fast_slot):
             self.stats.add("cameo/declined_protected")
             return
-        occupant = self._member_in.get(fast_slot, fast_slot)
-        if occupant == line:
+        slots = self._slots
+        if slots.occupant(fast_slot) == line:
             return
-        member_slot = self._slot(line)
 
         # Fast swap of two 64 B blocks: 2 line reads + 2 line writes, issued
         # to the devices themselves rather than through the retrying line
@@ -173,7 +134,7 @@ class CameoHmc(HmcBase):
         # member's slot an NVM one (only NVM-resident lines swap in).
         dram = self.memory.dram
         nvm = self.memory.nvm
-        slow_line = member_slot - self._nvm_line_base
+        slow_line = slots.slot(line) - self._nvm_line_base
         try:
             read_fast = dram.access_finish(now, fast_slot, False, True)
             read_slow = nvm.access_finish(now, slow_line, False, True)
@@ -183,32 +144,6 @@ class CameoHmc(HmcBase):
         except FaultError:
             self.stats.add("cameo/aborted_swaps")
             return
-
-        self._slot_of[line] = fast_slot
-        self._member_in[fast_slot] = line
-        self._slot_of[occupant] = member_slot
-        self._member_in[member_slot] = occupant
-        for member in (line, occupant):
-            if self._slot_of.get(member) == member:
-                del self._slot_of[member]
-        for slot in (fast_slot, member_slot):
-            if self._member_in.get(slot) == slot:
-                del self._member_in[slot]
-
+        slots.exchange(line, fast_slot)
         self.swaps += 1
         self.stats.add("cameo/swaps")
-
-    # -- remap cache -----------------------------------------------------------------
-    def _remap_lookup(self, line: int) -> bool:
-        if line in self._remap_cache:
-            self._remap_cache.move_to_end(line)
-            self.stats.add("cameo/remap_hits")
-            return True
-        self.stats.add("cameo/remap_misses")
-        return False
-
-    def _remap_fill(self, line: int) -> None:
-        if line not in self._remap_cache and len(self._remap_cache) >= self._remap_capacity:
-            self._remap_cache.popitem(last=False)
-        self._remap_cache[line] = None
-        self._remap_cache.move_to_end(line)

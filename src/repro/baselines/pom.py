@@ -17,58 +17,36 @@ are what PageSeer's early, buffered swaps remove.
 
 from __future__ import annotations
 
-import math
 from collections import OrderedDict
 from typing import Dict
 
-from repro.common.addr import CACHE_LINE_BYTES, PAGE_BYTES
+from repro.baselines.remap import SegmentHmc, SlotMap
+from repro.common.addr import LINES_PER_PAGE
 from repro.common.config import SystemConfig
 from repro.common.errors import FaultError
 from repro.common.stats import StatsRegistry
-from repro.sim.hmc_base import DEMAND, WRITEBACK, HmcBase, RequestKind
+from repro.sim.hmc_base import DEMAND, WRITEBACK, RequestKind
 from repro.vm.os_model import OsModel
 
 
-class PomHmc(HmcBase):
+class PomHmc(SegmentHmc):
     """The PoM memory controller."""
 
     scheme_name = "pom"
 
     def __init__(self, config: SystemConfig, os_model: OsModel, stats: StatsRegistry):
-        super().__init__(config, os_model, stats)
         pom = config.pom
+        super().__init__(config, os_model, stats, pom.segment_bytes)
         self.pom = pom
-        self.lines_per_segment = pom.segment_bytes // CACHE_LINE_BYTES
-        self.pages_per_segment = max(1, pom.segment_bytes // PAGE_BYTES)
-        dram_bytes = config.memory.dram.capacity_bytes
-        nvm_bytes = config.memory.nvm.capacity_bytes
-        self.fast_segments = dram_bytes // pom.segment_bytes
-        self.slow_segments = nvm_bytes // pom.segment_bytes
-        self.total_segments = self.fast_segments + self.slow_segments
-
-        #: member segment -> slot it currently occupies (identity if absent).
-        self._slot_of: Dict[int, int] = {}
-        #: slot -> member whose data occupies it (identity if absent).
-        self._member_in: Dict[int, int] = {}
+        #: member segment <-> slot it currently occupies.
+        self._slots = SlotMap()
         #: per-slow-member saturating miss counters.
         self._counters: Dict[int, int] = {}
         self._last_decay = 0
-        #: Adaptive threshold state (original PoM adapts K; Section IV-B
-        #: pins it to 12, so adaptation is opt-in via PomConfig).
-        self.swap_threshold = pom.swap_threshold
-        #: post-swap hit counts of segments currently resident fast.
-        self._post_swap_hits: Dict[int, int] = {}
-        self._epoch_useful = 0
-        self._epoch_wasted = 0
-        #: segments participating in an in-flight swap -> completion time.
-        self._active: Dict[int, int] = {}
         #: SRC: LRU cache over swap groups.
         self._src: "OrderedDict[int, None]" = OrderedDict()
         self._src_capacity = max(4, pom.src_entries // pom.src_ways)
         self.swaps = 0
-
-        remap_bytes = self.total_segments * 4
-        self.reserve_metadata(max(1, math.ceil(remap_bytes / PAGE_BYTES)))
 
         # Hot-path invariant for the flattened request path (the config
         # dataclasses are frozen, so this cannot drift).
@@ -80,19 +58,6 @@ class PomHmc(HmcBase):
         if segment < self.fast_segments:
             return segment
         return (segment - self.fast_segments) % self.fast_segments
-
-    def _slot(self, segment: int) -> int:
-        return self._slot_of.get(segment, segment)
-
-    def _occupant(self, slot: int) -> int:
-        return self._member_in.get(slot, slot)
-
-    def _segment_is_protected(self, segment: int) -> bool:
-        first_page = (segment * self.pom.segment_bytes) // PAGE_BYTES
-        return any(
-            self.os_model.is_protected_frame(first_page + index)
-            for index in range(self.pages_per_segment)
-        )
 
     # -- the request path -------------------------------------------------------
     # repro-hot
@@ -106,14 +71,10 @@ class PomHmc(HmcBase):
     ) -> int:
         """Service one LLC-miss line request; returns the finish time.
 
-        The per-request pipeline — SRC probe, purge, slot lookup, device
-        access, serviced-request accounting — is inlined over the
-        structures' own state, the same flattening the PageSeer
-        controller's request path uses (the goldens pin the result); the
-        miss/decay/swap paths escape to the owning methods.
+        SRC probe (a miss fetches the group's remap entry through
+        :meth:`remap_miss`), purge, slot lookup, device access, then
+        :meth:`account_service`; a slow access counts toward a swap.
         """
-        stats = self.stats
-        counters = stats._counters
         lines_per_segment = self.lines_per_segment
         fast_segments = self.fast_segments
         segment = line_spa // lines_per_segment
@@ -127,15 +88,13 @@ class PomHmc(HmcBase):
         src = self._src
         if group in src:
             src.move_to_end(group)
-            counters["pom/src_hits"] += 1.0
+            self.stats._counters["pom/src_hits"] += 1.0
         else:
-            counters["pom/src_misses"] += 1.0
-            fill_done = self.metadata_access(t, group)
-            if fill_done > t:
-                counters["hmc/remap_wait_cycles"] += fill_done - t
-                counters["hmc/remap_misses"] += 1.0
-            t = fill_done
-            self._src_fill(group)
+            self.stats._counters["pom/src_misses"] += 1.0
+            t = self.remap_miss(t, group)
+            if len(src) >= self._src_capacity:
+                src.popitem(last=False)
+            src[group] = None
 
         active = self._active
         if active:
@@ -143,7 +102,7 @@ class PomHmc(HmcBase):
             in_flight_end = active.get(segment)
         else:
             in_flight_end = None
-        slot = self._slot_of.get(segment, segment)
+        slot = self._slots.slot(segment)
         actual_line = slot * lines_per_segment + line_spa % lines_per_segment
         bulk = kind is WRITEBACK
         dram = slot < fast_segments
@@ -156,42 +115,12 @@ class PomHmc(HmcBase):
         if in_flight_end is not None and in_flight_end > finish:
             # No swap buffers in PoM: wait for the in-flight swap.
             finish = in_flight_end
-            counters["pom/waits_for_swap"] += 1.0
-
-        self._total_serviced += 1
-        if dram:
-            self._dram_serviced += 1
-            counters["hmc/serviced_dram"] += 1.0
-        else:
-            counters["hmc/serviced_nvm"] += 1.0
-        if kind is DEMAND:
-            counters["hmc/requests_demand"] += 1.0
-        elif bulk:
-            counters["hmc/requests_writeback"] += 1.0
-        else:
-            counters["hmc/requests_pte"] += 1.0
-        if not bulk:
-            # AMMAT covers processor-visible requests only.
-            ammat = finish - now
-            stats._sums["hmc/ammat"] += ammat
-            stats._counts["hmc/ammat"] += 1
-            previous = stats._maxima.get("hmc/ammat")
-            if previous is None or ammat > previous:
-                stats._maxima["hmc/ammat"] = ammat
-        if line_spa >= self._nvm_line_base:
-            if dram:
-                counters["hmc/positive_accesses"] += 1.0
-            else:
-                counters["hmc/neutral_accesses"] += 1.0
-        elif not dram:
-            counters["hmc/negative_accesses"] += 1.0
-        else:
-            counters["hmc/neutral_accesses"] += 1.0
-
+            self.stats._counters["pom/waits_for_swap"] += 1.0
+        self.account_service(
+            now, finish, line_spa // LINES_PER_PAGE, "dram" if dram else "nvm", kind
+        )
         if not dram:
             self._count_slow_miss(t, segment)
-        elif segment in self._post_swap_hits:
-            self._post_swap_hits[segment] += 1
         return finish
 
     # -- counters and swaps ------------------------------------------------------
@@ -199,7 +128,7 @@ class PomHmc(HmcBase):
         self._decay(now)
         count = self._counters.get(segment, 0) + 1
         self._counters[segment] = count
-        if count >= self.swap_threshold:
+        if count >= self.pom.swap_threshold:
             self._counters[segment] = 0
             self._try_swap(now, segment)
 
@@ -216,100 +145,29 @@ class PomHmc(HmcBase):
                 dead.append(segment)
         for segment in dead:
             del self._counters[segment]
-        if self.pom.adaptive_threshold:
-            self._adapt_threshold()
-
-    def _adapt_threshold(self) -> None:
-        """Move the swap threshold based on how the epoch's swaps paid off.
-
-        If most recent swaps earned fewer post-swap hits than the benefit
-        bar, swaps are too cheap to trigger: raise the threshold.  If most
-        earned it comfortably, lower the threshold to swap earlier.
-        """
-        if self._epoch_useful + self._epoch_wasted < 4:
-            return
-        if self._epoch_wasted > self._epoch_useful:
-            self.swap_threshold = min(self.pom.threshold_max, self.swap_threshold + 2)
-        elif self._epoch_useful > 2 * self._epoch_wasted:
-            self.swap_threshold = max(self.pom.threshold_min, self.swap_threshold - 2)
-        self._epoch_useful = 0
-        self._epoch_wasted = 0
-        self.stats.add("pom/threshold_adaptations")
 
     def _try_swap(self, now: int, segment: int) -> None:
-        group = self.group_of(segment)
-        fast_slot = group
+        fast_slot = self.group_of(segment)
         if self._segment_is_protected(fast_slot):
             self.stats.add("pom/declined_protected")
             return
         if fast_slot in self._active.values() or segment in self._active:
             self.stats.add("pom/declined_in_flight")
             return
-        occupant = self._occupant(fast_slot)
-        if occupant == segment:
+        slots = self._slots
+        if slots.occupant(fast_slot) == segment:
             return
-        member_slot = self._slot(segment)
-
-        # Fast swap: 2 segment reads + 2 segment writes.  A fault mid-swap
-        # aborts cleanly — no remap state was touched yet, so PoM simply
-        # keeps serving the segment from its old slot.
+        # Fast swap with the group's fast slot.  A fault mid-swap aborts
+        # cleanly: no remap state was touched yet, so PoM simply keeps
+        # serving the segment from its old slot.
         try:
-            read_fast = self.memory.transfer_segment(
-                now, fast_slot * self.lines_per_segment, self.lines_per_segment, False
-            )
-            read_slow = self.memory.transfer_segment(
-                now, member_slot * self.lines_per_segment, self.lines_per_segment, False
-            )
-            ready = max(read_fast, read_slow)
-            write_fast = self.memory.transfer_segment(
-                ready, fast_slot * self.lines_per_segment, self.lines_per_segment, True
-            )
-            write_slow = self.memory.transfer_segment(
-                ready, member_slot * self.lines_per_segment, self.lines_per_segment, True
-            )
+            end = self._swap_segments(now, fast_slot, slots.slot(segment))
         except FaultError:
             self.stats.add("pom/aborted_swaps")
             return
-        end = max(write_fast, write_slow)
-
-        self._slot_of[segment] = fast_slot
-        self._member_in[fast_slot] = segment
-        self._slot_of[occupant] = member_slot
-        self._member_in[member_slot] = occupant
-        # Drop identity mappings to keep the remap dictionaries minimal.
-        for member in (segment, occupant):
-            if self._slot_of.get(member) == member:
-                del self._slot_of[member]
-        for slot in (fast_slot, member_slot):
-            if self._member_in.get(slot) == slot:
-                del self._member_in[slot]
-
+        occupant = slots.exchange(segment, fast_slot)
         self._active[segment] = end
         self._active[occupant] = end
-        if self.pom.adaptive_threshold:
-            self._close_benefit(occupant)
-            self._post_swap_hits[segment] = 0
         self.swaps += 1
         self.stats.add("pom/swaps")
         self.stats.observe("pom/swap_duration", end - now)
-
-    def _close_benefit(self, displaced_segment: int) -> None:
-        hits = self._post_swap_hits.pop(displaced_segment, None)
-        if hits is None:
-            return
-        if hits >= self.pom.adaptive_benefit_hits:
-            self._epoch_useful += 1
-        else:
-            self._epoch_wasted += 1
-
-    def _purge(self, now: int) -> None:
-        finished = [seg for seg, end in self._active.items() if end <= now]
-        for seg in finished:
-            del self._active[seg]
-
-    # -- SRC ------------------------------------------------------------------------
-    def _src_fill(self, group: int) -> None:
-        if group not in self._src and len(self._src) >= self._src_capacity:
-            self._src.popitem(last=False)
-        self._src[group] = None
-        self._src.move_to_end(group)

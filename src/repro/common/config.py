@@ -332,18 +332,8 @@ class PomConfig:
     src_entries: int = 8192
     src_ways: int = 4
     src_latency_cycles: int = 2
-    #: Counter decay interval so thresholds adapt to phases.
+    #: Counter decay interval, so miss counts follow program phases.
     counter_decay_interval_cycles: int = 100_000
-    #: PoM's adaptive-threshold mechanism (the original paper adapts the
-    #: swap threshold to the program; Section IV-B of PageSeer pins K=12
-    #: for its evaluation, so this is opt-in).  When enabled, the
-    #: threshold moves within [threshold_min, threshold_max] every decay
-    #: interval based on how well recent swaps paid off.
-    adaptive_threshold: bool = False
-    threshold_min: int = 6
-    threshold_max: int = 24
-    #: Post-swap hits a segment must earn for its swap to count as useful.
-    adaptive_benefit_hits: int = 16
 
     def scaled(self, scale: int) -> "PomConfig":
         return replace(self, src_entries=max(4 * self.src_ways, self.src_entries // scale))

@@ -131,28 +131,27 @@ class PageSeerHmc(HmcBase):
 
         This body is the controller's Figure 2 pipeline in one pass, with
         the hit paths of every structure on it — PRTc probe, Swap Driver
-        probe, PRT location lookup, serviced-request accounting, HPT
-        touch, PCTc probe — inlined over the structures' own state (the
-        miss/decay/eviction paths escape to the owning classes, whose
-        methods stay the single source of truth for those transitions).
-        The inlined forms replicate the methods' mutations exactly, in
-        the same order; the scalar/batched goldens and the equivalence
-        suite pin that, and docs/PERFORMANCE.md explains why the request
-        path is flattened this way.
+        probe, PRT location lookup, HPT touch, PCTc probe, Filter update —
+        inlined over the structures' own state (the miss/decay/eviction
+        paths escape to the owning classes, whose methods stay the single
+        source of truth for those transitions).  The remap-entry fetch and
+        the serviced-request accounting are the base class's one
+        definition (:meth:`remap_miss`, :meth:`account_service`).  The
+        inlined forms replicate the methods' mutations exactly, in the
+        same order; the scalar/batched goldens and the equivalence suite
+        pin that, and docs/PERFORMANCE.md explains why the request path
+        is flattened this way.
         """
         page = line_spa // LINES_PER_PAGE
         prt = self.prt
         colour = page % prt.num_colours
-        stats = self.stats
-        counters = stats._counters
         bulk = kind is WRITEBACK
 
         # PRTc: on the critical path of every request (PrtCache.lookup,
-        # inlined; the miss path fetches the set from in-DRAM metadata —
-        # metadata lines live in reserved DRAM pages, so the fill goes
-        # straight to the DRAM entry — and installs it as mmu_hint's
-        # prefetch does: the probe just missed, so PrtCache.fill's
-        # membership test is skipped).
+        # inlined; the miss path fetches the set from in-DRAM metadata
+        # through remap_miss and installs it as mmu_hint's prefetch does:
+        # the probe just missed, so PrtCache.fill's membership test is
+        # skipped).
         t = now + self._prtc_latency
         prtc = self.prtc
         prtc_resident = prtc._resident
@@ -161,14 +160,7 @@ class PageSeerHmc(HmcBase):
             prtc.hits += 1
         else:
             prtc.misses += 1
-            metadata_lines = self._metadata_lines
-            metadata_line = metadata_lines[colour % len(metadata_lines)]
-            fill_done = self.dram_access(t, metadata_line, False)
-            counters["hmc/metadata_accesses"] += 1.0
-            if fill_done > t:
-                counters["hmc/remap_wait_cycles"] += fill_done - t
-                counters["hmc/remap_misses"] += 1.0
-            t = fill_done
+            t = self.remap_miss(t, colour)
             prtc.fills += 1
             if len(prtc_resident) >= prtc.capacity_sets:
                 prtc_resident.popitem(last=False)
@@ -220,41 +212,7 @@ class PageSeerHmc(HmcBase):
                 )
             serviced = "dram" if resident_dram else "nvm"
 
-        # Serviced-request accounting (HmcBase.account_service, inlined
-        # against the live stats dicts; reset() clears them in place, so
-        # the references stay valid across the measure boundary).
-        self._total_serviced += 1
-        if serviced == "dram":
-            self._dram_serviced += 1
-            counters["hmc/serviced_dram"] += 1.0
-        elif serviced == "nvm":
-            counters["hmc/serviced_nvm"] += 1.0
-        else:
-            counters["hmc/serviced_buffer"] += 1.0
-        if kind is DEMAND:
-            counters["hmc/requests_demand"] += 1.0
-        elif bulk:
-            counters["hmc/requests_writeback"] += 1.0
-        else:
-            counters["hmc/requests_pte"] += 1.0
-        if not bulk:
-            # AMMAT covers processor-visible requests; background
-            # write-backs drain asynchronously and would distort it.
-            ammat = finish - now
-            stats._sums["hmc/ammat"] += ammat
-            stats._counts["hmc/ammat"] += 1
-            previous = stats._maxima.get("hmc/ammat")
-            if previous is None or ammat > previous:
-                stats._maxima["hmc/ammat"] = ammat
-        if page >= self.dram_pages:
-            if serviced != "nvm":
-                counters["hmc/positive_accesses"] += 1.0
-            else:
-                counters["hmc/neutral_accesses"] += 1.0
-        elif serviced == "nvm":
-            counters["hmc/negative_accesses"] += 1.0
-        else:
-            counters["hmc/neutral_accesses"] += 1.0
+        self.account_service(now, finish, page, serviced, kind)
 
         if serviced != "nvm" and page in self._prefetch_live:
             self._prefetch_live[page] += 1
@@ -322,53 +280,27 @@ class PageSeerHmc(HmcBase):
         else:
             pctc.misses += 1
             history = self._pctc_fill_from_pct(t, page)
+        # Filter (FilterTable.observe_miss, inlined): find the page's entry
+        # — a new flurry first closes the old leader's flurry and installs
+        # or renews the page's entry — then count the miss on it and feed
+        # the predecessor's follower fields.  Flurries make repeat misses
+        # on the current leader the common case; that branch raises no
+        # triggers and evicts nothing.
         flt = self.filter
-        if flt._current_leader.get(pid) == page:
-            # Filter same-leader branch (FilterTable.observe_miss,
-            # inlined): flurries make repeat misses on the current
-            # leader the common case, and that branch raises no
-            # triggers and evicts nothing.
-            flt.reads += 1
-            flt.writes += 1
-            entries = flt._entries
-            cmax = flt.counter_max
+        flt.reads += 1
+        flt.writes += 1
+        entries = flt._entries
+        cmax = flt.counter_max
+        leader = flt._current_leader.get(pid)
+        new_flurry = leader != page
+        if not new_flurry:
             entry = entries.get(page)
-            if entry is not None:
-                misses = entry.misses + 1
-                entry.misses = misses if misses <= cmax else cmax
-            previous = flt._previous_leader.get(pid)
-            if previous is not None and previous != page:
-                pentry = entries.get(previous)
-                if pentry is not None:
-                    if pentry.base.follower_ppn == page:
-                        misses = pentry.follower_misses + 1
-                        pentry.follower_misses = (
-                            misses if misses <= cmax else cmax
-                        )
-                    elif (
-                        pentry.new_follower_ppn is None
-                        or pentry.new_follower_ppn == page
-                    ):
-                        pentry.new_follower_ppn = page
-                        misses = pentry.new_follower_misses + 1
-                        pentry.new_follower_misses = (
-                            misses if misses <= cmax else cmax
-                        )
         else:
-            # A new flurry begins (FilterTable.observe_miss slow path,
-            # inlined): close the old leader's flurry, install or renew
-            # the new leader's entry — applying evicted entries' PCTc
-            # write-backs in place, so no trigger/evicted sequences are
-            # allocated — feed the predecessor's follower fields, and
-            # raise swap triggers straight from the entry's history.
-            # The evicted write-backs and the triggers touch disjoint
-            # structures (PCTc vs. Swap Driver), so applying write-backs
-            # during eviction preserves the method's observable order.
-            flt.reads += 1
-            flt.writes += 1
-            entries = flt._entries
-            cmax = flt.counter_max
-            leader = flt._current_leader.get(pid)
+            # Evicted entries' PCTc write-backs are applied in place, so
+            # no trigger/evicted sequences are allocated.  The write-backs
+            # and the triggers touch disjoint structures (PCTc vs. Swap
+            # Driver), so applying write-backs during eviction preserves
+            # the method's observable order.
             if leader is not None:
                 # Remember the old flurry as predecessor and note that
                 # this page's flurry followed it (_record_follower).
@@ -399,27 +331,27 @@ class PageSeerHmc(HmcBase):
                 entries[page] = entry
             else:
                 entries.move_to_end(page)
+        if entry is not None:
             misses = entry.misses + 1
             entry.misses = misses if misses <= cmax else cmax
-            # _feed_predecessor on the fresh leader.
-            previous = flt._previous_leader.get(pid)
-            if previous is not None and previous != page:
-                pentry = entries.get(previous)
-                if pentry is not None:
-                    if pentry.base.follower_ppn == page:
-                        misses = pentry.follower_misses + 1
-                        pentry.follower_misses = (
-                            misses if misses <= cmax else cmax
-                        )
-                    elif (
-                        pentry.new_follower_ppn is None
-                        or pentry.new_follower_ppn == page
-                    ):
-                        pentry.new_follower_ppn = page
-                        misses = pentry.new_follower_misses + 1
-                        pentry.new_follower_misses = (
-                            misses if misses <= cmax else cmax
-                        )
+        # _feed_predecessor.
+        previous = flt._previous_leader.get(pid)
+        if previous is not None and previous != page:
+            pentry = entries.get(previous)
+            if pentry is not None:
+                if pentry.base.follower_ppn == page:
+                    misses = pentry.follower_misses + 1
+                    pentry.follower_misses = misses if misses <= cmax else cmax
+                elif (
+                    pentry.new_follower_ppn is None
+                    or pentry.new_follower_ppn == page
+                ):
+                    pentry.new_follower_ppn = page
+                    misses = pentry.new_follower_misses + 1
+                    pentry.new_follower_misses = (
+                        misses if misses <= cmax else cmax
+                    )
+        if new_flurry:
             # Filter-detected triggers pay the Filter's access latency;
             # only the first miss of an invocation raises them.
             base = entry.base
@@ -455,13 +387,8 @@ class PageSeerHmc(HmcBase):
         (:meth:`PctCache.fill` — the page is absent, since the caller
         just missed it), and the changed victim's write-back.
         """
-        metadata_lines = self._metadata_lines
-        n_lines = len(metadata_lines)
-        access = self.dram_access
-        counters = self.stats._counters
         # Fetch from the in-DRAM PCT (off the critical path, real bandwidth).
-        access(now, metadata_lines[(self._prt_metadata_keys + page) % n_lines], False)
-        counters["hmc/metadata_accesses"] += 1.0
+        self.metadata_access(now, self._prt_metadata_keys + page)
         entry = self.pct._entries.get(page, EMPTY_PCT_ENTRY)
         if not self._correlation:
             # The no-correlation ablation drops the follower fields.
@@ -474,12 +401,9 @@ class PageSeerHmc(HmcBase):
             victim_page, victim_entry = resident.popitem(last=False)
             if changed.pop(victim_page, False):
                 self.pct._entries[victim_page] = victim_entry
-                access(
-                    now,
-                    metadata_lines[(self._prt_metadata_keys + victim_page) % n_lines],
-                    True,
+                self.metadata_access(
+                    now, self._prt_metadata_keys + victim_page, True
                 )
-                counters["hmc/metadata_accesses"] += 1.0
         resident[page] = entry
         changed[page] = False
         return entry
@@ -550,20 +474,20 @@ class PageSeerHmc(HmcBase):
         PRTc and PCTc entries of the page being translated are prefetched,
         so demand requests do not stall on metadata fills (Section V-B);
         a hot history raises prefetch swaps.  Flattened like
-        :meth:`handle_request`: :meth:`MmuDriver.on_hint` with
-        :meth:`_fetch_pte_line`, the PRTc probe and fill, and the PCTc
-        probe run inline over the structures' own state, in the methods'
-        order, and the PCTc miss goes to :meth:`_pctc_fill_from_pct`.
+        :meth:`handle_request`: :meth:`MmuDriver.on_hint`'s probe and
+        install, the PRTc probe and fill, and the PCTc probe run inline
+        over the structures' own state, in the methods' order; the
+        driver's PTE-line read is :meth:`_fetch_pte_line`, the PRTc fill's
+        read :meth:`metadata_access`, and the PCTc miss
+        :meth:`_pctc_fill_from_pct`.
         The differential hint test pins this body against those methods.
         """
         ps = self.ps
         if not ps.mmu_hints_enabled:
             return
         t = now + ps.mmu_hint_latency_cycles
-        stats = self.stats
-        counters = stats._counters
+        counters = self.stats._counters
         counters["hmc/mmu_hints"] += 1.0
-        dram_pages = self.dram_pages
 
         # MMU Driver (on_hint): a cached PTE line needs no fetch.
         counters["mmu_driver/hints"] += 1.0
@@ -573,45 +497,7 @@ class PageSeerHmc(HmcBase):
             driver_lines.move_to_end(pte_line_spa)
             counters["mmu_driver/hint_already_cached"] += 1.0
         else:
-            # The driver's own PTE-line read (_fetch_pte_line) through the
-            # PRT location lookup, then its serviced-request accounting.
-            page = pte_line_spa // LINES_PER_PAGE
-            prt = self.prt
-            if page < dram_pages:
-                location = prt._dram_to_nvm.get(page, page)
-            else:
-                location = prt._nvm_to_dram.get(page, page)
-            resident_dram = location < dram_pages
-            actual_line = location * LINES_PER_PAGE + pte_line_spa % LINES_PER_PAGE
-            if resident_dram:
-                finish = self.dram_access(t, actual_line, False)
-            else:
-                finish = self.nvm_access(
-                    t, actual_line - self._nvm_line_base, False
-                )
-            self._total_serviced += 1
-            if resident_dram:
-                self._dram_serviced += 1
-                counters["hmc/serviced_dram"] += 1.0
-            else:
-                counters["hmc/serviced_nvm"] += 1.0
-            counters["hmc/requests_pte"] += 1.0
-            ammat = finish - t
-            stats._sums["hmc/ammat"] += ammat
-            stats._counts["hmc/ammat"] += 1
-            previous = stats._maxima.get("hmc/ammat")
-            if previous is None or ammat > previous:
-                stats._maxima["hmc/ammat"] = ammat
-            if page >= dram_pages:
-                if resident_dram:
-                    counters["hmc/positive_accesses"] += 1.0
-                else:
-                    counters["hmc/neutral_accesses"] += 1.0
-            elif resident_dram:
-                counters["hmc/neutral_accesses"] += 1.0
-            else:
-                counters["hmc/negative_accesses"] += 1.0
-            counters["mmu_driver/fetches"] += 1.0
+            finish = self._fetch_pte_line(t, pte_line_spa)
             # MmuDriver._install: the line is absent, so evict LRU if full.
             if len(driver_lines) >= driver.capacity_lines:
                 driver_lines.popitem(last=False)
@@ -623,10 +509,7 @@ class PageSeerHmc(HmcBase):
         prtc = self.prtc
         prtc_resident = prtc._resident
         if colour not in prtc_resident:
-            metadata_lines = self._metadata_lines
-            metadata_line = metadata_lines[colour % len(metadata_lines)]
-            self.dram_access(t, metadata_line, False)
-            counters["hmc/metadata_accesses"] += 1.0
+            self.metadata_access(t, colour)
             prtc.fills += 1
             if len(prtc_resident) >= prtc.capacity_sets:
                 prtc_resident.popitem(last=False)
@@ -675,11 +558,12 @@ class PageSeerHmc(HmcBase):
         self.stats._counters["mmu_driver/intercept_hits"] += 1.0
         return (ready if ready > now else now) + driver.respond_latency_cycles
 
+    # repro-hot
     def _fetch_pte_line(self, now: int, line_spa: int) -> int:
         """The MMU Driver's own memory read for a PTE line.
 
-        The driver's ``fetch_line``; :meth:`mmu_hint` runs this body
-        inline, so it is reached only through :meth:`MmuDriver.on_hint`.
+        The driver's ``fetch_line``: :meth:`MmuDriver.on_hint` and
+        :meth:`mmu_hint`'s driver miss both read the line here.
         """
         page = line_spa // LINES_PER_PAGE
         location = self.prt.location_of(page)

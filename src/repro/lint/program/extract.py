@@ -768,16 +768,16 @@ class _Extractor:
     def _classify_registry_write(
         self, target: ast.expr, registry_dicts: Set[str], bindings: LocalStringBindings
     ) -> None:
-        """Record ``<registry dict>["key"] (+)= value`` as a stats record site."""
+        """Record ``<registry dict>[key] (+)= value`` as a stats record site.
+
+        The key shapes are those of a ``stats.add(key)`` call
+        (:meth:`_record_site`), literal-key tables included.
+        """
         if not isinstance(target, ast.Subscript):
             return
         if not _is_registry_dict(target.value, registry_dicts):
             return
-        key = self._literal_of(target.slice, bindings)
-        if key is not None:
-            self.facts.stats_records.append(
-                KeySite(key=key, line=target.lineno, col=target.col_offset, kind="literal")
-            )
+        self._record_site(target, target.slice, bindings)
 
     def _walk_function_scopes(self) -> List[Tuple[FunctionNode, Optional[str]]]:
         out: List[Tuple[FunctionNode, Optional[str]]] = []
@@ -822,14 +822,14 @@ class _Extractor:
         return None
 
     def _record_site(
-        self, call: ast.Call, key_node: ast.expr, bindings: LocalStringBindings
+        self, site: ast.expr, key_node: ast.expr, bindings: LocalStringBindings
     ) -> None:
+        """Record the key(s) *key_node* names, anchored at *site*."""
+        line, col = site.lineno, site.col_offset
         key = self._literal_of(key_node, bindings)
         if key is not None:
             kind = "literal" if isinstance(key_node, ast.Constant) else "var"
-            self.facts.stats_records.append(
-                KeySite(key=key, line=call.lineno, col=call.col_offset, kind=kind)
-            )
+            self.facts.stats_records.append(KeySite(key=key, line=line, col=col, kind=kind))
             return
         if (
             isinstance(key_node, ast.Subscript)
@@ -838,7 +838,7 @@ class _Extractor:
         ):
             for key in self.facts.key_tables[key_node.value.id]:
                 self.facts.stats_records.append(
-                    KeySite(key=key, line=call.lineno, col=call.col_offset, kind="table")
+                    KeySite(key=key, line=line, col=col, kind="table")
                 )
             return
         if isinstance(key_node, ast.JoinedStr):
@@ -847,7 +847,7 @@ class _Extractor:
                 prefix = str(key_node.values[0].value)
             if prefix:
                 self.facts.stats_records.append(
-                    KeySite(key=prefix, line=call.lineno, col=call.col_offset, kind="pattern")
+                    KeySite(key=prefix, line=line, col=col, kind="pattern")
                 )
 
     def _add_read(self, key: str, node: ast.Call) -> None:

@@ -29,7 +29,9 @@ from typing import Any, Dict, List, Optional, Tuple
 #:    make attribute edges (RL103); the OrderedDict facts are gone.
 #: 7: the SoA rule is gone, and with it the numpy array facts, the
 #:    hot-kernel numpy events and the per-function ``hot`` flag.
-FACTS_VERSION = 7
+#: 8: registry-dict writes record every key shape ``stats.add`` does,
+#:    literal-key tables included (RL101).
+FACTS_VERSION = 8
 
 #: An unresolved reference to a called/constructed symbol, e.g.
 #: ``("local", "Core")``, ``("self", "reset")``, or

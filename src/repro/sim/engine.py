@@ -75,15 +75,19 @@ scheduler from tests/reference_scheduler.py as the oracle):
    when the chunk is used up; executed ops (drained pure prefixes and
    shared ops alike) accumulate in a local count that is flushed
    through ``advance`` before the next peek, before every checkpointer
-   poll, at every park while a checkpointer is armed (another core's
-   poll may serialize this stream), and on exit.  A
-   fetched-but-unexecuted shared op is *never* advanced.  So every poll
-   sees every core's stream at its between-ops frontier, and a
-   checkpoint written mid-chunk resumes to the identical final digest (the
-   per-phase op *sets* are fixed by the absolute targets, and shared
-   order is preserved, so the end state cannot depend on where the cut
-   landed).  Deterministic triggers (cut points, periodic writes) fire
-   at exactly their configured step counts via
+   poll, and on exit.  A runner that parks leaves its count in its
+   core's cell of a shared per-core list and takes back on resume
+   whatever is still there; the polling runner flushes every cell
+   before it polls, since the poll may serialize any core's stream.  So
+   a stream is advanced about once per chunk plus once per poll, never
+   once per park.  A fetched-but-unexecuted shared op is *never*
+   advanced.  So every poll sees every core's stream at its
+   between-ops frontier, and a checkpoint written mid-chunk resumes to
+   the identical final digest (the per-phase op *sets* are fixed by the
+   absolute targets, and shared order is preserved, so the end state
+   cannot depend on where the cut landed).  Deterministic triggers (cut
+   points, periodic writes) fire at exactly their configured step
+   counts via
    :meth:`repro.snapshot.hooks.Checkpointer.next_trigger_step`; signal
    polls (wall-clock, inherently nondeterministic) happen every
    :data:`_POLL_STEPS` steps, aligned to the heartbeat mask so liveness
@@ -258,7 +262,9 @@ def _next_stop(ckpt, steps: int) -> int:
 
 
 # repro-hot
-def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_cell):
+def _core_runner(
+    system, core, target, heap, counters, ckpt, steps_cell, stop_cell, parked_ops
+):
     """One core's free-run coroutine (see :func:`run_to_targets`).
 
     All of the core's hot state — the object-graph mirrors (clock,
@@ -274,7 +280,9 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
     consistent between-ops frontier.  The global step count and the
     next planned stop live in shared one-element cells: every runner
     advances them, and whichever runner crosses the poll boundary
-    re-plans the stop for all.
+    re-plans the stop for all.  A parked runner leaves its executed but
+    not yet advanced ops in its ``parked_ops`` cell (one per core), so the
+    polling runner can move every stream to its frontier.
     """
     (
         stream,
@@ -353,6 +361,12 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                 if pending:
                     stream.advance(pending)
                     pending = 0
+                for other, count in enumerate(parked_ops):
+                    if count:
+                        # A parked core's ops: the poll may serialize
+                        # its stream.
+                        system.cores[other].ops.advance(count)
+                        parked_ops[other] = 0
                 system.steps_total = steps_cell[0]
                 ckpt.on_step(system)
                 stop_cell[0] = _next_stop(ckpt, steps_cell[0])
@@ -778,11 +792,12 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
                     core.clock = clock
                     core.instructions = instructions
                     core.ops_executed = ops_executed
-                    if pending and ckpt is not None:
-                        # Another core's poll may serialize this stream.
-                        stream.advance(pending)
-                        pending = 0
+                    parked_ops[core_id] = pending
+                    pending = 0
                     yield clock
+                    # Take back whatever no poll flushed meanwhile.
+                    pending = parked_ops[core_id]
+                    parked_ops[core_id] = 0
     finally:
         # Every exit — target reached, park unwind (GeneratorExit), or
         # an exception mid-op — leaves the object graph at the last
@@ -791,6 +806,8 @@ def _core_runner(system, core, target, heap, counters, ckpt, steps_cell, stop_ce
         core.clock = clock
         core.instructions = instructions
         core.ops_executed = ops_executed
+        pending += parked_ops[core_id]
+        parked_ops[core_id] = 0
         if pending:
             stream.advance(pending)
 
@@ -811,6 +828,8 @@ def run_to_targets(system, targets: Sequence[int]) -> None:
     steps_cell = [system.steps_total]
     stop_cell = [_next_stop(ckpt, steps_cell[0]) if ckpt is not None else -1]
     counters = system.stats._counters
+    #: Per core: ops a parked runner executed but has not advanced.
+    parked_ops = [0] * len(system.cores)
     heap: List[Tuple] = []
     runners = []
     for core in system.cores:
@@ -818,7 +837,7 @@ def run_to_targets(system, targets: Sequence[int]) -> None:
             continue
         runner = _core_runner(
             system, core, targets[core.core_id], heap, counters, ckpt,
-            steps_cell, stop_cell,
+            steps_cell, stop_cell, parked_ops,
         )
         runners.append(runner)
         heap.append((core.clock, core.core_id, runner))
@@ -828,13 +847,16 @@ def run_to_targets(system, targets: Sequence[int]) -> None:
     try:
         while heap:
             entry = heappop(heap)
-            parked = next(entry[2], None)
-            if parked is not None:
-                heappush(heap, (parked, entry[1], entry[2]))
+            clock = next(entry[2], None)
+            if clock is not None:
+                heappush(heap, (clock, entry[1], entry[2]))
     finally:
-        # Deterministic unwind on any exit: close every runner (each
-        # one's ``finally`` re-flushes its core; suspended runners were
-        # already flushed before yielding, so this is idempotent).
+        # Deterministic unwind on any exit: close every runner.  Each
+        # one's ``finally`` flushes its core's locals and advances its
+        # stream by its own count plus whatever its ``parked_ops`` cell
+        # still holds, so closing a parked runner flushes its cell; a
+        # runner that already returned has nothing left, so this is
+        # idempotent.
         for runner in runners:
             runner.close()
         system.steps_total = steps_cell[0]

@@ -2,7 +2,7 @@
 
 File layout (all little pieces are validated on load, in order)::
 
-    REPRO-CKPT v4\\n                  magic + format version, ASCII
+    REPRO-CKPT v5\\n                  magic + format version, ASCII
     {json header}\\n                  one line of metadata
     <zlib-compressed pickle payload>  the System object graph
 
@@ -51,10 +51,12 @@ from repro.snapshot import codec
 #: replaced, which no longer exist.  Version 4: each ``HotPageTable``
 #: carries its count-1 index and ``PctEntry`` is a named tuple; a v3
 #: payload holds HPTs without the index and ``PctEntry`` dataclass
-#: instances.
-CHECKPOINT_FORMAT_VERSION = 4
+#: instances.  Version 5: PoM, MemPod and CAMEO keep their remap state in
+#: ``SlotMap`` objects (each MemPod pod is one); a v4 payload holds it in
+#: the controllers' and pods' own dicts.
+CHECKPOINT_FORMAT_VERSION = 5
 
-MAGIC = b"REPRO-CKPT v4\n"
+MAGIC = b"REPRO-CKPT v5\n"
 
 #: Conventional file name for the rolling checkpoint of one run.
 LATEST_NAME = "latest.ckpt"

@@ -23,18 +23,20 @@ from repro.sim import engine
 from repro.sim.cpu import Core, MemoryOp
 from repro.sim.hmc_base import HmcBase
 from repro.sim.system import SCHEMES, build_system
+from repro.snapshot import Checkpointer
 from repro.snapshot.stream import ReplayStream
 from repro.vm.mmu import Mmu
 from repro.workloads import workload_by_name
 
 from tests.reference_scheduler import use_reference_scheduler
 
-#: The per-request controller methods (the flattened request paths and
-#: the helpers they escape to for memory).
+#: The per-request controller methods (the flattened request paths, the
+#: helpers they escape to for memory, and the shared accounting and
+#: remap-entry fetch every scheme's request path calls).
 REQUEST_PATHS = (
     "handle_request", "handle_pte_fetch", "mmu_hint", "metadata_access",
     "line_access", "_pctc_fill_from_pct", "_fetch_pte_line",
-    "_migrate_residue_line",
+    "_migrate_residue_line", "account_service", "remap_miss",
 )
 
 
@@ -106,8 +108,11 @@ class TestZeroOverheadFaultsOff:
 
     def test_no_request_path_tests_whether_faults_are_armed(self):
         """Every scheme's request paths reach memory through the two device
-        entries, so none of them reads the fault machinery."""
-        for cls in {HmcBase, *SCHEMES.values()}:
+        entries, so none of them reads the fault machinery — wherever in
+        the scheme's class hierarchy a path is defined."""
+        classes = {cls for scheme in SCHEMES.values() for cls in scheme.__mro__}
+        assert HmcBase in classes
+        for cls in classes:
             for name in REQUEST_PATHS:
                 method = vars(cls).get(name)
                 if method is None:
@@ -191,8 +196,8 @@ class TestStreamCallsPerChunk:
     after every shared op would make about one call of each per op.
     """
 
-    @pytest.mark.parametrize("workload", ["lbmx4", "mcfx8"])
-    def test_calls_scale_with_chunks_not_ops(self, monkeypatch, workload):
+    @staticmethod
+    def _count_stream_calls(monkeypatch):
         counts = collections.Counter()
         #: Every chunk handed out, by id; holding them keeps ids unique.
         chunks = {}
@@ -212,6 +217,11 @@ class TestStreamCallsPerChunk:
 
         monkeypatch.setattr(ReplayStream, "peek_chunk", counting_peek_chunk)
         monkeypatch.setattr(ReplayStream, "advance", counting_advance)
+        return counts, chunks
+
+    @pytest.mark.parametrize("workload", ["lbmx4", "mcfx8"])
+    def test_calls_scale_with_chunks_not_ops(self, monkeypatch, workload):
+        counts, chunks = self._count_stream_calls(monkeypatch)
         system = build_system("pageseer", workload_by_name(workload), scale=1024)
         system.run_ops(1000)
         cores = len(system.cores)
@@ -222,6 +232,34 @@ class TestStreamCallsPerChunk:
         assert counts["advance"] <= bound, (dict(counts), len(chunks))
         # The bound sits far below one call per op.
         assert bound * 4 < ops
+
+    @pytest.mark.parametrize("workload", ["lbmx4", "mcfx8"])
+    def test_armed_checkpointer_advances_per_poll_not_per_park(
+        self, monkeypatch, tmp_path, workload
+    ):
+        """With a checkpointer armed, a parked core's executed ops wait in
+        its cell until it resumes or a poll flushes them, so advances
+        grow with polls, not with parks (about one per shared op here)."""
+        counts, chunks = self._count_stream_calls(monkeypatch)
+        on_step = Checkpointer.on_step
+
+        def counting_on_step(self, system):
+            counts["poll"] += 1
+            return on_step(self, system)
+
+        monkeypatch.setattr(Checkpointer, "on_step", counting_on_step)
+        system = build_system("pageseer", workload_by_name(workload), scale=1024)
+        # No periodic write falls inside the run: only the polls remain.
+        Checkpointer(tmp_path, every_ops=100_000).arm(system)
+        system.run_ops(1000)
+        cores = len(system.cores)
+        ops = sum(core.ops_executed for core in system.cores)
+        assert ops == cores * 1000
+        assert counts["poll"] > 0
+        bound = 2 * (len(chunks) + cores) + cores * counts["poll"]
+        assert counts["peek_chunk"] <= 2 * (len(chunks) + cores), dict(counts)
+        assert counts["advance"] <= bound, (dict(counts), len(chunks))
+        assert bound * 2 < ops
 
 
 class TestTranslationTurnsStayInTheEngine:

@@ -97,6 +97,27 @@ def test_registry_dict_writes_count_as_records(tmp_path):
     assert report.exit_code == 0
 
 
+def test_table_keyed_registry_dict_writes_count_as_records(tmp_path):
+    # A live-dict write through a literal-key table records every value
+    # of the table, as ``stats.add(_TABLE[k])`` does.
+    write_project(tmp_path, {
+        "sim/model.py": (
+            "_SOURCE_KEYS = {'dram': 'sim/from_dram', 'nvm': 'sim/from_nvm'}\n"
+            "\n"
+            "def tick(self, source):\n"
+            "    counters = self.stats._counters\n"
+            "    counters[_SOURCE_KEYS[source]] += 1.0\n"
+        ),
+        "report/figs.py": (
+            "def table(stats):\n"
+            "    return stats.get('sim/from_dram'), stats.get('sim/from_nvm')\n"
+        ),
+    })
+    report, _ = lint_project(tmp_path)
+    assert findings_for(report, "RL101") == []
+    assert report.exit_code == 0
+
+
 def test_recorded_never_read_is_informational(tmp_path):
     write_project(tmp_path, {
         "sim/model.py": (

@@ -43,7 +43,7 @@ class TestSwapOnEveryAccess:
         line = slow_line(hmc, hmc.fast_lines - 1)
         hmc.handle_request(0, line, False, 1)
         assert stats.get("cameo/swaps") == 1
-        assert hmc._slot(line) < hmc.fast_lines
+        assert hmc._slots.slot(line) < hmc.fast_lines
 
     def test_first_access_still_serviced_slow(self):
         hmc, _, stats = make_cameo()
@@ -83,7 +83,7 @@ class TestSwapOnEveryAccess:
         line = slow_line(hmc, hmc.fast_lines - 1)
         fast_slot = hmc.group_of(line)
         hmc.handle_request(0, line, False, 1)
-        assert hmc._slot(fast_slot) == line  # old occupant now at line's home
+        assert hmc._slots.slot(fast_slot) == line  # old occupant now at line's home
 
 
 class TestRemapCache:
@@ -125,4 +125,4 @@ class TestInjectedFaults:
         assert stats.get("faults/degraded_services") >= 1
         assert stats.get("cameo/aborted_swaps") == 1
         assert stats.get("cameo/swaps") == 0
-        assert hmc._slot(line) == line
+        assert hmc._slots.slot(line) == line

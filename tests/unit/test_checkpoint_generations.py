@@ -46,9 +46,10 @@ def _as_older_version(path, version=1):
 
     A v1 checkpoint written where numpy was installed pickles ndarray
     state this build cannot rebuild, a v2 payload names line routers
-    this build no longer has, and a v3 payload holds HPTs without their
-    count-1 index; here the version is the only thing wrong with the
-    file.
+    this build no longer has, a v3 payload holds HPTs without their
+    count-1 index, and a v4 payload holds the baselines' remap maps
+    outside ``SlotMap`` objects; here the version is the only thing
+    wrong with the file.
     """
     rest = path.read_bytes()[len(MAGIC):]
     header_line, payload = rest.split(b"\n", 1)
@@ -381,6 +382,23 @@ class TestFormatVersionThree:
         system.run_ops(10)
         path = save_checkpoint(system, tmp_path / LATEST_NAME)
         _as_older_version(path, 3)
+        with pytest.raises(CorruptCheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.check == "version"
+        assert verify_checkpoint(path) == ("corrupt", "failed check: version")
+
+
+class TestFormatVersionFour:
+    """Version 4 files — whose payloads hold the baselines' member/slot
+    maps in the controllers' own dicts, not in ``SlotMap`` objects — fail
+    the version check too, before anything is unpickled."""
+
+    @pytest.mark.parametrize("scheme", ["pom", "mempod", "cameo"])
+    def test_load_fails_the_version_check(self, tmp_path, scheme):
+        system = build_system(scheme, workload_by_name("lbmx4"), scale=1024)
+        system.run_ops(10)
+        path = save_checkpoint(system, tmp_path / LATEST_NAME)
+        _as_older_version(path, 4)
         with pytest.raises(CorruptCheckpointError) as excinfo:
             load_checkpoint(path)
         assert excinfo.value.check == "version"

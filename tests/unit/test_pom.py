@@ -91,7 +91,7 @@ class TestSwaps:
         index = hmc.fast_segments - 1
         segment = hmc.fast_segments + index
         self.run_threshold_misses(hmc, config, index=index)
-        assert hmc._slot(segment) == hmc.group_of(segment)
+        assert hmc._slots.slot(segment) == hmc.group_of(segment)
 
     def test_post_swap_serviced_dram(self):
         hmc, config, stats = make_pom()
@@ -115,7 +115,26 @@ class TestSwaps:
         fast_slot = hmc.group_of(hmc.fast_segments + index)
         self.run_threshold_misses(hmc, config, index=index)
         displaced = fast_slot  # original fast segment
-        assert hmc._slot(displaced) == hmc.fast_segments + index
+        assert hmc._slots.slot(displaced) == hmc.fast_segments + index
+        assert hmc._slots.occupant(hmc.fast_segments + index) == displaced
+
+    def test_threshold_holds_across_decay_intervals(self):
+        """K is the constant of Section IV-B: across decay intervals the
+        K-th slow miss still swaps, and the (K-1)-th does not."""
+        hmc, config, stats = make_pom()
+        group = hmc.fast_segments - 1
+        threshold = config.pom.swap_threshold
+        now = 0
+        for round_index in range(4):
+            # Two slow members of one group take turns in its fast slot.
+            member = group + (round_index % 2) * hmc.fast_segments
+            for k in range(threshold):
+                assert stats.get("pom/swaps") == round_index
+                now = hmc.handle_request(
+                    now + 1, slow_segment_line(hmc, member, k % 32), False, 1
+                )
+            assert stats.get("pom/swaps") == round_index + 1
+            now += config.pom.counter_decay_interval_cycles
 
     def test_counter_resets_after_swap(self):
         hmc, config, _ = make_pom()
