@@ -5,7 +5,8 @@ swap bookkeeping, so this package provides three complementary layers:
 
 * :mod:`repro.check.invariants` — pluggable structural checkers (PRT
   bijectivity, frame exclusivity, swap conservation, counter
-  monotonicity, stats sanity) swept periodically during a run;
+  monotonicity, stats sanity, the baselines' slot maps) swept
+  periodically during a run;
 * :mod:`repro.check.shadow` — a zero-timing functional oracle that
   replays the swap-event stream and cross-checks every access's resolved
   location against the timed model;
@@ -24,6 +25,7 @@ from repro.check.invariants import (
     FrameExclusivityChecker,
     InvariantChecker,
     PrtBijectivityChecker,
+    SlotMapChecker,
     StatsSanityChecker,
     SwapConservationChecker,
     Violation,
@@ -40,6 +42,7 @@ __all__ = [
     "InvariantChecker",
     "PrtBijectivityChecker",
     "ShadowPageOracle",
+    "SlotMapChecker",
     "StatsSanityChecker",
     "SwapConservationChecker",
     "Violation",

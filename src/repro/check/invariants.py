@@ -23,6 +23,10 @@ rest on:
   epoch, and every PCT/PCTc/Filter counter stays inside its 6-bit range.
 * **Stats sanity** — no counter or observation count is negative, every
   value is finite, and means never exceed maxima.
+* **Slot-map bijectivity** (PoM, MemPod, CAMEO) — each baseline's
+  member <-> slot maps are exact inverses holding no identity entry and
+  nothing outside the scheme's slot space, and a MemPod pod's map holds
+  only the pod's own segments.
 * **Quarantine integrity** (fault injection only) — every frame retired
   after an uncorrectable error is a valid NVM page, the retired set only
   grows, and every page the injector knows is bad has been quarantined.
@@ -364,6 +368,69 @@ class StatsSanityChecker(InvariantChecker):
         return out
 
 
+class SlotMapChecker(InvariantChecker):
+    """The baselines' :class:`repro.baselines.remap.SlotMap` state.
+
+    A slot map elides identity entries, so a member at home and a slot
+    holding its own member have no entry.  Its two maps must therefore be
+    inverses of equal size with no entry mapping a number to itself, and
+    every number in them must lie in the scheme's slot space: segments
+    for PoM and MemPod, lines for CAMEO.  A MemPod pod exchanges data
+    only among its own segments, so every number in a pod's maps must
+    belong to that pod.
+    """
+
+    name = "slot-map"
+
+    def check(self, system, now: int) -> List[Violation]:
+        hmc = system.hmc
+        out: List[Violation] = []
+        if system.scheme == "mempod":
+            for index, pod in enumerate(hmc._pods):
+                label = f"pod {index}"
+                out.extend(self._check_map(label, pod, hmc.total_segments))
+                for number in {*pod._slot_of, *pod._member_in}:
+                    if hmc.pod_of(number) is not pod:
+                        out.append(self._violation(
+                            f"{label} maps segment {number}, which belongs "
+                            f"to another pod", page=number))
+        elif system.scheme == "cameo":
+            out.extend(self._check_map("line map", hmc._slots, hmc.total_lines))
+        else:
+            out.extend(
+                self._check_map("segment map", hmc._slots, hmc.total_segments)
+            )
+        return out
+
+    def _check_map(self, label: str, slot_map, space: int) -> List[Violation]:
+        out: List[Violation] = []
+        slot_of = slot_map._slot_of
+        member_in = slot_map._member_in
+        if len(slot_of) != len(member_in):
+            out.append(self._violation(
+                f"{label}: {len(slot_of)} member entries but "
+                f"{len(member_in)} slot entries"))
+        for forward, reverse, kind in (
+            (slot_of, member_in, "member"),
+            (member_in, slot_of, "slot"),
+        ):
+            for key, value in forward.items():
+                if key == value:
+                    out.append(self._violation(
+                        f"{label}: identity {kind} entry {key} -> {value}",
+                        page=key))
+                if not (0 <= key < space and 0 <= value < space):
+                    out.append(self._violation(
+                        f"{label}: {kind} entry {key} -> {value} outside "
+                        f"the slot space [0, {space})", page=key))
+                if reverse.get(value) != key:
+                    out.append(self._violation(
+                        f"{label}: {kind} entry {key} -> {value} has no "
+                        f"inverse (reverse says {reverse.get(value)})",
+                        page=key))
+        return out
+
+
 class QuarantineChecker(InvariantChecker):
     """Frame quarantine (``repro.faults``) stays coherent with the injector.
 
@@ -424,4 +491,6 @@ def build_checkers(system) -> List[InvariantChecker]:
         ])
         if system.config.faults.enabled:
             checkers.append(QuarantineChecker())
+    elif system.scheme in ("pom", "mempod", "cameo"):
+        checkers.append(SlotMapChecker())
     return checkers

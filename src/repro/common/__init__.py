@@ -3,7 +3,7 @@
 This package holds the pieces every other subsystem builds on: address
 arithmetic (:mod:`repro.common.addr`), deterministic random streams
 (:mod:`repro.common.rng`), statistics counters (:mod:`repro.common.stats`),
-resource-reservation timelines (:mod:`repro.common.timeline`) and the
+the CPU-cycle unit (:mod:`repro.common.timeline`) and the
 configuration dataclasses that mirror Tables I and II of the paper
 (:mod:`repro.common.config`).
 """
@@ -31,7 +31,6 @@ from repro.common.config import (
 from repro.common.errors import ReproError, ConfigError, SimulationError
 from repro.common.rng import DeterministicRng
 from repro.common.stats import StatsRegistry
-from repro.common.timeline import BankedTimeline, Timeline
 
 __all__ = [
     "CACHE_LINE_BYTES",
@@ -55,6 +54,4 @@ __all__ = [
     "SimulationError",
     "DeterministicRng",
     "StatsRegistry",
-    "BankedTimeline",
-    "Timeline",
 ]

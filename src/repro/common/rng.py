@@ -61,6 +61,35 @@ class DeterministicRng:
         """Return *k* distinct elements of *seq*."""
         return self._random.sample(seq, k)
 
+    def sample_below(self, n: int, k: int) -> list:
+        """Return ``sample(range(n), k)``, draw for draw.
+
+        For ``k <= 5`` and ``n > 21`` the standard library tracks its
+        picks in a set and redraws ``_randbelow(n)`` on a repeat, and
+        ``_randbelow`` redraws ``getrandbits(n.bit_length())`` until the
+        value is below *n*.  This loop makes the same ``getrandbits``
+        calls and keeps the same values, without ``sample``'s population
+        type check and set bookkeeping.  Other shapes defer to
+        ``sample``; tests/property/test_rng_draws.py pins both against
+        the standard library.
+        """
+        if n <= 21 or not 0 <= k <= 5:
+            return self._random.sample(range(n), k)
+        getrandbits = self._random.getrandbits
+        bits = n.bit_length()
+        picked: list = []
+        for _ in range(k):
+            value = getrandbits(bits)
+            while value >= n or value in picked:
+                value = getrandbits(bits)
+            picked.append(value)
+        return picked
+
+    def flags(self, n: int, p: float) -> list:
+        """Return *n* flags, each ``random() < p``, in draw order."""
+        random = self._random.random
+        return [random() < p for _ in range(n)]
+
     def expovariate(self, rate: float) -> float:
         """Return an exponentially-distributed float with the given rate."""
         return self._random.expovariate(rate)

@@ -222,15 +222,9 @@ class PageSeerHmc(HmcBase):
         # only runs when an interval actually elapsed).
         dram_hpt = self.dram_hpt
         nvm_hpt = self.nvm_hpt
-        if (
-            dram_hpt.decay_interval_cycles > 0
-            and t - dram_hpt._last_decay >= dram_hpt.decay_interval_cycles
-        ):
+        if t >= dram_hpt.next_decay:
             dram_hpt.advance_time(t)
-        if (
-            nvm_hpt.decay_interval_cycles > 0
-            and t - nvm_hpt._last_decay >= nvm_hpt.decay_interval_cycles
-        ):
+        if t >= nvm_hpt.next_decay:
             nvm_hpt.advance_time(t)
         # HPT miss count for the page's current residence (record_miss,
         # inlined minus the advance_time it would repeat, keeping the

@@ -14,6 +14,7 @@ entry whose counter reaches zero is removed.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from typing import Callable, Dict, List, Optional
 
@@ -44,6 +45,12 @@ class HotPageTable:
         #: including the inline touch in ``PageSeerHmc.handle_request``.
         self._ones: Dict[int, None] = {}
         self._last_decay = 0
+        #: When the next halving falls due: ``_last_decay`` plus the
+        #: interval, or infinity without decay.  :meth:`advance_time`
+        #: keeps it, so a caller tests ``now >= next_decay`` in one read.
+        self.next_decay = (
+            decay_interval_cycles if decay_interval_cycles > 0 else math.inf
+        )
         self.reads = 0
         self.writes = 0
         #: Optional check-event sink (``repro.check``): called as
@@ -75,6 +82,7 @@ class HotPageTable:
             return
         while now - self._last_decay >= self.decay_interval_cycles:
             self._last_decay += self.decay_interval_cycles
+            self.next_decay = self._last_decay + self.decay_interval_cycles
             self._halve_all()
             if self.on_event is not None:
                 self.on_event("decay", self.epoch)
@@ -125,7 +133,11 @@ class HotPageTable:
         deletes entries that reach 0), so the first count-1 page in
         table order, the first key of ``_ones``, is the first minimum.
         Pages touched once make that the common case; only a table
-        with no page at 1 pays the scan.
+        with no page at 1 pays the scan.  The scan stays a Python loop:
+        an OrderedDict's value iteration looks each key up again, so
+        ``min(counters.values())`` alone costs nearly a full scan, and
+        finding the first page at that count costs a second one
+        (docs/PERFORMANCE.md, "Memory side at table speed").
         """
         counters = self._counters
         ones = self._ones

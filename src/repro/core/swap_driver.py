@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
+from repro.common.addr import LINES_PER_PAGE
 from repro.common.config import FaultConfig, PageSeerConfig
 from repro.common.errors import FaultError, UnrecoverableFaultError
 from repro.common.stats import StatsRegistry
@@ -151,9 +152,9 @@ class SwapDriver:
             return None
         finish = self.buffers.service(now, page_spa)
         if finish is not None:
-            self.stats.add("swap_driver/buffer_services")
+            self.stats._counters["swap_driver/buffer_services"] += 1.0
             return finish
-        self.stats.add("swap_driver/buffer_misses")
+        self.stats._counters["swap_driver/buffer_misses"] += 1.0
         return None
 
     # -- initiating swaps -----------------------------------------------------------
@@ -166,8 +167,8 @@ class SwapDriver:
         individually, because Figure 11 studies the bandwidth heuristic.
         """
         self._purge(now)
-        # The two common declines (PRT.is_dram and dram_frame_holding,
-        # inlined against the live counters dict).
+        # The two common declines are PRT.is_dram and dram_frame_holding,
+        # inlined; every decline counts on the live counters dict.
         counters = self.stats._counters
         counters[_REQUEST_KEYS[trigger]] += 1.0
         prt = self.prt
@@ -180,30 +181,30 @@ class SwapDriver:
             counters["swap_driver/declined_already_swapped"] += 1.0
             return False
         if page_spa in self._active:
-            self.stats.add("swap_driver/declined_in_flight")
+            counters["swap_driver/declined_in_flight"] += 1.0
             return False
         if self._is_frozen(page_spa):
             # DMA in progress for this page (Section III-E): no swaps.
-            self.stats.add("swap_driver/declined_frozen")
+            counters["swap_driver/declined_frozen"] += 1.0
             return False
         if self._is_quarantined(page_spa):
             # A failed NVM page: only rescue_swap may move it (with fault
             # injection suppressed); a regular swap would have to read it.
-            self.stats.add("swap_driver/declined_quarantined")
+            counters["swap_driver/declined_quarantined"] += 1.0
             return False
         if len(self._in_flight_ends) >= self.max_in_flight:
-            self.stats.add("swap_driver/declined_engines_busy")
+            counters["swap_driver/declined_engines_busy"] += 1.0
             return False
         if (
             self.config.bandwidth_heuristic_enabled
             and dram_service_share > self.config.bandwidth_decline_dram_share
         ):
-            self.stats.add("swap_driver/declined_bandwidth")
+            counters["swap_driver/declined_bandwidth"] += 1.0
             return False
 
         frame = self._choose_victim_frame(now, page_spa)
         if frame is None:
-            self.stats.add("swap_driver/declined_locked")
+            counters["swap_driver/declined_locked"] += 1.0
             return False
 
         return self._execute(now, page_spa, frame, trigger)
@@ -354,8 +355,6 @@ class SwapDriver:
         the whole page moves.  With it, only the observed-hot lines move;
         the rest are marked as residue and migrate lazily.
         """
-        from repro.common.addr import LINES_PER_PAGE
-
         full_mask = (1 << LINES_PER_PAGE) - 1
         if not self.config.partial_swaps_enabled or self._hot_lines is None:
             return LINES_PER_PAGE, 0
@@ -366,8 +365,6 @@ class SwapDriver:
         return hot, full_mask & ~mask
 
     def _partial_read(self, now: int, ppn: int, lines: int) -> int:
-        from repro.common.addr import LINES_PER_PAGE
-
         if lines >= LINES_PER_PAGE:
             return self.memory.read_page(now, ppn)
         return self.memory.transfer_segment(
@@ -375,8 +372,6 @@ class SwapDriver:
         )
 
     def _partial_write(self, now: int, ppn: int, lines: int) -> int:
-        from repro.common.addr import LINES_PER_PAGE
-
         if lines >= LINES_PER_PAGE:
             return self.memory.write_page(now, ppn)
         return self.memory.transfer_segment(

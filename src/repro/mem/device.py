@@ -24,12 +24,15 @@ attribute dereferences per resource, which dominated the access path
 (see docs/PERFORMANCE.md).  :meth:`access_finish` is the demand hot path
 — the same schedule as :meth:`access` without materialising an
 :class:`AccessResult`; the two are pinned equal by
-tests/unit/test_device.py's differential check.
+tests/unit/test_device.py's differential check.  Both hot paths,
+:meth:`access_finish` and :meth:`transfer_page`, grant banks and buses
+inline; :meth:`access` keeps the grants in :meth:`_reserve_bank` and
+:meth:`_reserve_bus`, the reference form.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.common.addr import CACHE_LINE_BYTES
 from repro.common.config import CYCLES_PER_MEMORY_CYCLE, MemoryTimingConfig
@@ -88,10 +91,10 @@ class MemoryDevice:
     """
 
     __slots__ = (
-        "config", "stats", "model_contention", "_prefix",
+        "config", "stats", "model_contention",
         "_bank_demand_until", "_bank_any_until", "_bank_total_busy",
         "_bus_demand_until", "_bus_any_until", "_bus_total_busy",
-        "_open_rows", "_row_written", "_lines_per_row",
+        "_open_rows", "_row_written", "_lines_per_row", "_row_stride",
         "reads", "writes", "row_hits",
         "queue_delay_total", "service_time_total",
         "injector", "preempt_cap_cycles",
@@ -104,12 +107,10 @@ class MemoryDevice:
         config: MemoryTimingConfig,
         stats: StatsRegistry,
         model_contention: bool = True,
-        stats_prefix: Optional[str] = None,
     ):
         self.config = config
         self.stats = stats
         self.model_contention = model_contention
-        self._prefix = stats_prefix or config.name
         total_banks = config.channels * config.total_banks_per_channel
         # Struct-of-arrays resource state (see the module docstring).  A
         # bank or bus grants [start, start+duration): demand work queues
@@ -127,6 +128,9 @@ class MemoryDevice:
         #: or at the next read from the same bank — write-to-read turnaround).
         self._row_written: List[bool] = [False] * total_banks
         self._lines_per_row = config.row_bytes // CACHE_LINE_BYTES
+        #: Lines per row sequence step: a line's row sequence (the bank and
+        #: row counter within its channel) is ``line // _row_stride``.
+        self._row_stride = config.channels * self._lines_per_row
         # Per-device counters kept as plain attributes: this path runs for
         # every line transferred, so registry lookups would dominate.
         self.reads = 0
@@ -183,37 +187,42 @@ class MemoryDevice:
         """
         if self.injector is not None:
             self.injector.check_access(self.config.name, now, line_number, is_write)
-        channels = self._channels
-        channel = line_number % channels
-        row_sequence = (line_number // channels) // self._lines_per_row
-        bank = channel * self._banks_per_channel + row_sequence % self._banks_per_channel
-        row = row_sequence // self._banks_per_channel
+        channel = line_number % self._channels
+        # (line // channels) // lines_per_row in one division.
+        row_sequence = line_number // self._row_stride
+        banks = self._banks_per_channel
+        bank = channel * banks + row_sequence % banks
+        row = row_sequence // banks
 
+        # The row-buffer case also settles the write recovery owed (t_WR
+        # at a conflict, or at a read after writes to the open row) and
+        # the row-hit count.
         open_rows = self._open_rows
         open_row = open_rows[bank]
-        row_hit = open_row == row
-        open_rows[bank] = row
-
-        if row_hit:
-            core_latency = self._lat_row_hit
-            row_conflict = False
-        elif open_row >= 0:
-            core_latency = self._lat_row_conflict
-            row_conflict = True
-        else:
-            core_latency = self._lat_row_closed
-            row_conflict = False
         row_written = self._row_written
-        if row_written[bank] and (row_conflict or not is_write):
-            core_latency += self._write_recovery
-            row_written[bank] = False
+        if open_row == row:
+            core_latency = self._lat_row_hit
+            self.row_hits += 1
+            if not is_write and row_written[bank]:
+                core_latency += self._write_recovery
+                row_written[bank] = False
+        else:
+            open_rows[bank] = row
+            if open_row >= 0:
+                core_latency = self._lat_row_conflict
+                if row_written[bank]:
+                    core_latency += self._write_recovery
+                    row_written[bank] = False
+            else:
+                core_latency = self._lat_row_closed
+                if not is_write and row_written[bank]:
+                    core_latency += self._write_recovery
+                    row_written[bank] = False
         if is_write:
             row_written[bank] = True
             self.writes += 1
         else:
             self.reads += 1
-        if row_hit:
-            self.row_hits += 1
         burst = self._burst
 
         if not self.model_contention:
@@ -221,16 +230,13 @@ class MemoryDevice:
             return now + core_latency + burst
 
         occupancy = core_latency + burst
-        # Bank reservation (inlined two-priority grant).
         bank_any = self._bank_any_until
         bus_any = self._bus_any_until
+        any_until = bank_any[bank]
         if bulk:
-            start = bank_any[bank]
-            if now > start:
-                start = now
+            # Bulk yields to everything: max(now, any_until).
+            start = any_until if any_until > now else now
             bank_any[bank] = start + occupancy
-            self._bank_total_busy[bank] += occupancy
-            # Bus reservation for the data burst.
             data_ready = start + core_latency
             bus_start = bus_any[channel]
             if data_ready > bus_start:
@@ -238,40 +244,49 @@ class MemoryDevice:
             bus_any[channel] = bus_start + burst
         else:
             # The demand grant max(now, demand_until, min(any_until,
-            # now + cap)) as compare chains: the same integer, without
-            # the builtin calls.
+            # now + cap)) by cases on any_until.  Exact because
+            # any_until >= demand_until on every bank and bus: a demand
+            # grant raises any_until to at least its end, and a bulk grant
+            # only raises any_until.
             cap = self.preempt_cap_cycles
-            bank_demand = self._bank_demand_until
-            any_until = bank_any[bank]
-            start = now + cap
-            if any_until < start:
-                start = any_until
-            demand_until = bank_demand[bank]
-            if demand_until > start:
-                start = demand_until
-            if now > start:
+            if any_until <= now:
                 start = now
-            end = start + occupancy
-            bank_demand[bank] = end
-            if end > any_until:
+                end = now + occupancy
                 bank_any[bank] = end
-            self._bank_total_busy[bank] += occupancy
-            # Bus reservation for the data burst.
+            elif any_until <= now + cap:
+                start = any_until
+                end = any_until + occupancy
+                bank_any[bank] = end
+            else:
+                start = now + cap
+                demand_until = self._bank_demand_until[bank]
+                if demand_until > start:
+                    start = demand_until
+                end = start + occupancy
+                if end > any_until:
+                    bank_any[bank] = end
+            self._bank_demand_until[bank] = end
+            # The data burst's bus grant, by the same cases.
             data_ready = start + core_latency
-            bus_demand = self._bus_demand_until
             any_until = bus_any[channel]
-            bus_start = data_ready + cap
-            if any_until < bus_start:
-                bus_start = any_until
-            demand_until = bus_demand[channel]
-            if demand_until > bus_start:
-                bus_start = demand_until
-            if data_ready > bus_start:
+            if any_until <= data_ready:
                 bus_start = data_ready
-            bus_end = bus_start + burst
-            bus_demand[channel] = bus_end
-            if bus_end > any_until:
+                bus_end = data_ready + burst
                 bus_any[channel] = bus_end
+            elif any_until <= data_ready + cap:
+                bus_start = any_until
+                bus_end = any_until + burst
+                bus_any[channel] = bus_end
+            else:
+                bus_start = data_ready + cap
+                demand_until = self._bus_demand_until[channel]
+                if demand_until > bus_start:
+                    bus_start = demand_until
+                bus_end = bus_start + burst
+                if bus_end > any_until:
+                    bus_any[channel] = bus_end
+            self._bus_demand_until[channel] = bus_end
+        self._bank_total_busy[bank] += occupancy
         self._bus_total_busy[channel] += burst
         finish = bus_start + burst
 
@@ -381,6 +396,7 @@ class MemoryDevice:
         self._bus_total_busy[channel] += duration
         return start
 
+    # repro-hot
     def transfer_page(
         self, now: Cycles, first_line: int, line_count: int, is_write: bool,
         bulk: bool = False,
@@ -410,6 +426,12 @@ class MemoryDevice:
         moved stay counted and their bank and bus time stays booked: that
         wasted service time is the cost of the fault.
         tests/unit/test_device.py pins this loop against a per-line walk.
+
+        Each group's bank and bus grants are :meth:`_reserve_bank` and
+        :meth:`_reserve_bus` inlined, the demand grant by the same cases
+        on ``any_until`` as :meth:`access_finish`'s; the paired A/B in
+        docs/PERFORMANCE.md ("Memory side at table speed") shows the
+        inline form pays.
         """
         abort_after = None
         if self.injector is not None:
@@ -426,10 +448,21 @@ class MemoryDevice:
         lines_per_row = self._lines_per_row
         open_rows = self._open_rows
         row_written = self._row_written
-        last_line = first_line + line_count
+        lat_row_hit = self._lat_row_hit
+        write_recovery = self._write_recovery
         model_contention = self.model_contention
+        bank_any = self._bank_any_until
+        bank_demand = self._bank_demand_until
+        bank_busy = self._bank_total_busy
+        bus_any = self._bus_any_until
+        bus_demand = self._bus_demand_until
+        bus_busy = self._bus_total_busy
+        cap = self.preempt_cap_cycles
+        now_cap = now + cap
+        last_line = first_line + line_count
         total_lines = 0
         total_hits = 0
+        total_service = 0
         try:
             for channel in range(channels):
                 # Lines of this run on one channel are `channels` apart.
@@ -450,44 +483,95 @@ class MemoryDevice:
                             cycle=now,
                         )
                     row_sequence = w // lines_per_row
-                    group_end = min(w_end, (row_sequence + 1) * lines_per_row)
+                    group_end = (row_sequence + 1) * lines_per_row
+                    if group_end > w_end:
+                        group_end = w_end
                     group = group_end - w
                     w = group_end
                     bank = channel * banks + row_sequence % banks
                     row = row_sequence // banks
                     open_row = open_rows[bank]
-                    row_hit = open_row == row
-                    open_rows[bank] = row
-                    if row_hit:
-                        core_latency = self._lat_row_hit
-                        row_conflict = False
-                    elif open_row >= 0:
-                        core_latency = self._lat_row_conflict
-                        row_conflict = True
+                    if open_row == row:
+                        core_latency = lat_row_hit
+                        total_hits += group
+                        if not is_write and row_written[bank]:
+                            core_latency += write_recovery
+                            row_written[bank] = False
                     else:
-                        core_latency = self._lat_row_closed
-                        row_conflict = False
-                    if row_written[bank] and (row_conflict or not is_write):
-                        core_latency += self._write_recovery
-                        row_written[bank] = False
+                        open_rows[bank] = row
+                        if open_row >= 0:
+                            core_latency = self._lat_row_conflict
+                            if row_written[bank]:
+                                core_latency += write_recovery
+                                row_written[bank] = False
+                        else:
+                            core_latency = self._lat_row_closed
+                            if not is_write and row_written[bank]:
+                                core_latency += write_recovery
+                                row_written[bank] = False
                     if is_write:
                         row_written[bank] = True
-                    occupancy = core_latency + group * burst
+                    data = group * burst
+                    occupancy = core_latency + data
+                    total_lines += group
+                    total_service += occupancy
                     if not model_contention:
                         end = now + occupancy
+                    elif bulk:
+                        start = bank_any[bank]
+                        if now > start:
+                            start = now
+                        bank_any[bank] = start + occupancy
+                        bank_busy[bank] += occupancy
+                        data_ready = start + core_latency
+                        bus_start = bus_any[channel]
+                        if data_ready > bus_start:
+                            bus_start = data_ready
+                        end = bus_start + data
+                        bus_any[channel] = end
+                        bus_busy[channel] += data
                     else:
-                        start = self._reserve_bank(bank, now, occupancy, bulk)
-                        bus_start = self._reserve_bus(
-                            channel, start + core_latency, group * burst, bulk
-                        )
-                        end = bus_start + group * burst
+                        any_until = bank_any[bank]
+                        if any_until <= now:
+                            start = now
+                            bank_end = now + occupancy
+                            bank_any[bank] = bank_end
+                        elif any_until <= now_cap:
+                            start = any_until
+                            bank_end = any_until + occupancy
+                            bank_any[bank] = bank_end
+                        else:
+                            start = now_cap
+                            demand_until = bank_demand[bank]
+                            if demand_until > start:
+                                start = demand_until
+                            bank_end = start + occupancy
+                            if bank_end > any_until:
+                                bank_any[bank] = bank_end
+                        bank_demand[bank] = bank_end
+                        bank_busy[bank] += occupancy
+                        data_ready = start + core_latency
+                        any_until = bus_any[channel]
+                        if any_until <= data_ready:
+                            end = data_ready + data
+                            bus_any[channel] = end
+                        elif any_until <= data_ready + cap:
+                            end = any_until + data
+                            bus_any[channel] = end
+                        else:
+                            bus_start = data_ready + cap
+                            demand_until = bus_demand[channel]
+                            if demand_until > bus_start:
+                                bus_start = demand_until
+                            end = bus_start + data
+                            if end > any_until:
+                                bus_any[channel] = end
+                        bus_demand[channel] = end
+                        bus_busy[channel] += data
                     if end > finish:
                         finish = end
-                    total_lines += group
-                    if row_hit:
-                        total_hits += group
-                    self.service_time_total += occupancy
         finally:
+            self.service_time_total += total_service
             if is_write:
                 self.writes += total_lines
             else:

@@ -33,18 +33,12 @@ class SwapBufferPool:
         capacity: int,
         stats: StatsRegistry,
         service_latency_cycles: int = 30,
-        stats_prefix: str = "swap_buffers",
     ):
         if capacity <= 0:
             raise ValueError("swap buffer pool needs positive capacity")
         self.capacity = capacity
         self.stats = stats
         self.service_latency_cycles = service_latency_cycles
-        self._prefix = stats_prefix
-        # Stats keys precomputed once so the hot paths never build strings.
-        self._key_allocation_failures = stats_prefix + "/allocation_failures"
-        self._key_allocations = stats_prefix + "/allocations"
-        self._key_serviced = stats_prefix + "/serviced"
         self._entries: Dict[int, _BufferEntry] = {}
 
     def _expire(self, now: int) -> None:
@@ -65,10 +59,10 @@ class SwapBufferPool:
             entry.release_at = max(entry.release_at, release_at)
             return True
         if len(self._entries) >= self.capacity:
-            self.stats.add(self._key_allocation_failures)
+            self.stats.add("swap_buffers/allocation_failures")
             return False
         self._entries[key] = _BufferEntry(key, available_from, release_at)
-        self.stats.add(self._key_allocations)
+        self.stats.add("swap_buffers/allocations")
         return True
 
     def service(self, now: int, key: int) -> Optional[int]:
@@ -79,7 +73,7 @@ class SwapBufferPool:
         entry = self._entries.get(key)
         if entry is None or not (entry.available_from <= now < entry.release_at):
             return None
-        self.stats.add(self._key_serviced)
+        self.stats._counters["swap_buffers/serviced"] += 1.0
         return now + self.service_latency_cycles
 
     def release(self, key: int) -> None:

@@ -2,7 +2,7 @@
 
 File layout (all little pieces are validated on load, in order)::
 
-    REPRO-CKPT v5\\n                  magic + format version, ASCII
+    REPRO-CKPT v6\\n                  magic + format version, ASCII
     {json header}\\n                  one line of metadata
     <zlib-compressed pickle payload>  the System object graph
 
@@ -53,10 +53,13 @@ from repro.snapshot import codec
 #: payload holds HPTs without the index and ``PctEntry`` dataclass
 #: instances.  Version 5: PoM, MemPod and CAMEO keep their remap state in
 #: ``SlotMap`` objects (each MemPod pod is one); a v4 payload holds it in
-#: the controllers' and pods' own dicts.
-CHECKPOINT_FORMAT_VERSION = 5
+#: the controllers' and pods' own dicts.  Version 6: each ``HotPageTable``
+#: carries ``next_decay``, each ``MemoryDevice`` its ``_row_stride`` slot
+#: and no ``_prefix`` slot, and a ``SwapBufferPool`` no stats-key prefix;
+#: a v5 payload restores tables and devices in the old shapes.
+CHECKPOINT_FORMAT_VERSION = 6
 
-MAGIC = b"REPRO-CKPT v5\n"
+MAGIC = b"REPRO-CKPT v6\n"
 
 #: Conventional file name for the rolling checkpoint of one run.
 LATEST_NAME = "latest.ckpt"

@@ -61,7 +61,7 @@ def _flurry_block(
         # 4-tuples cannot collide with the 2-tuple stride keys.
         key = (page_index, lines.start, lines.stop, lines.step)
     else:
-        key = None  # rng.sample shapes: unique per call, not cacheable
+        key = None  # sampled shapes: unique per call, not cacheable
     vaddrs = _VADDR_CACHE.get(key) if key is not None else None
     if vaddrs is None:
         base = _page_va(page_index)
@@ -73,8 +73,7 @@ def _flurry_block(
             if len(_VADDR_CACHE) >= _CACHE_LIMIT:
                 _VADDR_CACHE.clear()
             _VADDR_CACHE[key] = vaddrs
-    random = rng.random
-    writes = [random() < write_fraction for _ in vaddrs]
+    writes = rng.flags(len(vaddrs), write_fraction)
     ikey = (instructions, len(vaddrs))
     instr = _INSTR_CACHE.get(ikey)
     if instr is None:
@@ -126,9 +125,10 @@ def pointer_chase_blocks(
     "few prefetch swaps" group).
     """
     order = rng.permutation(footprint_pages)
+    visit = min(lines_per_visit, LINES_PER_PAGE)
     while True:
         for page_index in order:
-            lines = rng.sample(range(LINES_PER_PAGE), min(lines_per_visit, LINES_PER_PAGE))
+            lines = rng.sample_below(LINES_PER_PAGE, visit)
             yield _flurry_block(
                 page_index, 1, write_fraction, instructions, rng, lines=lines
             )

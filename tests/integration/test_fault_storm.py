@@ -13,7 +13,6 @@ The acceptance bar for the fault-injection subsystem (docs/FAULTS.md):
 import dataclasses
 import json
 import warnings
-from pathlib import Path
 
 import pytest
 

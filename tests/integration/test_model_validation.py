@@ -8,8 +8,6 @@ rather than silently skewed figures.
 
 import dataclasses
 
-import pytest
-
 from repro.baselines.static import all_dram_config, all_nvm_config
 from repro.common.addr import LINES_PER_PAGE
 from repro.common.config import (

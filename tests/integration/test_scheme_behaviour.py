@@ -3,8 +3,6 @@
 import dataclasses
 import functools
 
-import pytest
-
 from repro.sim.system import build_system
 from repro.workloads import workload_by_name
 

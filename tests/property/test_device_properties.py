@@ -90,3 +90,49 @@ class TestDeviceInvariants:
             uncontended = fast.access(now, line, is_write, bulk)
             contended = slow.access(now, line, is_write, bulk)
             assert contended.finish >= uncontended.finish
+
+
+#: Line accesses and page transfers, demand and bulk, at request times
+#: that may step back (per-core clocks are not globally monotone).
+_device_calls = st.lists(
+    st.one_of(
+        st.tuples(
+            st.just("line"), st.integers(-300, 500), st.integers(0, 4095),
+            st.booleans(), st.booleans(),
+        ),
+        st.tuples(
+            st.just("page"), st.integers(-300, 500), st.integers(0, 4095),
+            st.integers(1, 64), st.booleans(), st.booleans(),
+        ),
+    ),
+    max_size=120,
+)
+
+
+class TestGrantWatermarks:
+    """``any_until >= demand_until`` on every bank and bus after every call.
+
+    The demand grants of ``access_finish`` and ``transfer_page`` split on
+    ``any_until`` alone, which gives ``max(now, demand_until,
+    min(any_until, now + cap))`` only while this holds.
+    """
+
+    @given(calls=_device_calls, nvm=st.booleans())
+    @settings(max_examples=200, deadline=None)
+    def test_any_until_never_below_demand_until(self, calls, nvm):
+        timing = nvm_timing_table1 if nvm else dram_timing_table1
+        device = MemoryDevice(timing(4 * 2**20), StatsRegistry())
+        now = 0
+        for call in calls:
+            now = max(0, now + call[1])
+            if call[0] == "line":
+                _, _, line, is_write, bulk = call
+                device.access_finish(now, line, is_write, bulk)
+            else:
+                _, _, first_line, count, is_write, bulk = call
+                device.transfer_page(now, first_line, count, is_write, bulk)
+            for any_until, demand_until in (
+                *zip(device._bank_any_until, device._bank_demand_until),
+                *zip(device._bus_any_until, device._bus_demand_until),
+            ):
+                assert any_until >= demand_until

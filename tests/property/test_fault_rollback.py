@@ -17,7 +17,7 @@ from repro.common.config import (
     dram_timing_table1,
     nvm_timing_table1,
 )
-from repro.common.errors import TransientFaultError, UnrecoverableFaultError
+from repro.common.errors import UnrecoverableFaultError
 from repro.common.stats import StatsRegistry
 from repro.core.hpt import HotPageTable
 from repro.core.prt import PageRemapTable

@@ -9,6 +9,9 @@ After every step the index must equal its definition and the two tables
 must agree: counters in table order, swap-threshold signals, and every
 ``on_event`` call, evictions included.  ``counter_max`` 1 covers the
 touch that leaves a page at count 1 and moves it to the end.
+``next_decay``, the time the next halving falls due, must equal
+``_last_decay`` plus the interval after every step, and a table with no
+page at count 1 must evict the strict scan's victim.
 """
 
 import functools
@@ -20,6 +23,7 @@ from repro.core.hpt import HotPageTable
 from tests.property.test_walk_path_differential import (
     count_one_pages,
     reference_evict_coldest,
+    set_counters,
 )
 
 INTERVAL = 1000
@@ -72,3 +76,31 @@ def test_index_is_the_count_one_pages_and_evictions_match_the_scan(
         assert list(hpt._ones) == count_one_pages(hpt)
         assert list(hpt._counters.items()) == list(reference._counters.items())
         assert events == reference_events
+        assert hpt.next_decay == hpt._last_decay + INTERVAL
+
+
+def test_no_decay_never_falls_due():
+    hpt = HotPageTable(4, 63, 0, swap_threshold=3)
+    assert hpt.next_decay == float("inf")
+    hpt.record_miss(10**12, 1)
+    assert hpt.next_decay == float("inf")
+    assert hpt.epoch == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(counts=st.lists(st.integers(2, 63), min_size=1, max_size=16))
+def test_table_without_count_one_pages_evicts_the_scans_victim(counts):
+    """Every count at least 2: the index is empty and the victim is the
+    first page in table order at the minimum count."""
+    pages = list(range(100, 100 + len(counts)))
+    events, reference_events = [], []
+    hpt = _table(16, 63, events)
+    reference = _table(16, 63, reference_events)
+    set_counters(hpt, zip(pages, counts))
+    set_counters(reference, zip(pages, counts))
+    assert not hpt._ones
+    hpt._evict_coldest()
+    reference_evict_coldest(reference)
+    assert list(hpt._counters.items()) == list(reference._counters.items())
+    victim = pages[counts.index(min(counts))]
+    assert events == reference_events == [("evict", victim)]

@@ -1,6 +1,5 @@
 """Symbol table: module naming, import resolution, base-class walking."""
 
-from repro.lint.program.model import build_program_model
 from repro.lint.program.symbols import module_name_for
 
 from tests.unit.lint_program.helpers import write_project

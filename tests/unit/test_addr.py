@@ -1,7 +1,5 @@
 """Unit tests for address arithmetic (repro.common.addr)."""
 
-import pytest
-
 from repro.common import addr
 
 

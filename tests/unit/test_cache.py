@@ -1,7 +1,5 @@
 """Unit tests for the set-associative cache (repro.cache.cache)."""
 
-import pytest
-
 from repro.common.config import CacheConfig
 from repro.cache.cache import SetAssociativeCache
 

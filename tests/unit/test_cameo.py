@@ -2,8 +2,6 @@
 
 import dataclasses
 
-import pytest
-
 from repro.common.config import FaultConfig, default_system_config
 from repro.common.stats import StatsRegistry
 from repro.baselines.cameo import CameoHmc

@@ -6,6 +6,7 @@ from repro.check import (
     CheckManager,
     PrtBijectivityChecker,
     ShadowPageOracle,
+    SlotMapChecker,
     StatsSanityChecker,
     Violation,
     build_checkers,
@@ -96,6 +97,68 @@ class TestAttachment:
         assert "prt-bijectivity" not in pom
         assert "frame-exclusivity" in pageseer and "frame-exclusivity" in pom
         assert "stats-sanity" in pageseer and "stats-sanity" in pom
+        assert "slot-map" in pom and "slot-map" not in pageseer
+        for scheme in ("mempod", "cameo"):
+            names = {c.name for c in build_checkers(checked_system(scheme))}
+            assert "slot-map" in names
+        noswap = {c.name for c in build_checkers(checked_system("noswap"))}
+        assert "slot-map" not in noswap
+
+
+class TestSlotMap:
+    @staticmethod
+    def _swapped_system(scheme):
+        system = build_system(scheme, workload_by_name("streamx4"), scale=1024)
+        system.run_ops(2000)
+        return system
+
+    @pytest.mark.parametrize("scheme", ["pom", "mempod", "cameo"])
+    def test_clean_after_real_run(self, scheme):
+        system = self._swapped_system(scheme)
+        maps = system.hmc._pods if scheme == "mempod" else [system.hmc._slots]
+        assert any(slot_map._slot_of for slot_map in maps)
+        assert SlotMapChecker().check(system, system_now(system)) == []
+
+    def test_missing_reverse_entry_flagged(self):
+        system = self._swapped_system("pom")
+        slots = system.hmc._slots
+        slot = next(iter(slots._member_in))
+        member = slots._member_in.pop(slot)
+        violations = SlotMapChecker().check(system, system_now(system))
+        assert any("entries" in v.message for v in violations)
+        assert any(v.page == member and "no inverse" in v.message
+                   for v in violations)
+
+    def test_identity_and_out_of_space_entries_flagged(self):
+        system = self._swapped_system("cameo")
+        slots = system.hmc._slots
+        space = system.hmc.total_lines
+        slots._slot_of[5] = 5
+        slots._member_in[5] = 5
+        slots._slot_of[space] = 7
+        slots._member_in[7] = space
+        messages = [
+            v.message
+            for v in SlotMapChecker().check(system, system_now(system))
+        ]
+        assert any("identity member entry 5 -> 5" in m for m in messages)
+        assert any("identity slot entry 5 -> 5" in m for m in messages)
+        assert any("outside the slot space" in m for m in messages)
+
+    def test_mempod_entry_of_another_pod_flagged(self):
+        system = self._swapped_system("mempod")
+        hmc = system.hmc
+        first, second = hmc._pods[0], hmc._pods[-1]
+        assert first is not second
+        stranger = second.fast_slots[0]
+        home = first.fast_slots[0]
+        first._slot_of[stranger] = home
+        first._member_in[home] = stranger
+        violations = SlotMapChecker().check(system, system_now(system))
+        assert any(
+            v.page == stranger and "another pod" in v.message
+            for v in violations
+        )
 
 
 class TestPrtBijectivity:

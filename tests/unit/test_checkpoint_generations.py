@@ -47,9 +47,10 @@ def _as_older_version(path, version=1):
     A v1 checkpoint written where numpy was installed pickles ndarray
     state this build cannot rebuild, a v2 payload names line routers
     this build no longer has, a v3 payload holds HPTs without their
-    count-1 index, and a v4 payload holds the baselines' remap maps
-    outside ``SlotMap`` objects; here the version is the only thing
-    wrong with the file.
+    count-1 index, a v4 payload holds the baselines' remap maps
+    outside ``SlotMap`` objects, and a v5 payload holds HPTs without
+    ``next_decay`` and devices without their row stride; here the
+    version is the only thing wrong with the file.
     """
     rest = path.read_bytes()[len(MAGIC):]
     header_line, payload = rest.split(b"\n", 1)
@@ -399,6 +400,22 @@ class TestFormatVersionFour:
         system.run_ops(10)
         path = save_checkpoint(system, tmp_path / LATEST_NAME)
         _as_older_version(path, 4)
+        with pytest.raises(CorruptCheckpointError) as excinfo:
+            load_checkpoint(path)
+        assert excinfo.value.check == "version"
+        assert verify_checkpoint(path) == ("corrupt", "failed check: version")
+
+
+class TestFormatVersionFive:
+    """Version 5 files — whose payloads hold Hot Page Tables without
+    ``next_decay`` and memory devices without ``_row_stride`` — fail the
+    version check too, before anything is unpickled."""
+
+    def test_load_fails_the_version_check(self, tmp_path):
+        system = _tiny_system()
+        system.run_ops(10)
+        path = save_checkpoint(system, tmp_path / LATEST_NAME)
+        _as_older_version(path, 5)
         with pytest.raises(CorruptCheckpointError) as excinfo:
             load_checkpoint(path)
         assert excinfo.value.check == "version"

@@ -448,3 +448,100 @@ class TestTransferPageDifferential:
             assert a == b
         assert aborts > 10
         assert _device_state(closed) == _device_state(scalar)
+
+
+#: Where a resource's backlog sits relative to the time a demand request
+#: asks for it (``t``) and the preempt cap: ``(demand_until, any_until)``
+#: as functions of ``(t, cap)``.  Each case is one branch of the grant's
+#: split on ``any_until``; ``any_until >= demand_until`` in all of them.
+_GRANT_CASES = {
+    "idle": lambda t, cap: (t - 40, t - 10),
+    "backlog_within_cap": lambda t, cap: (t - 10, t + cap // 2),
+    "backlog_beyond_cap": lambda t, cap: (t + cap // 2, t + 3 * cap),
+    "demand_beyond_cap": lambda t, cap: (t + 2 * cap, t + 3 * cap),
+}
+
+
+def _place_backlog(device, resource, case, t):
+    """Give channel 0's bank or bus the case's watermarks at time *t*."""
+    demand_until, any_until = _GRANT_CASES[case](t, device.preempt_cap_cycles)
+    bank = device.map_line(0)[1]
+    if resource == "bank":
+        device._bank_demand_until[bank] = demand_until
+        device._bank_any_until[bank] = any_until
+    else:
+        device._bus_demand_until[0] = demand_until
+        device._bus_any_until[0] = any_until
+    return demand_until, any_until
+
+
+def _expected_demand_finish(device, resource, case, now, data):
+    """The demand grant ``max(t, demand_until, min(any_until, t + cap))``
+    on the one busy resource, for a read of a closed row from line 0."""
+    cap = device.preempt_cap_cycles
+    core = device._lat_row_closed
+    if resource == "bank":
+        demand_until, any_until = _GRANT_CASES[case](now, cap)
+        start = max(now, demand_until, min(any_until, now + cap))
+        return start + core + data
+    data_ready = now + core
+    demand_until, any_until = _GRANT_CASES[case](data_ready, cap)
+    return max(data_ready, demand_until, min(any_until, data_ready + cap)) + data
+
+
+class TestDemandGrantCases:
+    """Each branch of the demand grant's case split, on bank and bus.
+
+    ``access_finish`` and ``transfer_page`` grant a demand request by
+    cases on ``any_until`` instead of evaluating ``max(t, demand_until,
+    min(any_until, t + cap))``.  Every case places one backlog on line
+    0's bank or on channel 0's bus, checks the finish time against that
+    formula, and checks the whole device state against the reference
+    (``access`` and the per-line walk, which book through
+    ``_reserve_bank``/``_reserve_bus``).
+    """
+
+    NOW = 1000
+
+    @pytest.mark.parametrize("resource", ["bank", "bus"])
+    @pytest.mark.parametrize("case", sorted(_GRANT_CASES))
+    def test_line_access(self, case, resource):
+        fast = make_device()
+        reference = make_device()
+        for device in (fast, reference):
+            t = self.NOW if resource == "bank" else self.NOW + device._lat_row_closed
+            _place_backlog(device, resource, case, t)
+        finish = fast.access_finish(self.NOW, 0, False)
+        result = reference.access(self.NOW, 0, False)
+        assert finish == result.finish == _expected_demand_finish(
+            fast, resource, case, self.NOW, fast._burst
+        )
+        assert _device_state(fast) == _device_state(reference)
+        assert all(
+            any_until >= demand_until
+            for any_until, demand_until in (
+                *zip(fast._bank_any_until, fast._bank_demand_until),
+                *zip(fast._bus_any_until, fast._bus_demand_until),
+            )
+        )
+
+    @pytest.mark.parametrize("resource", ["bank", "bus"])
+    @pytest.mark.parametrize("case", sorted(_GRANT_CASES))
+    def test_page_transfer(self, case, resource):
+        closed = make_device()
+        scalar = make_device()
+        for device in (closed, scalar):
+            t = self.NOW if resource == "bank" else self.NOW + device._lat_row_closed
+            _place_backlog(device, resource, case, t)
+        # Line 0's row group: channel 0's lines of the page in its row.
+        channels = closed.config.channels
+        group = sum(
+            1 for line in range(0, 64, channels)
+            if closed.map_line(line) == closed.map_line(0)
+        )
+        finish = closed.transfer_page(self.NOW, 0, 64, False)
+        assert finish == _per_line_transfer(scalar, self.NOW, 0, 64, False, False)
+        assert finish == _expected_demand_finish(
+            closed, resource, case, self.NOW, group * closed._burst
+        )
+        assert _device_state(closed) == _device_state(scalar)

@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from repro.common.config import default_system_config
 from repro.common.stats import StatsRegistry
 from repro.cache.hierarchy import CacheHierarchy

@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from repro.common.addr import PAGE_SHIFT
 from repro.vm.page_table import ENTRY_BYTES, PageTable
 

@@ -1,7 +1,5 @@
 """Unit tests for the assembled PageSeer controller (repro.core.hmc)."""
 
-import pytest
-
 from repro.common.addr import LINES_PER_PAGE
 from repro.common.config import default_system_config
 from repro.common.stats import StatsRegistry
@@ -99,6 +97,35 @@ class TestHptSwaps:
         for k in range(config.pageseer.hpt_swap_threshold + 2):
             now = hmc.handle_request(now + 1, line + k, False, pid=1)
         assert stats.get("hmc/positive_accesses") > 0
+
+
+class TestHptDecay:
+    """``handle_request`` halves both HPTs once a request's time reaches
+    their ``next_decay``, and not before."""
+
+    INTERVAL = 10_000
+
+    def _dram_page_hits(self, times):
+        hmc, _, _ = make_hmc(hpt_decay_interval_cycles=self.INTERVAL)
+        page = hmc.dram_pages - 1
+        for now in times:
+            hmc.handle_request(now, page * LINES_PER_PAGE, False, pid=1)
+        return hmc, page
+
+    def test_no_halving_before_next_decay(self):
+        hmc, page = self._dram_page_hits([0, 100, 200, self.INTERVAL // 2])
+        for hpt in (hmc.dram_hpt, hmc.nvm_hpt):
+            assert hpt.epoch == 0
+            assert hpt.next_decay == self.INTERVAL
+        assert hmc.dram_hpt.count_of(page) == 4
+
+    def test_request_past_next_decay_halves_both_tables(self):
+        hmc, page = self._dram_page_hits([0, 100, 200, 300, 5 * self.INTERVAL // 2])
+        for hpt in (hmc.dram_hpt, hmc.nvm_hpt):
+            assert hpt.epoch == 2
+            assert hpt.next_decay == 3 * self.INTERVAL
+        # 4 misses quartered by two halvings, then the late request's own.
+        assert hmc.dram_hpt.count_of(page) == 2
 
 
 class TestMmuHints:

@@ -1,7 +1,5 @@
 """Unit tests for the SILC-FM partial-swap extension (Section VI)."""
 
-import pytest
-
 from repro.common.addr import LINES_PER_PAGE
 from repro.core.pct import PctEntry
 

@@ -15,7 +15,6 @@ from repro import persist
 from repro.common.errors import (
     ConfigError,
     CorruptPayloadError,
-    PersistError,
     PersistWriteError,
 )
 from repro.faults.storage import (

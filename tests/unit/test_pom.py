@@ -1,12 +1,8 @@
 """Unit tests for the PoM baseline (repro.baselines.pom)."""
 
-import pytest
-
-from repro.common.addr import LINES_PER_PAGE
 from repro.common.config import default_system_config
 from repro.common.stats import StatsRegistry
 from repro.baselines.pom import PomHmc
-from repro.sim.hmc_base import RequestKind
 from repro.vm.os_model import OsModel
 
 

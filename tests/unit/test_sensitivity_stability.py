@@ -3,7 +3,6 @@
 import pytest
 
 from repro.experiments import sensitivity, stability
-from repro.experiments.figures import FigureResult
 from repro.experiments.runner import VARIANTS
 from repro.common.config import default_system_config
 

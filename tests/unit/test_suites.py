@@ -8,7 +8,6 @@ from repro.workloads import all_workloads, footprint_pages_for, workload_by_name
 from repro.workloads.base import MIN_FOOTPRINT_PAGES
 from repro.workloads.suites import (
     BENCHMARKS,
-    INSTANCE_COUNTS,
     MIX_DEFINITIONS,
     MIX_WORKLOADS,
     UNIQUE_WORKLOADS,

@@ -1,7 +1,5 @@
 """Unit tests for the Swap Driver (repro.core.swap_driver)."""
 
-import pytest
-
 from repro.common.config import (
     HybridMemoryConfig,
     PageSeerConfig,

@@ -1,7 +1,5 @@
 """Unit tests for the TLB (repro.vm.tlb)."""
 
-import pytest
-
 from repro.common.config import TlbConfig
 from repro.vm.tlb import Tlb
 

@@ -2,8 +2,6 @@
 
 import itertools
 
-import pytest
-
 from repro.common.addr import line_of
 from repro.common.config import default_system_config
 from repro.common.stats import StatsRegistry

@@ -4,7 +4,7 @@ import itertools
 
 import pytest
 
-from repro.common.addr import LINES_PER_PAGE, PAGE_BYTES, page_of
+from repro.common.addr import LINES_PER_PAGE, page_of
 from repro.common.rng import DeterministicRng
 from repro.workloads.chunks import ops_from_blocks
 from repro.workloads.synthetic import (
