@@ -11,8 +11,9 @@ For every swap, two intervals matter:
   do land mid-swap are absorbed by the swap buffers.
 
 The probe instruments a built :class:`repro.sim.system.System` (PageSeer
-scheme) before it runs, by wrapping the HMC's request path; it adds no
-behaviour, only observation.
+scheme) before it runs: it subscribes to the Swap Driver's committed
+swaps and wraps the HMC's request path.  It adds no behaviour, only
+observation.
 """
 
 from __future__ import annotations
@@ -84,14 +85,18 @@ class LeadTimeProbe:
         self._open_swaps: Dict[int, tuple] = {}
         #: (lead, start, end, first_hit) per swap that saw demand.
         self.observations: List[tuple] = []
-        self._records_seen = 0
+        driver = self.hmc.swap_driver
+        # Swaps committed before the probe attached count as observed.
+        self._swaps_seen = 0
+        for record in driver.records:
+            self._on_swap(record)
+        driver.listeners.append(self._on_swap)
         self._wrap()
 
     def _wrap(self) -> None:
         original = self.hmc.handle_request
 
         def wrapped(now, line_spa, is_write, pid, kind=None, **kwargs):
-            self._harvest_new_swaps()
             page = line_spa // LINES_PER_PAGE
             window = self._open_swaps.pop(page, None)
             if window is not None:
@@ -103,16 +108,12 @@ class LeadTimeProbe:
 
         self.hmc.handle_request = wrapped
 
-    def _harvest_new_swaps(self) -> None:
-        records = self.hmc.swap_driver.records
-        while self._records_seen < len(records):
-            record = records[self._records_seen]
-            self._open_swaps[record.page] = (record.start, record.end)
-            self._records_seen += 1
+    def _on_swap(self, record) -> None:
+        self._open_swaps[record.page] = (record.start, record.end)
+        self._swaps_seen += 1
 
     # -- results -----------------------------------------------------------
     def summary(self) -> LeadTimeSummary:
-        self._harvest_new_swaps()
         leads = [obs[0] for obs in self.observations]
         fully_hidden = sum(
             1 for _, start, end, first_hit in self.observations if first_hit >= end
@@ -122,7 +123,7 @@ class LeadTimeProbe:
             if start <= first_hit < end
         )
         return LeadTimeSummary(
-            swaps_observed=self._records_seen,
+            swaps_observed=self._swaps_seen,
             swaps_with_demand=len(self.observations),
             mean_lead=statistics.mean(leads) if leads else 0.0,
             median_lead=statistics.median(leads) if leads else 0.0,

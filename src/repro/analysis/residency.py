@@ -45,7 +45,12 @@ class ResidencySummary:
 
 
 class ResidencyProbe:
-    """Observes swap-ins/outs and per-page demand hits on a PageSeer system."""
+    """Observes swap-ins/outs and per-page demand hits on a PageSeer system.
+
+    Each committed swap (a Swap Driver listener) closes its occupant's
+    residency and opens its page's; a wrapper on the HMC's request path
+    counts the demand hits.
+    """
 
     def __init__(self, system):
         if system.scheme != "pageseer":
@@ -60,25 +65,7 @@ class ResidencyProbe:
         self._wrap()
 
     def _wrap(self) -> None:
-        driver = self.hmc.swap_driver
-        original_in = driver._on_swap_in
-        original_out = driver._on_swap_out
-
-        def on_in(page, trigger, now):
-            self._live[page] = [now, 0]
-            if original_in is not None:
-                original_in(page, trigger, now)
-
-        def on_out(page, now):
-            state = self._live.pop(page, None)
-            if state is not None:
-                self.completed.append((now - state[0], state[1]))
-            if original_out is not None:
-                original_out(page, now)
-
-        driver._on_swap_in = on_in
-        driver._on_swap_out = on_out
-
+        self.hmc.swap_driver.listeners.append(self._on_swap)
         original_request = self.hmc.handle_request
 
         def wrapped(now, line_spa, is_write, pid, kind=None, **kwargs):
@@ -91,6 +78,14 @@ class ResidencyProbe:
             return original_request(now, line_spa, is_write, pid, kind, **kwargs)
 
         self.hmc.handle_request = wrapped
+
+    def _on_swap(self, record) -> None:
+        """Close the occupant's residency and open the page's."""
+        if record.occupant is not None:
+            state = self._live.pop(record.occupant, None)
+            if state is not None:
+                self.completed.append((record.start - state[0], state[1]))
+        self._live[record.page] = [record.start, 0]
 
     def summary(self) -> ResidencySummary:
         durations = [d for d, _ in self.completed]

@@ -96,7 +96,9 @@ class MemPodHmc(SegmentHmc):
         self.mp = mp
 
         pods = max(1, mp.pods)
-        fast_per_pod = max(1, self.fast_segments // pods)
+        #: Fast segments per pod: pod i owns the fast slots from
+        #: ``i * _fast_per_pod``, and the last pod takes the remainder.
+        self._fast_per_pod = fast_per_pod = max(1, self.fast_segments // pods)
         self._pods: List[_Pod] = []
         for index in range(pods):
             first = index * fast_per_pod
@@ -117,7 +119,7 @@ class MemPodHmc(SegmentHmc):
     def pod_of(self, segment: int) -> _Pod:
         pods = len(self._pods)
         if segment < self.fast_segments:
-            index = min(segment * pods // max(1, self.fast_segments), pods - 1)
+            index = min(segment // self._fast_per_pod, pods - 1)
         else:
             slow_index = segment - self.fast_segments
             index = min(slow_index * pods // max(1, self.slow_segments), pods - 1)

@@ -34,6 +34,7 @@ rest on:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
@@ -251,30 +252,13 @@ class CounterMonotonicityChecker(InvariantChecker):
         self._previous: Dict[str, Tuple[int, Dict[int, int]]] = {}
         #: Pages whose entry left a table since the previous sweep.
         self._departed: Dict[str, set] = {"dram-hpt": set(), "nvm-hpt": set()}
-        self._hmc = system.hmc
-        self.snapshot_reattach()
+        hmc = system.hmc
+        hmc.dram_hpt.on_event = functools.partial(self._on_departure, "dram-hpt")
+        hmc.nvm_hpt.on_event = functools.partial(self._on_departure, "nvm-hpt")
 
-    def snapshot_detach(self) -> None:
-        """Drop the HPT listeners (closures) for a pickle window."""
-        self._hmc.dram_hpt.on_event = None
-        self._hmc.nvm_hpt.on_event = None
-
-    def snapshot_reattach(self) -> None:
-        """(Re)install the HPT evict/remove listeners."""
-        for label, hpt in (
-            ("dram-hpt", self._hmc.dram_hpt),
-            ("nvm-hpt", self._hmc.nvm_hpt),
-        ):
-            hpt.on_event = self._make_listener(label)
-
-    def _make_listener(self, label: str):
-        departed = self._departed[label]
-
-        def on_event(kind: str, value: int) -> None:
-            if kind in ("evict", "remove"):
-                departed.add(value)
-
-        return on_event
+    def _on_departure(self, label: str, kind: str, page: int) -> None:
+        """An HPT's evict/remove event: *page* left table *label*."""
+        self._departed[label].add(page)
 
     def check(self, system, now: int) -> List[Violation]:
         hmc = system.hmc

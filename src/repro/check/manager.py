@@ -8,16 +8,20 @@ pin down).
 
 When enabled, the manager
 
-* wraps ``hmc.handle_request`` with an observer that counts requests,
-  cross-checks each accessed page against the shadow oracle (level
-  ``full``), and runs a structural invariant sweep every
-  ``interval_ops`` requests;
-* subscribes to the PRT's install/remove events and the Swap Driver's
-  swap events, so event-count conservation and the oracle's replay are
-  driven by the model's own mutation stream;
+* installs a :class:`CheckedRequests` entry as the controller instance's
+  ``handle_request``: it counts requests, cross-checks each accessed
+  page against the shadow oracle (level ``full``), and runs a
+  structural invariant sweep every ``interval_ops`` requests;
+* subscribes to the Swap Driver's committed swaps, so event-count
+  conservation and the oracle's replay are driven by the model's own
+  mutation stream;
 * raises :class:`repro.common.errors.CheckViolationError` on the first
   violation (``fail_fast``), or collects violations and raises once at
   :meth:`finalize`.
+
+Every hook it installs is plain data (a ``__slots__`` object, bound
+methods, :func:`functools.partial`), so a checked system checkpoints
+and restores with its sanitizer attached.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from repro.common.config import CheckConfig
 from repro.common.errors import CheckViolationError
 from repro.check.invariants import InvariantChecker, Violation, build_checkers
 from repro.check.shadow import ShadowPageOracle
+from repro.sim.hmc_base import DEMAND
 
 
 @dataclass
@@ -49,6 +54,41 @@ class CheckReport:
         return not self.violations
 
 
+class CheckedRequests:
+    """A checked controller's ``handle_request``, installed on the instance.
+
+    Holds the manager and the controller class's own ``handle_request``
+    function, which it calls with the controller.  A module-level
+    ``__slots__`` object rather than a closure, so a checkpoint pickles
+    it in place and a restored system resumes with its sanitizer
+    attached.
+    """
+
+    __slots__ = ("manager", "handle_request")
+
+    def __init__(self, manager: "CheckManager", handle_request) -> None:
+        self.manager = manager
+        self.handle_request = handle_request
+
+    def __call__(self, now, line_spa, is_write, pid, kind=DEMAND):
+        manager = self.manager
+        hmc = manager.system.hmc
+        shadow = manager.shadow
+        manager.accesses += 1
+        if shadow is not None:
+            violation = shadow.verify_access(hmc.prt, line_spa // LINES_PER_PAGE)
+            if violation is not None:
+                manager._handle([violation])
+        if manager.accesses % manager.config.interval_ops == 0:
+            manager.run_invariants(now)
+        finish = self.handle_request(hmc, now, line_spa, is_write, pid, kind)
+        if shadow is not None and shadow.event_violations:
+            drained = list(shadow.event_violations)
+            shadow.event_violations.clear()
+            manager._handle(drained)
+        return finish
+
+
 class CheckManager:
     """Owns the checkers and the shadow oracle for one system."""
 
@@ -57,6 +97,8 @@ class CheckManager:
         self.checkers: List[InvariantChecker] = []
         self.shadow: Optional[ShadowPageOracle] = None
         self.system = None
+        #: The controller's request entry while attached.
+        self.requests: Optional[CheckedRequests] = None
         self.accesses = 0
         self.sweeps = 0
         self.violations: List[Violation] = []
@@ -66,75 +108,23 @@ class CheckManager:
 
     # -- wiring -------------------------------------------------------------
     def attach(self, system) -> None:
-        """Bind to *system*: build checkers, subscribe events, wrap the HMC."""
+        """Bind to *system*: build checkers, subscribe to swaps, wrap the HMC."""
         self.system = system
         self.checkers = build_checkers(system)
+        hmc = system.hmc
         if system.scheme == "pageseer":
-            hmc = system.hmc
-            hmc.prt.on_event = self._on_prt_event
+            listeners = hmc.swap_driver.listeners
+            listeners.append(self._on_swap)
             if self.config.shadow_enabled:
                 self.shadow = ShadowPageOracle(hmc.dram_pages, hmc.total_pages)
-                hmc.swap_driver.on_swap_event = self.shadow.on_swap
-        self._wrap_handle_request()
+                listeners.append(self.shadow.on_swap)
+        self.requests = CheckedRequests(self, type(hmc).handle_request)
+        hmc.handle_request = self.requests
 
-    def _wrap_handle_request(self) -> None:
-        from repro.sim.hmc_base import RequestKind
-
-        hmc = self.system.hmc
-        inner = hmc.handle_request
-        interval = self.config.interval_ops
-        shadow = self.shadow
-        prt = getattr(hmc, "prt", None)
-
-        def checked_handle_request(
-            now, line_spa, is_write, pid, kind=RequestKind.DEMAND
-        ):
-            self.accesses += 1
-            if shadow is not None:
-                violation = shadow.verify_access(prt, line_spa // LINES_PER_PAGE)
-                if violation is not None:
-                    self._handle([violation])
-            if self.accesses % interval == 0:
-                self.run_invariants(now)
-            finish = inner(now, line_spa, is_write, pid, kind)
-            if shadow is not None and shadow.event_violations:
-                drained = list(shadow.event_violations)
-                shadow.event_violations.clear()
-                self._handle(drained)
-            return finish
-
-        hmc.handle_request = checked_handle_request
-        self._inner_handle_request = inner
-
-    # -- checkpointing ------------------------------------------------------
-    def snapshot_detach(self) -> None:
-        """Strip the closures this manager installed, for a pickle window.
-
-        ``hmc.handle_request`` reverts to the wrapped inner callable (a
-        picklable bound method) and checkers drop their table listeners.
-        The PRT/swap-driver subscriptions are bound methods and pickle
-        as-is.  No simulation step may run while detached — the
-        checkpoint machinery guarantees that by detaching/reattaching
-        inside one ``save_checkpoint`` call.
-        """
-        self.system.hmc.handle_request = self._inner_handle_request
-        for checker in self.checkers:
-            detach = getattr(checker, "snapshot_detach", None)
-            if detach is not None:
-                detach()
-
-    def snapshot_reattach(self) -> None:
-        """Rebuild the closures after a pickle window or a restore."""
-        self._wrap_handle_request()
-        for checker in self.checkers:
-            reattach = getattr(checker, "snapshot_reattach", None)
-            if reattach is not None:
-                reattach()
-
-    def _on_prt_event(self, kind: str, nvm_ppn: int, dram_ppn: int) -> None:
-        if kind == "install":
-            self._prt_installs += 1
-        elif kind == "remove":
+    def _on_swap(self, record) -> None:
+        """A committed swap installs one PRT pair and removes its occupant's."""
+        self._prt_installs += 1
+        if record.occupant is not None:
             self._prt_removes += 1
 
     # -- checking -----------------------------------------------------------

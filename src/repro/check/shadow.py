@@ -1,9 +1,11 @@
 """The shadow functional reference model (the sanitizer's semantic half).
 
 A :class:`ShadowPageOracle` is a zero-timing, dict-based replica of the
-remap state: it replays the Swap Driver's swap events (and nothing else —
-in particular it never reads the PRT it is checking) and derives, for any
-physical page, the location its data must resolve to.  On every request
+remap state: it replays the Swap Driver's committed swaps, one
+:class:`repro.core.swap_driver.SwapRecord` each from the driver's
+listeners (and nothing else — in particular it never reads the PRT it
+is checking), and derives, for any physical page, the location its data
+must resolve to.  On every request
 the timed model handles, the sanitizer asks the oracle where the accessed
 page's data should live and compares that against the PRT's answer; at
 the end of the run the two remap maps are compared entry by entry.
@@ -38,14 +40,15 @@ class ShadowPageOracle:
         self.event_violations: List[Violation] = []
 
     # -- event replay -------------------------------------------------------
-    def on_swap(
-        self, now: int, page: int, frame: int, occupant: Optional[int], end: int
-    ) -> None:
-        """Replay one committed swap: *page* moves into *frame*.
+    def on_swap(self, record) -> None:
+        """Replay one committed swap: the record's page moves into its frame.
 
-        When *occupant* is not None, the optimized slow swap first sends
-        the frame's previous tenant home (Figure 5).
+        When the record names an occupant, the optimized slow swap first
+        sends the frame's previous tenant home (Figure 5).
         """
+        page = record.page
+        frame = record.dram_frame
+        occupant = record.occupant
         self.swaps_replayed += 1
         if occupant is not None:
             expected_frame = self._nvm_to_dram.pop(occupant, None)

@@ -499,8 +499,6 @@ class SystemConfig:
     pageseer: PageSeerConfig = field(default_factory=PageSeerConfig)
     pom: PomConfig = field(default_factory=PomConfig)
     mempod: MemPodConfig = field(default_factory=MemPodConfig)
-    #: When False, channel/bank contention is ignored (Section V-A mode).
-    model_contention: bool = True
     seed: int = 0
     #: Runtime sanitizer configuration (``repro.check``).
     check: CheckConfig = field(default_factory=CheckConfig)
@@ -562,10 +560,10 @@ class SystemConfig:
 
 
 def default_system_config(
-    scale: int = 64, cores: int = 4, seed: int = 0, model_contention: bool = True
+    scale: int = 64, cores: int = 4, seed: int = 0
 ) -> SystemConfig:
     """Return the Table I system, optionally scaled down by *scale*."""
-    config = SystemConfig(cores=cores, seed=seed, model_contention=model_contention)
+    config = SystemConfig(cores=cores, seed=seed)
     if scale != 1:
         config = config.scaled(scale)
-    return replace(config, seed=seed, model_contention=model_contention)
+    return replace(config, seed=seed)

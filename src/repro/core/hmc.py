@@ -28,6 +28,7 @@ from repro.core.pct import (
 from repro.core.prt import PageRemapTable, PrtCache
 from repro.core.swap_driver import (
     SwapDriver,
+    SwapRecord,
     TRIGGER_MMU,
     TRIGGER_PCT,
     TRIGGER_REGULAR,
@@ -68,8 +69,6 @@ class PageSeerHmc(HmcBase):
             swap_threshold=ps.hpt_swap_threshold,
         )
         self.buffers = SwapBufferPool(ps.swap_buffers, stats)
-        #: Pages frozen while a DMA transfer runs (Section III-E).
-        self._frozen_pages: set = set()
         self.swap_driver = SwapDriver(
             ps,
             self.memory,
@@ -77,15 +76,11 @@ class PageSeerHmc(HmcBase):
             self.dram_hpt,
             self.buffers,
             stats,
-            is_protected_frame=os_model.is_protected_frame,
-            on_swap_in=self._on_swap_in,
-            on_swap_out=self._on_swap_out,
-            is_frozen=self._frozen_pages.__contains__,
-            hot_lines=self._hot_lines_of,
+            os_model,
             faults=config.faults if config.faults.enabled else None,
             injector=self.fault_injector,
-            is_quarantined=os_model.is_quarantined,
         )
+        self.swap_driver.listeners.append(self._on_swap)
         if self.fault_recovery is not None:
             self.fault_recovery.on_uncorrectable = self._on_uncorrectable
         self.mmu_driver = MmuDriver(
@@ -103,9 +98,6 @@ class PageSeerHmc(HmcBase):
 
         #: Prefetch-swapped pages still resident in DRAM -> post-swap hits.
         self._prefetch_live: Dict[int, int] = {}
-        #: Observed per-page line-usage bitmaps (the SILC-FM extension's
-        #: input); only maintained when partial swaps are enabled.
-        self._line_usage: Dict[int, int] = {}
 
         # Hot-path invariants hoisted out of handle_request/_observe_miss
         # (the config dataclasses are frozen, so these cannot drift).
@@ -167,16 +159,15 @@ class PageSeerHmc(HmcBase):
             prtc_resident[colour] = None
 
         line_offset = line_spa % LINES_PER_PAGE
+        swap_driver = self.swap_driver
         if self._partial_swaps:
-            self._line_usage[page] = self._line_usage.get(page, 0) | (
-                1 << line_offset
-            )
+            line_usage = swap_driver.line_usage
+            line_usage[page] = line_usage.get(page, 0) | (1 << line_offset)
 
         # Swap Driver look-up: in-flight pages are served from the buffers.
         # With no swap in flight only the purge clock needs touching
         # (SwapDriver._purge's first statement); the full probe runs
         # whenever any in-flight state could have expired.
-        swap_driver = self.swap_driver
         if swap_driver._active or swap_driver._in_flight_ends:
             buffered = swap_driver.service_if_swapping(t, page)
         else:
@@ -598,15 +589,15 @@ class PageSeerHmc(HmcBase):
             self.stats.add("faults/rescue_failures")
 
     # -- prefetch-accuracy bookkeeping (Figure 9) --------------------------------------
-    def _on_swap_in(self, page: int, trigger: str, now: int) -> None:
-        if trigger in (TRIGGER_MMU, TRIGGER_PCT):
-            self._prefetch_live[page] = 0
+    def _on_swap(self, record: SwapRecord) -> None:
+        """A committed swap: close the occupant's prefetch, open the page's."""
+        if record.occupant is not None:
+            hits = self._prefetch_live.pop(record.occupant, None)
+            if hits is not None:
+                self._close_accuracy(hits)
+        if record.trigger in (TRIGGER_MMU, TRIGGER_PCT):
+            self._prefetch_live[record.page] = 0
             self.stats.add("hmc/prefetch_swaps")
-
-    def _on_swap_out(self, page: int, now: int) -> None:
-        hits = self._prefetch_live.pop(page, None)
-        if hits is not None:
-            self._close_accuracy(hits)
 
     def _close_accuracy(self, hits: int) -> None:
         if hits >= self.ps.pct_prefetch_threshold:
@@ -615,10 +606,6 @@ class PageSeerHmc(HmcBase):
             self.stats.add("hmc/prefetch_swaps_inaccurate")
 
     # -- the SILC-FM partial-swap extension (Section VI) --------------------------------
-    def _hot_lines_of(self, page: int) -> int:
-        """The observed line-usage bitmap for *page* (0 = unknown)."""
-        return self._line_usage.get(page, 0)
-
     def _migrate_residue_line(
         self, now: int, page: int, line_offset: int, is_write: bool
     ) -> int:
@@ -652,7 +639,7 @@ class PageSeerHmc(HmcBase):
         end = self.swap_driver.swap_end_for(now, page_spa)
         if end is not None:
             ready = max(ready, end)
-        self._frozen_pages.add(page_spa)
+        self.swap_driver.frozen.add(page_spa)
         self.stats.add("hmc/dma_freezes")
         return ready
 
@@ -662,10 +649,10 @@ class PageSeerHmc(HmcBase):
         Its HMC state is left untouched — as the paper notes, the history
         simply evolves with the new page's miss pattern.
         """
-        self._frozen_pages.discard(page_spa)
+        self.swap_driver.frozen.discard(page_spa)
 
     def is_frozen(self, page_spa: int) -> bool:
-        return page_spa in self._frozen_pages
+        return page_spa in self.swap_driver.frozen
 
     def finalize(self, now: int) -> None:
         for entry in self.filter.drain():

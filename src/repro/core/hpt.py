@@ -54,10 +54,9 @@ class HotPageTable:
         self.reads = 0
         self.writes = 0
         #: Optional check-event sink (``repro.check``): called as
-        #: ``on_event(kind, value)`` with ``("decay", epoch)`` after each
-        #: halving pass, and ``("evict", page)`` / ``("remove", page)``
-        #: when an entry leaves the table — the sanitizer needs these to
-        #: tell a legitimate re-insertion from a corrupted counter.
+        #: ``on_event("evict", page)`` / ``on_event("remove", page)`` when
+        #: an entry leaves the table — the sanitizer needs these to tell
+        #: a legitimate re-insertion from a corrupted counter.
         self.on_event: Optional[Callable[[str, int], None]] = None
 
     @property
@@ -84,8 +83,6 @@ class HotPageTable:
             self._last_decay += self.decay_interval_cycles
             self.next_decay = self._last_decay + self.decay_interval_cycles
             self._halve_all()
-            if self.on_event is not None:
-                self.on_event("decay", self.epoch)
 
     def _halve_all(self) -> None:
         dead = []

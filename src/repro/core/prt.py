@@ -18,7 +18,7 @@ DRAM — the waiting time Figure 13 measures.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.common.errors import ConfigError, SimulationError
 
@@ -35,10 +35,6 @@ class PageRemapTable:
         self.num_colours = dram_pages // ways
         self._nvm_to_dram: Dict[int, int] = {}
         self._dram_to_nvm: Dict[int, int] = {}
-        #: Optional check-event sink (``repro.check``): called as
-        #: ``on_event(kind, nvm_ppn, dram_ppn)`` for "install"/"remove".
-        #: None in normal runs, so mutation costs one branch.
-        self.on_event: Optional[Callable[[str, int, int], None]] = None
 
     # -- geometry -----------------------------------------------------------
     def colour_of(self, ppn: int) -> int:
@@ -105,8 +101,6 @@ class PageRemapTable:
             raise SimulationError(f"dram frame {dram_ppn} already occupied")
         self._nvm_to_dram[nvm_ppn] = dram_ppn
         self._dram_to_nvm[dram_ppn] = nvm_ppn
-        if self.on_event is not None:
-            self.on_event("install", nvm_ppn, dram_ppn)
 
     def remove(self, nvm_ppn: int) -> int:
         """Undo the swap of *nvm_ppn*; returns the freed DRAM frame."""
@@ -114,8 +108,6 @@ class PageRemapTable:
         if frame is None:
             raise SimulationError(f"nvm page {nvm_ppn} is not swapped")
         del self._dram_to_nvm[frame]
-        if self.on_event is not None:
-            self.on_event("remove", nvm_ppn, frame)
         return frame
 
     def entries(self) -> List[Tuple[int, int]]:
@@ -129,8 +121,8 @@ class PageRemapTable:
     def _corrupt_for_test(self, nvm_ppn: int, dram_ppn: int) -> None:
         """TEST-ONLY: write a forward entry without its inverse.
 
-        Bypasses every validation and emits no check event, simulating a
-        silent PRT corruption (e.g. a lost update) that only the sanitizer
+        Bypasses every validation and the Swap Driver's commit, simulating
+        a silent PRT corruption (e.g. a lost update) that only the sanitizer
         can notice.  Never call this outside tests.
         """
         self._nvm_to_dram[nvm_ppn] = dram_ppn

@@ -16,7 +16,7 @@ writes through the buffers, instead of the naive slow swap's 4+4.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Set
 
 from repro.common.addr import LINES_PER_PAGE
 from repro.common.config import FaultConfig, PageSeerConfig
@@ -26,6 +26,7 @@ from repro.core.hpt import HotPageTable
 from repro.core.prt import PageRemapTable
 from repro.mem.main_memory import MainMemory
 from repro.mem.swap_buffer import SwapBufferPool
+from repro.vm.os_model import OsModel
 
 #: Swap trigger labels (Figure 10's categories, plus fault rescue).
 TRIGGER_MMU = "mmu"
@@ -50,7 +51,8 @@ _SWAP_KEYS = {
 
 @dataclass(frozen=True)
 class SwapRecord:
-    """One completed swap, for the evaluation figures."""
+    """One committed swap: the evaluation figures' record, and the event
+    :attr:`SwapDriver.listeners` receive."""
 
     page: int
     dram_frame: int
@@ -60,10 +62,17 @@ class SwapRecord:
     reads: int
     writes: int
     optimized_slow: bool
+    #: The NVM page the swap sent home from *dram_frame* (Figure 5's
+    #: optimized slow swap), or None when the frame held its home data.
+    occupant: Optional[int]
 
 
 class SwapDriver:
-    """Executes and arbitrates page swaps for PageSeer."""
+    """Executes and arbitrates page swaps for PageSeer.
+
+    Observers subscribe to :attr:`listeners`; each committed swap reaches
+    them once, as its :class:`SwapRecord`.
+    """
 
     def __init__(
         self,
@@ -73,14 +82,9 @@ class SwapDriver:
         dram_hpt: HotPageTable,
         buffers: SwapBufferPool,
         stats: StatsRegistry,
-        is_protected_frame: Callable[[int], bool],
-        on_swap_in: Optional[Callable[[int, str, int], None]] = None,
-        on_swap_out: Optional[Callable[[int, int], None]] = None,
-        is_frozen: Optional[Callable[[int], bool]] = None,
-        hot_lines: Optional[Callable[[int], int]] = None,
+        os_model: OsModel,
         faults: Optional[FaultConfig] = None,
         injector=None,
-        is_quarantined: Optional[Callable[[int], bool]] = None,
     ):
         self.config = config
         self.memory = memory
@@ -88,17 +92,22 @@ class SwapDriver:
         self.dram_hpt = dram_hpt
         self.buffers = buffers
         self.stats = stats
-        self._is_protected_frame = is_protected_frame
-        self._on_swap_in = on_swap_in
-        self._on_swap_out = on_swap_out
-        self._is_frozen = is_frozen or (lambda page: False)
-        self._hot_lines = hot_lines
+        #: Answers ``is_protected_frame`` (page tables and controller
+        #: metadata stay pinned) and ``is_quarantined`` (failed NVM pages
+        #: move only by :meth:`rescue_swap`).
+        self.os_model = os_model
         #: Fault recovery knobs + the injector to suppress during rescues;
         #: both None in normal runs (no injector means no FaultError can
         #: escape a transfer, so the except paths below are dead code then).
         self._faults = faults
         self._injector = injector
-        self._is_quarantined = is_quarantined or (lambda page: False)
+        #: Pages frozen while a DMA transfer runs (Section III-E): never
+        #: moved, and their frames never chosen as victims.
+        self.frozen: Set[int] = set()
+        #: Observed per-page line-usage bitmaps, the partial-swap
+        #: extension's input; the request path fills them only when
+        #: partial swaps are enabled.
+        self.line_usage: Dict[int, int] = {}
         #: SILC-FM extension: per swapped-in page, bitmask of lines whose
         #: data was NOT moved (it still lives at the page's home location
         #: and migrates lazily on first touch).
@@ -113,10 +122,10 @@ class SwapDriver:
         #: The latest time lazy cleanup ran (see :meth:`_purge`).
         self.last_purge_time = 0
         self.records: List[SwapRecord] = []
-        #: Optional check-event sink (``repro.check``): called as
-        #: ``on_swap_event(now, page_spa, frame, occupant, end)`` right
-        #: after a swap is committed to the PRT.  None in normal runs.
-        self.on_swap_event: Optional[Callable[[int, int, int, Optional[int], int], None]] = None
+        #: Called with each committed swap's record, after its stats are
+        #: recorded.  The commit is the only writer of the PRT, so these
+        #: calls are the one stream of remap changes.
+        self.listeners: List[Callable[[SwapRecord], None]] = []
 
     # -- servicing requests that hit a swap in progress ------------------------
     def _purge(self, now: int) -> None:
@@ -183,11 +192,11 @@ class SwapDriver:
         if page_spa in self._active:
             counters["swap_driver/declined_in_flight"] += 1.0
             return False
-        if self._is_frozen(page_spa):
+        if page_spa in self.frozen:
             # DMA in progress for this page (Section III-E): no swaps.
             counters["swap_driver/declined_frozen"] += 1.0
             return False
-        if self._is_quarantined(page_spa):
+        if self.os_model.is_quarantined(page_spa):
             # A failed NVM page: only rescue_swap may move it (with fault
             # injection suppressed); a regular swap would have to read it.
             counters["swap_driver/declined_quarantined"] += 1.0
@@ -225,7 +234,7 @@ class SwapDriver:
             return False
         if self.prt.dram_frame_holding(page_spa) is not None:
             return False
-        if page_spa in self._active or self._is_frozen(page_spa):
+        if page_spa in self._active or page_spa in self.frozen:
             return False
         if len(self._in_flight_ends) >= self.max_in_flight:
             return False
@@ -240,6 +249,8 @@ class SwapDriver:
     def _choose_victim_frame(self, now: int, page_spa: int) -> Optional[int]:
         """Pick a DRAM frame of the page's colour, honouring HPT locks."""
         colour = self.prt.colour_of(page_spa)
+        frozen = self.frozen
+        os_model = self.os_model
         best_frame = None
         best_key = None
         for frame in self.prt.dram_frames_of_colour(colour):
@@ -249,15 +260,15 @@ class SwapDriver:
             occupant_spa = occupant if occupant is not None else frame
             if self.dram_hpt.is_hot(occupant_spa):
                 continue
-            if self._is_frozen(occupant_spa) or self._is_frozen(frame):
+            if occupant_spa in frozen or frame in frozen:
                 continue
-            if occupant is None and self._is_protected_frame(frame):
+            if occupant is None and os_model.is_protected_frame(frame):
                 continue
             if occupant_spa in self._active:
                 continue
             # A rescued page is pinned in DRAM: evicting it would write its
             # data back to its quarantined (failed) home location.
-            if self._is_quarantined(occupant_spa):
+            if os_model.is_quarantined(occupant_spa):
                 continue
             # Prefer frames still holding (cold) home data, then the frame
             # whose last swap is oldest.
@@ -313,8 +324,6 @@ class SwapDriver:
         if occupant is not None:
             self.prt.remove(occupant)
             self.partial_residue.pop(occupant, None)
-            if self._on_swap_out is not None:
-                self._on_swap_out(occupant, start)
         if residue_mask:
             self.partial_residue[page_spa] = residue_mask
             self.stats.add("swap_driver/partial_swaps")
@@ -335,17 +344,16 @@ class SwapDriver:
             reads=reads,
             writes=writes,
             optimized_slow=optimized,
+            occupant=occupant,
         )
         self.records.append(record)
-        if self.on_swap_event is not None:
-            self.on_swap_event(start, page_spa, frame, occupant, end)
         self.stats.add("swap_driver/swaps")
         self.stats.add(_SWAP_KEYS[trigger])
         if optimized:
             self.stats.add("swap_driver/optimized_slow_swaps")
         self.stats.observe("swap_driver/swap_duration", end - start)
-        if self._on_swap_in is not None:
-            self._on_swap_in(page_spa, trigger, start)
+        for listener in self.listeners:
+            listener(record)
         return True
 
     def _incoming_line_budget(self, page_spa: int) -> tuple:
@@ -356,37 +364,32 @@ class SwapDriver:
         the rest are marked as residue and migrate lazily.
         """
         full_mask = (1 << LINES_PER_PAGE) - 1
-        if not self.config.partial_swaps_enabled or self._hot_lines is None:
+        if not self.config.partial_swaps_enabled:
             return LINES_PER_PAGE, 0
-        mask = self._hot_lines(page_spa) & full_mask
+        mask = self.line_usage.get(page_spa, 0) & full_mask
         hot = bin(mask).count("1")
         if hot == 0 or hot >= self.config.partial_swap_full_threshold:
             return LINES_PER_PAGE, 0
         return hot, full_mask & ~mask
 
-    def _partial_read(self, now: int, ppn: int, lines: int) -> int:
-        if lines >= LINES_PER_PAGE:
-            return self.memory.read_page(now, ppn)
-        return self.memory.transfer_segment(
-            now, ppn * LINES_PER_PAGE, lines, is_write=False
-        )
-
-    def _partial_write(self, now: int, ppn: int, lines: int) -> int:
-        if lines >= LINES_PER_PAGE:
-            return self.memory.write_page(now, ppn)
-        return self.memory.transfer_segment(
-            now, ppn * LINES_PER_PAGE, lines, is_write=True
-        )
-
     def _simple_swap(
         self, now: int, nvm_page: int, frame: int, incoming_lines: int
     ) -> tuple:
-        """Exchange an NVM page with a frame holding its home data: 2R+2W."""
-        read_dram = self.memory.read_page(now, frame)
-        read_nvm = self._partial_read(now, nvm_page, incoming_lines)
+        """Exchange an NVM page with a frame holding its home data: 2R+2W.
+
+        The incoming page moves only its *incoming_lines* (all 64 unless
+        a partial swap leaves residue).
+        """
+        memory = self.memory
+        read_dram = memory.read_page(now, frame)
+        read_nvm = memory.transfer_segment(
+            now, nvm_page * LINES_PER_PAGE, incoming_lines, False
+        )
         data_ready = max(read_dram, read_nvm)
-        write_nvm = self.memory.write_page(data_ready, nvm_page)
-        write_dram = self._partial_write(data_ready, frame, incoming_lines)
+        write_nvm = memory.write_page(data_ready, nvm_page)
+        write_dram = memory.transfer_segment(
+            data_ready, frame * LINES_PER_PAGE, incoming_lines, True
+        )
         return max(write_nvm, write_dram), 2, 2
 
     def _optimized_slow_swap(
@@ -400,12 +403,17 @@ class SwapDriver:
         home, *nvm_page*'s data is in *frame*, and *frame*'s home data is
         at *nvm_page*'s home.
         """
-        read_frame = self.memory.read_page(now, frame)          # occupant's data
-        read_occ_home = self.memory.read_page(now, occupant)    # frame's home data
-        read_new = self._partial_read(now, nvm_page, incoming_lines)
-        write_occ_home = self.memory.write_page(max(read_frame, read_occ_home), occupant)
-        write_frame = self._partial_write(max(read_frame, read_new), frame, incoming_lines)
-        write_new_home = self.memory.write_page(max(read_occ_home, read_new), nvm_page)
+        memory = self.memory
+        read_frame = memory.read_page(now, frame)          # occupant's data
+        read_occ_home = memory.read_page(now, occupant)    # frame's home data
+        read_new = memory.transfer_segment(
+            now, nvm_page * LINES_PER_PAGE, incoming_lines, False
+        )
+        write_occ_home = memory.write_page(max(read_frame, read_occ_home), occupant)
+        write_frame = memory.transfer_segment(
+            max(read_frame, read_new), frame * LINES_PER_PAGE, incoming_lines, True
+        )
+        write_new_home = memory.write_page(max(read_occ_home, read_new), nvm_page)
         return max(write_occ_home, write_frame, write_new_home), 3, 3
 
     # -- introspection ---------------------------------------------------------
@@ -416,18 +424,3 @@ class SwapDriver:
     @property
     def in_flight_count(self) -> int:
         return len(self._in_flight_ends)
-
-    @property
-    def total_swaps(self) -> int:
-        return len(self.records)
-
-    def swaps_by_trigger(self) -> Dict[str, int]:
-        counts: Dict[str, int] = {
-            TRIGGER_MMU: 0,
-            TRIGGER_PCT: 0,
-            TRIGGER_REGULAR: 0,
-            TRIGGER_RESCUE: 0,
-        }
-        for record in self.records:
-            counts[record.trigger] = counts.get(record.trigger, 0) + 1
-        return counts

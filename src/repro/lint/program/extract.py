@@ -67,11 +67,6 @@ _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
 #: trusts it and does not traverse into what it holds.
 _OWN_ENCODING_METHODS = frozenset({"__getstate__", "__reduce__", "__reduce_ex__"})
 
-#: The checkpoint writer calls ``snapshot_detach`` around every pickle, so
-#: a class defining it may keep process-local members on itself — but the
-#: objects it holds are still pickled, and still checked.
-_DETACH_METHOD = "snapshot_detach"
-
 _THREADING_PRIMITIVES = frozenset(
     {"Lock", "RLock", "Condition", "Semaphore", "BoundedSemaphore",
      "Event", "Barrier"}
@@ -600,7 +595,7 @@ class _Extractor:
         methods: Sequence[FunctionNode],
         class_facts: ClassFacts,
     ) -> None:
-        if class_facts.exempt or _DETACH_METHOD in class_facts.methods:
+        if class_facts.exempt:
             return
         inner = {
             id(method): _nested_function_names(method, self._walk(method))

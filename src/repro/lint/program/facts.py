@@ -24,14 +24,16 @@ from typing import Any, Dict, List, Optional, Tuple
 #: 3: OrderedDict-holding attrs + hot-kernel odict-probe events (SoA rule).
 #: 4: per-function raw persistent-write sites (RL105).
 #: 5: stats records written straight into the registry's dicts (RL101).
-#: 6: module-wide raw-write sites (RL105); ``snapshot_detach`` no longer
+#: 6: module-wide raw-write sites (RL105); a detach hook no longer
 #:    marks a class exempt; private class names and ``self.x[k] = C()``
 #:    make attribute edges (RL103); the OrderedDict facts are gone.
 #: 7: the SoA rule is gone, and with it the numpy array facts, the
 #:    hot-kernel numpy events and the per-function ``hot`` flag.
 #: 8: registry-dict writes record every key shape ``stats.add`` does,
 #:    literal-key tables included (RL101).
-FACTS_VERSION = 8
+#: 9: a detach hook no longer exempts a class's own assignments
+#:    (RL103): checkpoints detach nothing.
+FACTS_VERSION = 9
 
 #: An unresolved reference to a called/constructed symbol, e.g.
 #: ``("local", "Core")``, ``("self", "reset")``, or
@@ -226,8 +228,7 @@ class ClassFacts:
     methods: List[str] = field(default_factory=list)
     #: Why instances of other classes may be reachable through attributes.
     attr_edges: List[AttrEdge] = field(default_factory=list)
-    #: Snapshot-unsafe assignments (empty for safe classes and for
-    #: classes defining ``snapshot_detach``).
+    #: Snapshot-unsafe assignments (empty for safe and exempt classes).
     unsafe: List[UnsafeAssign] = field(default_factory=list)
     #: Owns its pickled encoding: defines __getstate__/__reduce__/
     #: __reduce_ex__ (RL103 does not look inside).

@@ -399,7 +399,7 @@ def _compute_reachability(model: ProgramModel, root_classes: Sequence[str]) -> N
     class may hold any subclass, so every project subclass of a reachable
     class is reachable too.  Classes owning their encoding (or with a
     registered codec) are reachable but not traversed, subclasses
-    included; ``snapshot_detach`` classes are traversed like any other.
+    included.
     """
     table = model.table
     roots = [

@@ -13,15 +13,11 @@ This rule checks every class **transitively reachable from ``System``**
 through attribute assignments, container population, class-table
 dispatch, factory-method returns, type annotations and subclassing, and
 flags each unsafe assignment with the chain that witnesses the class's
-reachability.  Escape hatches:
-
-* ``__getstate__`` / ``__reduce__`` / ``__reduce_ex__``, or a codec
-  registered with :func:`repro.snapshot.codec.register_codec`: the class
-  owns its encoding, and the traversal stops there;
-* ``snapshot_detach`` (paired with ``snapshot_reattach``; the checkpoint
-  writer calls it around every pickle): the class's *own* assignments
-  are exempt, but the objects it holds are still pickled, so the
-  traversal continues through them.
+reachability.  The one escape hatch is owning the encoding: a class
+defining ``__getstate__`` / ``__reduce__`` / ``__reduce_ex__``, or with
+a codec registered by :func:`repro.snapshot.codec.register_codec`, is
+trusted, and the traversal stops there.  Nothing is detached around a
+checkpoint, so every other reachable class pickles as it stands.
 
 When the program defines no root class the rule is silent — fixture
 projects opt in by defining a ``System``.

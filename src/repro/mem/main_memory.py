@@ -22,16 +22,11 @@ from repro.mem.device import MemoryDevice
 class MainMemory:
     """Owns the DRAM and NVM devices; routes page and segment transfers."""
 
-    def __init__(
-        self,
-        config: HybridMemoryConfig,
-        stats: StatsRegistry,
-        model_contention: bool = True,
-    ):
+    def __init__(self, config: HybridMemoryConfig, stats: StatsRegistry):
         self.config = config
         self.stats = stats
-        self.dram = MemoryDevice(config.dram, stats, model_contention)
-        self.nvm = MemoryDevice(config.nvm, stats, model_contention)
+        self.dram = MemoryDevice(config.dram, stats)
+        self.nvm = MemoryDevice(config.nvm, stats)
         self._dram_lines = config.dram_pages * LINES_PER_PAGE
 
     def attach_injector(self, injector) -> None:
@@ -53,7 +48,8 @@ class MainMemory:
     ) -> int:
         """Stream *line_count* lines starting at physical line *first_line*.
 
-        Used by the 2 KB-segment baselines (PoM, MemPod).
+        Used by the 2 KB-segment baselines (PoM, MemPod), and by
+        PageSeer's Swap Driver for the lines an incoming page moves.
         """
         return self._transfer(now, first_line, line_count, is_write, bulk)
 

@@ -54,7 +54,7 @@ class HmcBase:
         self.config = config
         self.os_model = os_model
         self.stats = stats
-        self.memory = MainMemory(config.memory, stats, config.model_contention)
+        self.memory = MainMemory(config.memory, stats)
         self.dram_pages = config.memory.dram_pages
         self.total_pages = config.memory.total_pages
         self._nvm_line_base = config.memory.dram_pages * LINES_PER_PAGE

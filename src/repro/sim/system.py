@@ -249,7 +249,6 @@ def build_system(
     workload: WorkloadSpec,
     scale: int = 256,
     seed: int = 0,
-    model_contention: bool = True,
     config_mutator: Optional[Callable[[SystemConfig], SystemConfig]] = None,
     check: Optional[CheckConfig] = None,
     faults: Optional[FaultConfig] = None,
@@ -267,10 +266,7 @@ def build_system(
     from repro.common.config import default_system_config
 
     config = default_system_config(
-        scale=scale,
-        cores=workload.cores,
-        seed=seed,
-        model_contention=model_contention,
+        scale=scale, cores=workload.cores, seed=seed
     )
     if config_mutator is not None:
         config = config_mutator(config)

@@ -2,7 +2,7 @@
 
 File layout (all little pieces are validated on load, in order)::
 
-    REPRO-CKPT v6\\n                  magic + format version, ASCII
+    REPRO-CKPT v7\\n                  magic + format version, ASCII
     {json header}\\n                  one line of metadata
     <zlib-compressed pickle payload>  the System object graph
 
@@ -56,10 +56,16 @@ from repro.snapshot import codec
 #: the controllers' and pods' own dicts.  Version 6: each ``HotPageTable``
 #: carries ``next_decay``, each ``MemoryDevice`` its ``_row_stride`` slot
 #: and no ``_prefix`` slot, and a ``SwapBufferPool`` no stats-key prefix;
-#: a v5 payload restores tables and devices in the old shapes.
-CHECKPOINT_FORMAT_VERSION = 6
+#: a v5 payload restores tables and devices in the old shapes.  Version
+#: 7: the Swap Driver owns its frozen-page set, line-usage bitmaps and
+#: swap listeners (each ``SwapRecord`` names its occupant), the PRT has
+#: no event hook, ``SystemConfig`` has no ``model_contention``, and a
+#: checked system carries its sanitizer's request entry and HPT
+#: listeners in the payload; a v6 payload holds the injected callables
+#: and closures these replaced.
+CHECKPOINT_FORMAT_VERSION = 7
 
-MAGIC = b"REPRO-CKPT v6\n"
+MAGIC = b"REPRO-CKPT v7\n"
 
 #: Conventional file name for the rolling checkpoint of one run.
 LATEST_NAME = "latest.ckpt"
@@ -73,24 +79,19 @@ DEFAULT_KEEP_GENERATIONS = 2
 
 @contextmanager
 def quiesced(system) -> Iterator[None]:
-    """Detach the system's process-local hooks for the pickle window.
+    """Detach the system's armed checkpointer for the pickle window.
 
-    The sanitizer wraps ``hmc.handle_request`` (and HPT event listeners)
-    in closures, and an armed :class:`repro.snapshot.hooks.Checkpointer`
-    holds signal state and open deadlines — none of which belong in a
-    checkpoint.  Both are detached around serialization and restored
-    before the simulation takes another step.
+    An armed :class:`repro.snapshot.hooks.Checkpointer` holds signal
+    state and open deadlines, which do not belong in a checkpoint; it is
+    detached around serialization and restored before the simulation
+    takes another step.  Everything else, the sanitizer's hooks
+    included, pickles as it stands.
     """
-    checker = system.checker
     checkpointer = system.checkpointer
     system.checkpointer = None
-    if checker is not None:
-        checker.snapshot_detach()
     try:
         yield
     finally:
-        if checker is not None:
-            checker.snapshot_reattach()
         system.checkpointer = checkpointer
 
 
@@ -310,8 +311,8 @@ def _validate(header: Dict[str, object], payload: bytes, path: Path) -> None:
 def load_checkpoint(path: Union[str, Path]):
     """Restore a :class:`repro.sim.system.System` from *path*.
 
-    The restored system has its sanitizer hooks re-attached and no
-    checkpointer armed; call :meth:`System.resume_run` to continue the
+    The restored system has its sanitizer (if the run had one) attached
+    and no checkpointer armed; call :meth:`System.resume_run` to continue the
     interrupted run to completion.
     """
     path = Path(path)
@@ -344,8 +345,6 @@ def load_checkpoint(path: Union[str, Path]):
             path=path, check="payload",
         )
     system.checkpointer = None
-    if system.checker is not None:
-        system.checker.snapshot_reattach()
     return system
 
 

@@ -94,7 +94,7 @@ class SnapshotPickler(pickle.Pickler):
             raise CheckpointError(
                 f"cannot checkpoint function {obj.__qualname__!r}: plain "
                 f"functions/closures in simulator state need a registered "
-                f"codec or a snapshot_detach hook (see docs/CHECKPOINTS.md)"
+                f"codec or an owner with __getstate__ (see docs/CHECKPOINTS.md)"
             )
         if isinstance(obj, types.GeneratorType):
             raise CheckpointError(

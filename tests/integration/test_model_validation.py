@@ -20,11 +20,19 @@ from repro.sim.system import build_system
 from repro.workloads import workload_by_name
 
 
+def uncontended_memory(config):
+    """A main memory whose devices ignore channel/bank contention."""
+    memory = MainMemory(config.memory, StatsRegistry())
+    memory.dram.model_contention = False
+    memory.nvm.model_contention = False
+    return memory
+
+
 class TestClosedFormLatencies:
     def test_dram_cold_read_latency(self):
         """A cold DRAM read = (tRCD + tCAS) * 2 + burst, exactly."""
         config = default_system_config(scale=1024)
-        memory = MainMemory(config.memory, StatsRegistry(), model_contention=False)
+        memory = uncontended_memory(config)
         result = memory.dram.access(0, 0, is_write=False)
         dram = config.memory.dram
         expected = (dram.t_rcd + dram.t_cas) * CYCLES_PER_MEMORY_CYCLE + 8
@@ -32,7 +40,7 @@ class TestClosedFormLatencies:
 
     def test_nvm_cold_read_latency(self):
         config = default_system_config(scale=1024)
-        memory = MainMemory(config.memory, StatsRegistry(), model_contention=False)
+        memory = uncontended_memory(config)
         result = memory.nvm.access(0, 0, is_write=False)
         nvm = config.memory.nvm
         expected = (nvm.t_rcd + nvm.t_cas) * CYCLES_PER_MEMORY_CYCLE + 8
@@ -41,7 +49,7 @@ class TestClosedFormLatencies:
     def test_nvm_dram_activation_gap(self):
         """The NVM/DRAM cold-read gap is exactly (58-11)*2 cycles."""
         config = default_system_config(scale=1024)
-        memory = MainMemory(config.memory, StatsRegistry(), model_contention=False)
+        memory = uncontended_memory(config)
         dram_result = memory.dram.access(0, 0, False)
         nvm_result = memory.nvm.access(0, 0, False)
         gap = (nvm_result.finish - nvm_result.start) - (
@@ -52,7 +60,7 @@ class TestClosedFormLatencies:
     def test_page_transfer_bus_bound(self):
         """An uncontended DRAM page read is bus-bound: >= 64 lines / 4 ch."""
         config = default_system_config(scale=1024)
-        memory = MainMemory(config.memory, StatsRegistry(), model_contention=False)
+        memory = uncontended_memory(config)
         finish = memory.read_page(0, 10)
         lines_per_channel = LINES_PER_PAGE // config.memory.dram.channels
         min_bus_cycles = lines_per_channel * config.memory.dram.line_transfer_cycles
@@ -89,15 +97,13 @@ class TestBoundingConfigurations:
 
 class TestMonotonicity:
     def test_contention_increases_ammat(self):
-        def free(config):
-            return dataclasses.replace(config, model_contention=False)
-
         contended = build_system(
             "noswap", workload_by_name("lbmx4"), scale=1024
         ).run(1200, 1200)
-        uncontended = build_system(
-            "noswap", workload_by_name("lbmx4"), scale=1024, config_mutator=free
-        ).run(1200, 1200)
+        free = build_system("noswap", workload_by_name("lbmx4"), scale=1024)
+        free.hmc.memory.dram.model_contention = False
+        free.hmc.memory.nvm.model_contention = False
+        uncontended = free.run(1200, 1200)
         assert contended.ammat >= uncontended.ammat
 
     def test_slower_nvm_hurts(self):

@@ -66,6 +66,9 @@ class TestInjectedCorruption:
             system.run_ops(2000)
         text = str(excinfo.value)
         assert "prt-bijectivity" in text
+        # The write bypassed the Swap Driver's commit, so no swap record
+        # accounts for the extra pair.
+        assert "prt-event-conservation" in text
         assert f"page={page}" in text
         assert f"frame={frame}" in text
 

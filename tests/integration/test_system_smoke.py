@@ -88,10 +88,9 @@ class TestNoSwapReference:
 
 class TestContentionToggle:
     def test_no_contention_is_faster(self):
-        def disable(config):
-            import dataclasses
-            return dataclasses.replace(config, model_contention=False)
-
         contended = run("pageseer", workload="milcx4")
-        free = run("pageseer", workload="milcx4", mutator=disable)
+        system = build_system("pageseer", workload_by_name("milcx4"), scale=1024)
+        system.hmc.memory.dram.model_contention = False
+        system.hmc.memory.nvm.model_contention = False
+        free = system.run(MEASURE, WARMUP)
         assert free.ammat <= contended.ammat

@@ -25,6 +25,7 @@ from repro.core.swap_driver import SwapDriver, TRIGGER_REGULAR
 from repro.faults.injector import FaultInjector
 from repro.mem.main_memory import MainMemory
 from repro.mem.swap_buffer import SwapBufferPool
+from tests.swap_stubs import FrameStub
 
 DRAM_PAGES = 64
 NVM_PAGES = 256
@@ -79,7 +80,7 @@ def make_harness(injector, max_retries=0):
         HotPageTable(64, 63, 100_000),
         SwapBufferPool(24, stats),
         stats,
-        is_protected_frame=lambda frame: frame < 2,
+        FrameStub(protected={0, 1}),
         faults=FaultConfig(enabled=True, max_retries=max_retries),
         injector=injector,
     )
@@ -192,7 +193,8 @@ class TestAbortRollback:
         )
         memory.attach_injector(injector)
         prt = PageRemapTable(DRAM_PAGES, TOTAL, 4)
-        quarantined = set()
+        frames = FrameStub()
+        quarantined = frames.quarantined
         driver = SwapDriver(
             PageSeerConfig(),
             memory,
@@ -200,10 +202,9 @@ class TestAbortRollback:
             HotPageTable(64, 63, 100_000),
             SwapBufferPool(24, stats),
             stats,
-            is_protected_frame=lambda frame: False,
+            frames,
             faults=config,
             injector=injector,
-            is_quarantined=lambda page: page in quarantined,
         )
         spa = DRAM_PAGES + bad_page
         injector.mark_bad(bad_page)

@@ -14,6 +14,7 @@ from repro.core.prt import PageRemapTable
 from repro.core.swap_driver import SwapDriver, TRIGGER_REGULAR
 from repro.mem.main_memory import MainMemory
 from repro.mem.swap_buffer import SwapBufferPool
+from tests.swap_stubs import FrameStub
 
 DRAM_PAGES = 64
 NVM_PAGES = 256
@@ -37,7 +38,7 @@ def make_driver():
         HotPageTable(64, 63, 100_000),
         SwapBufferPool(24, stats),
         stats,
-        is_protected_frame=lambda frame: frame < 2,
+        FrameStub(protected={0, 1}),
     )
     return driver, prt
 
@@ -93,8 +94,6 @@ class TestSwapDriverInvariants:
         now = 0
         swapped_in = 0
         swapped_out = 0
-        original_driver_out = driver._on_swap_out
-        driver._on_swap_out = lambda page, t: None
         for page_index, delta in request_list:
             now += delta
             before = prt.active_pairs

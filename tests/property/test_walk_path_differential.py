@@ -1,18 +1,21 @@
-"""Differential property suite: PageSeer's flattened page-walk path.
+"""Differential property suite: PageSeer's flattened request and walk paths.
 
-``PageWalker.walk``, ``PageSeerHmc.mmu_hint``, ``handle_pte_fetch`` and
-the PCT plumbing (``_pctc_fill_from_pct``, ``_writeback_filter_entry``)
-run inline over the state of the structures they touch.  The owning
-classes keep their methods as the reference: this suite rebuilds the
-path from those methods — ``MmuDriver.on_hint`` with ``_fetch_pte_line``,
-``PrtCache.contains``/``fill``, ``PctCache.lookup``/``fill``/``update``
-with ``PageCorrelationTable.read``, ``FilterTable.merged_history``,
+``PageSeerHmc.handle_request``, ``PageWalker.walk``,
+``PageSeerHmc.mmu_hint``, ``handle_pte_fetch`` and the PCT plumbing
+(``_pctc_fill_from_pct``, ``_writeback_filter_entry``) run inline over
+the state of the structures they touch.  The owning classes keep their
+methods as the reference: this suite rebuilds the paths from those
+methods — ``PrtCache.lookup``/``contains``/``fill``,
+``PageRemapTable.location_of``, ``HotPageTable.record_miss``,
+``FilterTable.observe_miss``, ``MmuDriver.on_hint`` with
+``_fetch_pte_line``, ``PctCache.lookup``/``fill``/``update`` with
+``PageCorrelationTable.read``, ``FilterTable.merged_history``,
 ``PageWalkCache.deepest_hit``/``fill`` and ``PageTable.entry_addresses``
-— and drives it and the flattened bodies on two identical machines with
-the same random sequences.  Finish times, stats, device state, and the
-PRTc/PCTc/MMU-Driver/PWC/HPT contents in LRU order must stay identical,
-the way ``tests/unit/test_device.py`` pins ``access`` against
-``access_finish``.
+— and drives them and the flattened bodies on two identical machines
+with the same random sequences.  Finish times, stats, device state,
+swap records, and the PRTc/PCTc/Filter/MMU-Driver/PWC/HPT contents in
+LRU order must stay identical, the way ``tests/unit/test_device.py``
+pins ``access`` against ``access_finish``.
 
 Structures are tiny and thresholds low, so evictions, write-backs and
 prefetch swaps (which remap pages, moving PTE lines and targets between
@@ -30,7 +33,7 @@ from repro.common.stats import StatsRegistry
 from repro.core.hmc import PageSeerHmc
 from repro.core.hpt import HotPageTable
 from repro.core.pct import FilterEntry, FilterTable, PctEntry
-from repro.core.swap_driver import TRIGGER_MMU
+from repro.core.swap_driver import TRIGGER_MMU, TRIGGER_PCT, TRIGGER_REGULAR
 from repro.sim.hmc_base import RequestKind
 from repro.sim.system import build_system
 from repro.vm.os_model import OsModel
@@ -99,6 +102,72 @@ def reference_mmu_hint(hmc, now, pte_line_spa, pid, vpn, target_ppn):
         hmc.swap_driver.request_swap(
             t, history.follower_ppn, TRIGGER_MMU, hmc.dram_service_share
         )
+
+
+def reference_handle_request(
+    hmc, now, line_spa, is_write, pid, kind=RequestKind.DEMAND
+):
+    """The request path as the methods spell it.
+
+    The Filter's evicted entries are written back after
+    ``observe_miss`` returns and before its triggers are raised; a
+    follower trigger is dropped when correlation is off.
+    """
+    ps = hmc.ps
+    page = line_spa // LINES_PER_PAGE
+    line_offset = line_spa % LINES_PER_PAGE
+    bulk = kind is RequestKind.WRITEBACK
+    t = now + ps.prtc_latency_cycles
+    colour = hmc.prt.colour_of(page)
+    if not hmc.prtc.lookup(colour):
+        t = hmc.remap_miss(t, colour)
+        hmc.prtc.fill(colour)
+    driver = hmc.swap_driver
+    if ps.partial_swaps_enabled:
+        driver.line_usage[page] = driver.line_usage.get(page, 0) | (1 << line_offset)
+    buffered = driver.service_if_swapping(t, page)
+    if buffered is not None:
+        finish, serviced, resident_dram = buffered, "buffer", True
+    elif (driver.partial_residue.get(page, 0) >> line_offset) & 1:
+        finish = hmc._migrate_residue_line(t, page, line_offset, is_write)
+        serviced, resident_dram = "nvm", True
+    else:
+        location = hmc.prt.location_of(page)
+        resident_dram = location < hmc.dram_pages
+        actual_line = location * LINES_PER_PAGE + line_offset
+        if resident_dram:
+            finish = hmc.dram_access(t, actual_line, is_write, bulk)
+        else:
+            finish = hmc.nvm_access(
+                t, actual_line - hmc._nvm_line_base, is_write, bulk
+            )
+        serviced = "dram" if resident_dram else "nvm"
+    hmc.account_service(now, finish, page, serviced, kind)
+    if serviced != "nvm" and page in hmc._prefetch_live:
+        hmc._prefetch_live[page] += 1
+
+    hmc.dram_hpt.advance_time(t)
+    hmc.nvm_hpt.advance_time(t)
+    hpt = hmc.dram_hpt if resident_dram else hmc.nvm_hpt
+    if hpt.record_miss(t, page) and driver.request_swap(
+        t + ps.hpt_latency_cycles, page, TRIGGER_REGULAR, hmc.dram_service_share
+    ):
+        hmc.nvm_hpt.remove(page)
+
+    history = hmc.pctc.lookup(page)
+    if history is None:
+        history = hmc._pctc_fill_from_pct(t, page)
+    triggers, evicted = hmc.filter.observe_miss(pid, page, history)
+    for entry in evicted:
+        hmc._writeback_filter_entry(t, entry)
+    for trigger in triggers:
+        if trigger.is_follower and not ps.correlation_enabled:
+            continue
+        driver.request_swap(
+            t + ps.filter_latency_cycles, trigger.page, TRIGGER_PCT,
+            hmc.dram_service_share,
+        )
+    return finish
 
 
 def reference_pte_fetch(hmc, now, line_spa, target_ppn, pid):
@@ -184,7 +253,9 @@ def reference_walk(walker, now, page_table, vpn):
 
 
 def use_reference_helpers(hmc):
-    """Route a controller's helper calls through the reference methods."""
+    """Route a controller's request path and helper calls through the
+    reference methods."""
+    hmc.handle_request = functools.partial(reference_handle_request, hmc)
     hmc._pctc_fill_from_pct = functools.partial(reference_pctc_fill, hmc)
     hmc._writeback_filter_entry = functools.partial(reference_writeback, hmc)
     for hpt in (hmc.dram_hpt, hmc.nvm_hpt):
@@ -206,7 +277,9 @@ def _device_state(device):
 
 
 def controller_state(hmc):
-    """Everything the hint path can touch, LRU order included."""
+    """Everything the request and hint paths can touch, LRU order included."""
+    flt = hmc.filter
+    driver = hmc.swap_driver
     return {
         "stats": hmc.stats.snapshot_full(),
         "prtc": (list(hmc.prtc._resident), hmc.prtc.hits, hmc.prtc.misses,
@@ -214,11 +287,16 @@ def controller_state(hmc):
         "pctc": (list(hmc.pctc._resident.items()), dict(hmc.pctc._changed),
                  hmc.pctc.hits, hmc.pctc.misses, hmc.pctc.writes),
         "pct": dict(hmc.pct._entries),
+        "filter": (list(flt._entries.items()), dict(flt._current_leader),
+                   dict(flt._previous_leader), flt.reads, flt.writes),
         "driver": list(hmc.mmu_driver._lines.items()),
         "hpt": [
-            (list(hpt._counters.items()), list(hpt._ones))
+            (list(hpt._counters.items()), list(hpt._ones), hpt.reads,
+             hpt.writes, hpt.next_decay)
             for hpt in (hmc.dram_hpt, hmc.nvm_hpt)
         ],
+        "swaps": (list(driver.records), dict(driver.partial_residue),
+                  dict(driver.line_usage), dict(hmc._prefetch_live)),
         "prt": sorted(hmc.prt.entries()),
         "serviced": (hmc._total_serviced, hmc._dram_serviced),
         "dram": _device_state(hmc.memory.dram),
@@ -234,7 +312,7 @@ _FAULTS = dict(
 )
 
 
-def make_controller(correlation, faults, hints=True):
+def make_controller(correlation, faults, hints=True, counter_bits=6, partial=False):
     config = default_system_config(scale=1024, cores=2)
     config = dataclasses.replace(
         config,
@@ -242,6 +320,8 @@ def make_controller(correlation, faults, hints=True):
             config.pageseer,
             correlation_enabled=correlation,
             mmu_hints_enabled=hints,
+            counter_bits=counter_bits,
+            partial_swaps_enabled=partial,
             pct_prefetch_threshold=2,
             hpt_swap_threshold=3,
             prtc_entries=8,
@@ -287,11 +367,22 @@ _controller_ops = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(ops=_controller_ops, correlation=st.booleans(), faults=st.booleans())
-def test_flattened_controller_matches_method_reference(ops, correlation, faults):
-    flat = make_controller(correlation, faults)
-    ref = make_controller(correlation, faults)
+@settings(max_examples=100, deadline=None)
+@given(
+    ops=_controller_ops, correlation=st.booleans(), faults=st.booleans(),
+    counter_bits=st.sampled_from([2, 6]), partial=st.booleans(),
+)
+def test_flattened_controller_matches_method_reference(
+    ops, correlation, faults, counter_bits, partial
+):
+    """``handle_request``, ``mmu_hint`` and ``handle_pte_fetch`` against
+    the methods they copy.  2-bit counters (saturating at 3) make every
+    HPT, Filter and PCT counter saturate; partial swaps add the
+    line-usage bitmaps and residue migrations."""
+    flat = make_controller(correlation, faults, counter_bits=counter_bits,
+                           partial=partial)
+    ref = make_controller(correlation, faults, counter_bits=counter_bits,
+                          partial=partial)
     use_reference_helpers(ref)
     now = 0
     for op in ops:

@@ -147,9 +147,9 @@ def test_positive_reachable_class_with_live_socket_and_selector(tmp_path):
     assert "sim.reporter:Reporter" in engine.last_program_model.reachable
 
 
-def test_snapshot_detach_exempts_own_assignments_not_held_objects(tmp_path):
-    # The checkpoint writer detaches the manager's own hooks, but the
-    # entries it holds are pickled with it and stay under the proof.
+def test_snapshot_detach_exempts_neither_own_assignments_nor_held_objects(tmp_path):
+    # Checkpoints detach nothing: the manager's own hooks are pickled,
+    # and so are the entries it holds.
     write_project(tmp_path, {
         "sim/system.py": (
             "from check.manager import Manager\n"
@@ -174,8 +174,11 @@ def test_snapshot_detach_exempts_own_assignments_not_held_objects(tmp_path):
     })
     report, _ = lint_project(tmp_path)
     findings = findings_for(report, "RL103")
-    assert [(f.path, f.line) for f in findings] == [("check/manager.py", 4)]
+    assert [(f.path, f.line) for f in findings] == [
+        ("check/manager.py", 4), ("check/manager.py", 7), ("check/manager.py", 12),
+    ]
     assert "System.checker → Manager.entries → Entry" in findings[0].message
+    assert all("System.checker → Manager" in f.message for f in findings)
 
 
 def test_base_typed_edge_reaches_every_subclass(tmp_path):

@@ -29,6 +29,17 @@ class TestLeadTimeProbe:
         assert summary.swaps_observed > 0
         assert summary.swaps_with_demand <= summary.swaps_observed
 
+    def test_counts_swaps_committed_before_it_attached(self):
+        system = build_system("pageseer", workload_by_name("lbmx4"), scale=1024)
+        system.run_ops(2000)
+        earlier = len(system.hmc.swap_driver.records)
+        assert earlier > 0
+        lead = LeadTimeProbe(system)
+        system.run_ops(2000)
+        records = system.hmc.swap_driver.records
+        assert len(records) > earlier
+        assert lead.summary().swaps_observed == len(records)
+
     def test_leads_are_sane(self):
         _, lead, _ = probed_system()
         for lead_cycles, start, end, first_hit in lead.observations:

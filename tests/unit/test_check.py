@@ -1,5 +1,7 @@
 """Unit tests for the simulation sanitizer (repro.check)."""
 
+import dataclasses
+
 import pytest
 
 from repro.check import (
@@ -13,6 +15,7 @@ from repro.check import (
 )
 from repro.common.config import CheckConfig
 from repro.common.errors import CheckViolationError, ConfigError
+from repro.core.swap_driver import TRIGGER_REGULAR, SwapRecord
 from repro.sim.system import build_system
 from repro.workloads import workload_by_name
 
@@ -88,7 +91,9 @@ class TestAttachment:
     def test_full_level_adds_shadow_for_pageseer(self):
         system = checked_system(level="full")
         assert system.checker.shadow is not None
-        assert system.hmc.swap_driver.on_swap_event is not None
+        listeners = system.hmc.swap_driver.listeners
+        assert system.checker.shadow.on_swap in listeners
+        assert system.checker._on_swap in listeners
 
     def test_scheme_specific_checkers(self):
         pageseer = {c.name for c in build_checkers(checked_system("pageseer"))}
@@ -160,6 +165,23 @@ class TestSlotMap:
             for v in violations
         )
 
+    def test_mempod_pods_that_do_not_divide_the_fast_segments(self):
+        # 5 pods over streamx4's 256 fast segments: the last pod takes
+        # the remainder, and every request must consult the pod that owns
+        # its segment's slot.
+        def five_pods(config):
+            return dataclasses.replace(
+                config, mempod=dataclasses.replace(config.mempod, pods=5)
+            )
+
+        system = build_system(
+            "mempod", workload_by_name("streamx4"), scale=1024,
+            config_mutator=five_pods, check=CheckConfig(level="full"),
+        )
+        system.run(4000, 1000)
+        assert system.hmc.migrations > 0
+        assert system.checker.report().clean
+
 
 class TestPrtBijectivity:
     def test_clean_after_real_run(self):
@@ -208,10 +230,20 @@ class FakePrt:
         return list(self._mapping.items())
 
 
+def swap(start, page, frame, occupant, end):
+    """The record of one committed swap, as the Swap Driver announces it."""
+    return SwapRecord(
+        page=page, dram_frame=frame, trigger=TRIGGER_REGULAR, start=start,
+        end=end, reads=2 if occupant is None else 3,
+        writes=2 if occupant is None else 3,
+        optimized_slow=occupant is not None, occupant=occupant,
+    )
+
+
 class TestShadowOracle:
     def test_swap_maps_both_directions(self):
         oracle = ShadowPageOracle(dram_pages=8, total_pages=32)
-        oracle.on_swap(100, 20, 3, None, 150)
+        oracle.on_swap(swap(100, 20, 3, None, 150))
         assert oracle.expected_location(20) == 3
         assert oracle.expected_location(3) == 20
         assert oracle.expected_location(21) == 21  # untouched NVM page
@@ -220,26 +252,26 @@ class TestShadowOracle:
 
     def test_occupant_returns_home(self):
         oracle = ShadowPageOracle(dram_pages=8, total_pages=32)
-        oracle.on_swap(100, 20, 3, None, 150)
-        oracle.on_swap(200, 21, 3, 20, 250)  # 21 evicts 20 from frame 3
+        oracle.on_swap(swap(100, 20, 3, None, 150))
+        oracle.on_swap(swap(200, 21, 3, 20, 250))  # 21 evicts 20 from frame 3
         assert oracle.expected_location(20) == 20
         assert oracle.expected_location(21) == 3
         assert not oracle.event_violations
 
     def test_unknown_occupant_flagged(self):
         oracle = ShadowPageOracle(dram_pages=8, total_pages=32)
-        oracle.on_swap(100, 21, 3, 20, 150)  # oracle never saw 20 arrive
+        oracle.on_swap(swap(100, 21, 3, 20, 150))  # oracle never saw 20 arrive
         assert any(v.page == 20 for v in oracle.event_violations)
 
     def test_double_install_flagged(self):
         oracle = ShadowPageOracle(dram_pages=8, total_pages=32)
-        oracle.on_swap(100, 20, 3, None, 150)
-        oracle.on_swap(200, 20, 5, None, 250)
+        oracle.on_swap(swap(100, 20, 3, None, 150))
+        oracle.on_swap(swap(200, 20, 5, None, 250))
         assert any(v.page == 20 for v in oracle.event_violations)
 
     def test_verify_access_catches_divergence(self):
         oracle = ShadowPageOracle(dram_pages=8, total_pages=32)
-        oracle.on_swap(100, 20, 3, None, 150)
+        oracle.on_swap(swap(100, 20, 3, None, 150))
         good = FakePrt({20: 3})
         bad = FakePrt({})  # lost the remap entirely
         assert oracle.verify_access(good, 20) is None
@@ -248,7 +280,7 @@ class TestShadowOracle:
 
     def test_verify_full_reports_both_directions(self):
         oracle = ShadowPageOracle(dram_pages=8, total_pages=32)
-        oracle.on_swap(100, 20, 3, None, 150)
+        oracle.on_swap(swap(100, 20, 3, None, 150))
         missing = oracle.verify_full(FakePrt({}))
         assert any(v.page == 20 and v.frame == 3 for v in missing)
         extra = oracle.verify_full(FakePrt({20: 3, 22: 5}))

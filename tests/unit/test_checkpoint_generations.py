@@ -24,6 +24,7 @@ from repro.snapshot import (
     save_checkpoint,
 )
 from repro.snapshot.checkpoint import (
+    CHECKPOINT_FORMAT_VERSION,
     LATEST_NAME,
     MAGIC,
     generation_files,
@@ -48,8 +49,9 @@ def _as_older_version(path, version=1):
     state this build cannot rebuild, a v2 payload names line routers
     this build no longer has, a v3 payload holds HPTs without their
     count-1 index, a v4 payload holds the baselines' remap maps
-    outside ``SlotMap`` objects, and a v5 payload holds HPTs without
-    ``next_decay`` and devices without their row stride; here the
+    outside ``SlotMap`` objects, a v5 payload holds HPTs without
+    ``next_decay`` and devices without their row stride, and a v6
+    payload holds the Swap Driver's injected callables; here the
     version is the only thing wrong with the file.
     """
     rest = path.read_bytes()[len(MAGIC):]
@@ -338,23 +340,29 @@ class TestFormatVersionOne:
         assert "failed check: version" in err
 
 
-class TestFormatVersionTwo:
-    """Version 2 files — whose payloads name the deleted line routers —
-    fail the version check too, before anything is unpickled."""
+@pytest.mark.parametrize("version", range(2, CHECKPOINT_FORMAT_VERSION))
+class TestOlderFormatVersions:
+    """Files of every older format version fail the version check before
+    anything is unpickled: v2 payloads name the deleted line routers, v3
+    ones hold HPTs without their count-1 index, v4 ones the baselines'
+    member/slot maps outside ``SlotMap`` objects, v5 ones HPTs without
+    ``next_decay`` and devices without ``_row_stride``, and v6 ones the
+    Swap Driver's injected callables and the PRT's event hook."""
 
-    def test_load_fails_the_version_check(self, tmp_path):
-        system = _tiny_system()
+    @pytest.mark.parametrize("scheme", ["pageseer", "pom", "mempod", "cameo"])
+    def test_load_fails_the_version_check(self, tmp_path, version, scheme):
+        system = build_system(scheme, workload_by_name("lbmx4"), scale=1024)
         system.run_ops(10)
         path = save_checkpoint(system, tmp_path / LATEST_NAME)
-        _as_older_version(path, 2)
+        _as_older_version(path, version)
         with pytest.raises(CorruptCheckpointError) as excinfo:
             load_checkpoint(path)
         assert excinfo.value.check == "version"
 
-    def test_fallback_passes_over_it(self, staged, tmp_path):
+    def test_fallback_passes_over_it(self, staged, tmp_path, version):
         directory, steps = staged
         work = _copy_directory(directory, tmp_path / "work")
-        _as_older_version(work / LATEST_NAME, 2)
+        _as_older_version(work / LATEST_NAME, version)
         system, path, skipped = load_checkpoint_with_fallback(work)
         assert path.name == "gen-00000003.ckpt"
         assert system.steps_total == steps[2]
@@ -362,61 +370,12 @@ class TestFormatVersionTwo:
         assert skipped_path.name == LATEST_NAME
         assert error.check == "version"
 
-    def test_fsck_reports_the_version_check(self, tmp_path, capsys):
+    def test_fsck_reports_the_version_check(self, tmp_path, capsys, version):
         system = _tiny_system()
         system.run_ops(10)
         path = save_checkpoint(system, tmp_path / LATEST_NAME)
-        _as_older_version(path, 2)
+        _as_older_version(path, version)
         assert verify_checkpoint(path) == ("corrupt", "failed check: version")
         args = argparse.Namespace(dirs=[str(tmp_path)], repair=False, quiet=False)
         assert command_fsck(args) == 1
         assert "failed check: version" in capsys.readouterr().out
-
-
-class TestFormatVersionThree:
-    """Version 3 files — whose payloads hold HPTs without their count-1
-    index and ``PctEntry`` dataclass instances — fail the version check
-    too, before anything is unpickled."""
-
-    def test_load_fails_the_version_check(self, tmp_path):
-        system = _tiny_system()
-        system.run_ops(10)
-        path = save_checkpoint(system, tmp_path / LATEST_NAME)
-        _as_older_version(path, 3)
-        with pytest.raises(CorruptCheckpointError) as excinfo:
-            load_checkpoint(path)
-        assert excinfo.value.check == "version"
-        assert verify_checkpoint(path) == ("corrupt", "failed check: version")
-
-
-class TestFormatVersionFour:
-    """Version 4 files — whose payloads hold the baselines' member/slot
-    maps in the controllers' own dicts, not in ``SlotMap`` objects — fail
-    the version check too, before anything is unpickled."""
-
-    @pytest.mark.parametrize("scheme", ["pom", "mempod", "cameo"])
-    def test_load_fails_the_version_check(self, tmp_path, scheme):
-        system = build_system(scheme, workload_by_name("lbmx4"), scale=1024)
-        system.run_ops(10)
-        path = save_checkpoint(system, tmp_path / LATEST_NAME)
-        _as_older_version(path, 4)
-        with pytest.raises(CorruptCheckpointError) as excinfo:
-            load_checkpoint(path)
-        assert excinfo.value.check == "version"
-        assert verify_checkpoint(path) == ("corrupt", "failed check: version")
-
-
-class TestFormatVersionFive:
-    """Version 5 files — whose payloads hold Hot Page Tables without
-    ``next_decay`` and memory devices without ``_row_stride`` — fail the
-    version check too, before anything is unpickled."""
-
-    def test_load_fails_the_version_check(self, tmp_path):
-        system = _tiny_system()
-        system.run_ops(10)
-        path = save_checkpoint(system, tmp_path / LATEST_NAME)
-        _as_older_version(path, 5)
-        with pytest.raises(CorruptCheckpointError) as excinfo:
-            load_checkpoint(path)
-        assert excinfo.value.check == "version"
-        assert verify_checkpoint(path) == ("corrupt", "failed check: version")

@@ -27,6 +27,7 @@ from repro.core.swap_driver import SwapDriver, TRIGGER_REGULAR
 from repro.faults import FAULT_PROFILES, FaultInjector, FaultRecovery, resolve_profile
 from repro.mem.main_memory import MainMemory
 from repro.mem.swap_buffer import SwapBufferPool
+from tests.swap_stubs import FrameStub
 
 DRAM_PAGES = 64
 NVM_PAGES = 256
@@ -284,7 +285,8 @@ class FaultyHarness:
         self.injector = FaultInjector(fault_config, self.stats)
         self.memory.attach_injector(self.injector)
         self.prt = PageRemapTable(DRAM_PAGES, TOTAL, 4)
-        self.quarantined = set(quarantined)
+        self.frames = FrameStub(quarantined=quarantined)
+        self.quarantined = self.frames.quarantined
         self.driver = SwapDriver(
             PageSeerConfig(),
             self.memory,
@@ -292,10 +294,9 @@ class FaultyHarness:
             HotPageTable(64, 63, 100_000),
             SwapBufferPool(24, self.stats),
             self.stats,
-            is_protected_frame=lambda frame: False,
+            self.frames,
             faults=fault_config,
             injector=self.injector,
-            is_quarantined=lambda page: page in self.quarantined,
         )
 
 
@@ -344,7 +345,7 @@ class TestSwapDriverFaults:
         h.quarantined.add(page)
         assert h.driver.rescue_swap(0, page)
         assert h.prt.is_swapped(page)
-        assert h.driver.swaps_by_trigger()["rescue"] == 1
+        assert [record.trigger for record in h.driver.records] == ["rescue"]
         assert h.stats.get("swap_driver/swaps_rescue") == 1
 
     def test_quarantined_page_declined_by_request_swap(self):

@@ -1,7 +1,7 @@
 """RL103 snapshot safety: the process-local shapes it flags (live sockets
 and selectors — the failure mode the sweepd heartbeat plumbing makes
-easy), its ``snapshot_detach`` escape hatch, and its scope (what a
-checkpoint of ``System`` reaches)."""
+easy), the ``snapshot_detach`` hatch it no longer honours, and its scope
+(what a checkpoint of ``System`` reaches)."""
 
 from tests.unit.lint_program.helpers import findings_for, lint_project, write_project
 
@@ -85,7 +85,8 @@ def test_selector_objects_are_flagged(tmp_path):
     assert all("I/O selector" in finding.message for finding in findings)
 
 
-def test_snapshot_detach_exempts_the_class(tmp_path):
+def test_snapshot_detach_does_not_exempt_the_class(tmp_path):
+    # Checkpoints detach nothing, so a detach method hides nothing.
     findings = _findings(tmp_path, {
         "sim/reporter.py": (
             "import socket\n"
@@ -98,7 +99,8 @@ def test_snapshot_detach_exempts_the_class(tmp_path):
             "        pass\n"
         ),
     }, ("sim.reporter", "Reporter"))
-    assert findings == []
+    assert len(findings) == 1
+    assert "live socket" in findings[0].message
 
 
 def test_out_of_scope_packages_are_not_checked(tmp_path):

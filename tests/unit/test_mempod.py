@@ -1,5 +1,7 @@
 """Unit tests for the MemPod baseline (repro.baselines.mempod)."""
 
+import dataclasses
+
 import pytest
 
 from repro.common.config import default_system_config
@@ -63,6 +65,17 @@ class TestPods:
         for pod in hmc._pods:
             slots.extend(pod.fast_slots)
         assert sorted(slots) == list(range(hmc.fast_segments))
+
+    @pytest.mark.parametrize("pods", [2, 3, 5, 7])
+    def test_pod_of_owns_each_pods_fast_slots(self, pods):
+        config = default_system_config(scale=1024, cores=1)
+        config = dataclasses.replace(
+            config, mempod=dataclasses.replace(config.mempod, pods=pods)
+        )
+        hmc = MemPodHmc(config, OsModel(config.memory), StatsRegistry())
+        assert len(hmc._pods) == pods
+        for pod in hmc._pods:
+            assert all(hmc.pod_of(slot) is pod for slot in pod.fast_slots)
 
     def test_pod_of_consistency(self):
         hmc, _, _ = make_mempod()

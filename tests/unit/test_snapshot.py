@@ -235,6 +235,7 @@ class TestCheckpointFiles:
         assert header["format_version"] == CHECKPOINT_FORMAT_VERSION
 
     def test_checkpointed_checker_still_works_after_restore(self, tmp_path):
+        from repro.check.manager import CheckedRequests
         from repro.common.config import CheckConfig
         from repro.sim.system import build_system
 
@@ -244,12 +245,22 @@ class TestCheckpointFiles:
         )
         system.run_ops(50)
         restored = load_checkpoint(save_checkpoint(system, tmp_path / "a.ckpt"))
-        assert restored.checker is not None
-        # The wrapper closure was rebuilt: accesses keep being observed.
-        before = restored.checker.accesses
+        checker = restored.checker
+        assert checker is not None
+        # The request entry and the swap and HPT listeners travelled in
+        # the payload, bound to the restored sanitizer.
+        entry = vars(restored.hmc)["handle_request"]
+        assert isinstance(entry, CheckedRequests) and entry.manager is checker
+        assert checker.shadow.on_swap in restored.hmc.swap_driver.listeners
+        (monotonicity,) = [
+            c for c in checker.checkers if c.name == "counter-monotonicity"
+        ]
+        for hpt in (restored.hmc.dram_hpt, restored.hmc.nvm_hpt):
+            assert hpt.on_event.func.__self__ is monotonicity
+        before = checker.accesses
         restored.run_ops(10)
-        assert restored.checker.accesses > before
-        # And the original system was reattached too (detach is transient).
+        assert checker.accesses > before
+        # Saving leaves the original system's sanitizer in place.
         original_before = system.checker.accesses
         system.run_ops(10)
         assert system.checker.accesses > original_before

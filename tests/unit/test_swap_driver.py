@@ -18,6 +18,7 @@ from repro.core.swap_driver import (
 )
 from repro.mem.main_memory import MainMemory
 from repro.mem.swap_buffer import SwapBufferPool
+from tests.swap_stubs import FrameStub
 
 DRAM_PAGES = 64
 NVM_PAGES = 512
@@ -47,10 +48,14 @@ class Harness:
             self.dram_hpt,
             self.buffers,
             self.stats,
-            is_protected_frame=lambda f: f in protected,
-            on_swap_in=lambda p, t, n: self.swapped_in.append((p, t)),
-            on_swap_out=lambda p, n: self.swapped_out.append(p),
+            FrameStub(protected),
         )
+        self.driver.listeners.append(self._on_swap)
+
+    def _on_swap(self, record):
+        if record.occupant is not None:
+            self.swapped_out.append(record.occupant)
+        self.swapped_in.append((record.page, record.trigger))
 
     def nvm_page(self, colour=0, index=0):
         """An NVM page of the given colour."""
@@ -166,6 +171,20 @@ class TestOptimizedSlowSwap:
         # The first page swapped in (oldest frame) is the victim.
         assert h.swapped_out == [pages[0]]
 
+    def test_listeners_see_each_commit_once_after_its_stats(self):
+        h = Harness()
+        seen = []
+        h.driver.listeners.append(
+            lambda record: seen.append((record, h.stats.get("swap_driver/swaps")))
+        )
+        pages = self.fill_colour(h)
+        end = h.driver.records[-1].end
+        h.driver.request_swap(end + 1, h.nvm_page(0, 10), TRIGGER_REGULAR, 0.0)
+        assert [record for record, _ in seen] == h.driver.records
+        assert [swaps for _, swaps in seen] == [1, 2, 3, 4, 5]
+        occupants = [record.occupant for record, _ in seen]
+        assert occupants == [None] * 4 + [pages[0]]
+
 
 class TestBufferServicing:
     def test_in_flight_served_from_buffer(self):
@@ -207,14 +226,20 @@ class TestAccounting:
         h.driver.request_swap(end + 1, h.nvm_page(1), TRIGGER_PCT, 0.0)
         end = h.driver.records[-1].end
         h.driver.request_swap(end + 1, h.nvm_page(2), TRIGGER_REGULAR, 0.0)
-        counts = h.driver.swaps_by_trigger()
+        counts = {
+            trigger: h.stats.get(f"swap_driver/swaps_{trigger}")
+            for trigger in (TRIGGER_MMU, TRIGGER_PCT, TRIGGER_REGULAR, TRIGGER_RESCUE)
+        }
         assert counts == {
             TRIGGER_MMU: 1,
             TRIGGER_PCT: 1,
             TRIGGER_REGULAR: 1,
             TRIGGER_RESCUE: 0,
         }
-        assert h.driver.total_swaps == 3
+        assert [record.trigger for record in h.driver.records] == [
+            TRIGGER_MMU, TRIGGER_PCT, TRIGGER_REGULAR,
+        ]
+        assert h.stats.get("swap_driver/swaps") == len(h.driver.records) == 3
 
     def test_swap_duration_positive(self):
         h = Harness()
