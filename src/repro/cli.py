@@ -637,10 +637,13 @@ def _command_list_schemes(args: argparse.Namespace) -> int:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="repro", description=__doc__)
     commands = parser.add_subparsers(dest="command", required=True)
+    # An unknown workload name is a usage error, as an unknown scheme is.
+    workloads = {"choices": [spec.name for spec in all_workloads()],
+                 "metavar": "WORKLOAD"}
 
     run_parser = commands.add_parser("run", help="simulate one scheme/workload")
     run_parser.add_argument("--scheme", default=None, choices=sorted(SCHEMES))
-    run_parser.add_argument("--workload", default=None)
+    run_parser.add_argument("--workload", default=None, **workloads)
     run_parser.add_argument("--variant", default="default",
                             choices=sorted(VARIANTS))
     _add_sizing_arguments(run_parser)
@@ -657,7 +660,8 @@ def build_parser() -> argparse.ArgumentParser:
                               default=["pageseer", "pom", "mempod"],
                               choices=sorted(SCHEMES))
     sweep_parser.add_argument("--workloads", nargs="*", default=None,
-                              help="workload names (default: all 26)")
+                              help="workload names (default: all 26)",
+                              **workloads)
     sweep_parser.add_argument("--variants", nargs="+", default=["default"],
                               choices=sorted(VARIANTS))
     sweep_parser.add_argument("--jobs", type=int, default=None,
@@ -729,7 +733,8 @@ def build_parser() -> argparse.ArgumentParser:
     submit_parser.add_argument("--schemes", nargs="+",
                                default=["pageseer", "pom", "mempod"],
                                choices=sorted(SCHEMES))
-    submit_parser.add_argument("--workloads", nargs="*", default=None)
+    submit_parser.add_argument("--workloads", nargs="*", default=None,
+                               **workloads)
     submit_parser.add_argument("--variants", nargs="+", default=["default"],
                                choices=sorted(VARIANTS))
     submit_parser.add_argument("--priority", default="bulk",
@@ -755,7 +760,8 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser = commands.add_parser(
         "report", help="regenerate every table and figure"
     )
-    report_parser.add_argument("--workloads", nargs="*", default=None)
+    report_parser.add_argument("--workloads", nargs="*", default=None,
+                               **workloads)
     report_parser.add_argument("--out", default=None)
     _add_sizing_arguments(report_parser)
     report_parser.set_defaults(handler=_command_report)
@@ -763,7 +769,7 @@ def build_parser() -> argparse.ArgumentParser:
     energy_parser = commands.add_parser(
         "energy", help="Table II energy/area report for one workload"
     )
-    energy_parser.add_argument("--workload", default="lbmx4")
+    energy_parser.add_argument("--workload", default="lbmx4", **workloads)
     _add_sizing_arguments(energy_parser)
     energy_parser.set_defaults(handler=_command_energy)
 
@@ -804,7 +810,7 @@ def build_parser() -> argparse.ArgumentParser:
     record_parser = commands.add_parser(
         "trace-record", help="dump one core's access stream to a file"
     )
-    record_parser.add_argument("--workload", required=True)
+    record_parser.add_argument("--workload", required=True, **workloads)
     record_parser.add_argument("--core", type=int, default=0)
     record_parser.add_argument("--count", type=int, default=10_000)
     record_parser.add_argument("--out", required=True)

@@ -311,7 +311,9 @@ class ExperimentRunner:
         return results
 
     def prewarm(self, jobs: Optional[int] = None) -> None:
-        """Populate the cache for every run the standard figures need."""
+        """Populate the cache for every run ``report`` renders."""
+        from repro.experiments.ablation_partial import WORKLOADS as PARTIAL_WORKLOADS
+
         requests: List[Tuple[str, str, str]] = []
         for name in self.workload_names():
             for scheme in ("pageseer", "pom", "mempod"):
@@ -319,6 +321,8 @@ class ExperimentRunner:
             requests.append(("pageseer", name, "nobw"))
             requests.append(("pageseer", name, "nocorr"))
             requests.append(("pageseer", name, "nohints"))
+            if name in PARTIAL_WORKLOADS:
+                requests.append(("pageseer", name, "partial"))
         self.run_many(requests, jobs=jobs)
 
     def workload_names(self) -> List[str]:

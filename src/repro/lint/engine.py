@@ -4,20 +4,20 @@ The engine parses every target file once, builds the whole-program model
 (:mod:`repro.lint.program`) over those files plus the rest of
 ``src/repro``, hands each registered rule a per-file ``collect`` pass and
 a whole-project ``finalize`` pass, and then filters the emitted findings
-through inline suppressions and (optionally) the committed baseline.
+through inline suppressions, the one way to accept a finding.
 
 Rules are plain classes registered with :func:`register_rule`; each one
 owns a rule id (``RL001`` ...), a default severity, and whatever state it
-needs to accumulate across files.  Per-file rules (RL001–RL005) read the
-AST in ``collect``; whole-program rules (RL101–RL105) read the model in
-``finalize``.
+needs to accumulate across files.  Per-file rules (RL001 and RL003–RL005)
+read the AST in ``collect``; whole-program rules (RL101–RL105) read the
+model in ``finalize``, and so does RL002, which reads the extractor's
+record sites and takes only the ``# repro-hot`` marks from the AST.
 """
 
 from __future__ import annotations
 
 import ast
 import enum
-import hashlib
 import json
 import re
 from dataclasses import dataclass, field
@@ -62,12 +62,6 @@ class Finding:
     col: int
     message: str
 
-    @property
-    def fingerprint(self) -> str:
-        """A line-number-independent identity used by the baseline file."""
-        payload = f"{self.rule}:{self.path}:{self.message}"
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
-
     def render(self) -> str:
         return (
             f"{self.path}:{self.line}:{self.col}: "
@@ -82,7 +76,6 @@ class Finding:
             "line": self.line,
             "col": self.col,
             "message": self.message,
-            "fingerprint": self.fingerprint,
         }
 
 
@@ -159,19 +152,17 @@ class ProjectContext:
         self,
         rule: "Rule",
         source: SourceFile,
-        node: Union[ast.AST, int],
+        node: ast.AST,
         message: str,
         severity: Optional[Severity] = None,
     ) -> None:
-        line = node if isinstance(node, int) else getattr(node, "lineno", 1)
-        col = 0 if isinstance(node, int) else getattr(node, "col_offset", 0)
         self.findings.append(
             Finding(
                 rule=rule.rule_id,
                 severity=severity if severity is not None else rule.default_severity,
                 path=source.relpath,
-                line=line,
-                col=col,
+                line=getattr(node, "lineno", 1),
+                col=getattr(node, "col_offset", 0),
                 message=message,
             )
         )
@@ -220,7 +211,6 @@ class LintReport:
     """The outcome of one lint run."""
 
     findings: List[Finding] = field(default_factory=list)
-    baselined: List[Finding] = field(default_factory=list)
     suppressed: int = 0
     files_checked: int = 0
     parse_errors: List[str] = field(default_factory=list)
@@ -241,7 +231,7 @@ class LintReport:
         lines.append(
             f"checked {self.files_checked} file(s): "
             f"{failing} failing finding(s), {info} informational, "
-            f"{len(self.baselined)} baselined, {self.suppressed} suppressed"
+            f"{self.suppressed} suppressed"
         )
         return "\n".join(lines)
 
@@ -252,7 +242,6 @@ class LintReport:
                 "failing": len(self.failing),
                 "informational": len(self.findings) - len(self.failing),
                 "suppressed": self.suppressed,
-                "baselined": [f.as_dict() for f in self.baselined],
                 "findings": [f.as_dict() for f in self.findings],
                 "parse_errors": list(self.parse_errors),
                 "exit_code": self.exit_code,

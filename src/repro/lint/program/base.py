@@ -2,8 +2,8 @@
 
 A program rule is an ordinary engine :class:`~repro.lint.engine.Rule`
 (registered with :func:`~repro.lint.engine.register_rule`) whose
-``collect`` pass is a no-op; all of its reasoning happens in ``finalize``
-against ``ctx.program_model`` (the
+``collect`` pass is a no-op by default; all of its reasoning happens in
+``finalize`` against ``ctx.program_model`` (the
 :class:`~repro.lint.program.model.ProgramModel` the engine builds before
 dispatching rules).
 

@@ -4,8 +4,10 @@ The cache unit is the serialized :class:`ModuleFacts` of one file; the
 key is ``relpath:sha256(content)``, so any edit invalidates exactly that
 file's entry and whole-program propagation (symbol table, call graph,
 fixpoints) is recomputed from facts — which is cheap — on every run.
-A ``FACTS_VERSION`` bump or unreadable cache file silently degrades to a
-cold run; the cache is a pure accelerator, never a correctness input.
+The file is stamped with ``FACTS_VERSION``, a digest of the analyzer's
+own sources: a cache written by another version of the analyzer, or an
+unreadable one, silently degrades to a cold run.  The cache is a pure
+accelerator, never a correctness input.
 """
 
 from __future__ import annotations

@@ -39,16 +39,17 @@ from repro.lint.program.facts import (
 )
 from repro.lint.program.symbols import module_name_for
 
-#: Mirrors RL001/RL002: stats record/read method names and receivers.
+#: Stats record/read method names on a ``stats`` receiver.  Every record
+#: site feeds RL101 (key liveness) and RL002 (static keys).
 _RECORD_METHODS = frozenset({"add", "observe"})
 _READ_METHODS = frozenset({"get", "mean", "total", "count", "maximum"})
 
 #: StatsRegistry's backing dicts.  Flattened hot paths record into them
-#: directly, by literal key (``counters = stats._counters`` then
+#: directly (``counters = stats._counters`` then
 #: ``counters["hmc/x"] += 1.0``); those writes are record sites too.
 _REGISTRY_DICTS = frozenset({"_counters", "_sums", "_counts", "_maxima"})
 
-#: Wall-clock/entropy attributes per source module.
+#: Wall-clock/entropy attributes per source module (RL001 and RL102).
 _SOURCE_ATTRS: Dict[str, "frozenset[str]"] = {
     "time": frozenset(
         {"time", "time_ns", "perf_counter", "perf_counter_ns", "monotonic", "monotonic_ns"}
@@ -60,6 +61,19 @@ _SOURCE_ATTRS: Dict[str, "frozenset[str]"] = {
     ),
 }
 _DATETIME_ATTRS = frozenset({"now", "utcnow", "today"})
+
+
+def reads_wall_clock_or_entropy(module: str, attr: str) -> bool:
+    """True when ``<module>.<attr>()`` reads a wall clock or entropy.
+
+    *module* is ``time``, ``os``, ``uuid``, ``secrets`` or ``datetime``
+    (for ``datetime``, *attr* is the method of its ``datetime``/``date``
+    class).
+    """
+    if module == "datetime":
+        return attr in _DATETIME_ATTRS
+    return attr in _SOURCE_ATTRS.get(module, frozenset())
+
 
 # -- snapshot safety (RL103) ------------------------------------------------
 
@@ -298,8 +312,6 @@ class _Extractor:
         self.module_aliases: Dict[str, str] = {}
         #: names bound by `from time import perf_counter` etc.
         self.source_name_imports: Dict[str, str] = {}
-        #: self._key_* attrs -> literal key (record-site resolution).
-        self.key_attrs: Dict[str, str] = {}
 
     def _walk(self, func: FunctionNode) -> List[ast.AST]:
         """``ast.walk(func)`` as a list, computed once per function."""
@@ -314,7 +326,6 @@ class _Extractor:
         self._collect_imports()
         self._collect_module_level()
         self._collect_rng_bindings()
-        self._collect_key_attrs()
         self._collect_codec_registrations()
         for node in self.tree.body:
             if isinstance(node, ast.ClassDef):
@@ -413,20 +424,6 @@ class _Extractor:
                     self.rng_names.add(target.id)
                 elif isinstance(target, ast.Attribute) and _rooted_at_self(target):
                     self.rng_attrs.add(target.attr)
-
-    def _collect_key_attrs(self) -> None:
-        for node in self.nodes:
-            if not isinstance(node, ast.Assign):
-                continue
-            if not (isinstance(node.value, ast.Constant) and isinstance(node.value.value, str)):
-                continue
-            for target in node.targets:
-                if (
-                    isinstance(target, ast.Attribute)
-                    and _rooted_at_self(target)
-                    and target.attr.startswith("_key_")
-                ):
-                    self.key_attrs[target.attr] = node.value.value
 
     def _collect_codec_registrations(self) -> None:
         for node in self.nodes:
@@ -647,11 +644,11 @@ class _Extractor:
         attr = chain[-1]
         if root == "random":
             return f"random.{attr}()"
-        if root in _SOURCE_ATTRS and attr in _SOURCE_ATTRS[root]:
-            return f"{root}.{attr}()"
-        if root == "datetime" and attr in _DATETIME_ATTRS:
+        if not reads_wall_clock_or_entropy(root, attr):
+            return None
+        if root == "datetime":
             return f"{'.'.join(chain)}()"
-        return None
+        return f"{root}.{attr}()"
 
     def _launders(self, node: ast.Call) -> bool:
         chain = _attr_chain(node.func)
@@ -675,7 +672,7 @@ class _Extractor:
         func = node.func
         if not isinstance(func, ast.Attribute):
             return None
-        if func.attr not in ("add", "observe") or not _is_stats_receiver(func.value):
+        if func.attr not in _RECORD_METHODS or not _is_stats_receiver(func.value):
             return None
         detail = f"stats.{func.attr}(...)"
         if node.args and isinstance(node.args[0], ast.Constant):
@@ -737,12 +734,11 @@ class _Extractor:
 
     # -- stats sites -------------------------------------------------------
     def _collect_stats_sites(self) -> None:
-        for owner in self._walk_function_scopes():
-            func, _ = owner
+        for statements in self._binding_scopes():
             bindings = LocalStringBindings(self.facts.constants)
             #: Local names bound to a registry dict (``counters = stats._counters``).
             registry_dicts: Set[str] = set()
-            for node in _ordered_statements(func, self._walk(func)):
+            for node in statements:
                 if isinstance(node, ast.Assign):
                     for target in node.targets:
                         bindings.assign(target, node.value)
@@ -774,16 +770,23 @@ class _Extractor:
             return
         self._record_site(target, target.slice, bindings)
 
-    def _walk_function_scopes(self) -> List[Tuple[FunctionNode, Optional[str]]]:
-        out: List[Tuple[FunctionNode, Optional[str]]] = []
-        for node in self.tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.append((node, None))
-            elif isinstance(node, ast.ClassDef):
-                for child in node.body:
-                    if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                        out.append((child, node.name))
-        return out
+    def _binding_scopes(self) -> List[List[ast.stmt]]:
+        """The statements of each outermost function (its nested functions
+        included), then those outside every function, in source order."""
+        functions: List[FunctionNode] = []
+        outside: List[ast.stmt] = []
+        pending: List[ast.AST] = [self.tree]
+        while pending:
+            for child in ast.iter_child_nodes(pending.pop()):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    functions.append(child)
+                    continue
+                if isinstance(child, ast.stmt):
+                    outside.append(child)
+                pending.append(child)
+        functions.sort(key=_position)
+        outside.sort(key=_position)
+        return [_ordered_statements(func, self._walk(func)) for func in functions] + [outside]
 
     def _classify_stats_call(self, node: ast.Call, bindings: LocalStringBindings) -> None:
         func = node.func
@@ -794,7 +797,7 @@ class _Extractor:
         if method in _RECORD_METHODS and _is_stats_receiver(func.value):
             self._record_site(node, key_node, bindings)
         elif method in _READ_METHODS:
-            key = self._literal_of(key_node, bindings)
+            key = _literal_of(key_node, bindings)
             if key is None:
                 return
             if _is_stats_receiver(func.value):
@@ -805,23 +808,18 @@ class _Extractor:
                 # metric dicts) still participates in liveness.
                 self._add_read(key, node)
 
-    def _literal_of(
-        self, node: ast.expr, bindings: LocalStringBindings
-    ) -> Optional[str]:
-        if isinstance(node, ast.Constant) and isinstance(node.value, str):
-            return node.value
-        if isinstance(node, ast.Name):
-            return bindings.lookup(node.id)
-        if isinstance(node, ast.Attribute) and node.attr in self.key_attrs:
-            return self.key_attrs[node.attr]
-        return None
-
     def _record_site(
         self, site: ast.expr, key_node: ast.expr, bindings: LocalStringBindings
     ) -> None:
-        """Record the key(s) *key_node* names, anchored at *site*."""
+        """Record the key(s) *key_node* names, anchored at *site*.
+
+        Every record site yields at least one :class:`KeySite`.  A key
+        that is no literal, literal-bound local or literal-key-table entry
+        is kept as its f-string's literal prefix (``pattern``) or, with no
+        prefix to go on, as ``dynamic``, which RL101 skips.
+        """
         line, col = site.lineno, site.col_offset
-        key = self._literal_of(key_node, bindings)
+        key = _literal_of(key_node, bindings)
         if key is not None:
             kind = "literal" if isinstance(key_node, ast.Constant) else "var"
             self.facts.stats_records.append(KeySite(key=key, line=line, col=col, kind=kind))
@@ -836,19 +834,29 @@ class _Extractor:
                     KeySite(key=key, line=line, col=col, kind="table")
                 )
             return
-        if isinstance(key_node, ast.JoinedStr):
-            prefix = ""
-            if key_node.values and isinstance(key_node.values[0], ast.Constant):
-                prefix = str(key_node.values[0].value)
-            if prefix:
-                self.facts.stats_records.append(
-                    KeySite(key=prefix, line=line, col=col, kind="pattern")
-                )
+        prefix = ""
+        if (
+            isinstance(key_node, ast.JoinedStr)
+            and key_node.values
+            and isinstance(key_node.values[0], ast.Constant)
+        ):
+            prefix = str(key_node.values[0].value)
+        kind = "pattern" if prefix else "dynamic"
+        self.facts.stats_records.append(KeySite(key=prefix, line=line, col=col, kind=kind))
 
     def _add_read(self, key: str, node: ast.Call) -> None:
         self.facts.stats_reads.append(
             KeySite(key=key, line=node.lineno, col=node.col_offset, kind="literal")
         )
+
+
+def _literal_of(node: ast.expr, bindings: LocalStringBindings) -> Optional[str]:
+    """The string a key expression statically names, or None."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return node.value
+    if isinstance(node, ast.Name):
+        return bindings.lookup(node.id)
+    return None
 
 
 def _ordered_statements(func: FunctionNode, nodes: Sequence[ast.AST]) -> List[ast.stmt]:
@@ -857,8 +865,12 @@ def _ordered_statements(func: FunctionNode, nodes: Sequence[ast.AST]) -> List[as
     for node in nodes:
         if isinstance(node, ast.stmt) and node is not func:
             out.append(node)
-    out.sort(key=lambda stmt: (stmt.lineno, stmt.col_offset))
+    out.sort(key=_position)
     return out
+
+
+def _position(stmt: ast.stmt) -> Tuple[int, int]:
+    return stmt.lineno, stmt.col_offset
 
 
 def _calls_of(stmt: ast.stmt) -> List[ast.Call]:

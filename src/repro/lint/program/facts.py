@@ -16,24 +16,24 @@ those local facts into whole-program conclusions is the job of
 
 from __future__ import annotations
 
+import hashlib
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple
 
-#: Bump when the extraction schema changes; invalidates every cache entry.
-#: 2: snapshot-safety classifier learned sockets/selectors (RL103).
-#: 3: OrderedDict-holding attrs + hot-kernel odict-probe events (SoA rule).
-#: 4: per-function raw persistent-write sites (RL105).
-#: 5: stats records written straight into the registry's dicts (RL101).
-#: 6: module-wide raw-write sites (RL105); a detach hook no longer
-#:    marks a class exempt; private class names and ``self.x[k] = C()``
-#:    make attribute edges (RL103); the OrderedDict facts are gone.
-#: 7: the SoA rule is gone, and with it the numpy array facts, the
-#:    hot-kernel numpy events and the per-function ``hot`` flag.
-#: 8: registry-dict writes record every key shape ``stats.add`` does,
-#:    literal-key tables included (RL101).
-#: 9: a detach hook no longer exempts a class's own assignments
-#:    (RL103): checkpoints detach nothing.
-FACTS_VERSION = 9
+
+def _lint_sources_digest(package: Path) -> str:
+    """A digest of every source file under *package*, paths included."""
+    digest = hashlib.sha256()
+    for path in sorted(package.rglob("*.py")):
+        digest.update(path.relative_to(package).as_posix().encode("utf-8") + b"\0")
+        digest.update(path.read_bytes() + b"\0")
+    return digest.hexdigest()[:16]
+
+
+#: The facts schema version: any edit to the analyzer's sources changes
+#: it, so a cache written by another extractor is never read.
+FACTS_VERSION = _lint_sources_digest(Path(__file__).resolve().parents[1])
 
 #: An unresolved reference to a called/constructed symbol, e.g.
 #: ``("local", "Core")``, ``("self", "reset")``, or
@@ -56,7 +56,9 @@ class KeySite:
     key: str
     line: int
     col: int
-    #: "literal" | "table" | "var" | "const" | "pattern" (f-string prefix).
+    #: "literal" | "table" | "var" (a literal-bound name) | "pattern" (an
+    #: f-string's literal prefix) | "dynamic" (a record site whose key no
+    #: static reading names; ``key`` is empty).
     kind: str
 
     def to_dict(self) -> Dict[str, Any]:

@@ -207,6 +207,8 @@ def build_program_model(
 def _aggregate_stats(model: ProgramModel) -> None:
     for facts in model.table.modules.values():
         for site in facts.stats_records:
+            if site.kind == "dynamic":
+                continue  # names no key: RL002's finding, not RL101's
             if site.kind == "pattern":
                 model.record_patterns.append((site.key, facts.relpath, site))
             else:

@@ -32,6 +32,7 @@ from repro.lint.engine import (
     SourceFile,
     register_rule,
 )
+from repro.lint.rules.hot_path import is_dataclass
 
 #: Names assumed to hold a SystemConfig wherever they appear.
 _ROOT_CONFIG_NAMES = ("config", "cfg")
@@ -58,16 +59,6 @@ class ConfigClass:
             or attr in self.methods
             or attr.startswith("__")
         )
-
-
-def _is_dataclass_decorated(node: ast.ClassDef) -> bool:
-    for decorator in node.decorator_list:
-        target = decorator.func if isinstance(decorator, ast.Call) else decorator
-        if isinstance(target, ast.Name) and target.id == "dataclass":
-            return True
-        if isinstance(target, ast.Attribute) and target.attr == "dataclass":
-            return True
-    return False
 
 
 def _annotation_class(annotation: ast.AST) -> Optional[str]:
@@ -100,7 +91,7 @@ class ConfigLivenessRule(Rule):
     def _parse_config_classes(self, source: SourceFile) -> Dict[str, ConfigClass]:
         classes: Dict[str, ConfigClass] = {}
         for node in source.tree.body:
-            if not isinstance(node, ast.ClassDef) or not _is_dataclass_decorated(node):
+            if not isinstance(node, ast.ClassDef) or not is_dataclass(node):
                 continue
             info = ConfigClass(name=node.name, source=source, node=node)
             for statement in node.body:

@@ -9,8 +9,10 @@ simulation-critical packages (``sim``, ``mem``, ``core``, ``vm``,
 * importing or calling the ``random`` module (use
   :class:`repro.common.rng.DeterministicRng`, seeded by name + global
   seed);
-* wall-clock reads: ``time.time``/``perf_counter``/``monotonic``/
-  ``time_ns``, ``datetime.now``/``utcnow``/``today``, ``os.urandom``;
+* wall-clock and entropy reads: ``time.time``/``perf_counter``/
+  ``monotonic``/``time_ns``, ``datetime.now``/``utcnow``/``today``,
+  ``os.urandom``/``getrandom``, ``uuid`` and ``secrets`` (the table the
+  whole-program extractor classifies RL102's sources by);
 * ``id()`` used as a dictionary key or subscript — ``id()`` values depend
   on the allocator and differ between runs;
 * iterating an unordered ``set`` (or calling ``set.pop()``): Python sets
@@ -30,20 +32,8 @@ from repro.lint.engine import (
     SourceFile,
     register_rule,
 )
+from repro.lint.program.extract import reads_wall_clock_or_entropy
 
-#: Module-qualified calls that read ambient state.
-_FORBIDDEN_CALLS = {
-    ("time", "time"),
-    ("time", "time_ns"),
-    ("time", "perf_counter"),
-    ("time", "perf_counter_ns"),
-    ("time", "monotonic"),
-    ("time", "monotonic_ns"),
-    ("datetime", "now"),
-    ("datetime", "utcnow"),
-    ("datetime", "today"),
-    ("os", "urandom"),
-}
 
 def _is_set_expr(node: ast.AST) -> bool:
     """True for expressions that are syntactically a set right here."""
@@ -140,9 +130,9 @@ class DeterminismRule(Rule):
                     "from-import of the global `random` module in simulation "
                     "code; draw from repro.common.rng.DeterministicRng instead",
                 )
-            elif node.module in ("time", "os", "datetime"):
+            elif node.module is not None:
                 for alias in node.names:
-                    if (node.module, alias.name) in _FORBIDDEN_CALLS:
+                    if reads_wall_clock_or_entropy(node.module, alias.name):
                         imported_from[alias.asname or alias.name] = (
                             f"{node.module}.{alias.name}"
                         )
@@ -170,7 +160,7 @@ class DeterminismRule(Rule):
                     "DeterministicRng stream (repro.common.rng) so runs are "
                     "bit-reproducible",
                 )
-            elif (base.id, func.attr) in _FORBIDDEN_CALLS:
+            elif reads_wall_clock_or_entropy(base.id, func.attr):
                 ctx.emit(
                     self, source, node,
                     f"wall-clock/entropy call {base.id}.{func.attr}() in "
@@ -181,7 +171,8 @@ class DeterminismRule(Rule):
             isinstance(base, ast.Attribute)
             and isinstance(base.value, ast.Name)
             and base.value.id == "datetime"
-            and (base.attr, func.attr) in (("datetime", "now"), ("date", "today"))
+            and base.attr in ("datetime", "date")
+            and reads_wall_clock_or_entropy("datetime", func.attr)
         ):
             ctx.emit(
                 self, source, node,

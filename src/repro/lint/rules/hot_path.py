@@ -11,11 +11,6 @@ holds them to the discipline the PR-4 optimization pass established:
   plain ``__slots__`` classes (``MemoryOp``, ``AccessResult``, ...) or
   tuples.  The rule knows every ``@dataclass`` defined in the project and
   flags constructing one inside a hot function;
-* **no dynamically-built stats keys** — an f-string / concatenated /
-  ``.format``-ed key passed to a stats record method costs a string build
-  per event and defeats RL002's static key auditing.  Hot functions use
-  string literals or literal-key tables, and record by writing the
-  registry's live dicts (``stats._counters["hmc/x"] += 1.0``);
 * **no per-element Python loops over stream-chunk columns** (PR-9
   array-native streams) — an :class:`repro.workloads.chunks.OpChunk`
   carries its ops as parallel columns (``vaddrs``/``writes``/``instr``)
@@ -27,8 +22,9 @@ holds them to the discipline the PR-4 optimization pass established:
   :func:`chunks_from_blocks` exists to amortize away.
 
 The marker is an explicit opt-in, so the rule applies wherever it appears
-(including ``common/`` and ``workloads/``, outside the RL001/RL002
-simulation-package scope).
+(including ``common/`` and ``workloads/``, outside the RL001
+simulation-package scope).  Static stats keys inside hot functions are
+RL002's property; :func:`marked_hot` is the marker test it shares.
 """
 
 from __future__ import annotations
@@ -46,10 +42,6 @@ from repro.lint.engine import (
 
 _HOT_MARKER = re.compile(r"^\s*#\s*repro-hot\b")
 
-#: Stats record methods whose key argument must be static (mirrors RL002).
-_RECORD_METHODS = ("add", "observe")
-_STATS_NAMES = ("stats",)
-
 _FunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 
 #: The parallel columns of :class:`repro.workloads.chunks.OpChunk`.  Any
@@ -60,45 +52,19 @@ _FunctionDef = Union[ast.FunctionDef, ast.AsyncFunctionDef]
 _CHUNK_COLUMNS = ("vaddrs", "writes", "instr")
 
 
-def _is_stats_receiver(node: ast.AST) -> bool:
-    if isinstance(node, ast.Name):
-        return node.id in _STATS_NAMES
-    if isinstance(node, ast.Attribute):
-        return node.attr in _STATS_NAMES
+def is_dataclass(node: ast.ClassDef) -> bool:
+    """True when ``@dataclass``, ``@dataclass(...)`` or
+    ``@dataclasses.dataclass`` decorates the class."""
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if isinstance(target, ast.Name) and target.id == "dataclass":
+            return True
+        if isinstance(target, ast.Attribute) and target.attr == "dataclass":
+            return True
     return False
 
 
-def _is_dataclass_decorator(node: ast.AST) -> bool:
-    """True for ``@dataclass``, ``@dataclass(...)``, ``@dataclasses.dataclass``."""
-    if isinstance(node, ast.Call):
-        node = node.func
-    if isinstance(node, ast.Name):
-        return node.id == "dataclass"
-    if isinstance(node, ast.Attribute):
-        return node.attr == "dataclass"
-    return False
-
-
-def _is_dynamic_string(node: ast.AST) -> bool:
-    """True for expressions that build a string at the call site."""
-    if isinstance(node, ast.JoinedStr):
-        return True
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mod)):
-        # "a" + suffix or "a/%s" % kind — either side being a string
-        # literal marks this as string assembly.
-        for side in (node.left, node.right):
-            if isinstance(side, ast.Constant) and isinstance(side.value, str):
-                return True
-    if (
-        isinstance(node, ast.Call)
-        and isinstance(node.func, ast.Attribute)
-        and node.func.attr in ("format", "join")
-    ):
-        return True
-    return False
-
-
-def _marked_hot(source: SourceFile, node: _FunctionDef) -> bool:
+def marked_hot(source: SourceFile, node: _FunctionDef) -> bool:
     """True when ``# repro-hot`` sits directly above the def/decorators."""
     start = node.lineno
     for decorator in node.decorator_list:
@@ -111,7 +77,7 @@ def _marked_hot(source: SourceFile, node: _FunctionDef) -> bool:
 
 @register_rule
 class HotPathRule(Rule):
-    """RL005: enforce allocation/key discipline in ``# repro-hot`` functions."""
+    """RL005: enforce allocation discipline in ``# repro-hot`` functions."""
 
     rule_id = "RL005"
     name = "hot-path"
@@ -125,12 +91,10 @@ class HotPathRule(Rule):
     # -- collection --------------------------------------------------------
     def collect(self, source: SourceFile, ctx: ProjectContext) -> None:
         for node in ast.walk(source.tree):
-            if isinstance(node, ast.ClassDef) and any(
-                _is_dataclass_decorator(dec) for dec in node.decorator_list
-            ):
+            if isinstance(node, ast.ClassDef) and is_dataclass(node):
                 self.dataclasses.setdefault(node.name, source.relpath)
             elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                if _marked_hot(source, node):
+                if marked_hot(source, node):
                     self.hot_functions.append((source, node))
 
     # -- the cross-file pass (needs every dataclass name first) -----------
@@ -143,31 +107,19 @@ class HotPathRule(Rule):
     ) -> None:
         self._check_chunk_loops(source, function, ctx)
         for node in ast.walk(function):
-            if not isinstance(node, ast.Call):
-                continue
-            func = node.func
-            if isinstance(func, ast.Name) and func.id in self.dataclasses:
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Name)
+                and node.func.id in self.dataclasses
+            ):
+                name = node.func.id
                 ctx.emit(
                     self, source, node,
-                    f"dataclass {func.id} (defined in "
-                    f"{self.dataclasses[func.id]}) constructed inside "
+                    f"dataclass {name} (defined in "
+                    f"{self.dataclasses[name]}) constructed inside "
                     f"hot function {function.name}(): dataclass __init__ "
                     "dispatch is per-event overhead; use a __slots__ class "
                     "or a tuple on the hot path",
-                )
-            elif (
-                isinstance(func, ast.Attribute)
-                and func.attr in _RECORD_METHODS
-                and _is_stats_receiver(func.value)
-                and node.args
-                and _is_dynamic_string(node.args[0])
-            ):
-                ctx.emit(
-                    self, source, node,
-                    f"dynamically-built stats key inside hot function "
-                    f"{function.name}(): the string is assembled per event; "
-                    "use a literal or a literal-key table, and record into "
-                    "the live dicts (stats._counters[key] += 1.0)",
                 )
 
     # -- the chunk-column loop check (PR-9 array-native streams) -----------

@@ -3,9 +3,10 @@
 The paper's suite is SPEC/Splash-3/CORAL; users studying hybrid memory
 also care about patterns those suites under-represent.  This module adds
 three classics as an ``extras`` suite — they participate in nothing by
-default (the 26-workload figures are exactly the paper's) but are
-available to :func:`repro.sim.system.build_system`, the CLI, and custom
-studies:
+default (the 26-workload figures are exactly the paper's) and are not
+among the CLI's workload names.  Custom studies reach them through
+:func:`extra_workload_by_name` and hand the spec to
+:func:`repro.sim.system.build_system`:
 
 * **gups** — HPCC RandomAccess: uniform single-line updates over the
   whole footprint.  The adversarial case for page swapping: no page ever

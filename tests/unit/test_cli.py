@@ -64,8 +64,12 @@ class TestParser:
              "--engine", "scalar"],
             ["bench", "--engines", "scalar"],
             ["lint", "--program"],
+            ["lint", "--baseline", "lint-baseline.json"],
+            ["lint", "--no-baseline"],
+            ["lint", "--update-baseline"],
         ],
-        ids=["run-engine", "bench-engines", "lint-program"],
+        ids=["run-engine", "bench-engines", "lint-program", "lint-baseline",
+             "lint-no-baseline", "lint-update-baseline"],
     )
     def test_run_mode_flags_are_rejected(self, argv, capsys):
         """Scripts still passing the removed run-mode flags fail at parse
@@ -74,6 +78,26 @@ class TestParser:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["run", "--scheme", "pageseer", "--workload", "gupsx4"],
+            ["energy", "--workload", "bogus"],
+            ["trace-record", "--workload", "bogus", "--out", "x.trace"],
+            ["report", "--workloads", "lbmx4", "bogus"],
+            ["sweep", "--workloads", "bogus"],
+            ["sweepd", "submit", "--workloads", "bogus"],
+        ],
+        ids=["run", "energy", "trace-record", "report", "sweep", "sweepd-submit"],
+    )
+    def test_unknown_workload_is_a_usage_error(self, argv, capsys):
+        """An unknown workload name exits 2 at parse time, as an unknown
+        scheme does, rather than with a traceback from the lookup."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
     def test_building_the_parser_leaves_the_analyzer_unloaded(self):
         """Every command builds the parser; only a lint run pays for

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from repro.lint.engine import lint_paths
 from repro.lint.rules.determinism import DeterminismRule
 
@@ -49,6 +51,22 @@ class TestWallClocks:
 
     def test_os_urandom_flagged(self, tmp_path):
         assert findings_for(tmp_path, "import os\nseed = os.urandom(8)\n")
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "import os\nseed = os.getrandom(8)\n",
+            "import uuid\ntag = uuid.uuid4()\n",
+            "from uuid import uuid1\ntag = uuid1()\n",
+            "import secrets\nseed = secrets.randbits(32)\n",
+            "from secrets import token_hex\ntag = token_hex(8)\n",
+        ],
+        ids=["os.getrandom", "uuid.uuid4", "from-uuid", "secrets", "from-secrets"],
+    )
+    def test_every_entropy_source_of_the_extractor_flagged(self, tmp_path, text):
+        """RL001 reads RL102's wall-clock and entropy table."""
+        (finding,) = findings_for(tmp_path, text)
+        assert "wall-clock/entropy call" in finding.message
 
     def test_time_module_other_functions_clean(self, tmp_path):
         assert findings_for(tmp_path, "import time\ntime.sleep(0)\n") == []

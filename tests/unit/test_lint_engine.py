@@ -1,8 +1,7 @@
-"""Engine mechanics: suppressions, severities, baseline round-trips."""
+"""Engine mechanics: suppressions, severities, report rendering."""
 
 from pathlib import Path
 
-from repro.lint.baseline import Baseline
 from repro.lint.engine import Severity, all_rules, lint_paths
 from repro.lint.rules.determinism import DeterminismRule
 
@@ -137,62 +136,6 @@ class TestSeverityAndExitCode:
         assert report.findings == []
 
 
-class TestBaseline:
-    def test_round_trip_preserves_comments(self, tmp_path):
-        write_tree(tmp_path, {"sim/core.py": BAD_IMPORT})
-        report = lint(tmp_path)
-        baseline = Baseline()
-        kept, added = baseline.update_from(report.failing)
-        assert (kept, added) == (0, 1)
-        fingerprint = report.failing[0].fingerprint
-        baseline.entries[fingerprint]["comment"] = "known; migration pending"
-
-        path = tmp_path / "lint-baseline.json"
-        baseline.save(path)
-        reloaded = Baseline.load(path)
-        assert reloaded.entries[fingerprint]["comment"] == "known; migration pending"
-
-        # A second update keeps the surviving entry's comment.
-        kept, added = reloaded.update_from(report.failing)
-        assert (kept, added) == (1, 0)
-        assert reloaded.entries[fingerprint]["comment"] == "known; migration pending"
-
-    def test_apply_moves_findings_out_of_failing_set(self, tmp_path):
-        write_tree(tmp_path, {"sim/core.py": BAD_IMPORT})
-        report = lint(tmp_path)
-        baseline = Baseline()
-        baseline.update_from(report.failing)
-
-        fresh = lint(tmp_path)
-        fresh = baseline.apply(fresh)
-        assert fresh.findings == []
-        assert len(fresh.baselined) == 1
-        assert fresh.exit_code == 0
-
-    def test_fingerprint_survives_line_moves(self, tmp_path):
-        write_tree(tmp_path, {"sim/core.py": BAD_IMPORT})
-        before = lint(tmp_path).failing[0]
-        write_tree(tmp_path, {"sim/core.py": "# a new leading comment\n" + BAD_IMPORT})
-        after = lint(tmp_path).failing[0]
-        assert before.line != after.line
-        assert before.fingerprint == after.fingerprint
-
-    def test_stale_entries_reported(self, tmp_path):
-        write_tree(tmp_path, {"sim/core.py": BAD_IMPORT})
-        report = lint(tmp_path)
-        baseline = Baseline()
-        baseline.update_from(report.failing)
-
-        write_tree(tmp_path, {"sim/core.py": "x = 1\n"})
-        clean = lint(tmp_path)
-        stale = baseline.stale_entries(clean.findings + clean.baselined)
-        assert len(stale) == 1
-
-    def test_missing_baseline_file_is_empty(self, tmp_path):
-        baseline = Baseline.load(tmp_path / "absent.json")
-        assert baseline.entries == {}
-
-
 class TestReportRendering:
     def test_json_report_is_machine_readable(self, tmp_path):
         import json
@@ -205,7 +148,10 @@ class TestReportRendering:
         (finding,) = document["findings"]
         assert finding["rule"] == "RL001"
         assert finding["path"] == "sim/core.py"
-        assert finding["fingerprint"]
+        assert sorted(finding) == [
+            "col", "line", "message", "path", "rule", "severity",
+        ]
+        assert "baselined" not in document
 
     def test_text_report_names_the_position(self, tmp_path):
         write_tree(tmp_path, {"sim/core.py": BAD_IMPORT})

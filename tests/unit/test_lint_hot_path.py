@@ -84,65 +84,6 @@ class TestDataclassConstruction:
         assert findings_for(tmp_path, text)
 
 
-class TestDynamicStatsKeys:
-    def test_fstring_key_in_hot_function_flagged(self, tmp_path):
-        text = (
-            "# repro-hot\n"
-            "def step(stats, level):\n"
-            "    stats.add(f'cache/l{level}_hits')\n"
-        )
-        (finding,) = findings_for(tmp_path, text)
-        assert "dynamically-built stats key" in finding.message
-
-    def test_concatenated_key_flagged(self, tmp_path):
-        text = (
-            "# repro-hot\n"
-            "def step(stats, name):\n"
-            "    stats.observe('walk/' + name, 1.0)\n"
-        )
-        assert findings_for(tmp_path, text)
-
-    def test_format_key_flagged(self, tmp_path):
-        text = (
-            "# repro-hot\n"
-            "def step(stats, name):\n"
-            "    stats.add('walk/{}'.format(name))\n"
-        )
-        assert findings_for(tmp_path, text)
-
-    def test_literal_key_is_clean(self, tmp_path):
-        text = (
-            "# repro-hot\n"
-            "def step(stats):\n"
-            "    stats.add('cache/l1_hits')\n"
-        )
-        assert findings_for(tmp_path, text) == []
-
-    def test_literal_table_key_is_clean(self, tmp_path):
-        text = (
-            "_KEYS = ('cache/l1_hits', 'cache/l2_hits')\n"
-            "# repro-hot\n"
-            "def step(stats, level):\n"
-            "    stats.add(_KEYS[level])\n"
-        )
-        assert findings_for(tmp_path, text) == []
-
-    def test_fstring_outside_hot_function_not_flagged_by_rl005(self, tmp_path):
-        text = (
-            "def summary(stats, level):\n"
-            "    stats.add(f'cache/l{level}_hits')\n"
-        )
-        assert findings_for(tmp_path, text) == []
-
-    def test_non_stats_receiver_is_clean(self, tmp_path):
-        text = (
-            "# repro-hot\n"
-            "def step(queue, name):\n"
-            "    queue.add(f'job/{name}')\n"
-        )
-        assert findings_for(tmp_path, text) == []
-
-
 class TestMarkerScope:
     def test_marker_applies_outside_sim_packages(self, tmp_path):
         assert findings_for(

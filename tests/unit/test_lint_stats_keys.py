@@ -1,9 +1,10 @@
-"""Stats-key discipline: RL002's dynamic keys at record sites, and
+"""Stats-key discipline: RL002's dynamic keys at record sites (calls and
+live-dict writes, in the simulation packages and in hot functions), and
 RL101's liveness and near-duplicate (typo'd) keys."""
 
 from pathlib import Path
 
-from repro.lint.engine import Severity, lint_paths
+from repro.lint.engine import Severity, all_rules, lint_paths
 from repro.lint.program.rules.stats_liveness import StatsLivenessRule
 from repro.lint.rules.stats_keys import StatsKeyRule
 
@@ -83,7 +84,9 @@ class TestDynamicKeys:
         )
         assert report.failing == []
 
-    def test_precomputed_self_key_attribute_accepted(self, tmp_path):
+    def test_self_key_attribute_flagged(self, tmp_path):
+        """A key built at run time and parked on ``self`` is as dynamic as
+        one built at the record site."""
         report = run(
             tmp_path,
             {
@@ -97,7 +100,151 @@ class TestDynamicKeys:
                 )
             },
         )
-        assert report.failing == []
+        (finding,) = report.failing
+        assert finding.line == 6
+        assert "non-literal stats key" in finding.message
+
+
+class TestLiveDictWrites:
+    """Writes into the registry's live dicts are record sites too."""
+
+    def test_dynamic_live_dict_writes_flagged_once_each(self, tmp_path):
+        report = run(
+            tmp_path,
+            {
+                "sim/model.py": (
+                    "def tick(stats, kind):\n"
+                    "    counters = stats._counters\n"
+                    "    counters[f'hmc/req_{kind}'] += 1.0\n"
+                    "    stats._counters['hmc/x_' + kind] += 1.0\n"
+                )
+            },
+        )
+        assert [(f.rule, f.line) for f in report.failing] == [
+            ("RL002", 3), ("RL002", 4),
+        ]
+        assert "f-string stats key" in report.failing[0].message
+        assert "non-literal stats key" in report.failing[1].message
+
+    def test_every_registry_dict_is_checked(self, tmp_path):
+        report = run(
+            tmp_path,
+            {
+                "core/model.py": (
+                    "def tick(self, name, value):\n"
+                    "    self.stats._sums[name] += value\n"
+                    "    self.stats._counts[name] += 1\n"
+                    "    self.stats._maxima[name] = value\n"
+                )
+            },
+        )
+        assert [f.line for f in report.failing] == [2, 3, 4]
+
+    def test_literal_and_table_live_dict_writes_clean(self, tmp_path):
+        report = run(
+            tmp_path,
+            {
+                "sim/model.py": (
+                    "_KEYS = {'dram': 'hmc/serviced_dram', 'nvm': 'hmc/serviced_nvm'}\n"
+                    "def tick(stats, source, ammat):\n"
+                    "    counters = stats._counters\n"
+                    "    counters['hmc/requests'] += 1.0\n"
+                    "    counters[_KEYS[source]] += 1.0\n"
+                    "    stats._sums['hmc/ammat'] += ammat\n"
+                )
+            },
+        )
+        assert report.findings == []
+
+    def test_other_dicts_are_not_record_sites(self, tmp_path):
+        report = run(
+            tmp_path,
+            {
+                "core/hpt.py": (
+                    "def touch(self, page, name):\n"
+                    "    self._counters[page] += 1\n"
+                    "    counters = self._counters\n"
+                    "    counters[f'x/{name}'] = 0\n"
+                )
+            },
+        )
+        assert report.findings == []
+
+
+HOT_FSTRING = (
+    "# repro-hot\n"
+    "def step(stats, level):\n"
+    "    stats.add(f'cache/l{level}_hits')\n"
+)
+
+
+class TestHotFunctions:
+    """RL002 follows ``# repro-hot`` out of the simulation packages."""
+
+    @staticmethod
+    def hot(tmp_path: Path, text: str, relpath: str = "workloads/gen.py"):
+        return run(tmp_path, {relpath: text}).findings
+
+    def test_fstring_key_in_hot_function_flagged(self, tmp_path):
+        (finding,) = self.hot(tmp_path, HOT_FSTRING)
+        assert finding.rule == "RL002"
+        assert "f-string stats key" in finding.message
+
+    def test_concatenated_key_flagged(self, tmp_path):
+        text = (
+            "# repro-hot\n"
+            "def step(stats, name):\n"
+            "    stats.observe('walk/' + name, 1.0)\n"
+        )
+        assert self.hot(tmp_path, text)
+
+    def test_format_key_flagged(self, tmp_path):
+        text = (
+            "# repro-hot\n"
+            "def step(stats, name):\n"
+            "    stats.add('walk/{}'.format(name))\n"
+        )
+        assert self.hot(tmp_path, text)
+
+    def test_literal_key_is_clean(self, tmp_path):
+        text = (
+            "# repro-hot\n"
+            "def step(stats):\n"
+            "    stats.add('cache/l1_hits')\n"
+        )
+        assert self.hot(tmp_path, text) == []
+
+    def test_literal_table_key_is_clean(self, tmp_path):
+        text = (
+            "_KEYS = ('cache/l1_hits', 'cache/l2_hits')\n"
+            "# repro-hot\n"
+            "def step(stats, level):\n"
+            "    stats.add(_KEYS[level])\n"
+        )
+        assert self.hot(tmp_path, text) == []
+
+    def test_fstring_outside_hot_function_not_flagged(self, tmp_path):
+        text = (
+            "def summary(stats, level):\n"
+            "    stats.add(f'cache/l{level}_hits')\n"
+        )
+        assert self.hot(tmp_path, text) == []
+
+    def test_non_stats_receiver_is_clean(self, tmp_path):
+        text = (
+            "# repro-hot\n"
+            "def step(queue, name):\n"
+            "    queue.add(f'job/{name}')\n"
+        )
+        assert self.hot(tmp_path, text) == []
+
+    def test_hot_fstring_in_sim_package_is_one_finding(self, tmp_path):
+        """RL002 owns the property: the full rule set reports the hot
+        f-string once, not once per rule."""
+        (tmp_path / "sim").mkdir()
+        (tmp_path / "sim" / "core.py").write_text(HOT_FSTRING)
+        report = lint_paths(["."], root=tmp_path, rules=all_rules())
+        assert [(f.rule, f.line) for f in report.findings] == [("RL002", 3)]
 
 
 class TestLiveness:

@@ -168,9 +168,34 @@ class TestPrewarm:
         monkeypatch.setattr(runner, "run_many", fake_run_many)
         runner.prewarm()
         variants = {request[2] for request in seen}
-        assert variants == {"default", "nobw", "nocorr", "nohints"}
+        assert variants == {"default", "nobw", "nocorr", "nohints", "partial"}
         schemes = {request[0] for request in seen}
         assert schemes == {"pageseer", "pom", "mempod"}
+
+    def test_partial_only_on_the_ablation_workloads(self, tmp_path, monkeypatch):
+        """fftx4 is not among ``ablation_partial.WORKLOADS``."""
+        runner = make_runner(tmp_path, workloads=["lbmx4", "fftx4", "mcfx8"])
+        seen = []
+        monkeypatch.setattr(
+            runner, "run_many", lambda requests, jobs=None: seen.extend(requests)
+        )
+        runner.prewarm()
+        partial = [request for request in seen if request[2] == "partial"]
+        assert partial == [("pageseer", "lbmx4", "partial"), ("pageseer", "mcfx8", "partial")]
+
+    def test_report_after_prewarm_simulates_nothing(self, tmp_path, monkeypatch):
+        from repro.experiments import runner as runner_module
+        from repro.experiments.report import generate_report
+
+        runner = make_runner(tmp_path, measure_ops=200, warmup_ops=200)
+        runner.prewarm(jobs=1)
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("report simulated a run prewarm left out")
+
+        monkeypatch.setattr(runner_module, "build_system", no_simulation)
+        fresh = make_runner(tmp_path, measure_ops=200, warmup_ops=200)
+        assert "Ablation (partial swaps)" in generate_report(fresh)
 
 
 class TestVariantRegistry:
