@@ -8,9 +8,12 @@ from the cache.
 
 Environment knobs:
 
-* ``REPRO_BENCH_SCALE``       system down-scaling factor (default 512)
-* ``REPRO_BENCH_MEASURE_OPS`` measured ops per core (default 10000)
-* ``REPRO_BENCH_WARMUP_OPS``  warm-up ops per core (default 26000)
+* ``REPRO_BENCH_SCALE``       system down-scaling factor (default: the
+  runner's ``DEFAULT_SCALE``, 512)
+* ``REPRO_BENCH_MEASURE_OPS`` measured ops per core (default: the runner's
+  ``DEFAULT_MEASURE_OPS``, 10000)
+* ``REPRO_BENCH_WARMUP_OPS``  warm-up ops per core (default: the runner's
+  ``DEFAULT_WARMUP_OPS``, 26000)
 * ``REPRO_BENCH_QUICK``       if set, restrict to a 4-workload subset
 * ``REPRO_CACHE_DIR``         cache location (default .repro_cache)
 """
@@ -20,11 +23,16 @@ from typing import List
 
 import pytest
 
-from repro.experiments import ExperimentRunner
+from repro.experiments import (
+    DEFAULT_MEASURE_OPS,
+    DEFAULT_SCALE,
+    DEFAULT_WARMUP_OPS,
+    ExperimentRunner,
+)
 
-BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", "512"))
-BENCH_MEASURE_OPS = int(os.environ.get("REPRO_BENCH_MEASURE_OPS", "10000"))
-BENCH_WARMUP_OPS = int(os.environ.get("REPRO_BENCH_WARMUP_OPS", "26000"))
+BENCH_SCALE = int(os.environ.get("REPRO_BENCH_SCALE", DEFAULT_SCALE))
+BENCH_MEASURE_OPS = int(os.environ.get("REPRO_BENCH_MEASURE_OPS", DEFAULT_MEASURE_OPS))
+BENCH_WARMUP_OPS = int(os.environ.get("REPRO_BENCH_WARMUP_OPS", DEFAULT_WARMUP_OPS))
 QUICK_WORKLOADS = ["lbmx4", "milcx4", "mcfx8", "mix1"]
 
 #: Rendered figures accumulated for the terminal summary.

@@ -318,9 +318,16 @@ def delta_report(
 
 # -- CLI glue (wired into repro.cli's subcommand table) ----------------------
 def add_bench_arguments(parser: argparse.ArgumentParser) -> None:
+    from repro.sim.system import SCHEMES
+    from repro.workloads import all_workloads
+
+    # Unknown names are usage errors (exit 2), as on every other command.
     parser.add_argument("--schemes", nargs="*", default=None,
+                        choices=sorted(SCHEMES),
                         help="schemes to bench (default: all)")
     parser.add_argument("--workloads", nargs="*", default=None,
+                        choices=[spec.name for spec in all_workloads()],
+                        metavar="WORKLOAD",
                         help=f"workloads to bench (default: {DEFAULT_WORKLOADS})")
     parser.add_argument("--scale", type=int, default=DEFAULT_SCALE,
                         help="system down-scaling factor")
@@ -373,10 +380,6 @@ def command_bench(args: argparse.Namespace) -> int:
         return 0
 
     schemes = args.schemes if args.schemes else sorted(SCHEMES)
-    for scheme in schemes:
-        if scheme not in SCHEMES:
-            print(f"unknown scheme {scheme!r}; pick from {sorted(SCHEMES)}")
-            return 2
     workloads = args.workloads if args.workloads else list(DEFAULT_WORKLOADS)
     measure_ops = args.ops
     if measure_ops is None:

@@ -40,18 +40,26 @@ from repro.experiments.jobcore import (
     HEARTBEAT_SECONDS,
     LEASE_SECONDS,
 )
-from repro.experiments.runner import VARIANTS
+from repro.experiments.runner import (
+    DEFAULT_MEASURE_OPS,
+    DEFAULT_SCALE,
+    DEFAULT_WARMUP_OPS,
+    VARIANTS,
+)
 from repro.faults import FAULT_PROFILES, resolve_profile
 from repro.sim.system import SCHEMES, build_system
 from repro.workloads import all_workloads, workload_by_name
 
 
 def _add_sizing_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=int, default=512,
+    # The runner's paper sizing: `report` with no flags renders the
+    # operating point EXPERIMENTS.md documents and reuses the cache
+    # entries `benchmarks/` and `prewarm` write.
+    parser.add_argument("--scale", type=int, default=DEFAULT_SCALE,
                         help="system down-scaling factor (1 = paper size)")
-    parser.add_argument("--measure-ops", type=int, default=8000,
+    parser.add_argument("--measure-ops", type=int, default=DEFAULT_MEASURE_OPS,
                         help="measured memory operations per core")
-    parser.add_argument("--warmup-ops", type=int, default=12000,
+    parser.add_argument("--warmup-ops", type=int, default=DEFAULT_WARMUP_OPS,
                         help="warm-up memory operations per core")
     parser.add_argument("--seed", type=int, default=0)
 

@@ -326,7 +326,6 @@ class _Extractor:
         self._collect_imports()
         self._collect_module_level()
         self._collect_rng_bindings()
-        self._collect_codec_registrations()
         for node in self.tree.body:
             if isinstance(node, ast.ClassDef):
                 self._collect_class(node)
@@ -424,18 +423,6 @@ class _Extractor:
                     self.rng_names.add(target.id)
                 elif isinstance(target, ast.Attribute) and _rooted_at_self(target):
                     self.rng_attrs.add(target.attr)
-
-    def _collect_codec_registrations(self) -> None:
-        for node in self.nodes:
-            if not isinstance(node, ast.Call) or not node.args:
-                continue
-            func = node.func
-            name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
-            if name != "register_codec":
-                continue
-            first = node.args[0]
-            if isinstance(first, ast.Name):
-                self.facts.codec_registered.append(first.id)
 
     # -- references --------------------------------------------------------
     def _callee_ref(self, node: ast.Call) -> Optional[Ref]:
@@ -874,13 +861,18 @@ def _position(stmt: ast.stmt) -> Tuple[int, int]:
 
 
 def _calls_of(stmt: ast.stmt) -> List[ast.Call]:
-    """Call expressions attached directly to *stmt* (not nested stmts)."""
+    """Every call in *stmt*'s own expressions, breadth-first: a compound
+    statement's header (``if``/``while``/``for``/``with``) to any depth,
+    but not the statements nested in its body."""
     out: List[ast.Call] = []
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Call):
-            out.append(node)
-        if isinstance(node, ast.stmt) and node is not stmt:
-            break
+    queue: List[ast.AST] = [stmt]
+    for node in queue:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.stmt):
+                continue
+            if isinstance(child, ast.Call):
+                out.append(child)
+            queue.append(child)
     return out
 
 

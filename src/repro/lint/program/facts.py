@@ -278,8 +278,6 @@ class ModuleFacts:
     functions: Dict[str, FunctionFacts] = field(default_factory=dict)
     stats_records: List[KeySite] = field(default_factory=list)
     stats_reads: List[KeySite] = field(default_factory=list)
-    #: Class names registered with repro.snapshot.codec.register_codec.
-    codec_registered: List[str] = field(default_factory=list)
     #: Every raw persistent-write site in the file, at any nesting (RL105).
     raw_writes: List[RawWrite] = field(default_factory=list)
     #: Relpath segments place the file inside the simulation packages.
@@ -298,7 +296,6 @@ class ModuleFacts:
             "functions": {name: fn.to_dict() for name, fn in self.functions.items()},
             "stats_records": [site.to_dict() for site in self.stats_records],
             "stats_reads": [site.to_dict() for site in self.stats_reads],
-            "codec_registered": list(self.codec_registered),
             "raw_writes": [site.to_dict() for site in self.raw_writes],
             "in_sim_package": self.in_sim_package,
         }
@@ -325,7 +322,6 @@ class ModuleFacts:
             },
             stats_records=[KeySite.from_dict(site) for site in raw["stats_records"]],
             stats_reads=[KeySite.from_dict(site) for site in raw["stats_reads"]],
-            codec_registered=[str(name) for name in raw["codec_registered"]],
             raw_writes=[RawWrite.from_dict(site) for site in raw["raw_writes"]],
             in_sim_package=bool(raw["in_sim_package"]),
         )

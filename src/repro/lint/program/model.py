@@ -83,9 +83,6 @@ class ProgramModel:
         #: checkpoint-reachable class symbol -> human attribute chain.
         self.reachable: Dict[SymbolId, str] = {}
         self.root_symbols: List[SymbolId] = []
-        #: codec-registered class symbols/bare names (snapshot-handled).
-        self.codec_symbols: Set[SymbolId] = set()
-        self.codec_names: Set[str] = set()
         self.cache_hits = 0
         self.cache_misses = 0
 
@@ -95,13 +92,9 @@ class ProgramModel:
         return facts.relpath if facts is not None else None
 
     def class_is_snapshot_handled(self, symbol: SymbolId) -> bool:
-        """Owns its encoding (``__getstate__`` & co.) or codec-registered."""
+        """Owns its encoding (``__getstate__`` & co.)."""
         cls = self.table.class_named(symbol)
-        if cls is None:
-            return True
-        if cls.exempt or symbol in self.codec_symbols:
-            return True
-        return cls.name in self.codec_names
+        return cls is None or cls.exempt
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +187,6 @@ def build_program_model(
     model.cache_hits = placeholder.cache_hits
     model.cache_misses = placeholder.cache_misses
     _aggregate_stats(model)
-    _collect_codec_registrations(model)
     _run_taint_fixpoint(model)
     _collect_taint_findings(model)
     _compute_reachability(model, root_classes)
@@ -215,15 +207,6 @@ def _aggregate_stats(model: ProgramModel) -> None:
                 model.recorded.setdefault(site.key, []).append((facts.relpath, site))
         for site in facts.stats_reads:
             model.read.setdefault(site.key, []).append((facts.relpath, site))
-
-
-def _collect_codec_registrations(model: ProgramModel) -> None:
-    for module, facts in model.table.modules.items():
-        for name in facts.codec_registered:
-            model.codec_names.add(name)
-            symbol = model.table.resolve_class(module, ("local", name))
-            if symbol is not None:
-                model.codec_symbols.add(symbol)
 
 
 # -- taint fixpoint ---------------------------------------------------------
@@ -399,9 +382,8 @@ def _compute_reachability(model: ProgramModel, root_classes: Sequence[str]) -> N
     A class is reachable from a root through its attribute edges and
     those of its project-local ancestors.  A reference typed as a base
     class may hold any subclass, so every project subclass of a reachable
-    class is reachable too.  Classes owning their encoding (or with a
-    registered codec) are reachable but not traversed, subclasses
-    included.
+    class is reachable too.  Classes owning their encoding are reachable
+    but not traversed, subclasses included.
     """
     table = model.table
     roots = [
@@ -425,7 +407,7 @@ def _compute_reachability(model: ProgramModel, root_classes: Sequence[str]) -> N
             continue
         model.reachable[symbol] = via
         if model.class_is_snapshot_handled(symbol) and symbol not in roots:
-            continue  # exempt/codec classes own their snapshot encoding
+            continue  # exempt classes own their snapshot encoding
         for sub in subclasses.get(symbol, []):
             queue.append((sub, f"{via} → subclass {table.classes[sub][1].name}"))
         # Attribute edges of the class and its project-local ancestors.

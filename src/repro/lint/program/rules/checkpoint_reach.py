@@ -14,8 +14,7 @@ through attribute assignments, container population, class-table
 dispatch, factory-method returns, type annotations and subclassing, and
 flags each unsafe assignment with the chain that witnesses the class's
 reachability.  The one escape hatch is owning the encoding: a class
-defining ``__getstate__`` / ``__reduce__`` / ``__reduce_ex__``, or with
-a codec registered by :func:`repro.snapshot.codec.register_codec`, is
+defining ``__getstate__`` / ``__reduce__`` / ``__reduce_ex__`` is
 trusted, and the traversal stops there.  Nothing is detached around a
 checkpoint, so every other reachable class pickles as it stands.
 

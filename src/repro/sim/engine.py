@@ -5,20 +5,19 @@ core with the smallest ``(clock, core_id)``, run its next op through
 :meth:`repro.sim.cpu.Core.execute`, re-queue it.  That pays the full
 Python dispatch chain — op fetch, ``ensure_mapped``, MMU translate,
 hierarchy access, per-op result objects — for *every* operation, even
-though most of them are pure L1-TLB + L1/L2-cache hits that mutate
-nothing outside one core.  This engine produces the identical result
-while consuming the stream chunk-wise: one prep pass lifts each
+though most of them are pure L1-TLB + L1-cache hits that mutate nothing
+outside one core.  This engine produces the identical result while
+consuming the stream chunk-wise: one prep pass lifts each
 :class:`repro.workloads.chunks.OpChunk` into flat per-op columns (VPN,
-line number, set indices, tags, clock advance), then a slim per-op
-loop drains the *pure prefix* of the chunk against the struct-of-arrays
-TLB/cache models (:class:`repro.vm.tlb.SoaTlb`,
+line number, L1 set and tag, clock advance), then a slim per-op loop
+drains the *pure prefix* of the chunk against the struct-of-arrays
+TLB/L1 models (:class:`repro.vm.tlb.SoaTlb`,
 :class:`repro.cache.cache.SoaCache`).
-Shared ops run at their exact global order, inline from the prepped
-columns: cache-miss shapes (dirty L2-hit victims, L1+L2 misses reaching
-the L3 or memory) replay the scalar path's mutations, and *translation*
-turns (L1-TLB misses and first-touch pages) map the page, probe the L2
-TLB, call the page walker on a miss, fill both TLBs, and then serve the
-data line through the same cache shapes.  The walker, the MMU hint it
+Every other op runs at its exact global order, inline: a *translation*
+turn (an L1-TLB miss or a first-touch page) maps the page, probes the
+L2 TLB, calls the page walker on a miss and fills both TLBs; then every
+turn serves its data line through one inline data-turn block that
+replays the scalar hierarchy's mutations.  The walker, the MMU hint it
 fires and the controller's request path stay calls into their own
 layers; no op leaves the engine for ``Core.execute``.
 
@@ -27,11 +26,11 @@ tests/integration/test_engine_equivalence.py, which runs the heap
 scheduler from tests/reference_scheduler.py as the oracle):
 
 1. **Op classification.**  An op is *pure* when it hits the L1 TLB and
-   then either hits the L1 cache, or hits the L2 cache with a clean (or
-   absent) L1 victim.  A pure op touches only the owning core's state —
-   its TLB/L1/L2 LRU ages, dirty bits, clock, and op counts — plus
-   global stats counters.  Every other op is *shared*: it reaches the
-   walker, the shared L3, or the memory controller.  The prep pass
+   then the L1 cache.  A pure op touches only the owning core's state —
+   its L1-TLB and L1 LRU ages, an L1 dirty bit, its clock, and op
+   counts — plus global stats counters.  Every other op is *shared*
+   and runs at its global turn, even where (an L2 hit with a clean L1
+   victim) it would touch only core-local state.  The prep pass
    resolves VPN→PPN through the page table's flat VPN cache *at prep
    time*; an op whose page is unmapped at that point is classified
    shared conservatively (pure ops commute, and a first touch is a walk
@@ -49,24 +48,29 @@ scheduler from tests/reference_scheduler.py as the oracle):
    bit-for-bit.  Per-core clock evolution — and hence every shared-op
    key — depends only on the outcomes of earlier shared ops, which are
    identical by induction.
-3. **Hit and miss semantics.**  The inline paths replicate the scalar
-   paths' mutations exactly, in kind and in floating-point order: LRU
-   touches are stores of the same strictly-increasing age counters the
-   SoA models' methods use, clock advances are the same float adds in
-   the same sequence (work advance, then the walk latency as one int
-   sum, then the stall division), and the L3's and the L2 TLB's
-   ``OrderedDict`` operations (``move_to_end``, LRU-first ``popitem``)
-   are performed verbatim at the op's global turn.  Classification
-   probes (way-dict ``get``, age ``argmin``, victim dirty-bit peek) are
-   non-mutating, and a core's private TLB/L1/L2 membership cannot change
-   while it is parked (only its own walks and fills mutate them), so
-   drain-time classifications stay valid at the ordered turn.  A
-   translation turn classifies its data line only after the walk, whose
-   page-table lines fill this core's L2.  The TLB fills skip the hit
-   check of :meth:`repro.vm.tlb.Tlb.fill` / :meth:`repro.vm.tlb.SoaTlb.fill`:
-   the probes just missed.  ``ensure_mapped`` is skipped on TLB hits: a
-   VPN can only enter a TLB via a walk, walks only happen for mapped
-   VPNs, and mappings are never removed.
+3. **Hit and miss semantics.**  The drain loop and the turns replicate
+   the scalar path's mutations exactly, in kind and in floating-point
+   order: LRU touches are stores of the same strictly-increasing age
+   counters the SoA models' methods use, clock advances are the same
+   float adds in the same sequence (work advance, then the walk latency
+   as one int sum, then the stall division), and the L3's and the L2
+   TLB's ``OrderedDict`` operations (``move_to_end``, LRU-first
+   ``popitem``) are performed verbatim at the op's global turn.  The
+   data turn mirrors :meth:`repro.cache.hierarchy.CacheHierarchy.access`
+   followed by the tail of :meth:`repro.sim.cpu.Core.execute`: the L1
+   probe, then an L2 touch or the L3 probe and the clean L2 fill, the
+   L1 fill (dirty on writes), the demand request or the hit stall, and
+   the L3, L2 and L1 victims' write-backs in that order.  The drain
+   loop's L1 probe is non-mutating, and a core's private TLB/L1/L2
+   membership cannot change while it is parked (only its own walks and
+   fills mutate them), so an L1 miss found at drain time is still one
+   at the ordered turn.  A translation turn probes its data line only
+   after the walk, whose page-table lines fill this core's L2.  The TLB
+   fills skip the hit check of :meth:`repro.vm.tlb.Tlb.fill` /
+   :meth:`repro.vm.tlb.SoaTlb.fill`: the probes just missed.
+   ``ensure_mapped`` is skipped on TLB hits: a VPN can only enter a TLB
+   via a walk, walks only happen for mapped VPNs, and mappings are
+   never removed.
 4. **Checkpoints.**  Core-local state (clock, instructions, op counts)
    is flushed from locals to the object graph before every checkpointer
    poll, and stream consumption moves through the one public
@@ -94,8 +98,8 @@ scheduler from tests/reference_scheduler.py as the oracle):
    heartbeats keep their cadence.
 
 See docs/PERFORMANCE.md ("Array-native streams", "Walks at engine
-speed", "Misses at table speed") for the measured speedups and
-docs/TESTING.md for the differential-harness workflow.
+speed", "Misses at table speed", "One data turn") for the measurements
+and docs/TESTING.md for the differential-harness workflow.
 """
 
 from __future__ import annotations
@@ -117,7 +121,7 @@ _POLL_STEPS = 256
 
 
 # repro-hot
-def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets) -> Tuple:
+def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets) -> Tuple:
     """Lift one chunk into flat per-op columns (the one per-chunk pass).
 
     Everything the drain loop indexes per op is computed here, once per
@@ -126,12 +130,13 @@ def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets) -> Tup
     unmapped at prep time.  It is far from empty on first-touch streams:
     at paper sizing it holds 36% of the ops of the pageseer/lbmx4 job,
     4% of the milcx4 report's and 1% of pageseer/mcfx8's.  Those ops'
-    line/set/tag entries are ``-1``-derived junk until the drain loop
-    re-resolves them when it *reaches* them (an earlier translation turn
-    may have mapped the page by then) — precomputing the unmapped
+    line and L1 set/tag entries are ``-1``-derived junk until the drain
+    loop re-resolves them when it *reaches* them (an earlier translation
+    turn may have mapped the page by then) — precomputing the unmapped
     indices keeps the mapped-ness check off the per-op fast path.  A
     genuine first touch becomes a translation turn, which maps the page
-    and walks it.
+    and walks it.  Only the L1 split is a column: the drain loop probes
+    nothing else, and a turn derives the L2 and L3 splits from the line.
 
     The VPN→PPN resolution is against the page table's *immutable*
     mapping (entries are only ever added), so prepping ahead of
@@ -166,10 +171,6 @@ def _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets) -> Tup
         lines,
         [line % l1_nsets for line in lines],
         [line // l1_nsets for line in lines],
-        [line % l2_nsets for line in lines],
-        [line // l2_nsets for line in lines],
-        [line % l3_nsets for line in lines],
-        [line // l3_nsets for line in lines],
         cumw,
         [work * base_cpi for work in works],
         unmapped,
@@ -181,13 +182,13 @@ def _core_context(core) -> Tuple:
 
     Everything here is fixed for the core's lifetime (the same
     invariants ``Core.__init__`` hoists for the scalar path): the SoA
-    TLB/cache internals the drain loop reads and writes directly, the
-    L2 TLB's and the shared L3's per-set ``OrderedDict`` lists for the
-    inline translation and miss turns, the page table and walker a
-    translation turn calls, and the stream.  ``hmc.handle_request`` is
-    deliberately *not* here: the sanitizer and the analysis probes
-    rebind it on the instance, so the engine re-reads it around
-    controller calls.
+    L1-TLB and L1/L2 internals the drain loop and the data turn read
+    and write directly, the L2 TLB's and the shared L3's per-set
+    ``OrderedDict`` lists for the inline translation and data turns,
+    the page table and walker a translation turn calls, and the stream.
+    ``hmc.handle_request`` is deliberately *not* here: the sanitizer and
+    the analysis probes rebind it on the instance, so the engine re-reads
+    it around controller calls.
     """
     mmu = core.mmu
     l1_tlb = mmu.l1_tlb
@@ -329,9 +330,8 @@ def _core_runner(
     clock = core.clock
     instructions = core.instructions
     ops_executed = core.ops_executed
-    #: In-flight shared-op kind: 0 = none, 2 = L2 hit (the drain loop
-    #: sends one only when its L1 fill evicts a dirty victim), 3 = L1+L2
-    #: miss (L3 hit or memory), 4 = translation turn (L1-TLB miss or
+    #: In-flight shared-op kind: 0 = none, 3 = data turn (an L1-TLB hit
+    #: that misses the L1 cache), 4 = translation turn (L1-TLB miss or
     #: first touch).  Every kind carries the op's chunk-column index in
     #: ``idx``.
     kind = 0
@@ -343,8 +343,8 @@ def _core_runner(
     pos = chunk_len = pending = 0
     #: The L1-TLB run: the page of the last TLB probe that hit (or of
     #: the last fill), with its set's age list and way.  Only a
-    #: translation turn fills this core's L1 TLB (pure ops and the
-    #: cache-miss turns only touch ages), and it re-seeds the run to the
+    #: translation turn fills this core's L1 TLB (pure ops and data
+    #: turns only touch ages), and it re-seeds the run to the
     #: entry it filled, so the run outlives segments and shared turns.
     run_vpn = -1
     run_ages = None
@@ -380,26 +380,18 @@ def _core_runner(
                 core.clock = clock
                 core.ops_executed = ops_executed
                 clock += advs[idx]
+                line = lines[idx]
                 if kind == 4:
                     # Translation turn, in Mmu.translate's order: the L2
-                    # TLB probe, a walk on a miss, the TLB fills, then
-                    # the data line through the cache shapes below.
+                    # TLB probe, a walk on a miss, then the TLB fills.
                     vpn = vpns[idx]
-                    if lines[idx] < 0:
+                    if line < 0:
                         # First touch: map the page now (frames are
-                        # allocated in global order) and derive the op's
-                        # columns as the drain loop's re-resolve does.
+                        # allocated in global order).
                         line = (
                             (ensure_mapped(vpn) << PAGE_SHIFT)
                             | (vaddrs[idx] & _PAGE_MASK)
                         ) >> LINE_SHIFT
-                        lines[idx] = line
-                        l1sets[idx] = line % l1_nsets
-                        l1tags[idx] = line // l1_nsets
-                        l2sets[idx] = line % l2_nsets
-                        l2tags[idx] = line // l2_nsets
-                        l3sets[idx] = line % l3_nsets
-                        l3tags[idx] = line // l3_nsets
                     key = (pid, vpn)
                     entries_t2 = l2t_sets[vpn % l2t_nsets]
                     ppn = entries_t2.get(key)
@@ -433,120 +425,82 @@ def _core_runner(
                     run_ages[run_way] = t_age_cell[0]
                     t_age_cell[0] += 1
                     run_vpn = vpn
-                    # Classify the data line now: the walk's page-table
-                    # lines may have filled (and evicted from) the L2.
-                    set1 = l1sets[idx]
-                    way1 = l1_way_of[set1].get(l1tags[idx])
-                    if way1 is not None:
-                        # L1 hit: LRU touch and dirty bit, no stall.
-                        l1_ages[set1][way1] = l1_age_cell[0]
-                        l1_age_cell[0] += 1
-                        if writes[idx]:
-                            l1_dirty[set1][way1] = True
-                        counters["cache/l1_hits"] += 1.0
-                        kind = 0
-                    elif l2tags[idx] in l2_way_of[l2sets[idx]]:
-                        kind = 2
-                    else:
-                        kind = 3
                 else:
-                    # TLB L1 hit, through the run the drain loop probed
-                    # this op's page into.
+                    # L1 miss after an L1-TLB hit: the TLB touch, through
+                    # the run the drain loop probed this op's page into.
                     run_ages[run_way] = t_age_cell[0]
                     t_age_cell[0] += 1
                     counters["tlb/l1_hits"] += 1.0
-                if kind == 2:
-                    # L2 hit: the L2 touch, then the L1 fill.  A dirty L1
-                    # victim (always, for ops the drain loop sends here)
-                    # is the one shared effect: its write-back goes to
-                    # the controller.  The classification probes are
-                    # still valid: only other cores ran since, and they
-                    # cannot touch this core's TLB/L1/L2.
-                    is_write = writes[idx]
-                    set2 = l2sets[idx]
-                    way2 = l2_way_of[set2][l2tags[idx]]
-                    l2_ages[set2][way2] = l2_age_cell[0]
-                    l2_age_cell[0] += 1
-                    if is_write:
-                        l2_dirty[set2][way2] = True
-                    counters["cache/l2_hits"] += 1.0
-                    set1 = l1sets[idx]
-                    ways1 = l1_way_of[set1]
-                    ages1 = l1_ages[set1]
-                    tags1 = l1_tags[set1]
-                    dirty1 = l1_dirty[set1]
-                    wb_l1 = -1
-                    if len(ways1) >= l1_ways:
-                        vway = ages1.index(min(ages1))
-                        vtag = tags1[vway]
-                        if dirty1[vway]:
-                            wb_l1 = vtag * l1_nsets + set1
-                        del ways1[vtag]
-                    else:
-                        vway = tags1.index(-1)
-                    tag1 = l1tags[idx]
-                    ways1[tag1] = vway
-                    tags1[vway] = tag1
-                    dirty1[vway] = is_write
-                    ages1[vway] = l1_age_cell[0]
+                # The data turn: CacheHierarchy.access, then the tail of
+                # Core.execute.  A translation turn probes the line only
+                # now: the walk's page-table lines may have filled (and
+                # evicted from) this core's L2.
+                is_write = writes[idx]
+                set1 = line % l1_nsets
+                tag1 = line // l1_nsets
+                ways1 = l1_way_of[set1]
+                way1 = ways1.get(tag1)
+                if way1 is not None:
+                    # L1 hit, on a translation turn only (the drain loop
+                    # sends an L1-TLB hit here only when it missed the
+                    # L1): LRU touch and dirty bit, no stall.
+                    l1_ages[set1][way1] = l1_age_cell[0]
                     l1_age_cell[0] += 1
-                    clock += l2_stall
-                    if wb_l1 >= 0:
-                        # Scalar order: the clock is updated before
-                        # write-backs drain (the sanitizer may read it).
-                        core.clock = clock
-                        core.hmc.handle_request(
-                            int(clock), wb_l1, True, pid, WRITEBACK
-                        )
-                elif kind == 3:
-                    # L1+L2 miss: the shared L3 probe at exactly this
-                    # point in global order, the L2/L1 fills, the demand
-                    # request on an LLC miss, and the victim write-backs.
-                    now = int(clock)
-                    line = lines[idx]
-                    is_write = writes[idx]
-                    set3 = l3sets[idx]
-                    entries3 = l3_sets[set3]
-                    tag3 = l3tags[idx]
+                    if is_write:
+                        l1_dirty[set1][way1] = True
+                    counters["cache/l1_hits"] += 1.0
+                else:
                     wb_l3 = wb_l2 = wb_l1 = -1
-                    if tag3 in entries3:
-                        entries3.move_to_end(tag3)
-                        if is_write:
-                            entries3[tag3] = True
-                        counters["cache/l3_hits"] += 1.0
-                        llc_miss = False
-                    else:
-                        counters["cache/llc_misses"] += 1.0
-                        if len(entries3) >= l3_ways:
-                            vtag3, vdirty3 = entries3.popitem(last=False)
-                            if vdirty3:
-                                wb_l3 = vtag3 * l3_nsets + set3
-                        entries3[tag3] = False
-                        llc_miss = True
-                    # L2 fill (clean), then L1 fill (dirty on writes) — the
-                    # scalar fill order.
-                    set2 = l2sets[idx]
-                    tag2 = l2tags[idx]
+                    llc_miss = False
+                    set2 = line % l2_nsets
+                    tag2 = line // l2_nsets
                     ways2 = l2_way_of[set2]
-                    ages2 = l2_ages[set2]
-                    tags2 = l2_tags[set2]
-                    dirty2 = l2_dirty[set2]
-                    if len(ways2) >= l2_ways:
-                        vway = ages2.index(min(ages2))
-                        vtag = tags2[vway]
-                        if dirty2[vway]:
-                            wb_l2 = vtag * l2_nsets + set2
-                        del ways2[vtag]
+                    way2 = ways2.get(tag2)
+                    if way2 is not None:
+                        # L2 hit: LRU touch and dirty bit.
+                        l2_ages[set2][way2] = l2_age_cell[0]
+                        l2_age_cell[0] += 1
+                        if is_write:
+                            l2_dirty[set2][way2] = True
+                        counters["cache/l2_hits"] += 1.0
+                        stall = l2_stall
                     else:
-                        vway = tags2.index(-1)
-                    ways2[tag2] = vway
-                    tags2[vway] = tag2
-                    dirty2[vway] = False
-                    ages2[vway] = l2_age_cell[0]
-                    l2_age_cell[0] += 1
-                    set1 = l1sets[idx]
-                    tag1 = l1tags[idx]
-                    ways1 = l1_way_of[set1]
+                        # The shared L3 probe at exactly this point in
+                        # global order, then the L2 fill (clean).
+                        set3 = line % l3_nsets
+                        tag3 = line // l3_nsets
+                        entries3 = l3_sets[set3]
+                        if tag3 in entries3:
+                            entries3.move_to_end(tag3)
+                            if is_write:
+                                entries3[tag3] = True
+                            counters["cache/l3_hits"] += 1.0
+                            stall = l3_stall
+                        else:
+                            counters["cache/llc_misses"] += 1.0
+                            if len(entries3) >= l3_ways:
+                                vtag3, vdirty3 = entries3.popitem(last=False)
+                                if vdirty3:
+                                    wb_l3 = vtag3 * l3_nsets + set3
+                            entries3[tag3] = False
+                            llc_miss = True
+                        ages2 = l2_ages[set2]
+                        tags2 = l2_tags[set2]
+                        dirty2 = l2_dirty[set2]
+                        if len(ways2) >= l2_ways:
+                            vway = ages2.index(min(ages2))
+                            vtag = tags2[vway]
+                            if dirty2[vway]:
+                                wb_l2 = vtag * l2_nsets + set2
+                            del ways2[vtag]
+                        else:
+                            vway = tags2.index(-1)
+                        ways2[tag2] = vway
+                        tags2[vway] = tag2
+                        dirty2[vway] = False
+                        ages2[vway] = l2_age_cell[0]
+                        l2_age_cell[0] += 1
+                    # L1 fill (dirty on writes).
                     ages1 = l1_ages[set1]
                     tags1 = l1_tags[set1]
                     dirty1 = l1_dirty[set1]
@@ -565,6 +519,7 @@ def _core_runner(
                     l1_age_cell[0] += 1
                     hmc = core.hmc
                     if llc_miss:
+                        now = int(clock)
                         finish = hmc.handle_request(
                             now + lat123, line, is_write, pid, DEMAND
                         )
@@ -574,7 +529,9 @@ def _core_runner(
                         else:
                             clock += memory_latency / mlp
                     else:
-                        clock += l3_stall
+                        clock += stall
+                    # Scalar order: the clock is updated before
+                    # write-backs drain (the sanitizer may read it).
                     core.clock = clock
                     if wb_l3 >= 0 or wb_l2 >= 0 or wb_l1 >= 0:
                         wb_now = int(clock)
@@ -608,20 +565,8 @@ def _core_runner(
                         core.done = True
                         break
                     chunk, pos = peeked
-                    (
-                        vpns,
-                        lines,
-                        l1sets,
-                        l1tags,
-                        l2sets,
-                        l2tags,
-                        l3sets,
-                        l3tags,
-                        cumw,
-                        advs,
-                        unmapped,
-                    ) = _prep_chunk(
-                        chunk, vpn_cache, base_cpi, l1_nsets, l2_nsets, l3_nsets
+                    vpns, lines, l1sets, l1tags, cumw, advs, unmapped = (
+                        _prep_chunk(chunk, vpn_cache, base_cpi, l1_nsets)
                     )
                     writes = chunk.writes
                     vaddrs = chunk.vaddrs
@@ -636,8 +581,6 @@ def _core_runner(
                 # any shared turn can observe them).
                 t_age = t_age_cell[0]
                 l1_age = l1_age_cell[0]
-                l2_age = l2_age_cell[0]
-                n_l1 = n_l2 = 0
                 i = pos
                 # The next op index whose page was unmapped at prep
                 # time (``limit`` when none remain ahead), found by
@@ -664,10 +607,6 @@ def _core_runner(
                         lines[i] = line
                         l1sets[i] = line % l1_nsets
                         l1tags[i] = line // l1_nsets
-                        l2sets[i] = line % l2_nsets
-                        l2tags[i] = line // l2_nsets
-                        l3sets[i] = line % l3_nsets
-                        l3tags[i] = line // l3_nsets
                         # The column is sorted and duplicate-free, so
                         # the next unmapped op is the next entry.
                         nxt_un = limit
@@ -688,83 +627,34 @@ def _core_runner(
                         run_ages = t_ages[tidx]
                         run_way = tway
                     set1 = l1sets[i]
-                    tag1 = l1tags[i]
-                    ways1 = l1_way_of[set1]
-                    way1 = ways1.get(tag1)
-                    if way1 is not None:
-                        # TLB-L1 + cache-L1 double hit: the scalar
-                        # path's only mutations are two LRU touches,
-                        # the dirty bit, two counters, and the base-CPI
-                        # clock advance (stall is 0.0).
-                        run_ages[run_way] = t_age
-                        t_age += 1
-                        l1_ages[set1][way1] = l1_age
-                        l1_age += 1
-                        if writes[i]:
-                            l1_dirty[set1][way1] = True
-                        n_l1 += 1
-                        clock += advs[i]
-                        i += 1
-                        continue
-                    way2 = l2_way_of[l2sets[i]].get(l2tags[i])
-                    if way2 is None:
-                        kind = 3  # L3 or memory traffic
+                    way1 = l1_way_of[set1].get(l1tags[i])
+                    if way1 is None:
+                        kind = 3  # L1 miss: a data turn
                         break
-                    ages1 = l1_ages[set1]
-                    full = len(ways1) >= l1_ways
-                    if full:
-                        vway = ages1.index(min(ages1))
-                        if l1_dirty[set1][vway]:
-                            # The L1 fill would evict a dirty victim
-                            # whose write-back reaches the controller:
-                            # shared, but with a known shape — mark it
-                            # for the inline ordered-turn path.  (The
-                            # argmin and the dirty peek are
-                            # non-mutating.)
-                            kind = 2
-                            break
-                    # TLB-L1 hit + clean-victim cache-L2 hit: replicate
-                    # translate's L1 hit, the L2 lookup hit, the L1
-                    # fill, and the stalled advance.
+                    # TLB-L1 + cache-L1 double hit: the scalar path's
+                    # only mutations are two LRU touches, the dirty bit,
+                    # two counters, and the base-CPI clock advance (stall
+                    # is 0.0).
                     run_ages[run_way] = t_age
                     t_age += 1
-                    set2 = l2sets[i]
-                    l2_ages[set2][way2] = l2_age
-                    l2_age += 1
-                    is_write = writes[i]
-                    if is_write:
-                        l2_dirty[set2][way2] = True
-                    n_l2 += 1
-                    tags1 = l1_tags[set1]
-                    if full:
-                        del ways1[tags1[vway]]
-                    else:
-                        vway = tags1.index(-1)
-                    ways1[tag1] = vway
-                    tags1[vway] = tag1
-                    l1_dirty[set1][vway] = is_write
-                    ages1[vway] = l1_age
+                    l1_ages[set1][way1] = l1_age
                     l1_age += 1
+                    if writes[i]:
+                        l1_dirty[set1][way1] = True
                     clock += advs[i]
-                    clock += l2_stall
                     i += 1
                 # Segment end, when any pure op drained (a segment whose
                 # first op is shared changed none of the mirrors): write
                 # back age counters, flush deferred counters (+= float(k)
                 # == k unit increments for integer-valued floats; every
-                # pure op touches the TLB exactly once, so its count is
-                # the drained count, n_l1 + n_l2), and move the cursor
-                # past the drained pure prefix.
+                # pure op is one L1-TLB hit and one L1 hit), and move the
+                # cursor past the drained pure prefix.
                 drained = i - pos
                 if drained:
                     t_age_cell[0] = t_age
                     l1_age_cell[0] = l1_age
-                    l2_age_cell[0] = l2_age
                     counters["tlb/l1_hits"] += float(drained)
-                    if n_l1:
-                        counters["cache/l1_hits"] += float(n_l1)
-                    if n_l2:
-                        counters["cache/l2_hits"] += float(n_l2)
+                    counters["cache/l1_hits"] += float(drained)
                     ops_executed += drained
                     steps_cell[0] = steps + drained
                     instructions += cumw[i] - cumw[pos]

@@ -21,7 +21,6 @@ from repro.snapshot.checkpoint import (
     save_checkpoint,
     verify_checkpoint,
 )
-from repro.snapshot.codec import register_codec
 from repro.snapshot.hooks import Checkpointer
 from repro.snapshot.signals import EXIT_CHECKPOINTED, SignalGuard
 from repro.snapshot.stream import ReplayStream
@@ -41,7 +40,6 @@ __all__ = [
     "load_checkpoint",
     "load_checkpoint_with_fallback",
     "read_checkpoint_header",
-    "register_codec",
     "save_checkpoint",
     "verify_checkpoint",
 ]

@@ -5,9 +5,9 @@ graph: configs are frozen dataclasses, tables are dicts, timelines are
 ``__slots__`` records, RNG streams wrap :class:`random.Random` (which
 pickles its Mersenne state exactly), and bound methods and
 :func:`functools.partial` objects over them pickle by reference to their
-owner.  For any class that needs more, :func:`register_codec` registers an
-``encode/decode`` pair instead of ``__getstate__`` (an escape hatch the
-RL103 lint rule recognises).
+owner.  A class that needs more owns its encoding through
+``__getstate__``/``__setstate__``, as
+:class:`repro.snapshot.stream.ReplayStream` does.
 
 Anything else that is unpicklable (a stray lambda, an open file, a
 generator that slipped past :class:`repro.snapshot.stream.ReplayStream`)
@@ -25,7 +25,7 @@ import io
 import pickle
 import sys
 import types
-from typing import Any, Callable, Dict, Tuple
+from typing import Any
 
 from repro.common.errors import CheckpointError
 
@@ -45,30 +45,6 @@ SAFE_MODULE_PREFIXES = (
     "pathlib",
     "dataclasses",
 )
-
-#: type -> (encode, decode).  ``encode(obj)`` must return a picklable
-#: value; ``decode(value)`` rebuilds the live object.  Registration is the
-#: alternative to ``__getstate__`` recognised by the RL103 lint rule.
-_CODECS: Dict[type, Tuple[Callable[[Any], Any], Callable[[Any], Any]]] = {}
-
-
-def register_codec(
-    cls: type, encode: Callable[[Any], Any], decode: Callable[[Any], Any]
-) -> None:
-    """Register an encode/decode pair for *cls* (exact-type match)."""
-    _CODECS[cls] = (encode, decode)
-
-
-def _decode_registered(qualname: str, module: str, value: Any) -> Any:
-    """Unpickle-side half of a registered codec."""
-    for cls, (_, decode) in _CODECS.items():
-        if cls.__module__ == module and cls.__qualname__ == qualname:
-            return decode(value)
-    raise CheckpointError(
-        f"checkpoint references codec for {module}.{qualname}, "
-        f"which is not registered in this process"
-    )
-
 
 def _importable(func: types.FunctionType) -> bool:
     """True when *func* is reachable as ``module.qualname`` (pickles by ref)."""
@@ -93,22 +69,14 @@ class SnapshotPickler(pickle.Pickler):
                 return NotImplemented
             raise CheckpointError(
                 f"cannot checkpoint function {obj.__qualname__!r}: plain "
-                f"functions/closures in simulator state need a registered "
-                f"codec or an owner with __getstate__ (see docs/CHECKPOINTS.md)"
+                f"functions/closures in simulator state need an owner with "
+                f"__getstate__ (see docs/CHECKPOINTS.md)"
             )
         if isinstance(obj, types.GeneratorType):
             raise CheckpointError(
                 f"cannot checkpoint live generator {obj.__name__!r}: wrap "
                 f"the stream in repro.snapshot.stream.ReplayStream so it "
                 f"can be rebuilt and fast-forwarded deterministically"
-            )
-        codec = _CODECS.get(type(obj))
-        if codec is not None:
-            encode, _ = codec
-            cls = type(obj)
-            return (
-                _decode_registered,
-                (cls.__qualname__, cls.__module__, encode(obj)),
             )
         return NotImplemented
 

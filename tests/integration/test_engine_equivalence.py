@@ -278,8 +278,9 @@ _WALK_EVERY_PAGE_CHANGE = {"l1_tlb": (1, 1), "l2_tlb": (1, 1)}
 
 #: Shape cases: per-core pattern, geometry, and the shape prefix the
 #: oracle must report.  Where two pages alternate, every op is a
-#: translation turn.
-TRANSLATION_SHAPES = [
+#: translation turn; where one page's lines alternate through a one-line
+#: L1, every op after the first is a data turn behind an L1-TLB hit.
+TURN_SHAPES = [
     pytest.param(
         [(0, 0, "r"), (1, 0, "r")], {"l1_tlb": (1, 1)}, ("l2", "l1", 0),
         id="l2_tlb_hit",
@@ -317,21 +318,44 @@ TRANSLATION_SHAPES = [
          for page in range(96) for slot in (0, 1)],
         {}, ("first",), id="first_touch",
     ),
+    # An L2 hit whose L1 fill evicts a clean victim touches only this
+    # core's state, yet runs at its turn like every other L1 miss.
+    pytest.param(
+        [(0, 0, "r"), (0, 1, "r")], {"l1": (1, 1)}, ("l1", "l2", 0),
+        id="l1_tlb_hit_then_clean_victim_l2_hit",
+    ),
+    pytest.param(
+        [(0, 0, "w"), (0, 1, "w")], {"l1": (1, 1)}, ("l1", "l2", 1),
+        id="l1_tlb_hit_then_dirty_victim_l2_hit",
+    ),
+    pytest.param(
+        [(0, 0, "r"), (0, 1, "r")], {"l1": (1, 1), "l2": (1, 1), "l3": (4, 4)},
+        ("l1", "l3", 0), id="l1_tlb_hit_then_l3_hit",
+    ),
+    # Four written lines cycle through a three-way L3 set: every op
+    # misses the LLC, and the victims it evicts are dirty.
+    pytest.param(
+        [(0, slot, "w") for slot in range(4)],
+        {"l1": (1, 1), "l2": (1, 1), "l3": (4, 3)},
+        ("l1", None), id="l1_tlb_hit_then_llc_miss",
+    ),
 ]
 
 
-class TestTranslationTurnShapes:
-    """Every shape a translation turn can take, engine vs oracle.
+class TestTurnShapes:
+    """Every shape a translation or data turn can take, engine vs oracle.
 
     A translation turn (an L1-TLB miss or a first touch) runs inside the
-    engine: it probes the L2 TLB, walks on a miss, fills both TLBs, and
-    serves the data line through the engine's inline cache shapes.  Each
-    case's traces and geometry force one shape after the L1-TLB miss —
-    checked on the oracle, whose scalar chain reports it — and the
-    engine must then match the oracle's stats, cores and events.
+    engine: it probes the L2 TLB, walks on a miss and fills both TLBs.
+    Every turn, translation or not, then serves its data line through
+    the engine's one inline data-turn block; an op that hits both the
+    L1 TLB and the L1 cache is the only one the engine drains as pure.
+    Each case's traces and geometry force one shape — checked on the
+    oracle, whose scalar chain reports it — and the engine must then
+    match the oracle's stats, cores and events.
     """
 
-    @pytest.mark.parametrize("pattern,geometry,expected", TRANSLATION_SHAPES)
+    @pytest.mark.parametrize("pattern,geometry,expected", TURN_SHAPES)
     def test_shape_is_forced_and_engine_matches_oracle(
         self, tmp_path, pattern, geometry, expected
     ):

@@ -3,10 +3,10 @@
 :func:`repro.sim.engine._prep_chunk` is the one per-chunk pass that
 lifts a chunk's columns into everything the drain loop indexes per op.
 Each column must equal what :meth:`repro.sim.cpu.Core.execute` derives
-for the same op — the page table's translation, the physical line, each
-cache level's own ``(set, tag)`` split, the op's work and its clock
-advance — and pages the table has not mapped must be listed, in op
-order, for the drain loop to re-resolve.  Prep must not map anything
+for the same op — the page table's translation, the physical line, the
+L1's ``(set, tag)`` split, the op's work and its clock advance — and
+pages the table has not mapped must be listed, in op order, for the
+drain loop to re-resolve.  Prep must not map anything
 itself.  The properties run against a warmed-up system's real page
 table and cache geometry.
 """
@@ -21,10 +21,7 @@ from repro.sim.system import build_system
 from repro.workloads import workload_by_name
 from repro.workloads.chunks import OpChunk
 
-_COLUMNS = (
-    "vpns", "lines", "l1_sets", "l1_tags", "l2_sets", "l2_tags",
-    "l3_sets", "l3_tags", "cumw", "advs", "unmapped",
-)
+_COLUMNS = ("vpns", "lines", "l1_sets", "l1_tags", "cumw", "advs", "unmapped")
 
 
 @pytest.fixture(scope="module")
@@ -50,7 +47,6 @@ def _chunk_ops(mapped_vpns):
 
 
 def _prep(core, ops):
-    hierarchy = core.hierarchy
     chunk = OpChunk(
         [vaddr for vaddr, _ in ops],
         [index % 3 == 0 for index in range(len(ops))],
@@ -60,9 +56,7 @@ def _prep(core, ops):
         chunk,
         core._page_table._vpn_cache,
         core._base_cpi,
-        hierarchy.l1[core.core_id].num_sets,
-        hierarchy.l2[core.core_id].num_sets,
-        hierarchy.l3.num_sets,
+        core.hierarchy.l1[core.core_id].num_sets,
     )
     assert len(columns) == len(_COLUMNS)
     return chunk, dict(zip(_COLUMNS, columns))
@@ -74,12 +68,7 @@ def test_columns_match_the_scalar_path(core, data):
     table = core._page_table
     ops = data.draw(_chunk_ops(sorted(table._vpn_cache)))
     chunk, columns = _prep(core, ops)
-    hierarchy = core.hierarchy
-    levels = (
-        ("l1", hierarchy.l1[core.core_id]),
-        ("l2", hierarchy.l2[core.core_id]),
-        ("l3", hierarchy.l3),
-    )
+    l1 = core.hierarchy.l1[core.core_id]
     for index, vaddr in enumerate(chunk.vaddrs):
         vpn = vaddr >> PAGE_SHIFT
         assert columns["vpns"][index] == vpn
@@ -89,9 +78,8 @@ def test_columns_match_the_scalar_path(core, data):
             continue
         line = line_of(address_of_page(ppn) | page_offset(vaddr))
         assert columns["lines"][index] == line
-        for name, cache in levels:
-            located = (columns[f"{name}_sets"][index], columns[f"{name}_tags"][index])
-            assert located == cache._locate(line)
+        located = (columns["l1_sets"][index], columns["l1_tags"][index])
+        assert located == l1._locate(line)
 
 
 @settings(max_examples=100, deadline=None)
@@ -121,7 +109,7 @@ def test_work_columns_match_the_scalar_clock(core, data):
         work = instructions + 1
         assert cumw[index + 1] - cumw[index] == work
         assert advs[index] == work * core._base_cpi
-    for name in _COLUMNS[:8] + ("advs",):
+    for name in _COLUMNS[:4] + ("advs",):
         assert len(columns[name]) == chunk.length, name
 
 

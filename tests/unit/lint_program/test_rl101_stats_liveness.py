@@ -118,6 +118,30 @@ def test_table_keyed_registry_dict_writes_count_as_records(tmp_path):
     assert report.exit_code == 0
 
 
+def test_reads_nested_in_a_compound_statement_header_count(tmp_path):
+    # A read inside another call in an `if` header is as much a read as
+    # one on its own line.
+    write_project(tmp_path, {
+        "sim/model.py": (
+            "def tick(stats):\n"
+            "    stats.add('sim/requests', 1)\n"
+        ),
+        "report/figs.py": (
+            "def table(stats, out):\n"
+            "    if out.write(str(stats.get('sim/requets'))):\n"
+            "        pass\n"
+            "    return stats.get('sim/requets')\n"
+        ),
+    })
+    report, _ = lint_project(tmp_path)
+    warnings = [
+        f for f in findings_for(report, "RL101") if f.severity.label == "warning"
+    ]
+    assert [(f.path, f.line) for f in warnings] == [
+        ("report/figs.py", 2), ("report/figs.py", 4),
+    ]
+
+
 def test_recorded_never_read_is_informational(tmp_path):
     write_project(tmp_path, {
         "sim/model.py": (

@@ -84,26 +84,6 @@ def test_negative_getstate_terminates_traversal(tmp_path):
     assert report.exit_code == 0
 
 
-def test_negative_codec_registered_class_is_trusted(tmp_path):
-    write_project(tmp_path, {
-        "sim/system.py": (
-            "from sim.parts import Pipeline\n"
-            "class System:\n"
-            "    def __init__(self):\n"
-            "        self.pipeline = Pipeline()\n"
-        ),
-        "sim/parts.py": (
-            "from repro.snapshot import register_codec\n"
-            "class Pipeline:\n"
-            "    def __init__(self):\n"
-            "        self.flush = lambda: None\n"
-            "register_codec(Pipeline, None, None)\n"
-        ),
-    })
-    report, _ = lint_project(tmp_path)
-    assert findings_for(report, "RL103") == []
-
-
 def test_no_root_class_means_silence(tmp_path):
     write_project(tmp_path, {
         "sim/parts.py": (

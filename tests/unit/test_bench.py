@@ -5,6 +5,8 @@ import os
 import re
 from pathlib import Path
 
+import pytest
+
 from repro.bench import DEFAULT_WORKLOADS, compare_documents, measure_config
 from repro.cli import main
 from repro.persist import read_json
@@ -63,8 +65,10 @@ class TestBenchJson:
         assert document["quick"] is True
 
     def test_unknown_scheme_rejected(self, tmp_path):
-        assert main(["bench", "--schemes", "bogus",
-                     "--out-dir", str(tmp_path)]) == 2
+        # A usage error at parse time, as on every other command.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["bench", "--schemes", "bogus", "--out-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
 
     def test_stats_digest_is_deterministic(self):
         kwargs = dict(scale=1024, warmup_ops=100, measure_ops=200,

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.cli import build_parser, main
+from repro.experiments import DEFAULT_MEASURE_OPS, DEFAULT_SCALE, DEFAULT_WARMUP_OPS
 
 SRC = Path(__file__).resolve().parents[2] / "src"
 
@@ -30,6 +31,14 @@ class TestParser:
             build_parser().parse_args(
                 ["run", "--scheme", "bogus", "--workload", "lbmx4"]
             )
+
+    def test_sizing_defaults_are_the_runners_paper_sizing(self):
+        """`report` with no sizing flags renders the operating point
+        EXPERIMENTS.md documents, the one `benchmarks/` caches."""
+        args = build_parser().parse_args(["report"])
+        assert (args.scale, args.measure_ops, args.warmup_ops) == (
+            DEFAULT_SCALE, DEFAULT_MEASURE_OPS, DEFAULT_WARMUP_OPS,
+        )
 
     def test_variant_choices(self):
         args = build_parser().parse_args(
@@ -88,8 +97,10 @@ class TestParser:
             ["report", "--workloads", "lbmx4", "bogus"],
             ["sweep", "--workloads", "bogus"],
             ["sweepd", "submit", "--workloads", "bogus"],
+            ["bench", "--workloads", "bogus", "--schemes", "pageseer", "--quick"],
         ],
-        ids=["run", "energy", "trace-record", "report", "sweep", "sweepd-submit"],
+        ids=["run", "energy", "trace-record", "report", "sweep", "sweepd-submit",
+             "bench"],
     )
     def test_unknown_workload_is_a_usage_error(self, argv, capsys):
         """An unknown workload name exits 2 at parse time, as an unknown

@@ -18,7 +18,6 @@ from repro.snapshot import (
     load_checkpoint,
     read_checkpoint_header,
     save_checkpoint,
-    register_codec,
 )
 from repro.snapshot import codec
 from repro.snapshot.checkpoint import MAGIC
@@ -27,7 +26,7 @@ from repro.workloads import workload_by_name
 from tests.conftest import take_ops
 
 
-# -- codec: rejection and registration ---------------------------------------
+# -- codec: rejection ---------------------------------------------------------
 
 
 class _WithSocketish:
@@ -35,19 +34,6 @@ class _WithSocketish:
 
     def __init__(self):
         self.callback = lambda: None
-
-
-class _CodecRegistered:
-    def __init__(self, value):
-        self.value = value
-        self.derived = value * 2
-
-
-register_codec(
-    _CodecRegistered,
-    encode=lambda obj: obj.value,
-    decode=lambda value: _CodecRegistered(value),
-)
 
 
 class TestCodecDispatch:
@@ -83,13 +69,6 @@ class TestCodecDispatch:
             assert restored.memory.dram.reads == 1
             assert restored.memory.nvm.reads == 1
             assert hmc.memory.dram.reads == hmc.memory.nvm.reads == 0
-
-    def test_registered_codec_roundtrip(self):
-        obj = _CodecRegistered(21)
-        restored = codec.loads(codec.dumps(obj))
-        assert isinstance(restored, _CodecRegistered)
-        assert restored.value == 21
-        assert restored.derived == 42
 
     def test_unpickler_rejects_disallowed_modules(self):
         payload = pickle.dumps(pickle.Unpickler)  # pickle module: not allowed
