@@ -8,41 +8,31 @@ Usage::
 Reproduces the paper's headline comparison (Figure 14's shape) on a chosen
 set of workloads: PageSeer should deliver the highest IPC and lowest AMMAT
 of the three managed schemes, with the largest share of requests serviced
-from DRAM.
+from DRAM or the swap buffers (``fast_share%``).  The sizing defaults to
+the experiment runner's paper sizing.
 """
 
 import argparse
 
-from repro import build_system, workload_by_name
-
-SCHEMES = ["noswap", "mempod", "pom", "pageseer"]
+from repro.analysis.compare import compare_schemes, comparison_table
+from repro.experiments import DEFAULT_MEASURE_OPS, DEFAULT_SCALE, DEFAULT_WARMUP_OPS
 
 
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--workloads", nargs="+", default=["lbmx4", "milcx4"])
-    parser.add_argument("--scale", type=int, default=512)
-    parser.add_argument("--measure-ops", type=int, default=8000)
-    parser.add_argument("--warmup-ops", type=int, default=12000)
+    parser.add_argument("--scale", type=int, default=DEFAULT_SCALE)
+    parser.add_argument("--measure-ops", type=int, default=DEFAULT_MEASURE_OPS)
+    parser.add_argument("--warmup-ops", type=int, default=DEFAULT_WARMUP_OPS)
     args = parser.parse_args()
 
-    header = (f"{'workload':10s} {'scheme':9s} {'IPC':>7s} {'AMMAT':>8s} "
-              f"{'DRAM%':>7s} {'buf%':>6s} {'swaps':>6s} {'pos%':>6s}")
-    print(header)
-    print("-" * len(header))
-
-    for name in args.workloads:
-        workload = workload_by_name(name)
-        baseline_ipc = None
-        for scheme in SCHEMES:
-            system = build_system(scheme, workload, scale=args.scale)
-            m = system.run(args.measure_ops, args.warmup_ops)
-            if scheme == "mempod":
-                baseline_ipc = m.ipc
-            print(f"{name:10s} {scheme:9s} {m.ipc:7.3f} {m.ammat:8.1f} "
-                  f"{100 * m.dram_share:7.1f} {100 * m.buffer_share:6.1f} "
-                  f"{m.swaps_total:6d} {100 * m.positive_share:6.1f}")
-        print()
+    rows = compare_schemes(
+        args.workloads,
+        scale=args.scale,
+        measure_ops=args.measure_ops,
+        warmup_ops=args.warmup_ops,
+    )
+    print(comparison_table(rows).render())
 
 
 if __name__ == "__main__":

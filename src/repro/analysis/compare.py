@@ -12,6 +12,11 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
 from repro.experiments.figures import FigureResult
+from repro.experiments.runner import (
+    DEFAULT_MEASURE_OPS,
+    DEFAULT_SCALE,
+    DEFAULT_WARMUP_OPS,
+)
 from repro.sim.metrics import RunMetrics
 from repro.sim.system import SCHEMES, build_system
 from repro.workloads import workload_by_name
@@ -36,16 +41,18 @@ class ComparisonRow:
 def compare_schemes(
     workloads: Sequence,
     schemes: Sequence[str] = DEFAULT_SCHEMES,
-    scale: int = 512,
-    measure_ops: int = 8000,
-    warmup_ops: int = 12_000,
+    scale: int = DEFAULT_SCALE,
+    measure_ops: int = DEFAULT_MEASURE_OPS,
+    warmup_ops: int = DEFAULT_WARMUP_OPS,
     seed: int = 0,
     config_mutator: Optional[Callable] = None,
 ) -> List[ComparisonRow]:
     """Run every scheme on every workload; returns one row per pair.
 
     *workloads* may contain Table III names or :class:`WorkloadSpec`
-    objects (e.g. trace or extras workloads).
+    objects (e.g. trace or extras workloads).  The sizing defaults to
+    the experiment runner's paper sizing, whose warm-up covers the
+    longest workload's first sweep.
     """
     unknown = [s for s in schemes if s not in SCHEMES]
     if unknown:

@@ -8,13 +8,12 @@ memory controller, exactly as in the paper (the OS — and hence the cache
 tags — are oblivious to swaps).
 """
 
-from repro.cache.cache import EvictedLine, SetAssociativeCache, SoaCache
+from repro.cache.cache import EvictedLine, SetAssociativeCache
 from repro.cache.hierarchy import CacheHierarchy, HierarchyOutcome
 
 __all__ = [
     "EvictedLine",
     "SetAssociativeCache",
-    "SoaCache",
     "CacheHierarchy",
     "HierarchyOutcome",
 ]

@@ -18,7 +18,6 @@ Regenerate after an intentional model change with::
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -35,12 +34,6 @@ GOLDEN_VARIANTS = ("default", "nohints")
 #: Sizing shared by every golden run: small enough for CI, large enough
 #: that all three schemes actually swap.
 GOLDEN_SIZING = {"scale": 1024, "measure_ops": 400, "warmup_ops": 400, "seed": 0}
-
-#: RunMetrics fields pinned by a golden (``raw`` is interactive-only).
-GOLDEN_FIELDS = tuple(
-    f.name for f in dataclasses.fields(RunMetrics) if f.name != "raw"
-)
-
 
 def golden_matrix() -> List[Tuple[str, str, str]]:
     """Every (scheme, workload, variant) triple the goldens pin."""
@@ -59,11 +52,6 @@ def golden_filename(scheme: str, workload: str, variant: str) -> str:
 def default_golden_dir() -> Path:
     """``tests/golden`` relative to the current directory (the repo root)."""
     return Path("tests") / "golden"
-
-
-def metrics_payload(metrics: RunMetrics) -> Dict[str, object]:
-    """The pinned, JSON-stable view of one run's metrics."""
-    return {name: getattr(metrics, name) for name in GOLDEN_FIELDS}
 
 
 def payload_digest(payload: Dict[str, object]) -> str:
@@ -115,7 +103,7 @@ def write_golden(
 ) -> Path:
     """Run one golden entry and pin it to disk; returns the file path."""
     metrics = run_golden_entry(scheme, workload, variant)
-    payload = metrics_payload(metrics)
+    payload = metrics.payload()
     document = {
         "scheme": scheme,
         "workload": workload,
@@ -154,7 +142,7 @@ def verify_golden(
             f"(run `python -m repro golden --update`)"
         ]
     metrics = run_golden_entry(scheme, workload, variant)
-    actual = metrics_payload(metrics)
+    actual = metrics.payload()
     diffs = compare_payloads(document["metrics"], actual)
     actual_digest = payload_digest(actual)
     if not diffs and document.get("digest") != actual_digest:

@@ -307,12 +307,8 @@ def _results_digest(results) -> str:
     import hashlib
     import json
 
-    from repro.experiments.runner import _METRIC_FIELDS
-
     payload = {
-        "/".join(request): {
-            name: getattr(metrics, name) for name in _METRIC_FIELDS
-        }
+        "/".join(request): metrics.payload()
         for request, metrics in results.items()
     }
     return hashlib.sha256(

@@ -35,6 +35,7 @@ from typing import Callable, Dict, Optional, Tuple, Union
 from repro.common.config import CheckConfig, FaultConfig
 from repro.common.errors import WorkerFaultError
 from repro.common.rng import DeterministicRng
+from repro.sim.metrics import PERSISTED_FIELDS
 from repro.snapshot import Checkpointer
 
 #: ``(scheme, workload, variant)`` — the unit every sweep is made of.
@@ -157,13 +158,12 @@ def load_result(directory: Union[str, Path]) -> Optional[Dict[str, object]]:
     lease instead of redoing minutes of simulation.
     """
     from repro import persist
-    from repro.experiments.runner import _METRIC_FIELDS
 
     path = Path(directory) / RESULT_NAME
     payload = persist.read_json_or_none(path, site="result")
     if payload is None:
         return None
-    if any(name not in payload for name in _METRIC_FIELDS):
+    if any(name not in payload for name in PERSISTED_FIELDS):
         return None
     return payload
 
@@ -237,7 +237,7 @@ def execute_job(
     after two periodic checkpoints.  The returned payload carries every
     cached metric field plus ``resumed_at_ops`` and ``attempt``.
     """
-    from repro.experiments.runner import VARIANTS, _METRIC_FIELDS
+    from repro.experiments.runner import VARIANTS
     from repro.sim.system import build_system
     from repro.snapshot import load_checkpoint_with_fallback
     from repro.workloads import workload_by_name
@@ -285,9 +285,7 @@ def execute_job(
     else:
         metrics = system.run(measure_ops, warmup_ops)
 
-    payload: Dict[str, object] = {
-        name: getattr(metrics, name) for name in _METRIC_FIELDS
-    }
+    payload = metrics.payload()
     payload["resumed_at_ops"] = resumed_from_ops
     payload["attempt"] = attempt
     return payload

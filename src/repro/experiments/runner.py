@@ -28,7 +28,7 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from repro import persist
 from repro.common.config import FaultConfig, SystemConfig
 from repro.common.errors import PersistError, SweepError
-from repro.sim.metrics import RunMetrics
+from repro.sim.metrics import PERSISTED_FIELDS, RunMetrics
 from repro.sim.system import build_system
 from repro.workloads import all_workloads, workload_by_name
 
@@ -108,13 +108,6 @@ VARIANTS: Dict[str, Callable[[SystemConfig], SystemConfig]] = {
     "dramcap_x8": _dram_capacity_variant(8),
 }
 
-#: RunMetrics fields persisted in the cache (``raw`` is dropped: it is
-#: large and only useful interactively).
-_METRIC_FIELDS = [
-    field.name for field in dataclasses.fields(RunMetrics) if field.name != "raw"
-]
-
-
 class ExperimentRunner:
     """Runs (scheme, workload, variant) simulations with caching."""
 
@@ -181,7 +174,7 @@ class ExperimentRunner:
             return None
         try:
             payload = persist.read_json(path, site="cache")
-            metrics = RunMetrics(raw={}, **{k: payload[k] for k in _METRIC_FIELDS})
+            metrics = RunMetrics(raw={}, **{k: payload[k] for k in PERSISTED_FIELDS})
         except (PersistError, OSError, KeyError, TypeError) as exc:
             # A torn write from a killed process, a checksum failure
             # (bit-rot, a lying disk), a file from an older metrics
@@ -199,7 +192,7 @@ class ExperimentRunner:
 
     def _store(self, key: str, metrics: RunMetrics) -> None:
         self._memory[key] = metrics
-        payload = {name: getattr(metrics, name) for name in _METRIC_FIELDS}
+        payload = metrics.payload()
         path = self._cache_path(key)
         try:
             # Atomic + checksummed: a crash mid-write can never leave a

@@ -10,16 +10,19 @@ outside one core.  This engine produces the identical result while
 consuming the stream chunk-wise: one prep pass lifts each
 :class:`repro.workloads.chunks.OpChunk` into flat per-op columns (VPN,
 line number, L1 set and tag, clock advance), then a slim per-op loop
-drains the *pure prefix* of the chunk against the struct-of-arrays
-TLB/L1 models (:class:`repro.vm.tlb.SoaTlb`,
-:class:`repro.cache.cache.SoaCache`).
-Every other op runs at its exact global order, inline: a *translation*
-turn (an L1-TLB miss or a first-touch page) maps the page, probes the
-L2 TLB, calls the page walker on a miss and fills both TLBs; then every
-turn serves its data line through one inline data-turn block that
-replays the scalar hierarchy's mutations.  The walker, the MMU hint it
-fires and the controller's request path stay calls into their own
-layers; no op leaves the engine for ``Core.execute``.
+drains the *pure prefix* of the chunk against the L1 TLB and the L1
+cache.  Every other op runs at its exact global order, inline: a
+*translation* turn (an L1-TLB miss or a first-touch page) maps the
+page, probes the L2 TLB, calls the page walker on a miss and fills
+both TLBs; then every turn serves its data line through one inline
+data-turn block that replays the scalar hierarchy's mutations.  Every
+TLB and cache level is one model, an ``OrderedDict`` per set in
+LRU-first order (:class:`repro.vm.tlb.Tlb`,
+:class:`repro.cache.cache.SetAssociativeCache`), and the engine works
+on those sets with the models' own four operations: ``in``,
+``move_to_end``, ``popitem(last=False)`` and one insert.  The walker,
+the MMU hint it fires and the controller's request path stay calls
+into their own layers; no op leaves the engine for ``Core.execute``.
 
 Equivalence contract (enforced by the pinned goldens and by
 tests/integration/test_engine_equivalence.py, which runs the heap
@@ -27,7 +30,7 @@ scheduler from tests/reference_scheduler.py as the oracle):
 
 1. **Op classification.**  An op is *pure* when it hits the L1 TLB and
    then the L1 cache.  A pure op touches only the owning core's state —
-   its L1-TLB and L1 LRU ages, an L1 dirty bit, its clock, and op
+   its L1-TLB and L1 LRU order, an L1 dirty bit, its clock, and op
    counts — plus global stats counters.  Every other op is *shared*
    and runs at its global turn, even where (an L2 hit with a clean L1
    victim) it would touch only core-local state.  The prep pass
@@ -50,24 +53,33 @@ scheduler from tests/reference_scheduler.py as the oracle):
    identical by induction.
 3. **Hit and miss semantics.**  The drain loop and the turns replicate
    the scalar path's mutations exactly, in kind and in floating-point
-   order: LRU touches are stores of the same strictly-increasing age
-   counters the SoA models' methods use, clock advances are the same
-   float adds in the same sequence (work advance, then the walk latency
-   as one int sum, then the stall division), and the L3's and the L2
-   TLB's ``OrderedDict`` operations (``move_to_end``, LRU-first
-   ``popitem``) are performed verbatim at the op's global turn.  The
+   order: LRU touches, fills and evictions are the models' own
+   ``OrderedDict`` operations on the same sets, and clock advances are
+   the same float adds in the same sequence (work advance, then the
+   walk latency as one int sum, then the stall division).  The shared
+   L3's and the L2 TLB's operations run at the op's global turn.  The
    data turn mirrors :meth:`repro.cache.hierarchy.CacheHierarchy.access`
    followed by the tail of :meth:`repro.sim.cpu.Core.execute`: the L1
    probe, then an L2 touch or the L3 probe and the clean L2 fill, the
    L1 fill (dirty on writes), the demand request or the hit stall, and
-   the L3, L2 and L1 victims' write-backs in that order.  The drain
-   loop's L1 probe is non-mutating, and a core's private TLB/L1/L2
-   membership cannot change while it is parked (only its own walks and
-   fills mutate them), so an L1 miss found at drain time is still one
-   at the ordered turn.  A translation turn probes its data line only
+   the L3, L2 and L1 victims' write-backs in that order.  A core's
+   private TLB/L1/L2 contents change only through its own ops (its own
+   walks and fills), so an L1 miss found at drain time is still one at
+   the ordered turn.  A translation turn probes its data line only
    after the walk, whose page-table lines fill this core's L2.  The TLB
-   fills skip the hit check of :meth:`repro.vm.tlb.Tlb.fill` /
-   :meth:`repro.vm.tlb.SoaTlb.fill`: the probes just missed.
+   fills skip the hit check of :meth:`repro.vm.tlb.Tlb.fill`: the
+   probes just missed.  An L1-TLB *run* (consecutive ops of one core on
+   one page) touches its entry once, with one ``move_to_end`` at its
+   first op; the run's later ops, pure or not, leave the TLB alone.
+   That is exact because LRU order depends only on the order of last
+   touches: only this core's translation turns fill its L1 TLB, and each
+   one re-seeds the run to the entry it filled, so the run's entry is
+   always its set's most recent and a repeated touch could not change
+   the order.  The touch happens when the drain loop reaches the run's
+   first op, even if that op then parks for a data turn: nothing else
+   reads or writes this core's L1 TLB before the op executes, so the
+   end state is the reference's (a checkpoint of the parked core
+   resumes by probing, and touching, the same entry again).
    ``ensure_mapped`` is skipped on TLB hits: a VPN can only enter a TLB
    via a walk, walks only happen for mapped VPNs, and mappings are
    never removed.
@@ -97,9 +109,10 @@ scheduler from tests/reference_scheduler.py as the oracle):
    :data:`_POLL_STEPS` steps, aligned to the heartbeat mask so liveness
    heartbeats keep their cadence.
 
-See docs/PERFORMANCE.md ("Array-native streams", "Walks at engine
-speed", "Misses at table speed", "One data turn") for the measurements
-and docs/TESTING.md for the differential-harness workflow.
+See docs/PERFORMANCE.md ("Array-native streams", "Cache and TLB
+models", "Walks at engine speed", "Misses at table speed", "One data
+turn") for the measurements and docs/TESTING.md for the
+differential-harness workflow.
 """
 
 from __future__ import annotations
@@ -181,11 +194,11 @@ def _core_context(core) -> Tuple:
     """Hoist one core's fast-path invariants into a flat tuple.
 
     Everything here is fixed for the core's lifetime (the same
-    invariants ``Core.__init__`` hoists for the scalar path): the SoA
-    L1-TLB and L1/L2 internals the drain loop and the data turn read
-    and write directly, the L2 TLB's and the shared L3's per-set
-    ``OrderedDict`` lists for the inline translation and data turns,
-    the page table and walker a translation turn calls, and the stream.
+    invariants ``Core.__init__`` hoists for the scalar path): for each
+    TLB and cache level the drain loop and the turns touch (the L1 and
+    L2 TLBs, the L1 and L2 caches and the shared L3), its per-set
+    ``OrderedDict`` list, set count and ways; the page table and walker
+    a translation turn calls; and the stream.
     ``hmc.handle_request`` is deliberately *not* here: the sanitizer and
     the analysis probes rebind it on the instance, so the engine re-reads
     it around controller calls.
@@ -212,11 +225,7 @@ def _core_context(core) -> Tuple:
         page_table._vpn_cache,
         page_table.ensure_mapped,
         mmu.walker.walk,
-        l1_tlb._way_of,
-        l1_tlb._keys,
-        l1_tlb._ppns,
-        l1_tlb._ages,
-        l1_tlb._age,
+        l1_tlb._sets,
         l1_tlb.num_sets,
         l1_tlb.ways,
         l2_tlb._sets,
@@ -224,18 +233,10 @@ def _core_context(core) -> Tuple:
         l2_tlb.ways,
         # Translate's walk latency base: the L1 and L2 TLB probes.
         mmu._l1_latency + mmu._l2_latency,
-        l1._way_of,
-        l1._tags,
-        l1._dirty,
-        l1._ages,
-        l1._age,
+        l1._sets,
         l1.num_sets,
         l1.ways,
-        l2._way_of,
-        l2._tags,
-        l2._dirty,
-        l2._ages,
-        l2._age,
+        l2._sets,
         l2.num_sets,
         l2.ways,
         l3._sets,
@@ -291,29 +292,17 @@ def _core_runner(
         vpn_cache,
         ensure_mapped,
         walk,
-        t_way_of,
-        t_keys,
-        t_ppns,
-        t_ages,
-        t_age_cell,
+        t_sets,
         tlb_nsets,
         tlb_ways,
         l2t_sets,
         l2t_nsets,
         l2t_ways,
         tlb_lat12,
-        l1_way_of,
-        l1_tags,
-        l1_dirty,
-        l1_ages,
-        l1_age_cell,
+        l1_sets,
         l1_nsets,
         l1_ways,
-        l2_way_of,
-        l2_tags,
-        l2_dirty,
-        l2_ages,
-        l2_age_cell,
+        l2_sets,
         l2_nsets,
         l2_ways,
         l3_sets,
@@ -342,13 +331,11 @@ def _core_runner(
     #: the stream (flushed at the points contract 4 lists).
     pos = chunk_len = pending = 0
     #: The L1-TLB run: the page of the last TLB probe that hit (or of
-    #: the last fill), with its set's age list and way.  Only a
-    #: translation turn fills this core's L1 TLB (pure ops and data
-    #: turns only touch ages), and it re-seeds the run to the
-    #: entry it filled, so the run outlives segments and shared turns.
+    #: the last fill), whose entry is its set's most recent.  Only a
+    #: translation turn fills this core's L1 TLB, and it re-seeds the
+    #: run to the entry it filled, so the run outlives segments and
+    #: shared turns (contract 3).
     run_vpn = -1
-    run_ages = None
-    run_way = -1
     try:
         while True:
             if steps_cell[0] == stop_cell[0]:
@@ -410,26 +397,15 @@ def _core_runner(
                         entries_t2[key] = ppn
                     # L1-TLB fill (absent too), re-seeding the run to the
                     # filled entry: the fill may have evicted the old one.
-                    tidx = vpn % tlb_nsets
-                    tways = t_way_of[tidx]
-                    tkeys = t_keys[tidx]
-                    run_ages = t_ages[tidx]
-                    if len(tways) >= tlb_ways:
-                        run_way = run_ages.index(min(run_ages))
-                        del tways[tkeys[run_way]]
-                    else:
-                        run_way = tkeys.index(None)
-                    tways[key] = run_way
-                    tkeys[run_way] = key
-                    t_ppns[tidx][run_way] = ppn
-                    run_ages[run_way] = t_age_cell[0]
-                    t_age_cell[0] += 1
+                    entries_t1 = t_sets[vpn % tlb_nsets]
+                    if len(entries_t1) >= tlb_ways:
+                        entries_t1.popitem(last=False)
+                    entries_t1[key] = ppn
                     run_vpn = vpn
                 else:
-                    # L1 miss after an L1-TLB hit: the TLB touch, through
-                    # the run the drain loop probed this op's page into.
-                    run_ages[run_way] = t_age_cell[0]
-                    t_age_cell[0] += 1
+                    # L1 miss after an L1-TLB hit: the op's page is the
+                    # run, whose entry the drain loop already made its
+                    # set's most recent, so the touch is the counter.
                     counters["tlb/l1_hits"] += 1.0
                 # The data turn: CacheHierarchy.access, then the tail of
                 # Core.execute.  A translation turn probes the line only
@@ -438,30 +414,26 @@ def _core_runner(
                 is_write = writes[idx]
                 set1 = line % l1_nsets
                 tag1 = line // l1_nsets
-                ways1 = l1_way_of[set1]
-                way1 = ways1.get(tag1)
-                if way1 is not None:
+                entries1 = l1_sets[set1]
+                if tag1 in entries1:
                     # L1 hit, on a translation turn only (the drain loop
                     # sends an L1-TLB hit here only when it missed the
                     # L1): LRU touch and dirty bit, no stall.
-                    l1_ages[set1][way1] = l1_age_cell[0]
-                    l1_age_cell[0] += 1
+                    entries1.move_to_end(tag1)
                     if is_write:
-                        l1_dirty[set1][way1] = True
+                        entries1[tag1] = True
                     counters["cache/l1_hits"] += 1.0
                 else:
                     wb_l3 = wb_l2 = wb_l1 = -1
                     llc_miss = False
                     set2 = line % l2_nsets
                     tag2 = line // l2_nsets
-                    ways2 = l2_way_of[set2]
-                    way2 = ways2.get(tag2)
-                    if way2 is not None:
+                    entries2 = l2_sets[set2]
+                    if tag2 in entries2:
                         # L2 hit: LRU touch and dirty bit.
-                        l2_ages[set2][way2] = l2_age_cell[0]
-                        l2_age_cell[0] += 1
+                        entries2.move_to_end(tag2)
                         if is_write:
-                            l2_dirty[set2][way2] = True
+                            entries2[tag2] = True
                         counters["cache/l2_hits"] += 1.0
                         stall = l2_stall
                     else:
@@ -484,39 +456,17 @@ def _core_runner(
                                     wb_l3 = vtag3 * l3_nsets + set3
                             entries3[tag3] = False
                             llc_miss = True
-                        ages2 = l2_ages[set2]
-                        tags2 = l2_tags[set2]
-                        dirty2 = l2_dirty[set2]
-                        if len(ways2) >= l2_ways:
-                            vway = ages2.index(min(ages2))
-                            vtag = tags2[vway]
-                            if dirty2[vway]:
+                        if len(entries2) >= l2_ways:
+                            vtag, vdirty = entries2.popitem(last=False)
+                            if vdirty:
                                 wb_l2 = vtag * l2_nsets + set2
-                            del ways2[vtag]
-                        else:
-                            vway = tags2.index(-1)
-                        ways2[tag2] = vway
-                        tags2[vway] = tag2
-                        dirty2[vway] = False
-                        ages2[vway] = l2_age_cell[0]
-                        l2_age_cell[0] += 1
+                        entries2[tag2] = False
                     # L1 fill (dirty on writes).
-                    ages1 = l1_ages[set1]
-                    tags1 = l1_tags[set1]
-                    dirty1 = l1_dirty[set1]
-                    if len(ways1) >= l1_ways:
-                        vway = ages1.index(min(ages1))
-                        vtag = tags1[vway]
-                        if dirty1[vway]:
+                    if len(entries1) >= l1_ways:
+                        vtag, vdirty = entries1.popitem(last=False)
+                        if vdirty:
                             wb_l1 = vtag * l1_nsets + set1
-                        del ways1[vtag]
-                    else:
-                        vway = tags1.index(-1)
-                    ways1[tag1] = vway
-                    tags1[vway] = tag1
-                    dirty1[vway] = is_write
-                    ages1[vway] = l1_age_cell[0]
-                    l1_age_cell[0] += 1
+                    entries1[tag1] = is_write
                     hmc = core.hmc
                     if llc_miss:
                         now = int(clock)
@@ -576,11 +526,6 @@ def _core_runner(
                     limit = pos + (stop_steps - steps)
                 if limit > chunk_len:
                     limit = chunk_len
-                # Segment-local mirrors of the age counters and
-                # deferred stats (written back at segment end, before
-                # any shared turn can observe them).
-                t_age = t_age_cell[0]
-                l1_age = l1_age_cell[0]
                 i = pos
                 # The next op index whose page was unmapped at prep
                 # time (``limit`` when none remain ahead), found by
@@ -615,44 +560,37 @@ def _core_runner(
                             nxt_un = unmapped[un_k]
                     vpn = vpns[i]
                     if vpn != run_vpn:
-                        # New page run: one TLB probe covers the whole
-                        # run (no invalidations exist, and only
-                        # translation turns mutate TLB membership).
-                        tidx = vpn % tlb_nsets
-                        tway = t_way_of[tidx].get((pid, vpn))
-                        if tway is None:
+                        # New page run: one TLB probe and one LRU touch
+                        # cover the whole run (contract 3).
+                        tkey = (pid, vpn)
+                        entries_t1 = t_sets[vpn % tlb_nsets]
+                        if tkey not in entries_t1:
                             kind = 4  # L1-TLB miss: translation turn
                             break
+                        entries_t1.move_to_end(tkey)
                         run_vpn = vpn
-                        run_ages = t_ages[tidx]
-                        run_way = tway
-                    set1 = l1sets[i]
-                    way1 = l1_way_of[set1].get(l1tags[i])
-                    if way1 is None:
+                    entries1 = l1_sets[l1sets[i]]
+                    tag1 = l1tags[i]
+                    if tag1 not in entries1:
                         kind = 3  # L1 miss: a data turn
                         break
                     # TLB-L1 + cache-L1 double hit: the scalar path's
-                    # only mutations are two LRU touches, the dirty bit,
-                    # two counters, and the base-CPI clock advance (stall
-                    # is 0.0).
-                    run_ages[run_way] = t_age
-                    t_age += 1
-                    l1_ages[set1][way1] = l1_age
-                    l1_age += 1
+                    # only mutations are two LRU touches (the TLB's
+                    # changes no order inside a run), the dirty bit, two
+                    # counters, and the base-CPI clock advance (stall is
+                    # 0.0).
+                    entries1.move_to_end(tag1)
                     if writes[i]:
-                        l1_dirty[set1][way1] = True
+                        entries1[tag1] = True
                     clock += advs[i]
                     i += 1
-                # Segment end, when any pure op drained (a segment whose
-                # first op is shared changed none of the mirrors): write
-                # back age counters, flush deferred counters (+= float(k)
-                # == k unit increments for integer-valued floats; every
-                # pure op is one L1-TLB hit and one L1 hit), and move the
-                # cursor past the drained pure prefix.
+                # Segment end, when any pure op drained: flush deferred
+                # counters (+= float(k) == k unit increments for
+                # integer-valued floats; every pure op is one L1-TLB hit
+                # and one L1 hit), and move the cursor past the drained
+                # pure prefix.
                 drained = i - pos
                 if drained:
-                    t_age_cell[0] = t_age
-                    l1_age_cell[0] = l1_age
                     counters["tlb/l1_hits"] += float(drained)
                     counters["cache/l1_hits"] += float(drained)
                     ops_executed += drained

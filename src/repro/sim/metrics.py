@@ -2,8 +2,8 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from dataclasses import dataclass, field, fields
+from typing import Dict, List, Tuple
 
 
 @dataclass(frozen=True)
@@ -51,6 +51,11 @@ class RunMetrics:
     quarantined_pages: int = 0
     degraded_services: int = 0
     raw: Dict[str, float] = field(default_factory=dict, repr=False)
+
+    def payload(self) -> Dict[str, object]:
+        """The persisted, JSON-stable view: every :data:`PERSISTED_FIELDS`
+        value, in declaration order."""
+        return {name: getattr(self, name) for name in PERSISTED_FIELDS}
 
     # -- derived quantities ----------------------------------------------------
     @property
@@ -111,6 +116,15 @@ class RunMetrics:
     def pte_cache_miss_rate(self) -> float:
         """Fraction of TLB-miss PTE requests that missed L2+L3 (Figure 12)."""
         return self.pte_llc_misses / self.tlb_misses if self.tlb_misses else 0.0
+
+
+#: The :class:`RunMetrics` fields a run persists, in declaration order:
+#: every field but ``raw`` (large, and only useful interactively).  Result
+#: caches, golden files and sweep results store exactly these, and their
+#: digests cover exactly these.
+PERSISTED_FIELDS: Tuple[str, ...] = tuple(
+    item.name for item in fields(RunMetrics) if item.name != "raw"
+)
 
 
 def collect_metrics(

@@ -2,7 +2,7 @@
 
 File layout (all little pieces are validated on load, in order)::
 
-    REPRO-CKPT v7\\n                  magic + format version, ASCII
+    REPRO-CKPT v8\\n                  magic + format version, ASCII
     {json header}\\n                  one line of metadata
     <zlib-compressed pickle payload>  the System object graph
 
@@ -62,10 +62,13 @@ from repro.snapshot import codec
 #: no event hook, ``SystemConfig`` has no ``model_contention``, and a
 #: checked system carries its sanitizer's request entry and HPT
 #: listeners in the payload; a v6 payload holds the injected callables
-#: and closures these replaced.
-CHECKPOINT_FORMAT_VERSION = 7
+#: and closures these replaced.  Version 8: every TLB is a ``Tlb`` and
+#: every cache level a ``SetAssociativeCache``; a v7 payload holds the
+#: struct-of-arrays L1-TLB and L1/L2 cache models, which no longer
+#: exist.
+CHECKPOINT_FORMAT_VERSION = 8
 
-MAGIC = b"REPRO-CKPT v7\n"
+MAGIC = b"REPRO-CKPT v8\n"
 
 #: Conventional file name for the rolling checkpoint of one run.
 LATEST_NAME = "latest.ckpt"

@@ -23,6 +23,7 @@ from pathlib import Path
 from typing import Dict, Optional, Tuple, Union
 
 from repro import persist
+from repro.sim.metrics import PERSISTED_FIELDS
 
 #: Verdicts returned by :meth:`ResultAggregator.store`.
 STORED = "stored"
@@ -40,10 +41,8 @@ def result_digest(payload: Dict[str, object]) -> str:
     first-try result and one resumed from a checkpoint, while the
     metrics themselves must not.
     """
-    from repro.experiments.runner import _METRIC_FIELDS
-
     material = json.dumps(
-        {name: payload.get(name) for name in _METRIC_FIELDS}, sort_keys=True
+        {name: payload.get(name) for name in PERSISTED_FIELDS}, sort_keys=True
     )
     return hashlib.sha256(material.encode()).hexdigest()
 
@@ -74,9 +73,7 @@ class ResultAggregator:
         )
         if payload is None:
             return None
-        from repro.experiments.runner import _METRIC_FIELDS
-
-        if any(name not in payload for name in _METRIC_FIELDS):
+        if any(name not in payload for name in PERSISTED_FIELDS):
             return None
         return result_digest(payload)
 
@@ -104,9 +101,7 @@ class ResultAggregator:
             self._log(job_id, verdict, digest, worker, known=known)
             return (verdict, digest)
 
-        from repro.experiments.runner import _METRIC_FIELDS
-
-        entry = {name: payload[name] for name in _METRIC_FIELDS}
+        entry = {name: payload[name] for name in PERSISTED_FIELDS}
         # May raise PersistWriteError (ENOSPC, EIO, injected storage
         # fault, or an entry that does not read back intact after its
         # retries).  Deliberately BEFORE the accept/ack bookkeeping: a

@@ -10,7 +10,7 @@ traffic, which is what PageSeer's MMU-triggered mechanism feeds on.
 
 from repro.vm.os_model import OsModel, Process
 from repro.vm.page_table import PageTable
-from repro.vm.tlb import SoaTlb, Tlb
+from repro.vm.tlb import Tlb
 from repro.vm.walker import PageWalkCache, PageWalker, WalkResult
 from repro.vm.mmu import Mmu, TranslationResult
 
@@ -19,7 +19,6 @@ __all__ = [
     "Process",
     "PageTable",
     "Tlb",
-    "SoaTlb",
     "PageWalkCache",
     "PageWalker",
     "WalkResult",

@@ -6,7 +6,7 @@ from repro.common.addr import PAGE_SHIFT
 from repro.common.config import SystemConfig
 from repro.common.stats import StatsRegistry
 from repro.vm.page_table import PageTable
-from repro.vm.tlb import SoaTlb, Tlb
+from repro.vm.tlb import Tlb
 from repro.vm.walker import PageWalker
 
 
@@ -54,11 +54,7 @@ class Mmu:
         self.config = config
         self.walker = walker
         self.stats = stats
-        # The L1 TLB is struct-of-arrays: the batched engine's drain loop
-        # reads its way dicts and age arrays directly.  The L2 TLB is only
-        # reached on L1-TLB misses (the engine's translation turns), where
-        # the OrderedDict reference model's C-speed operations win.
-        self.l1_tlb = SoaTlb(config.l1_tlb)
+        self.l1_tlb = Tlb(config.l1_tlb)
         self.l2_tlb = Tlb(config.l2_tlb)
         # Hot-path invariants: the TLB latencies.
         self._l1_latency = config.l1_tlb.latency_cycles
@@ -68,25 +64,17 @@ class Mmu:
     def translate(self, now: int, page_table: PageTable, vaddr: int) -> TranslationResult:
         """Translate *vaddr* for the walker's process; VPN must be mapped.
 
-        The L1 TLB probe (:meth:`SoaTlb.lookup`) runs inline, and the
-        counters are bumped on the live registry dict: a TLB miss — a
-        walk — reaches the walker with no intermediate calls.
+        The counters are bumped on the live registry dict.
         """
         pid = page_table.pid
         vpn = vaddr >> PAGE_SHIFT
         counters = self.stats._counters
 
         l1_tlb = self.l1_tlb
-        set_index = vpn % l1_tlb.num_sets
-        way = l1_tlb._way_of[set_index].get((pid, vpn))
-        if way is not None:
-            age = l1_tlb._age
-            l1_tlb._ages[set_index][way] = age[0]
-            age[0] += 1
+        ppn = l1_tlb.lookup(pid, vpn)
+        if ppn is not None:
             counters["tlb/l1_hits"] += 1.0
-            return TranslationResult(
-                l1_tlb._ppns[set_index][way], self._l1_latency, "l1"
-            )
+            return TranslationResult(ppn, self._l1_latency, "l1")
 
         latency = self._l1_latency + self._l2_latency
         ppn = self.l2_tlb.lookup(pid, vpn)

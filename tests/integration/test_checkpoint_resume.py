@@ -29,13 +29,12 @@ from repro.check.golden import (
     GOLDEN_SIZING,
     golden_matrix,
     load_golden,
-    metrics_payload,
     payload_digest,
 )
 from repro.cli import main
 from repro.common.config import CheckConfig, FaultConfig
 from repro.experiments.jobcore import RESULT_NAME
-from repro.experiments.runner import _METRIC_FIELDS, VARIANTS, ExperimentRunner
+from repro.experiments.runner import VARIANTS, ExperimentRunner
 from repro.snapshot import Checkpointer, load_checkpoint
 from repro.sweepd.aggregator import AGGREGATOR_LOG
 from repro.sweepd.fleet import JOBS_DIRNAME, run_distributed_sweep
@@ -55,13 +54,13 @@ MEASURE_CUT = 2000
 
 _RESTORE_SCRIPT = """\
 import sys
-from repro.check.golden import metrics_payload, payload_digest
+from repro.check.golden import payload_digest
 from repro.snapshot import load_checkpoint
 
 for path in sys.argv[1:]:
     system = load_checkpoint(path)
     metrics = system.resume_run()
-    print(payload_digest(metrics_payload(metrics)))
+    print(payload_digest(metrics.payload()))
 """
 
 
@@ -89,7 +88,7 @@ def _golden_system(scheme, workload, variant):
 
 
 def _metric_dict(metrics):
-    return {name: getattr(metrics, name) for name in _METRIC_FIELDS}
+    return metrics.payload()
 
 
 def _wait_for(path: Path, timeout: float = 30.0) -> None:
@@ -115,7 +114,7 @@ def test_fresh_process_restore_matches_golden(scheme, workload, variant, tmp_pat
     metrics = system.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
 
     # Checkpointing itself must not perturb the simulation.
-    assert payload_digest(metrics_payload(metrics)) == document["digest"]
+    assert payload_digest(metrics.payload()) == document["digest"]
 
     cuts = [tmp_path / f"cut_{WARMUP_CUT}.ckpt", tmp_path / f"cut_{MEASURE_CUT}.ckpt"]
     for cut in cuts:
@@ -246,7 +245,7 @@ def test_sigkill_mid_run_resume_digest_identical(tmp_path):
 
     system = load_checkpoint(tmp_path / "latest.ckpt")
     metrics = system.resume_run()
-    assert payload_digest(metrics_payload(metrics)) == document["digest"]
+    assert payload_digest(metrics.payload()) == document["digest"]
 
 
 # -- fleet sweeps --------------------------------------------------------------
@@ -338,8 +337,9 @@ def test_sweep_resume_skips_completed_requests(tmp_path, monkeypatch, capsys):
 # -- the engine under the cut-point protocol -----------------------------------
 
 
-def _run_with_cuts(tmp_path, cuts):
-    """Run the pageseer/lbmx4 golden config with checkpoint cuts at *cuts*.
+def _run_with_cuts(tmp_path, cuts, workload="lbmx4"):
+    """Run pageseer on *workload* at the golden sizing with checkpoint cuts
+    at *cuts*.
 
     Returns the digest of an uninterrupted run of the same config on the
     reference scheduler, after checking the cut run itself matches it.
@@ -350,7 +350,7 @@ def _run_with_cuts(tmp_path, cuts):
     def fresh():
         return build_system(
             "pageseer",
-            workload_by_name("lbmx4"),
+            workload_by_name(workload),
             scale=GOLDEN_SIZING["scale"],
             seed=GOLDEN_SIZING["seed"],
         )
@@ -366,7 +366,8 @@ def _run_with_cuts(tmp_path, cuts):
     return reference_digest
 
 
-def test_mid_batch_cuts_resume_bit_identical(tmp_path):
+@pytest.mark.parametrize("workload", ["lbmx4", "milcx4"])
+def test_mid_batch_cuts_resume_bit_identical(tmp_path, workload):
     """A checkpoint cut mid-batch must resume bit-identical — against the
     reference scheduler's uninterrupted run.
 
@@ -374,11 +375,15 @@ def test_mid_batch_cuts_resume_bit_identical(tmp_path):
     free-running drain windows, so this pins the engine's checkpoint
     contract: the poll boundary where the cut is taken is a real
     quiescent point (pending ops re-stashed, per-core state flushed),
-    and the resumed half reproduces the reference exactly.
+    and the resumed half reproduces the reference exactly.  lbmx4 never
+    hits the L1; milcx4 does, so its cuts land inside L1-TLB runs with
+    pure ops behind them.
     """
     from repro.bench import stats_digest
 
-    reference_digest = _run_with_cuts(tmp_path, [WARMUP_CUT, MEASURE_CUT])
+    reference_digest = _run_with_cuts(
+        tmp_path, [WARMUP_CUT, MEASURE_CUT], workload
+    )
     for cut in (WARMUP_CUT, MEASURE_CUT):
         path = tmp_path / f"cut_{cut}.ckpt"
         assert path.exists(), f"cut at step {cut} was not written"
@@ -437,7 +442,7 @@ def test_checkpoint_without_walk_memo_resumes_bit_identical(tmp_path):
     system = fresh()
     Checkpointer(tmp_path, cut_points=[WARMUP_CUT]).arm(system)
     metrics = system.run(GOLDEN_SIZING["measure_ops"], GOLDEN_SIZING["warmup_ops"])
-    reference = payload_digest(metrics_payload(metrics))
+    reference = payload_digest(metrics.payload())
 
     cut = load_checkpoint(tmp_path / f"cut_{WARMUP_CUT}.ckpt")
     tables = [core.process.page_table for core in cut.cores]
@@ -449,5 +454,5 @@ def test_checkpoint_without_walk_memo_resumes_bit_identical(tmp_path):
     restored = load_checkpoint(emptied)
     assert all(core.process.page_table._walk_lines == {} for core in restored.cores)
     resumed = restored.resume_run()
-    assert payload_digest(metrics_payload(resumed)) == reference
+    assert payload_digest(resumed.payload()) == reference
     assert any(core.process.page_table._walk_lines for core in restored.cores)

@@ -9,7 +9,8 @@ must agree with the serial one.
 import dataclasses
 
 from repro.common.config import CheckConfig
-from repro.experiments.runner import ExperimentRunner, _METRIC_FIELDS
+from repro.experiments.runner import ExperimentRunner
+from repro.sim.metrics import PERSISTED_FIELDS
 from repro.sim.system import build_system
 from repro.workloads import workload_by_name
 
@@ -62,7 +63,7 @@ class TestSweepDeterminism:
         ).run_many(requests, jobs=2)
         assert set(serial) == set(parallel) == set(requests)
         for request in requests:
-            for name in _METRIC_FIELDS:
+            for name in PERSISTED_FIELDS:
                 assert getattr(serial[request], name) == getattr(
                     parallel[request], name
                 ), f"{'/'.join(request)} diverges on {name}"

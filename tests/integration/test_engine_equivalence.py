@@ -8,8 +8,10 @@ is the proof obligation:
 
 * every scheme × representative workload runs on both loops and must
   produce identical stats snapshots (the full dict, not just a digest),
-  identical per-core end states, and the identical *sequence* of swap
-  transfers (page/segment moves with their timestamps and directions);
+  identical per-core end states, identical contents at every TLB and
+  cache level (LRU order, dirty bits and PPNs included), and the
+  identical *sequence* of swap transfers (page/segment moves with their
+  timestamps and directions);
 * a hypothesis harness samples configurations — scheme, workload, seed,
   ablation variant, and the chunking of ``run_ops`` calls — and compares
   the two loops op-for-op at every chunk boundary, so a divergence is
@@ -114,6 +116,7 @@ def _run(scheme, workload, loop, *, ops=1200, seed=0, scale=1024,
         "stats": system.stats.as_dict(),
         "digest": stats_digest(system),
         "cores": _core_state(system),
+        "contents": _contents(system),
         "checkpoints": checkpoints,
         "events": events,
         "observations": lead_time.observations if lead_time else None,
@@ -124,6 +127,29 @@ def _core_state(system):
     return [
         (core.core_id, core.clock, core.instructions, core.ops_executed)
         for core in system.cores
+    ]
+
+
+def _contents(system):
+    """Every TLB and cache level's sets as ``list(entries.items())``.
+
+    Each set is an ``OrderedDict`` in LRU-first order, so the items
+    carry the LRU order along with each entry's PPN (TLBs) or dirty bit
+    (caches): each core's L1 and L2 TLB and L1 and L2 cache, then the
+    shared L3.
+    """
+    hierarchy = system.hierarchy
+    levels = []
+    for core in system.cores:
+        levels += [
+            core.mmu.l1_tlb,
+            core.mmu.l2_tlb,
+            hierarchy.l1[core.core_id],
+            hierarchy.l2[core.core_id],
+        ]
+    levels.append(hierarchy.l3)
+    return [
+        [list(entries.items()) for entries in level._sets] for level in levels
     ]
 
 
@@ -138,6 +164,7 @@ class TestEngineEquivalence:
         assert reference["digest"] == engine["digest"]
         assert reference["stats"] == engine["stats"]
         assert reference["cores"] == engine["cores"]
+        assert reference["contents"] == engine["contents"]
         assert reference["events"] == engine["events"]
 
     @pytest.mark.parametrize("scheme", ["pageseer", "pom"])
@@ -185,6 +212,26 @@ class TestTlbRunReset:
         assert reference["stats"]["tlb/l1_hits"] == 4 * 1200 / 3
         assert reference["stats"] == engine["stats"]
         assert reference["cores"] == engine["cores"]
+        assert reference["contents"] == engine["contents"]
+        assert reference["events"] == engine["events"]
+
+    def test_a_new_run_touches_its_entry_once(self, tmp_path):
+        # Each core cycles through pages 0, 1, 0, 2, 0 under a one-set,
+        # two-way L1 TLB, so every change of page starts a new run.  The
+        # next fill evicts the other page only because page 0's latest
+        # run touched its entry: an engine that skipped that touch would
+        # evict page 0 instead and count fewer L1-TLB hits.
+        spec = _core_traces(
+            tmp_path,
+            [(0, 0, "r"), (1, 0, "r"), (0, 1, "r"), (2, 0, "r"), (0, 2, "r")],
+        )
+        mutator = _geometry(l1_tlb=(2, 2))
+        reference = _run("pageseer", spec, "reference", config_mutator=mutator)
+        engine = _run("pageseer", spec, "engine", config_mutator=mutator)
+        assert reference["stats"]["tlb/l1_hits"] == 2876
+        assert reference["stats"] == engine["stats"]
+        assert reference["cores"] == engine["cores"]
+        assert reference["contents"] == engine["contents"]
         assert reference["events"] == engine["events"]
 
 
@@ -369,6 +416,7 @@ class TestTurnShapes:
         engine = _run("pageseer", spec, "engine", config_mutator=mutator)
         assert reference["stats"] == engine["stats"]
         assert reference["cores"] == engine["cores"]
+        assert reference["contents"] == engine["contents"]
         assert reference["events"] == engine["events"]
 
 
@@ -395,6 +443,7 @@ class TestEngineEquivalenceFuzz:
         # at every chunk boundary, not merely at the end.
         assert reference["checkpoints"] == engine["checkpoints"]
         assert reference["digest"] == engine["digest"]
+        assert reference["contents"] == engine["contents"]
         assert reference["events"] == engine["events"]
 
     @settings(max_examples=8, deadline=None)
@@ -461,6 +510,7 @@ class TestEngineEquivalenceFuzz:
         assert reference["digest"] == engine["digest"]
         assert reference["stats"] == engine["stats"]
         assert reference["cores"] == engine["cores"]
+        assert reference["contents"] == engine["contents"]
         assert reference["events"] == engine["events"]
 
     @settings(max_examples=8, deadline=None)

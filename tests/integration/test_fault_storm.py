@@ -20,8 +20,9 @@ from repro import persist
 from repro.common.config import CheckConfig, FaultConfig
 from repro.common.errors import SweepError
 from repro.experiments.jobcore import RESULT_NAME, execute_job
-from repro.experiments.runner import _METRIC_FIELDS, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
 from repro.faults import resolve_profile
+from repro.sim.metrics import PERSISTED_FIELDS
 from repro.sim.system import build_system
 from repro.sweepd.fleet import JOBS_DIRNAME, run_distributed_sweep
 from repro.sweepd.jobs import job_id_for
@@ -171,9 +172,9 @@ class TestSweepResilience:
 
         monkeypatch.setattr(system_module, "build_system", boom)
         results, _ = run_distributed_sweep(runner, [request], root, workers=1)
-        assert {
-            name: getattr(results[request], name) for name in _METRIC_FIELDS
-        } == {name: payload[name] for name in _METRIC_FIELDS}
+        assert results[request].payload() == {
+            name: payload[name] for name in PERSISTED_FIELDS
+        }
 
     def test_sweep_with_crashes_and_stalls_completes(self, tmp_path):
         """The acceptance scenario: one crashy sweep, generous retries."""

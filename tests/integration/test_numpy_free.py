@@ -44,7 +44,7 @@ from pathlib import Path
 import repro
 import repro.cli  # noqa: F401
 from repro.bench import stats_digest
-from repro.check.golden import metrics_payload, payload_digest, run_golden_entry
+from repro.check.golden import payload_digest, run_golden_entry
 from repro.common.config import CheckConfig
 from repro.sim.system import build_system
 from repro.snapshot import load_checkpoint, save_checkpoint
@@ -56,7 +56,7 @@ for module in pkgutil.walk_packages(repro.__path__, "repro."):
 configs, checkpoint_dir = json.loads(sys.argv[1]), Path(sys.argv[2])
 digests = {
     f"{scheme}/{workload}": payload_digest(
-        metrics_payload(run_golden_entry(scheme, workload, "default"))
+        run_golden_entry(scheme, workload, "default").payload()
     )
     for scheme, workload in configs
 }

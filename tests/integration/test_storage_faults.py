@@ -18,13 +18,14 @@ import pytest
 from repro import persist
 from repro.check.golden import GOLDEN_SIZING
 from repro.experiments.jobcore import execute_job
-from repro.experiments.runner import _METRIC_FIELDS, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
 from repro.faults.storage import (
     STORAGE_FAULTS_ENV,
     StorageFaultInjector,
     resolve_storage_profile,
 )
 from repro.fsck import run_fsck
+from repro.sim.metrics import PERSISTED_FIELDS
 from repro.snapshot.checkpoint import LATEST_NAME, generation_files
 from repro.sweepd.fleet import run_distributed_sweep
 
@@ -56,7 +57,7 @@ def _run_job(directory):
 
 
 def _metrics(payload):
-    return {name: payload[name] for name in _METRIC_FIELDS}
+    return {name: payload[name] for name in PERSISTED_FIELDS}
 
 
 @pytest.fixture(scope="module")
@@ -165,13 +166,7 @@ class TestSupervisedSweepUnderStorm:
             persist.install_storage_faults(None)
         assert set(results) == set(self.REQUESTS), "a sweep result was lost"
         for request in self.REQUESTS:
-            assert {
-                name: getattr(results[request], name)
-                for name in _METRIC_FIELDS
-            } == {
-                name: getattr(reference[request], name)
-                for name in _METRIC_FIELDS
-            }
+            assert results[request].payload() == reference[request].payload()
         # The storm may have left silent damage on disk; repair converges.
         run_fsck([root], repair=True)
         _, exit_code = run_fsck([root])

@@ -17,7 +17,7 @@ import json
 import pytest
 
 from repro.check.golden import GOLDEN_SIZING
-from repro.experiments.runner import _METRIC_FIELDS, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
 from repro.faults.chaos import ChaosConfig, FleetChaos
 from repro.sweepd.aggregator import AGGREGATOR_LOG
 from repro.sweepd.fleet import run_distributed_sweep
@@ -50,9 +50,7 @@ def _runner(cache_dir):
 
 def _payloads(results):
     return {
-        "/".join(request): {
-            name: getattr(metrics, name) for name in _METRIC_FIELDS
-        }
+        "/".join(request): metrics.payload()
         for request, metrics in results.items()
     }
 

@@ -13,7 +13,8 @@ import threading
 import pytest
 
 from repro.check.golden import GOLDEN_SIZING
-from repro.experiments.runner import _METRIC_FIELDS, ExperimentRunner
+from repro.experiments.runner import ExperimentRunner
+from repro.sim.metrics import PERSISTED_FIELDS
 from repro.sweepd.fleet import run_distributed_sweep
 from repro.sweepd.jobs import PENDING, build_job
 from repro.sweepd.manifest import JobManifest
@@ -38,9 +39,7 @@ def _runner(tmp_path, **kwargs):
 
 def _payloads(results):
     return {
-        "/".join(request): {
-            name: getattr(metrics, name) for name in _METRIC_FIELDS
-        }
+        "/".join(request): metrics.payload()
         for request, metrics in results.items()
     }
 
@@ -127,7 +126,7 @@ def test_rpc_submit_is_idempotent(live_server, tmp_path):
 def test_duplicate_result_rpc_is_discarded_not_restored(live_server, tmp_path):
     sizing = (1024, 400, 400, 0, "off")
     job = build_job(("pageseer", "lbmx4", "default"), sizing, None)
-    payload = {name: 1.0 for name in _METRIC_FIELDS}
+    payload = {name: 1.0 for name in PERSISTED_FIELDS}
     with RpcClient(live_server.address) as rpc:
         _submit(rpc, [job])
         rpc.call({"type": "lease", "worker": "w0"})

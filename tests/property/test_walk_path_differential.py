@@ -486,7 +486,10 @@ def walk_state(system):
     return {
         "stats": system.stats.snapshot_full(),
         "pwc": [[list(level) for level in w.pwc._levels] for w in walkers],
-        "l2": [list(map(dict, cache._way_of)) for cache in system.hierarchy.l2],
+        "l2": [
+            [list(entries.items()) for entries in cache._sets]
+            for cache in system.hierarchy.l2
+        ],
         "l3": [list(entries) for entries in system.hierarchy.l3._sets],
         "hmc": controller_state(system.hmc),
     }

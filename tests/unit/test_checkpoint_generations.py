@@ -15,8 +15,8 @@ import pytest
 
 from repro.common.errors import CorruptCheckpointError
 from repro.experiments.jobcore import execute_job
-from repro.experiments.runner import _METRIC_FIELDS
 from repro.fsck import QUARANTINE_DIRNAME, command_fsck, scan_directory
+from repro.sim.metrics import PERSISTED_FIELDS
 from repro.sim.system import build_system
 from repro.snapshot import (
     DEFAULT_KEEP_GENERATIONS,
@@ -50,9 +50,10 @@ def _as_older_version(path, version=1):
     this build no longer has, a v3 payload holds HPTs without their
     count-1 index, a v4 payload holds the baselines' remap maps
     outside ``SlotMap`` objects, a v5 payload holds HPTs without
-    ``next_decay`` and devices without their row stride, and a v6
-    payload holds the Swap Driver's injected callables; here the
-    version is the only thing wrong with the file.
+    ``next_decay`` and devices without their row stride, a v6 payload
+    holds the Swap Driver's injected callables, and a v7 payload holds
+    the struct-of-arrays TLB and cache models; here the version is the
+    only thing wrong with the file.
     """
     rest = path.read_bytes()[len(MAGIC):]
     header_line, payload = rest.split(b"\n", 1)
@@ -241,7 +242,6 @@ class TestFallback:
         uninterrupted run (the docs/CHECKPOINTS.md contract, extended to
         the generation chain by docs/FAULTS.md).
         """
-        from repro.experiments.runner import _METRIC_FIELDS
         from repro.snapshot import Checkpointer
 
         reference = _tiny_system().run(100, 50)
@@ -255,7 +255,7 @@ class TestFallback:
         assert path.name != LATEST_NAME
         assert [p.name for p, _ in skipped] == [LATEST_NAME]
         metrics = resumed.resume_run()
-        for name in _METRIC_FIELDS:
+        for name in PERSISTED_FIELDS:
             assert getattr(metrics, name) == getattr(reference, name), name
 
 
@@ -326,7 +326,7 @@ class TestFormatVersionOne:
             _as_older_version(path)
         payload = execute_job(request, sizing, None, 0, job_dir)
         assert payload["resumed_at_ops"] == 0
-        for name in _METRIC_FIELDS:
+        for name in PERSISTED_FIELDS:
             assert payload[name] == clean[name], name
 
     def test_run_resume_names_both_formats(self, tmp_path, capsys):
@@ -346,8 +346,9 @@ class TestOlderFormatVersions:
     anything is unpickled: v2 payloads name the deleted line routers, v3
     ones hold HPTs without their count-1 index, v4 ones the baselines'
     member/slot maps outside ``SlotMap`` objects, v5 ones HPTs without
-    ``next_decay`` and devices without ``_row_stride``, and v6 ones the
-    Swap Driver's injected callables and the PRT's event hook."""
+    ``next_decay`` and devices without ``_row_stride``, v6 ones the
+    Swap Driver's injected callables and the PRT's event hook, and v7
+    ones the deleted struct-of-arrays L1-TLB and L1/L2 cache models."""
 
     @pytest.mark.parametrize("scheme", ["pageseer", "pom", "mempod", "cameo"])
     def test_load_fails_the_version_check(self, tmp_path, version, scheme):

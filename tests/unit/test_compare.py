@@ -1,5 +1,7 @@
 """Unit tests for the scheme-comparison helper (repro.analysis.compare)."""
 
+import inspect
+
 import pytest
 
 from repro.analysis.compare import (
@@ -7,6 +9,11 @@ from repro.analysis.compare import (
     compare_schemes,
     comparison_table,
     winner_by_ipc,
+)
+from repro.experiments.runner import (
+    DEFAULT_MEASURE_OPS,
+    DEFAULT_SCALE,
+    DEFAULT_WARMUP_OPS,
 )
 from repro.workloads.extras import extra_workload_by_name
 
@@ -16,6 +23,19 @@ SIZING = dict(scale=1024, measure_ops=300, warmup_ops=300)
 
 
 class TestCompareSchemes:
+    def test_defaults_are_the_runners_paper_sizing(self):
+        # One sizing for every scheme comparison: the runner's, whose
+        # warm-up covers the longest workload's first sweep.
+        defaults = {
+            name: parameter.default
+            for name, parameter in inspect.signature(
+                compare_schemes
+            ).parameters.items()
+        }
+        assert defaults["scale"] == DEFAULT_SCALE
+        assert defaults["measure_ops"] == DEFAULT_MEASURE_OPS
+        assert defaults["warmup_ops"] == DEFAULT_WARMUP_OPS
+
     def test_rows_cover_matrix(self):
         rows = compare_schemes(["milcx4"], schemes=("noswap", "pageseer"), **SIZING)
         assert len(rows) == 2

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.metrics import RunMetrics
+from repro.sim.metrics import PERSISTED_FIELDS, RunMetrics
 
 
 def make_metrics(**overrides):
@@ -88,3 +88,14 @@ class TestPte:
 
     def test_pte_rate_no_tlb_misses(self):
         assert make_metrics(tlb_misses=0).pte_cache_miss_rate == 0.0
+
+
+class TestPayload:
+    def test_payload_is_every_field_but_raw_in_declaration_order(self):
+        metrics = make_metrics(raw={"tlb/misses": 100.0})
+        payload = metrics.payload()
+        assert tuple(payload) == PERSISTED_FIELDS
+        assert "raw" not in payload
+        assert PERSISTED_FIELDS[:3] == ("scheme", "workload", "suite")
+        assert PERSISTED_FIELDS[-1] == "degraded_services"
+        assert RunMetrics(raw={}, **payload) == make_metrics()

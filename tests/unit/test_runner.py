@@ -9,11 +9,11 @@ import pytest
 
 from repro.experiments.jobcore import execute_job
 from repro.experiments.runner import (
-    _METRIC_FIELDS,
     CACHE_VERSION,
     VARIANTS,
     ExperimentRunner,
 )
+from repro.sim.metrics import PERSISTED_FIELDS
 
 
 def make_runner(tmp_path, **kwargs):
@@ -104,7 +104,7 @@ class TestJob:
         checked = execute_job(
             request, (1024, 300, 300, 0, "full"), None, 0, tmp_path / "full"
         )
-        for name in _METRIC_FIELDS:
+        for name in PERSISTED_FIELDS:
             assert plain[name] == checked[name]
 
 
