@@ -6,8 +6,6 @@ Commands:
                       (``--checkpoint-every``/``--resume``: crash-safe runs)
 * ``sweep``           parallel sweep on a local server + worker fleet,
                       with checkpoint resume (docs/SWEEP_SERVICE.md)
-* ``sweepd``          the distributed sweep service itself
-                      (``serve``/``work``/``submit``/``status``)
 * ``report``          regenerate every table/figure (cached)
 * ``energy``          run PageSeer and print the Table II energy report
 * ``golden``          verify (or ``--update``) the golden regression matrix
@@ -164,18 +162,6 @@ def _add_chaos_arguments(parser: argparse.ArgumentParser) -> None:
                         help="SIGKILL + relaunch the server after N results")
 
 
-def _add_fleet_arguments(parser: argparse.ArgumentParser) -> None:
-    """Worker-side knobs shared by ``sweep`` and ``sweepd work``."""
-    parser.add_argument("--checkpoint-every", type=int, default=None,
-                        metavar="OPS",
-                        help="ops between a job's rolling checkpoints "
-                             "(default: each job writes "
-                             f"{CHECKPOINTS_PER_JOB}, evenly spaced; "
-                             "0 = off)")
-    parser.add_argument("--heartbeat-seconds", type=float,
-                        default=HEARTBEAT_SECONDS)
-
-
 def _add_checkpoint_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--checkpoint-every", type=int, default=0, metavar="OPS",
                         help="write a rolling checkpoint every N executed ops "
@@ -326,6 +312,14 @@ def _sweep_requests(args: argparse.Namespace):
     ]
 
 
+def _worker_count(text: str) -> int:
+    """``--jobs``: a negative worker count is a usage error (exit 2)."""
+    count = int(text)
+    if count < 0:
+        raise argparse.ArgumentTypeError(f"expected a count >= 0, got {count}")
+    return count
+
+
 def _fleet_chaos_from_args(args: argparse.Namespace):
     from repro.faults.chaos import FleetChaos
 
@@ -410,126 +404,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
           f"server restarts: {report.chaos_server_restarts})")
     print(f"results digest: {_results_digest(results)}")
     return 0
-
-
-def _command_sweepd(args: argparse.Namespace) -> int:
-    from repro.common.errors import SweepdError
-
-    try:
-        return args.sweepd_handler(args)
-    except ManifestVersionError as error:
-        print(f"error: {error}", file=sys.stderr)
-        if error.hint:
-            print(f"hint: {error.hint}", file=sys.stderr)
-        return EXIT_MANIFEST_VERSION
-    except SweepdError as error:
-        print(f"error: {error}", file=sys.stderr)
-        return 1
-
-
-def _sweepd_serve(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.sweepd.server import SweepdServer
-
-    cache_dir = Path(args.cache_dir) if args.cache_dir else None
-    if cache_dir is None:
-        cache_dir = ExperimentRunner().cache_dir
-    server = SweepdServer(
-        args.root, cache_dir,
-        address=args.address,
-        max_attempts=args.max_attempts,
-        lease_seconds=args.lease_seconds,
-        chaos=_message_chaos_from_args(args),
-    )
-    print(f"sweepd serving on {server.address} (root {args.root})")
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        server.close()
-    return 0
-
-
-def _sweepd_work(args: argparse.Namespace) -> int:
-    import os
-    from pathlib import Path
-
-    from repro.sweepd.fleet import JOBS_DIRNAME
-    from repro.sweepd.protocol import read_address_file
-    from repro.sweepd.worker import SweepdWorker
-
-    address = args.address or read_address_file(args.root)
-    name = args.name or f"w{os.getpid()}"
-    worker = SweepdWorker(
-        name, address, Path(args.root) / JOBS_DIRNAME,
-        checkpoint_every=args.checkpoint_every,
-        heartbeat_seconds=args.heartbeat_seconds,
-    )
-    completed = worker.run()
-    print(f"worker {name} drained after {completed} job(s)")
-    return 0
-
-
-def _sweepd_submit(args: argparse.Namespace) -> int:
-    from repro.sweepd.jobs import build_job
-    from repro.sweepd.protocol import RpcClient, read_address_file
-
-    runner = ExperimentRunner(
-        scale=args.scale,
-        measure_ops=args.measure_ops,
-        warmup_ops=args.warmup_ops,
-        seed=args.seed,
-        faults=_resolve_faults(args),
-        worker_check_level=args.worker_check_level,
-    )
-    records = [
-        build_job(request, runner._sizing(), runner.faults)
-        for request in _sweep_requests(args)
-    ]
-    address = args.address or read_address_file(args.root)
-    with RpcClient(address) as rpc:
-        reply = rpc.call({
-            "type": "submit",
-            "priority": args.priority,
-            "jobs": [record.to_json() for record in records],
-        })
-    if reply.get("type") == "error":
-        print(f"error: {reply.get('error')}", file=sys.stderr)
-        return 1
-    print(f"submitted {len(records)} job(s) on the {args.priority} lane: "
-          f"{len(reply.get('new', []))} new, "
-          f"{len(reply.get('known', []))} already queued, "
-          f"{len(reply.get('already_done', []))} already cached")
-    return 0
-
-
-def _sweepd_status(args: argparse.Namespace) -> int:
-    from repro.sweepd.protocol import RpcClient, read_address_file
-
-    address = args.address or read_address_file(args.root)
-    with RpcClient(address) as rpc:
-        status = rpc.call({"type": "status"})
-    counts = status.get("counts", {})
-    print(f"sweepd at {status.get('address')}: "
-          f"{counts.get('pending', 0)} pending, "
-          f"{counts.get('leased', 0)} leased, "
-          f"{counts.get('done', 0)} done, "
-          f"{counts.get('quarantined', 0)} quarantined "
-          f"(lease reclaims: {status.get('reclaims', 0)})")
-    eta = status.get("eta_seconds")
-    if eta is not None:
-        print(f"estimated time remaining: {eta:.1f}s")
-    if args.verbose:
-        for job in status.get("jobs", []):
-            request = "/".join(job.get("request", []))
-            line = (f"  {job.get('job_id')} {request:40s} "
-                    f"{job.get('state'):11s} attempts={job.get('attempts')}")
-            if job.get("worker"):
-                line += f" worker={job.get('worker')}"
-            print(line)
-            for error in job.get("errors", []):
-                print(f"      {error}")
-    return 0 if not counts.get("quarantined") else 1
 
 
 def _command_report(args: argparse.Namespace) -> int:
@@ -668,12 +542,20 @@ def build_parser() -> argparse.ArgumentParser:
                               **workloads)
     sweep_parser.add_argument("--variants", nargs="+", default=["default"],
                               choices=sorted(VARIANTS))
-    sweep_parser.add_argument("--jobs", type=int, default=None,
-                              help="worker processes (default: CPU count)")
+    sweep_parser.add_argument("--jobs", type=_worker_count, default=None,
+                              help="worker processes (default or 0: CPU "
+                                   "count)")
     sweep_parser.add_argument("--checkpoint-root", default="checkpoints/sweep",
                               help="service root: the sweepd manifest and "
                                    "the per-job checkpoint directories")
-    _add_fleet_arguments(sweep_parser)
+    sweep_parser.add_argument("--checkpoint-every", type=int, default=None,
+                              metavar="OPS",
+                              help="ops between a job's rolling checkpoints "
+                                   "(default: each job writes "
+                                   f"{CHECKPOINTS_PER_JOB}, evenly spaced; "
+                                   "0 = off)")
+    sweep_parser.add_argument("--heartbeat-seconds", type=float,
+                              default=HEARTBEAT_SECONDS)
     sweep_parser.add_argument("--max-attempts", type=int, default=3)
     sweep_parser.add_argument("--resume", action="store_true",
                               help="restart the fleet on --checkpoint-root's "
@@ -689,77 +571,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_fault_arguments(sweep_parser)
     _add_storage_fault_arguments(sweep_parser)
     sweep_parser.set_defaults(handler=_command_sweep)
-
-    sweepd_parser = commands.add_parser(
-        "sweepd", help="distributed sweep service (docs/SWEEP_SERVICE.md)"
-    )
-    sweepd_commands = sweepd_parser.add_subparsers(
-        dest="sweepd_command", required=True
-    )
-
-    serve_parser = sweepd_commands.add_parser(
-        "serve", help="run the work-queue server in the foreground"
-    )
-    serve_parser.add_argument("--root", default="checkpoints/sweepd",
-                              help="service root: manifest, address file, "
-                                   "per-job checkpoint directories")
-    serve_parser.add_argument("--address", default=None,
-                              help="unix:/path or host:port (default: a unix "
-                                   "socket under --root, TCP fallback)")
-    serve_parser.add_argument("--cache-dir", default=None,
-                              help="result cache directory (default: the "
-                                   "runner's, honouring REPRO_CACHE_DIR)")
-    serve_parser.add_argument("--max-attempts", type=int, default=3)
-    serve_parser.add_argument("--lease-seconds", type=float,
-                              default=LEASE_SECONDS)
-    _add_chaos_arguments(serve_parser)
-    _add_storage_fault_arguments(serve_parser)
-    serve_parser.set_defaults(sweepd_handler=_sweepd_serve)
-
-    work_parser = sweepd_commands.add_parser(
-        "work", help="run one worker against a server"
-    )
-    work_parser.add_argument("--root", default="checkpoints/sweepd")
-    work_parser.add_argument("--address", default=None,
-                             help="server address (default: --root's "
-                                  "address file)")
-    work_parser.add_argument("--name", default=None,
-                             help="worker name (default: w<pid>)")
-    _add_fleet_arguments(work_parser)
-    _add_storage_fault_arguments(work_parser)
-    work_parser.set_defaults(sweepd_handler=_sweepd_work)
-
-    submit_parser = sweepd_commands.add_parser(
-        "submit", help="enqueue sweep jobs on a running server"
-    )
-    submit_parser.add_argument("--root", default="checkpoints/sweepd")
-    submit_parser.add_argument("--address", default=None)
-    submit_parser.add_argument("--schemes", nargs="+",
-                               default=["pageseer", "pom", "mempod"],
-                               choices=sorted(SCHEMES))
-    submit_parser.add_argument("--workloads", nargs="*", default=None,
-                               **workloads)
-    submit_parser.add_argument("--variants", nargs="+", default=["default"],
-                               choices=sorted(VARIANTS))
-    submit_parser.add_argument("--priority", default="bulk",
-                               choices=["interactive", "bulk"],
-                               help="interactive jobs preempt queued bulk "
-                                    "jobs at every lease decision")
-    submit_parser.add_argument("--worker-check-level", default="full",
-                               choices=CHECK_LEVELS)
-    _add_sizing_arguments(submit_parser)
-    _add_fault_arguments(submit_parser)
-    submit_parser.set_defaults(sweepd_handler=_sweepd_submit)
-
-    status_parser = sweepd_commands.add_parser(
-        "status", help="query a running server"
-    )
-    status_parser.add_argument("--root", default="checkpoints/sweepd")
-    status_parser.add_argument("--address", default=None)
-    status_parser.add_argument("--verbose", action="store_true",
-                               help="per-job states and error histories")
-    status_parser.set_defaults(sweepd_handler=_sweepd_status)
-    sweepd_parser.set_defaults(handler=_command_sweepd)
 
     report_parser = commands.add_parser(
         "report", help="regenerate every table and figure"

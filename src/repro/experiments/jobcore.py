@@ -1,12 +1,12 @@
 """The unit of work every multi-process sweep is made of.
 
-``ExperimentRunner.run_many(jobs != 1)``, ``repro sweep`` and the
-long-lived ``repro sweepd`` service all run on one executor — the
-``sweepd`` work-queue server plus its workers (:mod:`repro.sweepd`) —
-and every worker runs the *same* job: one (scheme, workload, variant)
-simulation that checkpoints into a private directory, resumes from
-``latest.ckpt`` after a crash or SIGKILL, and lands its metrics as an
-atomically-written JSON payload.  This module is that job:
+``ExperimentRunner.run_many(jobs != 1)`` and ``repro sweep`` both run
+on one executor — the ``sweepd`` work-queue server plus its workers
+(:mod:`repro.sweepd`) — and every worker runs the *same* job: one
+(scheme, workload, variant) simulation that checkpoints into a private
+directory, resumes from ``latest.ckpt`` after a crash or SIGKILL, and
+lands its metrics as an atomically-written JSON payload.  This module
+is that job:
 
 * :func:`execute_job` — resume-or-build, arm a checkpointer (with the
   over-the-wire heartbeat hook and the deterministic stall fault), run

@@ -261,7 +261,8 @@ class ExperimentRunner:
         runs the rest in order in this process (useful under debuggers;
         no worker faults are injected, as there is no worker to crash).
         Any other value runs them on a local ``sweepd`` fleet of ``jobs``
-        workers (None: the CPU count) under a temporary service root —
+        workers (None or 0: the CPU count; a negative count raises
+        ValueError) under a temporary service root —
         see :func:`repro.sweepd.fleet.run_distributed_sweep`: leases
         with deadlines, a SIGKILL for hung workers, resume from each
         job's checkpoint, backoff retries up to ``max_attempts``, and

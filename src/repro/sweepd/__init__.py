@@ -15,7 +15,7 @@ Module map (docs/SWEEP_SERVICE.md has the full architecture):
   :class:`~repro.sweepd.protocol.RpcClient`, deterministic message chaos;
 * :mod:`repro.sweepd.jobs` — job records and deterministic job ids;
 * :mod:`repro.sweepd.manifest` — the server's persisted queue: leases,
-  expiry reclaim, retry backoff, poison-job quarantine, priority lanes;
+  expiry reclaim, retry backoff, poison-job quarantine;
 * :mod:`repro.sweepd.aggregator` — exactly-once, digest-checked result
   aggregation into the runner's cache;
 * :mod:`repro.sweepd.server` — the selectors event loop;
@@ -24,24 +24,3 @@ Module map (docs/SWEEP_SERVICE.md has the full architecture):
   ``repro sweep`` and ``run_many`` (process supervision + scripted
   chaos).
 """
-
-from repro.sweepd.aggregator import ResultAggregator
-from repro.sweepd.fleet import FleetReport, run_distributed_sweep
-from repro.sweepd.jobs import JobRecord, build_job, job_id_for
-from repro.sweepd.manifest import JobManifest
-from repro.sweepd.protocol import RpcClient
-from repro.sweepd.server import SweepdServer
-from repro.sweepd.worker import SweepdWorker
-
-__all__ = [
-    "FleetReport",
-    "JobManifest",
-    "JobRecord",
-    "ResultAggregator",
-    "RpcClient",
-    "SweepdServer",
-    "SweepdWorker",
-    "build_job",
-    "job_id_for",
-    "run_distributed_sweep",
-]

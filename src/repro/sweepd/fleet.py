@@ -51,6 +51,8 @@ class FleetReport:
     hung_worker_kills: int = 0
     chaos_worker_kills: int = 0
     chaos_server_restarts: int = 0
+    #: Expired leases, summed over the persisted job records, so the
+    #: count survives a server restart.
     reclaims: int = 0
     quarantined: List[Tuple[str, ...]] = dataclasses.field(default_factory=list)
 
@@ -135,6 +137,7 @@ class _Fleet:
             target=worker_main,
             args=(
                 name, self.address, str(self.root / JOBS_DIRNAME),
+                self.server_options["lease_seconds"],
                 self.checkpoint_every, self.heartbeat_seconds,
                 self.kill_at_steps.get(slot) if generation == 0 else None,
             ),
@@ -177,7 +180,6 @@ def run_distributed_sweep(
     root,
     *,
     workers: int = 2,
-    priority: str = "bulk",
     chaos: Optional[ChaosConfig] = None,
     fleet_chaos: Optional[FleetChaos] = None,
     lease_seconds: float = LEASE_SECONDS,
@@ -203,7 +205,11 @@ def run_distributed_sweep(
     ``checkpoint_every`` None derives each job's cadence from its length
     (:func:`repro.experiments.jobcore.default_checkpoint_every`);
     ``timeout`` None waits for the drain however long it takes.
+    ``workers`` below 1 raises ValueError: no worker would ever drain
+    the queue.
     """
+    if workers < 1:
+        raise ValueError(f"a sweep needs at least one worker, got {workers}")
     root = Path(root)
     manifest = JobManifest(root)
     if requests is None:
@@ -216,7 +222,7 @@ def run_distributed_sweep(
     else:
         manifest.load()
         records = [
-            build_job(request, runner._sizing(), runner.faults, priority=0)
+            build_job(request, runner._sizing(), runner.faults)
             for request in dict.fromkeys(requests)
         ]
     script = fleet_chaos or FleetChaos()
@@ -242,7 +248,6 @@ def run_distributed_sweep(
             if requests is not None:
                 reply = rpc.call({
                     "type": "submit",
-                    "priority": priority,
                     "jobs": [record.to_json() for record in records],
                 })
                 if reply.get("type") == "error":

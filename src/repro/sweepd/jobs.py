@@ -24,11 +24,6 @@ LEASED = "leased"
 DONE = "done"
 QUARANTINED = "quarantined"
 
-#: Priority lanes: lower value wins the lease.  Interactive requests
-#: preempt bulk sweeps at every scheduling decision.
-PRIORITIES = {"interactive": 0, "bulk": 1}
-PRIORITY_BULK = PRIORITIES["bulk"]
-
 #: Keys a job's ``sizing`` dict carries (the :data:`Sizing` tuple's).
 SIZING_KEYS = ("scale", "measure_ops", "warmup_ops", "seed", "check_level")
 
@@ -51,11 +46,10 @@ class JobRecord:
     #: Serialized FaultConfig (or None) — workers rebuild it.
     faults: Optional[Dict[str, object]]
     cache_key: str
-    priority: int = PRIORITY_BULK
     state: str = PENDING
     #: Number of leases ever granted (attempt counter for quarantine).
     attempts: int = 0
-    #: FIFO tie-break within a priority lane.
+    #: Lease order: jobs are granted in submit order.
     submit_seq: int = 0
     #: Error strings from failed attempts, oldest first.
     errors: List[str] = dataclasses.field(default_factory=list)
@@ -70,8 +64,6 @@ class JobRecord:
     lease_deadline: float = dataclasses.field(default=0.0, compare=False)
     #: Earliest monotonic time the job may be leased again (retry backoff).
     not_before: float = dataclasses.field(default=0.0, compare=False)
-    #: Last heartbeat's simulated-step count (ETA/observability).
-    last_steps: int = dataclasses.field(default=0, compare=False)
 
     @property
     def request(self) -> Request:
@@ -80,8 +72,8 @@ class JobRecord:
     # -- persistence -------------------------------------------------------
     _PERSISTED = (
         "job_id", "scheme", "workload", "variant", "sizing", "faults",
-        "cache_key", "priority", "state", "attempts", "submit_seq",
-        "errors", "result_digest", "reclaims",
+        "cache_key", "state", "attempts", "submit_seq", "errors",
+        "result_digest", "reclaims",
     )
 
     def to_json(self) -> Dict[str, object]:
@@ -112,11 +104,8 @@ class JobRecord:
             "job_id": self.job_id,
             "request": list(self.request),
             "state": self.state,
-            "priority": self.priority,
             "attempts": self.attempts,
-            "reclaims": self.reclaims,
             "worker": self.lease_worker,
-            "steps": self.last_steps,
             "errors": list(self.errors),
         }
 
@@ -125,9 +114,6 @@ def build_job(
     request: Request,
     sizing: Sizing,
     faults: Optional[FaultConfig],
-    *,
-    priority: int = PRIORITY_BULK,
-    submit_seq: int = 0,
 ) -> JobRecord:
     """Construct the canonical JobRecord for one request."""
     scale, measure_ops, warmup_ops, seed, check_level = sizing
@@ -145,6 +131,4 @@ def build_job(
         },
         faults=None if faults is None else dataclasses.asdict(faults),
         cache_key=cache_key(request, sizing, faults),
-        priority=priority,
-        submit_seq=submit_seq,
     )

@@ -12,10 +12,10 @@ double-counted either way.
 Scheduling rules live here too, so they are unit-testable without
 sockets:
 
-* **leases** — a worker claims the best ``pending`` job (priority lane
-  first, then submit order); the lease carries a deadline, extended by
-  heartbeats.  Re-leasing by the same worker is idempotent (lost reply
-  ⇒ same job again).
+* **leases** — a worker claims the earliest-submitted leasable
+  ``pending`` job; the lease carries a deadline, extended by heartbeats.
+  Re-leasing by the same worker is idempotent (lost reply ⇒ same job
+  again).
 * **expiry** — :meth:`reclaim_expired` returns timed-out leases to the
   queue and names the worker in :attr:`JobManifest.reclaimed_workers`;
   a SIGKILLed or hung worker loses its claim (and, in a local fleet,
@@ -45,7 +45,7 @@ SWEEPD_MANIFEST_VERSION = 1
 MANIFEST_NAME = "sweepd-manifest.json"
 
 _MANIFEST_HINT = (
-    "start a fresh sweep with a new --checkpoint-root (sweepd: --root), "
+    "start a fresh sweep with a new --checkpoint-root, "
     "or resume with the build that wrote this manifest"
 )
 
@@ -65,18 +65,9 @@ class JobManifest:
         self.lease_seconds = float(lease_seconds)
         self.jobs: Dict[str, JobRecord] = {}
         self._submit_seq = 0
-        #: Leases reclaimed from dead/hung workers since this process
-        #: started (observability; per-job counts persist on the record).
-        self.reclaims = 0
         #: Workers whose lease expired since this process started: dead or
         #: hung, so the local fleet SIGKILLs any that is still running.
         self.reclaimed_workers: Set[str] = set()
-        #: Manifest writes the storage layer refused (ENOSPC, EIO, ...)
-        #: since this process started.  The in-memory state stays
-        #: authoritative and the next state change retries the write; a
-        #: crash meanwhile restarts from an older-but-consistent manifest
-        #: (done jobs re-adopt from the cache, leases demote and re-grant).
-        self.persist_failures = 0
 
     @property
     def path(self) -> Path:
@@ -86,6 +77,10 @@ class JobManifest:
     def persist(self) -> bool:
         """Write the manifest; False when the storage layer refused.
 
+        A refused write (ENOSPC, EIO, ...) leaves the in-memory state
+        authoritative, and the next state change retries it; a crash
+        meanwhile restarts from an older-but-consistent manifest (done
+        jobs re-adopt from the cache, leases demote and re-grant).
         ``backup=True`` keeps the previous manifest as ``.bak``, the
         one-generation fallback :meth:`load` falls back to when the
         primary is later found corrupt (bit-rot, a torn write that lied).
@@ -101,7 +96,6 @@ class JobManifest:
         try:
             persist.write_json(self.path, payload, site="manifest", backup=True)
         except PersistError:
-            self.persist_failures += 1
             return False
         return True
 
@@ -175,17 +169,12 @@ class JobManifest:
     def submit(self, records: Iterable[JobRecord]) -> Tuple[List[str], List[str]]:
         """Add jobs; returns (new ids, already-known ids).
 
-        Resubmitting a known job is a no-op — except that a *pending*
-        job resubmitted on a hotter priority lane is promoted, which is
-        how an interactive request preempts an already-queued bulk job.
+        Resubmitting a known job is a no-op.
         """
         new_ids: List[str] = []
         known_ids: List[str] = []
         for record in records:
-            existing = self.jobs.get(record.job_id)
-            if existing is not None:
-                if existing.state == PENDING and record.priority < existing.priority:
-                    existing.priority = record.priority
+            if record.job_id in self.jobs:
                 known_ids.append(record.job_id)
                 continue
             self._submit_seq += 1
@@ -219,7 +208,7 @@ class JobManifest:
         if held:
             # Idempotent re-grant: the worker never saw our last reply,
             # or is re-leasing after a reconnect.  Same job, fresh clock.
-            record = min(held, key=lambda r: (r.priority, r.submit_seq))
+            record = min(held, key=lambda r: r.submit_seq)
             record.lease_deadline = now + self.lease_seconds
             return ("job", record, 0.0)
 
@@ -228,7 +217,7 @@ class JobManifest:
             if record.state == PENDING and record.not_before <= now
         ]
         if ready:
-            record = min(ready, key=lambda r: (r.priority, r.submit_seq))
+            record = min(ready, key=lambda r: r.submit_seq)
             record.state = LEASED
             record.attempts += 1
             record.lease_worker = worker
@@ -245,7 +234,7 @@ class JobManifest:
             return ("idle", None, self.lease_seconds / 4)
         return ("drain", None, 0.0)
 
-    def heartbeat(self, worker: str, job_id: str, steps: int, now: float) -> None:
+    def heartbeat(self, worker: str, job_id: str, now: float) -> None:
         """Extend *worker*'s lease on *job_id*; re-claim after a restart.
 
         A heartbeat for a ``pending`` job means the server restarted
@@ -263,7 +252,6 @@ class JobManifest:
             record.lease_worker = worker
         if record.state == LEASED and record.lease_worker == worker:
             record.lease_deadline = now + self.lease_seconds
-            record.last_steps = int(steps)
 
     def fail(
         self, job_id: str, worker: Optional[str], error: str,
@@ -290,7 +278,6 @@ class JobManifest:
             if record.state != LEASED or record.lease_deadline > now:
                 continue
             record.reclaims += 1
-            self.reclaims += 1
             if record.lease_worker is not None:
                 self.reclaimed_workers.add(record.lease_worker)
             record.errors.append(

@@ -60,6 +60,9 @@ SOCKET_NAME = "sweepd.sock"
 #: the service falls back to TCP on localhost.
 _MAX_UNIX_PATH = 96
 
+#: First pause before an RPC retry; it doubles up to one second.
+_RECONNECT_DELAY = 0.05
+
 Message = Dict[str, object]
 
 
@@ -172,13 +175,6 @@ def parse_address(spec: str) -> Address:
     return (host or "127.0.0.1", int(port))
 
 
-def format_address(address: Address) -> str:
-    if isinstance(address, str):
-        return f"unix:{address}"
-    host, port = address
-    return f"tcp:{host}:{port}"
-
-
 def default_address(root: Union[str, Path]) -> str:
     """Pick a listen address for *root*: Unix socket, or TCP fallback.
 
@@ -266,10 +262,10 @@ def connect(spec: str, timeout: float) -> "socket.socket":
 class RpcClient:
     """A reconnecting, retrying, duplicate-discarding protocol client.
 
-    One instance serves one logical peer (a worker's or submitter's view
-    of the server).  Not thread-safe — the worker drives it from a
-    single loop, and heartbeat sends happen inline at checkpointer
-    cadence.
+    One instance serves one logical peer (a worker's or the fleet
+    driver's view of the server).  Not thread-safe — the worker drives
+    it from a single loop, and heartbeat sends happen inline at
+    checkpointer cadence.
     """
 
     def __init__(
@@ -278,12 +274,10 @@ class RpcClient:
         *,
         timeout: float = 5.0,
         retry_window: float = 60.0,
-        reconnect_delay: float = 0.05,
     ) -> None:
         self.address = address
         self.timeout = float(timeout)
         self.retry_window = float(retry_window)
-        self.reconnect_delay = float(reconnect_delay)
         self._sock: Optional[socket.socket] = None
         self._buffer = FrameBuffer()
         self._seq = 0
@@ -313,13 +307,7 @@ class RpcClient:
         self.close()
 
     # -- calls -------------------------------------------------------------
-    def call(
-        self,
-        message: Message,
-        *,
-        timeout: Optional[float] = None,
-        retry_window: Optional[float] = None,
-    ) -> Message:
+    def call(self, message: Message) -> Message:
         """Send *message*, await the matching reply; retry until it lands.
 
         Retries reuse the same ``seq``, so a request whose *reply* was
@@ -327,28 +315,26 @@ class RpcClient:
         :class:`repro.common.errors.SweepdError` once ``retry_window``
         seconds have passed without a matched reply.
         """
-        timeout = self.timeout if timeout is None else float(timeout)
-        window = self.retry_window if retry_window is None else float(retry_window)
         self._seq += 1
         framed = encode_frame(dict(message, seq=self._seq))
-        deadline = time.monotonic() + window
-        delay = self.reconnect_delay
+        deadline = time.monotonic() + self.retry_window
+        delay = _RECONNECT_DELAY
         last_error: Optional[BaseException] = None
         while True:
             try:
                 sock = self._ensure_connected()
                 sock.sendall(framed)
-                reply = self._await_reply(sock, self._seq, timeout)
+                reply = self._await_reply(sock, self._seq, self.timeout)
                 if reply is not None:
                     return reply
-                raise TimeoutError(f"no reply within {timeout:.1f}s")
+                raise TimeoutError(f"no reply within {self.timeout:.1f}s")
             except (OSError, TimeoutError) as exc:
                 last_error = exc
                 self._drop_connection()
             if time.monotonic() >= deadline:
                 raise SweepdError(
                     f"rpc {message.get('type')!r} to {self.address} failed "
-                    f"after {window:.1f}s of retries "
+                    f"after {self.retry_window:.1f}s of retries "
                     f"({type(last_error).__name__}: {last_error})"
                 )
             time.sleep(delay)

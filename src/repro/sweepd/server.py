@@ -33,8 +33,8 @@ from repro.common.errors import PersistError, SweepdError
 from repro.common.rng import DeterministicRng
 from repro.experiments.jobcore import LEASE_SECONDS
 from repro.faults.chaos import ChaosConfig
-from repro.sweepd.aggregator import DIVERGENT, STORED, ResultAggregator
-from repro.sweepd.jobs import DONE, PENDING, PRIORITIES, PRIORITY_BULK, JobRecord
+from repro.sweepd.aggregator import DIVERGENT, ResultAggregator
+from repro.sweepd.jobs import DONE, PENDING, JobRecord
 from repro.sweepd.manifest import JobManifest
 from repro.sweepd.protocol import (
     FrameBuffer,
@@ -96,12 +96,6 @@ class SweepdServer:
         self._connections: Dict[socket.socket, _Connection] = {}
         self._stopping = False
         self._dirty = False
-        #: Wall-clock lease-grant times and completed-job durations for
-        #: the status reply's ETA estimate.
-        self._started: Dict[str, float] = {}
-        self._durations: List[float] = []
-        #: worker name -> wall time last heard from (liveness for ETA).
-        self._last_heard: Dict[str, float] = {}
 
         if self.manifest.load():
             self._adopt_cached_results()
@@ -246,9 +240,6 @@ class SweepdServer:
     # -- dispatch ----------------------------------------------------------
     def _dispatch(self, message: Message) -> Optional[Message]:
         kind = message.get("type")
-        worker = message.get("worker")
-        if isinstance(worker, str):
-            self._last_heard[worker] = time.monotonic()
         handler = getattr(self, f"_on_{kind}", None)
         if handler is None:
             return {"type": "error", "error": f"unknown message type {kind!r}"}
@@ -257,21 +248,12 @@ class SweepdServer:
         except SweepdError as exc:
             return {"type": "error", "error": str(exc)}
 
-    def _on_hello(self, message: Message) -> Message:
-        return {
-            "type": "welcome",
-            "root": str(self.root),
-            "lease_seconds": self.manifest.lease_seconds,
-        }
-
     def _on_lease(self, message: Message) -> Message:
         worker = str(message.get("worker"))
         kind, record, retry_after = self.manifest.lease(worker, time.monotonic())
         self._dirty = True
         if kind != "job" or record is None:
             return {"type": "lease", "kind": kind, "retry_after": retry_after}
-        if record.job_id not in self._started:
-            self._started[record.job_id] = time.time()
         return {
             "type": "lease",
             "kind": "job",
@@ -279,16 +261,13 @@ class SweepdServer:
             "request": list(record.request),
             "sizing": record.sizing,
             "faults": record.faults,
-            "cache_key": record.cache_key,
             "attempt": record.attempts - 1,
-            "lease_seconds": self.manifest.lease_seconds,
         }
 
     def _on_heartbeat(self, message: Message) -> None:
         self.manifest.heartbeat(
             str(message.get("worker")),
             str(message.get("job_id")),
-            int(message.get("steps", 0)),  # type: ignore[arg-type]
             time.monotonic(),
         )
         return None  # fire-and-forget: no reply even if seq were present
@@ -330,9 +309,6 @@ class SweepdServer:
             )
         else:
             self.manifest.mark_done(job_id, digest)
-            started = self._started.pop(job_id, None)
-            if verdict == STORED and started is not None:
-                self._durations.append(max(0.0, time.time() - started))
         self._dirty = True
         return {"type": "result", "verdict": verdict, "job_id": job_id}
 
@@ -352,21 +328,10 @@ class SweepdServer:
         entries = message.get("jobs")
         if not isinstance(entries, list):
             return {"type": "error", "error": "submit without a job list"}
-        priority = message.get("priority", "bulk")
-        if priority not in PRIORITIES:
-            return {
-                "type": "error",
-                "error": f"unknown priority {priority!r} "
-                         f"(expected one of {sorted(PRIORITIES)})",
-            }
-        records = []
-        for entry in entries:
-            try:
-                record = JobRecord.from_json(entry)
-                record.priority = PRIORITIES.get(str(priority), PRIORITY_BULK)
-            except (TypeError, KeyError) as exc:
-                return {"type": "error", "error": f"malformed job entry: {exc}"}
-            records.append(record)
+        try:
+            records = [JobRecord.from_json(entry) for entry in entries]
+        except (TypeError, KeyError) as exc:
+            return {"type": "error", "error": f"malformed job entry: {exc}"}
         new_ids, known_ids = self.manifest.submit(records)
         # Cache-aware admission: anything already simulated (by a serial
         # run, a supervised sweep, or a previous service) is done on
@@ -387,41 +352,18 @@ class SweepdServer:
         }
 
     def _on_status(self, message: Message) -> Message:
-        counts = self.manifest.counts()
+        jobs = [record for _, record in sorted(self.manifest.jobs.items())]
         return {
             "type": "status",
-            "address": self.address,
-            "counts": counts,
+            "counts": self.manifest.counts(),
             "drained": self.manifest.drained(),
-            "reclaims": self.manifest.reclaims,
+            # Summed over the persisted records, so reclaims from before a
+            # server restart still count.
+            "reclaims": sum(record.reclaims for record in jobs),
             "reclaimed_workers": sorted(self.manifest.reclaimed_workers),
-            "eta_seconds": self._eta(counts),
-            "jobs": [
-                record.describe()
-                for _, record in sorted(self.manifest.jobs.items())
-            ],
+            "jobs": [record.describe() for record in jobs],
         }
 
     def _on_shutdown(self, message: Message) -> Message:
         self._stopping = True
         return {"type": "shutdown", "stopping": True}
-
-    # -- estimation --------------------------------------------------------
-    def _eta(self, counts: Dict[str, int]) -> Optional[float]:
-        """Remaining wall-clock estimate from observed job durations.
-
-        Degrades gracefully: when workers die the live-worker count
-        shrinks and the estimate stretches accordingly; with no finished
-        job yet (or no live worker) there is no basis for an estimate.
-        """
-        outstanding = counts.get("pending", 0) + counts.get("leased", 0)
-        if outstanding == 0:
-            return 0.0
-        if not self._durations:
-            return None
-        horizon = time.monotonic() - 2 * self.manifest.lease_seconds
-        live = sum(1 for seen in self._last_heard.values() if seen >= horizon)
-        if live == 0:
-            return None
-        average = sum(self._durations) / len(self._durations)
-        return average * outstanding / live

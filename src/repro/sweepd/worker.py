@@ -48,6 +48,13 @@ from repro.experiments.jobcore import (
 )
 from repro.sweepd.protocol import Message, RpcClient
 
+#: How long the worker's RPCs wait for a reply before resending (capped at
+#: a quarter of the lease) and how long they keep retrying.
+RPC_TIMEOUT_SECONDS = 2.0
+RPC_RETRY_WINDOW_SECONDS = 60.0
+#: Longest sleep between lease polls while no job is leasable.
+IDLE_SLEEP_CAP_SECONDS = 0.5
+
 
 class SweepdWorker:
     """One worker process's lease/execute/report loop."""
@@ -58,11 +65,9 @@ class SweepdWorker:
         address: str,
         jobs_root: Union[str, Path],
         *,
+        lease_seconds: float,
         checkpoint_every: Optional[int] = None,
         heartbeat_seconds: float = HEARTBEAT_SECONDS,
-        rpc_timeout: float = 2.0,
-        retry_window: float = 60.0,
-        idle_sleep_cap: float = 0.5,
         kill_at_steps: Optional[int] = None,
     ) -> None:
         self.name = name
@@ -71,31 +76,27 @@ class SweepdWorker:
         self.checkpoint_every = checkpoint_every
         self.heartbeat_seconds = heartbeat_seconds
         self.kill_at_steps = kill_at_steps
-        self.idle_sleep_cap = idle_sleep_cap
+        # A lost reply is retried after the RPC timeout; keep that well
+        # inside the lease, or a dropped lease (or result) reply lets
+        # the lease expire before the retry lands.
         self.client = RpcClient(
-            address, timeout=rpc_timeout, retry_window=retry_window
+            address,
+            timeout=min(RPC_TIMEOUT_SECONDS, lease_seconds / 4),
+            retry_window=RPC_RETRY_WINDOW_SECONDS,
         )
-        self.completed = 0
 
     # -- loop --------------------------------------------------------------
-    def run(self) -> int:
-        """Work until the server drains; returns jobs completed."""
+    def run(self) -> None:
+        """Work until the server drains."""
         with self.client:
-            welcome = self.client.call({"type": "hello", "worker": self.name})
-            # A lost reply is retried after the RPC timeout; keep that well
-            # inside the lease, or a dropped lease (or result) reply lets
-            # the lease expire before the retry lands.
-            lease_seconds = float(cast(float, welcome.get("lease_seconds") or 0.0))
-            if lease_seconds > 0.0:
-                self.client.timeout = min(self.client.timeout, lease_seconds / 4)
             while True:
                 reply = self.client.call({"type": "lease", "worker": self.name})
                 kind = reply.get("kind")
                 if kind == "drain":
-                    return self.completed
+                    return
                 if kind != "job":
                     retry_after = float(cast(float, reply.get("retry_after", 0.0)))
-                    time.sleep(min(max(retry_after, 0.01), self.idle_sleep_cap))
+                    time.sleep(min(max(retry_after, 0.01), IDLE_SLEEP_CAP_SECONDS))
                     continue
                 self._work_one(reply)
 
@@ -125,7 +126,6 @@ class SweepdWorker:
                     "type": "heartbeat",
                     "worker": self.name,
                     "job_id": job_id,
-                    "steps": steps,
                 })
 
             try:
@@ -167,22 +167,22 @@ class SweepdWorker:
             raise SweepdError(
                 f"server rejected result for {job_id}: {reply.get('error')}"
             )
-        self.completed += 1
 
 
 def worker_main(
     name: str,
     address: str,
     jobs_root: str,
-    checkpoint_every: Optional[int] = None,
-    heartbeat_seconds: float = HEARTBEAT_SECONDS,
-    kill_at_steps: Optional[int] = None,
-) -> int:
+    lease_seconds: float,
+    checkpoint_every: Optional[int],
+    heartbeat_seconds: float,
+    kill_at_steps: Optional[int],
+) -> None:
     """Process entry point for fleet-spawned workers."""
-    worker = SweepdWorker(
+    SweepdWorker(
         name, address, jobs_root,
+        lease_seconds=lease_seconds,
         checkpoint_every=checkpoint_every,
         heartbeat_seconds=heartbeat_seconds,
         kill_at_steps=kill_at_steps,
-    )
-    return worker.run()
+    ).run()

@@ -76,6 +76,19 @@ def test_resubmitted_sweep_is_served_entirely_from_cache(tmp_path):
     assert len(results) == len(REQUESTS)
 
 
+def test_sweep_without_workers_is_refused_up_front(tmp_path):
+    """No worker would ever drain the queue: the sweep is refused before
+    it touches the root, not left polling until its timeout (forever
+    when that is None)."""
+    root = tmp_path / "svc"
+    with pytest.raises(ValueError, match="at least one worker"):
+        run_distributed_sweep(
+            _runner(tmp_path), list(REQUESTS), root,
+            workers=0, timeout=5.0,
+        )
+    assert not root.exists()
+
+
 class _ServerThread:
     """A live in-process server for protocol-level tests."""
 
@@ -104,10 +117,9 @@ def live_server(tmp_path):
         yield server
 
 
-def _submit(rpc, jobs, priority="bulk"):
+def _submit(rpc, jobs):
     return rpc.call({
         "type": "submit",
-        "priority": priority,
         "jobs": [record.to_json() for record in jobs],
     })
 
@@ -151,18 +163,6 @@ def test_duplicate_result_rpc_is_discarded_not_restored(live_server, tmp_path):
     assert [entry["verdict"] for entry in log_lines] == ["stored", "duplicate"]
 
 
-def test_interactive_submission_preempts_queued_bulk_jobs(live_server):
-    sizing = (1024, 400, 400, 0, "off")
-    bulk = build_job(("pageseer", "lbmx4", "default"), sizing, None)
-    hot = build_job(("pom", "lbmx4", "default"), sizing, None)
-    with RpcClient(live_server.address) as rpc:
-        _submit(rpc, [bulk], priority="bulk")
-        _submit(rpc, [hot], priority="interactive")
-        lease = rpc.call({"type": "lease", "worker": "w0"})
-    assert lease["kind"] == "job"
-    assert lease["job_id"] == hot.job_id
-
-
 def test_unknown_message_type_gets_an_error_reply(live_server):
     with RpcClient(live_server.address) as rpc:
         reply = rpc.call({"type": "frobnicate"})
@@ -184,5 +184,26 @@ def test_restart_requeues_done_jobs_whose_cache_entry_is_gone(tmp_path):
     server = SweepdServer(root, tmp_path / "cache")
     try:
         assert server.manifest.jobs[job.job_id].state == PENDING
+    finally:
+        server.close()
+
+
+def test_reclaim_count_survives_a_server_restart(tmp_path):
+    """The status reply's ``reclaims`` sums the persisted per-job counts,
+    so the fleet's "lease reclaims" figure keeps the reclaims made before
+    a scripted server restart."""
+    sizing = (1024, 400, 400, 0, "off")
+    job = build_job(("pageseer", "lbmx4", "default"), sizing, None)
+    root = tmp_path / "svc"
+    root.mkdir()
+    manifest = JobManifest(root, lease_seconds=1.0)
+    manifest.submit([job])
+    manifest.lease("w0", now=0.0)
+    assert manifest.reclaim_expired(now=2.0)
+    assert manifest.persist()
+    server = SweepdServer(root, tmp_path / "cache")
+    try:
+        assert server.manifest.jobs[job.job_id].reclaims == 1
+        assert server._on_status({})["reclaims"] == 1
     finally:
         server.close()

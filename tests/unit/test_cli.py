@@ -96,11 +96,9 @@ class TestParser:
             ["trace-record", "--workload", "bogus", "--out", "x.trace"],
             ["report", "--workloads", "lbmx4", "bogus"],
             ["sweep", "--workloads", "bogus"],
-            ["sweepd", "submit", "--workloads", "bogus"],
             ["bench", "--workloads", "bogus", "--schemes", "pageseer", "--quick"],
         ],
-        ids=["run", "energy", "trace-record", "report", "sweep", "sweepd-submit",
-             "bench"],
+        ids=["run", "energy", "trace-record", "report", "sweep", "bench"],
     )
     def test_unknown_workload_is_a_usage_error(self, argv, capsys):
         """An unknown workload name exits 2 at parse time, as an unknown
@@ -109,6 +107,32 @@ class TestParser:
             main(argv)
         assert exit_info.value.code == 2
         assert "invalid choice" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweepd", "serve", "--root", "svc"],
+            ["sweepd", "submit", "--workloads", "lbmx4"],
+        ],
+        ids=["sweepd-serve", "sweepd-submit"],
+    )
+    def test_removed_sweepd_command_is_rejected(self, argv, capsys):
+        """``repro sweep`` is the sweep service's one client: scripts still
+        calling the removed ``sweepd`` command fail at parse time."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(argv)
+        assert exit_info.value.code == 2
+        assert "invalid choice: 'sweepd'" in capsys.readouterr().err
+
+    def test_negative_sweep_jobs_is_a_usage_error(self, tmp_path, capsys):
+        """No worker would ever drain the sweep: exit 2 at parse time
+        instead of polling forever."""
+        with pytest.raises(SystemExit) as exit_info:
+            main(["sweep", "--jobs", "-1", "--workloads", "lbmx4",
+                  "--checkpoint-root", str(tmp_path / "svc")])
+        assert exit_info.value.code == 2
+        assert "--jobs" in capsys.readouterr().err
+        assert not (tmp_path / "svc").exists()
 
     def test_building_the_parser_leaves_the_analyzer_unloaded(self):
         """Every command builds the parser; only a lint run pays for

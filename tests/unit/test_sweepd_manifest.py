@@ -11,7 +11,6 @@ from repro.sweepd.jobs import (
     DONE,
     LEASED,
     PENDING,
-    PRIORITIES,
     QUARANTINED,
     build_job,
     job_id_for,
@@ -25,8 +24,8 @@ from repro.sweepd.manifest import (
 SIZING = (1024, 400, 400, 0, "off")
 
 
-def _job(scheme="pageseer", workload="lbmx4", variant="default", **kwargs):
-    return build_job((scheme, workload, variant), SIZING, None, **kwargs)
+def _job(scheme="pageseer", workload="lbmx4", variant="default"):
+    return build_job((scheme, workload, variant), SIZING, None)
 
 
 def _manifest(tmp_path, **kwargs):
@@ -62,35 +61,9 @@ class TestSubmission:
         assert new == [] and len(known) == 1
         assert len(manifest.jobs) == 1
 
-    def test_resubmit_promotes_pending_job_to_hotter_lane(self, tmp_path):
-        manifest = _manifest(tmp_path)
-        (job_id,), _ = manifest.submit(
-            [_job(priority=PRIORITIES["bulk"])]
-        )
-        manifest.submit([_job(priority=PRIORITIES["interactive"])])
-        assert manifest.jobs[job_id].priority == PRIORITIES["interactive"]
-
-    def test_resubmit_never_demotes(self, tmp_path):
-        manifest = _manifest(tmp_path)
-        (job_id,), _ = manifest.submit(
-            [_job(priority=PRIORITIES["interactive"])]
-        )
-        manifest.submit([_job(priority=PRIORITIES["bulk"])])
-        assert manifest.jobs[job_id].priority == PRIORITIES["interactive"]
-
 
 class TestLeasing:
-    def test_interactive_lane_preempts_bulk(self, tmp_path):
-        manifest = _manifest(tmp_path)
-        manifest.submit([
-            _job(workload="lbmx4", priority=PRIORITIES["bulk"]),
-            _job(workload="milcx4", priority=PRIORITIES["interactive"]),
-        ])
-        kind, record, _ = manifest.lease("w0", now=0.0)
-        assert kind == "job"
-        assert record.workload == "milcx4"
-
-    def test_fifo_within_a_lane(self, tmp_path):
+    def test_leases_in_submit_order(self, tmp_path):
         manifest = _manifest(tmp_path)
         manifest.submit([_job(workload="lbmx4")])
         manifest.submit([_job(workload="milcx4")])
@@ -127,9 +100,8 @@ class TestLeasing:
         manifest = _manifest(tmp_path, lease_seconds=10.0)
         (job_id,), _ = manifest.submit([_job()])
         manifest.lease("w0", now=0.0)
-        manifest.heartbeat("w0", job_id, steps=123, now=8.0)
+        manifest.heartbeat("w0", job_id, now=8.0)
         assert not manifest.reclaim_expired(now=12.0)
-        assert manifest.jobs[job_id].last_steps == 123
 
     def test_heartbeat_reclaims_job_after_server_restart(self, tmp_path):
         manifest = _manifest(tmp_path)
@@ -142,7 +114,7 @@ class TestLeasing:
         assert reloaded.jobs[job_id].state == PENDING
         # The worker is still simulating and heartbeats: it gets the
         # lease back instead of a second worker starting the same job.
-        reloaded.heartbeat("w0", job_id, steps=500, now=0.0)
+        reloaded.heartbeat("w0", job_id, now=0.0)
         assert reloaded.jobs[job_id].state == LEASED
         assert reloaded.jobs[job_id].lease_worker == "w0"
         # ...continuing its attempt rather than burning a new one.
@@ -157,7 +129,7 @@ class TestLeasing:
         manifest.reclaim_expired(now=2.0)
         # w0 was declared dead; a late heartbeat must not hand the job
         # back to a worker the fleet is about to kill.
-        manifest.heartbeat("w0", job_id, steps=500, now=2.5)
+        manifest.heartbeat("w0", job_id, now=2.5)
         assert manifest.jobs[job_id].state == PENDING
 
 
@@ -263,6 +235,22 @@ class TestPersistence:
         }))
         with pytest.raises(ManifestVersionError, match="schema"):
             _manifest(tmp_path).load()
+
+    def test_manifest_with_retired_priority_field_resumes(self, tmp_path):
+        """A version-1 manifest from a build with priority lanes still
+        carries ``"priority"`` on every job; it loads, and its job leases."""
+        entry = _job().to_json()
+        entry["priority"] = 0
+        (tmp_path / MANIFEST_NAME).write_text(json.dumps({
+            "sweepd_manifest_version": SWEEPD_MANIFEST_VERSION,
+            "max_attempts": 3,
+            "jobs": [entry],
+        }))
+        manifest = _manifest(tmp_path)
+        assert manifest.load()
+        kind, record, _ = manifest.lease("w0", now=0.0)
+        assert kind == "job"
+        assert record.job_id == entry["job_id"]
 
     def test_submit_seq_continues_after_reload(self, tmp_path):
         manifest = _manifest(tmp_path)
